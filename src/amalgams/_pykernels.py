@@ -1,10 +1,14 @@
-"""Pure-Python fallback for the hot integer-sequence kernels.
+"""The hot integer-sequence kernels: the package's one implementation.
 
-Same contracts as the compiled module ``amalgams._ckernels``:
+Import them through ``amalgams.kernels``.  Contracts:
 
 * words are sequences of nonzero signed ints (letter = signed symbol id),
 * label sequences are arbitrary int sequences,
 * all functions are pure.
+
+``longest_common_run`` and ``runs_at_least`` find common runs with a
+rolling polynomial hash over fixed-length windows; a hash hit is
+confirmed by comparing the elements before a run is reported.
 """
 
 from __future__ import annotations

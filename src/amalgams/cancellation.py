@@ -23,6 +23,7 @@ from amalgams.groups import (
     GroupHandle,
     InconclusiveError,
     Tri,
+    ambient_sample,
     require,
 )
 from amalgams.canonical import (
@@ -161,7 +162,7 @@ def symmetrized_closure(
 # label arrays
 
 
-class _LabelPool:
+class LabelPool:
     def __init__(self) -> None:
         self._codes: Dict[Hashable, int] = {}
 
@@ -173,11 +174,11 @@ class _LabelPool:
         return c
 
 
-def _forward_labels(w: CanonicalWord, T: AmalgamTriple, pool: _LabelPool):
+def forward_labels(w: CanonicalWord, T: AmalgamTriple, pool: LabelPool):
     return [pool.code(T.coset_label(s.elt)) for s in w.syllables]
 
 
-def _reversed_inverse_labels(w: CanonicalWord, T: AmalgamTriple, pool: _LabelPool):
+def _reversed_inverse_labels(w: CanonicalWord, T: AmalgamTriple, pool: LabelPool):
     # entry s corresponds to syllable n-1-s, inverted
     return [pool.code(T.coset_label(s.elt.inv()))
             for s in reversed(w.syllables)]
@@ -272,8 +273,8 @@ def _violation_threshold(chi: Fraction, min_len: int) -> int:
 def check_cprime(R: RelatorSet, chi: Optional[Fraction] = None) -> CPrimeResult:
     chi = Fraction(chi) if chi is not None else R.chi
     T = R.T
-    pool = _LabelPool()
-    fwd = {u.uid: _forward_labels(u.word, T, pool) for u in R.units}
+    pool = LabelPool()
+    fwd = {u.uid: forward_labels(u.word, T, pool) for u in R.units}
     rev = {u.uid: _reversed_inverse_labels(u.word, T, pool) for u in R.units}
     max_core = 0
     pairs = 0
@@ -411,12 +412,12 @@ def _part_chain(
     return best
 
 
-def _part_threshold(k: int, relator_len: int) -> int:
+def part_threshold(k: int, relator_len: int) -> int:
     """Smallest integer ell with ell * k > (k-3) * relator_len."""
     return (k - 3) * relator_len // k + 1
 
 
-def _find_replacement(
+def find_replacement(
     w: CanonicalWord, R: RelatorSet, k: int
 ) -> Tuple[Optional[Tuple], bool]:
     """Best long-part replacement, or None.
@@ -425,17 +426,17 @@ def _find_replacement(
     the bound resisted exact verification.
     """
     T = R.T
-    pool = _LabelPool()
-    W = _forward_labels(w, T, pool)
+    pool = LabelPool()
+    W = forward_labels(w, T, pool)
     gray = False
     candidates = []
     for unit in R.units:
         m = len(unit.word)
-        t_min = _part_threshold(k, m)
+        t_min = part_threshold(k, m)
         if t_min > min(len(w), m):
             continue
         scan_k = max(1, t_min - 2)
-        V2 = _forward_labels(unit.word, T, pool) * 2
+        V2 = forward_labels(unit.word, T, pool) * 2
         runs = kernels.runs_at_least(W, V2, scan_k)
         for (p, j, length) in runs:
             o = 0
@@ -528,7 +529,7 @@ def dehn_decide(
             cert.extend(red_steps)
             if w.is_empty():
                 return DehnResult("trivial", cert)
-            found, gray = _find_replacement(w, R, k)
+            found, gray = find_replacement(w, R, k)
             if found is None:
                 if gray:
                     return DehnResult(
@@ -641,11 +642,9 @@ def build_quotient(
 
 
 def _audit_injectivity(Q: QuotientGroup, samples: int) -> None:
-    from amalgams.groups import _ambient_sample
-
     T = Q.T
     for side, group in (("K", T.K), ("L", T.L)):
-        sample = list(_ambient_sample(group, samples))
+        sample = list(ambient_sample(group, samples))
         for i, g in enumerate(sample):
             for h in sample[i + 1:]:
                 diff = group.mul(g, h.inv())
@@ -657,8 +656,8 @@ def _audit_injectivity(Q: QuotientGroup, samples: int) -> None:
                         f"quotient collapses distinct {side}-side elements")
     # distinct cosets across the sides: k * l^-1 never trivial for
     # sampled k in K minus H, l in L minus H
-    ks = [g for g in _ambient_sample(T.K, samples) if T.in_H(g) is Tri.NO]
-    ls = [g for g in _ambient_sample(T.L, samples) if T.in_H(g) is Tri.NO]
+    ks = [g for g in ambient_sample(T.K, samples) if T.in_H(g) is Tri.NO]
+    ls = [g for g in ambient_sample(T.L, samples) if T.in_H(g) is Tri.NO]
     for g in ks[:samples]:
         for h in ls[:samples]:
             word = canonicalize(

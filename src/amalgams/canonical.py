@@ -24,15 +24,11 @@ from amalgams.groups import (
     LetterSupportSubgroup,
     Tri,
     require,
-    _segments,
+    segments,
 )
 
 K_SIDE = "K"
 L_SIDE = "L"
-
-
-def other_side(side: str) -> str:
-    return L_SIDE if side == K_SIDE else K_SIDE
 
 
 @dataclass(frozen=True)
@@ -245,9 +241,6 @@ class TableAmalgam(AmalgamTriple):
         ordered.insert(0, self.K._identity)
         return [Element(self.K, p) for p in ordered[:budget]]
 
-    def h_order(self) -> int:
-        return len(self._k2l)
-
     def h_subgroup(self, side: str):
         from amalgams.groups import FiniteGeneratedSubgroup
 
@@ -318,7 +311,7 @@ class SharedFreeAmalgam(AmalgamTriple):
 
     def coset_label(self, g: Element) -> Hashable:
         side = self.side_of_group(g.owner)
-        skel, segs = _segments(g.payload, self.h_symbols)
+        skel, segs = segments(g.payload, self.h_symbols)
         if not skel:
             return (side, "H")
         return (side, tuple(skel), tuple(segs[1:-1]))
@@ -332,12 +325,12 @@ class SharedFreeAmalgam(AmalgamTriple):
         group = a.owner
         if self.side_of_group(b.owner) != self.side_of_group(group):
             return []
-        skel_a, segs_a = _segments(a.payload, self.h_symbols)
-        skel_b, segs_b = _segments(b.payload, self.h_symbols)
+        skel_a, segs_a = segments(a.payload, self.h_symbols)
+        skel_b, segs_b = segments(b.payload, self.h_symbols)
         if len(skel_a) != len(skel_b):
             return []
         inv_b = b.inv()
-        skel_bi, _ = _segments(inv_b.payload, self.h_symbols)
+        skel_bi, _ = segments(inv_b.payload, self.h_symbols)
         if skel_a != skel_bi:
             return []
         # solve u with a = u' * b^-1-pattern: h = a^-1 * h_core * b^-1
@@ -361,8 +354,8 @@ class SharedFreeAmalgam(AmalgamTriple):
         group = g.owner
         if self.side_of_group(target.owner) != self.side_of_group(group):
             return []
-        skel_g, segs_g = _segments(g.payload, self.h_symbols)
-        skel_t, segs_t = _segments(target.payload, self.h_symbols)
+        skel_g, segs_g = segments(g.payload, self.h_symbols)
+        skel_t, segs_t = segments(target.payload, self.h_symbols)
         if skel_g != skel_t:
             return []
         if not skel_g:
@@ -444,10 +437,6 @@ def canonicalize(
                 return CanonicalWord(())
             return CanonicalWord((Syllable(side, carry),))
     return CanonicalWord(tuple(stack))
-
-
-def canonical_length(w: CanonicalWord) -> int:
-    return len(w.syllables)
 
 
 def canonical_inverse(w: CanonicalWord, T: AmalgamTriple) -> CanonicalWord:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
 import sys
 from dataclasses import asdict
@@ -43,15 +44,48 @@ from amalgams.systems import (
     validate_system,
 )
 
-COMMANDS = (
-    "check-amalgam", "check-smallcancel", "solve-word", "validate-system",
-    "build-stage", "run-construction", "scan-colorings", "topology-chain",
-)
+
+class ConfigError(ValueError):
+    """A config that cannot be read or lacks what its command needs."""
 
 
-def _load_config(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+# config keys each command reads unconditionally; checked before dispatch
+# so that a bad config is a usage error (exit 2), not a traceback
+REQUIRED_KEYS = {
+    "check-amalgam": ("fixture",),
+    "check-smallcancel": ("fixture",),
+    "solve-word": ("fixture", "words"),
+    "validate-system": ("fixture",),
+    "build-stage": ("generators", "stages"),
+    "run-construction": ("generators", "stages"),
+    "scan-colorings": (),
+    "topology-chain": ("generators", "stages", "gamma", "level"),
+}
+
+
+def _load_config(path, command: str) -> dict:
+    """The parsed config, with the keys `command` needs; raises
+    ConfigError when it cannot be used."""
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    missing = [k for k in REQUIRED_KEYS[command] if k not in config]
+    if missing:
+        raise ConfigError(f"{command} config lacks key(s): "
+                          f"{', '.join(missing)}")
+    fixture = config.get("fixture")
+    if "fixture" in REQUIRED_KEYS[command] and not (
+            isinstance(fixture, str) and os.path.isfile(fixture)):
+        raise ConfigError(f"fixture {fixture!r} is not a file")
+    gens = config.get("generators")
+    if gens is not None and not (isinstance(gens, int) and gens >= 1):
+        raise ConfigError(f"config 'generators' must be an integer >= 1, "
+                          f"not {gens!r}")
+    return config
 
 
 def _sample_words(T, rng, count, max_len):
@@ -261,26 +295,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="amalgams",
         description="checkers and construction runs for amalgam quotients")
-    p.add_argument("command", choices=COMMANDS)
+    p.add_argument("command", choices=HANDLERS)
     p.add_argument("--config", required=True, help="JSON config path")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget-len", type=int, default=100_000)
-    p.add_argument("--budget-pow", type=int, default=3)
     p.add_argument("--escalate-inconclusive", action="store_true")
     p.add_argument("--out", default=None, help="report output path")
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.budget_len <= 0 or args.budget_pow <= 0:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.budget_len <= 0:
         print("budgets must be positive", file=sys.stderr)
         return 2
-    config = _load_config(args.config)
+    try:
+        config = _load_config(args.config, args.command)
+    except ConfigError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     checks = HANDLERS[args.command](config, args)
     doc = emit_report(args.command, args.seed, checks,
-                      {"budget_len": args.budget_len,
-                       "budget_pow": args.budget_pow})
+                      {"budget_len": args.budget_len})
     write_report(doc, args.out)
     return exit_status(doc, args.escalate_inconclusive)
 

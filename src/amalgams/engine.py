@@ -44,20 +44,20 @@ from amalgams.canonical import (
     word_to_json,
 )
 from amalgams.cancellation import (
+    LabelPool,
     RelatorSet,
-    _LabelPool,
-    _forward_labels,
-    _part_threshold,
     build_quotient,
     certificate_to_json,
     check_cprime,
     dehn_decide,
+    forward_labels,
+    part_threshold,
     relators_to_json,
     replay_certificate,
 )
 from amalgams.colorings import cantor_pair, cantor_unpair
 from amalgams.systems import SystemEntry, generate_relators
-from amalgams._pykernels import longest_common_run
+from amalgams.kernels import longest_common_run
 
 
 def sym(index: int) -> str:
@@ -142,30 +142,6 @@ class StageColorings:
         return cls(dec(data.get("e")), dec(data.get("c0")),
                    dec(data.get("c1")))
 
-    @classmethod
-    def from_coloring_table(cls, table, scope=None) -> "StageColorings":
-        """Adapt an ordinal coloring table whose scope is an initial run
-        of the finite ordinals."""
-        from amalgams.colorings import ord_to_str
-        scope = scope if scope is not None else table.scope
-        idx = {}
-        for o in scope:
-            s = ord_to_str(o)
-            if not s.isdigit():
-                raise ValueError(f"scope ordinal {s} is not finite")
-            idx[s] = int(s)
-        e, c0, c1 = {}, {}, {}
-        for (a, b), v in table.e_map.items():
-            if a in idx and b in idx:
-                e[(idx[a], idx[b])] = v
-        for (a, b), v in table.c0_map.items():
-            if a in idx and b in idx:
-                c0[(idx[a], idx[b])] = v
-        for (a, b), v in table.c1_map.items():
-            if a in idx and b in idx:
-                c1[(idx[a], idx[b])] = v
-        return cls(e, c0, c1)
-
 
 # ---------------------------------------------------------------------------
 # stage state
@@ -229,7 +205,7 @@ class StageState:
 
     def registered(self) -> List[Element]:
         return [self.registry.decode(c)
-                for c in range(len(self.registry._element_of))]
+                for c in range(len(self.registry))]
 
 
 def init_base(count: int, colorings: Optional[StageColorings] = None
@@ -292,8 +268,9 @@ def _order_key(state: StageState, gamma: int):
     def key(g: Element):
         supp = state.support(g) - {gamma}
         level = max((state.colorings.e(b, gamma) for b in supp), default=0)
-        reg_key = g.key()
-        code = state.registry._code_of.get(reg_key, 1 << 60)
+        code = state.registry.code_of(g)
+        if code is None:
+            code = 1 << 60
         flat = tuple((str(s), sign) for s, sign in g.payload)
         return (level, code, len(g.payload), flat)
     return key
@@ -324,11 +301,6 @@ def transversal_rep(g: Element, gamma: int, i: int, beta: int,
     c1, c2 = state.element(core1), state.element(core2)
     key = _order_key(state, gamma)
     return c1 if key(c1) <= key(c2) else c2
-
-
-def e_class(g: Element, gamma: int, i: int, beta: int,
-            state: StageState) -> Element:
-    return transversal_rep(g, gamma, i, beta, state)
 
 
 def decompose_star(g: Element, gamma: int, i: int, beta: int,
@@ -414,7 +386,7 @@ def enumerate_J(gamma: int, i: int, state: StageState
     dropped."""
     entries: List[JEntry] = []
     skipped: List[dict] = []
-    n_codes = len(state.registry._element_of)
+    n_codes = len(state.registry)
     d_lt = set(state.d_lt(gamma, i))
 
     def skip(k, reason, **extra):
@@ -520,7 +492,7 @@ def advance_stage(state: StageState) -> StageState:
     the promise audits; any exact audit failure is a hard error."""
     gamma = state.stage
     new = StageState(state.colorings, stage=gamma + 1)
-    for code in range(len(state.registry._element_of)):
+    for code in range(len(state.registry)):
         old = state.registry.decode(code)
         new.registry.register(new.element(old.payload))
     new.layers = dict(state.layers)
@@ -895,7 +867,7 @@ def topology_chain(gamma: int, i: int, k_max: int, budget: int,
 
 def _pumped_window_check(layer: StageLayer, budget: int) -> dict:
     T = layer.amalgam
-    threshold = _part_threshold(10, 6640)
+    threshold = part_threshold(10, 6640)
     out = {"threshold": threshold, "entries": []}
     for n, sysent in enumerate(layer.system):
         half = 3320
@@ -913,11 +885,11 @@ def _pumped_window_check(layer: StageLayer, budget: int) -> dict:
                                    "window": len(window_sylls)})
             continue
         window = canonicalize(window_sylls, T)
-        pool = _LabelPool()
-        wl = _forward_labels(window, T, pool)
+        pool = LabelPool()
+        wl = forward_labels(window, T, pool)
         worst = 0
         for unit in layer.relators.units:
-            ul = _forward_labels(unit.word, T, pool) * 2
+            ul = forward_labels(unit.word, T, pool) * 2
             run, _, _ = longest_common_run(wl, ul)
             worst = max(worst, run)
         out["entries"].append({"sigma": n, "status":

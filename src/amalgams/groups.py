@@ -29,14 +29,6 @@ class InconclusiveError(Exception):
     """Raised internally when a decision procedure exhausts its budget."""
 
 
-def tri_not(t: Tri) -> Tri:
-    if t is Tri.YES:
-        return Tri.NO
-    if t is Tri.NO:
-        return Tri.YES
-    return Tri.INCONCLUSIVE
-
-
 def require(t: Tri) -> bool:
     """Collapse a Tri to bool, raising on INCONCLUSIVE."""
     if t is Tri.INCONCLUSIVE:
@@ -432,7 +424,7 @@ def in_subgroup(g: Element, sub: SubgroupDescriptor) -> Tri:
 # double cosets and good fellows
 
 
-def _segments(word_payload, symbols: frozenset):
+def segments(word_payload, symbols: frozenset):
     """Split a reduced word into (h-segment, skeleton-letter, h-segment, ...)."""
     segs = [[]]
     skel = []
@@ -464,8 +456,8 @@ def in_double_coset(g: Element, sub: SubgroupDescriptor, h: Element) -> Tri:
         # without cancelling any non-H letter, so the skeleton and the inner
         # H-segments of the reduced word are double-coset invariants; the
         # outer segments are absorbed by H exactly.
-        skel_g, segs_g = _segments(g.payload, sub.symbols)
-        skel_h, segs_h = _segments(h.payload, sub.symbols)
+        skel_g, segs_g = segments(g.payload, sub.symbols)
+        skel_h, segs_h = segments(h.payload, sub.symbols)
         if skel_g != skel_h:
             return Tri.NO
         if not skel_g:
@@ -525,7 +517,7 @@ def is_malnormal(
     for h in sub.sample(budget):
         if require(ambient.is_identity(h)):
             continue
-        for g in _ambient_sample(ambient, budget):
+        for g in ambient_sample(ambient, budget):
             if sub.contains(g) is Tri.YES:
                 continue
             conj = ambient.mul(ambient.mul(g.inv(), h), g)
@@ -537,7 +529,7 @@ def is_malnormal(
     return Tri.INCONCLUSIVE
 
 
-def _ambient_sample(group: GroupHandle, budget: int) -> Iterable[Element]:
+def ambient_sample(group: GroupHandle, budget: int) -> Iterable[Element]:
     if isinstance(group, FiniteTableGroup):
         return group.elements()[:budget]
     if isinstance(group, FreeGroup):

@@ -27,10 +27,10 @@ from amalgams.groups import (
     LetterSupportSubgroup,
     SubgroupDescriptor,
     Tri,
+    ambient_sample,
     good_fellows,
     is_malnormal,
     require,
-    _ambient_sample,
 )
 from amalgams import words
 from amalgams.canonical import (
@@ -48,10 +48,10 @@ from amalgams.canonical import (
 from amalgams.cancellation import (
     QuotientGroup,
     RelatorSet,
-    _find_replacement,
-    _part_threshold,
     check_cprime,
     dehn_decide,
+    find_replacement,
+    part_threshold,
     symmetrized_closure,
 )
 
@@ -414,7 +414,7 @@ def in_side_image(Q: QuotientGroup, w: CanonicalWord, side: str,
     for _ in range(rounds):
         if len(w) < 2:
             break
-        found, _gray = _find_replacement(w, Q.R, Q.k)
+        found, _gray = find_replacement(w, Q.R, Q.k)
         if found is None:
             break
         w = found[0]
@@ -427,7 +427,7 @@ def in_side_image(Q: QuotientGroup, w: CanonicalWord, side: str,
         return Tri.NO
     if not Q.R.bases:
         return Tri.NO
-    gap = _part_threshold(Q.k, Q.R.min_base_length())
+    gap = part_threshold(Q.k, Q.R.min_base_length())
     if len(w) + 1 < gap:
         return Tri.NO
     return Tri.INCONCLUSIVE
@@ -435,7 +435,7 @@ def in_side_image(Q: QuotientGroup, w: CanonicalWord, side: str,
 
 def _side_samples(T: AmalgamTriple, side: str, budget: int) -> List[Element]:
     group = T.side_group(side)
-    return [g for g in _ambient_sample(group, budget * 4)
+    return [g for g in ambient_sample(group, budget * 4)
             if T.in_H(g) is Tri.NO][:budget]
 
 

@@ -52,13 +52,6 @@ def inverse(w: Sequence[Letter]) -> FormalWord:
     return tuple((sym, -sign) for sym, sign in reversed(tuple(w)))
 
 
-def concat(*ws: Sequence[Letter]) -> FormalWord:
-    out: list = []
-    for w in ws:
-        out.extend(w)
-    return tuple(out)
-
-
 def power(w: Sequence[Letter], n: int) -> FormalWord:
     if n < 0:
         return power(inverse(w), -n)
@@ -67,13 +60,6 @@ def power(w: Sequence[Letter], n: int) -> FormalWord:
 
 def length(w: Sequence[Letter]) -> int:
     return len(w)
-
-
-def is_reduced(w: Sequence[Letter]) -> bool:
-    return all(
-        not (w[i][0] == w[i + 1][0] and w[i][1] == -w[i + 1][1])
-        for i in range(len(w) - 1)
-    )
 
 
 def rho(x: Sequence[Letter], y: Sequence[Letter]) -> FormalWord:

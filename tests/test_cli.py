@@ -31,6 +31,10 @@ def tower_config():
     return {"generators": 3, "stages": 6, "colorings": col.to_json()}
 
 
+TOWER_SHA256 = \
+    "9bcef04b9c7948026e654da4c53c281d1bdec7bc021eb290f810bfe8f1ee22cc"
+
+
 # ---------------------------------------------------------------------------
 # report plumbing
 
@@ -135,6 +139,9 @@ def test_run_construction_deterministic(tmp_path):
     check = doc["checks"][0]
     assert check["status"] == "pass"
     digest = check["data"]["summary_sha256"]
+    # the recorded summary of this tower; a change to the transversal
+    # order or to any layer shows up here
+    assert digest == TOWER_SHA256
     code2, doc2 = run_cli(tmp_path, "run-construction", tower_config())
     assert doc2["checks"][0]["data"]["summary_sha256"] == digest
     summary = tmp_path / "report.json.summary.json"
@@ -188,3 +195,29 @@ def test_bad_budget_rejected(tmp_path):
     cfg.write_text("{}")
     assert main(["scan-colorings", "--config", str(cfg),
                  "--budget-len", "0"]) == 2
+
+
+WITH_H = "fixtures/systems/with_h.json"
+
+
+@pytest.mark.parametrize("command, config", [
+    ("check-smallcancel", None),  # the config file does not exist
+    ("build-stage", {**tower_config(), "generators": 0}),
+    ("solve-word", WITH_H),  # a fixture file passed as the config
+    ("solve-word", {"fixture": WITH_H}),  # no words to decide
+    ("check-amalgam", {"fixture": "fixtures/systems/absent.json"}),
+], ids=["missing-config", "zero-generators", "fixture-as-config",
+        "no-words", "missing-fixture"])
+def test_malformed_config_is_usage_error(tmp_path, capsys, command, config):
+    if isinstance(config, str):
+        path = config
+    else:
+        path = tmp_path / "config.json"
+        if config is not None:
+            path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("amalgams: error: ")

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from amalgams import kernels, words
-from amalgams import _pykernels
 
 from oracles import naive_free_reduce, naive_longest_common_run, \
     naive_runs_at_least, rho_letter_sequence
@@ -50,19 +49,24 @@ def test_runs_at_least_matches_naive(a, b, k):
     assert kernels.runs_at_least(a, b, k) == naive_runs_at_least(a, b, k)
 
 
-def test_backends_agree():
-    rng = random.Random(7)
-    for _ in range(200):
-        a = [rng.choice([-2, -1, 1, 2]) for _ in range(rng.randrange(0, 50))]
-        b = [rng.choice([-2, -1, 1, 2]) for _ in range(rng.randrange(0, 50))]
-        assert kernels.free_reduce_ints(a) == _pykernels.free_reduce_ints(a)
-        lc = kernels.longest_common_run(a, b)
-        lp = _pykernels.longest_common_run(a, b)
-        assert lc[0] == lp[0]
-        for k in (1, 2, 3):
-            if len(a) >= k and len(b) >= k:
-                assert kernels.runs_at_least(a, b, k) == \
-                    _pykernels.runs_at_least(a, b, k)
+@pytest.mark.parametrize("k", [16, 32])
+def test_runs_at_least_on_doubled_periodic_labels(k):
+    # the shape check_cprime scans: a few hundred labels against a doubled
+    # short-period array, so one run repeats its k-gram hits many times
+    # along a diagonal
+    rng = random.Random(k)
+    for _ in range(12):
+        period = [rng.randrange(1, 5) for _ in range(rng.randrange(2, 7))]
+        v = period * rng.randrange(15, 40)
+        a = []
+        while len(a) < 300:
+            start = rng.randrange(len(v))
+            a.extend(v[start:start + rng.randrange(k // 2, 3 * k)])
+            a.append(rng.choice((0, rng.randrange(1, 5))))
+        b = v * 2
+        runs = kernels.runs_at_least(a, b, k)
+        assert runs == naive_runs_at_least(a, b, k)
+        assert runs
 
 
 def test_rho_single_letters_length():
