@@ -3,10 +3,11 @@ Dehn-algorithm word problem for the resulting quotients.
 
 Relator sets keep only weakly cyclically reduced base words; rotations
 and inverses are handled implicitly through cyclic label arrays, which
-is what makes 6640-syllable relators tractable. Overlap checking is
-two-phase: a label-run prefilter (labels are constant on H-double
-cosets, so a genuine cancellation chain forces a label run), then exact
-H-membership chain verification of the candidates.
+is what makes 6640-syllable relators tractable. Each set labels its
+units once. Both scans, C' and Dehn's long-part search, are two-phase:
+a label-run prefilter (labels are constant on H-double cosets, so a
+genuine cancellation chain forces a label run), then exact verification
+of the candidates by the one H-chain walker, ``cancellation_chain``.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ class ScanUnit:
     word: CanonicalWord
     rid: str
     inverted: bool
+    partner: str  # uid of the unit that spells this word's inverse
 
 
 class RelatorSet:
@@ -65,7 +67,9 @@ class RelatorSet:
     The closure members are the cyclic rotations of the bases and their
     inverses plus the seam-splitting odd conjugates; they are enumerated
     only on demand (``materialize``) and consulted implicitly by the
-    scanners.
+    scanners. Units come in (base, inverse) pairs. Their double-coset
+    labels are coded once, in ``cyclic_labels``: each unit's code array
+    written out twice, for cyclic scans.
     """
 
     def __init__(
@@ -85,10 +89,20 @@ class RelatorSet:
                 raise ValueError(f"relator {base.rid} is trivial")
             if not require(is_wcr(base.word, T)):
                 raise ValueError(f"relator {base.rid} is not wcr")
-            self.units.append(ScanUnit(base.rid, base.word, base.rid, False))
+            inv = base.rid + "^-1"
             self.units.append(
-                ScanUnit(base.rid + "^-1", canonical_inverse(base.word, T),
-                         base.rid, True))
+                ScanUnit(base.rid, base.word, base.rid, False, inv))
+            self.units.append(
+                ScanUnit(inv, canonical_inverse(base.word, T), base.rid,
+                         True, base.rid))
+        self.by_uid: Dict[str, ScanUnit] = {u.uid: u for u in self.units}
+        self._codes: Dict[Hashable, int] = {}
+        self.cyclic_labels: Dict[str, List[int]] = {}
+        for unit in self.units:
+            codes = [self._codes.setdefault(T.coset_label(s.elt),
+                                            len(self._codes) + 1)
+                     for s in unit.word.syllables]
+            self.cyclic_labels[unit.uid] = codes * 2
         if rho_generated:
             for base in self.bases:
                 n = len(base.word)
@@ -125,6 +139,12 @@ class RelatorSet:
     def min_base_length(self) -> int:
         return min(len(b.word) for b in self.bases)
 
+    def code_labels(self, w: CanonicalWord) -> List[int]:
+        """Label codes of a query word; 0, which matches no unit, for a
+        label that no unit has."""
+        return [self._codes.get(self.T.coset_label(s.elt), 0)
+                for s in w.syllables]
+
 
 def _wcr_normalize(w: CanonicalWord, T: AmalgamTriple) -> CanonicalWord:
     """Rotate to a wcr conjugate of even (or <= 1) length."""
@@ -159,32 +179,6 @@ def symmetrized_closure(
 
 
 # ---------------------------------------------------------------------------
-# label arrays
-
-
-class LabelPool:
-    def __init__(self) -> None:
-        self._codes: Dict[Hashable, int] = {}
-
-    def code(self, label: Hashable) -> int:
-        c = self._codes.get(label)
-        if c is None:
-            c = len(self._codes) + 1
-            self._codes[label] = c
-        return c
-
-
-def forward_labels(w: CanonicalWord, T: AmalgamTriple, pool: LabelPool):
-    return [pool.code(T.coset_label(s.elt)) for s in w.syllables]
-
-
-def _reversed_inverse_labels(w: CanonicalWord, T: AmalgamTriple, pool: LabelPool):
-    # entry s corresponds to syllable n-1-s, inverted
-    return [pool.code(T.coset_label(s.elt.inv()))
-            for s in reversed(w.syllables)]
-
-
-# ---------------------------------------------------------------------------
 # exact cancellation chains
 
 
@@ -193,7 +187,7 @@ class ChainResult:
     ell: int
     h0: Optional[Element]
     full_wrap_trivial: bool  # cancellation consumed both words to product 1
-    trace: List[Element] = field(default_factory=list)
+    h_end: Optional[Element] = None  # the running H-product after ell steps
 
 
 def cancellation_chain(
@@ -209,6 +203,9 @@ def cancellation_chain(
 
     Step t multiplies a_t = w1[i1-t], the running H-product, and
     b_t = w2[j2+t]; cancellation continues while the product stays in H.
+    Both words are read cyclically. With w1 spelling r^-1 (m syllables)
+    and i1 = m-1-j this is Dehn's part match:
+    w2[j2..j2+ell) = h0^-1 * r[j..j+ell) * h_end.
     """
     n, m = len(w1), len(w2)
     a0, b0 = w1[i1 % n], w2[j2 % m]
@@ -218,7 +215,6 @@ def cancellation_chain(
     for h0 in T.junction_solutions(a0.elt, b0.elt):
         P = h0
         ell = 0
-        trace: List[Element] = []
         while ell < max_steps:
             a = w1[(i1 - ell) % n]
             b = w2[(j2 + ell) % m]
@@ -229,13 +225,12 @@ def cancellation_chain(
             if T.in_H(Q) is not Tri.YES:
                 break
             P = Q
-            trace.append(Q)
             ell += 1
         if ell > best.ell or best.h0 is None:
             wrap = False
             if ell == max_steps == n == m:
                 wrap = require(P.owner.is_identity(P))
-            best = ChainResult(ell, h0, wrap, trace)
+            best = ChainResult(ell, h0, wrap, P)
     return best
 
 
@@ -273,15 +268,14 @@ def _violation_threshold(chi: Fraction, min_len: int) -> int:
 def check_cprime(R: RelatorSet, chi: Optional[Fraction] = None) -> CPrimeResult:
     chi = Fraction(chi) if chi is not None else R.chi
     T = R.T
-    pool = LabelPool()
-    fwd = {u.uid: forward_labels(u.word, T, pool) for u in R.units}
-    rev = {u.uid: _reversed_inverse_labels(u.word, T, pool) for u in R.units}
     max_core = 0
     pairs = 0
     gray = False
     for u1 in R.units:
         n = len(u1.word)
-        U2 = rev[u1.uid] * 2
+        # read backwards, u1 spells its partner: entry s of the partner's
+        # labels is the label of u1's syllable n-1-s, inverted
+        U2 = R.cyclic_labels[u1.partner]
         for u2 in R.units:
             pairs += 1
             m = len(u2.word)
@@ -289,7 +283,8 @@ def check_cprime(R: RelatorSet, chi: Optional[Fraction] = None) -> CPrimeResult:
             if k_min > min(n, m):
                 continue
             scan_k = max(1, k_min - 2)
-            runs = kernels.runs_at_least(U2, fwd[u2.uid] * 2, scan_k)
+            runs = kernels.runs_at_least(U2, R.cyclic_labels[u2.uid],
+                                         scan_k)
             seen_diag = set()
             for (s, j, length) in runs:
                 diag = (s - j) % math.lcm(n, m)
@@ -330,8 +325,7 @@ def check_cprime(R: RelatorSet, chi: Optional[Fraction] = None) -> CPrimeResult:
 def replay_cprime_witness(R: RelatorSet, wit: CPrimeWitness) -> bool:
     """Re-run the witnessed chain step by step and confirm the verdict."""
     T = R.T
-    units = {u.uid: u for u in R.units}
-    w1, w2 = units[wit.uid1].word, units[wit.uid2].word
+    w1, w2 = R.by_uid[wit.uid1].word, R.by_uid[wit.uid2].word
     res = cancellation_chain(T, w1, w2, wit.i1, wit.j2, wit.min_len)
     if res.full_wrap_trivial:
         return False
@@ -372,46 +366,6 @@ class DehnResult:
     note: str = ""
 
 
-def _part_chain(
-    T: AmalgamTriple,
-    w: CanonicalWord,
-    unit: ScanUnit,
-    p: int,
-    j: int,
-    max_steps: int,
-) -> Tuple[int, Optional[Element], Optional[Element]]:
-    """Longest t with w[p..p+t) matching unit.word[j..j+t) (cyclic in the
-    relator) through an interleaving H-chain with free endpoints.
-
-    Returns (t, h_start, h_end) with w-segment = h_start^-1 * r-segment * h_end.
-    """
-    r = unit.word
-    m = len(r)
-    first_w, first_r = w[p], r[j % m]
-    if first_w.side != first_r.side:
-        return 0, None, None
-    best = (0, None, None)
-    for (u, v) in T.coset_factor(first_w.elt, first_r.elt):
-        # w[p] = u * r[j] * v, so h_start = u^-1 and h_{p+1} = v
-        h = v
-        t = 1
-        while t < max_steps and p + t < len(w):
-            a = w[p + t]
-            b = r[(j + t) % m]
-            if a.side != b.side:
-                break
-            group = T.side_group(a.side)
-            nxt = group.mul(
-                group.mul(b.elt.inv(), T.transfer(h, a.side)), a.elt)
-            if T.in_H(nxt) is not Tri.YES:
-                break
-            h = nxt
-            t += 1
-        if t > best[0]:
-            best = (t, u.inv(), h)
-    return best
-
-
 def part_threshold(k: int, relator_len: int) -> int:
     """Smallest integer ell with ell * k > (k-3) * relator_len."""
     return (k - 3) * relator_len // k + 1
@@ -426,8 +380,7 @@ def find_replacement(
     the bound resisted exact verification.
     """
     T = R.T
-    pool = LabelPool()
-    W = forward_labels(w, T, pool)
+    W = R.code_labels(w)
     gray = False
     candidates = []
     for unit in R.units:
@@ -436,20 +389,23 @@ def find_replacement(
         if t_min > min(len(w), m):
             continue
         scan_k = max(1, t_min - 2)
-        V2 = forward_labels(unit.word, T, pool) * 2
-        runs = kernels.runs_at_least(W, V2, scan_k)
+        inv = R.by_uid[unit.partner].word
+        runs = kernels.runs_at_least(W, R.cyclic_labels[unit.uid], scan_k)
         for (p, j, length) in runs:
             o = 0
             while o < length:
-                t, h_start, h_end = _part_chain(
-                    T, w, unit, p + o, (j + o) % m, min(len(w) - (p + o), m))
+                q, jq = p + o, (j + o) % m
+                # w[q..q+t) = h0^-1 * r[jq..jq+t) * h_end: r^-1 read
+                # backwards from m-1-jq cancels against w from q
+                chain = cancellation_chain(T, inv, w, m - 1 - jq, q,
+                                           min(len(w) - q, m))
+                t = chain.ell
                 if t >= t_min:
-                    new_word = _apply_replacement(
-                        T, w, unit, p + o, (j + o) % m, t, h_start, h_end)
+                    new_word = _apply_replacement(T, w, inv, q, jq, chain)
                     if len(new_word) < len(w):
                         candidates.append(
-                            (len(new_word), p + o, unit.uid, (j + o) % m, t,
-                             h_start, new_word))
+                            (len(new_word), q, unit.uid, jq, t, chain.h0,
+                             new_word))
                 elif t >= scan_k:
                     gray = True
                 o += max(t, 1)
@@ -461,33 +417,28 @@ def find_replacement(
                     offset=p, ell=t,
                     h_start_json=h_start.owner.payload_to_json(
                         h_start.payload),
-                    h_start_side="K" if h_start.owner is R.T.K else "L")
+                    h_start_side=T.side_of_group(h_start.owner))
     return (new_word, step), gray
 
 
 def _apply_replacement(
     T: AmalgamTriple,
     w: CanonicalWord,
-    unit: ScanUnit,
+    inv: CanonicalWord,
     p: int,
     j: int,
-    t: int,
-    h_start: Element,
-    h_end: Element,
+    chain: ChainResult,
 ) -> CanonicalWord:
     """Replace w[p..p+t) = h_start^-1 * r[j..j+t) * h_end by
     h_start^-1 * (r[j+t..j+m))^-1 * h_end, using that the rotation of the
-    relator starting at j is trivial in the quotient."""
-    r = unit.word
-    m = len(r)
+    relator starting at j is trivial in the quotient. ``inv`` spells
+    r^-1, so (r[j+t..j+m))^-1 is inv[m-j..2m-j-t), read cyclically."""
+    m, t = len(inv), chain.ell
+    h_start, h_end = chain.h0, chain.h_end
     sylls: List[Syllable] = list(w.syllables[:p])
-    side_h = "K" if h_start.owner is T.K else "L"
-    sylls.append(Syllable(side_h, h_start.inv()))
-    for back in range(m - 1, t - 1, -1):
-        s = r[(j + back) % m]
-        sylls.append(Syllable(s.side, s.elt.inv()))
-    side_e = "K" if h_end.owner is T.K else "L"
-    sylls.append(Syllable(side_e, h_end))
+    sylls.append(Syllable(T.side_of_group(h_start.owner), h_start.inv()))
+    sylls.extend((inv.syllables * 2)[m - j:2 * m - j - t])
+    sylls.append(Syllable(T.side_of_group(h_end.owner), h_end))
     sylls.extend(w.syllables[p + t:])
     return canonicalize(sylls, T)
 
@@ -549,22 +500,30 @@ def replay_certificate(
     w: CanonicalWord, cert: Sequence[DehnStep], R: RelatorSet
 ) -> bool:
     """Re-execute a 'trivial' certificate; True iff it reaches the empty
-    word with every step strictly decreasing canonical length."""
+    word with every step strictly decreasing canonical length. A step
+    that names no unit or no part of the word gives False."""
     T = R.T
-    units = {u.uid: u for u in R.units}
     for step in cert:
         if step.from_len != len(w):
             return False
         if step.kind == "cyclic-reduce":
             w = rotate(w, T)
         elif step.kind == "replace":
-            unit = units[step.uid]
-            t, h_start, h_end = _part_chain(
-                T, w, unit, step.offset, step.rotation, step.ell)
-            if t != step.ell or h_start is None:
+            unit = R.by_uid.get(step.uid) if isinstance(step.uid, str) \
+                else None
+            p, j, t = step.offset, step.rotation, step.ell
+            # the walker reads both words cyclically, so a part that does
+            # not lie inside w must be rejected here
+            if unit is None or not all(type(x) is int for x in (p, j, t)) \
+                    or t < 1 or p < 0 or p + t > len(w):
                 return False
-            w = _apply_replacement(T, w, unit, step.offset, step.rotation,
-                                   step.ell, h_start, h_end)
+            m = len(unit.word)
+            j %= m
+            inv = R.by_uid[unit.partner].word
+            chain = cancellation_chain(T, inv, w, m - 1 - j, p, t)
+            if chain.ell != t:
+                return False
+            w = _apply_replacement(T, w, inv, p, j, chain)
         else:
             return False
         if len(w) >= step.from_len:

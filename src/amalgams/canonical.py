@@ -128,27 +128,6 @@ class AmalgamTriple:
                 out.append(h)
         return out
 
-    def coset_factor(
-        self, g: Element, target: Element, budget: int = 64
-    ) -> List[Tuple[Element, Element]]:
-        """Pairs (u, v) of H-elements with g = u * target * v.
-
-        Exhaustive when h_sample covers H (finite backends), a solved
-        single candidate on structural backends, else partial.
-        """
-        group = g.owner
-        side = self.side_of_group(group)
-        if self.side_of_group(target.owner) != side:
-            return []
-        out = []
-        hs = [self.transfer(h, side) for h in self.h_sample(budget)]
-        for u in hs:
-            for v in hs:
-                cand = group.mul(group.mul(u, target), v)
-                if cand.payload == g.payload:
-                    out.append((u, v))
-        return out
-
     def split_candidates(self, syl: Syllable) -> List[Tuple[Element, Element]]:
         """Pairs (x1, x2) with x2·x1 = syl.elt, both outside H.
 
@@ -345,28 +324,6 @@ class SharedFreeAmalgam(AmalgamTriple):
         if self.in_H(prod) is Tri.YES:
             core_candidates.append(h)
         return core_candidates
-
-    def coset_factor(
-        self, g: Element, target: Element, budget: int = 64
-    ) -> List[Tuple[Element, Element]]:
-        # unique candidate when the skeletons agree: the outer H-segments
-        # pin u and v (malnormality of letter-support subgroups)
-        group = g.owner
-        if self.side_of_group(target.owner) != self.side_of_group(group):
-            return []
-        skel_g, segs_g = segments(g.payload, self.h_symbols)
-        skel_t, segs_t = segments(target.payload, self.h_symbols)
-        if skel_g != skel_t:
-            return []
-        if not skel_g:
-            return [(group.mul(g, target.inv()), group.identity())]
-        u = group.mul(Element(group, segs_g[0]),
-                      Element(group, segs_t[0]).inv())
-        v = group.mul(Element(group, segs_t[-1]).inv(),
-                      Element(group, segs_g[-1]))
-        if group.mul(group.mul(u, target), v).payload == g.payload:
-            return [(u, v)]
-        return []
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from amalgams.cancellation import (
     replay_cprime_witness,
 )
 from amalgams.systems import (
+    FixtureError,
     generate_relators,
     load_system_fixture,
     validate_system,
@@ -62,6 +63,10 @@ REQUIRED_KEYS = {
     "topology-chain": ("generators", "stages", "gamma", "level"),
 }
 
+# integer config keys and their least values, checked where present
+INT_KEYS = {"generators": 1, "stages": 1, "count": 1, "gamma": 0,
+            "level": 0, "k_max": 0}
+
 
 def _load_config(path, command: str) -> dict:
     """The parsed config, with the keys `command` needs; raises
@@ -81,10 +86,11 @@ def _load_config(path, command: str) -> dict:
     if "fixture" in REQUIRED_KEYS[command] and not (
             isinstance(fixture, str) and os.path.isfile(fixture)):
         raise ConfigError(f"fixture {fixture!r} is not a file")
-    gens = config.get("generators")
-    if gens is not None and not (isinstance(gens, int) and gens >= 1):
-        raise ConfigError(f"config 'generators' must be an integer >= 1, "
-                          f"not {gens!r}")
+    for key, least in INT_KEYS.items():
+        value = config.get(key, least)
+        if type(value) is not int or value < least:
+            raise ConfigError(f"config {key!r} must be an integer >= "
+                              f"{least}, not {value!r}")
     return config
 
 
@@ -240,7 +246,7 @@ def cmd_run_construction(config, args):
 def cmd_scan_colorings(config, args):
     from amalgams.colorings import (
         ColoringTable, hitting_scan, omega_sq_scope)
-    scope = omega_sq_scope(int(config.get("count", 300)))
+    scope = omega_sq_scope(config.get("count", 300))
     table = ColoringTable.from_walks(scope)
     contract = table.check_contract()
     checks = [CheckResult("subadditivity", "pass", contract)]
@@ -259,9 +265,14 @@ def cmd_scan_colorings(config, args):
 
 def cmd_topology_chain(config, args):
     state = _run_tower(config)
-    rep = engine.topology_chain(
-        int(config["gamma"]), int(config["level"]),
-        int(config.get("k_max", 1)), args.budget_len, state)
+    gamma, level = config["gamma"], config["level"]
+    layer = state.layers.get((gamma, level))
+    if layer is None or layer.kind != "quotient":
+        what = "was never built" if layer is None else f"is {layer.kind}"
+        raise ConfigError(f"layer ({gamma}, {level}) {what}; topology-chain "
+                          f"needs a quotient layer")
+    rep = engine.topology_chain(gamma, level, config.get("k_max", 1),
+                                args.budget_len, state)
     checks = []
     nested = all(c.get("subset_of_previous", True) for c in rep["chain"])
     checks.append(CheckResult("chain-nesting",
@@ -312,9 +323,9 @@ def main(argv=None) -> int:
         return 2
     try:
         config = _load_config(args.config, args.command)
-    except ConfigError as exc:
+        checks = HANDLERS[args.command](config, args)
+    except (ConfigError, FixtureError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    checks = HANDLERS[args.command](config, args)
     doc = emit_report(args.command, args.seed, checks,
                       {"budget_len": args.budget_len})
     write_report(doc, args.out)

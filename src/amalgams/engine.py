@@ -44,13 +44,11 @@ from amalgams.canonical import (
     word_to_json,
 )
 from amalgams.cancellation import (
-    LabelPool,
     RelatorSet,
     build_quotient,
     certificate_to_json,
     check_cprime,
     dehn_decide,
-    forward_labels,
     part_threshold,
     relators_to_json,
     replay_certificate,
@@ -866,7 +864,7 @@ def topology_chain(gamma: int, i: int, k_max: int, budget: int,
 
 
 def _pumped_window_check(layer: StageLayer, budget: int) -> dict:
-    T = layer.amalgam
+    T, R = layer.amalgam, layer.relators
     threshold = part_threshold(10, 6640)
     out = {"threshold": threshold, "entries": []}
     for n, sysent in enumerate(layer.system):
@@ -884,18 +882,15 @@ def _pumped_window_check(layer: StageLayer, budget: int) -> dict:
                                    "note": "window exceeds budget",
                                    "window": len(window_sylls)})
             continue
-        window = canonicalize(window_sylls, T)
-        pool = LabelPool()
-        wl = forward_labels(window, T, pool)
+        wl = R.code_labels(canonicalize(window_sylls, T))
         worst = 0
-        for unit in layer.relators.units:
-            ul = forward_labels(unit.word, T, pool) * 2
-            run, _, _ = longest_common_run(wl, ul)
+        for unit in R.units:
+            run, _, _ = longest_common_run(wl, R.cyclic_labels[unit.uid])
             worst = max(worst, run)
         out["entries"].append({"sigma": n, "status":
                                "pass" if worst < threshold else "fail",
                                "max_overlap": worst,
-                               "window": len(window)})
+                               "window": len(wl)})
     out["status"] = ("pass" if all(e["status"] == "pass"
                                    for e in out["entries"])
                      else "inconclusive"

@@ -783,25 +783,53 @@ def system_from_json(data: dict, registry: ElementRegistry) -> List[SystemEntry]
         for pos, item in enumerate(data["entries"])]
 
 
+class FixtureError(ValueError):
+    """A fixture file that is not an entry system."""
+
+
+# the keys each fixture kind needs, and the keys of every entry
+FIXTURE_KEYS = {
+    "shared-free": ("k_symbols", "l_symbols", "h_symbols", "entries"),
+    "table": ("k_table", "l_table", "h_pairs", "entries"),
+}
+ENTRY_KEYS = ("h", "a", "b", "bprime")
+
+
 def load_system_fixture(path) -> Tuple[AmalgamTriple, List[SystemEntry],
                                        Dict[frozenset, SubgroupPairHint], dict]:
     """Self-contained fixture file: group alphabets (or tables), entries
-    as letter lists, optional subgroup hints and flags."""
-    with open(path) as fh:
-        data = json.load(fh)
+    as letter lists, optional subgroup hints and flags. Raises
+    FixtureError for a file that is not JSON, an unknown kind or a
+    missing key."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except ValueError as exc:
+        raise FixtureError(f"fixture {path} is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise FixtureError(f"fixture {path} is not a JSON object")
     kind = data.get("kind", "shared-free")
+    if kind not in FIXTURE_KEYS:
+        raise FixtureError(f"fixture {path} has unknown kind {kind!r}")
+    missing = [k for k in FIXTURE_KEYS[kind] if k not in data]
+    items = data.get("entries", [])
+    if not isinstance(items, list) or not all(
+            isinstance(item, dict) and all(k in item for k in ENTRY_KEYS)
+            for item in items):
+        missing.append("/".join(ENTRY_KEYS) + " in every entry")
+    if missing:
+        raise FixtureError(f"fixture {path} lacks key(s): "
+                           f"{', '.join(missing)}")
     if kind == "shared-free":
         K = FreeGroup(data["k_symbols"], name="K")
         L = FreeGroup(data["l_symbols"], name="L")
         T: AmalgamTriple = SharedFreeAmalgam(
             K, L, data["h_symbols"], name=data.get("name", "amalgam"))
-    elif kind == "table":
+    else:
         K = FiniteTableGroup(data["k_table"], name="K")
         L = FiniteTableGroup(data["l_table"], name="L")
         T = TableAmalgam(K, L, [tuple(p) for p in data["h_pairs"]],
                          name=data.get("name", "amalgam"))
-    else:
-        raise ValueError(f"unknown fixture kind {kind!r}")
 
     def side_elt(group, letters):
         if isinstance(group, FiniteTableGroup):
@@ -817,7 +845,7 @@ def load_system_fixture(path) -> Tuple[AmalgamTriple, List[SystemEntry],
     hints: Dict[frozenset, SubgroupPairHint] = {}
     for item in data.get("dprime_hints", []):
         if not isinstance(T, SharedFreeAmalgam):
-            raise ValueError("subgroup hints are letter-based fixtures only")
+            raise FixtureError("subgroup hints are letter-based fixtures only")
         hints[frozenset((item["i"], item["j"]))] = SubgroupPairHint(
             h_prime_k=LetterSupportSubgroup(T.K, item["h_prime"]),
             h_prime_l=LetterSupportSubgroup(T.L, item["h_prime"]),

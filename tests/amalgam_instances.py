@@ -62,4 +62,16 @@ def instance_d4_z8():
     return T, oracle
 
 
+def instance_s3_z4():
+    """S3 amalgamated with Z4 over a transposition: H is not normal in S3,
+    so the seed of an H-chain can change how far it runs."""
+    K = FiniteTableGroup.symmetric(3)
+    L = FiniteTableGroup.cyclic(4)
+    perms = sorted(itertools.permutations(range(3)))
+    pairs = [(0, 0), (_perm_index(perms, (1, 0, 2)), 2)]
+    T = TableAmalgam(K, L, pairs, name="S3*Z4/Z2")
+    oracle = FiniteAmalgamOracle(K.table, L.table, pairs)
+    return T, oracle
+
+
 ALL_INSTANCES = (instance_s3_z6, instance_z4_z6, instance_d4_z8)

@@ -96,6 +96,11 @@ class FiniteAmalgamOracle:
             for g in range(len(table))
         }
 
+    def inverse(self, side: str, g: int) -> int:
+        table = self.tables[side]
+        return next(x for x in range(len(table))
+                    if table[g][x] == self.identity[side])
+
     def transfer(self, h: int, from_side: str, to_side: str) -> int:
         if from_side == to_side:
             return h
@@ -162,9 +167,7 @@ def exhaustive_chain_equal(oracle: FiniteAmalgamOracle,
         side, gu = u[i]
         gv = v[i][1]
         table = oracle.tables[side]
-        ident = oracle.identity[side]
-        h_here = oracle.transfer(h_k, "K", side)
-        h_inv = next(x for x in range(len(table)) if table[h_here][x] == ident)
+        h_inv = oracle.inverse(side, oracle.transfer(h_k, "K", side))
         for h_next in oracle.h_sets[side]:
             # require gv = h_i^-1 * gu * h_{i+1}
             if table[h_inv][table[gu][h_next]] == gv:
@@ -173,6 +176,36 @@ def exhaustive_chain_equal(oracle: FiniteAmalgamOracle,
         return False
 
     return step(0, id_k)
+
+
+def naive_part_length(oracle: FiniteAmalgamOracle,
+                      w: Sequence[Tuple[str, int]],
+                      r: Sequence[Tuple[str, int]], p: int, j: int) -> int:
+    """Longest t <= min(len(w) - p, len(r)) with
+    w[p..p+t) = h_start^-1 * r[j..j+t) * h_end for some H-elements, r read
+    cyclically. Searches every H-chain: each start h_0 in H, and at each
+    link every h_{i+1} in H with w[p+i] = h_i^-1 * r[j+i] * h_{i+1}."""
+    m = len(r)
+    limit = min(len(w) - p, m)
+
+    def longest(i: int, h_k: int) -> int:
+        # h_k is the chain value h_i, coded on the K side
+        if i == limit:
+            return i
+        side, gw = w[p + i]
+        r_side, gr = r[(j + i) % m]
+        if side != r_side:
+            return i
+        table = oracle.tables[side]
+        h_inv = oracle.inverse(side, oracle.transfer(h_k, "K", side))
+        best = i
+        for h_next in oracle.h_sets[side]:
+            if table[h_inv][table[gr][h_next]] == gw:
+                best = max(best, longest(
+                    i + 1, oracle.transfer(h_next, side, "K")))
+        return best
+
+    return max(longest(0, h) for h in oracle.h_sets["K"])
 
 
 def double_coset(table, h_set, g: int):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -15,6 +18,7 @@ from amalgams.canonical import (
     K_SIDE,
     L_SIDE,
     SharedFreeAmalgam,
+    Syllable,
     canonical_equal,
     canonical_inverse,
     canonicalize,
@@ -38,7 +42,15 @@ from amalgams.cancellation import (
 from amalgams.groups import ElementRegistry
 from amalgams.systems import generate_relators, load_system_fixture
 
+from amalgam_instances import ALL_INSTANCES, instance_s3_z4
+from oracles import naive_part_length
+
 FIXTURES = "fixtures/systems"
+
+# sha256 of the sorted-key JSON of the certificate that kills the first
+# with_h base relator
+BASE_CERT_SHA256 = \
+    "8a60ff23973d096abd36adc5549f4b17ec2cfe110802d8b089945c0437f38e63"
 
 
 def small_triple():
@@ -166,6 +178,87 @@ def test_chain_tracks_h_transport():
     assert res.ell == 2
 
 
+OTHER_SIDE = {K_SIDE: L_SIDE, L_SIDE: K_SIDE}
+
+
+def _random_table_word(rng, oracle, side, n):
+    """n alternating syllables outside H, starting on the given side."""
+    out = []
+    for _ in range(n):
+        outside = [g for g in range(len(oracle.tables[side]))
+                   if g not in oracle.h_sets[side]]
+        out.append((side, rng.choice(outside)))
+        side = OTHER_SIDE[side]
+    return out
+
+
+def test_part_walker_matches_naive_oracle():
+    # Dehn's part search: w[p..p+t) = h_start^-1 * r[j..j+t) * h_end is
+    # the cancellation of r^-1, read backwards from m-1-j, against w read
+    # forwards from p. Each w plants an H-conjugated run of r, sometimes
+    # with one syllable changed, between random syllables. In the first
+    # three amalgams H is normal in both sides, so every seed runs equally
+    # far; the last one makes the choice of seed matter.
+    rng = random.Random(20261018)
+    long_parts = 0
+    for make in ALL_INSTANCES + (instance_s3_z4,):
+        T, oracle = make()
+
+        def canonical(pairs):
+            return CanonicalWord(tuple(
+                Syllable(side, Element(T.side_group(side), g))
+                for side, g in pairs))
+
+        for _ in range(80):
+            m = 2 * rng.randrange(1, 6)
+            r = _random_table_word(rng, oracle, rng.choice("KL"), m)
+            j0, t0 = rng.randrange(m), rng.randrange(m + 1)
+            hs = [rng.choice(oracle.h_sets["K"]) for _ in range(t0 + 1)]
+            planted = []
+            for i in range(t0):
+                side, g = r[(j0 + i) % m]
+                table = oracle.tables[side]
+                h_inv = oracle.inverse(
+                    side, oracle.transfer(hs[i], "K", side))
+                h_next = oracle.transfer(hs[i + 1], "K", side)
+                planted.append((side, table[table[h_inv][g]][h_next]))
+            if planted and rng.random() < 0.3:
+                i = rng.randrange(t0)
+                planted[i] = _random_table_word(
+                    rng, oracle, planted[i][0], 1)[0]
+            first = planted[0][0] if planted else rng.choice("KL")
+            n_head = rng.randrange(3)
+            w = _random_table_word(
+                rng, oracle, first if n_head % 2 == 0 else OTHER_SIDE[first],
+                n_head) + planted
+            if w:
+                w += _random_table_word(rng, oracle, OTHER_SIDE[w[-1][0]],
+                                        rng.randrange(3))
+            if not w:
+                continue
+            if planted and rng.random() < 0.5:
+                p, j = n_head, j0
+            else:
+                p, j = rng.randrange(len(w)), rng.randrange(m)
+            inv = canonical_inverse(canonical(r), T)
+            chain = cancellation_chain(T, inv, canonical(w), m - 1 - j, p,
+                                       min(len(w) - p, m))
+            t = chain.ell
+            assert t == naive_part_length(oracle, w, r, p, j)
+            if t == 0:
+                continue
+            long_parts += t >= 3
+            s_side = T.side_of_group(chain.h0.owner)
+            e_side = T.side_of_group(chain.h_end.owner)
+            lhs = oracle.normal_form(w[p:p + t])
+            rhs = oracle.normal_form(
+                [(s_side, oracle.inverse(s_side, chain.h0.payload))]
+                + [r[(j + i) % m] for i in range(t)]
+                + [(e_side, chain.h_end.payload)])
+            assert oracle.forms_equal(lhs, rhs)
+    assert long_parts >= 30
+
+
 def _naive_max_overlap(R, chi):
     """Brute-force maximum verified chain over all alignment choices."""
     best = 0
@@ -256,6 +349,22 @@ def test_dehn_kills_relator_with_replayable_certificate(rho_system):
     data = certificate_to_json(res.certificate)
     back = certificate_from_json(data)
     assert replay_certificate(w, back, R)
+    text = json.dumps(data, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BASE_CERT_SHA256
+
+
+def test_tampered_certificate_is_rejected(rho_system):
+    T, S, R = rho_system
+    w = R.bases[0].word
+    cert = dehn_decide(w, R).certificate
+    n = next(i for i, step in enumerate(cert) if step.kind == "replace")
+    step = cert[n]
+    for change in ({"uid": "r99"},
+                   {"offset": step.from_len - step.ell + 1},
+                   {"ell": step.ell + 1}):
+        bad = list(cert)
+        bad[n] = dataclasses.replace(step, **change)
+        assert replay_certificate(w, bad, R) is False, change
 
 
 def test_dehn_kills_product_of_relator_conjugates(rho_system):

@@ -200,15 +200,40 @@ def test_bad_budget_rejected(tmp_path):
 WITH_H = "fixtures/systems/with_h.json"
 
 
+def _entry_without_a(tmp_path):
+    """A copy of with_h whose first entry lacks its `a` key."""
+    with open(WITH_H) as fh:
+        fixture = json.load(fh)
+    del fixture["entries"][0]["a"]
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(fixture))
+    return {"fixture": str(path)}
+
+
 @pytest.mark.parametrize("command, config", [
     ("check-smallcancel", None),  # the config file does not exist
     ("build-stage", {**tower_config(), "generators": 0}),
     ("solve-word", WITH_H),  # a fixture file passed as the config
     ("solve-word", {"fixture": WITH_H}),  # no words to decide
     ("check-amalgam", {"fixture": "fixtures/systems/absent.json"}),
+    # the config names itself as the fixture: JSON, but no entry system
+    ("check-amalgam", lambda tmp: {"fixture": str(tmp / "config.json")}),
+    ("validate-system", _entry_without_a),
+    ("scan-colorings", {"count": -3}),
+    ("build-stage", {**tower_config(), "stages": "x"}),
+    ("build-stage", {**tower_config(), "stages": True}),
+    # a layer the tower never builds, and a free layer
+    ("topology-chain", {"generators": 3, "stages": 2, "gamma": 9,
+                        "level": 2}),
+    ("topology-chain", {"generators": 3, "stages": 5, "gamma": 4,
+                        "level": 0}),
 ], ids=["missing-config", "zero-generators", "fixture-as-config",
-        "no-words", "missing-fixture"])
+        "no-words", "missing-fixture", "not-a-system", "entry-lacks-key",
+        "negative-count", "string-stages", "bool-stages", "unbuilt-layer",
+        "free-layer"])
 def test_malformed_config_is_usage_error(tmp_path, capsys, command, config):
+    if callable(config):
+        config = config(tmp_path)
     if isinstance(config, str):
         path = config
     else:
