@@ -12,6 +12,7 @@ of the candidates by the one H-chain walker, ``cancellation_chain``.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -323,10 +324,13 @@ def check_cprime(R: RelatorSet, chi: Optional[Fraction] = None) -> CPrimeResult:
 
 
 def replay_cprime_witness(R: RelatorSet, wit: CPrimeWitness) -> bool:
-    """Re-run the witnessed chain step by step and confirm the verdict."""
-    T = R.T
-    w1, w2 = R.by_uid[wit.uid1].word, R.by_uid[wit.uid2].word
-    res = cancellation_chain(T, w1, w2, wit.i1, wit.j2, wit.min_len)
+    """Re-run the witnessed chain step by step and confirm the verdict;
+    a witness that names no unit gives False."""
+    u1, u2 = R.by_uid.get(wit.uid1), R.by_uid.get(wit.uid2)
+    if u1 is None or u2 is None:
+        return False
+    res = cancellation_chain(R.T, u1.word, u2.word, wit.i1, wit.j2,
+                             wit.min_len)
     if res.full_wrap_trivial:
         return False
     return res.ell >= wit.ell >= wit.threshold
@@ -501,7 +505,9 @@ def replay_certificate(
 ) -> bool:
     """Re-execute a 'trivial' certificate; True iff it reaches the empty
     word with every step strictly decreasing canonical length. A step
-    that names no unit or no part of the word gives False."""
+    that names no unit or no part of the word, or whose H-element
+    h_start or its side differs from the replayed chain's, gives
+    False."""
     T = R.T
     for step in cert:
         if step.from_len != len(w):
@@ -520,8 +526,18 @@ def replay_certificate(
             m = len(unit.word)
             j %= m
             inv = R.by_uid[unit.partner].word
+            # capped at t, the chain starts from the first seed that
+            # reaches t, which is the seed find_replacement recorded
             chain = cancellation_chain(T, inv, w, m - 1 - j, p, t)
             if chain.ell != t:
+                return False
+            h0 = chain.h0
+            replayed = (T.side_of_group(h0.owner),
+                        h0.owner.payload_to_json(h0.payload))
+            recorded = (step.h_start_side, step.h_start_json)
+            # compared as JSON text, since certificates arrive from JSON
+            if json.dumps(replayed, sort_keys=True) != \
+                    json.dumps(recorded, sort_keys=True):
                 return False
             w = _apply_replacement(T, w, inv, p, j, chain)
         else:

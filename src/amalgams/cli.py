@@ -38,6 +38,7 @@ from amalgams.cancellation import (
     replay_certificate,
     replay_cprime_witness,
 )
+from amalgams.colorings import ColoringTable, hitting_scan, omega_sq_scope
 from amalgams.systems import (
     FixtureError,
     generate_relators,
@@ -212,7 +213,11 @@ def cmd_validate_system(config, args):
 
 
 def _run_tower(config):
-    return engine.run_construction(config)
+    try:
+        colorings = ColoringTable.from_json(config.get("colorings") or {})
+    except ValueError as exc:
+        raise ConfigError(f"config 'colorings': {exc}") from None
+    return engine.run_construction({**config, "colorings": colorings})
 
 
 def cmd_build_stage(config, args):
@@ -244,22 +249,26 @@ def cmd_run_construction(config, args):
 
 
 def cmd_scan_colorings(config, args):
-    from amalgams.colorings import (
-        ColoringTable, hitting_scan, omega_sq_scope)
-    scope = omega_sq_scope(config.get("count", 300))
-    table = ColoringTable.from_walks(scope)
+    targets = config.get("targets") or []
+    if not isinstance(targets, list) or not all(
+            isinstance(t, list) and len(t) == 3 and
+            all(type(x) is int and x >= 0 for x in t) for t in targets):
+        raise ConfigError("config 'targets' must be a list of "
+                          "[xi0, xi1, i] lists of integers >= 0")
+    table = ColoringTable.from_walks(omega_sq_scope(config.get("count", 300)))
     contract = table.check_contract()
-    checks = [CheckResult("subadditivity", "pass", contract)]
-    targets = config.get("targets")
+    checks = [CheckResult("subadditivity",
+                          "fail" if "violation" in contract else "pass",
+                          contract)]
     if targets:
-        rep = hitting_scan(scope, [tuple(t) for t in targets],
+        rep = hitting_scan(table.scope, [tuple(t) for t in targets],
                            table.c0, table.c1, table.e)
         checks.append(CheckResult(
             "hitting-scan",
             "pass" if rep["targets_hit"] == rep["targets"] else
             "inconclusive",
             rep if rep["targets_hit"] == rep["targets"] else
-            {**rep, "budget": {"count": len(scope)}}))
+            {**rep, "budget": {"count": len(table.scope)}}))
     return checks
 
 

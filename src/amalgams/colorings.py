@@ -6,16 +6,17 @@ under epsilon_0 and a canonical ladder system from fundamental
 sequences. The coloring e comes from the walk recursion; its binding
 contract is subadditivity (both inequalities) plus local smallness on
 every materialized triple, which the test suite checks exhaustively.
+``ColoringTable`` holds e, c0 and c1 on int index pairs: stage indices
+in the tower engine, positions in a ranked scope in ``scan-colorings``.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
 @total_ordering
@@ -233,11 +234,10 @@ class LadderSystem:
         """n-th ladder point of delta, or None past the end of a finite
         custom ladder. Custom entries are sequences or callables n -> point.
         Successor ladders have the single point delta-1."""
-        key = ord_to_str(delta)
-        if key in self.custom:
-            seq = self.custom[key]
-            if callable(seq):
-                return seq(n)
+        seq = self.custom.get(ord_to_str(delta)) if self.custom else None
+        if callable(seq):
+            return seq(n)
+        if seq is not None:
             return seq[n] if n < len(seq) else None
         if delta.is_successor():
             return predecessor(delta) if n == 0 else None
@@ -307,7 +307,7 @@ class WalkColoring:
                  depth_guard: int = 10_000):
         self.C = C or LadderSystem()
         self.depth_guard = depth_guard
-        self._memo: Dict[Tuple[str, str], int] = {}
+        self._memo: Dict[Tuple[OrdinalCNF, OrdinalCNF], int] = {}
 
     def e(self, alpha: OrdinalCNF, beta: OrdinalCNF) -> int:
         c = ord_cmp(alpha, beta)
@@ -315,7 +315,7 @@ class WalkColoring:
             return 0
         if c > 0:
             raise ValueError("e requires alpha <= beta")
-        key = (ord_to_str(alpha), ord_to_str(beta))
+        key = (alpha, beta)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -333,37 +333,13 @@ class WalkColoring:
         return self.e(alpha, beta)
 
 
-# ---------------------------------------------------------------------------
-# D-sets
-
-
-def d_set(gamma: OrdinalCNF, i: int, mode: str,
-          e: Callable[[OrdinalCNF, OrdinalCNF], int],
-          scope: Sequence[OrdinalCNF]) -> List[OrdinalCNF]:
-    """{beta in scope below gamma | e(beta, gamma) < i (strict) or
-    <= i (weak)}, in increasing order."""
-    if mode not in ("strict", "weak"):
-        raise ValueError("mode must be strict or weak")
-    out = []
-    for beta in scope:
-        if not beta < gamma:
-            continue
-        v = e(beta, gamma)
-        if (mode == "strict" and v < i) or (mode == "weak" and v <= i):
-            out.append(beta)
-    return sorted(out, key=ord_sort_key)
-
-
-def ord_sort_key(a: OrdinalCNF):
-    return _rank(a)
-
-
-def _rank(a: OrdinalCNF) -> Tuple:
-    return tuple((_rank(exp), coeff) for exp, coeff in a.terms)
+def ord_sort_key(a: OrdinalCNF) -> Tuple:
+    """A plain tuple that sorts like the ordinal."""
+    return tuple((ord_sort_key(exp), coeff) for exp, coeff in a.terms)
 
 
 # ---------------------------------------------------------------------------
-# the composed coloring c
+# Cantor pairing, which the engine's bookkeeping codes are built from
 
 
 def cantor_pair(x: int, y: int) -> int:
@@ -378,114 +354,98 @@ def cantor_unpair(n: int) -> Tuple[int, int]:
     return s - y, y
 
 
-def c_pair(
-    alpha: OrdinalCNF,
-    beta: OrdinalCNF,
-    d: Callable[[OrdinalCNF, OrdinalCNF], int],
-    pairing: Callable[[int], Tuple[int, int]] = cantor_unpair,
-) -> Tuple[int, int]:
-    """The composition pairing(d(alpha, beta))."""
-    if not alpha < beta:
-        raise ValueError("c_pair requires alpha < beta")
-    return pairing(d(alpha, beta))
-
-
-def default_d(C: Optional[LadderSystem] = None):
-    """A walks-derived pair coloring with a spread-out range: combines
-    the walk length and the first ladder position."""
-    C = C or LadderSystem()
-
-    def d(alpha: OrdinalCNF, beta: OrdinalCNF) -> int:
-        trace = walk(alpha, beta, C)
-        _, otp = C.step(beta, alpha)
-        return cantor_pair(len(trace) - 1, otp)
-
-    return d
-
-
 # ---------------------------------------------------------------------------
 # coloring tables
 
 
 class ColoringTable:
-    """Frozen sparse maps e, c0, c1 over ordered pairs of ordinals.
+    """Pair-colorings e, c0, c1 on int pairs (i, j) with 0 <= i < j.
 
-    This is the only interface through which the stage engine consumes
-    colorings, so hand-built tables and walks-derived ones are
-    interchangeable.
+    In the tower, index i is stage i; in a table from ``from_walks``, it
+    is ``scope[i]``, the i-th ordinal of the ranked scope. A missing e
+    entry reads 0. A missing c0 or c1 entry reads None ("undecodable"),
+    which keeps the engine's relator seeds that would need it out.
     """
 
-    def __init__(self, e: Dict[Tuple[str, str], int],
-                 c0: Dict[Tuple[str, str], int],
-                 c1: Dict[Tuple[str, str], int],
-                 scope: Sequence[OrdinalCNF]):
-        self.e_map = dict(e)
-        self.c0_map = dict(c0)
-        self.c1_map = dict(c1)
-        self.scope = sorted(scope, key=ord_sort_key)
+    def __init__(self, e: Optional[Dict[Tuple[int, int], int]] = None,
+                 c0: Optional[Dict[Tuple[int, int], int]] = None,
+                 c1: Optional[Dict[Tuple[int, int], int]] = None,
+                 scope: Sequence[OrdinalCNF] = ()):
+        self.e_map = dict(e or {})
+        self.c0_map = dict(c0 or {})
+        self.c1_map = dict(c1 or {})
+        self.scope = list(scope)
+        for name, m in (("e", self.e_map), ("c0", self.c0_map),
+                        ("c1", self.c1_map)):
+            for (i, j), v in m.items():
+                if not 0 <= i < j or v < 0:
+                    raise ValueError(f"bad {name} entry ({i},{j})={v}")
 
-    @staticmethod
-    def _key(alpha: OrdinalCNF, beta: OrdinalCNF) -> Tuple[str, str]:
-        return (ord_to_str(alpha), ord_to_str(beta))
+    def e(self, i: int, j: int) -> int:
+        if not 0 <= i < j:
+            raise ValueError(f"e needs i < j, got ({i},{j})")
+        return self.e_map.get((i, j), 0)
 
-    def e(self, alpha: OrdinalCNF, beta: OrdinalCNF) -> int:
-        return self.e_map[self._key(alpha, beta)]
+    def c0(self, i: int, j: int) -> Optional[int]:
+        return self.c0_map.get((i, j))
 
-    def c0(self, alpha: OrdinalCNF, beta: OrdinalCNF) -> int:
-        return self.c0_map[self._key(alpha, beta)]
+    def c1(self, i: int, j: int) -> Optional[int]:
+        return self.c1_map.get((i, j))
 
-    def c1(self, alpha: OrdinalCNF, beta: OrdinalCNF) -> int:
-        return self.c1_map[self._key(alpha, beta)]
+    def d_set(self, gamma: int, i: int, mode: str) -> List[int]:
+        """The indices b < gamma with e(b, gamma) < i (strict) or
+        <= i (weak), in increasing order."""
+        if mode not in ("strict", "weak"):
+            raise ValueError("mode must be strict or weak")
+        bound = i if mode == "strict" else i + 1
+        e = self.e_map
+        return [b for b in range(gamma) if e.get((b, gamma), 0) < bound]
 
     @classmethod
     def from_walks(cls, scope: Sequence[OrdinalCNF],
                    C: Optional[LadderSystem] = None) -> "ColoringTable":
+        """The walk colorings on the ranked scope: for alpha < beta, e
+        from the walk recursion, c0 the number of steps of the walk from
+        beta down to alpha and c1 the otp of its first step."""
         C = C or LadderSystem()
         coloring = WalkColoring(C)
-        d = default_d(C)
-        e_map: Dict[Tuple[str, str], int] = {}
-        c0_map: Dict[Tuple[str, str], int] = {}
-        c1_map: Dict[Tuple[str, str], int] = {}
-        ordered = sorted(scope, key=ord_sort_key)
-        for a, b in itertools.combinations(ordered, 2):
-            key = cls._key(a, b)
-            e_map[key] = coloring.e(a, b)
-            xi0, xi1 = c_pair(a, b, d)
-            c0_map[key] = xi0
-            c1_map[key] = xi1
-        return cls(e_map, c0_map, c1_map, ordered)
+        ranked = sorted(scope, key=ord_sort_key)
+        e: Dict[Tuple[int, int], int] = {}
+        c0: Dict[Tuple[int, int], int] = {}
+        c1: Dict[Tuple[int, int], int] = {}
+        for (i, a), (j, b) in itertools.combinations(enumerate(ranked), 2):
+            e[i, j] = coloring.e(a, b)
+            c0[i, j] = len(walk(a, b, C)) - 1
+            c1[i, j] = C.step(b, a)[1]
+        return cls(e, c0, c1, ranked)
 
     def check_contract(self) -> dict:
-        """Exhaustive subadditivity (both inequalities) and local
-        smallness over the materialized scope; raises on violation."""
+        """Subadditivity (both inequalities) on every triple of the
+        scope, and the largest weak D-set. The first violation ends the
+        scan and is returned under "violation", with its inequality and
+        its triple as ordinal strings."""
         import numpy as np
 
         n = len(self.scope)
         E = np.zeros((n, n), dtype=np.int64)
-        for (ia, a), (ib, b) in itertools.combinations(
-                enumerate(self.scope), 2):
-            E[ia, ib] = self.e(a, b)
+        for (i, j), v in self.e_map.items():
+            E[i, j] = v
         triples = 0
         for j in range(1, n - 1):
             left = E[:j, j]          # e(a, b) for a < b
             right = E[j, j + 1:]     # e(b, c) for b < c
-            bound = np.maximum.outer(left, right)
             block = E[:j, j + 1:]    # e(a, c)
-            bad1 = np.argwhere(block > bound)
-            if bad1.size:
-                ia, ic = bad1[0]
-                raise ValueError(
-                    f"subadditivity (1) fails at ({ord_to_str(self.scope[ia])},"
-                    f"{ord_to_str(self.scope[j])},"
-                    f"{ord_to_str(self.scope[j + 1 + ic])})")
-            bound2 = np.maximum(block, right[np.newaxis, :])
-            bad2 = np.argwhere(left[:, np.newaxis] > bound2)
-            if bad2.size:
-                ia, ic = bad2[0]
-                raise ValueError(
-                    f"subadditivity (2) fails at ({ord_to_str(self.scope[ia])},"
-                    f"{ord_to_str(self.scope[j])},"
-                    f"{ord_to_str(self.scope[j + 1 + ic])})")
+            bad1 = np.argwhere(block > np.maximum.outer(left, right))
+            bad2 = np.argwhere(left[:, np.newaxis] >
+                               np.maximum(block, right[np.newaxis, :]))
+            for inequality, bad in ((1, bad1), (2, bad2)):
+                if bad.size:
+                    ia, ic = bad[0]
+                    triple = (self.scope[ia], self.scope[j],
+                              self.scope[j + 1 + ic])
+                    return {"triples": triples, "violation": {
+                        "inequality": inequality,
+                        "triple": [ord_to_str(x) for x in triple]}}
             triples += j * (n - 1 - j)
         # local smallness: every weak D-set over the materialized scope
         # is finite by construction; record the largest one
@@ -498,34 +458,35 @@ class ColoringTable:
         return {"triples": triples, "max_weak_d_size": max_d}
 
     def to_json(self) -> dict:
-        def dump(m):
-            return {f"{a}|{b}": v for (a, b), v in sorted(m.items())}
-
-        return {"scope": [ord_to_str(a) for a in self.scope],
-                "e": dump(self.e_map), "c0": dump(self.c0_map),
-                "c1": dump(self.c1_map)}
+        """The tower config's colorings block: {"e": {"i,j": v}, ...}."""
+        def enc(m):
+            return {f"{i},{j}": v for (i, j), v in sorted(m.items())}
+        return {"e": enc(self.e_map), "c0": enc(self.c0_map),
+                "c1": enc(self.c1_map)}
 
     @classmethod
     def from_json(cls, data: dict) -> "ColoringTable":
-        def load(m):
+        """Inverse of to_json; raises ValueError on a malformed block."""
+        if not isinstance(data, dict):
+            raise ValueError("colorings must be an object")
+        maps = []
+        for name in ("e", "c0", "c1"):
+            m = data.get(name) or {}
+            if not isinstance(m, dict):
+                raise ValueError(f"colorings {name!r} must be an object")
             out = {}
             for key, v in m.items():
-                a, b = key.split("|")
-                out[(a, b)] = int(v)
-            return out
-
-        scope = [ord_from_str(s) for s in data["scope"]]
-        return cls(load(data["e"]), load(data["c0"]), load(data["c1"]),
-                   scope)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "ColoringTable":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+                try:
+                    i, j = map(int, key.split(","))
+                except ValueError:
+                    raise ValueError(f"colorings {name!r} key {key!r} is "
+                                     f"not 'i,j'") from None
+                if type(v) is not int:
+                    raise ValueError(f"colorings {name!r} value at {key!r} "
+                                     f"is not an integer: {v!r}")
+                out[i, j] = v
+            maps.append(out)
+        return cls(*maps)
 
 
 # ---------------------------------------------------------------------------
@@ -548,31 +509,30 @@ def omega_sq_scope(count: int, width: int = 0) -> List[OrdinalCNF]:
 def hitting_scan(
     A: Sequence[OrdinalCNF],
     targets: Sequence[Tuple[int, int, int]],
-    c0: Callable[[OrdinalCNF, OrdinalCNF], int],
-    c1: Callable[[OrdinalCNF, OrdinalCNF], int],
-    e: Callable[[OrdinalCNF, OrdinalCNF], int],
+    c0: Callable[[int, int], Optional[int]],
+    c1: Callable[[int, int], Optional[int]],
+    e: Callable[[int, int], int],
 ) -> dict:
     """Witness counts per (beta, target): how many alpha < beta in A
-    satisfy c0 = xi0, c1 = xi1 and e > i. Reporting only; the
-    club-quantified property is not decidable at this scale."""
+    satisfy c0 = xi0, c1 = xi1 and e > i. The colorings take positions
+    (i, j), i < j, in sorted A, as the lookups of ``from_walks(A)`` do.
+    Reporting only; the club-quantified property is not decidable at
+    this scale."""
     ordered = sorted(A, key=ord_sort_key)
     report: Dict[str, Dict[str, int]] = {}
     hit_targets = 0
     for xi0, xi1, i in targets:
-        tkey = f"{xi0},{xi1},>{i}"
         counts: Dict[str, int] = {}
-        any_hit = False
-        for bi, beta in enumerate(ordered):
+        for bj in range(1, len(ordered)):
             n = 0
-            for alpha in ordered[:bi]:
-                if c0(alpha, beta) == xi0 and c1(alpha, beta) == xi1 and \
-                        e(alpha, beta) > i:
+            for ai in range(bj):
+                if c0(ai, bj) == xi0 and c1(ai, bj) == xi1 and \
+                        e(ai, bj) > i:
                     n += 1
             if n:
-                counts[ord_to_str(beta)] = n
-                any_hit = True
-        report[tkey] = counts
-        if any_hit:
+                counts[ord_to_str(ordered[bj])] = n
+        report[f"{xi0},{xi1},>{i}"] = counts
+        if counts:
             hit_targets += 1
     return {"targets": len(targets), "targets_hit": hit_targets,
             "witnesses": report}

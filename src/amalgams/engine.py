@@ -53,7 +53,7 @@ from amalgams.cancellation import (
     relators_to_json,
     replay_certificate,
 )
-from amalgams.colorings import cantor_pair, cantor_unpair
+from amalgams.colorings import ColoringTable, cantor_pair, cantor_unpair
 from amalgams.systems import SystemEntry, generate_relators
 from amalgams.kernels import longest_common_run
 
@@ -94,54 +94,6 @@ def q_code(q0: int, q1: int, q2: int, eps: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# colorings on stage indices
-
-
-class StageColorings:
-    """Integer pair-colorings e, c0, c1 on pairs beta < gamma.
-
-    Missing e-entries default to 0; missing c0/c1 entries mean
-    "undecodable" and simply keep the corresponding relator seeds out.
-    """
-
-    def __init__(self, e=None, c0=None, c1=None):
-        self.e_map: Dict[Tuple[int, int], int] = dict(e or {})
-        self.c0_map: Dict[Tuple[int, int], int] = dict(c0 or {})
-        self.c1_map: Dict[Tuple[int, int], int] = dict(c1 or {})
-        for (b, g), v in self.e_map.items():
-            if not (0 <= b < g) or v < 0:
-                raise ValueError(f"bad e entry ({b},{g})={v}")
-
-    def e(self, beta: int, gamma: int) -> int:
-        if not 0 <= beta < gamma:
-            raise ValueError(f"e needs beta < gamma, got ({beta},{gamma})")
-        return self.e_map.get((beta, gamma), 0)
-
-    def c0(self, beta: int, gamma: int) -> Optional[int]:
-        return self.c0_map.get((beta, gamma))
-
-    def c1(self, beta: int, gamma: int) -> Optional[int]:
-        return self.c1_map.get((beta, gamma))
-
-    def to_json(self) -> dict:
-        def enc(m):
-            return {f"{b},{g}": v for (b, g), v in sorted(m.items())}
-        return {"e": enc(self.e_map), "c0": enc(self.c0_map),
-                "c1": enc(self.c1_map)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "StageColorings":
-        def dec(m):
-            out = {}
-            for key, v in (m or {}).items():
-                b, g = key.split(",")
-                out[(int(b), int(g))] = int(v)
-            return out
-        return cls(dec(data.get("e")), dec(data.get("c0")),
-                   dec(data.get("c1")))
-
-
-# ---------------------------------------------------------------------------
 # stage state
 
 
@@ -161,7 +113,7 @@ class StageLayer:
 class StageState:
     """A snapshot of the construction after `stage` generators."""
 
-    def __init__(self, colorings: StageColorings, stage: int = 0):
+    def __init__(self, colorings: ColoringTable, stage: int = 0):
         self.colorings = colorings
         self.stage = stage
         self.ambient = FreeGroup([sym(i) for i in range(stage)], name="G")
@@ -184,12 +136,6 @@ class StageState:
             self.groups[key] = sub
         return sub
 
-    def d_lt(self, gamma: int, i: int) -> List[int]:
-        return [b for b in range(gamma) if self.colorings.e(b, gamma) < i]
-
-    def d_le(self, gamma: int, i: int) -> List[int]:
-        return [b for b in range(gamma) if self.colorings.e(b, gamma) <= i]
-
     # -- elements -----------------------------------------------------------
 
     def element(self, payload) -> Element:
@@ -206,7 +152,7 @@ class StageState:
                 for c in range(len(self.registry))]
 
 
-def init_base(count: int, colorings: Optional[StageColorings] = None
+def init_base(count: int, colorings: Optional[ColoringTable] = None
               ) -> StageState:
     """Base of the tower: a free group on `count` seed generators.
 
@@ -216,7 +162,7 @@ def init_base(count: int, colorings: Optional[StageColorings] = None
     """
     if count < 1:
         raise ValueError("need at least one seed generator")
-    state = StageState(colorings or StageColorings(), stage=count)
+    state = StageState(colorings or ColoringTable(), stage=count)
     for i in range(count):
         state.registry.register(state.generator(i))
     state.registry.register(state.ambient.identity())
@@ -275,7 +221,7 @@ def _order_key(state: StageState, gamma: int):
 
 
 def _check_layer(g: Element, gamma: int, i: int, state: StageState):
-    allowed = set(state.d_lt(gamma, i)) | {gamma}
+    allowed = set(state.colorings.d_set(gamma, i, "strict")) | {gamma}
     if not state.support(g) <= allowed:
         raise ValueError(
             f"element outside the ({gamma},{i}) layer: support "
@@ -293,7 +239,8 @@ def transversal_rep(g: Element, gamma: int, i: int, beta: int,
     cut, which is exactly the monotonicity the tower needs.
     """
     _check_layer(g, gamma, i, state)
-    strip_syms = {sym(b) for b in state.d_lt(gamma, i) if b < beta}
+    strip_syms = {sym(b) for b in state.colorings.d_set(gamma, i, "strict")
+                  if b < beta}
     _, core1, _ = _strip(g.payload, strip_syms)
     _, core2, _ = _strip(g.inv().payload, strip_syms)
     c1, c2 = state.element(core1), state.element(core2)
@@ -306,7 +253,8 @@ def decompose_star(g: Element, gamma: int, i: int, beta: int,
     """Write g = y0 * t^eps * y1 with t its transversal representative
     and y0, y1 in the cut subgroup; replayable by multiplying out."""
     _check_layer(g, gamma, i, state)
-    strip_syms = {sym(b) for b in state.d_lt(gamma, i) if b < beta}
+    strip_syms = {sym(b) for b in state.colorings.d_set(gamma, i, "strict")
+                  if b < beta}
     p1, core1, s1 = _strip(g.payload, strip_syms)
     ginv = g.inv()
     p2, core2, s2 = _strip(ginv.payload, strip_syms)
@@ -351,7 +299,7 @@ class JEntry:
 
 
 def _k_candidates(gamma: int, i: int, state: StageState) -> List[Element]:
-    d_le = set(state.d_le(gamma, i))
+    d_le = set(state.colorings.d_set(gamma, i, "weak"))
     out = []
     for g in state.registered():
         supp = state.support(g)
@@ -364,7 +312,7 @@ def _k_candidates(gamma: int, i: int, state: StageState) -> List[Element]:
 
 def _l_candidates(gamma: int, i: int, beta: int,
                   state: StageState) -> List[Element]:
-    allowed = set(state.d_lt(gamma, i)) | {gamma}
+    allowed = set(state.colorings.d_set(gamma, i, "strict")) | {gamma}
     seen, out = set(), []
     for g in state.registered():
         supp = state.support(g)
@@ -385,7 +333,7 @@ def enumerate_J(gamma: int, i: int, state: StageState
     entries: List[JEntry] = []
     skipped: List[dict] = []
     n_codes = len(state.registry)
-    d_lt = set(state.d_lt(gamma, i))
+    d_lt = set(state.colorings.d_set(gamma, i, "strict"))
 
     def skip(k, reason, **extra):
         skipped.append({"k": list(k.payload), "reason": reason, **extra})
@@ -444,7 +392,8 @@ def enumerate_J(gamma: int, i: int, state: StageState
             if gamma not in state.support(b):
                 skip(k, "seed-product-degenerate")
                 continue
-            kprime = frozenset(x for x in state.d_le(gamma, i)
+            kprime = frozenset(x for x in
+                               state.colorings.d_set(gamma, i, "weak")
                                if x < alpha)
             entries.append(JEntry(
                 gamma=gamma, level=i, l=l, k=k, a=k, alpha=alpha, d=d,
@@ -463,8 +412,8 @@ def _build_layer(gamma: int, i: int, state: StageState) -> StageLayer:
     if not entries:
         return StageLayer(gamma=gamma, level=i, kind="free",
                           skipped=skipped)
-    d_lt = state.d_lt(gamma, i)
-    d_le = state.d_le(gamma, i)
+    d_lt = state.colorings.d_set(gamma, i, "strict")
+    d_le = state.colorings.d_set(gamma, i, "weak")
     K_grp = FreeGroup([sym(b) for b in d_le], name=f"K{gamma}.{i}")
     L_grp = FreeGroup([sym(b) for b in d_lt] + [sym(gamma)],
                       name=f"L{gamma}.{i}")
@@ -509,7 +458,7 @@ def run_construction(config: dict) -> StageState:
     """Drive the tower from a config {generators, stages, colorings}."""
     colorings = config.get("colorings")
     if isinstance(colorings, dict):
-        colorings = StageColorings.from_json(colorings)
+        colorings = ColoringTable.from_json(colorings)
     state = init_base(int(config["generators"]), colorings)
     while state.stage < int(config["stages"]):
         state = advance_stage(state)
@@ -537,8 +486,8 @@ def audit_stage(state: StageState, gamma: int, levels: Sequence[int]):
     # intersection promises on the level sets, element by element
     checked = 0
     for i in levels:
-        lt = frozenset(state.d_lt(gamma, i))
-        le = frozenset(state.d_le(gamma, i))
+        lt = frozenset(state.colorings.d_set(gamma, i, "strict"))
+        le = frozenset(state.colorings.d_set(gamma, i, "weak"))
         below = frozenset(range(gamma))
         if (lt | {gamma}) & below != lt or (lt | {gamma}) & le != lt:
             _audit(state, "level-set-intersection", gamma, "fail", checked,
@@ -557,8 +506,8 @@ def audit_stage(state: StageState, gamma: int, levels: Sequence[int]):
     _audit(state, "intersection-promises", gamma, "pass", checked)
 
     # closed-set lattice: G_F meet G_F' is G_{F meet F'}
-    fams = [frozenset(state.d_lt(gamma, i)) for i in levels]
-    fams += [frozenset(state.d_le(gamma, i)) for i in levels]
+    fams = [frozenset(colorings.d_set(gamma, i, mode))
+            for mode in ("strict", "weak") for i in levels]
     fams += [frozenset(range(b)) for b in range(gamma + 1)]
     fams = sorted(set(fams), key=sorted)
     checked = 0
@@ -574,7 +523,7 @@ def audit_stage(state: StageState, gamma: int, levels: Sequence[int]):
 
     # malnormality of the strict level set in its layer extension
     for i in levels:
-        lt = state.d_lt(gamma, i)
+        lt = state.colorings.d_set(gamma, i, "strict")
         layer = state.layers[(gamma, i)]
         if not lt:
             _audit(state, "layer-malnormality", gamma, "pass", 0, level=i,
@@ -594,7 +543,7 @@ def audit_stage(state: StageState, gamma: int, levels: Sequence[int]):
     betas = sorted({b for b in range(gamma + 1)})
     checked = 0
     for i in levels:
-        allowed = set(state.d_lt(gamma, i)) | {gamma}
+        allowed = set(state.colorings.d_set(gamma, i, "strict")) | {gamma}
         for g in members:
             if not state.support(g) <= allowed:
                 continue
@@ -636,7 +585,7 @@ def audit_stage(state: StageState, gamma: int, levels: Sequence[int]):
     # fresh arrivals at a common level sit in distinct double cosets
     checked = 0
     for i in levels:
-        lt = state.d_lt(gamma, i)
+        lt = state.colorings.d_set(gamma, i, "strict")
         sub = state.subgroup(lt) if lt else None
         ks = _k_candidates(gamma, i, state)
         for a_idx in range(len(ks)):
@@ -658,7 +607,7 @@ def audit_stage(state: StageState, gamma: int, levels: Sequence[int]):
     # sandwich products escape the strict level set
     checked = 0
     for i in levels:
-        lt = set(state.d_lt(gamma, i))
+        lt = set(state.colorings.d_set(gamma, i, "strict"))
         fresh = [a for a in range(gamma)
                  if colorings.e(a, gamma) == i]
         for alpha in fresh:
@@ -666,7 +615,7 @@ def audit_stage(state: StageState, gamma: int, levels: Sequence[int]):
                   if supp and supp <= lt and max(supp) >= alpha]
             kset = [k for k, supp in zip(members, supports)
                     if alpha in supp and
-                    supp <= {x for x in state.d_le(gamma, i)
+                    supp <= {x for x in state.colorings.d_set(gamma, i, "weak")
                              if x <= alpha}]
             for g in gs:
                 for k1 in kset:

@@ -31,7 +31,7 @@ from amalgams.systems import (
     generate_relators,
     load_system_fixture,
 )
-from amalgams.colorings import ColoringTable, d_set, omega_sq_scope
+from amalgams.colorings import ColoringTable
 
 from amalgam_instances import ALL_INSTANCES
 
@@ -49,7 +49,7 @@ def load(name):
 
 def build_tower():
     e = {(b, 5): v for b, v in {0: 0, 1: 0, 2: 1, 3: 2, 4: 2}.items()}
-    col = E.StageColorings(
+    col = ColoringTable(
         e=e, c0={(3, 5): 0}, c1={(3, 5): E.q_code(3, 3, 2, 1)})
     state = E.init_base(3, col)
     while state.stage < 6:
@@ -180,14 +180,13 @@ def test_ac4_word_solver_sound():
     verdict(4, "word solver vs abelianization", ok)
 
 
-def test_ac5_subadditivity_exhaustive():
-    scope = omega_sq_scope(300)
-    table = ColoringTable.from_walks(scope)
+def test_ac5_subadditivity_exhaustive(walks_table):
+    scope, table = walks_table
     report = table.check_contract()
     ok = report["triples"] == 300 * 299 * 298 // 6
-    for gamma in scope[::37]:
+    for gamma in range(0, 300, 37):
         for i in range(4):
-            ok = ok and len(d_set(gamma, i, "weak", table.e, scope)) < 300
+            ok = ok and len(table.d_set(gamma, i, "weak")) < 300
     verdict(5, "subadditive coloring on the sample scope", ok)
 
 

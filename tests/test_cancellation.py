@@ -337,6 +337,9 @@ def test_corrupted_system_fails_with_replayable_witness():
     assert res.status == "fail"
     assert res.witness.ell >= res.witness.threshold == 664
     assert replay_cprime_witness(R, res.witness)
+    for change in ({"uid1": "r99"}, {"uid2": "r99"}):
+        bad = dataclasses.replace(res.witness, **change)
+        assert replay_cprime_witness(R, bad) is False, change
 
 
 def test_dehn_kills_relator_with_replayable_certificate(rho_system):
@@ -361,7 +364,9 @@ def test_tampered_certificate_is_rejected(rho_system):
     step = cert[n]
     for change in ({"uid": "r99"},
                    {"offset": step.from_len - step.ell + 1},
-                   {"ell": step.ell + 1}):
+                   {"ell": step.ell + 1},
+                   {"h_start_json": {"junk": 1}},
+                   {"h_start_side": "Q"}):
         bad = list(cert)
         bad[n] = dataclasses.replace(step, **change)
         assert replay_certificate(w, bad, R) is False, change

@@ -14,6 +14,7 @@ from amalgams.report import (
     parse_report,
 )
 from amalgams import engine as E
+from amalgams.colorings import ColoringTable
 
 
 def run_cli(tmp_path, command, config, extra=()):
@@ -26,7 +27,7 @@ def run_cli(tmp_path, command, config, extra=()):
 
 def tower_config():
     e = {(b, 5): v for b, v in {0: 0, 1: 0, 2: 1, 3: 2, 4: 2}.items()}
-    col = E.StageColorings(
+    col = ColoringTable(
         e=e, c0={(3, 5): 0}, c1={(3, 5): E.q_code(3, 3, 2, 1)})
     return {"generators": 3, "stages": 6, "colorings": col.to_json()}
 
@@ -166,6 +167,27 @@ def test_scan_colorings(tmp_path):
     assert data["triples"] == 40 * 39 * 38 // 6
 
 
+def test_scan_colorings_reports_subadditivity_violation(tmp_path,
+                                                        monkeypatch):
+    walks = ColoringTable.from_walks
+
+    def corrupted(scope):
+        table = walks(scope)
+        table.e_map[0, len(table.scope) - 1] = 10_000
+        return table
+
+    monkeypatch.setattr(ColoringTable, "from_walks", corrupted)
+    code, doc = run_cli(tmp_path, "scan-colorings", {"count": 40})
+    assert code == 1
+    check = doc["checks"][0]
+    assert check["name"] == "subadditivity"
+    assert check["status"] == "fail"
+    # the 40-ordinal scope is the first 40 of an 8 x 8 grid: it ends at
+    # w*4+7
+    assert check["data"]["violation"] == {"inequality": 1,
+                                          "triple": ["0", "1", "w*4+7"]}
+
+
 def test_topology_chain_command(tmp_path):
     config = {**tower_config(), "gamma": 5, "level": 2, "k_max": 2}
     code, doc = run_cli(tmp_path, "topology-chain", config)
@@ -227,10 +249,21 @@ def _entry_without_a(tmp_path):
                         "level": 2}),
     ("topology-chain", {"generators": 3, "stages": 5, "gamma": 4,
                         "level": 0}),
+    # malformed colorings blocks: a key that is not "i,j", an entry
+    # with i >= j, a negative value
+    ("run-construction", {"generators": 3, "stages": 6,
+                          "colorings": {"e": {"5": 1}}}),
+    ("build-stage", {"generators": 3, "stages": 6,
+                     "colorings": {"e": {"5,3": 1}}}),
+    ("run-construction", {"generators": 3, "stages": 6,
+                          "colorings": {"c1": {"3,5": -4}}}),
+    ("scan-colorings", {"count": 10, "targets": [[1, 2]]}),
+    ("scan-colorings", {"count": 10, "targets": [[1, 2, -3]]}),
 ], ids=["missing-config", "zero-generators", "fixture-as-config",
         "no-words", "missing-fixture", "not-a-system", "entry-lacks-key",
         "negative-count", "string-stages", "bool-stages", "unbuilt-layer",
-        "free-layer"])
+        "free-layer", "colorings-key-not-pair", "colorings-unordered-pair",
+        "colorings-negative", "target-short", "target-negative"])
 def test_malformed_config_is_usage_error(tmp_path, capsys, command, config):
     if callable(config):
         config = config(tmp_path)

@@ -11,6 +11,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from amalgams import words
 from amalgams import engine as E
+from amalgams.colorings import ColoringTable
 from amalgams.systems import validate_system
 
 
@@ -18,7 +19,7 @@ def fixture_colorings():
     # one stage (gamma = 5) with levels 0, 1, 2; the bookkeeping entry
     # at (3, 5) decodes to (identity, identity, x2, +1) and c0 names x0
     e = {(b, 5): v for b, v in {0: 0, 1: 0, 2: 1, 3: 2, 4: 2}.items()}
-    return E.StageColorings(
+    return ColoringTable(
         e=e, c0={(3, 5): 0}, c1={(3, 5): E.q_code(3, 3, 2, 1)})
 
 
@@ -191,12 +192,18 @@ def test_q_code_roundtrip():
 
 def test_colorings_json_roundtrip():
     col = fixture_colorings()
-    back = E.StageColorings.from_json(col.to_json())
+    back = ColoringTable.from_json(col.to_json())
     assert back.e_map == col.e_map
     assert back.c0_map == col.c0_map
     assert back.c1_map == col.c1_map
+    # missing entries read 0 (e) and None (c0, c1)
+    assert col.e(1, 4) == 0 and col.c0(1, 4) is None
+    for bad in ({"e": {(5, 3): 1}}, {"c0": {(3, 3): 0}},
+                {"c1": {(3, 5): -4}}):
+        with pytest.raises(ValueError):
+            ColoringTable(**bad)
     with pytest.raises(ValueError):
-        E.StageColorings(e={(5, 3): 1})
+        col.e(5, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +214,8 @@ def test_undecodable_tables_give_empty_J():
     # missing c1 entries, and c1 entries that decode to codes never
     # materialized, both keep J empty
     e = {(b, 5): v for b, v in {0: 0, 1: 0, 2: 1, 3: 2, 4: 2}.items()}
-    col = E.StageColorings(e=e, c0={(3, 5): 0},
-                           c1={(3, 5): E.q_code(900, 0, 0, 1)})
+    col = ColoringTable(e=e, c0={(3, 5): 0},
+                        c1={(3, 5): E.q_code(900, 0, 0, 1)})
     state = E.init_base(3, col)
     while state.stage < 6:
         state = E.advance_stage(state)
@@ -260,7 +267,7 @@ def test_free_advancement_when_no_colorings():
     assert all(layer.kind == "free" for layer in state.layers.values())
     # all-zero colorings realize a single level per stage
     assert {k[1] for k in state.layers} == {0}
-    assert state.d_le(4, 0) == [0, 1, 2, 3]
+    assert state.colorings.d_set(4, 0, "weak") == [0, 1, 2, 3]
 
 
 def test_all_audits_pass(tower):
