@@ -7,13 +7,17 @@ Import them through ``amalgams.kernels``.  Contracts:
 * all functions are pure.
 
 ``longest_common_run`` and ``runs_at_least`` find common runs with a
-rolling polynomial hash over fixed-length windows; a hash hit is
-confirmed by comparing the elements before a run is reported.
+rolling polynomial hash over fixed-length windows (Karp-Rabin); a hash
+hit is confirmed by comparing the elements before a run is reported.
+``window_hashes`` and ``window_table`` expose the two halves of that
+scan, so a caller that scans one sequence many times hashes it once and
+passes the result to ``runs_at_least``.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from array import array
+from typing import Dict, List, Optional, Sequence, Tuple
 
 _MOD = (1 << 61) - 1
 _BASE = 1_000_003
@@ -83,29 +87,67 @@ def longest_common_run(a: Sequence[int], b: Sequence[int]) -> Tuple[int, int, in
     return best
 
 
-def runs_at_least(a: Sequence[int], b: Sequence[int], k: int) -> List[Tuple[int, int, int]]:
+def window_hashes(seq: Sequence[int], k: int) -> array:
+    """Hash of every length-k window of seq, in one rolling pass: entry i
+    hashes seq[i:i+k]. Empty when seq is shorter than k."""
+    if k <= 0:
+        raise ValueError("k must be positive")
+    out = array("q")
+    vals = [(v & 0xFFFFFFFFFFFF) + 7 for v in seq]
+    if len(vals) < k:
+        return out
+    h = 0
+    for v in vals[:k]:
+        h = (h * _BASE + v) % _MOD
+    out.append(h)
+    top = pow(_BASE, k, _MOD)  # weight of the value leaving the window
+    for new, old in zip(vals[k:], vals):
+        h = (h * _BASE + new - old * top) % _MOD
+        out.append(h)
+    return out
+
+
+def window_table(hashes: Sequence[int]) -> Dict[int, List[int]]:
+    """Map each window hash to the positions that have it, in order."""
+    table: Dict[int, List[int]] = {}
+    for i, h in enumerate(hashes):
+        table.setdefault(h, []).append(i)
+    return table
+
+
+def runs_at_least(
+    a: Sequence[int],
+    b: Sequence[int],
+    k: int,
+    a_table: Optional[Dict[int, List[int]]] = None,
+    b_hashes: Optional[Sequence[int]] = None,
+) -> List[Tuple[int, int, int]]:
     """All maximal common runs of length >= k, as (start_a, start_b, length).
 
     A run is maximal if it cannot be extended in either direction.
+    ``a_table`` (``window_table(window_hashes(a, k))``) and ``b_hashes``
+    (``window_hashes(b, k)``) may be passed in when the caller already
+    has them; they must be built with this same k.
     """
-    a = list(a)
-    b = list(b)
     if k <= 0:
         raise ValueError("k must be positive")
     if len(a) < k or len(b) < k:
         return []
-    pa, wa = _prefix_hashes(a)
-    pb, wb = _prefix_hashes(b)
-    table: dict = {}
-    for i in range(len(a) - k + 1):
-        table.setdefault(_window(pa, wa, i, k), []).append(i)
+    if a_table is None:
+        a_table = window_table(window_hashes(a, k))
+    if b_hashes is None:
+        b_hashes = window_hashes(b, k)
+    if a_table.keys().isdisjoint(b_hashes):
+        return []
+    a = list(a)
+    b = list(b)
     # covered[diag] holds the already-extended runs on that diagonal, so
     # repeated k-gram hits inside one long run cost O(1) each (periodic
     # inputs otherwise make the back-walk quadratic)
     covered: dict = {}
     out: List[Tuple[int, int, int]] = []
-    for j in range(len(b) - k + 1):
-        for i in table.get(_window(pb, wb, j, k), ()):
+    for j, h in enumerate(b_hashes):
+        for i in a_table.get(h, ()):
             diag = i - j
             spans = covered.get(diag)
             if spans and any(s <= i < e for s, e in spans):

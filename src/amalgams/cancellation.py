@@ -4,16 +4,19 @@ Dehn-algorithm word problem for the resulting quotients.
 Relator sets keep only weakly cyclically reduced base words; rotations
 and inverses are handled implicitly through cyclic label arrays, which
 is what makes 6640-syllable relators tractable. Each set labels its
-units once. Both scans, C' and Dehn's long-part search, are two-phase:
-a label-run prefilter (labels are constant on H-double cosets, so a
-genuine cancellation chain forces a label run), then exact verification
-of the candidates by the one H-chain walker, ``cancellation_chain``.
+units once and hashes their label windows once per window length. Both
+scans, C' and Dehn's long-part search, are two-phase: a label-run
+prefilter (labels are constant on H-double cosets, so a genuine
+cancellation chain forces a label run), then exact verification of the
+candidates by the one H-chain walker, ``cancellation_chain``. The C'
+verdict is kept on the set.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
@@ -71,6 +74,14 @@ class RelatorSet:
     scanners. Units come in (base, inverse) pairs. Their double-coset
     labels are coded once, in ``cyclic_labels``: each unit's code array
     written out twice, for cyclic scans.
+
+    The set is the index the scanners share. ``window_hashes(uid, k)``
+    hashes a unit's cyclic labels once per window length k (one rolling
+    pass, kept as an ``array('q')``), so C' and every Dehn round look
+    the unit up without hashing it again. ``check_cprime`` records its
+    result in ``cprime_results``, keyed on chi, so a set is scanned once
+    however many callers check it. Both caches assume the set is not
+    changed after construction.
     """
 
     def __init__(
@@ -104,6 +115,8 @@ class RelatorSet:
                                             len(self._codes) + 1)
                      for s in unit.word.syllables]
             self.cyclic_labels[unit.uid] = codes * 2
+        self._window_hashes: Dict[Tuple[str, int], array] = {}
+        self.cprime_results: Dict[Fraction, "CPrimeResult"] = {}
         if rho_generated:
             for base in self.bases:
                 n = len(base.word)
@@ -139,6 +152,16 @@ class RelatorSet:
 
     def min_base_length(self) -> int:
         return min(len(b.word) for b in self.bases)
+
+    def window_hashes(self, uid: str, k: int) -> array:
+        """Hashes of the length-k windows of a unit's cyclic labels,
+        computed on first use and kept."""
+        key = (uid, k)
+        hashes = self._window_hashes.get(key)
+        if hashes is None:
+            hashes = self._window_hashes[key] = kernels.window_hashes(
+                self.cyclic_labels[uid], k)
+        return hashes
 
     def code_labels(self, w: CanonicalWord) -> List[int]:
         """Label codes of a query word; 0, which matches no unit, for a
@@ -198,15 +221,21 @@ def cancellation_chain(
     i1: int,
     j2: int,
     max_steps: int,
+    skip_trivial_wrap: bool = False,
 ) -> ChainResult:
     """Exact cancellation length of (rotation of w1 ending at i1) times
-    (h-conjugated rotation of w2 starting at j2).
+    (h-conjugated rotation of w2 starting at j2), the longest over the
+    seeds h.
 
     Step t multiplies a_t = w1[i1-t], the running H-product, and
     b_t = w2[j2+t]; cancellation continues while the product stays in H.
     Both words are read cyclically. With w1 spelling r^-1 (m syllables)
     and i1 = m-1-j this is Dehn's part match:
     w2[j2..j2+ell) = h0^-1 * r[j..j+ell) * h_end.
+
+    With ``skip_trivial_wrap``, a seed whose chain consumes both words
+    to product 1 is left out, so the result is the longest chain
+    between w1^-1 and a conjugate of w2 that is a different relator.
     """
     n, m = len(w1), len(w2)
     a0, b0 = w1[i1 % n], w2[j2 % m]
@@ -227,10 +256,11 @@ def cancellation_chain(
                 break
             P = Q
             ell += 1
+        wrap = ell == max_steps == n == m and \
+            require(P.owner.is_identity(P))
+        if wrap and skip_trivial_wrap:
+            continue
         if ell > best.ell or best.h0 is None:
-            wrap = False
-            if ell == max_steps == n == m:
-                wrap = require(P.owner.is_identity(P))
             best = ChainResult(ell, h0, wrap, P)
     return best
 
@@ -266,9 +296,45 @@ def _violation_threshold(chi: Fraction, min_len: int) -> int:
     return math.ceil(chi * min_len)
 
 
+def distinct_cyclic_runs(
+    runs: Sequence[Tuple[int, int, int]], n: int, m: int
+) -> List[Tuple[int, int, int]]:
+    """The runs of a scan over doubled arrays (periods n and m) with
+    distinct cyclic starts (s mod n, j mod m), first copy kept.
+
+    Copies of one cyclic run start at the same cyclic position, so the
+    chain walks from a copy repeat walks from the first copy. The first
+    copy in sorted order starts inside both first periods and runs at
+    least as far as any other, so dropping the rest loses nothing."""
+    seen = set()
+    out = []
+    for run in runs:
+        start = (run[0] % n, run[1] % m)
+        if start not in seen:
+            seen.add(start)
+            out.append(run)
+    return out
+
+
 def check_cprime(R: RelatorSet, chi: Optional[Fraction] = None) -> CPrimeResult:
+    """The metric overlap condition C'(chi) on R, chi defaulting to R.chi.
+
+    The result is kept on the set, so checking it again is free."""
     chi = Fraction(chi) if chi is not None else R.chi
+    res = R.cprime_results.get(chi)
+    if res is None:
+        res = R.cprime_results[chi] = _scan_cprime(R, chi)
+    return res
+
+
+def _scan_cprime(R: RelatorSet, chi: Fraction) -> CPrimeResult:
     T = R.T
+    # With one seed per junction, the chain from an offset inside a
+    # chain is that chain's suffix, and a product-1 wrap covers its whole
+    # diagonal, so the walk steps past each chain. Otherwise an offset
+    # inside a chain may seed a different conjugate: every offset is
+    # walked, and every seed but a product-1 wrap is tried.
+    skip_past = T.unique_junctions
     max_core = 0
     pairs = 0
     gray = False
@@ -277,6 +343,7 @@ def check_cprime(R: RelatorSet, chi: Optional[Fraction] = None) -> CPrimeResult:
         # read backwards, u1 spells its partner: entry s of the partner's
         # labels is the label of u1's syllable n-1-s, inverted
         U2 = R.cyclic_labels[u1.partner]
+        tables = {}  # window length -> table of the partner's windows
         for u2 in R.units:
             pairs += 1
             m = len(u2.word)
@@ -284,20 +351,21 @@ def check_cprime(R: RelatorSet, chi: Optional[Fraction] = None) -> CPrimeResult:
             if k_min > min(n, m):
                 continue
             scan_k = max(1, k_min - 2)
-            runs = kernels.runs_at_least(U2, R.cyclic_labels[u2.uid],
-                                         scan_k)
-            seen_diag = set()
-            for (s, j, length) in runs:
-                diag = (s - j) % math.lcm(n, m)
-                if diag in seen_diag:
-                    continue
-                seen_diag.add(diag)
+            table = tables.get(scan_k)
+            if table is None:
+                table = tables[scan_k] = kernels.window_table(
+                    R.window_hashes(u1.partner, scan_k))
+            runs = kernels.runs_at_least(
+                U2, R.cyclic_labels[u2.uid], scan_k, table,
+                R.window_hashes(u2.uid, scan_k))
+            for (s, j, length) in distinct_cyclic_runs(runs, n, m):
                 o = 0
                 while o < length:
                     i1 = (n - 1 - (s + o)) % n
                     j2 = (j + o) % m
                     res = cancellation_chain(T, u1.word, u2.word, i1, j2,
-                                             min(n, m))
+                                             min(n, m),
+                                             skip_trivial_wrap=not skip_past)
                     if res.full_wrap_trivial:
                         break  # the excluded product-1 alignment
                     if res.ell >= k_min:
@@ -311,7 +379,7 @@ def check_cprime(R: RelatorSet, chi: Optional[Fraction] = None) -> CPrimeResult:
                     max_core = max(max_core, res.ell)
                     if res.ell >= scan_k:
                         gray = True
-                    o += res.ell + 1
+                    o += res.ell + 1 if skip_past else 1
     # No verified chain reaches the bound. Seam-splitting conjugates can
     # extend a chain by at most one syllable at each end, and their
     # interior steps are plain full-syllable chain steps, so any split
@@ -330,9 +398,7 @@ def replay_cprime_witness(R: RelatorSet, wit: CPrimeWitness) -> bool:
     if u1 is None or u2 is None:
         return False
     res = cancellation_chain(R.T, u1.word, u2.word, wit.i1, wit.j2,
-                             wit.min_len)
-    if res.full_wrap_trivial:
-        return False
+                             wit.min_len, skip_trivial_wrap=True)
     return res.ell >= wit.ell >= wit.threshold
 
 
@@ -387,6 +453,7 @@ def find_replacement(
     W = R.code_labels(w)
     gray = False
     candidates = []
+    tables = {}  # window length -> table of w's windows
     for unit in R.units:
         m = len(unit.word)
         t_min = part_threshold(k, m)
@@ -394,7 +461,12 @@ def find_replacement(
             continue
         scan_k = max(1, t_min - 2)
         inv = R.by_uid[unit.partner].word
-        runs = kernels.runs_at_least(W, R.cyclic_labels[unit.uid], scan_k)
+        table = tables.get(scan_k)
+        if table is None:
+            table = tables[scan_k] = kernels.window_table(
+                kernels.window_hashes(W, scan_k))
+        runs = kernels.runs_at_least(W, R.cyclic_labels[unit.uid], scan_k,
+                                     table, R.window_hashes(unit.uid, scan_k))
         for (p, j, length) in runs:
             o = 0
             while o < length:

@@ -74,10 +74,14 @@ class AmalgamTriple:
     transfer of H-elements between the sides, and a per-syllable double
     coset label. ``label_exact`` declares whether equal labels are
     equivalent to equal double cosets (not just implied by them).
+    ``unique_junctions`` declares that ``junction_solutions`` never
+    returns more than one element, so a cancellation chain is fixed by
+    where it starts.
     """
 
     name: str = "amalgam"
     label_exact: bool = False
+    unique_junctions: bool = False
 
     def __init__(self, K: GroupHandle, L: GroupHandle):
         self.K = K
@@ -240,6 +244,8 @@ class SharedFreeAmalgam(AmalgamTriple):
     is the free group on the union alphabet; this makes every structure
     test exact.
     """
+
+    unique_junctions = True
 
     def __init__(
         self,

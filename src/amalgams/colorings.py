@@ -375,6 +375,7 @@ class ColoringTable:
         self.c0_map = dict(c0 or {})
         self.c1_map = dict(c1 or {})
         self.scope = list(scope)
+        self._d_sets: Dict[Tuple[int, int, str], Tuple[int, ...]] = {}
         for name, m in (("e", self.e_map), ("c0", self.c0_map),
                         ("c1", self.c1_map)):
             for (i, j), v in m.items():
@@ -392,14 +393,21 @@ class ColoringTable:
     def c1(self, i: int, j: int) -> Optional[int]:
         return self.c1_map.get((i, j))
 
-    def d_set(self, gamma: int, i: int, mode: str) -> List[int]:
+    def d_set(self, gamma: int, i: int, mode: str) -> Tuple[int, ...]:
         """The indices b < gamma with e(b, gamma) < i (strict) or
-        <= i (weak), in increasing order."""
-        if mode not in ("strict", "weak"):
-            raise ValueError("mode must be strict or weak")
-        bound = i if mode == "strict" else i + 1
-        e = self.e_map
-        return [b for b in range(gamma) if e.get((b, gamma), 0) < bound]
+        <= i (weak), in increasing order. Built once per (gamma, i,
+        mode) and kept, so the table must not change after its first
+        D-set."""
+        key = (gamma, i, mode)
+        out = self._d_sets.get(key)
+        if out is None:
+            if mode not in ("strict", "weak"):
+                raise ValueError("mode must be strict or weak")
+            bound = i if mode == "strict" else i + 1
+            e = self.e_map
+            out = self._d_sets[key] = tuple(
+                b for b in range(gamma) if e.get((b, gamma), 0) < bound)
+        return out
 
     @classmethod
     def from_walks(cls, scope: Sequence[OrdinalCNF],
@@ -519,16 +527,22 @@ def hitting_scan(
     Reporting only; the club-quantified property is not decidable at
     this scale."""
     ordered = sorted(A, key=ord_sort_key)
+    # one pass over the pairs: the e values of each targeted (c0, c1),
+    # grouped by beta in increasing order
+    wanted = {(xi0, xi1) for xi0, xi1, _ in targets}
+    groups: Dict[Tuple[int, int], Dict[int, List[int]]] = {}
+    for bj in range(1, len(ordered)):
+        for ai in range(bj):
+            key = (c0(ai, bj), c1(ai, bj))
+            if key in wanted:
+                groups.setdefault(key, {}).setdefault(bj, []).append(
+                    e(ai, bj))
     report: Dict[str, Dict[str, int]] = {}
     hit_targets = 0
     for xi0, xi1, i in targets:
         counts: Dict[str, int] = {}
-        for bj in range(1, len(ordered)):
-            n = 0
-            for ai in range(bj):
-                if c0(ai, bj) == xi0 and c1(ai, bj) == xi1 and \
-                        e(ai, bj) > i:
-                    n += 1
+        for bj, es in groups.get((xi0, xi1), {}).items():
+            n = sum(1 for v in es if v > i)
             if n:
                 counts[ord_to_str(ordered[bj])] = n
         report[f"{xi0},{xi1},>{i}"] = counts

@@ -12,6 +12,13 @@ dropping ``BACKEND`` would break both.
 ``longest_common_run`` and ``runs_at_least`` report *some* witness
 position for each run; callers must not rely on a particular tie-break
 between equally long runs.
+
+``runs_at_least(a, b, k)`` hashes both sequences itself.  A caller that
+scans the same sequences many times hashes each once with
+``window_hashes(seq, k)`` (one rolling pass, kept as a compact
+``array('q')``), builds ``window_table`` of the side it looks up in, and
+passes both to ``runs_at_least``.  ``cancellation.RelatorSet`` keeps
+the window hashes of each unit's labels, one array per window length.
 """
 
 from __future__ import annotations
@@ -20,9 +27,11 @@ from amalgams._pykernels import (
     free_reduce_ints,
     longest_common_run,
     runs_at_least,
+    window_hashes,
+    window_table,
 )
 
 BACKEND = "python"
 
 __all__ = ["BACKEND", "free_reduce_ints", "longest_common_run",
-           "runs_at_least"]
+           "runs_at_least", "window_hashes", "window_table"]

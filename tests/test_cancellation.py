@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -33,6 +34,7 @@ from amalgams.cancellation import (
     certificate_to_json,
     check_cprime,
     dehn_decide,
+    distinct_cyclic_runs,
     relators_from_json,
     relators_to_json,
     replay_certificate,
@@ -259,21 +261,28 @@ def test_part_walker_matches_naive_oracle():
     assert long_parts >= 30
 
 
-def _naive_max_overlap(R, chi):
-    """Brute-force maximum verified chain over all alignment choices."""
-    best = 0
+def _naive_pair_overlaps(R):
+    """Brute-force maximum verified chain of each ordered pair of units,
+    over all alignment choices."""
+    best = {}
     for u1 in R.units:
         n = len(u1.word)
         for u2 in R.units:
             m = len(u2.word)
+            top = 0
             for i1 in range(n):
                 for j2 in range(m):
                     res = cancellation_chain(R.T, u1.word, u2.word, i1, j2,
-                                             min(n, m))
-                    if res.full_wrap_trivial:
-                        continue
-                    best = max(best, res.ell)
+                                             min(n, m),
+                                             skip_trivial_wrap=True)
+                    top = max(top, res.ell)
+            best[u1.uid, u2.uid] = top
     return best
+
+
+def _naive_max_overlap(R, chi):
+    """Brute-force maximum verified chain over all alignment choices."""
+    return max(_naive_pair_overlaps(R).values(), default=0)
 
 
 def test_checker_agrees_with_bruteforce_on_small_sets():
@@ -310,6 +319,140 @@ def test_checker_fails_on_shared_long_prefix():
     assert res.status == "fail"
     assert res.witness.ell >= 2
     assert replay_cprime_witness(R, res.witness)
+
+
+def test_cyclic_run_skip_keeps_distinct_arcs():
+    # doubled arrays of periods n = m = 6: (6, 0) and (0, 6) are copies of
+    # the run at (0, 0), but (2, 2) is a different arc on the same
+    # diagonal residue, which a skip keyed on (s - j) mod lcm(n, m) drops
+    runs = [(0, 0, 4), (0, 6, 4), (2, 2, 3), (6, 0, 4), (7, 1, 3)]
+    kept = distinct_cyclic_runs(runs, 6, 6)
+    assert kept == [(0, 0, 4), (2, 2, 3), (7, 1, 3)]
+    by_residue = {}
+    for s, j, length in runs:
+        by_residue.setdefault((s - j) % math.lcm(6, 6), (s, j, length))
+    assert (2, 2, 3) not in by_residue.values()
+
+
+# random relator sets for the differential test of the C' scan: a short
+# relator over syllables no other relator uses, and two longer ones, the
+# second sometimes carrying a window of the first (or of its inverse)
+FREE_POOL = {
+    K_SIDE: [[("a", 1)], [("a", -1)], [("a", 1), ("h", 1)],
+             [("h", 1), ("a", 1)], [("a", 1), ("a", 1)]],
+    L_SIDE: [[("b", 1)], [("c", 1)], [("b", -1)], [("b", 1), ("h", 1)],
+             [("c", -1)]],
+}
+
+
+def _random_relator_set(rng, T, pool, short):
+    def word(n):
+        out, side = [], K_SIDE
+        for _ in range(n):
+            out.append((side, rng.choice(pool[side])))
+            side = OTHER_SIDE[side]
+        return out
+
+    long1 = word(2 * rng.randrange(3, 5))
+    long2 = word(2 * rng.randrange(3, 5))
+    if rng.random() < 0.5:
+        src = long1 if rng.random() < 0.5 else \
+            [(side, g.inv()) for side, g in reversed(long1)]
+        t = rng.randrange(2, len(long2) + 1)
+        a, b = rng.randrange(len(src)), rng.randrange(len(long2))
+        if src[a][0] != long2[b][0]:
+            b = (b + 1) % len(long2)
+        for o in range(t):
+            long2[(b + o) % len(long2)] = src[(a + o) % len(src)]
+    relators = [long1, long2] + ([short] if short else [])
+    rng.shuffle(relators)
+    return [canonicalize([syllable(side, g) for side, g in r], T)
+            for r in relators]
+
+
+def test_checker_matches_bruteforce_on_random_sets():
+    # relators of different lengths make check_cprime and Dehn scan with
+    # several window lengths in one set, so a hash table or hash array
+    # reused across window lengths misses runs: a violation passes, or a
+    # relator is not reduced
+    rng = random.Random(20261018)
+    seen = collections.Counter()
+    T_free = small_triple()
+    T_table = instance_s3_z4()[0]
+    for T in (T_free, T_table):
+        if T is T_free:
+            pool = {side: [T.side_group(side).word_element(p)
+                           for p in FREE_POOL[side]]
+                    for side in (K_SIDE, L_SIDE)}
+            short = [(K_SIDE, T.K.word_element([("a", 1)] * 3)),
+                     (L_SIDE, T.L.word_element([("c", 1)] * 3))]
+        else:
+            # every syllable outside H; a short relator here would
+            # violate C' on every set
+            pool = {side: [g for g in T.side_group(side).elements()
+                           if T.in_H(g) is Tri.NO]
+                    for side in (K_SIDE, L_SIDE)}
+            short = None
+        for _ in range(150):
+            relators = _random_relator_set(rng, T, pool, short)
+            chi = rng.choice((Fraction(1, 2), Fraction(2, 3),
+                              Fraction(5, 6), Fraction(5, 6)))
+            R = symmetrized_closure(relators, T, chi=chi)
+            best = _naive_pair_overlaps(R)
+            length = {u.uid: len(u.word) for u in R.units}
+            k_min = {pair: math.ceil(chi * min(length[pair[0]],
+                                               length[pair[1]]))
+                     for pair in best}
+            violated = any(best[p] >= k_min[p] for p in best)
+            near = any(best[p] >= k_min[p] - 2 for p in best)
+            res = check_cprime(R)
+            seen[res.status] += 1
+            if res.status == "pass":
+                assert not violated, [str(r) for r in relators]
+                # C' holds, so Dehn's algorithm kills every relator
+                for base in R.bases:
+                    dehn = dehn_decide(base.word, R)
+                    assert dehn.status == "trivial", str(base.word)
+                    assert replay_certificate(base.word, dehn.certificate, R)
+            elif res.status == "fail":
+                assert replay_cprime_witness(R, res.witness)
+            else:
+                assert near, [str(r) for r in relators]
+    assert sum(seen.values()) == 300
+    assert min(seen[s] for s in ("pass", "fail", "inconclusive")) >= 10
+
+
+def test_cprime_hashes_each_unit_once(monkeypatch):
+    # trivial_h: 8 units of equal length, so one window length; each
+    # unit is hashed once and each unit's partner table built once, and
+    # a second check reuses the verdict
+    from amalgams import _pykernels, kernels
+
+    T, S, hints, flags = load_system_fixture(f"{FIXTURES}/trivial_h.json")
+    R = generate_relators(S, T, hints=hints,
+                          assume_h_malnormal=flags["assume_h_malnormal"],
+                          skip_validation=True, check=False)
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("window_hashes", "window_table", "runs_at_least"):
+        wrapped = counting(name, getattr(_pykernels, name))
+        monkeypatch.setattr(_pykernels, name, wrapped)
+        monkeypatch.setattr(kernels, name, wrapped)
+    res = check_cprime(R)
+    assert res.status == "pass" and res.pairs_scanned == 64
+    assert len(R.units) == 8
+    assert calls == {"window_hashes": 8, "window_table": 8,
+                     "runs_at_least": 64}
+    calls.clear()
+    assert check_cprime(R) is res
+    assert check_cprime(R, R.chi) is res
+    assert not calls
 
 
 # ---------------------------------------------------------------------------

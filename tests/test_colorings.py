@@ -259,7 +259,7 @@ def test_e_requires_ordered_arguments():
 def test_d_set_at_zero_is_empty(walks_table):
     scope, table = walks_table
     for gamma in range(50):
-        assert table.d_set(gamma, 0, "strict") == []
+        assert table.d_set(gamma, 0, "strict") == ()
 
 
 def test_d_set_monotone_and_coherent(walks_table):
@@ -271,7 +271,7 @@ def test_d_set_monotone_and_coherent(walks_table):
             lt_next = table.d_set(gamma, i + 1, "strict")
             assert set(lt) <= set(le)
             assert lt_next == le
-            assert le == sorted(le)
+            assert list(le) == sorted(le)
             assert all(table.e(b, gamma) <= i for b in le)
 
 

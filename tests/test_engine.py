@@ -267,7 +267,7 @@ def test_free_advancement_when_no_colorings():
     assert all(layer.kind == "free" for layer in state.layers.values())
     # all-zero colorings realize a single level per stage
     assert {k[1] for k in state.layers} == {0}
-    assert state.colorings.d_set(4, 0, "weak") == [0, 1, 2, 3]
+    assert state.colorings.d_set(4, 0, "weak") == (0, 1, 2, 3)
 
 
 def test_all_audits_pass(tower):

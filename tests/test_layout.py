@@ -1,9 +1,13 @@
-"""Layout rule: no amalgams module imports another module's private names."""
+"""Layout rules: no amalgams module imports another module's private
+names, and the CLI starts without the heavy numeric libraries."""
 
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import amalgams
 
@@ -38,3 +42,16 @@ def test_no_module_imports_private_names():
             found += [f"{path.name}: from {module} import {a.name}"
                       for a in node.names if _private(f"{module}.{a.name}")]
     assert found == []
+
+
+def test_cli_import_loads_no_numeric_libraries():
+    # numpy alone costs about 0.15 s to import; the few functions that
+    # need it import it when called
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = ("import sys, amalgams.cli; "
+             "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

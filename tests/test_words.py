@@ -69,6 +69,46 @@ def test_runs_at_least_on_doubled_periodic_labels(k):
         assert runs
 
 
+def _indexed_runs(a, b, k):
+    return kernels.runs_at_least(
+        a, b, k, kernels.window_table(kernels.window_hashes(a, k)),
+        kernels.window_hashes(b, k))
+
+
+def test_window_hashes_match_direct_hashing():
+    rng = random.Random(5)
+    seq = [rng.randrange(-3, 4) for _ in range(60)]
+    for k in (1, 2, 7, 60):
+        hashes = kernels.window_hashes(seq, k)
+        assert len(hashes) == len(seq) - k + 1
+        for i in range(len(hashes)):
+            again = kernels.window_hashes(seq[i:i + k], k)
+            assert list(again) == [hashes[i]]
+    assert len(kernels.window_hashes(seq, 61)) == 0
+    with pytest.raises(ValueError):
+        kernels.window_hashes(seq, 0)
+
+
+def test_indexed_runs_match_naive():
+    # random arrays over a small alphabet and doubled short-period arrays,
+    # scanned with precomputed window hashes and table, for several k
+    rng = random.Random(20261018)
+    for trial in range(120):
+        if trial % 2:
+            a = [rng.randrange(1, 4) for _ in range(rng.randrange(1, 80))]
+            b = [rng.randrange(1, 4) for _ in range(rng.randrange(1, 80))]
+        else:
+            period = [rng.randrange(1, 4) for _ in range(rng.randrange(1, 6))]
+            v = period * rng.randrange(3, 12)
+            start = rng.randrange(len(v))
+            a = (v[start:] + v[:start]) * 2
+            b = v * 2
+            if rng.random() < 0.5:
+                b[rng.randrange(len(b))] = 0
+        for k in (1, 2, 3, 5, 8, 13):
+            assert _indexed_runs(a, b, k) == naive_runs_at_least(a, b, k)
+
+
 def test_rho_single_letters_length():
     x = words.word([("x", 1)])
     y = words.word([("y", 1)])
