@@ -141,16 +141,18 @@ def runs_at_least(
         return []
     a = list(a)
     b = list(b)
-    # covered[diag] holds the already-extended runs on that diagonal, so
-    # repeated k-gram hits inside one long run cost O(1) each (periodic
-    # inputs otherwise make the back-walk quadratic)
-    covered: dict = {}
+    # covered[diag] is the end (in a) of the last run found on that
+    # diagonal. The scan visits b in increasing j, so the runs of one
+    # diagonal are found in order and are disjoint, and a hit lies inside
+    # a known run exactly when it lies before that end. Repeated k-gram
+    # hits inside one long run so cost O(1) each (periodic inputs
+    # otherwise make the back-walk quadratic).
+    covered: Dict[int, int] = {}
     out: List[Tuple[int, int, int]] = []
     for j, h in enumerate(b_hashes):
         for i in a_table.get(h, ()):
             diag = i - j
-            spans = covered.get(diag)
-            if spans and any(s <= i < e for s, e in spans):
+            if i < covered.get(diag, -1):
                 continue
             if a[i:i + k] != b[j:j + k]:
                 continue
@@ -162,7 +164,7 @@ def runs_at_least(
             while si + length < len(a) and sj + length < len(b) and \
                     a[si + length] == b[sj + length]:
                 length += 1
-            covered.setdefault(diag, []).append((si, si + length))
+            covered[diag] = si + length
             if length >= k:
                 out.append((si, sj, length))
     out.sort()

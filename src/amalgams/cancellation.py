@@ -8,8 +8,10 @@ units once and hashes their label windows once per window length. Both
 scans, C' and Dehn's long-part search, are two-phase: a label-run
 prefilter (labels are constant on H-double cosets, so a genuine
 cancellation chain forces a label run), then exact verification of the
-candidates by the one H-chain walker, ``cancellation_chain``. The C'
-verdict is kept on the set.
+candidates by the one H-chain walker, ``cancellation_chain``. On a
+shared-free amalgam the walker compares per-syllable (label, junction)
+codes instead of multiplying elements. The C' verdict is kept on the
+set.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from amalgams import kernels
+from amalgams import kernels, words
 from amalgams.groups import (
     Element,
     ElementRegistry,
@@ -75,6 +77,18 @@ class RelatorSet:
     labels are coded once, in ``cyclic_labels``: each unit's code array
     written out twice, for cyclic scans.
 
+    When the amalgam has ``label_and_ends`` (a shared-free amalgam),
+    ``codes`` also holds each unit's chain codes, one ``array('q')`` per
+    unit: syllable x codes as the pair (label of u[x], the reduced
+    junction word tail(u[x-1]) · head(u[x])), read cyclically, where
+    head and tail are the syllable's outer H-segments. A cancellation
+    chain past its first step is then a common run of two code arrays
+    (see ``cancellation_chain``), which the C' scan and Dehn's
+    long-part search pass to the walker; ``code_word`` codes a query
+    word the same way. Otherwise ``codes`` is None and chains are walked
+    by element arithmetic. Replays of witnesses and certificates always
+    walk by element arithmetic, so they do not depend on the coding.
+
     The set is the index the scanners share. ``window_hashes(uid, k)``
     hashes a unit's cyclic labels once per window length k (one rolling
     pass, kept as an ``array('q')``), so C' and every Dehn round look
@@ -108,13 +122,16 @@ class RelatorSet:
                 ScanUnit(inv, canonical_inverse(base.word, T), base.rid,
                          True, base.rid))
         self.by_uid: Dict[str, ScanUnit] = {u.uid: u for u in self.units}
-        self._codes: Dict[Hashable, int] = {}
+        self._label_codes: Dict[Hashable, int] = {}
+        self._chain_codes: Dict[Tuple[int, tuple], int] = {}
+        self._junctions: Dict[Tuple[int, tuple, tuple], int] = {}
         self.cyclic_labels: Dict[str, List[int]] = {}
+        codes = {}
         for unit in self.units:
-            codes = [self._codes.setdefault(T.coset_label(s.elt),
-                                            len(self._codes) + 1)
-                     for s in unit.word.syllables]
-            self.cyclic_labels[unit.uid] = codes * 2
+            labels, codes[unit.uid] = self._code(unit.word, grow=True)
+            self.cyclic_labels[unit.uid] = labels * 2
+        self.codes: Optional[Dict[str, array]] = \
+            None if None in codes.values() else codes
         self._window_hashes: Dict[Tuple[str, int], array] = {}
         self.cprime_results: Dict[Fraction, "CPrimeResult"] = {}
         if rho_generated:
@@ -163,11 +180,55 @@ class RelatorSet:
                 self.cyclic_labels[uid], k)
         return hashes
 
-    def code_labels(self, w: CanonicalWord) -> List[int]:
-        """Label codes of a query word; 0, which matches no unit, for a
-        label that no unit has."""
-        return [self._codes.get(self.T.coset_label(s.elt), 0)
-                for s in w.syllables]
+    def code_word(
+        self, w: CanonicalWord
+    ) -> Tuple[List[int], Optional[array]]:
+        """Label codes and chain codes (None without ``codes``) of a query
+        word; 0, which matches no unit, for a label or a (label,
+        junction) pair that no unit has."""
+        return self._code(w, grow=False)
+
+    def _code(self, w: CanonicalWord, grow: bool):
+        T = self.T
+        labels: List[int] = []
+        ends = []
+        seen = {}  # element -> (label code, ends): relators repeat syllables
+        for s in w.syllables:
+            known = seen.get(s.elt)
+            if known is None:
+                coded = T.label_and_ends(s.elt)
+                label = T.coset_label(s.elt) if coded is None else coded[0]
+                known = seen[s.elt] = (
+                    _intern(self._label_codes, label, grow),
+                    coded and coded[1:])
+            labels.append(known[0])
+            ends.append(known[1])
+        if None in ends:
+            return labels, None
+        # the junction before syllable x is tail(w[x-1]) · head(w[x]),
+        # read cyclically; _junctions maps (label, tail, head) to the
+        # code of (label, reduced junction)
+        codes = array("q")
+        prev_tail = ends[-1][1] if ends else ()
+        for label, (head, tail) in zip(labels, ends):
+            key = (label, prev_tail, head)
+            code = self._junctions.get(key)
+            if code is None:
+                code = self._junctions[key] = _intern(
+                    self._chain_codes,
+                    (label, words.free_reduce(prev_tail + head)), grow)
+            codes.append(code)
+            prev_tail = tail
+        return labels, codes
+
+
+def _intern(table: dict, key, grow: bool) -> int:
+    """The code of key in table, numbered from 1; a new key gets the
+    next code when ``grow``, else 0."""
+    code = table.get(key, 0)
+    if grow and not code:
+        code = table[key] = len(table) + 1
+    return code
 
 
 def _wcr_normalize(w: CanonicalWord, T: AmalgamTriple) -> CanonicalWord:
@@ -222,6 +283,7 @@ def cancellation_chain(
     j2: int,
     max_steps: int,
     skip_trivial_wrap: bool = False,
+    codes: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
 ) -> ChainResult:
     """Exact cancellation length of (rotation of w1 ending at i1) times
     (h-conjugated rotation of w2 starting at j2), the longest over the
@@ -236,26 +298,29 @@ def cancellation_chain(
     With ``skip_trivial_wrap``, a seed whose chain consumes both words
     to product 1 is left out, so the result is the longest chain
     between w1^-1 and a conjugate of w2 that is a different relator.
+
+    ``codes``, the chain codes (``RelatorSet.codes``) of the unit that
+    spells w1^-1 and of w2, replaces element arithmetic after step 0
+    when both words have at least two syllables (so every syllable lies
+    outside H). Step 0 holds exactly when h0 is a seed. For t >= 1,
+    a_t·P·b_t ∈ H forces P = tail(a_t)^-1·head(b_t)^-1, while the
+    previous step left P = head(a_{t-1})·tail(b_{t-1}), and the
+    skeletons and inner H-segments of a_t and b_t must cancel exactly.
+    Both conditions together say that b_t's (label, junction) code is
+    the code of a_t^-1, read off w1^-1. The chain then ends on
+    h_end = head(a_{ell-1})·tail(b_{ell-1}).
     """
     n, m = len(w1), len(w2)
     a0, b0 = w1[i1 % n], w2[j2 % m]
     best = ChainResult(0, None, False)
     if a0.side != b0.side:
         return best
+    coded = codes is not None and n > 1 and m > 1
     for h0 in T.junction_solutions(a0.elt, b0.elt):
-        P = h0
-        ell = 0
-        while ell < max_steps:
-            a = w1[(i1 - ell) % n]
-            b = w2[(j2 + ell) % m]
-            if a.side != b.side:
-                break
-            group = T.side_group(a.side)
-            Q = group.mul(group.mul(a.elt, T.transfer(P, a.side)), b.elt)
-            if T.in_H(Q) is not Tri.YES:
-                break
-            P = Q
-            ell += 1
+        if coded:
+            ell, P = _coded_walk(T, w1, w2, i1, j2, max_steps, codes, h0)
+        else:
+            ell, P = _element_walk(T, w1, w2, i1, j2, max_steps, h0)
         wrap = ell == max_steps == n == m and \
             require(P.owner.is_identity(P))
         if wrap and skip_trivial_wrap:
@@ -263,6 +328,43 @@ def cancellation_chain(
         if ell > best.ell or best.h0 is None:
             best = ChainResult(ell, h0, wrap, P)
     return best
+
+
+def _element_walk(T, w1, w2, i1, j2, max_steps, h0):
+    n, m = len(w1), len(w2)
+    P = h0
+    ell = 0
+    while ell < max_steps:
+        a = w1[(i1 - ell) % n]
+        b = w2[(j2 + ell) % m]
+        if a.side != b.side:
+            break
+        group = T.side_group(a.side)
+        Q = group.mul(group.mul(a.elt, T.transfer(P, a.side)), b.elt)
+        if T.in_H(Q) is not Tri.YES:
+            break
+        P = Q
+        ell += 1
+    return ell, P
+
+
+def _coded_walk(T, w1, w2, i1, j2, max_steps, codes, h0):
+    n, m = len(w1), len(w2)
+    inv_codes, w2_codes = codes
+    if max_steps < 1:
+        return 0, h0
+    # a_t^-1 is entry n-1-i1+t of the unit spelling w1^-1
+    x0 = n - 1 - i1
+    ell = 1
+    while ell < max_steps and \
+            inv_codes[(x0 + ell) % n] == w2_codes[(j2 + ell) % m]:
+        ell += 1
+    a = w1[(i1 - ell + 1) % n].elt
+    b = w2[(j2 + ell - 1) % m].elt
+    group = a.owner
+    head = Element(group, T.label_and_ends(a)[1])
+    tail = Element(group, T.label_and_ends(b)[2])
+    return ell, group.mul(head, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +437,7 @@ def _scan_cprime(R: RelatorSet, chi: Fraction) -> CPrimeResult:
     # inside a chain may seed a different conjugate: every offset is
     # walked, and every seed but a product-1 wrap is tried.
     skip_past = T.unique_junctions
+    codes = R.codes
     max_core = 0
     pairs = 0
     gray = False
@@ -363,9 +466,11 @@ def _scan_cprime(R: RelatorSet, chi: Fraction) -> CPrimeResult:
                 while o < length:
                     i1 = (n - 1 - (s + o)) % n
                     j2 = (j + o) % m
-                    res = cancellation_chain(T, u1.word, u2.word, i1, j2,
-                                             min(n, m),
-                                             skip_trivial_wrap=not skip_past)
+                    res = cancellation_chain(
+                        T, u1.word, u2.word, i1, j2, min(n, m),
+                        skip_trivial_wrap=not skip_past,
+                        codes=None if codes is None
+                        else (codes[u1.partner], codes[u2.uid]))
                     if res.full_wrap_trivial:
                         break  # the excluded product-1 alignment
                     if res.ell >= k_min:
@@ -450,7 +555,7 @@ def find_replacement(
     the bound resisted exact verification.
     """
     T = R.T
-    W = R.code_labels(w)
+    W, W_codes = R.code_word(w)
     gray = False
     candidates = []
     tables = {}  # window length -> table of w's windows
@@ -473,8 +578,10 @@ def find_replacement(
                 q, jq = p + o, (j + o) % m
                 # w[q..q+t) = h0^-1 * r[jq..jq+t) * h_end: r^-1 read
                 # backwards from m-1-jq cancels against w from q
-                chain = cancellation_chain(T, inv, w, m - 1 - jq, q,
-                                           min(len(w) - q, m))
+                chain = cancellation_chain(
+                    T, inv, w, m - 1 - jq, q, min(len(w) - q, m),
+                    codes=None if W_codes is None
+                    else (R.codes[unit.uid], W_codes))
                 t = chain.ell
                 if t >= t_min:
                     new_word = _apply_replacement(T, w, inv, q, jq, chain)

@@ -119,6 +119,16 @@ class AmalgamTriple:
         """Label constant on double cosets H g H of the owning side."""
         raise NotImplementedError
 
+    def label_and_ends(
+        self, g: Element
+    ) -> Optional[Tuple[Hashable, tuple, tuple]]:
+        """(coset_label(g), head, tail): g = head · s · tail with head and
+        tail the payloads of H-words such that, for a and b outside H
+        and P in H, a·P·b ∈ H forces P = tail(a)^-1 · head(b)^-1 and
+        then a·P·b = head(a) · tail(b). None when the amalgam has no such
+        ends; its cancellation chains are walked by element arithmetic."""
+        return None
+
     def junction_solutions(
         self, a: Element, b: Element, budget: int = 64
     ) -> List[Element]:
@@ -294,12 +304,19 @@ class SharedFreeAmalgam(AmalgamTriple):
                     return out[:budget]
         return out[:budget]
 
-    def coset_label(self, g: Element) -> Hashable:
+    def coset_label(self, g: Element, split=None) -> Hashable:
+        """``split``, if given, is ``segments(g.payload, h_symbols)``."""
         side = self.side_of_group(g.owner)
-        skel, segs = segments(g.payload, self.h_symbols)
+        skel, segs = split or segments(g.payload, self.h_symbols)
         if not skel:
             return (side, "H")
         return (side, tuple(skel), tuple(segs[1:-1]))
+
+    def label_and_ends(self, g: Element) -> Tuple[Hashable, tuple, tuple]:
+        # the ends are the outer H-segments: the skeleton letters around
+        # them cannot cancel against an H-word
+        split = segments(g.payload, self.h_symbols)
+        return self.coset_label(g, split), split[1][0], split[1][-1]
 
     def junction_solutions(
         self, a: Element, b: Element, budget: int = 64

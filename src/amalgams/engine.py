@@ -831,7 +831,7 @@ def _pumped_window_check(layer: StageLayer, budget: int) -> dict:
                                    "note": "window exceeds budget",
                                    "window": len(window_sylls)})
             continue
-        wl = R.code_labels(canonicalize(window_sylls, T))
+        wl, _ = R.code_word(canonicalize(window_sylls, T))
         worst = 0
         for unit in R.units:
             run, _, _ = longest_common_run(wl, R.cyclic_labels[unit.uid])

@@ -26,7 +26,9 @@ from amalgams.canonical import (
     syllable,
     wcr_conjugates,
 )
+from amalgams import words
 from amalgams.cancellation import (
+    BaseRelator,
     RelatorSet,
     build_quotient,
     cancellation_chain,
@@ -453,6 +455,161 @@ def test_cprime_hashes_each_unit_once(monkeypatch):
     assert check_cprime(R) is res
     assert check_cprime(R, R.chi) is res
     assert not calls
+
+
+# ---------------------------------------------------------------------------
+# coded chains: the (label, junction) walker against element arithmetic
+
+
+def coded_triple():
+    K = FreeGroup(["h", "g", "a", "d"])
+    L = FreeGroup(["h", "g", "b", "c"])
+    return SharedFreeAmalgam(K, L, ["h", "g"])
+
+
+H_LETTERS = [("h", 1), ("h", -1), ("g", 1), ("g", -1)]
+SKELETON = {K_SIDE: [("a", 1), ("a", -1), ("d", 1)],
+            L_SIDE: [("b", 1), ("c", 1), ("c", -1)]}
+
+
+def _h_word(rng, top):
+    return [rng.choice(H_LETTERS) for _ in range(rng.randrange(top + 1))]
+
+
+def _random_syllable(rng, T, side):
+    """A syllable outside H with H-letters in its head, its tail and
+    between its skeleton letters."""
+    group = T.side_group(side)
+    while True:
+        letters = _h_word(rng, 2)
+        for i in range(rng.randrange(1, 4)):
+            if i:
+                letters += _h_word(rng, 1)
+            letters.append(rng.choice(SKELETON[side]))
+        g = group.element(letters + _h_word(rng, 2))
+        if T.in_H(g) is Tri.NO:
+            return Syllable(side, g)
+
+
+def _conjugated_inverses(rng, run, close):
+    """b_t = p_t^-1 · a_t^-1 · p_{t+1} for random H-words p, so a_t's
+    chain runs through every b_t and leaves p_{t+1}; with ``close`` the
+    last p is empty, so a full cycle has product 1."""
+    ps = [_h_word(rng, 2) for _ in run] + [[] if close else _h_word(rng, 2)]
+    out = []
+    for t, a in enumerate(run):
+        group = a.elt.owner
+        b = group.element(words.inverse(ps[t]) + words.inverse(a.elt.payload)
+                          + tuple(ps[t + 1]))
+        out.append(Syllable(a.side, b))
+    return out
+
+
+def _off_by_one_h_letter(rng, syl):
+    letter = [rng.choice(H_LETTERS)]
+    group = syl.elt.owner
+    payload = list(syl.elt.payload)
+    payload = letter + payload if rng.random() < 0.5 else payload + letter
+    return Syllable(syl.side, group.element(payload))
+
+
+def test_coded_chains_match_element_chains():
+    # w2 carries an H-conjugated copy of w1^-1 read backwards from i1,
+    # sometimes across the seams of both words and sometimes with one
+    # junction off by one H-letter, between random syllables. The coded
+    # walker must give the element walker's ell, seed, end product and
+    # wrap flag, for codes from one relator set (the C' scan) and for a
+    # query word coded against a set (Dehn).
+    rng = random.Random(20261018)
+    T = coded_triple()
+    seen = collections.Counter()
+    for case in range(600):
+        n = 2 * rng.randrange(1, 6)
+        w1 = [_random_syllable(rng, T, K_SIDE if i % 2 == 0 else L_SIDE)
+              for i in range(n)]
+        m = n if rng.random() < 0.4 else 2 * rng.randrange(1, 6)
+        i1, j2 = rng.randrange(n), rng.randrange(m)
+        t0 = n if m == n and rng.random() < 0.5 else \
+            rng.randrange(min(n, m) + 1)
+        close = t0 == n == m and rng.random() < 0.7
+        planted = _conjugated_inverses(
+            rng, [w1[(i1 - t) % n] for t in range(t0)], close)
+        if planted and rng.random() < 0.4:
+            t = rng.randrange(t0)
+            planted[t] = _off_by_one_h_letter(rng, planted[t])
+            seen["off by one"] += 1
+        side0 = w1[i1].side
+        w2 = [None] * m
+        for t, b in enumerate(planted):
+            w2[(j2 + t) % m] = b
+        for k in range(m):
+            if w2[k] is None:
+                same = (k - j2) % 2 == 0
+                w2[k] = _random_syllable(
+                    rng, T, side0 if same else OTHER_SIDE[side0])
+        w1, w2 = CanonicalWord(tuple(w1)), CanonicalWord(tuple(w2))
+        R = RelatorSet(T, [BaseRelator("r0", w1), BaseRelator("r1", w2)])
+        query = RelatorSet(T, [BaseRelator("r0", w1)])
+        cap = min(n, m)
+        max_steps = cap if rng.random() < 0.7 else rng.randrange(cap + 1)
+        skip = rng.random() < 0.5
+        ref = cancellation_chain(T, w1, w2, i1, j2, max_steps, skip)
+        for codes in ((R.codes["r0^-1"], R.codes["r1"]),
+                      (query.codes["r0^-1"], query.code_word(w2)[1])):
+            res = cancellation_chain(T, w1, w2, i1, j2, max_steps, skip,
+                                     codes=codes)
+            assert (res.ell, res.h0, res.h_end, res.full_wrap_trivial) == \
+                (ref.ell, ref.h0, ref.h_end, ref.full_wrap_trivial), case
+        seen["long"] += ref.ell >= 3
+        seen["seam"] += ref.ell > min(i1 + 1, m - j2)
+        seen["capped"] += 0 < ref.ell == max_steps < cap
+        seen["stopped early"] += 0 < ref.ell < min(t0, max_steps)
+        seen["wrap"] += ref.full_wrap_trivial
+        seen["wrap skipped"] += skip and close and ref.h0 is None
+    assert min(seen.values()) >= 10, seen
+
+
+def test_cprime_walks_codes_and_replay_walks_elements(monkeypatch):
+    # trivial_h: the C' scan walks only the 8 excluded product-1
+    # alignments, 6640 steps each; on codes that costs a few multiplications
+    # per chain, not three per step. The witness replay on corrupted
+    # stays on element arithmetic: one H-membership test per step at
+    # least.
+    from amalgams import cancellation
+    from amalgams.groups import GroupHandle
+
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            res = fn(*args, **kwargs)
+            calls[name] += 1
+            if name == "chain":
+                calls["ell"] += res.ell
+            return res
+        return counted
+
+    monkeypatch.setattr(cancellation, "cancellation_chain",
+                        counting("chain", cancellation.cancellation_chain))
+    monkeypatch.setattr(GroupHandle, "mul", counting("mul", GroupHandle.mul))
+    monkeypatch.setattr(SharedFreeAmalgam, "in_H",
+                        counting("in_H", SharedFreeAmalgam.in_H))
+
+    T, S, hints, flags = load_system_fixture(f"{FIXTURES}/trivial_h.json")
+    R = generate_relators(S, T, hints=hints,
+                          assume_h_malnormal=flags["assume_h_malnormal"],
+                          skip_validation=True, check=False)
+    calls.clear()
+    assert check_cprime(R).status == "pass"
+    assert (calls["chain"], calls["ell"]) == (8, 53_120)
+    assert calls["mul"] <= 100
+
+    T, S, hints, _ = load_system_fixture(f"{FIXTURES}/corrupted.json")
+    R = generate_relators(S, T, skip_validation=True, check=False)
+    wit = check_cprime(R).witness
+    calls.clear()
+    assert replay_cprime_witness(R, wit)
+    assert calls["in_H"] >= wit.ell
 
 
 # ---------------------------------------------------------------------------

@@ -55,3 +55,26 @@ def test_cli_import_loads_no_numeric_libraries():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_replays_walk_chains_on_elements():
+    # witnesses and certificates are replayed by element arithmetic, so a
+    # fault in the chain codes cannot also fool the replay: neither replay
+    # passes codes (keyword, or an eighth positional argument) to
+    # cancellation_chain
+    tree = ast.parse((PACKAGE / "cancellation.py").read_text())
+    replays = {node.name: node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name in
+               ("replay_cprime_witness", "replay_certificate")}
+    assert len(replays) == 2
+    for name, func in replays.items():
+        calls = [node for node in ast.walk(func)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)
+                 and node.func.id == "cancellation_chain"]
+        assert calls, name
+        for call in calls:
+            assert len(call.args) <= 7, name
+            assert not any(isinstance(a, ast.Starred) for a in call.args)
+            assert all(kw.arg not in ("codes", None)
+                       for kw in call.keywords), name
