@@ -167,9 +167,6 @@ class RelatorSet:
                 return Tri.YES
         return Tri.NO
 
-    def min_base_length(self) -> int:
-        return min(len(b.word) for b in self.bases)
-
     def window_hashes(self, uid: str, k: int) -> array:
         """Hashes of the length-k windows of a unit's cyclic labels,
         computed on first use and kept."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 from amalgams.groups import (
     Element,
@@ -58,13 +58,6 @@ class CanonicalWord:
 
     def __repr__(self) -> str:
         return "CW(" + " ".join(map(repr, self.syllables)) + ")"
-
-
-@dataclass(frozen=True)
-class Part:
-    word: CanonicalWord
-    source: Hashable
-    offset: int
 
 
 class AmalgamTriple:
@@ -425,10 +418,6 @@ def canonical_inverse(w: CanonicalWord, T: AmalgamTriple) -> CanonicalWord:
     )
 
 
-def canonical_mul(u: CanonicalWord, v: CanonicalWord, T: AmalgamTriple) -> CanonicalWord:
-    return canonicalize(u.syllables + v.syllables, T)
-
-
 def canonical_equal(u: CanonicalWord, v: CanonicalWord, T: AmalgamTriple) -> Tri:
     """Equality via forward propagation of the interleaving h-chain."""
     try:
@@ -553,40 +542,6 @@ def wcr_conjugates(
                 if _dedup_insert(pool, split, T):
                     if require(is_wcr(split, T)):
                         out.append(split)
-    return out
-
-
-def iter_parts(
-    w: CanonicalWord,
-    T: AmalgamTriple,
-    min_len: int,
-    source: Hashable = None,
-    budget: int = 10_000,
-    include_splittings: bool = False,
-) -> Iterator[Part]:
-    for conj in wcr_conjugates(w, T, budget=budget,
-                               include_splittings=include_splittings):
-        n = len(conj)
-        for length in range(min_len, n + 1):
-            for off in range(0, n - length + 1):
-                yield Part(CanonicalWord(conj.syllables[off:off + length]),
-                           source, off)
-
-
-def parts_of(
-    w: CanonicalWord,
-    T: AmalgamTriple,
-    min_len: int,
-    source: Hashable = None,
-    budget: int = 10_000,
-) -> List[Part]:
-    if min_len < 1:
-        raise ValueError("min_len must be >= 1")
-    out = []
-    for p in iter_parts(w, T, min_len, source=source, budget=budget):
-        out.append(p)
-        if len(out) > budget:
-            raise InconclusiveError("part enumeration budget exhausted")
     return out
 
 

@@ -207,8 +207,6 @@ def cmd_validate_system(config, args):
                 (rep.certificates or [])]}
     if rep.witness:
         data["witness"] = rep.witness
-    if status == "inconclusive":
-        data["budget"] = {"budget_len": args.budget_len}
     return [CheckResult("system", status, data)]
 
 
@@ -280,8 +278,7 @@ def cmd_topology_chain(config, args):
         what = "was never built" if layer is None else f"is {layer.kind}"
         raise ConfigError(f"layer ({gamma}, {level}) {what}; topology-chain "
                           f"needs a quotient layer")
-    rep = engine.topology_chain(gamma, level, config.get("k_max", 1),
-                                args.budget_len, state)
+    rep = engine.topology_chain(gamma, level, config.get("k_max", 1), state)
     checks = []
     nested = all(c.get("subset_of_previous", True) for c in rep["chain"])
     checks.append(CheckResult("chain-nesting",
@@ -292,10 +289,7 @@ def cmd_topology_chain(config, args):
                                   rep["fragment_cprime"]["status"],
                                   rep["fragment_cprime"]))
         avoid = rep["pumped_avoid_n0"]
-        data = dict(avoid)
-        if avoid["status"] == "inconclusive":
-            data["budget"] = {"budget_len": args.budget_len}
-        checks.append(CheckResult("pumped-avoid-n0", avoid["status"], data))
+        checks.append(CheckResult("pumped-avoid-n0", avoid["status"], avoid))
     return checks
 
 
@@ -318,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("command", choices=HANDLERS)
     p.add_argument("--config", required=True, help="JSON config path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget-len", type=int, default=100_000)
+    p.add_argument("--budget-len", type=int, default=100_000,
+                   help="Dehn rounds per word in solve-word")
     p.add_argument("--escalate-inconclusive", action="store_true")
     p.add_argument("--out", default=None, help="report output path")
     return p
@@ -328,8 +323,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.budget_len <= 0:
-        print("budgets must be positive", file=sys.stderr)
-        return 2
+        parser.exit(2, f"{parser.prog}: error: --budget-len must be "
+                       "positive\n")
     try:
         config = _load_config(args.config, args.command)
         checks = HANDLERS[args.command](config, args)

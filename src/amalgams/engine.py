@@ -5,8 +5,8 @@ drives a filtration into level sets, and at every realized level the
 layer group is either a free product (no relators fire) or a
 small-cancellation quotient produced by the relator-system machinery.
 The module tracks transversals, enumerates the J-set of relator seeds,
-audits the structural promises after every stage, and checks the
-pumping-word witness identity end to end.
+audits the structural promises after every stage, and reports the
+descending chain of pumped relator families over a quotient layer.
 
 Stage indices play the role of ordinals; the group generated by the
 generators with indices in A is written G_A and is modelled as the
@@ -14,7 +14,7 @@ letter-support subgroup of the ambient free group, which keeps every
 membership, intersection, and double-coset question exact.  Layers that
 acquire relators are recorded with their own amalgam and quotient
 objects; materialized words stay far below the small-cancellation
-length gap, so the free model remains faithful for all location and
+length gap, so the free model remains faithful for all level and
 transversal queries.
 """
 
@@ -41,17 +41,13 @@ from amalgams.canonical import (
     SharedFreeAmalgam,
     canonicalize,
     syllable,
-    word_to_json,
 )
 from amalgams.cancellation import (
     RelatorSet,
     build_quotient,
-    certificate_to_json,
     check_cprime,
-    dehn_decide,
     part_threshold,
     relators_to_json,
-    replay_certificate,
 )
 from amalgams.colorings import ColoringTable, cantor_pair, cantor_unpair
 from amalgams.systems import SystemEntry, generate_relators
@@ -170,19 +166,7 @@ def init_base(count: int, colorings: Optional[ColoringTable] = None
 
 
 # ---------------------------------------------------------------------------
-# location
-
-
-def locate(g: Element, state: StageState) -> Tuple[int, int]:
-    """(tau_g, i_g): the first stage whose extension contains g, and the
-    level within that stage at which g first appears."""
-    supp = state.support(g)
-    if not supp:
-        return (-1, 0)
-    tau = max(supp)
-    rest = supp - {tau}
-    i_g = max((state.colorings.e(b, tau) for b in rest), default=0)
-    return (tau, i_g)
+# levels
 
 
 def i_at(g: Element, gamma: int, state: StageState) -> int:
@@ -669,106 +653,21 @@ def summary_json(state: StageState) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def letter_relators(state: StageState) -> List[List[Tuple[str, int]]]:
-    out = []
-    for (gamma, i) in sorted(state.layers):
-        layer = state.layers[(gamma, i)]
-        if layer.kind == "quotient":
-            for b in layer.relators.bases:
-                out.append(list(_flatten(b.word)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the witness identity
-
-
-def _free_to_canonical(g: Element, T: SharedFreeAmalgam
-                       ) -> Optional[CanonicalWord]:
-    """Express an ambient free word in the amalgam, one syllable per
-    letter; normalization merges runs and absorbs shared letters."""
-    k_syms = set(T.K.symbols)
-    l_syms = set(T.L.symbols)
-    sylls = []
-    for s, sign in g.payload:
-        if s in k_syms:
-            sylls.append(syllable(K_SIDE, Element(T.K, ((s, sign),))))
-        elif s in l_syms:
-            sylls.append(syllable(L_SIDE, Element(T.L, ((s, sign),))))
-        else:
-            return None
-    return canonicalize(sylls, T)
-
-
-def witness_check(g: Element, z_alpha: Element, z_beta: Element,
-                         h: Element, state: StageState,
-                         budget: int = 100_000) -> dict:
-    """Decide g = rho(z_beta h z_alpha, z_beta h z_beta h z_alpha) in the
-    layer quotient that hosts the matching relator.
-
-    Returns a report with status verified / refuted / inconclusive and,
-    when verified, a replayable reduction certificate.
-    """
-    # letter accounting over the three-symbol alphabet: the first
-    # argument has three letters, the second five
-    assert words.RHO_X_TOTAL * 3 + words.RHO_BLOCKS * 5 == 10120
-    amb = state.ambient
-    u = amb.mul(amb.mul(z_beta, h), z_alpha)
-    v = amb.mul(amb.mul(amb.mul(z_beta, h), z_beta), amb.mul(h, z_alpha))
-    probe = words.rho([("zb", 1), ("h", 1), ("za", 1)],
-                      [("zb", 1), ("h", 1), ("zb", 1), ("h", 1), ("za", 1)])
-    letters = len(probe)
-    target = amb.element(
-        words.free_reduce(g.inv().payload +
-                          tuple(words.rho(u.payload, v.payload))))
-    report = {"letters": letters, "status": "inconclusive", "layers": []}
-    if letters != 10120:
-        report["status"] = "refuted"
-        report["note"] = "letter accounting failed"
-        return report
-    for key in sorted(state.layers):
-        layer = state.layers[key]
-        if layer.kind != "quotient":
-            continue
-        w = _free_to_canonical(target, layer.amalgam)
-        if w is None:
-            report["layers"].append({"layer": list(key),
-                                     "note": "word not in layer"})
-            continue
-        res = dehn_decide(w, layer.relators, k=layer.quotient.k,
-                          budget=budget)
-        entry = {"layer": list(key), "verdict": res.status}
-        if res.status == "trivial":
-            ok = replay_certificate(w, res.certificate, layer.relators)
-            entry["certificate"] = certificate_to_json(res.certificate)
-            entry["replayed"] = ok
-            reg = ElementRegistry()
-            entry["word"] = word_to_json(w, reg)
-            entry["elements"] = reg.dump_json()
-            report["layers"].append(entry)
-            report["status"] = "verified" if ok else "inconclusive"
-            return report
-        report["layers"].append(entry)
-        if res.status == "nontrivial":
-            report["status"] = "refuted"
-    return report
-
-
 # ---------------------------------------------------------------------------
 # the descending relator chain
 
 
-def topology_chain(gamma: int, i: int, k_max: int, budget: int,
+def topology_chain(gamma: int, i: int, k_max: int,
                    state: StageState) -> dict:
     """The nested relator families over one quotient layer.
 
     Level k keeps the stage relators and the pumped powers from k on;
-    lengths grow geometrically, so higher members are reported by length
-    arithmetic and only budget-sized members are materialized.
+    lengths grow geometrically, so pumped members are reported by length
+    arithmetic and never materialized.
     """
     layer = state.layers.get((gamma, i))
     report = {"schema": "amalgams-topology-chain/1", "gamma": gamma,
-              "level": i, "k_max": k_max, "budget": budget, "chain": []}
+              "level": i, "k_max": k_max, "chain": []}
     if layer is None or layer.kind != "quotient":
         report["note"] = "no relators at this layer"
         return report
@@ -780,8 +679,7 @@ def topology_chain(gamma: int, i: int, k_max: int, budget: int,
                for n in range(n_entries)]
         for ell in range(k, k_max + 1):
             out.extend({"kind": "pumped", "sigma": n, "ell": ell,
-                        "length": base_len ** (ell + 1),
-                        "materialized": base_len ** (ell + 1) <= budget}
+                        "length": base_len ** (ell + 1)}
                        for n in range(n_entries))
         return out
 
@@ -799,8 +697,8 @@ def topology_chain(gamma: int, i: int, k_max: int, budget: int,
         prev = members
         report["chain"].append(entry)
 
-    # the materialized fragment of the first pumped family is the stage
-    # relator set itself; re-check the overlap condition on it
+    # the base members are the stage relator set itself; re-check the
+    # overlap condition on it
     frag = check_cprime(layer.relators)
     report["fragment_cprime"] = {"status": frag.status,
                                  "max_core": frag.max_core}
@@ -808,11 +706,13 @@ def topology_chain(gamma: int, i: int, k_max: int, budget: int,
     # pumped members avoid the stage normal closure: every factor of the
     # pumped word short enough to matter occurs in a bounded window, and
     # the window shares less than a long part with any stage relator
-    report["pumped_avoid_n0"] = _pumped_window_check(layer, budget)
+    report["pumped_avoid_n0"] = _pumped_window_check(layer)
     return report
 
 
-def _pumped_window_check(layer: StageLayer, budget: int) -> dict:
+def _pumped_window_check(layer: StageLayer) -> dict:
+    """Longest common run of each entry's window (b a)^3320 b' a (b a)^3320,
+    13,282 syllables, with any stage relator unit."""
     T, R = layer.amalgam, layer.relators
     threshold = part_threshold(10, 6640)
     out = {"threshold": threshold, "entries": []}
@@ -826,11 +726,6 @@ def _pumped_window_check(layer: StageLayer, budget: int) -> dict:
                              syllable(K_SIDE, sysent.a)))
         for _ in range(half):
             window_sylls.extend(pair)
-        if len(window_sylls) > budget:
-            out["entries"].append({"sigma": n, "status": "inconclusive",
-                                   "note": "window exceeds budget",
-                                   "window": len(window_sylls)})
-            continue
         wl, _ = R.code_word(canonicalize(window_sylls, T))
         worst = 0
         for unit in R.units:
@@ -841,8 +736,5 @@ def _pumped_window_check(layer: StageLayer, budget: int) -> dict:
                                "max_overlap": worst,
                                "window": len(wl)})
     out["status"] = ("pass" if all(e["status"] == "pass"
-                                   for e in out["entries"])
-                     else "inconclusive"
-                     if any(e["status"] == "inconclusive"
-                            for e in out["entries"]) else "fail")
+                                   for e in out["entries"]) else "fail")
     return out

@@ -64,9 +64,6 @@ class GroupHandle:
     def payload_to_json(self, payload):
         raise NotImplementedError
 
-    def payload_from_json(self, data):
-        raise NotImplementedError
-
     # backend hooks
     def _mul_payload(self, a, b):
         raise NotImplementedError
@@ -175,9 +172,6 @@ class FiniteTableGroup(GroupHandle):
     def payload_to_json(self, payload):
         return payload
 
-    def payload_from_json(self, data):
-        return self._normalize_payload(data)
-
     def to_json(self) -> dict:
         return {"order": self.order, "table": [list(r) for r in self.table]}
 
@@ -266,9 +260,6 @@ class FreeGroup(GroupHandle):
     def payload_to_json(self, payload):
         return words.to_json(payload)
 
-    def payload_from_json(self, data):
-        return self._normalize_payload(words.from_json(data))
-
 
 class IntegerGroup(GroupHandle):
     """The additive integers; the stage-0 backend for a fresh generator."""
@@ -298,9 +289,6 @@ class IntegerGroup(GroupHandle):
 
     def payload_to_json(self, payload):
         return payload
-
-    def payload_from_json(self, data):
-        return int(data)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +402,6 @@ class LetterSupportSubgroup(SubgroupDescriptor):
 
     def __repr__(self) -> str:
         return f"<F({sorted(map(str, self.symbols))}) <= {self.group.name}>"
-
-
-def in_subgroup(g: Element, sub: SubgroupDescriptor) -> Tri:
-    return sub.contains(g)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,8 @@ A system is a finite set of entries (h, a, b, b') with h in H, a in
 K minus H and b, b' in L minus H. A valid system satisfies a per-entry
 good-fellow condition and, for every pair of entries, one of four
 separation cases; the induced relators h^-1 rho(b a, b' a) then satisfy
-the metric overlap condition C'(1/10) and the quotient inherits a list
-of verifiable structural conclusions (embedding, malnormality,
-good-fellow transport, torsion-freeness).
+the metric overlap condition C'(1/10), which ``generate_relators``
+checks exactly.
 """
 
 from __future__ import annotations
@@ -15,11 +14,10 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from amalgams.groups import (
     Element,
-    ElementRegistry,
     FiniteGeneratedSubgroup,
     FiniteTableGroup,
     FreeGroup,
@@ -27,10 +25,8 @@ from amalgams.groups import (
     LetterSupportSubgroup,
     SubgroupDescriptor,
     Tri,
-    ambient_sample,
     good_fellows,
     is_malnormal,
-    require,
 )
 from amalgams import words
 from amalgams.canonical import (
@@ -39,19 +35,13 @@ from amalgams.canonical import (
     K_SIDE,
     L_SIDE,
     SharedFreeAmalgam,
-    Syllable,
     TableAmalgam,
-    canonical_inverse,
     canonicalize,
     syllable,
 )
 from amalgams.cancellation import (
-    QuotientGroup,
     RelatorSet,
     check_cprime,
-    dehn_decide,
-    find_replacement,
-    part_threshold,
     symmetrized_closure,
 )
 
@@ -354,13 +344,10 @@ def _certify_pair(ei: SystemEntry, ej: SystemEntry, T: AmalgamTriple,
 
 def entry_relator(entry: SystemEntry, T: AmalgamTriple) -> CanonicalWord:
     """Canonical form of h^-1 rho(b a, b' a) for one entry."""
-    sylls: List[Syllable] = [syllable(K_SIDE, entry.h.inv())]
+    h_inv = syllable(K_SIDE, entry.h.inv())
     x = (syllable(L_SIDE, entry.b), syllable(K_SIDE, entry.a))
     y = (syllable(L_SIDE, entry.bprime), syllable(K_SIDE, entry.a))
-    for i in range(1, words.RHO_BLOCKS + 1):
-        sylls.extend(x * i)
-        sylls.extend(y)
-    return canonicalize(sylls, T)
+    return canonicalize((h_inv,) + words.rho(x, y), T)
 
 
 def generate_relators(
@@ -394,393 +381,6 @@ def generate_relators(
                 "validated system produced a relator set violating "
                 f"C'({chi}): status={res.status} witness={res.witness}")
     return R
-
-
-# ---------------------------------------------------------------------------
-# membership and good fellows in the quotient
-
-
-def in_side_image(Q: QuotientGroup, w: CanonicalWord, side: str,
-                  rounds: int = 32) -> Tri:
-    """Does the canonical word lie in the image of the given side group?
-
-    Exact for words that Dehn-reduce below the small-cancellation length
-    gap: a nontrivial element of the relator normal closure has a weakly
-    cyclically reduced conjugate longer than the long-part threshold, so
-    a short word w equals a side element k only if w k^-1 is trivial in
-    the plain amalgam, which the canonical length rules out.
-    """
-    T = Q.T
-    for _ in range(rounds):
-        if len(w) < 2:
-            break
-        found, _gray = find_replacement(w, Q.R, Q.k)
-        if found is None:
-            break
-        w = found[0]
-    if w.is_empty():
-        return Tri.YES
-    if len(w) == 1:
-        s = w[0]
-        if s.side == side or T.in_H(s.elt) is Tri.YES:
-            return Tri.YES
-        return Tri.NO
-    if not Q.R.bases:
-        return Tri.NO
-    gap = part_threshold(Q.k, Q.R.min_base_length())
-    if len(w) + 1 < gap:
-        return Tri.NO
-    return Tri.INCONCLUSIVE
-
-
-def _side_samples(T: AmalgamTriple, side: str, budget: int) -> List[Element]:
-    group = T.side_group(side)
-    return [g for g in ambient_sample(group, budget * 4)
-            if T.in_H(g) is Tri.NO][:budget]
-
-
-def _word_of(elts: Sequence[Tuple[str, Element]], T: AmalgamTriple) -> CanonicalWord:
-    return canonicalize([syllable(s, g) for s, g in elts], T)
-
-
-def quotient_good_fellows(
-    Q: QuotientGroup,
-    x: CanonicalWord,
-    y: CanonicalWord,
-    conjugator_samples: Sequence[CanonicalWord],
-) -> Tuple[Tri, dict]:
-    """Bounded good-fellow test for x, y over a sampled subgroup image.
-
-    Searches for k1, k2 among the samples with x = k1 y k2 or
-    x = k1 y^-1 k2 in the quotient; finding one refutes the claim
-    exactly, exhausting the samples passes with recorded coverage.
-    """
-    T = Q.T
-    targets = [("y", y), ("y^-1", canonical_inverse(y, T))]
-    checked = 0
-    for k1 in conjugator_samples:
-        for k2 in conjugator_samples:
-            for tag, t in targets:
-                cand = canonicalize(
-                    k1.syllables + t.syllables + k2.syllables, T)
-                diff = canonicalize(
-                    x.syllables
-                    + canonical_inverse(cand, T).syllables, T)
-                res = dehn_decide(diff, Q.R, k=Q.k)
-                if res.status == "trivial":
-                    return Tri.NO, {"target": tag, "checked": checked}
-                if res.status == "inconclusive":
-                    return Tri.INCONCLUSIVE, {"checked": checked}
-                checked += 1
-    return Tri.YES, {"checked": checked, "coverage": "sampled"}
-
-
-# ---------------------------------------------------------------------------
-# conclusion report
-
-
-@dataclass
-class ConclusionResult:
-    conclusion: str
-    status: str  # pass | fail | inconclusive | skipped
-    exact: bool = False
-    checked: int = 0
-    note: str = ""
-    instances: List[dict] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {"conclusion": self.conclusion, "status": self.status,
-                "exact": self.exact, "checked": self.checked,
-                "note": self.note, "instances": self.instances}
-
-
-@dataclass
-class VerifyBudget:
-    samples: int = 3
-    conjugators: int = 5
-    len: int = 5
-    pow: int = 3
-
-
-def verify_conclusions(
-    Q: QuotientGroup,
-    S: Sequence[SystemEntry],
-    T: AmalgamTriple,
-    budget: Optional[VerifyBudget] = None,
-) -> Dict[str, ConclusionResult]:
-    budget = budget or VerifyBudget()
-    entries = sorted(S, key=lambda e: e.index)
-    out: Dict[str, ConclusionResult] = {}
-    out["A"] = _conclusion_a(Q)
-    out["B"] = _conclusion_b(Q, T, budget)
-    out["C"] = _conclusion_c(Q, T, budget)
-    out["D"] = _conclusion_d(Q, T, entries, budget)
-    out["E"] = _conclusion_e(Q, T, budget)
-    out["F"] = _conclusion_f(Q, T, entries, budget)
-    out["G"] = _conclusion_g(Q, T, budget)
-    return out
-
-
-def report_to_json(report: Dict[str, ConclusionResult]) -> dict:
-    return {key: res.to_json() for key, res in sorted(report.items())}
-
-
-def _conclusion_a(Q: QuotientGroup) -> ConclusionResult:
-    res = check_cprime(Q.R)
-    status = "pass" if res.status == "pass" else \
-        ("fail" if res.status == "fail" else "inconclusive")
-    return ConclusionResult("A", status, exact=True,
-                            checked=res.pairs_scanned,
-                            note=f"max overlap core {res.max_core}")
-
-
-def _h_conjugators(Q: QuotientGroup, side: str, budget: int) -> List[CanonicalWord]:
-    T = Q.T
-    out = [CanonicalWord(())]
-    for h in T.h_sample(budget):
-        if require(T.K.is_identity(T.transfer(h, K_SIDE))):
-            continue
-        out.append(_word_of([(K_SIDE, T.transfer(h, K_SIDE))], T))
-    return out[:budget]
-
-
-def _side_conjugators(Q: QuotientGroup, side: str, budget: int) -> List[CanonicalWord]:
-    T = Q.T
-    out = [CanonicalWord(())]
-    for g in _side_samples(T, side, budget):
-        out.append(_word_of([(side, g)], T))
-    out.extend(_h_conjugators(Q, side, budget))
-    return out[:budget + 2]
-
-
-def _conclusion_b(Q: QuotientGroup, T: AmalgamTriple,
-                  budget: VerifyBudget) -> ConclusionResult:
-    """K embeds malnormally: sampled outside conjugators never drag a
-    nontrivial K-element back into the K-image."""
-    result = ConclusionResult("B", "pass")
-    ks = _side_samples(T, K_SIDE, budget.samples)
-    ls = _side_samples(T, L_SIDE, budget.samples)
-    conjugators = []
-    for l in ls:
-        conjugators.append(_word_of([(L_SIDE, l)], T))
-    for l, k in itertools.product(ls, ks):
-        conjugators.append(_word_of([(L_SIDE, l), (K_SIDE, k)], T))
-    for h in ks:
-        for g in conjugators[:budget.conjugators]:
-            conj = canonicalize(
-                canonical_inverse(g, T).syllables
-                + (syllable(K_SIDE, h),) + g.syllables, T)
-            member = in_side_image(Q, conj, K_SIDE)
-            inst = {"h": _elt_json(h), "conjugator_len": len(g),
-                    "member": member.value}
-            result.instances.append(inst)
-            result.checked += 1
-            if member is Tri.YES:
-                result.status = "fail"
-                return result
-            if member is Tri.INCONCLUSIVE:
-                result.status = "inconclusive"
-    if is_malnormal(T.h_subgroup(K_SIDE), T.K, budget=64) is Tri.YES:
-        result.note = "H malnormal in K, so the L-side audit applies too"
-    return result
-
-
-def _bad_fellow_pairs(T: AmalgamTriple, budget: int) -> List[Tuple[Element, Element]]:
-    """Pairs in L minus H that are not good fellows over H."""
-    out = []
-    for b in _side_samples(T, L_SIDE, budget):
-        out.append((b, b))  # an element is never its own good fellow
-        out.append((b, b.inv()))
-    return out[:budget]
-
-
-def _conclusion_c(Q: QuotientGroup, T: AmalgamTriple,
-                  budget: VerifyBudget) -> ConclusionResult:
-    result = ConclusionResult("C", "pass")
-    conj = _side_conjugators(Q, K_SIDE, budget.conjugators)
-    ds = _side_samples(T, K_SIDE, budget.samples)
-    for (b, bp), d in itertools.product(
-            _bad_fellow_pairs(T, budget.samples), ds):
-        x = _word_of([(K_SIDE, d), (L_SIDE, bp)], T)
-        y = _word_of([(K_SIDE, d), (L_SIDE, b),
-                      (K_SIDE, d), (L_SIDE, b)], T)
-        status, evidence = quotient_good_fellows(Q, x, y, conj)
-        result.instances.append({
-            "b": _elt_json(b), "bprime": _elt_json(bp), "d": _elt_json(d),
-            "status": status.value, **evidence})
-        result.checked += 1
-        if status is Tri.NO:
-            result.status = "fail"
-            return result
-        if status is Tri.INCONCLUSIVE:
-            result.status = "inconclusive"
-    return result
-
-
-def _conclusion_d(Q: QuotientGroup, T: AmalgamTriple,
-                  entries: Sequence[SystemEntry],
-                  budget: VerifyBudget) -> ConclusionResult:
-    result = ConclusionResult("D", "pass", exact=True)
-    bs = _side_samples(T, L_SIDE, budget.samples)
-    as_ = _side_samples(T, K_SIDE, budget.samples)
-    for e in entries[:budget.samples]:
-        bs.extend([e.b, e.bprime])
-        as_.append(e.a)
-    probes: List[Tuple[CanonicalWord, str]] = []
-    for b, a, bp in itertools.product(bs[:budget.samples],
-                                      as_[:budget.samples],
-                                      bs[:budget.samples]):
-        probes.append((_word_of([(L_SIDE, b), (K_SIDE, a), (L_SIDE, bp)], T),
-                       K_SIDE))
-        probes.append((_word_of([(L_SIDE, b), (K_SIDE, a)], T), K_SIDE))
-        probes.append((_word_of([(K_SIDE, a), (L_SIDE, b), (K_SIDE, a)], T),
-                       L_SIDE))
-        probes.append((_word_of([(K_SIDE, a), (L_SIDE, b)], T), L_SIDE))
-    for w, side in probes:
-        if w.is_empty():
-            continue
-        member = in_side_image(Q, w, side)
-        result.instances.append({"len": len(w), "side": side,
-                                 "member": member.value})
-        result.checked += 1
-        if member is Tri.YES:
-            result.status = "fail"
-            return result
-        if member is Tri.INCONCLUSIVE:
-            result.status = "inconclusive"
-            result.exact = False
-    return result
-
-
-def _conclusion_e(Q: QuotientGroup, T: AmalgamTriple,
-                  budget: VerifyBudget) -> ConclusionResult:
-    # instance family with H' = H and L' = H, which always satisfies the
-    # intersection side conditions
-    result = ConclusionResult("E", "pass")
-    H_K = T.h_subgroup(K_SIDE)
-    ks = _side_samples(T, K_SIDE, budget.samples * 2)
-    for g in list(ks):
-        sq = g * g
-        if T.in_H(sq) is Tri.NO and \
-                not any(sq.payload == x.payload for x in ks):
-            ks.append(sq)
-    ks = ks[:budget.samples * 3]
-    conj = _h_conjugators(Q, K_SIDE, budget.conjugators)
-    for a, ap in itertools.combinations(ks, 2):
-        if good_fellows(a, ap, H_K) is not Tri.YES:
-            continue
-        x = _word_of([(K_SIDE, a)], T)
-        y = _word_of([(K_SIDE, ap)], T)
-        status, evidence = quotient_good_fellows(Q, x, y, conj)
-        result.instances.append({"a": _elt_json(a), "aprime": _elt_json(ap),
-                                 "status": status.value, **evidence})
-        result.checked += 1
-        if status is Tri.NO:
-            result.status = "fail"
-            return result
-        if status is Tri.INCONCLUSIVE:
-            result.status = "inconclusive"
-    if result.checked == 0:
-        result.status = "skipped"
-        result.note = "no sampled good-fellow pair in K"
-    return result
-
-
-def _conclusion_f(Q: QuotientGroup, T: AmalgamTriple,
-                  entries: Sequence[SystemEntry],
-                  budget: VerifyBudget) -> ConclusionResult:
-    result = ConclusionResult("F", "pass")
-    H_L = T.h_subgroup(L_SIDE)
-    pairs = [(e.b, e.bprime) for e in entries]
-    for b, bp in itertools.combinations(
-            _side_samples(T, L_SIDE, budget.samples * 2), 2):
-        pairs.append((b, bp))
-    conj = _side_conjugators(Q, K_SIDE, budget.conjugators)
-    for b, bp in pairs[:budget.samples * 2]:
-        if good_fellows(b, bp, H_L) is not Tri.YES:
-            continue
-        x = _word_of([(L_SIDE, b)], T)
-        y = _word_of([(L_SIDE, bp)], T)
-        status, evidence = quotient_good_fellows(Q, x, y, conj)
-        result.instances.append({"b": _elt_json(b), "bprime": _elt_json(bp),
-                                 "status": status.value, **evidence})
-        result.checked += 1
-        if status is Tri.NO:
-            result.status = "fail"
-            return result
-        if status is Tri.INCONCLUSIVE:
-            result.status = "inconclusive"
-    if result.checked == 0:
-        result.status = "skipped"
-        result.note = "no sampled good-fellow pair in L"
-    return result
-
-
-def _torsion_pool(T: AmalgamTriple, per_side: int) -> Dict[str, List[Element]]:
-    return {side: _side_samples(T, side, per_side)
-            for side in (K_SIDE, L_SIDE)}
-
-
-def iter_short_words(T: AmalgamTriple, max_len: int,
-                     per_side: int = 2) -> Iterable[CanonicalWord]:
-    """Alternating-syllable words from a small per-side sample pool."""
-    pool = _torsion_pool(T, per_side)
-    for length in range(1, max_len + 1):
-        for start in (K_SIDE, L_SIDE):
-            sides = [start if i % 2 == 0 else
-                     (L_SIDE if start == K_SIDE else K_SIDE)
-                     for i in range(length)]
-            for choice in itertools.product(
-                    *[range(len(pool[s])) for s in sides]):
-                yield _word_of(
-                    [(s, pool[s][c]) for s, c in zip(sides, choice)], T)
-
-
-def _conclusion_g(Q: QuotientGroup, T: AmalgamTriple,
-                  budget: VerifyBudget) -> ConclusionResult:
-    result = ConclusionResult("G", "pass")
-    for w in iter_short_words(T, budget.len):
-        if w.is_empty():
-            continue
-        for n in range(2, budget.pow + 1):
-            p = canonicalize(w.syllables * n, T)
-            res = dehn_decide(p, Q.R, k=Q.k)
-            result.checked += 1
-            if res.status == "trivial":
-                base = dehn_decide(w, Q.R, k=Q.k)
-                if base.status == "trivial":
-                    continue
-                result.status = "fail"
-                result.instances.append({"len": len(w), "n": n})
-                return result
-            if res.status == "inconclusive":
-                result.status = "inconclusive"
-                result.instances.append({"len": len(w), "n": n,
-                                         "note": res.note})
-    result.note = f"scanned powers up to {budget.pow} of words up to " \
-                  f"length {budget.len}"
-    return result
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def system_to_json(S: Sequence[SystemEntry], registry: ElementRegistry) -> dict:
-    return {"entries": [
-        {"index": e.index,
-         "h": registry.register(e.h), "a": registry.register(e.a),
-         "b": registry.register(e.b), "bprime": registry.register(e.bprime)}
-        for e in sorted(S, key=lambda e: e.index)]}
-
-
-def system_from_json(data: dict, registry: ElementRegistry) -> List[SystemEntry]:
-    return [
-        SystemEntry(
-            h=registry.decode(item["h"]), a=registry.decode(item["a"]),
-            b=registry.decode(item["b"]), bprime=registry.decode(item["bprime"]),
-            index=item.get("index", pos))
-        for pos, item in enumerate(data["entries"])]
 
 
 class FixtureError(ValueError):

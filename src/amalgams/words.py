@@ -17,11 +17,6 @@ FormalWord = Tuple[Letter, ...]
 # 80 blocks x^1 y ... x^80 y; the block exponents sum to 3240.
 RHO_BLOCKS = 80
 RHO_X_TOTAL = sum(range(1, RHO_BLOCKS + 1))  # 3240
-RHO_SINGLE_LETTER_LENGTH = RHO_X_TOTAL + RHO_BLOCKS  # 3320
-
-
-class WordBudgetError(ValueError):
-    """A constructed word would exceed the configured memory budget."""
 
 
 def word(letters: Iterable[Tuple[Hashable, int]]) -> FormalWord:
@@ -52,18 +47,11 @@ def inverse(w: Sequence[Letter]) -> FormalWord:
     return tuple((sym, -sign) for sym, sign in reversed(tuple(w)))
 
 
-def power(w: Sequence[Letter], n: int) -> FormalWord:
-    if n < 0:
-        return power(inverse(w), -n)
-    return tuple(w) * n
-
-
-def length(w: Sequence[Letter]) -> int:
-    return len(w)
-
-
 def rho(x: Sequence[Letter], y: Sequence[Letter]) -> FormalWord:
     """The pumping word x y x^2 y x^3 y ... x^80 y, emitted unreduced.
+
+    x and y may hold any items; ``systems.entry_relator`` passes
+    syllables.
 
     Length bookkeeping: len = 3240*len(x) + 80*len(y); for single-letter
     inputs this is 3320.
@@ -77,35 +65,6 @@ def rho(x: Sequence[Letter], y: Sequence[Letter]) -> FormalWord:
         out.extend(x * i)
         out.extend(y)
     return tuple(out)
-
-
-def rho_ell(
-    x: Sequence[Letter],
-    y: Sequence[Letter],
-    level: int,
-    max_letters: int = 50_000_000,
-) -> FormalWord:
-    """rho applied to x^(6640^level), y^(6640^level); level 0 is plain rho."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    n_level = 6640 ** level
-    x = tuple(x)
-    y = tuple(y)
-    if not x or not y:
-        raise ValueError("rho_ell requires nonempty x and y")
-    total = n_level * (RHO_X_TOTAL * len(x) + RHO_BLOCKS * len(y))
-    if total > max_letters:
-        raise WordBudgetError(
-            f"rho_ell(level={level}) would produce {total} letters "
-            f"(budget {max_letters})"
-        )
-    return rho(power(x, n_level), power(y, n_level))
-
-
-def rho_ell_length(x_len: int, y_len: int, level: int) -> int:
-    """Letter count of rho_ell without materializing it."""
-    n_level = 6640 ** level
-    return n_level * (RHO_X_TOTAL * x_len + RHO_BLOCKS * y_len)
 
 
 def to_json(w: Sequence[Letter]) -> list:

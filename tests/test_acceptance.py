@@ -26,8 +26,6 @@ from amalgams.cancellation import (
     replay_cprime_witness,
 )
 from amalgams.systems import (
-    VerifyBudget,
-    _conclusion_g,
     generate_relators,
     load_system_fixture,
 )
@@ -200,29 +198,29 @@ def test_ac6_promise_audits_and_determinism():
 
 
 def test_ac7_end_to_end_witness():
+    # x0 = rho(x5 x2 x3, x5 x2 x5 x2 x3): the emitted letter relator is
+    # x0^-1 times that pumping word, freely reduced, and the layer's Dehn
+    # solver kills it with a certificate that replays
     state = build_tower()
-    rep = E.witness_check(
-        state.generator(0), state.generator(3), state.generator(5),
-        state.generator(2), state)
-    ok = rep["status"] == "verified"
-    hit = rep["layers"][-1]
-    ok = ok and hit["replayed"] is True and hit["verdict"] == "trivial"
+    quotients = [layer for layer in E.presentation(state)["layers"]
+                 if layer["kind"] == "quotient"]
+    emitted = [rel for layer in quotients for rel in layer["letter_relators"]]
+    u = [("x5", 1), ("x2", 1), ("x3", 1)]
+    v = [("x5", 1), ("x2", 1), ("x5", 1), ("x2", 1), ("x3", 1)]
+    want = words.free_reduce((("x0", -1),) + words.rho(u, v))
+    ok = len(want) == 10121
+    ok = ok and emitted == [[[s, sign] for s, sign in want]]
+    layer = state.layers[(5, 2)]
+    base = layer.relators.bases[0].word
+    res = dehn_decide(base, layer.relators, k=layer.quotient.k)
+    ok = ok and res.status == "trivial"
+    ok = ok and replay_certificate(base, res.certificate, layer.relators)
     verdict(7, "end-to-end witness identity", ok)
-
-
-def test_ac8_torsion_scan():
-    from amalgams.cancellation import build_quotient
-    T, S, hints, _ = load("with_h")
-    R = generate_relators(S, T, hints=hints)
-    Q = build_quotient(T, R)
-    res = _conclusion_g(Q, T, VerifyBudget(len=8, pow=4))
-    ok = res.status == "pass" and res.checked > 0
-    verdict(8, "torsion-free scan", ok)
 
 
 def test_ac9_relator_chain():
     state = build_tower()
-    chain = E.topology_chain(5, 2, 2, 50_000, state)
+    chain = E.topology_chain(5, 2, 2, state)
     entries = chain["chain"]
     ok = entries[1]["subset_of_previous"] is True
     ok = ok and entries[2]["subset_of_previous"] is True

@@ -1,4 +1,4 @@
-"""Canonical forms: normal form, h-chain equality, wcr conjugates, parts."""
+"""Canonical forms: normal form, h-chain equality, wcr conjugates, rotation."""
 
 from __future__ import annotations
 
@@ -15,11 +15,8 @@ from amalgams.canonical import (
     Syllable,
     canonical_equal,
     canonical_inverse,
-    canonical_mul,
     canonicalize,
     is_wcr,
-    iter_parts,
-    parts_of,
     rotate,
     syllable,
     wcr_conjugates,
@@ -148,7 +145,8 @@ def test_mul_inverse_gives_identity():
         T, _ = make()
         for _ in range(20):
             w = canonicalize(random_syllables(T, rng), T)
-            prod = canonical_mul(w, canonical_inverse(w, T), T)
+            prod = canonicalize(
+                w.syllables + canonical_inverse(w, T).syllables, T)
             assert prod.is_empty()
 
 
@@ -221,25 +219,6 @@ def test_splittings_produce_odd_wcr_conjugates():
     assert 3 in lens  # a split of the length-3 syllable across the seam
     for c in conjs:
         assert is_wcr(c, T) is Tri.YES
-
-
-def test_parts_full_length_are_rotations():
-    T, K, L = free_fixture()
-    sylls = (syllable(K_SIDE, K.generator("a")),
-             syllable(L_SIDE, L.generator("b")),
-             syllable(K_SIDE, K.generator("a").inv()),
-             syllable(L_SIDE, L.generator("c")))
-    w = CanonicalWord(sylls)
-    full = [p for p in parts_of(w, T, min_len=4)]
-    assert len(full) == 4
-    assert all(len(p.word) == 4 and p.offset == 0 for p in full)
-
-
-def test_parts_min_len_too_large_is_empty():
-    T, K, L = free_fixture()
-    w = CanonicalWord((syllable(K_SIDE, K.generator("a")),
-                       syllable(L_SIDE, L.generator("b"))))
-    assert parts_of(w, T, min_len=4) == []
 
 
 def test_rotation_is_conjugation():

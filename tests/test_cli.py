@@ -32,6 +32,18 @@ def tower_config():
     return {"generators": 3, "stages": 6, "colorings": col.to_json()}
 
 
+def with_h_relator_spec():
+    # h^-1 rho(ba, b'a) spelled out as syllables: the with_h system's one
+    # relator
+    spec = [{"side": "K", "letters": [["h", -1]]}]
+    for i in range(1, 81):
+        spec.extend([{"side": "L", "letters": [["b", 1]]},
+                     {"side": "K", "letters": [["a", 1]]}] * i)
+        spec.extend([{"side": "L", "letters": [["c", 1]]},
+                     {"side": "K", "letters": [["a", 1]]}])
+    return spec
+
+
 TOWER_SHA256 = \
     "9bcef04b9c7948026e654da4c53c281d1bdec7bc021eb290f810bfe8f1ee22cc"
 
@@ -106,15 +118,10 @@ def test_validate_system_command(tmp_path):
 
 
 def test_solve_word_relator_is_trivial(tmp_path):
-    # h^-1 rho(ba, b'a) spelled out as syllables: a one-entry system's
-    # own relator must come back trivial with a certificate
-    spec = [{"side": "K", "letters": [["h", -1]]}]
-    for i in range(1, 81):
-        spec.extend([{"side": "L", "letters": [["b", 1]]},
-                     {"side": "K", "letters": [["a", 1]]}] * i)
-        spec.extend([{"side": "L", "letters": [["c", 1]]},
-                     {"side": "K", "letters": [["a", 1]]}])
-    config = {"fixture": "fixtures/systems/with_h.json", "words": [spec]}
+    # a one-entry system's own relator must come back trivial with a
+    # certificate
+    config = {"fixture": "fixtures/systems/with_h.json",
+              "words": [with_h_relator_spec()]}
     code, doc = run_cli(tmp_path, "solve-word", config)
     assert code == 0
     check = doc["checks"][0]
@@ -199,24 +206,30 @@ def test_topology_chain_command(tmp_path):
 
 
 def test_escalate_inconclusive_changes_exit(tmp_path):
-    config = {**tower_config(), "gamma": 5, "level": 2, "k_max": 1}
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(config))
-    out = tmp_path / "r.json"
-    # a tiny budget makes the window check inconclusive
-    code = main(["topology-chain", "--config", str(cfg), "--out", str(out),
-                 "--budget-len", "10"])
+    # one Dehn round cannot finish the relator, so the verdict is
+    # inconclusive: exit 0, or 2 when escalated
+    config = {"fixture": "fixtures/systems/with_h.json",
+              "words": [with_h_relator_spec()]}
+    code, doc = run_cli(tmp_path, "solve-word", config,
+                        ["--budget-len", "1"])
     assert code == 0
-    code = main(["topology-chain", "--config", str(cfg), "--out", str(out),
-                 "--budget-len", "10", "--escalate-inconclusive"])
+    check = doc["checks"][0]
+    assert check["status"] == "inconclusive"
+    assert check["data"]["note"] == "round budget"
+    assert check["data"]["budget"] == {"budget_len": 1}
+    code, _ = run_cli(tmp_path, "solve-word", config,
+                      ["--budget-len", "1", "--escalate-inconclusive"])
     assert code == 2
 
 
-def test_bad_budget_rejected(tmp_path):
+def test_bad_budget_rejected(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text("{}")
-    assert main(["scan-colorings", "--config", str(cfg),
-                 "--budget-len", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["scan-colorings", "--config", str(cfg), "--budget-len", "0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == \
+        "amalgams: error: --budget-len must be positive\n"
 
 
 WITH_H = "fixtures/systems/with_h.json"

@@ -1,4 +1,4 @@
-"""Stage simulator: location, transversals, J-sets, audits, witnesses."""
+"""Stage simulator: levels, transversals, J-sets, audits, the relator chain."""
 
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ def tower():
 
 
 # ---------------------------------------------------------------------------
-# base and location
+# base and levels
 
 
 def test_init_base_registers_generators_in_order():
@@ -69,36 +69,6 @@ def test_base_is_free():
         assert g.payload == tuple(stack)
         seen.setdefault(g.payload, tuple(stack))
     assert len(seen) > 50
-
-
-def test_locate_generators(tower):
-    for i in range(6):
-        tau, lev = E.locate(tower.generator(i), tower)
-        assert tau == i
-        assert lev == 0
-    assert E.locate(tower.ambient.identity(), tower) == (-1, 0)
-
-
-def test_locate_against_replay_oracle(tower):
-    # rebuild every stage's membership bottom-up from the raw letters
-    rng = random.Random(5)
-    cols = tower.colorings
-    for _ in range(300):
-        letters = [(E.sym(rng.randrange(6)), rng.choice((1, -1)))
-                   for _ in range(rng.randrange(1, 6))]
-        g = tower.ambient.word_element(letters)
-        if not g.payload:
-            continue
-        supp = {int(str(s)[1:]) for s, _ in g.payload}
-        tau_oracle = min(b for b in range(6)
-                         if supp <= set(range(b + 1)))
-        tau, lev = E.locate(g, tower)
-        assert tau == tau_oracle
-        lev_oracle = min(
-            i for i in range(0, 10)
-            if supp - {tau} <= {b for b in range(tau)
-                                if cols.e(b, tau) <= i})
-        assert lev == lev_oracle
 
 
 def test_i_at_matches_brute_force(tower):
@@ -302,7 +272,8 @@ def test_run_construction_config(tower):
 
 
 def test_abelianization_matches_exponent_arithmetic(tower):
-    rels = E.letter_relators(tower)
+    rels = [rel for layer in E.presentation(tower)["layers"]
+            if layer["kind"] == "quotient" for rel in layer["letter_relators"]]
     assert len(rels) == 1
     vec = [0] * 6
     for s, sign in rels[0]:
@@ -323,41 +294,11 @@ def test_abelianization_matches_exponent_arithmetic(tower):
 
 
 # ---------------------------------------------------------------------------
-# the witness identity
-
-
-def test_witness_verified(tower):
-    rep = E.witness_check(
-        tower.generator(0), tower.generator(3), tower.generator(5),
-        tower.generator(2), tower)
-    assert rep["status"] == "verified"
-    assert rep["letters"] == 10120
-    hit = rep["layers"][-1]
-    assert hit["verdict"] == "trivial"
-    assert hit["replayed"] is True
-    assert len(hit["certificate"]) >= 1
-
-
-def test_witness_mismatched_h(tower):
-    rep = E.witness_check(
-        tower.generator(0), tower.generator(3), tower.generator(5),
-        tower.generator(1), tower)
-    assert rep["status"] in ("refuted", "inconclusive")
-
-
-def test_witness_wrong_target(tower):
-    rep = E.witness_check(
-        tower.generator(1), tower.generator(3), tower.generator(5),
-        tower.generator(2), tower)
-    assert rep["status"] in ("refuted", "inconclusive")
-
-
-# ---------------------------------------------------------------------------
 # the relator chain
 
 
 def test_topology_chain_nesting(tower):
-    chain = E.topology_chain(5, 2, 2, 50_000, tower)
+    chain = E.topology_chain(5, 2, 2, tower)
     entries = chain["chain"]
     assert [c["k"] for c in entries] == [0, 1, 2]
     assert entries[1]["subset_of_previous"] is True
@@ -373,18 +314,12 @@ def test_topology_chain_nesting(tower):
 
 
 def test_topology_chain_k_zero(tower):
-    chain = E.topology_chain(5, 2, 0, 50_000, tower)
+    chain = E.topology_chain(5, 2, 0, tower)
     assert len(chain["chain"]) == 1
     assert "normal_closure_note" in chain["chain"][0]
 
 
-def test_topology_chain_budget_exhaustion(tower):
-    chain = E.topology_chain(5, 2, 1, 10, tower)
-    assert chain["pumped_avoid_n0"]["status"] == "inconclusive"
-    assert chain["pumped_avoid_n0"]["entries"][0]["note"]
-
-
 def test_topology_chain_free_layer(tower):
-    chain = E.topology_chain(5, 0, 1, 1000, tower)
+    chain = E.topology_chain(5, 0, 1, tower)
     assert chain["chain"] == []
     assert "note" in chain

@@ -18,7 +18,6 @@ from amalgams.groups import (
     Tri,
     good_fellows,
     in_double_coset,
-    in_subgroup,
     is_malnormal,
 )
 
@@ -93,7 +92,7 @@ def test_generated_subgroup_closure_matches_orbit():
     assert H._closure == expected
     for e in S3.elements():
         want = Tri.YES if e.payload in expected else Tri.NO
-        assert in_subgroup(e, H) is want
+        assert H.contains(e) is want
 
 
 def test_letter_support_membership():

@@ -1,5 +1,6 @@
 """Layout rules: no amalgams module imports another module's private
-names, and the CLI starts without the heavy numeric libraries."""
+names, the CLI starts without the heavy numeric libraries, and every
+definition is reachable from the CLI."""
 
 from __future__ import annotations
 
@@ -78,3 +79,50 @@ def test_replays_walk_chains_on_elements():
             assert not any(isinstance(a, ast.Starred) for a in call.args)
             assert all(kw.arg not in ("codes", None)
                        for kw in call.keywords), name
+
+
+# definitions that no subcommand reaches but that stay, with the reason
+KEEP = {
+    "certificate_from_json": "reader half of the certificate_to_json "
+                             "round-trip test",
+    "relators_from_json": "reader half of the relators_to_json round-trip "
+                          "test",
+    "word_from_json": "reader half of the word_to_json round-trip test",
+    "ord_from_str": "reader half of the ord_to_str round-trip test",
+    "parse_report": "reader half of the emit_report round-trip test",
+    "q_code": "inverse of q_of; tests build coloring tables with it",
+    "cantor_pair": "inverse of cantor_unpair, checked against it",
+    "successor": "inverse of predecessor, checked against it",
+}
+
+
+def _names(node) -> set:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_definition_is_reachable_from_the_cli():
+    # roots: cli.main, module-level code other than imports, and KEEP.  A
+    # reached name reaches every module-level def or class of that name,
+    # in any module, whether it is read as a name or as an attribute, so
+    # the scan can only err towards keeping code
+    defs, roots = {}, {"main", *KEEP}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defs.setdefault(node.name, []).append((path.stem, node))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots |= _names(node)
+    assert set(KEEP) <= set(defs)
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            for _, node in defs.get(name, ()):
+                todo.extend(_names(node))
+    unreachable = sorted(f"{module}.{name}" for name, found in defs.items()
+                         if name not in seen for module, _ in found)
+    assert not unreachable, "unreachable: " + ", ".join(unreachable)

@@ -1,4 +1,4 @@
-"""System validation, relator generation, and quotient conclusion audits."""
+"""System validation, relator generation, and fixture loading."""
 
 from __future__ import annotations
 
@@ -10,29 +10,19 @@ from amalgams.groups import (
     ElementRegistry,
     FreeGroup,
     LetterSupportSubgroup,
-    Tri,
 )
 from amalgams.canonical import (
-    K_SIDE,
     L_SIDE,
     SharedFreeAmalgam,
-    canonicalize,
-    syllable,
 )
-from amalgams.cancellation import build_quotient, check_cprime
+from amalgams.cancellation import check_cprime
 from amalgams.systems import (
     SubgroupPairHint,
     SystemEntry,
-    VerifyBudget,
     entry_relator,
     generate_relators,
-    in_side_image,
     load_system_fixture,
-    report_to_json,
-    system_from_json,
-    system_to_json,
     validate_system,
-    verify_conclusions,
 )
 
 FIXTURES = "fixtures/systems"
@@ -164,66 +154,7 @@ def test_all_valid_fixtures_pass_cprime_exactly():
 
 
 # ---------------------------------------------------------------------------
-# membership and conclusions
-
-
-@pytest.fixture(scope="module")
-def quotient():
-    T, S, hints, _ = load("with_h")
-    R = generate_relators(S, T, hints=hints)
-    return T, S, build_quotient(T, R)
-
-
-def test_side_membership_is_exact_for_short_words(quotient):
-    T, S, Q = quotient
-    h = canonicalize([syllable(K_SIDE, T.K.generator("h"))], T)
-    assert in_side_image(Q, h, K_SIDE) is Tri.YES
-    assert in_side_image(Q, h, L_SIDE) is Tri.YES
-    b = canonicalize([syllable(L_SIDE, T.L.generator("b"))], T)
-    assert in_side_image(Q, b, K_SIDE) is Tri.NO
-    bab = canonicalize([syllable(L_SIDE, T.L.generator("b")),
-                        syllable(K_SIDE, T.K.generator("a")),
-                        syllable(L_SIDE, T.L.generator("c"))], T)
-    assert in_side_image(Q, bab, K_SIDE) is Tri.NO
-    assert in_side_image(Q, bab, L_SIDE) is Tri.NO
-
-
-def test_conclusions_all_pass(quotient):
-    T, S, Q = quotient
-    report = verify_conclusions(Q, S, T, VerifyBudget(samples=2,
-                                                      conjugators=4,
-                                                      len=4, pow=3))
-    for key in "ABCDEFG":
-        assert report[key].status == "pass", (key, report[key].note)
-    assert report["A"].exact
-    data = report_to_json(report)
-    assert set(data) == set("ABCDEFG")
-    # every non-exact conclusion records replayable instances
-    for key in "BCDEF":
-        assert data[key]["instances"], key
-
-
-def test_conclusion_report_counts_coverage(quotient):
-    T, S, Q = quotient
-    report = verify_conclusions(Q, S, T, VerifyBudget(samples=2,
-                                                      conjugators=3,
-                                                      len=3, pow=2))
-    assert report["G"].checked > 0
-    assert all(r.checked >= 0 for r in report.values())
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_system_registry_roundtrip():
-    T, S, _, _ = load("with_h")
-    reg = ElementRegistry()
-    data = system_to_json(S, reg)
-    back = system_from_json(data, reg)
-    assert len(back) == len(S)
-    assert back[0].h.payload == S[0].h.payload
-    assert back[0].bprime.payload == S[0].bprime.payload
+# fixture loading
 
 
 def test_fixture_loader_rejects_unknown_kind(tmp_path):

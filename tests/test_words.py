@@ -126,7 +126,6 @@ def test_rho_length_formula():
     y = words.word([("c", 1), ("c", 1)])
     r = words.rho(x, y)
     assert len(r) == 3240 * 3 + 80 * 2
-    assert words.rho_ell_length(3, 2, 0) == len(r)
 
 
 def test_rho_two_letter_arguments_length():
@@ -134,16 +133,6 @@ def test_rho_two_letter_arguments_length():
     x = words.word([("b", 1), ("a", 1)])
     y = words.word([("c", 1), ("a", 1)])
     assert len(words.rho(x, y)) == 6640
-
-
-def test_rho_ell_scaling():
-    x = words.word([("x", 1)])
-    y = words.word([("y", 1)])
-    assert words.rho_ell_length(1, 1, 1) == 3320 * 6640
-    with pytest.raises(words.WordBudgetError):
-        words.rho_ell(x, y, 2)
-    level1 = words.rho_ell(x, y, 1)
-    assert len(level1) == 3320 * 6640
 
 
 def test_rho_rejects_empty():
