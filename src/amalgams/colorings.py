@@ -4,8 +4,9 @@ the derived subadditive colorings.
 The desk-scale instance works with ordinals below a configurable bound
 under epsilon_0 and a canonical ladder system from fundamental
 sequences. The coloring e comes from the walk recursion; its binding
-contract is subadditivity (both inequalities) plus local smallness on
-every materialized triple, which the test suite checks exhaustively.
+contract is subadditivity (both inequalities) plus local smallness.
+The test suite checks subadditivity exhaustively on every materialized
+triple; over a finite scope every D-set is finite.
 ``ColoringTable`` holds e, c0 and c1 on int index pairs: stage indices
 in the tower engine, positions in a ranked scope in ``scan-colorings``.
 """
@@ -20,24 +21,31 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrdinalCNF:
     """Ordinal below epsilon_0 as a Cantor-normal-form term list.
 
     terms is a tuple of (exponent, coefficient) pairs with strictly
     decreasing exponents and positive coefficients; the empty tuple is 0.
+    The ``ord_sort_key`` tuple and its hash are built once, here, so
+    comparing and hashing ordinals never recurses in Python.
     """
 
     terms: Tuple[Tuple["OrdinalCNF", int], ...] = ()
+    # predecessor(self), kept by ``predecessor`` on its first call
+    _pred = None
 
     def __post_init__(self):
         prev = None
         for exp, coeff in self.terms:
             if coeff <= 0:
                 raise ValueError("CNF coefficients must be positive")
-            if prev is not None and ord_cmp(exp, prev) >= 0:
+            if prev is not None and exp._key >= prev._key:
                 raise ValueError("CNF exponents must strictly decrease")
             prev = exp
+        key = tuple((exp._key, coeff) for exp, coeff in self.terms)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -53,8 +61,16 @@ class OrdinalCNF:
             return self.terms[-1][1]
         return 0
 
+    def __eq__(self, other):
+        if not isinstance(other, OrdinalCNF):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __lt__(self, other: "OrdinalCNF") -> bool:
-        return ord_cmp(self, other) < 0
+        return self._key < other._key
 
     def __repr__(self) -> str:
         return f"Ord({ord_to_str(self)})"
@@ -78,15 +94,8 @@ def omega_power(exp: OrdinalCNF, coeff: int = 1) -> OrdinalCNF:
 
 
 def ord_cmp(a: OrdinalCNF, b: OrdinalCNF) -> int:
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = ord_cmp(ea, eb)
-        if c != 0:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
-    return 0
+    ka, kb = a._key, b._key
+    return (ka > kb) - (ka < kb)
 
 
 def ord_add(a: OrdinalCNF, b: OrdinalCNF) -> OrdinalCNF:
@@ -113,13 +122,18 @@ def successor(a: OrdinalCNF) -> OrdinalCNF:
 
 
 def predecessor(a: OrdinalCNF) -> OrdinalCNF:
+    """a - 1, built on the first call and kept on a."""
+    if a._pred is not None:
+        return a._pred
     if not a.is_successor():
         raise ValueError(f"{a!r} is not a successor ordinal")
     head = a.terms[:-1]
     exp, coeff = a.terms[-1]
     if coeff > 1:
-        return OrdinalCNF(head + ((exp, coeff - 1),))
-    return OrdinalCNF(head)
+        head = head + ((exp, coeff - 1),)
+    pred = OrdinalCNF(head)
+    object.__setattr__(a, "_pred", pred)
+    return pred
 
 
 def fundamental_seq(delta: OrdinalCNF, n: int) -> OrdinalCNF:
@@ -223,12 +237,17 @@ def _parse_term(text: str, pos: int) -> Tuple[OrdinalCNF, int]:
 
 class LadderSystem:
     """Cofinal sequences C_delta: the canonical fundamental sequence at
-    limits, the singleton predecessor at successors."""
+    limits, the singleton predecessor at successors.
+
+    ``walk`` keeps one row of steps here: delta -> step(delta, alpha)
+    for the alpha of its latest call, dropped when alpha changes."""
 
     def __init__(self, custom: Optional[Dict[str, Sequence[OrdinalCNF]]] = None,
                  step_guard: int = 100_000):
         self.custom = custom or {}
         self.step_guard = step_guard
+        self._row_alpha: Optional[OrdinalCNF] = None
+        self._row: Dict[OrdinalCNF, Tuple[OrdinalCNF, int]] = {}
 
     def point(self, delta: OrdinalCNF, n: int) -> Optional[OrdinalCNF]:
         """n-th ladder point of delta, or None past the end of a finite
@@ -249,10 +268,15 @@ class LadderSystem:
         """(min(C_delta minus alpha), otp(C_delta intersect alpha)).
 
         Requires alpha < delta; cofinality of the ladder guarantees the
-        minimum exists.
+        minimum exists. A canonical ladder (no custom entries) finds the
+        index by CNF arithmetic (``_ladder_index``); custom ladders scan
+        their points one by one, up to ``step_guard`` of them.
         """
         if not alpha < delta:
             raise ValueError("step requires alpha < delta")
+        if not self.custom:
+            n = _ladder_index(delta, alpha)
+            return self.point(delta, n), n
         n = 0
         while n < self.step_guard:
             p = self.point(delta, n)
@@ -266,7 +290,18 @@ class LadderSystem:
 
     def members_below(self, delta: OrdinalCNF,
                       alpha: OrdinalCNF) -> List[OrdinalCNF]:
-        """C_delta intersect alpha, in increasing order."""
+        """C_delta intersect alpha, in increasing order. A canonical
+        ladder counts them by CNF arithmetic, as ``step`` does, and a
+        limit delta then needs alpha < delta; custom ladders scan."""
+        if not self.custom:
+            if delta.is_successor():
+                p = predecessor(delta)
+                return [p] if p < alpha else []
+            if not alpha < delta:
+                raise ValueError("C_delta below alpha is infinite unless "
+                                 "alpha < delta")
+            return [fundamental_seq(delta, k)
+                    for k in range(_ladder_index(delta, alpha))]
         out = []
         n = 0
         while n < self.step_guard:
@@ -277,18 +312,64 @@ class LadderSystem:
             n += 1
         raise ValueError("ladder member guard exhausted")
 
+    def row(self, alpha: OrdinalCNF) -> Dict[OrdinalCNF, Tuple[OrdinalCNF, int]]:
+        """The kept steps toward alpha, delta -> step(delta, alpha); a
+        new alpha starts an empty row."""
+        if self._row_alpha is None or alpha != self._row_alpha:
+            self._row_alpha, self._row = alpha, {}
+        return self._row
+
+
+def _ladder_index(delta: OrdinalCNF, alpha: OrdinalCNF) -> int:
+    """The least n with fundamental_seq(delta, n) >= alpha, for alpha <
+    delta; 0 when delta is a successor.
+
+    Write the limit delta as head + w^e, so its points are head + w^x.
+    Below or at head, n is 0. Above it alpha = head + r with 0 < r <
+    w^e. For e = f + 1 the points are head + w^f*(n+1), so n comes from
+    r's coefficient c at w^f: c when r has more below w^f, else c - 1.
+    For a limit e the points are head + w^(fundamental_seq(e, n)), and
+    w^x >= r exactly when x >= g, where g is r's leading exponent if r
+    is w^g itself and its successor otherwise: n is e's index for g.
+    """
+    if delta.is_successor():
+        return 0
+    exp, coeff = delta.terms[-1]
+    head = delta.terms[:-1]
+    if coeff > 1:
+        head += ((exp, coeff - 1),)
+    k = len(head)
+    if len(alpha.terms) <= k or alpha.terms[:k] != head:
+        return 0
+    rest = alpha.terms[k:]
+    lead, c = rest[0]
+    if exp.is_successor():
+        if lead != predecessor(exp):
+            return 0
+        return c if len(rest) > 1 else c - 1
+    if c != 1 or len(rest) > 1:
+        lead = successor(lead)
+    return _ladder_index(exp, lead)
+
 
 def walk(alpha: OrdinalCNF, beta: OrdinalCNF,
          C: LadderSystem) -> List[OrdinalCNF]:
-    """Descending trace of the walk from beta down to alpha."""
+    """Descending trace of the walk from beta down to alpha. Its steps
+    are kept in C's row for alpha (``LadderSystem.row``), so consecutive
+    walks to one alpha compute each step once: by arithmetic on the
+    canonical ladder, by the point scan on custom ones."""
     if not alpha < beta:
         raise ValueError("walk requires alpha < beta")
+    row = C.row(alpha)
     trace = [beta]
     cur = beta
     guard = C.step_guard
     while ord_cmp(cur, alpha) > 0 and guard:
         guard -= 1
-        cur, _ = C.step(cur, alpha)
+        nxt = row.get(cur)
+        if nxt is None:
+            nxt = row[cur] = C.step(cur, alpha)
+        cur = nxt[0]
         trace.append(cur)
     if ord_cmp(cur, alpha) != 0:
         raise ValueError("walk did not reach alpha")
@@ -303,10 +384,8 @@ class WalkColoring:
     C_beta intersect alpha; with e(alpha, alpha) = 0.
     """
 
-    def __init__(self, C: Optional[LadderSystem] = None,
-                 depth_guard: int = 10_000):
+    def __init__(self, C: Optional[LadderSystem] = None):
         self.C = C or LadderSystem()
-        self.depth_guard = depth_guard
         self._memo: Dict[Tuple[OrdinalCNF, OrdinalCNF], int] = {}
 
     def e(self, alpha: OrdinalCNF, beta: OrdinalCNF) -> int:
@@ -319,8 +398,6 @@ class WalkColoring:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if len(self._memo) > self.depth_guard * 10:
-            raise ValueError("coloring memo guard exhausted")
         nxt, otp = self.C.step(beta, alpha)
         value = otp
         value = max(value, self.e(alpha, nxt))
@@ -334,8 +411,9 @@ class WalkColoring:
 
 
 def ord_sort_key(a: OrdinalCNF) -> Tuple:
-    """A plain tuple that sorts like the ordinal."""
-    return tuple((ord_sort_key(exp), coeff) for exp, coeff in a.terms)
+    """A plain tuple that sorts like the ordinal: one (exponent key,
+    coefficient) pair per term."""
+    return a._key
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +499,7 @@ class ColoringTable:
         e: Dict[Tuple[int, int], int] = {}
         c0: Dict[Tuple[int, int], int] = {}
         c1: Dict[Tuple[int, int], int] = {}
+        # alpha-major, so each walk to alpha reuses C's row for it
         for (i, a), (j, b) in itertools.combinations(enumerate(ranked), 2):
             e[i, j] = coloring.e(a, b)
             c0[i, j] = len(walk(a, b, C)) - 1
@@ -455,8 +534,9 @@ class ColoringTable:
                         "inequality": inequality,
                         "triple": [ord_to_str(x) for x in triple]}}
             triples += j * (n - 1 - j)
-        # local smallness: every weak D-set over the materialized scope
-        # is finite by construction; record the largest one
+        # the largest weak D-set. At a column's largest value the weak
+        # D-set is the whole column, so this is always n - 1: over a
+        # finite scope it says nothing about local smallness
         max_d = 0
         for k in range(1, n):
             col = E[:k, k]

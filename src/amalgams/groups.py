@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -171,23 +170,6 @@ class FiniteTableGroup(GroupHandle):
 
     def payload_to_json(self, payload):
         return payload
-
-    def to_json(self) -> dict:
-        return {"order": self.order, "table": [list(r) for r in self.table]}
-
-    @classmethod
-    def from_json(cls, data: dict, name: str = "finite") -> "FiniteTableGroup":
-        if set(data) - {"order", "table", "name"}:
-            raise ValueError(f"unexpected keys in table file: {sorted(data)}")
-        table = data["table"]
-        if "order" in data and data["order"] != len(table):
-            raise ValueError("declared order does not match table size")
-        return cls(table, name=data.get("name", name))
-
-    @classmethod
-    def load(cls, path, name: str = "finite") -> "FiniteTableGroup":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh), name=name)
 
     @classmethod
     def cyclic(cls, n: int, name: Optional[str] = None) -> "FiniteTableGroup":

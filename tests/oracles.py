@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+from amalgams.colorings import fundamental_seq, predecessor
+
 
 def naive_free_reduce(word: Sequence[int]) -> List[int]:
     """Repeated single-pass cancellation until a fixed point."""
@@ -211,3 +213,80 @@ def naive_part_length(oracle: FiniteAmalgamOracle,
 def double_coset(table, h_set, g: int):
     """The set H g H by direct enumeration."""
     return {table[u][table[g][v]] for u in h_set for v in h_set}
+
+
+# ---------------------------------------------------------------------------
+# walks on the canonical ladder by scanning its points
+#
+# The package finds a canonical ladder index by CNF arithmetic and
+# compares ordinals by cached keys. Here the points predecessor(delta),
+# or fundamental_seq(delta, n) for n = 0, 1, ..., are listed until one is
+# not below alpha, and ordinals are compared term by term.
+
+
+def cnf_less(a, b) -> bool:
+    """a < b, by recursion on the Cantor-normal-form terms."""
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        if cnf_less(ea, eb):
+            return True
+        if cnf_less(eb, ea):
+            return False
+        if ca != cb:
+            return ca < cb
+    return len(a.terms) < len(b.terms)
+
+
+def ord_key(a) -> tuple:
+    """A nested tuple naming the ordinal, built from its terms."""
+    return tuple((ord_key(exp), coeff) for exp, coeff in a.terms)
+
+
+def scan_ladder_step(delta, alpha):
+    """(the least canonical ladder point of delta that is >= alpha, its
+    index), for alpha < delta."""
+    if delta.is_successor():
+        return predecessor(delta), 0
+    n = 0
+    while cnf_less(fundamental_seq(delta, n), alpha):
+        n += 1
+    return fundamental_seq(delta, n), n
+
+
+def scan_members_below(delta, alpha):
+    """The canonical ladder points of delta below alpha < delta."""
+    if delta.is_successor():
+        return []
+    n = scan_ladder_step(delta, alpha)[1]
+    return [fundamental_seq(delta, k) for k in range(n)]
+
+
+class ScanWalks:
+    """Walks, e, c0 and c1 on the canonical ladder from the scanned
+    steps, with e by its defining recursion."""
+
+    def __init__(self):
+        self.memo = {}
+
+    def walk(self, alpha, beta):
+        trace = [beta]
+        while cnf_less(alpha, trace[-1]):
+            trace.append(scan_ladder_step(trace[-1], alpha)[0])
+        return trace
+
+    def e(self, alpha, beta) -> int:
+        if not cnf_less(alpha, beta):
+            return 0
+        key = (ord_key(alpha), ord_key(beta))
+        if key not in self.memo:
+            nxt, otp = scan_ladder_step(beta, alpha)
+            value = max(otp, self.e(alpha, nxt))
+            for xi in scan_members_below(beta, alpha):
+                value = max(value, self.e(xi, alpha))
+            self.memo[key] = value
+        return self.memo[key]
+
+    def c0(self, alpha, beta) -> int:
+        return len(self.walk(alpha, beta)) - 1
+
+    def c1(self, alpha, beta) -> int:
+        return scan_ladder_step(beta, alpha)[1]

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
-from amalgams.cli import main
+from amalgams.cli import MAX_COUNT, main
 from amalgams.report import (
     CheckResult,
     emit_report,
@@ -172,6 +173,55 @@ def test_scan_colorings(tmp_path):
     assert code == 0
     data = doc["checks"][0]["data"]
     assert data["triples"] == 40 * 39 * 38 // 6
+
+
+# 48 seeded hitting-scan targets [xi0, xi1, i] over the 110-ordinal
+# scope, about half of them realized pairs
+SCAN_TARGETS = [
+    [4, 3, 0], [14, 0, 7], [11, 0, 1], [7, 0, 0], [17, 0, 0], [2, 0, 1],
+    [6, 9, 2], [9, 0, 0], [8, 0, 2], [19, 0, 1], [11, 0, 1], [8, 1, 0],
+    [8, 6, 2], [10, 0, 2], [1, 5, 1], [10, 6, 1], [4, 11, 1], [6, 0, 2],
+    [6, 8, 0], [6, 10, 2], [9, 5, 2], [11, 4, 0], [11, 0, 0], [12, 0, 3],
+    [1, 6, 2], [0, 7, 0], [1, 7, 2], [10, 0, 2], [11, 6, 1], [15, 0, 2],
+    [10, 3, 1], [4, 0, 1], [4, 0, 1], [14, 0, 1], [11, 3, 0], [10, 5, 0],
+    [9, 6, 0], [23, 0, 0], [14, 0, 2], [5, 2, 0], [11, 5, 2], [1, 3, 2],
+    [19, 0, 1], [17, 0, 4], [10, 6, 2], [16, 0, 0], [21, 0, 3], [5, 3, 1]]
+
+
+@pytest.mark.parametrize("config, digest", [
+    ({"count": 170},
+     "08cea9fde5a519b603e7b0be2ee6e4a39582bd4b0139f231ddc35ea4e4a2cc03"),
+    ({"count": 300},
+     "6debac335e4d7930c1a3b4e3b815d23f813388eed00b01f4f1cf864984b5a422"),
+    ({"count": 110, "targets": SCAN_TARGETS},
+     "7c986e5b07e6b5d70e3ac8ba8a572f060a7f96ec5ded42a897effef63ca4c4f3"),
+], ids=["count-170", "count-300", "count-110-targets"])
+def test_scan_colorings_report_bytes_are_pinned(tmp_path, config, digest):
+    code, _ = run_cli(tmp_path, "scan-colorings", config)
+    assert code == 0
+    report = (tmp_path / "report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == digest
+
+
+def test_scan_colorings_count_bound(tmp_path, monkeypatch, capsys):
+    # the largest count is accepted and reaches the table build, which
+    # is stubbed to its first 40 ordinals here; one more is a usage
+    # error
+    walks, seen = ColoringTable.from_walks, []
+
+    def first_40(scope):
+        seen.append(len(scope))
+        return walks(scope[:40])
+
+    monkeypatch.setattr(ColoringTable, "from_walks", first_40)
+    code, _ = run_cli(tmp_path, "scan-colorings", {"count": MAX_COUNT})
+    assert (code, seen) == (0, [MAX_COUNT])
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "scan-colorings", {"count": MAX_COUNT + 1})
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"amalgams: error: config 'count' must be at most {MAX_COUNT}, "
+        f"not {MAX_COUNT + 1}\n")
 
 
 def test_scan_colorings_reports_subadditivity_violation(tmp_path,

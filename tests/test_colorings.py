@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from amalgams.colorings import (
     LadderSystem,
     OMEGA,
     ONE,
+    OrdinalCNF,
     WalkColoring,
     ZERO,
     cantor_pair,
@@ -30,6 +32,7 @@ from amalgams.colorings import (
     successor,
     walk,
 )
+from oracles import ScanWalks, scan_ladder_step, scan_members_below
 
 
 def random_ordinal(rng, max_coeff=50):
@@ -134,8 +137,6 @@ def test_string_roundtrip():
 
 
 def test_malformed_cnf_rejected():
-    from amalgams.colorings import OrdinalCNF
-
     with pytest.raises(ValueError):
         OrdinalCNF(((ZERO, 0),))
     with pytest.raises(ValueError):
@@ -186,6 +187,114 @@ def test_non_cofinal_custom_ladder_is_an_error():
         walk(from_int(5), OMEGA, C)
 
 
+# exponents for random ordinals, in increasing order: finite ones keep
+# an ordinal below w^w; the others are successors (w+1, w*2+1) and
+# limits, down to limits of limits (w^(w))
+FINITE_EXPS = [from_int(k) for k in range(5)]
+TRANSFINITE_EXPS = [ord_from_str(s) for s in (
+    "w", "w+1", "w*2", "w*2+1", "w^(2)", "w^(2)+w", "w^(w)")]
+
+
+def random_cnf(rng, exps):
+    """1 to 3 terms with exponents from exps and coefficients 1 to 3."""
+    picks = sorted(rng.sample(range(len(exps)),
+                              rng.randint(1, min(3, len(exps)))),
+                   reverse=True)
+    return OrdinalCNF(tuple((exps[k], rng.randint(1, 3)) for k in picks))
+
+
+def ladder_pairs(rng, exps, count):
+    """count pairs (delta, alpha), alpha < delta, each tagged with how
+    alpha was made. For a limit delta = head + w^e: a ladder point, a
+    point plus a tail, head itself, head + 1, head + w^g*c with g < e
+    (with and without a tail) and a random ordinal, mostly below head."""
+    out = []
+    while len(out) < count:
+        delta = random_cnf(rng, exps)
+        low = random_cnf(rng, exps)
+        if not delta.is_limit():
+            if low < delta:
+                out.append((delta, low, "successor"))
+            continue
+        exp, coeff = delta.terms[-1]
+        head = OrdinalCNF(delta.terms[:-1] +
+                          (((exp, coeff - 1),) if coeff > 1 else ()))
+        point = fundamental_seq(delta, rng.randrange(4))
+        tail = random_cnf(rng, exps[:rng.randint(1, 3)])
+        g = rng.choice([x for x in exps if x < exp])
+        power = ord_add(head, omega_power(g, rng.randint(1, 3)))
+        for alpha, kind in ((point, "point"),
+                            (ord_add(point, tail), "point+tail"),
+                            (head, "head"), (ord_add(head, ONE), "head+1"),
+                            (power, "power"),
+                            (ord_add(power, tail), "power+tail"),
+                            (low, "random")):
+            if alpha < delta:
+                out.append((delta, alpha, kind))
+    return out[:count]
+
+
+def test_canonical_ladder_matches_point_scan():
+    # step and members_below find the index by CNF arithmetic; the
+    # oracle scans the points until one is not below alpha
+    rng = random.Random(20261018)
+    pairs = (ladder_pairs(rng, FINITE_EXPS, 2400) +
+             ladder_pairs(rng, FINITE_EXPS + TRANSFINITE_EXPS, 1600))
+    C = LadderSystem()
+    kinds, limit_exps = {}, set()
+    for delta, alpha, kind in pairs:
+        p, n = C.step(delta, alpha)
+        q, m = scan_ladder_step(delta, alpha)
+        assert (ord_to_str(p), n) == (ord_to_str(q), m), \
+            (ord_to_str(delta), ord_to_str(alpha))
+        assert [ord_to_str(x) for x in C.members_below(delta, alpha)] == \
+            [ord_to_str(x) for x in scan_members_below(delta, alpha)]
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if delta.is_limit():
+            limit_exps.add(ord_to_str(delta.terms[-1][0]))
+    below_ww = sum(1 for delta, _, _ in pairs if delta < omega_power(OMEGA))
+    assert below_ww >= 2000
+    assert min(kinds.values()) >= 100 and len(kinds) == 8
+    assert {"w", "w*2+1", "w^(2)", "w^(w)"} <= limit_exps
+
+
+def test_members_below_a_limit_needs_alpha_below_it():
+    w2 = omega_power(from_int(2))
+    with pytest.raises(ValueError):
+        LadderSystem().members_below(w2, w2)
+    assert LadderSystem().members_below(from_int(3), from_int(7)) == \
+        [from_int(2)]
+
+
+def test_walks_and_colorings_match_scanned_walks():
+    # one LadderSystem and one WalkColoring serve every call, in an
+    # order that changes alpha from call to call, so a kept row of steps
+    # that outlives its alpha would give wrong walks
+    rng = random.Random(20261019)
+    exps = FINITE_EXPS[:4] + TRANSFINITE_EXPS[:5]
+    scope = list({ord_to_str(x): x for x in (
+        random_cnf(rng, exps[:4] if k % 3 else exps)
+        for k in range(60))}.values())
+    pairs = [(a, b) if a < b else (b, a)
+             for a, b in itertools.combinations(scope, 2)]
+    rng.shuffle(pairs)
+    C = LadderSystem()
+    col, oracle = WalkColoring(C), ScanWalks()
+    changes = 0
+    for k, (a, b) in enumerate(pairs):
+        changes += k > 0 and pairs[k - 1][0] != a
+        assert [ord_to_str(x) for x in walk(a, b, C)] == \
+            [ord_to_str(x) for x in oracle.walk(a, b)]
+        assert col.e(a, b) == oracle.e(a, b)
+        assert C.step(b, a)[1] == oracle.c1(a, b)
+    assert changes > len(pairs) // 2
+    table = ColoringTable.from_walks(scope, C)
+    for i, j in itertools.combinations(range(len(scope)), 2):
+        a, b = table.scope[i], table.scope[j]
+        assert (table.e(i, j), table.c0(i, j), table.c1(i, j)) == \
+            (oracle.e(a, b), oracle.c0(a, b), oracle.c1(a, b))
+
+
 # ---------------------------------------------------------------------------
 # the coloring e
 
@@ -207,7 +316,27 @@ def test_subadditivity_exhaustive_on_scope(walks_table):
     report = table.check_contract()
     n = len(scope)
     assert report["triples"] == n * (n - 1) * (n - 2) // 6
-    assert report["max_weak_d_size"] < n  # locally small at desk scale
+    # at a column's largest value the weak D-set is the whole column
+    assert report["max_weak_d_size"] == n - 1
+
+
+def test_subadditivity_exhaustive_on_omega_cubed_scope():
+    # walks down from w^2*a pass limits of limits, which no pair of the
+    # w^2 scope does: the first 300 of w^2*a + w*b + c with a, b, c < 7
+    scope = sorted((OrdinalCNF(tuple((from_int(k), x) for k, x in
+                                     ((2, a), (1, b), (0, c)) if x))
+                    for a, b, c in itertools.product(range(7), repeat=3)),
+                   key=ord_sort_key)[:300]
+    table = ColoringTable.from_walks(scope)
+    n = len(scope)
+    assert table.check_contract() == {"triples": math.comb(n, 3),
+                                      "max_weak_d_size": n - 1}
+    for entry, violation in (((0, n - 1), {
+            "inequality": 1, "triple": ["0", "1", "w^(2)*6+5"]}),
+            ((0, 1), {"inequality": 2, "triple": ["0", "1", "2"]})):
+        bad = ColoringTable({**table.e_map, entry: 10_000}, table.c0_map,
+                            table.c1_map, table.scope)
+        assert bad.check_contract()["violation"] == violation
 
 
 def test_corrupted_table_fails_contract(walks_table):
