@@ -65,15 +65,12 @@ class AmalgamTriple:
 
     Subclasses provide the two side groups, H-membership per side,
     transfer of H-elements between the sides, and a per-syllable double
-    coset label. ``label_exact`` declares whether equal labels are
-    equivalent to equal double cosets (not just implied by them).
-    ``unique_junctions`` declares that ``junction_solutions`` never
-    returns more than one element, so a cancellation chain is fixed by
-    where it starts.
+    coset label. ``unique_junctions`` declares that ``junction_solutions``
+    never returns more than one element, so a cancellation chain is fixed
+    by where it starts.
     """
 
     name: str = "amalgam"
-    label_exact: bool = False
     unique_junctions: bool = False
 
     def __init__(self, K: GroupHandle, L: GroupHandle):
@@ -139,8 +136,8 @@ class AmalgamTriple:
         """Pairs (x1, x2) with x2·x1 = syl.elt, both outside H.
 
         Used to enumerate the odd-length conjugates that split one
-        syllable across the seam. Exhaustive on finite sides, a finite
-        structural family otherwise.
+        syllable across the seam. Exhaustive on finite sides; on free
+        sides, the cuts of the reduced word.
         """
         group = syl.elt.owner
         out = []
@@ -150,14 +147,12 @@ class AmalgamTriple:
                 if self.in_H(x1) is Tri.NO and self.in_H(x2) is Tri.NO:
                     out.append((x1, x2))
             return out
-        if isinstance(group, FreeGroup):
-            w = syl.elt.payload
-            for cut in range(1, len(w)):
-                x2 = Element(group, w[:cut])
-                x1 = Element(group, w[cut:])
-                if self.in_H(x1) is Tri.NO and self.in_H(x2) is Tri.NO:
-                    out.append((x1, x2))
-            return out
+        w = syl.elt.payload
+        for cut in range(1, len(w)):
+            x2 = Element(group, w[:cut])
+            x1 = Element(group, w[cut:])
+            if self.in_H(x1) is Tri.NO and self.in_H(x2) is Tri.NO:
+                out.append((x1, x2))
         return out
 
 
@@ -173,7 +168,6 @@ class TableAmalgam(AmalgamTriple):
     ):
         super().__init__(K, L)
         self.name = name
-        self.label_exact = True
         self._k2l = {k: l for k, l in h_pairs}
         self._l2k = {l: k for k, l in h_pairs}
         if len(self._k2l) != len(h_pairs) or len(self._l2k) != len(h_pairs):
@@ -259,7 +253,6 @@ class SharedFreeAmalgam(AmalgamTriple):
     ):
         super().__init__(K, L)
         self.name = name
-        self.label_exact = True
         self.h_symbols = frozenset(h_symbols)
         shared = set(K.symbols) & set(L.symbols)
         if shared != self.h_symbols:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from amalgams import engine
 from amalgams.report import CheckResult, emit_report, exit_status, \
     write_report
-from amalgams.groups import ElementRegistry, Tri
+from amalgams.groups import ElementRegistry, FiniteTableGroup, Tri
 from amalgams.canonical import (
     K_SIDE,
     L_SIDE,
@@ -101,9 +101,16 @@ def _load_config(path, command: str) -> dict:
     return config
 
 
+def _side_pool(group):
+    """What a random syllable is drawn from: the elements of a finite
+    table, the generators of a free group."""
+    if isinstance(group, FiniteTableGroup):
+        return group.elements()
+    return [group.generator(s) for s in sorted(group.symbols, key=str)]
+
+
 def _sample_words(T, rng, count, max_len):
-    ks = [T.K.generator(s) for s in sorted(T.K.symbols, key=str)]
-    ls = [T.L.generator(s) for s in sorted(T.L.symbols, key=str)]
+    ks, ls = _side_pool(T.K), _side_pool(T.L)
     out = []
     for _ in range(count):
         sylls = []
@@ -120,7 +127,7 @@ def _sample_words(T, rng, count, max_len):
 
 
 def cmd_check_amalgam(config, args):
-    T, S, hints, flags = load_system_fixture(config["fixture"])
+    T, _, _, _ = load_system_fixture(config["fixture"])
     rng = random.Random(args.seed)
     checks = []
     # shared-subgroup sanity: H reads the same from both sides
@@ -151,10 +158,9 @@ def cmd_check_amalgam(config, args):
 
 
 def cmd_check_smallcancel(config, args):
-    T, S, hints, flags = load_system_fixture(config["fixture"])
+    T, S, hints, _ = load_system_fixture(config["fixture"])
     chi = Fraction(*config.get("chi", (1, 10)))
     R = generate_relators(S, T, chi=chi, hints=hints,
-                          assume_h_malnormal=flags["assume_h_malnormal"],
                           skip_validation=True, check=False)
     res = check_cprime(R)
     data = {"chi": [chi.numerator, chi.denominator],
@@ -172,20 +178,19 @@ def _parse_word(T, spec):
     sylls = []
     for item in spec:
         grp = T.K if item["side"] == K_SIDE else T.L
-        elt = grp.word_element([(s, sign) for s, sign in item["letters"]])
+        elt = grp.element([(s, sign) for s, sign in item["letters"]])
         sylls.append(syllable(item["side"], elt))
     return canonicalize(sylls, T)
 
 
 def cmd_solve_word(config, args):
-    T, S, hints, flags = load_system_fixture(config["fixture"])
-    R = generate_relators(S, T, hints=hints,
-                          assume_h_malnormal=flags["assume_h_malnormal"])
-    Q = build_quotient(T, R)
+    T, S, hints, _ = load_system_fixture(config["fixture"])
+    R = generate_relators(S, T, hints=hints)
+    build_quotient(T, R)
     checks = []
     for n, spec in enumerate(config["words"]):
         w = _parse_word(T, spec)
-        res = dehn_decide(w, R, k=Q.k, budget=args.budget_len)
+        res = dehn_decide(w, R, budget=args.budget_len)
         data = {"verdict": res.status, "note": res.note}
         if res.status == "trivial":
             data["certificate"] = certificate_to_json(res.certificate)
@@ -201,9 +206,8 @@ def cmd_solve_word(config, args):
 
 
 def cmd_validate_system(config, args):
-    T, S, hints, flags = load_system_fixture(config["fixture"])
-    rep = validate_system(S, T, hints=hints,
-                          assume_h_malnormal=flags["assume_h_malnormal"])
+    T, S, hints, _ = load_system_fixture(config["fixture"])
+    rep = validate_system(S, T, hints=hints)
     status = {"valid": "pass", "invalid": "fail"}.get(
         rep.status, "inconclusive")
     data = {"verdict": rep.status, "note": rep.note,

@@ -2,9 +2,12 @@
 the derived subadditive colorings.
 
 The desk-scale instance works with ordinals below a configurable bound
-under epsilon_0 and a canonical ladder system from fundamental
-sequences. The coloring e comes from the walk recursion; its binding
-contract is subadditivity (both inequalities) plus local smallness.
+under epsilon_0 and one ladder system, the canonical one from
+fundamental sequences. ``LadderSystem`` reads a ladder index off the
+CNF instead of scanning the ladder's points; the point scan in the
+test oracles is its reference. The coloring e comes from the walk
+recursion; its binding contract is subadditivity (both inequalities)
+plus local smallness.
 The test suite checks subadditivity exhaustively on every materialized
 triple; over a finite scope every D-set is finite.
 ``ColoringTable`` holds e, c0 and c1 on int index pairs: stage indices
@@ -55,11 +58,6 @@ class OrdinalCNF:
 
     def is_limit(self) -> bool:
         return bool(self.terms) and not self.terms[-1][0].is_zero()
-
-    def natural_part(self) -> int:
-        if self.is_successor():
-            return self.terms[-1][1]
-        return 0
 
     def __eq__(self, other):
         if not isinstance(other, OrdinalCNF):
@@ -236,81 +234,42 @@ def _parse_term(text: str, pos: int) -> Tuple[OrdinalCNF, int]:
 
 
 class LadderSystem:
-    """Cofinal sequences C_delta: the canonical fundamental sequence at
-    limits, the singleton predecessor at successors.
+    """The canonical ladder system: C_delta is the fundamental sequence
+    of a limit delta and the singleton predecessor of a successor.
 
     ``walk`` keeps one row of steps here: delta -> step(delta, alpha)
     for the alpha of its latest call, dropped when alpha changes."""
 
-    def __init__(self, custom: Optional[Dict[str, Sequence[OrdinalCNF]]] = None,
-                 step_guard: int = 100_000):
-        self.custom = custom or {}
-        self.step_guard = step_guard
+    def __init__(self):
         self._row_alpha: Optional[OrdinalCNF] = None
         self._row: Dict[OrdinalCNF, Tuple[OrdinalCNF, int]] = {}
-
-    def point(self, delta: OrdinalCNF, n: int) -> Optional[OrdinalCNF]:
-        """n-th ladder point of delta, or None past the end of a finite
-        custom ladder. Custom entries are sequences or callables n -> point.
-        Successor ladders have the single point delta-1."""
-        seq = self.custom.get(ord_to_str(delta)) if self.custom else None
-        if callable(seq):
-            return seq(n)
-        if seq is not None:
-            return seq[n] if n < len(seq) else None
-        if delta.is_successor():
-            return predecessor(delta) if n == 0 else None
-        if delta.is_limit():
-            return fundamental_seq(delta, n)
-        raise ValueError("zero has no ladder")
 
     def step(self, delta: OrdinalCNF, alpha: OrdinalCNF) -> Tuple[OrdinalCNF, int]:
         """(min(C_delta minus alpha), otp(C_delta intersect alpha)).
 
         Requires alpha < delta; cofinality of the ladder guarantees the
-        minimum exists. A canonical ladder (no custom entries) finds the
-        index by CNF arithmetic (``_ladder_index``); custom ladders scan
-        their points one by one, up to ``step_guard`` of them.
+        minimum exists. The index comes from CNF arithmetic
+        (``_ladder_index``), not from a scan of the ladder's points.
         """
         if not alpha < delta:
             raise ValueError("step requires alpha < delta")
-        if not self.custom:
-            n = _ladder_index(delta, alpha)
-            return self.point(delta, n), n
-        n = 0
-        while n < self.step_guard:
-            p = self.point(delta, n)
-            if p is None:
-                raise ValueError(
-                    f"ladder of {ord_to_str(delta)} is not cofinal")
-            if not p < alpha:
-                return p, n
-            n += 1
-        raise ValueError("ladder step guard exhausted")
+        if delta.is_successor():
+            return predecessor(delta), 0
+        n = _ladder_index(delta, alpha)
+        return fundamental_seq(delta, n), n
 
     def members_below(self, delta: OrdinalCNF,
                       alpha: OrdinalCNF) -> List[OrdinalCNF]:
-        """C_delta intersect alpha, in increasing order. A canonical
-        ladder counts them by CNF arithmetic, as ``step`` does, and a
-        limit delta then needs alpha < delta; custom ladders scan."""
-        if not self.custom:
-            if delta.is_successor():
-                p = predecessor(delta)
-                return [p] if p < alpha else []
-            if not alpha < delta:
-                raise ValueError("C_delta below alpha is infinite unless "
-                                 "alpha < delta")
-            return [fundamental_seq(delta, k)
-                    for k in range(_ladder_index(delta, alpha))]
-        out = []
-        n = 0
-        while n < self.step_guard:
-            p = self.point(delta, n)
-            if p is None or not p < alpha:
-                return out
-            out.append(p)
-            n += 1
-        raise ValueError("ladder member guard exhausted")
+        """C_delta intersect alpha, in increasing order, counted by CNF
+        arithmetic as ``step`` does; a limit delta needs alpha < delta."""
+        if delta.is_successor():
+            p = predecessor(delta)
+            return [p] if p < alpha else []
+        if not alpha < delta:
+            raise ValueError("C_delta below alpha is infinite unless "
+                             "alpha < delta")
+        return [fundamental_seq(delta, k)
+                for k in range(_ladder_index(delta, alpha))]
 
     def row(self, alpha: OrdinalCNF) -> Dict[OrdinalCNF, Tuple[OrdinalCNF, int]]:
         """The kept steps toward alpha, delta -> step(delta, alpha); a
@@ -321,8 +280,8 @@ class LadderSystem:
 
 
 def _ladder_index(delta: OrdinalCNF, alpha: OrdinalCNF) -> int:
-    """The least n with fundamental_seq(delta, n) >= alpha, for alpha <
-    delta; 0 when delta is a successor.
+    """The least n with fundamental_seq(delta, n) >= alpha, for a limit
+    delta and alpha < delta.
 
     Write the limit delta as head + w^e, so its points are head + w^x.
     Below or at head, n is 0. Above it alpha = head + r with 0 < r <
@@ -332,8 +291,6 @@ def _ladder_index(delta: OrdinalCNF, alpha: OrdinalCNF) -> int:
     w^x >= r exactly when x >= g, where g is r's leading exponent if r
     is w^g itself and its successor otherwise: n is e's index for g.
     """
-    if delta.is_successor():
-        return 0
     exp, coeff = delta.terms[-1]
     head = delta.terms[:-1]
     if coeff > 1:
@@ -356,16 +313,14 @@ def walk(alpha: OrdinalCNF, beta: OrdinalCNF,
          C: LadderSystem) -> List[OrdinalCNF]:
     """Descending trace of the walk from beta down to alpha. Its steps
     are kept in C's row for alpha (``LadderSystem.row``), so consecutive
-    walks to one alpha compute each step once: by arithmetic on the
-    canonical ladder, by the point scan on custom ones."""
+    walks to one alpha compute each step once. Every step lands in
+    [alpha, cur), so the walk ends."""
     if not alpha < beta:
         raise ValueError("walk requires alpha < beta")
     row = C.row(alpha)
     trace = [beta]
     cur = beta
-    guard = C.step_guard
-    while ord_cmp(cur, alpha) > 0 and guard:
-        guard -= 1
+    while ord_cmp(cur, alpha) > 0:
         nxt = row.get(cur)
         if nxt is None:
             nxt = row[cur] = C.step(cur, alpha)

@@ -12,10 +12,10 @@ Stage indices play the role of ordinals; the group generated by the
 generators with indices in A is written G_A and is modelled as the
 letter-support subgroup of the ambient free group, which keeps every
 membership, intersection, and double-coset question exact.  Layers that
-acquire relators are recorded with their own amalgam and quotient
-objects; materialized words stay far below the small-cancellation
-length gap, so the free model remains faithful for all level and
-transversal queries.
+acquire relators are recorded with their own amalgam and relator set,
+which ``build_quotient`` gates; materialized words stay far below the
+small-cancellation length gap, so the free model remains faithful for
+all level and transversal queries.
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ class StageLayer:
     system: List[SystemEntry] = field(default_factory=list)
     amalgam: Optional[SharedFreeAmalgam] = None
     relators: Optional[RelatorSet] = None
-    quotient: object = None
     skipped: List[dict] = field(default_factory=list)
 
 
@@ -199,8 +198,7 @@ def _order_key(state: StageState, gamma: int):
         code = state.registry.code_of(g)
         if code is None:
             code = 1 << 60
-        flat = tuple((str(s), sign) for s, sign in g.payload)
-        return (level, code, len(g.payload), flat)
+        return (level, code, len(g.payload), g.payload)
     return key
 
 
@@ -317,7 +315,6 @@ def enumerate_J(gamma: int, i: int, state: StageState
     entries: List[JEntry] = []
     skipped: List[dict] = []
     n_codes = len(state.registry)
-    d_lt = set(state.colorings.d_set(gamma, i, "strict"))
 
     def skip(k, reason, **extra):
         skipped.append({"k": list(k.payload), "reason": reason, **extra})
@@ -412,10 +409,10 @@ def _build_layer(gamma: int, i: int, state: StageState) -> StageLayer:
             bprime=Element(L_grp, en.bprime.payload),
             index=n))
     R = generate_relators(system, T)
-    Q = build_quotient(T, R)
+    build_quotient(T, R)
     return StageLayer(gamma=gamma, level=i, kind="quotient",
                       entries=entries, system=system, amalgam=T,
-                      relators=R, quotient=Q, skipped=skipped)
+                      relators=R, skipped=skipped)
 
 
 def advance_stage(state: StageState) -> StageState:
@@ -630,7 +627,7 @@ def presentation(state: StageState) -> dict:
             entry["relators"] = relators_to_json(layer.relators, reg)
             entry["elements"] = reg.dump_json()
             entry["letter_relators"] = [
-                [[str(s), sign] for s, sign in _flatten(b.word)]
+                words.to_json(_flatten(b.word))
                 for b in layer.relators.bases]
         layers.append(entry)
     return {"schema": "amalgams-construction/1",

@@ -1,8 +1,10 @@
-"""Group backends with decidable (or honestly three-valued) structure tests.
+"""Group backends with decidable structure tests.
 
-Backends: finite multiplication table, free group, the integers, and the
-amalgam-quotient backend built in :mod:`amalgams.cancellation`. Subgroups
-are symbolic descriptors, never materialized element sets.
+Two backends: a finite multiplication table and a free group on a
+symbol list. Subgroups are descriptors: a generated subgroup of a
+finite table (kept as its closure) or the letter-support subgroup of a
+free group (never materialized). Double cosets and malnormality are
+decided exactly on both; any other pair raises.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from amalgams import words
 
@@ -220,9 +222,6 @@ class FreeGroup(GroupHandle):
             raise ValueError(f"{sym!r} is not a generator of {self.name}")
         return Element(self, ((sym, sign),))
 
-    def word_element(self, letters: Iterable[Tuple[Hashable, int]]) -> Element:
-        return self.element(tuple(letters))
-
     def _mul_payload(self, a, b):
         return words.free_reduce(a + b)
 
@@ -243,36 +242,6 @@ class FreeGroup(GroupHandle):
         return words.to_json(payload)
 
 
-class IntegerGroup(GroupHandle):
-    """The additive integers; the stage-0 backend for a fresh generator."""
-
-    kind = "integer-cyclic"
-
-    def __init__(self, name: str = "Z"):
-        self.name = name
-
-    def identity(self) -> Element:
-        return Element(self, 0)
-
-    def generator(self) -> Element:
-        return Element(self, 1)
-
-    def _mul_payload(self, a: int, b: int) -> int:
-        return a + b
-
-    def _inv_payload(self, a: int) -> int:
-        return -a
-
-    def _is_identity_payload(self, a: int) -> Tri:
-        return Tri.YES if a == 0 else Tri.NO
-
-    def _normalize_payload(self, payload) -> int:
-        return int(payload)
-
-    def payload_to_json(self, payload):
-        return payload
-
-
 # ---------------------------------------------------------------------------
 # subgroup descriptors
 
@@ -285,29 +254,8 @@ class SubgroupDescriptor:
     def contains(self, g: Element) -> Tri:
         raise NotImplementedError
 
-    def sample(self, budget: int) -> Iterable[Element]:
-        """Some elements of the subgroup, identity first; may be partial."""
-        raise NotImplementedError
-
     def is_trivial(self) -> Tri:
         raise NotImplementedError
-
-
-class TrivialSubgroup(SubgroupDescriptor):
-    def __init__(self, group: GroupHandle):
-        self.group = group
-
-    def contains(self, g: Element) -> Tri:
-        return self.group.is_identity(g)
-
-    def sample(self, budget: int) -> Iterable[Element]:
-        return [self.group.identity()]
-
-    def is_trivial(self) -> Tri:
-        return Tri.YES
-
-    def __repr__(self) -> str:
-        return f"<Trivial <= {self.group.name}>"
 
 
 class FiniteGeneratedSubgroup(SubgroupDescriptor):
@@ -340,15 +288,6 @@ class FiniteGeneratedSubgroup(SubgroupDescriptor):
         self.group._check_owner(g)
         return Tri.YES if g.payload in self._closure else Tri.NO
 
-    def sample(self, budget: int) -> Iterable[Element]:
-        ordered = sorted(self._closure)
-        ordered.remove(self.group._identity)
-        ordered.insert(0, self.group._identity)
-        return [Element(self.group, p) for p in ordered[:budget]]
-
-    def order(self) -> int:
-        return len(self._closure)
-
     def is_trivial(self) -> Tri:
         return Tri.YES if len(self._closure) == 1 else Tri.NO
 
@@ -372,7 +311,7 @@ class LetterSupportSubgroup(SubgroupDescriptor):
         ok = all(sym in self.symbols for sym, _ in g.payload)
         return Tri.YES if ok else Tri.NO
 
-    def sample(self, budget: int) -> Iterable[Element]:
+    def sample(self, budget: int) -> List[Element]:
         out = [self.group.identity()]
         for sym in sorted(self.symbols, key=str):
             for sign in (1, -1):
@@ -408,8 +347,6 @@ def in_double_coset(g: Element, sub: SubgroupDescriptor, h: Element) -> Tri:
     group = sub.group
     group._check_owner(g)
     group._check_owner(h)
-    if isinstance(sub, TrivialSubgroup):
-        return Tri.YES if g.payload == h.payload else Tri.NO
     if isinstance(sub, FiniteGeneratedSubgroup):
         for u in sub._closure:
             uh = group.table[u][h.payload]
@@ -430,47 +367,38 @@ def in_double_coset(g: Element, sub: SubgroupDescriptor, h: Element) -> Tri:
             # both lie in H itself
             return Tri.YES
         return Tri.YES if segs_g[1:-1] == segs_h[1:-1] else Tri.NO
-    raise InconclusiveError(f"no double-coset procedure for {type(sub).__name__}")
+    raise TypeError(f"no double-coset procedure for {type(sub).__name__}")
 
 
 def good_fellows(g: Element, h: Element, sub: SubgroupDescriptor) -> Tri:
     """YES iff g lies in neither sub*h*sub nor sub*h^-1*sub."""
-    try:
-        direct = in_double_coset(g, sub, h)
-        if direct is Tri.YES:
-            return Tri.NO
-        inverted = in_double_coset(g, sub, h.inv())
-        if inverted is Tri.YES:
-            return Tri.NO
-        if direct is Tri.NO and inverted is Tri.NO:
-            return Tri.YES
-    except InconclusiveError:
-        pass
-    return Tri.INCONCLUSIVE
+    if in_double_coset(g, sub, h) is Tri.YES or \
+            in_double_coset(g, sub, h.inv()) is Tri.YES:
+        return Tri.NO
+    return Tri.YES
 
 
-def is_malnormal(
-    sub: SubgroupDescriptor, ambient: GroupHandle, budget: int = 1000
-) -> Tri:
+def is_malnormal(sub: SubgroupDescriptor, ambient: GroupHandle) -> Tri:
     """Is sub malnormal in ambient: conjugates of sub minus 1 by outside
-    elements meet sub trivially."""
+    elements meet sub trivially. Decided for a subgroup of a finite
+    table, by trying every conjugator, and for a letter-support subgroup
+    of a free group; any other pair raises TypeError."""
     if sub.is_trivial() is Tri.YES:
         return Tri.YES
-    if isinstance(ambient, FiniteTableGroup):
+    if isinstance(sub, FiniteGeneratedSubgroup):
         if sub.group is not ambient:
             raise ValueError("descriptor must live in the ambient group")
         ident = ambient._identity
-        members = [e.payload for e in sub.sample(ambient.order + 1)]
-        member_set = set(members)
+        members = sub._closure
         for g in range(ambient.order):
-            if g in member_set:
+            if g in members:
                 continue
             ginv = ambient._inv_payload(g)
             for h in members:
                 if h == ident:
                     continue
                 conj = ambient.table[ambient.table[ginv][h]][g]
-                if conj in member_set:
+                if conj in members:
                     return Tri.NO
         return Tri.YES
     if isinstance(ambient, FreeGroup) and isinstance(sub, LetterSupportSubgroup):
@@ -478,35 +406,17 @@ def is_malnormal(
         # skeleton (the conjugating skeleton letters cannot cancel across
         # the nontrivial H-core), so the conjugate is never in H.
         return Tri.YES
-    # generic bounded search: sample conjugators and subgroup elements
-    count = 0
-    for h in sub.sample(budget):
-        if require(ambient.is_identity(h)):
-            continue
-        for g in ambient_sample(ambient, budget):
-            if sub.contains(g) is Tri.YES:
-                continue
-            conj = ambient.mul(ambient.mul(g.inv(), h), g)
-            if sub.contains(conj) is Tri.YES:
-                return Tri.NO
-            count += 1
-            if count >= budget:
-                return Tri.INCONCLUSIVE
-    return Tri.INCONCLUSIVE
+    raise TypeError(f"no malnormality procedure for {type(sub).__name__} "
+                    f"in {type(ambient).__name__}")
 
 
-def ambient_sample(group: GroupHandle, budget: int) -> Iterable[Element]:
+def ambient_sample(group: GroupHandle, budget: int) -> List[Element]:
+    """The first ``budget`` elements of a finite table, or of a free
+    group's generators and their inverses."""
     if isinstance(group, FiniteTableGroup):
         return group.elements()[:budget]
-    if isinstance(group, FreeGroup):
-        out = []
-        for sym in group.symbols:
-            for sign in (1, -1):
-                out.append(Element(group, ((sym, sign),)))
-        return out[:budget]
-    if isinstance(group, IntegerGroup):
-        return [Element(group, n) for n in range(1, budget + 1)]
-    return []
+    return [Element(group, ((sym, sign),))
+            for sym in group.symbols for sign in (1, -1)][:budget]
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from amalgams.groups import (
     Element,
-    FiniteGeneratedSubgroup,
     FiniteTableGroup,
     FreeGroup,
     InconclusiveError,
     LetterSupportSubgroup,
-    SubgroupDescriptor,
     Tri,
     good_fellows,
     is_malnormal,
@@ -63,15 +61,16 @@ class SystemEntry:
 
 @dataclass
 class SubgroupPairHint:
-    """Witness subgroups for the fourth separation case of a pair.
+    """Witness subgroups for the fourth separation case of a pair, as
+    letter-support subgroups of a shared-free amalgam.
 
     h_prime_k / h_prime_l describe the same subgroup H' <= H on the two
     sides; k_prime is the intermediate K' <= K with K' meet H = H'.
     """
 
-    h_prime_k: SubgroupDescriptor
-    h_prime_l: SubgroupDescriptor
-    k_prime: SubgroupDescriptor
+    h_prime_k: LetterSupportSubgroup
+    h_prime_l: LetterSupportSubgroup
+    k_prime: LetterSupportSubgroup
 
 
 @dataclass
@@ -81,27 +80,14 @@ class PairCertificate:
     case: str  # "a" | "b" | "c" | "d"
     evidence: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {"i": self.i, "j": self.j, "case": self.case,
-                "evidence": self.evidence}
-
 
 @dataclass
 class ValidationReport:
     status: str  # valid | invalid | inconclusive
     certificates: List[PairCertificate] = field(default_factory=list)
     witness: Optional[dict] = None
-    h_malnormal_in_l: str = "unchecked"  # yes | assumed | unchecked
+    h_malnormal_in_l: str = "yes"  # yes | no: decided before any entry
     note: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "certificates": [c.to_json() for c in self.certificates],
-            "witness": self.witness,
-            "h_malnormal_in_l": self.h_malnormal_in_l,
-            "note": self.note,
-        }
 
 
 def _elt_json(g: Element):
@@ -118,11 +104,8 @@ def _entry_check(entry: SystemEntry, T: AmalgamTriple) -> Optional[dict]:
     for name, g in (("b", entry.b), ("bprime", entry.bprime)):
         if g.owner is not T.L or T.in_H(g) is not Tri.NO:
             return {"entry": entry.index, "clause": f"{name}-in-L-minus-H"}
-    gf = good_fellows(entry.b, entry.bprime, T.h_subgroup(L_SIDE))
-    if gf is Tri.NO:
+    if good_fellows(entry.b, entry.bprime, T.h_subgroup(L_SIDE)) is Tri.NO:
         return {"entry": entry.index, "clause": "b-bprime-good-fellows"}
-    if gf is Tri.INCONCLUSIVE:
-        raise InconclusiveError("good-fellow test for entry exhausted budget")
     return None
 
 
@@ -145,41 +128,17 @@ def _case_c(ei: SystemEntry, ej: SystemEntry, T: AmalgamTriple) -> Tri:
     return good_fellows(ei.b, ej.b, T.h_subgroup(L_SIDE))
 
 
-def _subgroups_match(hint: SubgroupPairHint, T: AmalgamTriple) -> Tri:
+def _subgroups_match(hint: SubgroupPairHint, T: SharedFreeAmalgam) -> Tri:
     """The two H' descriptors name the same subgroup of H, and K' meets
     H exactly in H'."""
     hk, hl, kp = hint.h_prime_k, hint.h_prime_l, hint.k_prime
-    H_K = T.h_subgroup(K_SIDE)
-    if isinstance(hk, LetterSupportSubgroup) and \
-            isinstance(hl, LetterSupportSubgroup) and \
-            isinstance(kp, LetterSupportSubgroup) and \
-            isinstance(T, SharedFreeAmalgam):
-        if hk.symbols != hl.symbols:
-            return Tri.NO
-        if not hk.symbols <= T.h_symbols:
-            return Tri.NO
-        # letter-support subgroups intersect on the symbol intersection
-        want = kp.symbols & T.h_symbols
-        return Tri.YES if want == hk.symbols else Tri.NO
-    if isinstance(hk, FiniteGeneratedSubgroup) and \
-            isinstance(hl, FiniteGeneratedSubgroup) and \
-            isinstance(kp, FiniteGeneratedSubgroup) and \
-            isinstance(H_K, FiniteGeneratedSubgroup):
-        k2l = {g.payload: T.transfer(g, L_SIDE).payload
-               for g in H_K.sample(len(H_K._closure) + 1)}
-        mapped = {k2l.get(p) for p in hk._closure}
-        if None in mapped or mapped != hl._closure:
-            return Tri.NO
-        meet = kp._closure & H_K._closure
-        return Tri.YES if meet == hk._closure else Tri.NO
-    # sampled containments only
-    for g in hk.sample(32):
-        if kp.contains(g) is not Tri.YES or H_K.contains(g) is not Tri.YES:
-            return Tri.NO
-    return Tri.INCONCLUSIVE
+    if hk.symbols != hl.symbols or not hk.symbols <= T.h_symbols:
+        return Tri.NO
+    # letter-support subgroups intersect on the symbol intersection
+    return Tri.YES if kp.symbols & T.h_symbols == hk.symbols else Tri.NO
 
 
-def _kp_minus_h_sample(kp: SubgroupDescriptor, T: AmalgamTriple,
+def _kp_minus_h_sample(kp: LetterSupportSubgroup, T: AmalgamTriple,
                        budget: int) -> List[Element]:
     base = [g for g in kp.sample(budget) if T.in_H(g) is Tri.NO]
     out = list(base)
@@ -192,7 +151,7 @@ def _kp_minus_h_sample(kp: SubgroupDescriptor, T: AmalgamTriple,
     return out[:budget]
 
 
-def _h_minus_kp_sample(kp: SubgroupDescriptor, T: AmalgamTriple,
+def _h_minus_kp_sample(kp: LetterSupportSubgroup, T: AmalgamTriple,
                        budget: int) -> List[Element]:
     hs = T.h_sample(budget * 4)
     out = []
@@ -210,22 +169,11 @@ def _h_minus_kp_sample(kp: SubgroupDescriptor, T: AmalgamTriple,
 
 def _clause_v(hint: SubgroupPairHint, T: AmalgamTriple,
               budget: int) -> Tuple[Tri, dict]:
-    """(K' minus H) (H minus K') (K' minus H) stays inside K minus H.
-
-    Exhaustive on finite backends, sampled triples otherwise.
-    """
+    """(K' minus H) (H minus K') (K' minus H) stays inside K minus H,
+    on sampled triples."""
     kp = hint.k_prime
-    if isinstance(kp, FiniteGeneratedSubgroup):
-        H = T.h_subgroup(K_SIDE)
-        kp_minus = [Element(T.K, p) for p in kp._closure
-                    if T.in_H(Element(T.K, p)) is Tri.NO]
-        h_minus = [Element(T.K, p) for p in H._closure  # type: ignore[attr-defined]
-                   if kp.contains(Element(T.K, p)) is Tri.NO]
-        exhaustive = True
-    else:
-        kp_minus = _kp_minus_h_sample(kp, T, budget)
-        h_minus = _h_minus_kp_sample(kp, T, budget)
-        exhaustive = False
+    kp_minus = _kp_minus_h_sample(kp, T, budget)
+    h_minus = _h_minus_kp_sample(kp, T, budget)
     checked = 0
     for k1 in kp_minus:
         for h in h_minus:
@@ -237,7 +185,7 @@ def _clause_v(hint: SubgroupPairHint, T: AmalgamTriple,
                 checked += 1
     if checked == 0:
         return Tri.INCONCLUSIVE, {"checked": 0}
-    return Tri.YES, {"checked": checked, "exhaustive": exhaustive}
+    return Tri.YES, {"checked": checked}
 
 
 def _case_d(ei: SystemEntry, ej: SystemEntry, T: AmalgamTriple,
@@ -268,7 +216,6 @@ def validate_system(
     S: Sequence[SystemEntry],
     T: AmalgamTriple,
     hints: Optional[Dict[frozenset, SubgroupPairHint]] = None,
-    assume_h_malnormal: bool = False,
     budget: int = 24,
 ) -> ValidationReport:
     """Check the per-entry condition and certify every ordered pair by
@@ -278,28 +225,18 @@ def validate_system(
     fourth case, keyed by frozenset of the two entry indices.
     """
     hints = hints or {}
-    report = ValidationReport("valid")
-    # standing assumption: H is malnormal in L (verified when feasible)
-    mal = is_malnormal(T.h_subgroup(L_SIDE), T.L, budget=budget * 8)
-    if mal is Tri.YES:
-        report.h_malnormal_in_l = "yes"
-    elif assume_h_malnormal:
-        report.h_malnormal_in_l = "assumed"
-    elif mal is Tri.NO:
+    # the standing hypothesis: H is malnormal in L, decided exactly
+    if is_malnormal(T.h_subgroup(L_SIDE), T.L) is Tri.NO:
         return ValidationReport("invalid",
-                                witness={"clause": "H-malnormal-in-L"})
-    else:
-        return ValidationReport(
-            "inconclusive", note="H malnormality in L undecided; pass "
-            "assume_h_malnormal when it is guaranteed externally")
+                                witness={"clause": "H-malnormal-in-L"},
+                                h_malnormal_in_l="no")
+    report = ValidationReport("valid")
     entries = sorted(S, key=lambda e: e.index)
     try:
         for entry in entries:
             wit = _entry_check(entry, T)
             if wit is not None:
-                return ValidationReport(
-                    "invalid", witness=wit,
-                    h_malnormal_in_l=report.h_malnormal_in_l)
+                return ValidationReport("invalid", witness=wit)
         for ei in entries:
             for ej in entries:
                 if ei.index == ej.index:
@@ -310,12 +247,10 @@ def validate_system(
                     return ValidationReport(
                         "invalid",
                         witness={"pair": [ei.index, ej.index],
-                                 "clause": "no-case-applies"},
-                        h_malnormal_in_l=report.h_malnormal_in_l)
+                                 "clause": "no-case-applies"})
                 report.certificates.append(cert)
     except InconclusiveError as exc:
-        return ValidationReport("inconclusive", note=str(exc) or "budget",
-                                h_malnormal_in_l=report.h_malnormal_in_l)
+        return ValidationReport("inconclusive", note=str(exc) or "budget")
     return report
 
 
@@ -355,7 +290,6 @@ def generate_relators(
     T: AmalgamTriple,
     chi: Fraction = Fraction(1, 10),
     hints: Optional[Dict[frozenset, SubgroupPairHint]] = None,
-    assume_h_malnormal: bool = False,
     skip_validation: bool = False,
     check: bool = True,
 ) -> RelatorSet:
@@ -363,8 +297,7 @@ def generate_relators(
     order. A metric overlap failure here means the system was not valid,
     so it is a hard error carrying the witness."""
     if not skip_validation:
-        report = validate_system(S, T, hints=hints,
-                                 assume_h_malnormal=assume_h_malnormal)
+        report = validate_system(S, T, hints=hints)
         if report.status == "invalid":
             raise ValueError(f"system is invalid: {report.witness}")
         if report.status == "inconclusive":
@@ -450,6 +383,5 @@ def load_system_fixture(path) -> Tuple[AmalgamTriple, List[SystemEntry],
             h_prime_k=LetterSupportSubgroup(T.K, item["h_prime"]),
             h_prime_l=LetterSupportSubgroup(T.L, item["h_prime"]),
             k_prime=LetterSupportSubgroup(T.K, item["k_prime"]))
-    flags = {"assume_h_malnormal": data.get("assume_h_malnormal", False),
-             "expected": data.get("expected", "valid")}
+    flags = {"expected": data.get("expected", "valid")}
     return T, entries, hints, flags

@@ -212,7 +212,7 @@ def test_ac7_end_to_end_witness():
     ok = ok and emitted == [[[s, sign] for s, sign in want]]
     layer = state.layers[(5, 2)]
     base = layer.relators.bases[0].word
-    res = dehn_decide(base, layer.relators, k=layer.quotient.k)
+    res = dehn_decide(base, layer.relators)
     ok = ok and res.status == "trivial"
     ok = ok and replay_certificate(base, res.certificate, layer.relators)
     verdict(7, "end-to-end witness identity", ok)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from amalgams.report import (
 )
 from amalgams import engine as E
 from amalgams.colorings import ColoringTable
+from amalgams.groups import FiniteTableGroup
 
 
 def run_cli(tmp_path, command, config, extra=()):
@@ -43,6 +45,22 @@ def with_h_relator_spec():
         spec.extend([{"side": "L", "letters": [["c", 1]]},
                      {"side": "K", "letters": [["a", 1]]}])
     return spec
+
+
+def s3_z8_fixture(tmp_path, **extra):
+    """S3 *_{Z2} Z8 as a table fixture with one entry. H = {0, 4} is
+    normal in the abelian Z8, so it is not malnormal in L."""
+    S3, Z8 = FiniteTableGroup.symmetric(3), FiniteTableGroup.cyclic(8)
+    perms = sorted(itertools.permutations(range(3)))
+    data = {"name": "s3-z8", "kind": "table",
+            "k_table": S3.table, "l_table": Z8.table,
+            "h_pairs": [[0, 0], [perms.index((1, 0, 2)), 4]],
+            "entries": [{"h": 0, "a": perms.index((1, 2, 0)),
+                         "b": 1, "bprime": 2}],
+            **extra}
+    path = tmp_path / "s3_z8.json"
+    path.write_text(json.dumps(data))
+    return str(path)
 
 
 TOWER_SHA256 = \
@@ -116,6 +134,31 @@ def test_validate_system_command(tmp_path):
                         {"fixture": "fixtures/systems/corrupted.json"})
     assert code == 1
     assert "witness" in doc["checks"][0]["data"]
+
+
+def test_validate_system_rejects_non_malnormal_h_in_table_fixture(tmp_path):
+    # a fixture cannot declare H malnormal: an assume_h_malnormal key is
+    # ignored like any other unknown key
+    for extra in ({}, {"assume_h_malnormal": True}):
+        code, doc = run_cli(tmp_path, "validate-system",
+                            {"fixture": s3_z8_fixture(tmp_path, **extra)})
+        assert code == 1, extra
+        check = doc["checks"][0]
+        assert check["status"] == "fail"
+        assert check["data"]["verdict"] == "invalid"
+        assert check["data"]["h_malnormal_in_l"] == "no"
+        assert check["data"]["witness"] == {"clause": "H-malnormal-in-L"}
+
+
+def test_check_amalgam_on_table_fixture(tmp_path):
+    # finite-table sides draw random syllables from their own elements
+    code, doc = run_cli(tmp_path, "check-amalgam",
+                        {"fixture": s3_z8_fixture(tmp_path)},
+                        ("--seed", "11"))
+    assert code == 0
+    assert [(c["name"], c["status"], c["data"]) for c in doc["checks"]] == [
+        ("h-transfer-roundtrip", "pass", {"samples": 2}),
+        ("canonicalize-idempotent", "pass", {"samples": 24})]
 
 
 def test_solve_word_relator_is_trivial(tmp_path):

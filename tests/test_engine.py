@@ -58,7 +58,7 @@ def test_base_is_free():
     for _ in range(200):
         letters = [(E.sym(rng.randrange(3)), rng.choice((1, -1)))
                    for _ in range(rng.randrange(1, 7))]
-        g = state3.ambient.word_element(letters)
+        g = state3.ambient.element(letters)
         # independent reduction oracle: cancel adjacent inverse pairs
         stack = []
         for let in letters:
@@ -112,7 +112,7 @@ def test_star_decomposition_multiplies_out(tower):
     for _ in range(100):
         letters = [(E.sym(rng.choice(allowed)), rng.choice((1, -1)))
                    for _ in range(rng.randrange(1, 6))]
-        g = amb.word_element(letters)
+        g = amb.element(letters)
         y0, t, eps, y1 = E.decompose_star(g, 5, 2, 3, tower)
         back = amb.mul(amb.mul(y0, t if eps == 1 else t.inv()), y1)
         assert back.payload == g.payload

@@ -93,7 +93,13 @@ KEEP = {
     "q_code": "inverse of q_of; tests build coloring tables with it",
     "cantor_pair": "inverse of cantor_unpair, checked against it",
     "successor": "inverse of predecessor, checked against it",
+    "FiniteTableGroup.cyclic": "the test amalgams are built with it",
+    "FiniteTableGroup.symmetric": "the test amalgams are built with it",
+    "FiniteTableGroup.from_permutations": "the test amalgams are built "
+                                          "with it",
 }
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _names(node) -> set:
@@ -102,27 +108,55 @@ def _names(node) -> set:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree):
+    """(qualified name, name, names it reads) for every module-level def
+    and class and every method other than a dunder. A class reads what
+    its bases, decorators and body read outside those methods, dunders
+    included, since Python calls dunders implicitly."""
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS):
+            yield node.name, node.name, _names(node)
+        elif isinstance(node, ast.ClassDef):
+            reads = set()
+            for part in node.bases + node.keywords + node.decorator_list:
+                reads |= _names(part)
+            for child in node.body:
+                if isinstance(child, FUNCTIONS) and not _dunder(child.name):
+                    yield (f"{node.name}.{child.name}", child.name,
+                           _names(child))
+                else:
+                    reads |= _names(child)
+            yield node.name, node.name, reads
+
+
 def test_every_definition_is_reachable_from_the_cli():
     # roots: cli.main, module-level code other than imports, and KEEP.  A
-    # reached name reaches every module-level def or class of that name,
-    # in any module, whether it is read as a name or as an attribute, so
-    # the scan can only err towards keeping code
-    defs, roots = {}, {"main", *KEEP}
+    # reached name reaches every def, class or method of that name, in
+    # any module or class, whether it is read as a name or as an
+    # attribute, so the scan can only err towards keeping code
+    defs, roots = {}, {"main", *(k.split(".")[-1] for k in KEEP)}
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                defs.setdefault(node.name, []).append((path.stem, node))
-            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+        tree = ast.parse(path.read_text())
+        for qual, name, reads in _definitions(tree):
+            defs.setdefault(name, []).append((f"{path.stem}.{qual}", reads))
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom,
+                                     ast.ClassDef, *FUNCTIONS)):
                 roots |= _names(node)
-    assert set(KEEP) <= set(defs)
+    qualified = {qual.split(".", 1)[1] for found in defs.values()
+                 for qual, _ in found}
+    assert set(KEEP) <= qualified
     seen, todo = set(), list(roots)
     while todo:
         name = todo.pop()
         if name not in seen:
             seen.add(name)
-            for _, node in defs.get(name, ()):
-                todo.extend(_names(node))
-    unreachable = sorted(f"{module}.{name}" for name, found in defs.items()
-                         if name not in seen for module, _ in found)
+            for _, reads in defs.get(name, ()):
+                todo.extend(reads)
+    unreachable = sorted(qual for name, found in defs.items()
+                         if name not in seen for qual, _ in found)
     assert not unreachable, "unreachable: " + ", ".join(unreachable)

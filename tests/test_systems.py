@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
 
 from amalgams.groups import (
     ElementRegistry,
+    FiniteTableGroup,
     FreeGroup,
     LetterSupportSubgroup,
 )
 from amalgams.canonical import (
     L_SIDE,
     SharedFreeAmalgam,
+    TableAmalgam,
 )
 from amalgams.cancellation import check_cprime
 from amalgams.systems import (
@@ -36,8 +39,7 @@ def load(name):
 def test_fixture_validation_matches_expectation():
     for name in ALL_FIXTURES:
         T, S, hints, flags = load(name)
-        rep = validate_system(S, T, hints=hints,
-                              assume_h_malnormal=flags["assume_h_malnormal"])
+        rep = validate_system(S, T, hints=hints)
         assert rep.status == flags["expected"], name
 
 
@@ -98,13 +100,20 @@ def test_entry_typing_enforced():
 
 
 def test_non_malnormal_h_blocks_validation():
-    # K and L share two letters but H is declared as both; conjugating
-    # inside an abelianized scenario is impossible here, so instead drop
-    # to the assumption flag and check the report records it
+    # S3 *_{Z2} Z8: H = {0, 4} is normal in the abelian Z8, so it is not
+    # malnormal there, and no entry is looked at
+    S3, Z8 = FiniteTableGroup.symmetric(3), FiniteTableGroup.cyclic(8)
+    perms = sorted(itertools.permutations(range(3)))
+    T = TableAmalgam(S3, Z8, [(0, 0), (perms.index((1, 0, 2)), 4)])
+    entry = SystemEntry(h=S3.identity(),
+                        a=S3.element(perms.index((1, 2, 0))),
+                        b=Z8.element(1), bprime=Z8.element(2), index=0)
+    rep = validate_system([entry], T)
+    assert rep.status == "invalid"
+    assert rep.witness == {"clause": "H-malnormal-in-L"}
+    assert rep.h_malnormal_in_l == "no"
     T, S, hints, _ = load("with_h")
-    rep = validate_system(S, T, hints=hints, assume_h_malnormal=True)
-    assert rep.status == "valid"
-    assert rep.h_malnormal_in_l == "yes"  # verified, assumption not needed
+    assert validate_system(S, T, hints=hints).h_malnormal_in_l == "yes"
 
 
 # ---------------------------------------------------------------------------
