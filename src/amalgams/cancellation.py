@@ -42,6 +42,7 @@ from amalgams.canonical import (
     Syllable,
     canonical_equal,
     canonical_inverse,
+    canonical_product,
     canonicalize,
     is_wcr,
     rotate,
@@ -615,15 +616,23 @@ def _apply_replacement(
     """Replace w[p..p+t) = h_start^-1 * r[j..j+t) * h_end by
     h_start^-1 * (r[j+t..j+m))^-1 * h_end, using that the rotation of the
     relator starting at j is trivial in the quotient. ``inv`` spells
-    r^-1, so (r[j+t..j+m))^-1 is inv[m-j..2m-j-t), read cyclically."""
+    r^-1, so (r[j+t..j+m))^-1 is inv[m-j..2m-j-t), read cyclically.
+
+    ``w`` and ``inv`` must be canonical: only the seams are
+    renormalized. The cyclic slice of ``inv`` is split at its wrap,
+    because in an odd-length unit the wrap joins two syllables of one
+    side."""
     m, t = len(inv), chain.ell
     h_start, h_end = chain.h0, chain.h_end
-    sylls: List[Syllable] = list(w.syllables[:p])
-    sylls.append(Syllable(T.side_of_group(h_start.owner), h_start.inv()))
-    sylls.extend((inv.syllables * 2)[m - j:2 * m - j - t])
-    sylls.append(Syllable(T.side_of_group(h_end.owner), h_end))
-    sylls.extend(w.syllables[p + t:])
-    return canonicalize(sylls, T)
+    r = inv.syllables
+    return canonical_product((
+        (w.syllables[:p], True),
+        ((Syllable(T.side_of_group(h_start.owner), h_start.inv()),), False),
+        (r[m - j:2 * m - j - t], True),
+        (r[:max(m - j - t, 0)], True),
+        ((Syllable(T.side_of_group(h_end.owner), h_end),), False),
+        (w.syllables[p + t:], True),
+    ), T)
 
 
 def _cyclic_reduce(w: CanonicalWord, T: AmalgamTriple) -> Tuple[CanonicalWord, List[DehnStep]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from amalgams.groups import (
     Element,
@@ -353,6 +353,26 @@ def canonicalize(
     H-factors are absorbed into the LEFT neighbor when one exists;
     same-side neighbors merge, cascading when a merge lands in H.
     """
+    return canonical_product(((syllables, False),), T)
+
+
+def canonical_product(
+    pieces: Iterable[Tuple[Sequence[Syllable], bool]], T: AmalgamTriple
+) -> CanonicalWord:
+    """Normal form of the product of pieces ``(syllables, trusted)``.
+
+    An untrusted piece is any sequence of tagged syllables. A trusted
+    piece must be a contiguous slice of one canonical word. The result
+    is built on a stack. A slice of a canonical word of length >= 2
+    lies outside H and alternates sides, so pushing it never merges and
+    never leaves a carry: only its seam with what came before can
+    change. Each trusted piece is therefore fed syllable by syllable
+    from its first syllable until the seam settles, that is until no
+    H-carry is pending and its next syllable lies on the other side
+    from the top of the stack; the rest of it is pushed unchanged. A
+    merge that lands in H folds into the syllable on its left, so a
+    seam can cascade several syllables deep.
+    """
     stack: List[Syllable] = []
     carry: Optional[Element] = None  # pending H-factor to the right of stack
 
@@ -365,35 +385,41 @@ def canonicalize(
         stack[-1] = Syllable(top.side, top.elt.owner.mul(top.elt, h))
         carry = None
 
-    for syl in syllables:
-        side = syl.side
-        group = T.side_group(side)
-        g = syl.elt
-        if g.owner is not group:
-            raise ValueError(f"syllable {syl!r} not owned by the {side} side")
-        if require(T.in_H(g)):
-            if carry is None:
-                carry = g
-            else:
-                carry = group.mul(T.transfer(carry, side), g)
-            continue
-        if carry is not None and not stack:
-            g = group.mul(T.transfer(carry, side), g)
-            carry = None
+    for piece, trusted in pieces:
+        for i, syl in enumerate(piece):
+            side = syl.side
+            if trusted and i and carry is None and (
+                    not stack or stack[-1].side != side):
+                stack.extend(piece[i:])
+                break
+            group = T.side_group(side)
+            g = syl.elt
+            if g.owner is not group:
+                raise ValueError(
+                    f"syllable {syl!r} not owned by the {side} side")
             if require(T.in_H(g)):
-                carry = g
+                if carry is None:
+                    carry = g
+                else:
+                    carry = group.mul(T.transfer(carry, side), g)
                 continue
-        if stack and stack[-1].side == side:
-            fold_carry_left()
-            top = stack.pop()
-            merged = group.mul(top.elt, g)
-            if require(T.in_H(merged)):
-                carry = merged
+            if carry is not None and not stack:
+                g = group.mul(T.transfer(carry, side), g)
+                carry = None
+                if require(T.in_H(g)):
+                    carry = g
+                    continue
+            if stack and stack[-1].side == side:
+                fold_carry_left()
+                top = stack.pop()
+                merged = group.mul(top.elt, g)
+                if require(T.in_H(merged)):
+                    carry = merged
+                else:
+                    stack.append(Syllable(side, merged))
             else:
-                stack.append(Syllable(side, merged))
-        else:
-            fold_carry_left()
-            stack.append(Syllable(side, g))
+                fold_carry_left()
+                stack.append(Syllable(side, g))
     if carry is not None:
         if stack:
             fold_carry_left()
@@ -477,10 +503,13 @@ def is_wcr(w: CanonicalWord, T: AmalgamTriple) -> Tri:
 
 
 def rotate(w: CanonicalWord, T: AmalgamTriple) -> CanonicalWord:
-    """Conjugate by the first syllable: move it past the end and renormalize."""
+    """Conjugate by the first syllable: move it past the end and
+    renormalize. ``w`` must be canonical; only the seam where its first
+    syllable lands is renormalized."""
     if len(w) <= 1:
         return w
-    return canonicalize(w.syllables[1:] + (w.syllables[0],), T)
+    return canonical_product(
+        ((w.syllables[1:], True), ((w.syllables[0],), False)), T)
 
 
 def _word_key(w: CanonicalWord, T: AmalgamTriple) -> Tuple:

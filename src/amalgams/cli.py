@@ -127,7 +127,7 @@ def _sample_words(T, rng, count, max_len):
 
 
 def cmd_check_amalgam(config, args):
-    T, _, _, _ = load_system_fixture(config["fixture"])
+    T, _, _ = load_system_fixture(config["fixture"])
     rng = random.Random(args.seed)
     checks = []
     # shared-subgroup sanity: H reads the same from both sides
@@ -158,7 +158,7 @@ def cmd_check_amalgam(config, args):
 
 
 def cmd_check_smallcancel(config, args):
-    T, S, hints, _ = load_system_fixture(config["fixture"])
+    T, S, hints = load_system_fixture(config["fixture"])
     chi = Fraction(*config.get("chi", (1, 10)))
     R = generate_relators(S, T, chi=chi, hints=hints,
                           skip_validation=True, check=False)
@@ -184,8 +184,13 @@ def _parse_word(T, spec):
 
 
 def cmd_solve_word(config, args):
-    T, S, hints, _ = load_system_fixture(config["fixture"])
-    R = generate_relators(S, T, hints=hints)
+    T, S, hints = load_system_fixture(config["fixture"])
+    # words are only decided in the quotient of a valid system; any
+    # other verdict is reported as the system check and nothing is solved
+    rep = validate_system(S, T, hints=hints)
+    if rep.status != "valid":
+        return [_system_check(rep)]
+    R = generate_relators(S, T, hints=hints, skip_validation=True)
     build_quotient(T, R)
     checks = []
     for n, spec in enumerate(config["words"]):
@@ -206,8 +211,11 @@ def cmd_solve_word(config, args):
 
 
 def cmd_validate_system(config, args):
-    T, S, hints, _ = load_system_fixture(config["fixture"])
-    rep = validate_system(S, T, hints=hints)
+    T, S, hints = load_system_fixture(config["fixture"])
+    return [_system_check(validate_system(S, T, hints=hints))]
+
+
+def _system_check(rep):
     status = {"valid": "pass", "invalid": "fail"}.get(
         rep.status, "inconclusive")
     data = {"verdict": rep.status, "note": rep.note,
@@ -217,7 +225,7 @@ def cmd_validate_system(config, args):
                 (rep.certificates or [])]}
     if rep.witness:
         data["witness"] = rep.witness
-    return [CheckResult("system", status, data)]
+    return CheckResult("system", status, data)
 
 
 def _run_tower(config):

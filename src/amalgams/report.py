@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 from dataclasses import dataclass, field
@@ -57,9 +58,9 @@ def exit_status(doc: dict, escalate_inconclusive: bool = False) -> int:
 
 
 def write_report(doc: dict, out_path=None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    """Stream the report as indented JSON to out_path, or to stdout, so
+    the whole text of a large report is never held in memory."""
+    with open(out_path, "w") if out_path else \
+            contextlib.nullcontext(sys.stdout) as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")

@@ -329,9 +329,9 @@ ENTRY_KEYS = ("h", "a", "b", "bprime")
 
 
 def load_system_fixture(path) -> Tuple[AmalgamTriple, List[SystemEntry],
-                                       Dict[frozenset, SubgroupPairHint], dict]:
+                                       Dict[frozenset, SubgroupPairHint]]:
     """Self-contained fixture file: group alphabets (or tables), entries
-    as letter lists, optional subgroup hints and flags. Raises
+    as letter lists and optional subgroup hints. Raises
     FixtureError for a file that is not JSON, an unknown kind or a
     missing key."""
     try:
@@ -383,5 +383,4 @@ def load_system_fixture(path) -> Tuple[AmalgamTriple, List[SystemEntry],
             h_prime_k=LetterSupportSubgroup(T.K, item["h_prime"]),
             h_prime_l=LetterSupportSubgroup(T.L, item["h_prime"]),
             k_prime=LetterSupportSubgroup(T.K, item["k_prime"]))
-    flags = {"expected": data.get("expected", "valid")}
-    return T, entries, hints, flags
+    return T, entries, hints

@@ -57,7 +57,7 @@ def build_tower():
 
 def test_ac1_pumping_word_lengths():
     ok = len(words.rho([("x", 1)], [("y", 1)])) == 3320
-    T, S, _, _ = load("trivial_h")
+    T, S, _ = load("trivial_h")
     entry = S[0]
     sylls = []
     for i in range(1, 81):
@@ -106,11 +106,11 @@ def test_ac2_canonical_forms_match_finite_oracle():
 def test_ac3_metric_condition_exact():
     ok = True
     for name in ("trivial_h", "with_h", "d_case"):
-        T, S, hints, _ = load(name)
+        T, S, hints = load(name)
         R = generate_relators(S, T, hints=hints, check=False)
         res = check_cprime(R)
         ok = ok and res.status == "pass"
-    T, S, hints, _ = load("corrupted")
+    T, S, hints = load("corrupted")
     R = generate_relators(S, T, hints=hints, skip_validation=True,
                           check=False)
     res = check_cprime(R)
@@ -120,7 +120,7 @@ def test_ac3_metric_condition_exact():
 
 
 def test_ac4_word_solver_sound():
-    T, S, hints, _ = load("with_h")
+    T, S, hints = load("with_h")
     R = generate_relators(S, T, hints=hints)
     rng = random.Random(7)
     ok = True

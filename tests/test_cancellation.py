@@ -430,7 +430,7 @@ def test_cprime_hashes_each_unit_once(monkeypatch):
     # a second check reuses the verdict
     from amalgams import _pykernels, kernels
 
-    T, S, hints, _ = load_system_fixture(f"{FIXTURES}/trivial_h.json")
+    T, S, hints = load_system_fixture(f"{FIXTURES}/trivial_h.json")
     R = generate_relators(S, T, hints=hints,
                           skip_validation=True, check=False)
     calls = collections.Counter()
@@ -594,7 +594,7 @@ def test_cprime_walks_codes_and_replay_walks_elements(monkeypatch):
     monkeypatch.setattr(SharedFreeAmalgam, "in_H",
                         counting("in_H", SharedFreeAmalgam.in_H))
 
-    T, S, hints, _ = load_system_fixture(f"{FIXTURES}/trivial_h.json")
+    T, S, hints = load_system_fixture(f"{FIXTURES}/trivial_h.json")
     R = generate_relators(S, T, hints=hints,
                           skip_validation=True, check=False)
     calls.clear()
@@ -602,7 +602,7 @@ def test_cprime_walks_codes_and_replay_walks_elements(monkeypatch):
     assert (calls["chain"], calls["ell"]) == (8, 53_120)
     assert calls["mul"] <= 100
 
-    T, S, hints, _ = load_system_fixture(f"{FIXTURES}/corrupted.json")
+    T, S, hints = load_system_fixture(f"{FIXTURES}/corrupted.json")
     R = generate_relators(S, T, skip_validation=True, check=False)
     wit = check_cprime(R).witness
     calls.clear()
@@ -616,7 +616,7 @@ def test_cprime_walks_codes_and_replay_walks_elements(monkeypatch):
 
 @pytest.fixture(scope="module")
 def rho_system():
-    T, S, hints, _ = load_system_fixture(f"{FIXTURES}/with_h.json")
+    T, S, hints = load_system_fixture(f"{FIXTURES}/with_h.json")
     R = generate_relators(S, T, hints=hints)
     return T, S, R
 
@@ -629,7 +629,7 @@ def test_rho_system_passes_exactly(rho_system):
 
 
 def test_corrupted_system_fails_with_replayable_witness():
-    T, S, hints, _ = load_system_fixture(f"{FIXTURES}/corrupted.json")
+    T, S, hints = load_system_fixture(f"{FIXTURES}/corrupted.json")
     R = generate_relators(S, T, skip_validation=True, check=False)
     res = check_cprime(R)
     assert res.status == "fail"

@@ -14,6 +14,7 @@ from amalgams.report import (
     emit_report,
     exit_status,
     parse_report,
+    write_report,
 )
 from amalgams import engine as E
 from amalgams.colorings import ColoringTable
@@ -95,6 +96,18 @@ def test_empty_report_is_valid():
     doc = emit_report("demo", 0, [])
     assert parse_report(doc) == []
     assert exit_status(doc) == 0
+
+
+def test_write_report_streams_the_same_bytes(tmp_path, capsys):
+    doc = emit_report("démo", 3, [
+        CheckResult("ω²", "pass", {"nested": [[1, [2.5, None]], {"z": "ä"}],
+                                   "empty": [], "b": True})])
+    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    out = tmp_path / "report.json"
+    write_report(doc, str(out))
+    assert out.read_text() == expected
+    write_report(doc)
+    assert capsys.readouterr().out == expected
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +192,26 @@ def test_solve_word_nontrivial(tmp_path):
     code, doc = run_cli(tmp_path, "solve-word", config)
     assert code == 0
     assert doc["checks"][0]["data"]["verdict"] == "nontrivial"
+
+
+def test_solve_word_on_invalid_system_reports_the_clause(tmp_path):
+    # no quotient is built from an invalid system: the report's one check
+    # is the failed system check, naming the clause, and the exit is 1
+    word = [[{"side": "L", "letters": [["b", 1]]}]]
+    code, doc = run_cli(tmp_path, "solve-word",
+                        {"fixture": "fixtures/systems/corrupted.json",
+                         "words": word})
+    assert code == 1
+    [check] = doc["checks"]
+    assert (check["name"], check["status"]) == ("system", "fail")
+    assert check["data"]["verdict"] == "invalid"
+    assert check["data"]["witness"]["clause"] == "no-case-applies"
+
+    code, doc = run_cli(tmp_path, "solve-word",
+                        {"fixture": s3_z8_fixture(tmp_path), "words": []})
+    assert code == 1
+    assert doc["checks"][0]["data"]["witness"] == {
+        "clause": "H-malnormal-in-L"}
 
 
 # ---------------------------------------------------------------------------

@@ -38,13 +38,15 @@ def load(name):
 
 def test_fixture_validation_matches_expectation():
     for name in ALL_FIXTURES:
-        T, S, hints, flags = load(name)
+        T, S, hints = load(name)
+        with open(f"{FIXTURES}/{name}.json") as fh:
+            expected = json.load(fh)["expected"]
         rep = validate_system(S, T, hints=hints)
-        assert rep.status == flags["expected"], name
+        assert rep.status == expected, name
 
 
 def test_empty_system_is_vacuously_valid():
-    T, _, _, _ = load("with_h")
+    T, _, _ = load("with_h")
     rep = validate_system([], T)
     assert rep.status == "valid"
     assert rep.certificates == []
@@ -52,7 +54,7 @@ def test_empty_system_is_vacuously_valid():
 
 def test_entry_with_equal_b_bprime_is_invalid():
     # an element is never its own good fellow
-    T, _, _, _ = load("with_h")
+    T, _, _ = load("with_h")
     b = T.L.generator("b")
     entry = SystemEntry(h=T.K.identity(), a=T.K.generator("a"),
                         b=b, bprime=b, index=0)
@@ -62,7 +64,7 @@ def test_entry_with_equal_b_bprime_is_invalid():
 
 
 def test_shared_b_pair_certified_by_case_b():
-    T, S, hints, _ = load("trivial_h")
+    T, S, hints = load("trivial_h")
     rep = validate_system(S, T, hints=hints)
     by_pair = {(c.i, c.j): c.case for c in rep.certificates}
     assert by_pair[(0, 1)] == "b"
@@ -71,7 +73,7 @@ def test_shared_b_pair_certified_by_case_b():
 
 
 def test_d_case_needs_its_hint():
-    T, S, hints, _ = load("d_case")
+    T, S, hints = load("d_case")
     rep = validate_system(S, T, hints=hints)
     assert rep.status == "valid"
     assert all(c.case == "d" for c in rep.certificates)
@@ -80,7 +82,7 @@ def test_d_case_needs_its_hint():
 
 
 def test_d_case_hint_with_wrong_intersection_rejected():
-    T, S, _, _ = load("d_case")
+    T, S, _ = load("d_case")
     bad = {frozenset((0, 1)): SubgroupPairHint(
         h_prime_k=LetterSupportSubgroup(T.K, ["h"]),
         h_prime_l=LetterSupportSubgroup(T.L, ["h"]),
@@ -90,7 +92,7 @@ def test_d_case_hint_with_wrong_intersection_rejected():
 
 
 def test_entry_typing_enforced():
-    T, _, _, _ = load("with_h")
+    T, _, _ = load("with_h")
     entry = SystemEntry(h=T.K.identity(), a=T.K.generator("h"),
                         b=T.L.generator("b"), bprime=T.L.generator("c"),
                         index=0)
@@ -112,7 +114,7 @@ def test_non_malnormal_h_blocks_validation():
     assert rep.status == "invalid"
     assert rep.witness == {"clause": "H-malnormal-in-L"}
     assert rep.h_malnormal_in_l == "no"
-    T, S, hints, _ = load("with_h")
+    T, S, hints = load("with_h")
     assert validate_system(S, T, hints=hints).h_malnormal_in_l == "yes"
 
 
@@ -121,7 +123,7 @@ def test_non_malnormal_h_blocks_validation():
 
 
 def test_entry_relator_shape():
-    T, S, _, _ = load("with_h")
+    T, S, _ = load("with_h")
     entry = S[0]
     r = entry_relator(entry, T)
     assert len(r) == 6640
@@ -136,7 +138,7 @@ def test_entry_relator_shape():
 
 
 def test_generate_relators_deterministic():
-    T, S, hints, _ = load("trivial_h")
+    T, S, hints = load("trivial_h")
     out = []
     for _ in range(2):
         R = generate_relators(S, T, hints=hints, check=False)
@@ -149,14 +151,14 @@ def test_generate_relators_deterministic():
 
 
 def test_generate_relators_requires_validity():
-    T, S, hints, _ = load("corrupted")
+    T, S, hints = load("corrupted")
     with pytest.raises(ValueError):
         generate_relators(S, T, hints=hints)
 
 
 def test_all_valid_fixtures_pass_cprime_exactly():
     for name in ("trivial_h", "with_h", "d_case"):
-        T, S, hints, _ = load(name)
+        T, S, hints = load(name)
         R = generate_relators(S, T, hints=hints, check=False)
         res = check_cprime(R)
         assert res.status == "pass", name
