@@ -70,6 +70,9 @@ INT_KEYS = {"generators": 1, "stages": 1, "count": 1, "gamma": 0,
 # the largest scan-colorings count: its tables grow with count squared,
 # and count 1000 takes about 10 s and 285 MB (single core, x86-64)
 MAX_COUNT = 1000
+# the largest topology-chain k_max: the chain holds O(k_max^2) members,
+# and k_max 300 takes about 3 s and 54 MB (single core, x86-64)
+MAX_K_MAX = 300
 
 
 def _load_config(path, command: str) -> dict:
@@ -98,6 +101,9 @@ def _load_config(path, command: str) -> dict:
     if config.get("count", 0) > MAX_COUNT:
         raise ConfigError(f"config 'count' must be at most {MAX_COUNT}, "
                           f"not {config['count']}")
+    if config.get("k_max", 0) > MAX_K_MAX:
+        raise ConfigError(f"config 'k_max' must be at most {MAX_K_MAX}, "
+                          f"not {config['k_max']}")
     return config
 
 

@@ -512,6 +512,11 @@ class ColoringTable:
         """Inverse of to_json; raises ValueError on a malformed block."""
         if not isinstance(data, dict):
             raise ValueError("colorings must be an object")
+        unknown = sorted(set(data) - {"e", "c0", "c1"})
+        if unknown:
+            raise ValueError(f"unknown colorings key(s): "
+                             f"{', '.join(map(repr, unknown))}; expected "
+                             f"'e', 'c0' or 'c1'")
         maps = []
         for name in ("e", "c0", "c1"):
             m = data.get(name) or {}

@@ -117,6 +117,15 @@ class StageState:
         self.layers: Dict[Tuple[int, int], StageLayer] = {}
         self.transversals: Dict[Tuple[int, int, int], List] = {}
         self.audit: List[dict] = []
+        # a support depends on the payload alone, so `advance_stage`
+        # hands this cache on to the next stage
+        self._supports: Dict[tuple, FrozenSet[int]] = {}
+        self._layer_sets: Dict[Tuple[int, int], FrozenSet[int]] = {}
+        self._strip_syms: Dict[Tuple[int, int, int], FrozenSet[str]] = {}
+        # _decompose results, keyed on (payload, gamma, i, beta, registry
+        # size): the order on cores reads registry codes, and the
+        # registry only grows
+        self._decomposed: Dict[tuple, tuple] = {}
 
     # -- group lattice ------------------------------------------------------
 
@@ -131,6 +140,26 @@ class StageState:
             self.groups[key] = sub
         return sub
 
+    def layer_set(self, gamma: int, i: int) -> FrozenSet[int]:
+        """The indices a (gamma, i) layer element may use: the strict
+        level set and gamma."""
+        key = (gamma, i)
+        out = self._layer_sets.get(key)
+        if out is None:
+            out = self._layer_sets[key] = frozenset(
+                self.colorings.d_set(gamma, i, "strict")) | {gamma}
+        return out
+
+    def strip_syms(self, gamma: int, i: int, beta: int) -> FrozenSet[str]:
+        """The letters of the level subgroup cut at beta."""
+        key = (gamma, i, beta)
+        out = self._strip_syms.get(key)
+        if out is None:
+            out = self._strip_syms[key] = frozenset(
+                sym(b) for b in self.colorings.d_set(gamma, i, "strict")
+                if b < beta)
+        return out
+
     # -- elements -----------------------------------------------------------
 
     def element(self, payload) -> Element:
@@ -140,7 +169,10 @@ class StageState:
         return self.ambient.generator(sym(index))
 
     def support(self, g: Element) -> FrozenSet[int]:
-        return _support(g.payload)
+        supp = self._supports.get(g.payload)
+        if supp is None:
+            supp = self._supports[g.payload] = _support(g.payload)
+        return supp
 
     def registered(self) -> List[Element]:
         return [self.registry.decode(c)
@@ -189,25 +221,52 @@ def _strip(payload, strip_syms):
     return payload[:i], payload[i:j], payload[j:]
 
 
-def _order_key(state: StageState, gamma: int):
-    """The stratified well-order on layer elements: first the appearance
-    level over gamma, then registry code, then length-lex."""
-    def key(g: Element):
-        supp = state.support(g) - {gamma}
-        level = max((state.colorings.e(b, gamma) for b in supp), default=0)
-        code = state.registry.code_of(g)
-        if code is None:
-            code = 1 << 60
-        return (level, code, len(g.payload), g.payload)
-    return key
+def _reduced_slice(state: StageState, part) -> Element:
+    """An element on a slice of a reduced payload, which is itself
+    reduced, so it skips the normalisation of `StageState.element`."""
+    return Element(state.ambient, part)
+
+
+def _order_key(state: StageState, g: Element):
+    """The stratified well-order on layer elements is: the appearance
+    level over gamma, then registry code, then length-lex. It only ever
+    compares a core with its inverse, which share support and length,
+    so the code and the payload decide."""
+    code = state.registry.code_of(g)
+    return (1 << 60 if code is None else code, g.payload)
 
 
 def _check_layer(g: Element, gamma: int, i: int, state: StageState):
-    allowed = set(state.colorings.d_set(gamma, i, "strict")) | {gamma}
+    allowed = state.layer_set(gamma, i)
     if not state.support(g) <= allowed:
         raise ValueError(
             f"element outside the ({gamma},{i}) layer: support "
             f"{sorted(state.support(g))} vs {sorted(allowed)}")
+
+
+def _decompose(g: Element, gamma: int, i: int, beta: int,
+               state: StageState) -> Tuple[Element, Element, int, Element]:
+    """(y0, t, eps, y1) with g = y0 * t^eps * y1: strip the cut
+    subgroup's letters off both ends of g, leaving y0 core y1, and take
+    t the smaller of core and core^-1 (the core of g^-1). Memoised per
+    stage; only results are kept, so an element outside the layer
+    raises on every call."""
+    memo_key = (g.payload, gamma, i, beta, len(state.registry))
+    hit = state._decomposed.get(memo_key)
+    if hit is not None:
+        return hit
+    _check_layer(g, gamma, i, state)
+    strip_syms = state.strip_syms(gamma, i, beta)
+    prefix, core, suffix = _strip(g.payload, strip_syms)
+    c1 = _reduced_slice(state, core)
+    c2 = c1.inv()
+    if _order_key(state, c1) <= _order_key(state, c2):
+        t, eps = c1, 1
+    else:
+        t, eps = c2, -1
+    out = state._decomposed[memo_key] = (
+        _reduced_slice(state, prefix), t, eps, _reduced_slice(state, suffix))
+    return out
 
 
 def transversal_rep(g: Element, gamma: int, i: int, beta: int,
@@ -220,31 +279,14 @@ def transversal_rep(g: Element, gamma: int, i: int, beta: int,
     order; stripping commutes with enlarging the level or shrinking the
     cut, which is exactly the monotonicity the tower needs.
     """
-    _check_layer(g, gamma, i, state)
-    strip_syms = {sym(b) for b in state.colorings.d_set(gamma, i, "strict")
-                  if b < beta}
-    _, core1, _ = _strip(g.payload, strip_syms)
-    _, core2, _ = _strip(g.inv().payload, strip_syms)
-    c1, c2 = state.element(core1), state.element(core2)
-    key = _order_key(state, gamma)
-    return c1 if key(c1) <= key(c2) else c2
+    return _decompose(g, gamma, i, beta, state)[1]
 
 
 def decompose_star(g: Element, gamma: int, i: int, beta: int,
                    state: StageState) -> Tuple[Element, Element, int, Element]:
     """Write g = y0 * t^eps * y1 with t its transversal representative
     and y0, y1 in the cut subgroup; replayable by multiplying out."""
-    _check_layer(g, gamma, i, state)
-    strip_syms = {sym(b) for b in state.colorings.d_set(gamma, i, "strict")
-                  if b < beta}
-    p1, core1, s1 = _strip(g.payload, strip_syms)
-    ginv = g.inv()
-    p2, core2, s2 = _strip(ginv.payload, strip_syms)
-    c1, c2 = state.element(core1), state.element(core2)
-    key = _order_key(state, gamma)
-    if key(c1) <= key(c2):
-        return (state.element(p1), c1, 1, state.element(s1))
-    return (state.element(s2).inv(), c2, -1, state.element(p2).inv())
+    return _decompose(g, gamma, i, beta, state)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +336,7 @@ def _k_candidates(gamma: int, i: int, state: StageState) -> List[Element]:
 
 def _l_candidates(gamma: int, i: int, beta: int,
                   state: StageState) -> List[Element]:
-    allowed = set(state.colorings.d_set(gamma, i, "strict")) | {gamma}
+    allowed = state.layer_set(gamma, i)
     seen, out = set(), []
     for g in state.registered():
         supp = state.support(g)
@@ -420,6 +462,7 @@ def advance_stage(state: StageState) -> StageState:
     the promise audits; any exact audit failure is a hard error."""
     gamma = state.stage
     new = StageState(state.colorings, stage=gamma + 1)
+    new._supports = state._supports
     for code in range(len(state.registry)):
         old = state.registry.decode(code)
         new.registry.register(new.element(old.payload))
@@ -524,7 +567,7 @@ def audit_stage(state: StageState, gamma: int, levels: Sequence[int]):
     betas = sorted({b for b in range(gamma + 1)})
     checked = 0
     for i in levels:
-        allowed = set(state.colorings.d_set(gamma, i, "strict")) | {gamma}
+        allowed = state.layer_set(gamma, i)
         for g in members:
             if not state.support(g) <= allowed:
                 continue

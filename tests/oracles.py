@@ -290,3 +290,55 @@ class ScanWalks:
 
     def c1(self, alpha, beta) -> int:
         return scan_ladder_step(beta, alpha)[1]
+
+
+# ---------------------------------------------------------------------------
+# the tower's transversal decomposition, unmemoised
+#
+# The engine strips once per query and memoises the result per stage.
+# Here g and g^-1 are each stripped on every call, every piece is
+# normalised again, and the two cores are compared in the full
+# stratified order: level over gamma, registry code, length-lex.
+
+
+def tower_support(payload) -> frozenset:
+    """Stage indices of the letters x0, x1, ... of a tower payload."""
+    return frozenset(int(str(s)[1:]) for s, _ in payload)
+
+
+def _strip_ends(payload, strip_syms):
+    i, j = 0, len(payload)
+    while i < j and payload[i][0] in strip_syms:
+        i += 1
+    while j > i and payload[j - 1][0] in strip_syms:
+        j -= 1
+    return payload[:i], payload[i:j], payload[j:]
+
+
+def reference_decompose_star(g, gamma: int, i: int, beta: int, state):
+    """(y0, t, eps, y1) with g = y0 * t^eps * y1; raises ValueError when
+    g is outside the (gamma, i) layer."""
+    colorings = state.colorings
+    strict = colorings.d_set(gamma, i, "strict")
+    if not tower_support(g.payload) <= set(strict) | {gamma}:
+        raise ValueError(f"element outside the ({gamma},{i}) layer")
+    strip_syms = {f"x{b}" for b in strict if b < beta}
+    amb = state.ambient
+    p1, core1, s1 = _strip_ends(g.payload, strip_syms)
+    p2, core2, s2 = _strip_ends(g.inv().payload, strip_syms)
+    c1, c2 = amb.element(core1), amb.element(core2)
+
+    def key(h):
+        supp = tower_support(h.payload) - {gamma}
+        level = max((colorings.e(b, gamma) for b in supp), default=0)
+        code = state.registry.code_of(h)
+        return (level, 1 << 60 if code is None else code, len(h.payload),
+                h.payload)
+
+    if key(c1) <= key(c2):
+        return (amb.element(p1), c1, 1, amb.element(s1))
+    return (amb.element(s2).inv(), c2, -1, amb.element(p2).inv())
+
+
+def reference_transversal_rep(g, gamma: int, i: int, beta: int, state):
+    return reference_decompose_star(g, gamma, i, beta, state)[1]

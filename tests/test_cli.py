@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from amalgams.cli import MAX_COUNT, main
+from amalgams.cli import MAX_COUNT, MAX_K_MAX, main
 from amalgams.report import (
     CheckResult,
     emit_report,
@@ -356,6 +356,43 @@ def test_bad_budget_rejected(tmp_path, capsys):
     assert exc.value.code == 2
     assert capsys.readouterr().err == \
         "amalgams: error: --budget-len must be positive\n"
+
+
+def test_topology_chain_k_max_bound(tmp_path, monkeypatch, capsys):
+    # the largest k_max is accepted and reaches the chain, which is
+    # stubbed to k_max 2 here; one more is a usage error
+    chain, seen = E.topology_chain, []
+
+    def short_chain(gamma, level, k_max, state):
+        seen.append(k_max)
+        return chain(gamma, level, 2, state)
+
+    monkeypatch.setattr(E, "topology_chain", short_chain)
+    config = {**tower_config(), "gamma": 5, "level": 2}
+    code, _ = run_cli(tmp_path, "topology-chain",
+                      {**config, "k_max": MAX_K_MAX})
+    assert (code, seen) == (0, [MAX_K_MAX])
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "topology-chain",
+                {**config, "k_max": MAX_K_MAX + 1})
+    assert exc.value.code == 2
+    assert seen == [MAX_K_MAX]
+    assert capsys.readouterr().err == (
+        f"amalgams: error: config 'k_max' must be at most {MAX_K_MAX}, "
+        f"not {MAX_K_MAX + 1}\n")
+
+
+def test_unknown_colorings_key_is_usage_error(tmp_path, capsys):
+    # "c_1" for "c1" would leave every layer free, and the tower's audits
+    # would all pass on a coloring nobody meant
+    config = tower_config()
+    config["colorings"]["c_1"] = config["colorings"].pop("c1")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "run-construction", config)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "amalgams: error: config 'colorings': unknown colorings key(s): "
+        "'c_1'; expected 'e', 'c0' or 'c1'\n")
 
 
 WITH_H = "fixtures/systems/with_h.json"

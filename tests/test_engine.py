@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -12,7 +13,10 @@ from sympy.matrices.normalforms import smith_normal_form
 from amalgams import words
 from amalgams import engine as E
 from amalgams.colorings import ColoringTable
+from amalgams.groups import GroupHandle
 from amalgams.systems import validate_system
+from oracles import reference_decompose_star, reference_transversal_rep, \
+    tower_support
 
 
 def fixture_colorings():
@@ -142,6 +146,110 @@ def test_layer_membership_enforced(tower):
     x4 = tower.generator(4)  # e(4, 5) = 2, outside the strict level-2 set
     with pytest.raises(ValueError):
         E.transversal_rep(x4, 5, 2, 5, tower)
+
+
+def _outcome(fn, *args):
+    """(payloads and sign) of a decomposition, or "raises"."""
+    try:
+        out = fn(*args)
+    except ValueError:
+        return "raises"
+    if isinstance(out, tuple):
+        y0, t, eps, y1 = out
+        return (y0.payload, t.payload, eps, y1.payload)
+    return out.payload
+
+
+def test_memoised_decomposition_matches_reference():
+    # random multi-letter elements of each stage's widest layer, queried
+    # at every (level, cut) in shuffled order, so the same payload meets
+    # several memo keys and some queries must raise; after each query the
+    # losing core is registered, which can flip the order on the cores,
+    # and the query is repeated
+    state = build_tower()
+    amb = state.ambient
+    rng = random.Random(29)
+    flips = raises = 0
+    for gamma in sorted({g for g, _ in state.layers}):
+        levels = sorted(i for g, i in state.layers if g == gamma)
+        letters = state.colorings.d_set(gamma, levels[-1], "strict") + \
+            (gamma,)
+        queries = [(i, beta) for i in levels for beta in range(gamma + 2)]
+        for _ in range(40):
+            g = amb.element([(E.sym(rng.choice(letters)), rng.choice((1, -1)))
+                             for _ in range(rng.randrange(2, 8))])
+            rng.shuffle(queries)
+            for i, beta in queries:
+                args = (g, gamma, i, beta, state)
+                want = _outcome(reference_decompose_star, *args)
+                assert _outcome(E.decompose_star, *args) == want, args
+                assert _outcome(E.transversal_rep, *args) == \
+                    _outcome(reference_transversal_rep, *args)
+                if want == "raises":
+                    raises += 1
+                    continue
+                y0, t, eps, y1 = E.decompose_star(*args)
+                back = amb.mul(amb.mul(y0, t if eps == 1 else t.inv()), y1)
+                assert back.payload == g.payload
+                cut = {b for b in state.colorings.d_set(gamma, i, "strict")
+                       if b < beta}
+                assert tower_support(y0.payload) | \
+                    tower_support(y1.payload) <= cut
+                state.registry.register(t.inv())
+                again = _outcome(E.decompose_star, *args)
+                assert again == _outcome(reference_decompose_star, *args)
+                flips += again[1] != t.payload
+    assert flips > 0 and raises > 0
+
+
+def tall_style_tower(stages=12):
+    # like the benchmark's tall towers: three seed generators, no c0 or
+    # c1, so every layer is free, and a seeded e-coloring in three levels
+    rng = random.Random(5)
+    e = {}
+    for gamma in range(1, stages):
+        for beta in range(gamma):
+            v = rng.randrange(3)
+            if v:
+                e[beta, gamma] = v
+    state = E.init_base(3, ColoringTable(e=e))
+    while state.stage < stages:
+        state = E.advance_stage(state)
+    return state
+
+
+def test_tower_strips_each_query_once(monkeypatch):
+    counts = {"strip": 0, "element": 0}
+    strip, element = E._strip, GroupHandle.element
+
+    def counting_strip(*args):
+        counts["strip"] += 1
+        return strip(*args)
+
+    def counting_element(self, payload):
+        counts["element"] += 1
+        return element(self, payload)
+
+    monkeypatch.setattr(E, "_strip", counting_strip)
+    monkeypatch.setattr(GroupHandle, "element", counting_element)
+    state = tall_style_tower()
+    # one strip per distinct (payload, gamma, level, cut) query, and
+    # normalised elements only where the registry is copied; stripping
+    # g and g^-1 on every query took 9,366 strips and 11,430 elements
+    assert counts["strip"] <= 1200
+    assert counts["element"] <= 100
+    # and every audit still counts the instances it counted then
+    totals = {}
+    for rec in state.audit:
+        totals[rec["check"]] = totals.get(rec["check"], 0) + rec["instances"]
+    assert totals == {
+        "intersection-promises": 440, "lattice-intersection": 8800,
+        "layer-malnormality": 15, "transversal-laws": 3687,
+        "fresh-arrival-separation": 87, "sandwich-escape": 55}
+    records = json.dumps([[rec["check"], rec["gamma"], rec["instances"]]
+                          for rec in state.audit])
+    assert hashlib.sha256(records.encode()).hexdigest() == \
+        "6d0b05a32df84d3b18a9f062a82ed093cfbd0730b50ce99c17041e33b524e5a0"
 
 
 # ---------------------------------------------------------------------------
