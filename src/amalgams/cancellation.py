@@ -31,23 +31,18 @@ from amalgams import kernels, words
 from amalgams.groups import (
     Element,
     ElementRegistry,
-    InconclusiveError,
-    Tri,
     ambient_sample,
-    require,
 )
 from amalgams.canonical import (
     AmalgamTriple,
     CanonicalWord,
     Syllable,
-    canonical_equal,
     canonical_inverse,
     canonical_product,
     canonicalize,
     is_wcr,
     rotate,
     syllable,
-    wcr_conjugates,
     word_from_json,
     word_to_json,
 )
@@ -75,11 +70,11 @@ class RelatorSet:
     """A symmetrized relator set, represented by its base relators.
 
     The closure members are the cyclic rotations of the bases and their
-    inverses plus the seam-splitting odd conjugates; they are enumerated
-    only on demand (``materialize``) and consulted implicitly by the
-    scanners. Units come in (base, inverse) pairs. Their double-coset
-    labels are coded once, in ``cyclic_labels``: each unit's code array
-    written out twice, for cyclic scans.
+    inverses plus the seam-splitting odd conjugates; the scanners consult
+    them implicitly and never enumerate them. Units come in (base,
+    inverse) pairs. Their double-coset labels are coded once, in
+    ``cyclic_labels``: each unit's code array written out twice, for
+    cyclic scans.
 
     When the amalgam has ``label_and_ends`` (a shared-free amalgam),
     ``codes`` also holds each unit's chain codes, one ``array('q')`` per
@@ -117,7 +112,7 @@ class RelatorSet:
         for base in self.bases:
             if base.word.is_empty():
                 raise ValueError(f"relator {base.rid} is trivial")
-            if not require(is_wcr(base.word, T)):
+            if not is_wcr(base.word, T):
                 raise ValueError(f"relator {base.rid} is not wcr")
             inv = base.rid + "^-1"
             self.units.append(
@@ -145,31 +140,6 @@ class RelatorSet:
                     raise ValueError(
                         f"relator {base.rid} has length {n}, expected "
                         f"{RHO_EVEN_LENGTH} or {RHO_EVEN_LENGTH + 1}")
-
-    def materialize(self, budget: int = 100_000,
-                    include_splittings: bool = True) -> List[CanonicalWord]:
-        """Explicit closure for small relator sets (tests, fixtures)."""
-        total = sum(len(u.word) for u in self.units)
-        if total * max((len(u.word) for u in self.units), default=0) > budget:
-            raise InconclusiveError("materialization budget exhausted")
-        out: List[CanonicalWord] = []
-        for unit in self.units:
-            for w in wcr_conjugates(unit.word, self.T, budget=budget,
-                                    include_splittings=include_splittings):
-                if not any(canonical_equal(w, seen, self.T) is Tri.YES
-                           for seen in out):
-                    out.append(w)
-        return out
-
-    def contains(self, w: CanonicalWord, budget: int = 100_000) -> Tri:
-        try:
-            closure = self.materialize(budget)
-        except InconclusiveError:
-            return Tri.INCONCLUSIVE
-        for r in closure:
-            if canonical_equal(w, r, self.T) is Tri.YES:
-                return Tri.YES
-        return Tri.NO
 
     def window_hashes(self, uid: str, k: int) -> array:
         """Hashes of the length-k windows of a unit's cyclic labels,
@@ -233,18 +203,13 @@ def _intern(table: dict, key, grow: bool) -> int:
 
 
 def _wcr_normalize(w: CanonicalWord, T: AmalgamTriple) -> CanonicalWord:
-    """Rotate to a wcr conjugate of even (or <= 1) length."""
-    guard = 2 * len(w) + 4
-    while guard:
-        guard -= 1
-        if len(w) <= 1:
-            return w
-        if len(w) % 2 == 0:
-            return w
-        # odd: either the seam merges (not wcr) or a single rotation
-        # merges the same-side pair into an even-length conjugate
+    """Rotate to a wcr conjugate of even (or <= 1) length. The loop
+    stops: an odd word of length >= 3 starts and ends on one side, so
+    each rotation merges its first syllable into its last and removes
+    one or two syllables."""
+    while len(w) > 1 and len(w) % 2:
         w = rotate(w, T)
-    raise InconclusiveError("wcr normalization did not stabilize")
+    return w
 
 
 def symmetrized_closure(
@@ -322,8 +287,7 @@ def cancellation_chain(
             ell, P = _coded_walk(T, w1, w2, i1, j2, max_steps, codes, h0)
         else:
             ell, P = _element_walk(T, w1, w2, i1, j2, max_steps, h0)
-        wrap = ell == max_steps == n == m and \
-            require(P.owner.is_identity(P))
+        wrap = ell == max_steps == n == m and P.owner.is_identity(P)
         if wrap and skip_trivial_wrap:
             continue
         if ell > best.ell or best.h0 is None:
@@ -342,7 +306,7 @@ def _element_walk(T, w1, w2, i1, j2, max_steps, h0):
             break
         group = T.side_group(a.side)
         Q = group.mul(group.mul(a.elt, T.transfer(P, a.side)), b.elt)
-        if T.in_H(Q) is not Tri.YES:
+        if not T.in_H(Q):
             break
         P = Q
         ell += 1
@@ -638,7 +602,7 @@ def _apply_replacement(
 def _cyclic_reduce(w: CanonicalWord, T: AmalgamTriple) -> Tuple[CanonicalWord, List[DehnStep]]:
     steps = []
     guard = len(w) + 2
-    while guard and len(w) > 1 and not require(is_wcr(w, T)):
+    while guard and len(w) > 1 and not is_wcr(w, T):
         guard -= 1
         prev = len(w)
         w = rotate(w, T)
@@ -660,32 +624,29 @@ def dehn_decide(
     if k < 10:
         raise ValueError("k must be at least 10")
     cert: List[DehnStep] = []
-    try:
-        rounds = 0
-        while True:
-            rounds += 1
-            if rounds > budget:
-                return DehnResult("inconclusive", cert, "round budget")
-            if w.is_empty():
-                return DehnResult("trivial", cert)
-            w, red_steps = _cyclic_reduce(w, R.T)
-            cert.extend(red_steps)
-            if w.is_empty():
-                return DehnResult("trivial", cert)
-            found, gray = find_replacement(w, R, k)
-            if found is None:
-                if gray:
-                    return DehnResult(
-                        "inconclusive", cert,
-                        "label run near the part bound resisted verification")
-                # no long part: by the Greendlinger-type lemma the word
-                # is outside the normal closure; it is nontrivial in the
-                # quotient because it is nontrivial in the amalgam
-                return DehnResult("nontrivial", cert)
-            w, step = found
-            cert.append(step)
-    except InconclusiveError as exc:
-        return DehnResult("inconclusive", cert, str(exc) or "membership budget")
+    rounds = 0
+    while True:
+        rounds += 1
+        if rounds > budget:
+            return DehnResult("inconclusive", cert, "round budget")
+        if w.is_empty():
+            return DehnResult("trivial", cert)
+        w, red_steps = _cyclic_reduce(w, R.T)
+        cert.extend(red_steps)
+        if w.is_empty():
+            return DehnResult("trivial", cert)
+        found, gray = find_replacement(w, R, k)
+        if found is None:
+            if gray:
+                return DehnResult(
+                    "inconclusive", cert,
+                    "label run near the part bound resisted verification")
+            # no long part: by the Greendlinger-type lemma the word
+            # is outside the normal closure; it is nontrivial in the
+            # quotient because it is nontrivial in the amalgam
+            return DehnResult("nontrivial", cert)
+        w, step = found
+        cert.append(step)
 
 
 def replay_certificate(
@@ -765,15 +726,15 @@ def _audit_injectivity(T: AmalgamTriple, R: RelatorSet, samples: int) -> None:
         for i, g in enumerate(sample):
             for h in sample[i + 1:]:
                 diff = group.mul(g, h.inv())
-                if require(group.is_identity(diff)):
+                if group.is_identity(diff):
                     continue
                 if trivial([syllable(side, diff)]):
                     raise ValueError(
                         f"quotient collapses distinct {side}-side elements")
     # distinct cosets across the sides: k * l^-1 never trivial for
     # sampled k in K minus H, l in L minus H
-    ks = [g for g in ambient_sample(T.K, samples) if T.in_H(g) is Tri.NO]
-    ls = [g for g in ambient_sample(T.L, samples) if T.in_H(g) is Tri.NO]
+    ks = [g for g in ambient_sample(T.K, samples) if not T.in_H(g)]
+    ls = [g for g in ambient_sample(T.L, samples) if not T.in_H(g)]
     for g in ks[:samples]:
         for h in ls[:samples]:
             if trivial([syllable("K", g), syllable("L", h.inv())]):

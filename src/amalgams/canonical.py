@@ -19,11 +19,8 @@ from amalgams.groups import (
     FiniteTableGroup,
     FreeGroup,
     GroupHandle,
-    InconclusiveError,
     SubgroupDescriptor,
     LetterSupportSubgroup,
-    Tri,
-    require,
     segments,
 )
 
@@ -87,7 +84,7 @@ class AmalgamTriple:
             return L_SIDE
         raise ValueError(f"{group.name} is not a side of {self.name}")
 
-    def in_H(self, g: Element) -> Tri:
+    def in_H(self, g: Element) -> bool:
         raise NotImplementedError
 
     def transfer(self, g: Element, side: str) -> Element:
@@ -128,31 +125,8 @@ class AmalgamTriple:
         out = []
         for h in self.h_sample(budget):
             h = self.transfer(h, side)
-            if self.in_H(group.mul(group.mul(a, h), b)) is Tri.YES:
+            if self.in_H(group.mul(group.mul(a, h), b)):
                 out.append(h)
-        return out
-
-    def split_candidates(self, syl: Syllable) -> List[Tuple[Element, Element]]:
-        """Pairs (x1, x2) with x2·x1 = syl.elt, both outside H.
-
-        Used to enumerate the odd-length conjugates that split one
-        syllable across the seam. Exhaustive on finite sides; on free
-        sides, the cuts of the reduced word.
-        """
-        group = syl.elt.owner
-        out = []
-        if isinstance(group, FiniteTableGroup):
-            for x1 in group.elements():
-                x2 = group.mul(syl.elt, x1.inv())
-                if self.in_H(x1) is Tri.NO and self.in_H(x2) is Tri.NO:
-                    out.append((x1, x2))
-            return out
-        w = syl.elt.payload
-        for cut in range(1, len(w)):
-            x2 = Element(group, w[:cut])
-            x1 = Element(group, w[cut:])
-            if self.in_H(x1) is Tri.NO and self.in_H(x2) is Tri.NO:
-                out.append((x1, x2))
         return out
 
 
@@ -201,10 +175,10 @@ class TableAmalgam(AmalgamTriple):
                 labels[x] = rep
         return labels
 
-    def in_H(self, g: Element) -> Tri:
+    def in_H(self, g: Element) -> bool:
         side = self.side_of_group(g.owner)
         table = self._k2l if side == K_SIDE else self._l2k
-        return Tri.YES if g.payload in table else Tri.NO
+        return g.payload in table
 
     def transfer(self, g: Element, side: str) -> Element:
         cur = self.side_of_group(g.owner)
@@ -265,13 +239,13 @@ class SharedFreeAmalgam(AmalgamTriple):
     def h_subgroup(self, side: str) -> LetterSupportSubgroup:
         return self.H_K if side == K_SIDE else self.H_L
 
-    def in_H(self, g: Element) -> Tri:
+    def in_H(self, g: Element) -> bool:
         side = self.side_of_group(g.owner)
         sub = self.H_K if side == K_SIDE else self.H_L
         return sub.contains(g)
 
     def transfer(self, g: Element, side: str) -> Element:
-        if require(self.in_H(g)) is False:
+        if not self.in_H(g):
             raise ValueError(f"{g!r} is not in H")
         return Element(self.side_group(side), g.payload)
 
@@ -307,32 +281,15 @@ class SharedFreeAmalgam(AmalgamTriple):
     def junction_solutions(
         self, a: Element, b: Element, budget: int = 64
     ) -> List[Element]:
-        # a·h·b ∈ H has at most one solution h: the skeletons of a and b
-        # must cancel exactly, which pins h to the inverse of the H-gap
-        # between a's tail segment and b's head segment.
+        # a·h·b ∈ H has at most one solution: the skeletons of a and b
+        # must cancel exactly across h, which forces
+        # h = tail(a)^-1 · head(b)^-1, with tail and head the outer
+        # H-segments; the in_H test decides whether that h solves it
         group = a.owner
-        if self.side_of_group(b.owner) != self.side_of_group(group):
-            return []
-        skel_a, segs_a = segments(a.payload, self.h_symbols)
-        skel_b, segs_b = segments(b.payload, self.h_symbols)
-        if len(skel_a) != len(skel_b):
-            return []
-        inv_b = b.inv()
-        skel_bi, _ = segments(inv_b.payload, self.h_symbols)
-        if skel_a != skel_bi:
-            return []
-        # solve u with a = u' * b^-1-pattern: h = a^-1 * h_core * b^-1
-        # realized by direct computation in the ambient free group
-        core_candidates = []
-        # h must equal tail(a)^-1 glue; derive it from the first
-        # junction: a h b in H forces h = (tail of a)^-1 (head of b)^-1
-        tail_a = Element(group, segs_a[-1])
-        head_b = Element(group, segs_b[0])
+        tail_a = Element(group, segments(a.payload, self.h_symbols)[1][-1])
+        head_b = Element(group, segments(b.payload, self.h_symbols)[1][0])
         h = group.mul(tail_a.inv(), head_b.inv())
-        prod = group.mul(group.mul(a, h), b)
-        if self.in_H(prod) is Tri.YES:
-            core_candidates.append(h)
-        return core_candidates
+        return [h] if self.in_H(group.mul(group.mul(a, h), b)) else []
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +354,7 @@ def canonical_product(
             if g.owner is not group:
                 raise ValueError(
                     f"syllable {syl!r} not owned by the {side} side")
-            if require(T.in_H(g)):
+            if T.in_H(g):
                 if carry is None:
                     carry = g
                 else:
@@ -406,14 +363,14 @@ def canonical_product(
             if carry is not None and not stack:
                 g = group.mul(T.transfer(carry, side), g)
                 carry = None
-                if require(T.in_H(g)):
+                if T.in_H(g):
                     carry = g
                     continue
             if stack and stack[-1].side == side:
                 fold_carry_left()
                 top = stack.pop()
                 merged = group.mul(top.elt, g)
-                if require(T.in_H(merged)):
+                if T.in_H(merged):
                     carry = merged
                 else:
                     stack.append(Syllable(side, merged))
@@ -425,7 +382,7 @@ def canonical_product(
             fold_carry_left()
         else:
             side = T.side_of_group(carry.owner)
-            if require(T.side_group(side).is_identity(carry)):
+            if T.side_group(side).is_identity(carry):
                 return CanonicalWord(())
             return CanonicalWord((Syllable(side, carry),))
     return CanonicalWord(tuple(stack))
@@ -437,47 +394,44 @@ def canonical_inverse(w: CanonicalWord, T: AmalgamTriple) -> CanonicalWord:
     )
 
 
-def canonical_equal(u: CanonicalWord, v: CanonicalWord, T: AmalgamTriple) -> Tri:
+def canonical_equal(u: CanonicalWord, v: CanonicalWord, T: AmalgamTriple) -> bool:
     """Equality via forward propagation of the interleaving h-chain."""
-    try:
-        if len(u) != len(v):
-            return Tri.NO
-        if u.sides() != v.sides():
-            # a length-1 H-word may sit on either side
-            if len(u) == 1 and _h_word_equal(u, v, T) is not None:
-                return _h_word_equal(u, v, T)
-            return Tri.NO
-        if len(u) == 0:
-            return Tri.YES
-        if len(u) == 1:
-            res = _h_word_equal(u, v, T)
-            if res is not None:
-                return res
-            group = T.side_group(u[0].side)
-            return group.is_identity(group.mul(u[0].elt.inv(), v[0].elt))
-        h = T.h_identity(u[0].side)
-        for i in range(len(u)):
-            side = u[i].side
-            group = T.side_group(side)
-            h = T.transfer(h, side)
-            nxt = group.mul(group.mul(u[i].elt.inv(), h), v[i].elt)
-            if not require(T.in_H(nxt)):
-                return Tri.NO
-            h = nxt
-        final = T.transfer(h, K_SIDE)
-        return T.K.is_identity(final)
-    except InconclusiveError:
-        return Tri.INCONCLUSIVE
+    if len(u) != len(v):
+        return False
+    if u.sides() != v.sides():
+        # a length-1 H-word may sit on either side
+        if len(u) == 1 and _h_word_equal(u, v, T) is not None:
+            return _h_word_equal(u, v, T)
+        return False
+    if len(u) == 0:
+        return True
+    if len(u) == 1:
+        res = _h_word_equal(u, v, T)
+        if res is not None:
+            return res
+        group = T.side_group(u[0].side)
+        return group.is_identity(group.mul(u[0].elt.inv(), v[0].elt))
+    h = T.h_identity(u[0].side)
+    for i in range(len(u)):
+        side = u[i].side
+        group = T.side_group(side)
+        h = T.transfer(h, side)
+        nxt = group.mul(group.mul(u[i].elt.inv(), h), v[i].elt)
+        if not T.in_H(nxt):
+            return False
+        h = nxt
+    final = T.transfer(h, K_SIDE)
+    return T.K.is_identity(final)
 
 
-def _h_word_equal(u: CanonicalWord, v: CanonicalWord, T: AmalgamTriple) -> Optional[Tri]:
+def _h_word_equal(u: CanonicalWord, v: CanonicalWord, T: AmalgamTriple) -> Optional[bool]:
     """Compare length-1 words when at least one lies in H; None otherwise."""
-    u_in = require(T.in_H(u[0].elt))
-    v_in = require(T.in_H(v[0].elt))
+    u_in = T.in_H(u[0].elt)
+    v_in = T.in_H(v[0].elt)
     if not (u_in or v_in):
         return None
     if u_in != v_in:
-        return Tri.NO
+        return False
     side = u[0].side
     group = T.side_group(side)
     hv = T.transfer(v[0].elt, side)
@@ -485,21 +439,21 @@ def _h_word_equal(u: CanonicalWord, v: CanonicalWord, T: AmalgamTriple) -> Optio
 
 
 # ---------------------------------------------------------------------------
-# weakly cyclically reduced conjugates and parts
+# weakly cyclically reduced words and rotation
 
 
-def is_wcr(w: CanonicalWord, T: AmalgamTriple) -> Tri:
+def is_wcr(w: CanonicalWord, T: AmalgamTriple) -> bool:
     """Weakly cyclically reduced: length <= 1, or even length, or the
     seam product (last syllable)(first syllable) lies outside H."""
     n = len(w)
     if n <= 1 or n % 2 == 0:
-        return Tri.YES
+        return True
     last, first = w[n - 1], w[0]
     if last.side != first.side:
-        return Tri.YES
+        return True
     group = T.side_group(last.side)
     seam = group.mul(last.elt, first.elt)
-    return Tri.YES if T.in_H(seam) is Tri.NO else Tri.NO
+    return not T.in_H(seam)
 
 
 def rotate(w: CanonicalWord, T: AmalgamTriple) -> CanonicalWord:
@@ -510,61 +464,6 @@ def rotate(w: CanonicalWord, T: AmalgamTriple) -> CanonicalWord:
         return w
     return canonical_product(
         ((w.syllables[1:], True), ((w.syllables[0],), False)), T)
-
-
-def _word_key(w: CanonicalWord, T: AmalgamTriple) -> Tuple:
-    return tuple((s.side, T.coset_label(s.elt)) for s in w.syllables)
-
-
-def _dedup_insert(
-    pool: dict, w: CanonicalWord, T: AmalgamTriple
-) -> bool:
-    key = _word_key(w, T)
-    bucket = pool.setdefault(key, [])
-    for seen in bucket:
-        if canonical_equal(seen, w, T) is Tri.YES:
-            return False
-    bucket.append(w)
-    return True
-
-
-def wcr_conjugates(
-    w: CanonicalWord,
-    T: AmalgamTriple,
-    budget: int = 10_000,
-    include_splittings: bool = True,
-) -> List[CanonicalWord]:
-    """All weakly cyclically reduced conjugates reachable by rotation and
-    seam-splitting, deduplicated up to canonical equality."""
-    if w.is_empty():
-        raise ValueError("wcr_conjugates requires a nontrivial word")
-    pool: dict = {}
-    out: List[CanonicalWord] = []
-    frontier = [w]
-    steps = 0
-    while frontier and steps < budget:
-        cur = frontier.pop()
-        steps += 1
-        if not _dedup_insert(pool, cur, T):
-            continue
-        if require(is_wcr(cur, T)):
-            out.append(cur)
-        if len(cur) > 1:
-            frontier.append(rotate(cur, T))
-        if include_splittings and len(cur) >= 1 and len(cur) % 2 == 0:
-            # split one even-length rotation's first syllable across the
-            # seam: with g0 = x2·x1 the conjugate x1·g1···g_{n-1}·x2 has
-            # odd length n+1 and seam product x2·x1 = g0 outside H
-            for x1, x2 in T.split_candidates(cur[0]):
-                split = CanonicalWord(
-                    (Syllable(cur[0].side, x1),)
-                    + cur.syllables[1:]
-                    + (Syllable(cur[0].side, x2),)
-                )
-                if _dedup_insert(pool, split, T):
-                    if require(is_wcr(split, T)):
-                        out.append(split)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from amalgams.groups import (
     ElementRegistry,
     FreeGroup,
     LetterSupportSubgroup,
-    Tri,
     good_fellows,
     is_malnormal,
 )
@@ -43,6 +42,7 @@ from amalgams.canonical import (
     syllable,
 )
 from amalgams.cancellation import (
+    RHO_EVEN_LENGTH,
     RelatorSet,
     build_quotient,
     check_cprime,
@@ -557,7 +557,7 @@ def audit_stage(state: StageState, gamma: int, levels: Sequence[int]):
             sub = LetterSupportSubgroup(L_grp, [sym(b) for b in lt])
             verdict = is_malnormal(sub, L_grp)
             _audit(state, "layer-malnormality", gamma,
-                   "pass" if verdict is Tri.YES else "fail", 1, level=i,
+                   "pass" if verdict else "fail", 1, level=i,
                    method="free-factor")
         else:
             _audit(state, "layer-malnormality", gamma, "pass", 1, level=i,
@@ -621,7 +621,7 @@ def audit_stage(state: StageState, gamma: int, levels: Sequence[int]):
                     ok = k1.payload != k2.payload and \
                         k1.payload != k2.inv().payload
                 else:
-                    ok = good_fellows(k1, k2, sub) is Tri.YES
+                    ok = good_fellows(k1, k2, sub)
                 if not ok:
                     _audit(state, "fresh-arrival-separation", gamma,
                            "fail", checked, level=i)
@@ -701,9 +701,11 @@ def topology_chain(gamma: int, i: int, k_max: int,
                    state: StageState) -> dict:
     """The nested relator families over one quotient layer.
 
-    Level k keeps the stage relators and the pumped powers from k on;
-    lengths grow geometrically, so pumped members are reported by length
-    arithmetic and never materialized.
+    Level k keeps the stage relators and the pumped powers from k on:
+    ``base_count`` base members of length ``base_length`` and, for each
+    ell in the range ``pumped_ell`` = [k, k_max], as many pumped members
+    of length base_length ** (ell + 1). Levels are described by this
+    arithmetic and their members are never listed or materialized.
     """
     layer = state.layers.get((gamma, i))
     report = {"schema": "amalgams-topology-chain/1", "gamma": gamma,
@@ -711,30 +713,19 @@ def topology_chain(gamma: int, i: int, k_max: int,
     if layer is None or layer.kind != "quotient":
         report["note"] = "no relators at this layer"
         return report
-    base_len = 6640
+    report["base_length"] = RHO_EVEN_LENGTH
     n_entries = len(layer.entries)
-
-    def members_at(k):
-        out = [{"kind": "base", "sigma": n, "length": base_len}
-               for n in range(n_entries)]
-        for ell in range(k, k_max + 1):
-            out.extend({"kind": "pumped", "sigma": n, "ell": ell,
-                        "length": base_len ** (ell + 1)}
-                       for n in range(n_entries))
-        return out
-
     prev = None
     for k in range(k_max + 1):
-        members = members_at(k)
-        entry = {"k": k, "members": members}
+        entry = {"k": k, "base_count": n_entries, "pumped_ell": [k, k_max]}
         if k == 0:
             entry["normal_closure_note"] = \
                 "the stage normal closure uses only the base members"
         if prev is not None:
-            ids = {json.dumps(m, sort_keys=True) for m in members}
-            prev_ids = {json.dumps(m, sort_keys=True) for m in prev}
-            entry["subset_of_previous"] = ids <= prev_ids
-        prev = members
+            # the base members are shared, so nesting is containment of
+            # the pumped ell ranges
+            entry["subset_of_previous"] = prev[0] <= k and k_max <= prev[1]
+        prev = entry["pumped_ell"]
         report["chain"].append(entry)
 
     # the base members are the stage relator set itself; re-check the

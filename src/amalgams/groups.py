@@ -5,36 +5,19 @@ symbol list. Subgroups are descriptors: a generated subgroup of a
 finite table (kept as its closure) or the letter-support subgroup of a
 free group (never materialized). Double cosets and malnormality are
 decided exactly on both; any other pair raises.
+
+Every predicate here is exact and returns a plain bool. The package's
+"inconclusive" outcomes come only from the C' gray zone, Dehn's round
+budget or gray label run, and the empty sample of validation clause v.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from amalgams import words
-
-
-class Tri(enum.Enum):
-    YES = "yes"
-    NO = "no"
-    INCONCLUSIVE = "inconclusive"
-
-    def __bool__(self) -> bool:
-        raise TypeError("Tri must be compared explicitly, not truth-tested")
-
-
-class InconclusiveError(Exception):
-    """Raised internally when a decision procedure exhausts its budget."""
-
-
-def require(t: Tri) -> bool:
-    """Collapse a Tri to bool, raising on INCONCLUSIVE."""
-    if t is Tri.INCONCLUSIVE:
-        raise InconclusiveError
-    return t is Tri.YES
 
 
 class GroupHandle:
@@ -55,7 +38,7 @@ class GroupHandle:
         self._check_owner(a)
         return Element(self, self._inv_payload(a.payload))
 
-    def is_identity(self, a: "Element") -> Tri:
+    def is_identity(self, a: "Element") -> bool:
         self._check_owner(a)
         return self._is_identity_payload(a.payload)
 
@@ -72,7 +55,7 @@ class GroupHandle:
     def _inv_payload(self, a):
         raise NotImplementedError
 
-    def _is_identity_payload(self, a) -> Tri:
+    def _is_identity_payload(self, a) -> bool:
         raise NotImplementedError
 
     def _normalize_payload(self, payload):
@@ -161,8 +144,8 @@ class FiniteTableGroup(GroupHandle):
     def _inv_payload(self, a: int) -> int:
         return self._inverse[a]
 
-    def _is_identity_payload(self, a: int) -> Tri:
-        return Tri.YES if a == self._identity else Tri.NO
+    def _is_identity_payload(self, a: int) -> bool:
+        return a == self._identity
 
     def _normalize_payload(self, payload) -> int:
         g = int(payload)
@@ -228,8 +211,8 @@ class FreeGroup(GroupHandle):
     def _inv_payload(self, a):
         return words.inverse(a)
 
-    def _is_identity_payload(self, a) -> Tri:
-        return Tri.YES if len(a) == 0 else Tri.NO
+    def _is_identity_payload(self, a) -> bool:
+        return len(a) == 0
 
     def _normalize_payload(self, payload):
         w = words.word(payload)
@@ -251,10 +234,10 @@ class SubgroupDescriptor:
 
     group: GroupHandle
 
-    def contains(self, g: Element) -> Tri:
+    def contains(self, g: Element) -> bool:
         raise NotImplementedError
 
-    def is_trivial(self) -> Tri:
+    def is_trivial(self) -> bool:
         raise NotImplementedError
 
 
@@ -284,12 +267,12 @@ class FiniteGeneratedSubgroup(SubgroupDescriptor):
                     frontier.append(c)
         return frozenset(seen)
 
-    def contains(self, g: Element) -> Tri:
+    def contains(self, g: Element) -> bool:
         self.group._check_owner(g)
-        return Tri.YES if g.payload in self._closure else Tri.NO
+        return g.payload in self._closure
 
-    def is_trivial(self) -> Tri:
-        return Tri.YES if len(self._closure) == 1 else Tri.NO
+    def is_trivial(self) -> bool:
+        return len(self._closure) == 1
 
     def __repr__(self) -> str:
         return f"<gen{list(self.generators)} <= {self.group.name}>"
@@ -306,10 +289,9 @@ class LetterSupportSubgroup(SubgroupDescriptor):
         if not self.symbols <= set(group.symbols):
             raise ValueError("subgroup symbols must be group generators")
 
-    def contains(self, g: Element) -> Tri:
+    def contains(self, g: Element) -> bool:
         self.group._check_owner(g)
-        ok = all(sym in self.symbols for sym, _ in g.payload)
-        return Tri.YES if ok else Tri.NO
+        return all(sym in self.symbols for sym, _ in g.payload)
 
     def sample(self, budget: int) -> List[Element]:
         out = [self.group.identity()]
@@ -318,8 +300,8 @@ class LetterSupportSubgroup(SubgroupDescriptor):
                 out.append(Element(self.group, ((sym, sign),)))
         return out[:budget]
 
-    def is_trivial(self) -> Tri:
-        return Tri.YES if not self.symbols else Tri.NO
+    def is_trivial(self) -> bool:
+        return not self.symbols
 
     def __repr__(self) -> str:
         return f"<F({sorted(map(str, self.symbols))}) <= {self.group.name}>"
@@ -342,7 +324,7 @@ def segments(word_payload, symbols: frozenset):
     return skel, [tuple(s) for s in segs]
 
 
-def in_double_coset(g: Element, sub: SubgroupDescriptor, h: Element) -> Tri:
+def in_double_coset(g: Element, sub: SubgroupDescriptor, h: Element) -> bool:
     """Is g an element of sub * h * sub?"""
     group = sub.group
     group._check_owner(g)
@@ -352,8 +334,8 @@ def in_double_coset(g: Element, sub: SubgroupDescriptor, h: Element) -> Tri:
             uh = group.table[u][h.payload]
             for v in sub._closure:
                 if group.table[uh][v] == g.payload:
-                    return Tri.YES
-        return Tri.NO
+                    return True
+        return False
     if isinstance(sub, LetterSupportSubgroup):
         # In a free group with H generated by a sub-alphabet, u*h*v reduces
         # without cancelling any non-H letter, so the skeleton and the inner
@@ -362,29 +344,27 @@ def in_double_coset(g: Element, sub: SubgroupDescriptor, h: Element) -> Tri:
         skel_g, segs_g = segments(g.payload, sub.symbols)
         skel_h, segs_h = segments(h.payload, sub.symbols)
         if skel_g != skel_h:
-            return Tri.NO
+            return False
         if not skel_g:
             # both lie in H itself
-            return Tri.YES
-        return Tri.YES if segs_g[1:-1] == segs_h[1:-1] else Tri.NO
+            return True
+        return segs_g[1:-1] == segs_h[1:-1]
     raise TypeError(f"no double-coset procedure for {type(sub).__name__}")
 
 
-def good_fellows(g: Element, h: Element, sub: SubgroupDescriptor) -> Tri:
-    """YES iff g lies in neither sub*h*sub nor sub*h^-1*sub."""
-    if in_double_coset(g, sub, h) is Tri.YES or \
-            in_double_coset(g, sub, h.inv()) is Tri.YES:
-        return Tri.NO
-    return Tri.YES
+def good_fellows(g: Element, h: Element, sub: SubgroupDescriptor) -> bool:
+    """True iff g lies in neither sub*h*sub nor sub*h^-1*sub."""
+    return not (in_double_coset(g, sub, h)
+                or in_double_coset(g, sub, h.inv()))
 
 
-def is_malnormal(sub: SubgroupDescriptor, ambient: GroupHandle) -> Tri:
+def is_malnormal(sub: SubgroupDescriptor, ambient: GroupHandle) -> bool:
     """Is sub malnormal in ambient: conjugates of sub minus 1 by outside
     elements meet sub trivially. Decided for a subgroup of a finite
     table, by trying every conjugator, and for a letter-support subgroup
     of a free group; any other pair raises TypeError."""
-    if sub.is_trivial() is Tri.YES:
-        return Tri.YES
+    if sub.is_trivial():
+        return True
     if isinstance(sub, FiniteGeneratedSubgroup):
         if sub.group is not ambient:
             raise ValueError("descriptor must live in the ambient group")
@@ -399,13 +379,13 @@ def is_malnormal(sub: SubgroupDescriptor, ambient: GroupHandle) -> Tri:
                     continue
                 conj = ambient.table[ambient.table[ginv][h]][g]
                 if conj in members:
-                    return Tri.NO
-        return Tri.YES
+                    return False
+        return True
     if isinstance(ambient, FreeGroup) and isinstance(sub, LetterSupportSubgroup):
         # g^-1 h g for h in H minus 1 and g outside H keeps a nonempty
         # skeleton (the conjugating skeleton letters cannot cancel across
         # the nontrivial H-core), so the conjugate is never in H.
-        return Tri.YES
+        return True
     raise TypeError(f"no malnormality procedure for {type(sub).__name__} "
                     f"in {type(ambient).__name__}")
 

@@ -20,9 +20,7 @@ from amalgams.groups import (
     Element,
     FiniteTableGroup,
     FreeGroup,
-    InconclusiveError,
     LetterSupportSubgroup,
-    Tri,
     good_fellows,
     is_malnormal,
 )
@@ -97,14 +95,14 @@ def _elt_json(g: Element):
 def _entry_check(entry: SystemEntry, T: AmalgamTriple) -> Optional[dict]:
     """None when the entry satisfies the typing and the per-entry
     good-fellow condition, else a witness dict."""
-    if entry.h.owner is not T.K or T.in_H(entry.h) is not Tri.YES:
+    if entry.h.owner is not T.K or not T.in_H(entry.h):
         return {"entry": entry.index, "clause": "h-in-H"}
-    if entry.a.owner is not T.K or T.in_H(entry.a) is not Tri.NO:
+    if entry.a.owner is not T.K or T.in_H(entry.a):
         return {"entry": entry.index, "clause": "a-in-K-minus-H"}
     for name, g in (("b", entry.b), ("bprime", entry.bprime)):
-        if g.owner is not T.L or T.in_H(g) is not Tri.NO:
+        if g.owner is not T.L or T.in_H(g):
             return {"entry": entry.index, "clause": f"{name}-in-L-minus-H"}
-    if good_fellows(entry.b, entry.bprime, T.h_subgroup(L_SIDE)) is Tri.NO:
+    if not good_fellows(entry.b, entry.bprime, T.h_subgroup(L_SIDE)):
         return {"entry": entry.index, "clause": "b-bprime-good-fellows"}
     return None
 
@@ -113,38 +111,38 @@ def _entry_check(entry: SystemEntry, T: AmalgamTriple) -> Optional[dict]:
 # the four pair cases
 
 
-def _case_a(ei: SystemEntry, ej: SystemEntry, T: AmalgamTriple) -> Tri:
+def _case_a(ei: SystemEntry, ej: SystemEntry, T: AmalgamTriple) -> bool:
     return good_fellows(ei.a, ej.a, T.h_subgroup(K_SIDE))
 
 
-def _case_b(ei: SystemEntry, ej: SystemEntry, T: AmalgamTriple) -> Tri:
+def _case_b(ei: SystemEntry, ej: SystemEntry, T: AmalgamTriple) -> bool:
     same_b = ei.b.payload == ej.b.payload
     same_bp = ei.bprime.payload == ej.bprime.payload
     diff_a = ei.a.payload != ej.a.payload
-    return Tri.YES if (same_b and same_bp and diff_a) else Tri.NO
+    return same_b and same_bp and diff_a
 
 
-def _case_c(ei: SystemEntry, ej: SystemEntry, T: AmalgamTriple) -> Tri:
+def _case_c(ei: SystemEntry, ej: SystemEntry, T: AmalgamTriple) -> bool:
     return good_fellows(ei.b, ej.b, T.h_subgroup(L_SIDE))
 
 
-def _subgroups_match(hint: SubgroupPairHint, T: SharedFreeAmalgam) -> Tri:
+def _subgroups_match(hint: SubgroupPairHint, T: SharedFreeAmalgam) -> bool:
     """The two H' descriptors name the same subgroup of H, and K' meets
     H exactly in H'."""
     hk, hl, kp = hint.h_prime_k, hint.h_prime_l, hint.k_prime
     if hk.symbols != hl.symbols or not hk.symbols <= T.h_symbols:
-        return Tri.NO
+        return False
     # letter-support subgroups intersect on the symbol intersection
-    return Tri.YES if kp.symbols & T.h_symbols == hk.symbols else Tri.NO
+    return kp.symbols & T.h_symbols == hk.symbols
 
 
 def _kp_minus_h_sample(kp: LetterSupportSubgroup, T: AmalgamTriple,
                        budget: int) -> List[Element]:
-    base = [g for g in kp.sample(budget) if T.in_H(g) is Tri.NO]
+    base = [g for g in kp.sample(budget) if not T.in_H(g)]
     out = list(base)
     for x, y in itertools.product(base, repeat=2):
         z = x * y
-        if T.in_H(z) is Tri.NO and kp.contains(z) is Tri.YES:
+        if not T.in_H(z) and kp.contains(z):
             out.append(z)
         if len(out) >= budget:
             break
@@ -156,11 +154,11 @@ def _h_minus_kp_sample(kp: LetterSupportSubgroup, T: AmalgamTriple,
     hs = T.h_sample(budget * 4)
     out = []
     for x in hs:
-        if kp.contains(x) is Tri.NO:
+        if not kp.contains(x):
             out.append(x)
     for x, y in itertools.product(hs, repeat=2):
         z = x * y
-        if kp.contains(z) is Tri.NO:
+        if not kp.contains(z):
             out.append(z)
         if len(out) >= budget:
             break
@@ -168,9 +166,9 @@ def _h_minus_kp_sample(kp: LetterSupportSubgroup, T: AmalgamTriple,
 
 
 def _clause_v(hint: SubgroupPairHint, T: AmalgamTriple,
-              budget: int) -> Tuple[Tri, dict]:
+              budget: int) -> Tuple[Optional[bool], dict]:
     """(K' minus H) (H minus K') (K' minus H) stays inside K minus H,
-    on sampled triples."""
+    on sampled triples; None when the sample holds no triple."""
     kp = hint.k_prime
     kp_minus = _kp_minus_h_sample(kp, T, budget)
     h_minus = _h_minus_kp_sample(kp, T, budget)
@@ -179,37 +177,35 @@ def _clause_v(hint: SubgroupPairHint, T: AmalgamTriple,
         for h in h_minus:
             for k2 in kp_minus:
                 prod = k1 * h * k2
-                if T.in_H(prod) is not Tri.NO:
-                    return Tri.NO, {"triple": [_elt_json(k1), _elt_json(h),
+                if T.in_H(prod):
+                    return False, {"triple": [_elt_json(k1), _elt_json(h),
                                                _elt_json(k2)]}
                 checked += 1
     if checked == 0:
-        return Tri.INCONCLUSIVE, {"checked": 0}
-    return Tri.YES, {"checked": checked}
+        return None, {"checked": 0}
+    return True, {"checked": checked}
 
 
 def _case_d(ei: SystemEntry, ej: SystemEntry, T: AmalgamTriple,
             hint: Optional[SubgroupPairHint],
-            budget: int) -> Tuple[Tri, dict]:
+            budget: int) -> Tuple[Optional[bool], dict]:
+    """Whether the fourth case certifies the pair, with its evidence;
+    None when clause v is left undecided by an empty sample."""
     if hint is None:
-        return Tri.NO, {"reason": "no subgroup hint supplied"}
-    match = _subgroups_match(hint, T)
-    if match is not Tri.YES:
-        return match, {"clause": "i"}
+        return False, {"reason": "no subgroup hint supplied"}
+    if not _subgroups_match(hint, T):
+        return False, {"clause": "i"}
     for name, g in (("a_i", ei.a), ("a_j", ej.a)):
-        if hint.k_prime.contains(g) is not Tri.YES or \
-                T.in_H(g) is not Tri.NO:
-            return Tri.NO, {"clause": "ii", "element": name}
-    gf3 = good_fellows(ei.b, ej.b, hint.h_prime_l)
-    if gf3 is not Tri.YES:
-        return gf3, {"clause": "iii"}
-    gf4 = good_fellows(ei.b, ej.bprime, T.h_subgroup(L_SIDE))
-    if gf4 is not Tri.YES:
-        return gf4, {"clause": "iv"}
+        if not hint.k_prime.contains(g) or T.in_H(g):
+            return False, {"clause": "ii", "element": name}
+    if not good_fellows(ei.b, ej.b, hint.h_prime_l):
+        return False, {"clause": "iii"}
+    if not good_fellows(ei.b, ej.bprime, T.h_subgroup(L_SIDE)):
+        return False, {"clause": "iv"}
     v_status, v_evidence = _clause_v(hint, T, budget)
-    if v_status is not Tri.YES:
+    if v_status is not True:
         return v_status, {"clause": "v", **v_evidence}
-    return Tri.YES, {"clause_v": v_evidence}
+    return True, {"clause_v": v_evidence}
 
 
 def validate_system(
@@ -226,51 +222,50 @@ def validate_system(
     """
     hints = hints or {}
     # the standing hypothesis: H is malnormal in L, decided exactly
-    if is_malnormal(T.h_subgroup(L_SIDE), T.L) is Tri.NO:
+    if not is_malnormal(T.h_subgroup(L_SIDE), T.L):
         return ValidationReport("invalid",
                                 witness={"clause": "H-malnormal-in-L"},
                                 h_malnormal_in_l="no")
     report = ValidationReport("valid")
     entries = sorted(S, key=lambda e: e.index)
-    try:
-        for entry in entries:
-            wit = _entry_check(entry, T)
-            if wit is not None:
-                return ValidationReport("invalid", witness=wit)
-        for ei in entries:
-            for ej in entries:
-                if ei.index == ej.index:
-                    continue
-                hint = hints.get(frozenset((ei.index, ej.index)))
-                cert = _certify_pair(ei, ej, T, hint, budget)
-                if cert is None:
-                    return ValidationReport(
-                        "invalid",
-                        witness={"pair": [ei.index, ej.index],
-                                 "clause": "no-case-applies"})
-                report.certificates.append(cert)
-    except InconclusiveError as exc:
-        return ValidationReport("inconclusive", note=str(exc) or "budget")
+    for entry in entries:
+        wit = _entry_check(entry, T)
+        if wit is not None:
+            return ValidationReport("invalid", witness=wit)
+    for ei in entries:
+        for ej in entries:
+            if ei.index == ej.index:
+                continue
+            hint = hints.get(frozenset((ei.index, ej.index)))
+            ok, cert = _certify_pair(ei, ej, T, hint, budget)
+            if ok is False:
+                return ValidationReport(
+                    "invalid",
+                    witness={"pair": [ei.index, ej.index],
+                             "clause": "no-case-applies"})
+            if ok is None:
+                return ValidationReport(
+                    "inconclusive",
+                    note=f"pair ({ei.index},{ej.index}) resisted every "
+                         f"case within budget")
+            report.certificates.append(cert)
     return report
 
 
 def _certify_pair(ei: SystemEntry, ej: SystemEntry, T: AmalgamTriple,
                   hint: Optional[SubgroupPairHint],
-                  budget: int) -> Optional[PairCertificate]:
-    undecided = False
+                  budget: int
+                  ) -> Tuple[Optional[bool], Optional[PairCertificate]]:
+    """(True, certificate of the first case that separates the pair);
+    (False, None) when no case applies; (None, None) when only clause
+    v's empty sample stands in the way."""
     for tag, fn in (("a", _case_a), ("b", _case_b), ("c", _case_c)):
-        res = fn(ei, ej, T)
-        if res is Tri.YES:
-            return PairCertificate(ei.index, ej.index, tag)
-        if res is Tri.INCONCLUSIVE:
-            undecided = True
+        if fn(ei, ej, T):
+            return True, PairCertificate(ei.index, ej.index, tag)
     res_d, evidence = _case_d(ei, ej, T, hint, budget)
-    if res_d is Tri.YES:
-        return PairCertificate(ei.index, ej.index, "d", evidence)
-    if res_d is Tri.INCONCLUSIVE or undecided:
-        raise InconclusiveError(
-            f"pair ({ei.index},{ej.index}) resisted every case within budget")
-    return None
+    if not res_d:
+        return res_d, None
+    return True, PairCertificate(ei.index, ej.index, "d", evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +296,7 @@ def generate_relators(
         if report.status == "invalid":
             raise ValueError(f"system is invalid: {report.witness}")
         if report.status == "inconclusive":
-            raise InconclusiveError(report.note)
+            raise ValueError(f"system is inconclusive: {report.note}")
     entries = sorted(S, key=lambda e: e.index)
     relators = [entry_relator(e, T) for e in entries]
     origins = [{"entry": e.index} for e in entries]

@@ -9,7 +9,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+from amalgams.canonical import (
+    CanonicalWord,
+    Syllable,
+    canonical_equal,
+    is_wcr,
+    rotate,
+)
 from amalgams.colorings import fundamental_seq, predecessor
+from amalgams.groups import Element, FiniteTableGroup
 
 
 def naive_free_reduce(word: Sequence[int]) -> List[int]:
@@ -342,3 +350,93 @@ def reference_decompose_star(g, gamma: int, i: int, beta: int, state):
 
 def reference_transversal_rep(g, gamma: int, i: int, beta: int, state):
     return reference_decompose_star(g, gamma, i, beta, state)[1]
+
+
+# ---------------------------------------------------------------------------
+# the explicit symmetrized closure
+#
+# The package's scanners read a relator set's closure implicitly, through
+# cyclic label arrays. Here it is enumerated: every weakly cyclically
+# reduced conjugate reachable by rotation and seam-splitting, each
+# compared with canonical_equal. Feasible only for small relators.
+
+
+def split_candidates(T, syl):
+    """Pairs (x1, x2) with x2·x1 = syl.elt, both outside H: exhaustive on
+    finite sides; on free sides, the cuts of the reduced word."""
+    group = syl.elt.owner
+    if isinstance(group, FiniteTableGroup):
+        pairs = ((x1, group.mul(syl.elt, x1.inv()))
+                 for x1 in group.elements())
+    else:
+        w = syl.elt.payload
+        pairs = ((Element(group, w[cut:]), Element(group, w[:cut]))
+                 for cut in range(1, len(w)))
+    return [(x1, x2) for x1, x2 in pairs
+            if not T.in_H(x1) and not T.in_H(x2)]
+
+
+def _word_key(w, T) -> tuple:
+    return tuple((s.side, T.coset_label(s.elt)) for s in w.syllables)
+
+
+def _dedup_insert(pool: dict, w, T) -> bool:
+    bucket = pool.setdefault(_word_key(w, T), [])
+    if any(canonical_equal(seen, w, T) for seen in bucket):
+        return False
+    bucket.append(w)
+    return True
+
+
+def wcr_conjugates(w, T, budget: int = 10_000,
+                   include_splittings: bool = True) -> list:
+    """All weakly cyclically reduced conjugates reachable by rotation and
+    seam-splitting, deduplicated up to canonical equality."""
+    if w.is_empty():
+        raise ValueError("wcr_conjugates requires a nontrivial word")
+    pool: dict = {}
+    out = []
+    frontier = [w]
+    steps = 0
+    while frontier and steps < budget:
+        cur = frontier.pop()
+        steps += 1
+        if not _dedup_insert(pool, cur, T):
+            continue
+        if is_wcr(cur, T):
+            out.append(cur)
+        if len(cur) > 1:
+            frontier.append(rotate(cur, T))
+        if include_splittings and len(cur) >= 1 and len(cur) % 2 == 0:
+            # split one even-length rotation's first syllable across the
+            # seam: with g0 = x2·x1 the conjugate x1·g1···g_{n-1}·x2 has
+            # odd length n+1 and seam product x2·x1 = g0 outside H
+            for x1, x2 in split_candidates(T, cur[0]):
+                split = CanonicalWord(
+                    (Syllable(cur[0].side, x1),)
+                    + cur.syllables[1:]
+                    + (Syllable(cur[0].side, x2),))
+                if _dedup_insert(pool, split, T) and is_wcr(split, T):
+                    out.append(split)
+    return out
+
+
+def materialize(R, budget: int = 100_000,
+                include_splittings: bool = True) -> list:
+    """The explicit closure of a small relator set; ValueError past the
+    budget."""
+    total = sum(len(u.word) for u in R.units)
+    if total * max((len(u.word) for u in R.units), default=0) > budget:
+        raise ValueError("materialization budget exhausted")
+    out = []
+    for unit in R.units:
+        for w in wcr_conjugates(unit.word, R.T, budget=budget,
+                                include_splittings=include_splittings):
+            if not any(canonical_equal(w, seen, R.T) for seen in out):
+                out.append(w)
+    return out
+
+
+def closure_contains(R, w) -> bool:
+    """Is w canonically equal to a member of R's explicit closure?"""
+    return any(canonical_equal(w, r, R.T) for r in materialize(R))

@@ -10,7 +10,6 @@ import sympy
 
 from amalgams import words
 from amalgams import engine as E
-from amalgams.groups import Tri
 from amalgams.canonical import (
     K_SIDE,
     L_SIDE,
@@ -96,7 +95,7 @@ def test_ac2_canonical_forms_match_finite_oracle():
             products.append((canonicalize(sylls, T),
                              oracle.normal_form(raw)))
         for (w1, f1), (w2, f2) in itertools.combinations(products, 2):
-            mine = canonical_equal(w1, w2, T) is Tri.YES
+            mine = canonical_equal(w1, w2, T) is True
             theirs = oracle.forms_equal(f1, f2)
             if mine != theirs:
                 ok = False

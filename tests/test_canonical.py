@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from amalgams.groups import Element, FreeGroup, Tri
+from amalgams.groups import Element, FreeGroup
 from amalgams.canonical import (
     CanonicalWord,
     K_SIDE,
@@ -19,14 +19,13 @@ from amalgams.canonical import (
     is_wcr,
     rotate,
     syllable,
-    wcr_conjugates,
     word_from_json,
     word_to_json,
 )
 from amalgams.groups import ElementRegistry
 
 from amalgam_instances import ALL_INSTANCES
-from oracles import exhaustive_chain_equal
+from oracles import exhaustive_chain_equal, wcr_conjugates
 
 
 def random_syllables(T, rng, max_len=5):
@@ -47,7 +46,7 @@ def test_single_syllable_is_its_own_form():
         T, _ = make()
         for g in T.K.elements():
             w = canonicalize([syllable(K_SIDE, g)], T)
-            if T.K.is_identity(g) is Tri.YES:
+            if T.K.is_identity(g) is True:
                 assert w.is_empty()
             else:
                 assert len(w) == 1
@@ -57,15 +56,15 @@ def test_h_can_move_across_the_seam():
     for make in ALL_INSTANCES:
         T, _ = make()
         h_elts = T.h_sample(100)
-        k = next(g for g in T.K.elements() if T.in_H(g) is Tri.NO)
-        l = next(g for g in T.L.elements() if T.in_H(g) is Tri.NO)
+        k = next(g for g in T.K.elements() if T.in_H(g) is False)
+        l = next(g for g in T.L.elements() if T.in_H(g) is False)
         for h in h_elts:
             left = canonicalize(
                 [syllable(K_SIDE, T.K.mul(k, h)), syllable(L_SIDE, l)], T)
             right = canonicalize(
                 [syllable(K_SIDE, k),
                  syllable(L_SIDE, T.L.mul(T.transfer(h, L_SIDE), l))], T)
-            assert canonical_equal(left, right, T) is Tri.YES
+            assert canonical_equal(left, right, T) is True
 
 
 def test_canonical_length_matches_transversal_oracle():
@@ -82,7 +81,7 @@ def test_canonical_length_matches_transversal_oracle():
             if oracle.length(form) == 0:
                 assert len(w) <= 1
                 if len(w) == 1:
-                    assert T.in_H(w[0].elt) is Tri.YES
+                    assert T.in_H(w[0].elt) is True
             else:
                 assert len(w) == oracle.length(form)
 
@@ -99,7 +98,7 @@ def test_canonical_equality_matches_transversal_oracle():
             for j in range(len(samples)):
                 want = oracle.forms_equal(forms[i], forms[j])
                 got = canonical_equal(canons[i], canons[j], T)
-                assert got is (Tri.YES if want else Tri.NO), (i, j)
+                assert got is want, (i, j)
 
 
 def test_canonical_equal_matches_exhaustive_chain_search():
@@ -116,7 +115,7 @@ def test_canonical_equal_matches_exhaustive_chain_search():
             got = canonical_equal(u, v, T)
             if len(u) >= 2 and len(v) >= 2:
                 want = exhaustive_chain_equal(oracle, as_pairs(u), as_pairs(v))
-                assert got is (Tri.YES if want else Tri.NO)
+                assert got is want
                 checked += 1
     assert checked > 0
 
@@ -126,7 +125,7 @@ def test_canonical_equal_is_equivalence():
     T, _ = ALL_INSTANCES[1]()
     ws = [canonicalize(random_syllables(T, rng), T) for _ in range(20)]
     for w in ws:
-        assert canonical_equal(w, w, T) is Tri.YES
+        assert canonical_equal(w, w, T) is True
     for u in ws:
         for v in ws:
             assert canonical_equal(u, v, T) is canonical_equal(v, u, T)
@@ -134,9 +133,9 @@ def test_canonical_equal_is_equivalence():
     for u in ws:
         for v in ws:
             for w in ws:
-                if canonical_equal(u, v, T) is Tri.YES and \
-                        canonical_equal(v, w, T) is Tri.YES:
-                    assert canonical_equal(u, w, T) is Tri.YES
+                if canonical_equal(u, v, T) is True and \
+                        canonical_equal(v, w, T) is True:
+                    assert canonical_equal(u, w, T) is True
 
 
 def test_mul_inverse_gives_identity():
@@ -152,11 +151,11 @@ def test_mul_inverse_gives_identity():
 
 def test_different_lengths_never_equal():
     T, _ = ALL_INSTANCES[0]()
-    k = next(g for g in T.K.elements() if T.in_H(g) is Tri.NO)
-    l = next(g for g in T.L.elements() if T.in_H(g) is Tri.NO)
+    k = next(g for g in T.K.elements() if T.in_H(g) is False)
+    l = next(g for g in T.L.elements() if T.in_H(g) is False)
     w1 = canonicalize([syllable(K_SIDE, k)], T)
     w2 = canonicalize([syllable(K_SIDE, k), syllable(L_SIDE, l)], T)
-    assert canonical_equal(w1, w2, T) is Tri.NO
+    assert canonical_equal(w1, w2, T) is False
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +174,10 @@ def test_wcr_length_one_and_even():
     a = K.generator("a")
     b = L.generator("b")
     w1 = CanonicalWord((syllable(K_SIDE, a),))
-    assert is_wcr(w1, T) is Tri.YES
+    assert is_wcr(w1, T) is True
     assert wcr_conjugates(w1, T) == [w1]
     w2 = CanonicalWord((syllable(K_SIDE, a), syllable(L_SIDE, b)))
-    assert is_wcr(w2, T) is Tri.YES
+    assert is_wcr(w2, T) is True
     rots = wcr_conjugates(w2, T, include_splittings=False)
     assert len(rots) == 2
 
@@ -190,7 +189,7 @@ def test_odd_word_with_h_seam_reduces():
     tail = K.element([("h", 1), ("a", -1)])
     w = CanonicalWord((syllable(K_SIDE, a), syllable(L_SIDE, b),
                        syllable(K_SIDE, tail)))
-    assert is_wcr(w, T) is Tri.NO
+    assert is_wcr(w, T) is False
     conjs = wcr_conjugates(w, T, include_splittings=False)
     assert all(len(c) < 3 for c in conjs)
     assert any(len(c) == 1 for c in conjs)
@@ -206,7 +205,7 @@ def test_even_rotations_are_wcr_and_counted():
     rots = wcr_conjugates(w, T, include_splittings=False)
     assert len(rots) == 4
     for r in rots:
-        assert is_wcr(r, T) is Tri.YES
+        assert is_wcr(r, T) is True
 
 
 def test_splittings_produce_odd_wcr_conjugates():
@@ -218,7 +217,7 @@ def test_splittings_produce_odd_wcr_conjugates():
     lens = {len(c) for c in conjs}
     assert 3 in lens  # a split of the length-3 syllable across the seam
     for c in conjs:
-        assert is_wcr(c, T) is Tri.YES
+        assert is_wcr(c, T) is True
 
 
 def test_rotation_is_conjugation():
@@ -249,4 +248,4 @@ def test_canonical_word_json_roundtrip():
                        syllable(L_SIDE, L.generator("b"))))
     data = word_to_json(w, reg)
     back = word_from_json(data, reg)
-    assert canonical_equal(w, back, T) is Tri.YES
+    assert canonical_equal(w, back, T) is True

@@ -19,6 +19,7 @@ from amalgams.report import (
 from amalgams import engine as E
 from amalgams.colorings import ColoringTable
 from amalgams.groups import FiniteTableGroup
+from amalgams.systems import generate_relators, load_system_fixture
 
 
 def run_cli(tmp_path, command, config, extra=()):
@@ -161,6 +162,54 @@ def test_validate_system_rejects_non_malnormal_h_in_table_fixture(tmp_path):
         assert check["data"]["verdict"] == "invalid"
         assert check["data"]["h_malnormal_in_l"] == "no"
         assert check["data"]["witness"] == {"clause": "H-malnormal-in-L"}
+
+
+def inconclusive_fixture(tmp_path):
+    """A shared-free system shaped like d_case whose one pair needs the
+    fourth case, where clause v's sample of H minus K' is empty: the 24
+    sampled H-elements and their products all lie in K' (H' is
+    h00..h47 of H = h00..h49)."""
+    h = [f"h{n:02d}" for n in range(50)]
+    data = {"name": "inconclusive", "kind": "shared-free",
+            "k_symbols": h + ["a"], "l_symbols": h + ["b", "c", "c2"],
+            "h_symbols": h,
+            "entries": [
+                {"h": [], "a": [["a", 1]], "b": [["b", 1]],
+                 "bprime": [["c", 1]]},
+                {"h": [], "a": [["a", 1], ["h00", 1]],
+                 "b": [["h48", 1], ["b", 1]], "bprime": [["c2", 1]]}],
+            "dprime_hints": [{"i": 0, "j": 1, "h_prime": h[:48],
+                              "k_prime": h[:48] + ["a"]}]}
+    path = tmp_path / "inconclusive.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_validate_system_inconclusive_clause_v(tmp_path):
+    fixture = inconclusive_fixture(tmp_path)
+    system = {"check": "system", "status": "inconclusive", "data": {
+        "verdict": "inconclusive", "h_malnormal_in_l": "yes",
+        "note": "pair (0,1) resisted every case within budget",
+        "certificates": []}}
+
+    def checks(doc):
+        return [{"check": c["name"], "status": c["status"],
+                 "data": c["data"]} for c in doc["checks"]]
+
+    code, doc = run_cli(tmp_path, "validate-system", {"fixture": fixture})
+    assert (code, checks(doc)) == (0, [system])
+    code, doc = run_cli(tmp_path, "validate-system", {"fixture": fixture},
+                        ["--escalate-inconclusive"])
+    assert (code, checks(doc)) == (2, [system])
+    # no word is solved over a system that is not valid
+    code, doc = run_cli(tmp_path, "solve-word", {
+        "fixture": fixture,
+        "words": [[{"side": "K", "letters": [["a", 1]]}]]})
+    assert (code, checks(doc)) == (0, [system])
+    T, S, hints = load_system_fixture(fixture)
+    with pytest.raises(ValueError, match="system is inconclusive: pair "
+                       r"\(0,1\) resisted every case within budget"):
+        generate_relators(S, T, hints=hints)
 
 
 def test_check_amalgam_on_table_fixture(tmp_path):

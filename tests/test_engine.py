@@ -13,7 +13,7 @@ from sympy.matrices.normalforms import smith_normal_form
 from amalgams import words
 from amalgams import engine as E
 from amalgams.colorings import ColoringTable
-from amalgams.groups import GroupHandle
+from amalgams.groups import ElementRegistry, GroupHandle
 from amalgams.systems import validate_system
 from oracles import reference_decompose_star, reference_transversal_rep, \
     tower_support
@@ -326,11 +326,19 @@ def test_emitted_system_validates(tower):
 
 
 def test_J_entry_serialization(tower):
+    # serialise into a fresh registry: registering into the shared tower's
+    # would add codes, and codes order the transversal cores
     layer = tower.layers[(5, 2)]
-    data = layer.entries[0].to_json(tower.registry)
+    size = len(tower.registry)
+    reg = ElementRegistry()
+    entry = layer.entries[0]
+    data = entry.to_json(reg)
     assert data["gamma"] == 5 and data["level"] == 2
     assert data["eps"] in (1, -1)
+    assert reg.decode(data["b"]) == entry.b
+    assert reg.decode(data["bprime"]) == entry.bprime
     json.dumps(data)
+    assert len(tower.registry) == size
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +419,12 @@ def test_topology_chain_nesting(tower):
     assert [c["k"] for c in entries] == [0, 1, 2]
     assert entries[1]["subset_of_previous"] is True
     assert entries[2]["subset_of_previous"] is True
-    # the first pumped relator is the square-length word
-    pumped = [m for m in entries[1]["members"] if m["kind"] == "pumped"
-              and m["ell"] == 1]
-    assert pumped[0]["length"] == 6640 * 6640
+    # level 1 keeps every base relator and the pumped powers from ell 1
+    # on; the first pumped relator is the square-length word
+    assert entries[1]["base_count"] == len(tower.layers[(5, 2)].entries)
+    assert entries[1]["pumped_ell"] == [1, 2]
+    ell = entries[1]["pumped_ell"][0]
+    assert chain["base_length"] ** (ell + 1) == 6640 * 6640
     assert chain["fragment_cprime"]["status"] == "pass"
     assert chain["pumped_avoid_n0"]["status"] == "pass"
     worst = chain["pumped_avoid_n0"]["entries"][0]

@@ -24,7 +24,7 @@ from amalgams.canonical import (
     rotate,
 )
 from amalgams.cancellation import ChainResult, _apply_replacement
-from amalgams.groups import FiniteTableGroup, Tri
+from amalgams.groups import FiniteTableGroup
 from amalgams.systems import load_system_fixture
 
 from amalgam_instances import ALL_INSTANCES, instance_s3_z4
@@ -53,7 +53,7 @@ def outside_h(T, side, rng):
         else:
             g = group.element([(rng.choice(group.symbols), rng.choice((1, -1)))
                                for _ in range(rng.randint(1, 3))])
-        if T.in_H(g) is Tri.NO:
+        if T.in_H(g) is False:
             return g
 
 
@@ -77,7 +77,7 @@ def as_pairs(w):
 
 def assert_canonical(w, T):
     if len(w) >= 2:
-        assert all(T.in_H(s.elt) is Tri.NO for s in w.syllables)
+        assert all(T.in_H(s.elt) is False for s in w.syllables)
         assert all(a.side != b.side for a, b in zip(w.syllables,
                                                     w.syllables[1:]))
 
@@ -142,7 +142,7 @@ def odd_wcr_unit(T, rng):
     for _ in range(200):
         n = 2 * rng.randint(1, 4) + 1
         inv = random_canonical(T, rng, n)
-        if is_wcr(inv, T) is Tri.YES:
+        if is_wcr(inv, T) is True:
             return inv
     return None
 
