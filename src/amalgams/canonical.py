@@ -400,9 +400,7 @@ def canonical_equal(u: CanonicalWord, v: CanonicalWord, T: AmalgamTriple) -> boo
         return False
     if u.sides() != v.sides():
         # a length-1 H-word may sit on either side
-        if len(u) == 1 and _h_word_equal(u, v, T) is not None:
-            return _h_word_equal(u, v, T)
-        return False
+        return len(u) == 1 and _h_word_equal(u, v, T) is True
     if len(u) == 0:
         return True
     if len(u) == 1:

@@ -180,17 +180,66 @@ def cmd_check_smallcancel(config, args):
     return [CheckResult("cprime", res.status, data)]
 
 
-def _parse_word(T, spec):
+def _parse_word(T, spec, built, n):
+    """Word `n` of a solve-word config as a canonical word.
+
+    `built` maps (side, letters as a tuple) to its syllable and is shared
+    by all words of one command, so each distinct syllable is checked
+    and built once. Raises ConfigError naming the word and syllable."""
+    if not isinstance(spec, list):
+        raise ConfigError(f"word {n} is not a list of syllables")
     sylls = []
-    for item in spec:
-        grp = T.K if item["side"] == K_SIDE else T.L
-        elt = grp.element([(s, sign) for s, sign in item["letters"]])
-        sylls.append(syllable(item["side"], elt))
+    for i, item in enumerate(spec):
+        try:
+            key = (item["side"], tuple(map(tuple, item["letters"])))
+            syl = built.get(key)
+        except (KeyError, TypeError):
+            raise ConfigError(
+                f"word {n} syllable {i} is not {{\"side\": ..., "
+                f"\"letters\": [[symbol, sign], ...]}}") from None
+        if syl is None:
+            syl = built[key] = _build_syllable(
+                T, item, f"word {n} syllable {i}")
+        sylls.append(syl)
     return canonicalize(sylls, T)
+
+
+def _build_syllable(T, item, where):
+    """The syllable a solve-word syllable spec names, checked against
+    its side's alphabet."""
+    side, letters = item["side"], item["letters"]
+    if side not in (K_SIDE, L_SIDE):
+        raise ConfigError(f"{where}: side must be 'K' or 'L', not {side!r}")
+    group = T.side_group(side)
+    if isinstance(group, FiniteTableGroup):
+        raise ConfigError(f"{where}: side {side} is a finite table; "
+                          f"solve-word reads letters of free factors")
+    if not isinstance(letters, list):
+        raise ConfigError(f"{where}: 'letters' is not a list")
+    for letter in letters:
+        if not isinstance(letter, list) or len(letter) != 2:
+            raise ConfigError(f"{where}: letter {letter!r} is not a "
+                              f"[symbol, sign] pair")
+        sym, sign = letter
+        if sym not in group.symbols:
+            raise ConfigError(f"{where}: {sym!r} is not a letter of side "
+                              f"{side}")
+        if type(sign) is not int or sign not in (1, -1):
+            raise ConfigError(f"{where}: sign of {sym!r} must be 1 or -1, "
+                              f"not {sign!r}")
+    return syllable(side, group.element(letters))
 
 
 def cmd_solve_word(config, args):
     T, S, hints = load_system_fixture(config["fixture"])
+    if not isinstance(config["words"], list):
+        raise ConfigError("config 'words' must be a list of words")
+    # the words leave the config once built: their JSON objects take
+    # about 25 MB for 61,018 syllables, which the quotient and the
+    # report can then reuse
+    built = {}
+    words = [_parse_word(T, spec, built, n)
+             for n, spec in enumerate(config.pop("words"))]
     # words are only decided in the quotient of a valid system; any
     # other verdict is reported as the system check and nothing is solved
     rep = validate_system(S, T, hints=hints)
@@ -199,8 +248,7 @@ def cmd_solve_word(config, args):
     R = generate_relators(S, T, hints=hints, skip_validation=True)
     build_quotient(T, R)
     checks = []
-    for n, spec in enumerate(config["words"]):
-        w = _parse_word(T, spec)
+    for n, w in enumerate(words):
         res = dehn_decide(w, R, budget=args.budget_len)
         data = {"verdict": res.status, "note": res.note}
         if res.status == "trivial":

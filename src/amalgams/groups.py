@@ -187,7 +187,16 @@ class FiniteTableGroup(GroupHandle):
 
 
 class FreeGroup(GroupHandle):
-    """Free group on a declared alphabet; payloads are reduced words."""
+    """Free group on a declared alphabet; payloads are reduced words.
+
+    Every element of a free group wraps a freely reduced payload:
+    `element` reduces its input, `mul` and `inv` keep reducedness, and
+    the package builds `Element(F, payload)` directly only on a
+    generator, the identity, a slice of a reduced payload (an outer
+    H-segment, a transversal core) or the payload of an element of
+    another free group, all reduced too. `mul` relies on this: it
+    cancels only at the seam.
+    """
 
     kind = "free"
 
@@ -206,7 +215,16 @@ class FreeGroup(GroupHandle):
         return Element(self, ((sym, sign),))
 
     def _mul_payload(self, a, b):
-        return words.free_reduce(a + b)
+        # a and b are reduced, so a·b can cancel only where they meet:
+        # strip the k letters a[-1-k] that are inverse to b[k]
+        n, k = len(a), 0
+        stop = min(n, len(b))
+        while k < stop:
+            x, y = a[n - 1 - k], b[k]
+            if x[0] != y[0] or x[1] != -y[1]:
+                break
+            k += 1
+        return a[:n - k] + b[k:]
 
     def _inv_payload(self, a):
         return words.inverse(a)

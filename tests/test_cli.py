@@ -18,7 +18,7 @@ from amalgams.report import (
 )
 from amalgams import engine as E
 from amalgams.colorings import ColoringTable
-from amalgams.groups import FiniteTableGroup
+from amalgams.groups import FiniteTableGroup, GroupHandle
 from amalgams.systems import generate_relators, load_system_fixture
 
 
@@ -241,6 +241,34 @@ def test_solve_word_nontrivial(tmp_path):
     code, doc = run_cli(tmp_path, "solve-word", config)
     assert code == 0
     assert doc["checks"][0]["data"]["verdict"] == "nontrivial"
+
+
+def test_solve_word_builds_each_distinct_syllable_once(tmp_path,
+                                                      monkeypatch):
+    # the relator spells 6,641 syllables from 4 distinct ones, and the
+    # second word repeats one of them; a solve-word without words counts
+    # the elements that loading and validating the fixture build
+    built = []
+    element = GroupHandle.element
+
+    def counting(self, payload):
+        built.append(payload)
+        return element(self, payload)
+
+    monkeypatch.setattr(GroupHandle, "element", counting)
+    run_cli(tmp_path, "solve-word", {"fixture": WITH_H, "words": []})
+    fixture_builds = len(built)
+    built.clear()
+    spec = with_h_relator_spec()
+    code, doc = run_cli(tmp_path, "solve-word", {
+        "fixture": WITH_H,
+        "words": [spec, [{"side": "L", "letters": [["b", 1]]}] * 3]})
+    assert code == 0
+    assert [c["data"]["verdict"] for c in doc["checks"]] == [
+        "trivial", "nontrivial"]
+    distinct = {(s["side"], str(s["letters"])) for s in spec}
+    assert len(distinct) == 4
+    assert len(built) <= fixture_builds + len(distinct)
 
 
 def test_solve_word_on_invalid_system_reports_the_clause(tmp_path):
@@ -484,11 +512,29 @@ def _entry_without_a(tmp_path):
                           "colorings": {"c1": {"3,5": -4}}}),
     ("scan-colorings", {"count": 10, "targets": [[1, 2]]}),
     ("scan-colorings", {"count": 10, "targets": [[1, 2, -3]]}),
+    # malformed solve-word words: a side other than K or L, an L letter
+    # on the K side, a sign other than +-1, a syllable without letters,
+    # and a word given without its enclosing list
+    ("solve-word", {"fixture": WITH_H, "words": [
+        [{"side": "Q", "letters": [["b", 1]]}]]}),
+    ("solve-word", {"fixture": WITH_H, "words": [
+        [{"side": "K", "letters": [["a", 1]]},
+         {"side": "K", "letters": [["b", 1]]}]]}),
+    ("solve-word", {"fixture": WITH_H, "words": [
+        [{"side": "K", "letters": [["a", 2]]}]]}),
+    ("solve-word", {"fixture": WITH_H, "words": [[{"side": "L"}]]}),
+    ("solve-word", {"fixture": WITH_H, "words": [
+        {"side": "K", "letters": [["a", 1]]}]}),
+    # word letters are free-factor letters; a table side has none
+    ("solve-word", lambda tmp: {"fixture": s3_z8_fixture(tmp), "words": [
+        [{"side": "K", "letters": [[1, 1]]}]]}),
 ], ids=["missing-config", "zero-generators", "fixture-as-config",
         "no-words", "missing-fixture", "not-a-system", "entry-lacks-key",
         "negative-count", "string-stages", "bool-stages", "unbuilt-layer",
         "free-layer", "colorings-key-not-pair", "colorings-unordered-pair",
-        "colorings-negative", "target-short", "target-negative"])
+        "colorings-negative", "target-short", "target-negative",
+        "word-side", "word-symbol", "word-sign", "word-no-letters",
+        "words-not-nested", "word-table-side"])
 def test_malformed_config_is_usage_error(tmp_path, capsys, command, config):
     if callable(config):
         config = config(tmp_path)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
+from amalgams import words
 from amalgams.groups import (
     Element,
     ElementRegistry,
@@ -58,6 +60,49 @@ def test_free_group_ops():
     assert F.is_identity(F.mul(w, w.inv())) is True
     with pytest.raises(ValueError):
         F.generator("c")
+
+
+def _reduced_word(rng, symbols, n):
+    w = []
+    while len(w) < n:
+        letter = (rng.choice(symbols), rng.choice((1, -1)))
+        if not w or w[-1] != (letter[0], -letter[1]):
+            w.append(letter)
+    return tuple(w)
+
+
+@pytest.mark.parametrize("symbols", [
+    ["h", "a", "b"],  # fixture-style names
+    [f"x{i}" for i in range(12)],  # engine generator names
+])
+def test_seam_product_matches_free_reduction(symbols):
+    # FreeGroup multiplies reduced payloads by cancelling at the seam
+    # alone; free reduction of the concatenation is the reference
+    F = FreeGroup(symbols)
+    rng = random.Random(20261018)
+    g, g_inv = (symbols[0], 1), (symbols[0], -1)
+    cases = [((), ()), ((), (g,)), ((g,), ()), ((g,), (g,)), ((g,), (g_inv,))]
+    for _ in range(300):
+        a = _reduced_word(rng, symbols, rng.randrange(9))
+        # b opens with the inverse of a's last `depth` letters, from none
+        # to all of a, and goes on with a reduced rest, possibly empty
+        depth = rng.randrange(len(a) + 1)
+        rest = _reduced_word(rng, symbols, rng.choice((0, 0, 1, 4)))
+        b = words.inverse(a[len(a) - depth:]) + rest
+        if words.free_reduce(b) == b:
+            cases += [(a, b), (b, a)]
+        cases.append((a, words.inverse(a)))
+        # slices of one reduced word, in order and out of it
+        w = _reduced_word(rng, symbols, 12)
+        i, j, k = sorted(rng.randrange(13) for _ in range(3))
+        cases += [(w[i:j], w[j:k]), (w[j:k], w[i:j]),
+                  (w[i:k], words.inverse(w[j:k]))]
+    depths = set()
+    for a, b in cases:
+        want = words.free_reduce(a + b)
+        assert F._mul_payload(a, b) == want, (a, b)
+        depths.add((len(a) + len(b) - len(want)) // 2)
+    assert {0, 1, 2, 3, 8} <= depths
 
 
 def test_cross_group_elements_rejected():
