@@ -1,17 +1,14 @@
-"""Symmetrized relator sets, the metric overlap condition, and the
-Dehn-algorithm word problem for the resulting quotients.
+"""Symmetrized relator sets, the metric overlap condition C', and
+Dehn's algorithm for the word problem of their quotients.
 
-Relator sets keep only weakly cyclically reduced base words; rotations
-and inverses are handled implicitly through cyclic label arrays, which
-is what makes 6640-syllable relators tractable. Each set labels its
-units once and hashes their label windows once per window length. Both
-scans, C' and Dehn's long-part search, are two-phase: a label-run
-prefilter (labels are constant on H-double cosets, so a genuine
-cancellation chain forces a label run), then exact verification of the
-candidates by the one H-chain walker, ``cancellation_chain``. On a
-shared-free amalgam the walker compares per-syllable (label, junction)
-codes instead of multiplying elements. The C' verdict is kept on the
-set.
+A relator set keeps its weakly cyclically reduced base words and reads
+rotations and inverses off cyclic label arrays, hashed once per window
+length. Both scans, C' and Dehn's long-part search, first find label
+runs (labels are constant on H-double cosets, so a cancellation chain
+forces a label run) and then walk each run's diagonal once, with
+``Diagonal``: one rule for every amalgam, which computes each chain
+state once and gives the chain from each offset by
+``cancellation_chain``. The C' verdict is kept on the set.
 
 A quotient has no group object of its own: ``build_quotient`` gates a
 relator set (C'(1/10) and a sampled injectivity audit), and
@@ -28,11 +25,7 @@ from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from amalgams import kernels, words
-from amalgams.groups import (
-    Element,
-    ElementRegistry,
-    ambient_sample,
-)
+from amalgams.groups import Element, ElementRegistry, ambient_sample
 from amalgams.canonical import (
     AmalgamTriple,
     CanonicalWord,
@@ -61,40 +54,29 @@ class BaseRelator:
 class ScanUnit:
     uid: str
     word: CanonicalWord
-    rid: str
-    inverted: bool
     partner: str  # uid of the unit that spells this word's inverse
 
 
 class RelatorSet:
     """A symmetrized relator set, represented by its base relators.
 
-    The closure members are the cyclic rotations of the bases and their
-    inverses plus the seam-splitting odd conjugates; the scanners consult
-    them implicitly and never enumerate them. Units come in (base,
-    inverse) pairs. Their double-coset labels are coded once, in
-    ``cyclic_labels``: each unit's code array written out twice, for
-    cyclic scans.
+    The closure members (rotations of the bases and their inverses, and
+    the seam-splitting odd conjugates) are read implicitly, never
+    enumerated. Units come in (base, inverse) pairs; ``cyclic_labels``
+    holds each unit's double-coset label codes written out twice.
 
     When the amalgam has ``label_and_ends`` (a shared-free amalgam),
-    ``codes`` also holds each unit's chain codes, one ``array('q')`` per
-    unit: syllable x codes as the pair (label of u[x], the reduced
-    junction word tail(u[x-1]) · head(u[x])), read cyclically, where
-    head and tail are the syllable's outer H-segments. A cancellation
-    chain past its first step is then a common run of two code arrays
-    (see ``cancellation_chain``), which the C' scan and Dehn's
-    long-part search pass to the walker; ``code_word`` codes a query
-    word the same way. Otherwise ``codes`` is None and chains are walked
-    by element arithmetic. Replays of witnesses and certificates always
-    walk by element arithmetic, so they do not depend on the coding.
+    ``codes`` holds each unit's chain codes, an ``array('q')``: syllable
+    x codes the pair (label of u[x], reduced junction word
+    tail(u[x-1]) · head(u[x])), read cyclically, with head and tail the
+    outer H-segments (see ``cancellation_chain``). ``code_word`` codes a
+    query word the same way. Otherwise ``codes`` is None. Replays of
+    witnesses and certificates always walk by element arithmetic.
 
-    The set is the index the scanners share. ``window_hashes(uid, k)``
-    hashes a unit's cyclic labels once per window length k (one rolling
-    pass, kept as an ``array('q')``), so C' and every Dehn round look
-    the unit up without hashing it again. ``check_cprime`` records its
-    result in ``cprime_results``, keyed on chi, so a set is scanned once
-    however many callers check it. Both caches assume the set is not
-    changed after construction.
+    The set is the index the scanners share: ``window_hashes(uid, k)``
+    hashes a unit's cyclic labels once per window length, and
+    ``cprime_results`` keeps ``check_cprime``'s verdict per chi. Both
+    caches assume the set does not change after construction.
     """
 
     def __init__(
@@ -115,11 +97,9 @@ class RelatorSet:
             if not is_wcr(base.word, T):
                 raise ValueError(f"relator {base.rid} is not wcr")
             inv = base.rid + "^-1"
-            self.units.append(
-                ScanUnit(base.rid, base.word, base.rid, False, inv))
-            self.units.append(
-                ScanUnit(inv, canonical_inverse(base.word, T), base.rid,
-                         True, base.rid))
+            self.units.append(ScanUnit(base.rid, base.word, inv))
+            self.units.append(ScanUnit(
+                inv, canonical_inverse(base.word, T), base.rid))
         self.by_uid: Dict[str, ScanUnit] = {u.uid: u for u in self.units}
         self._label_codes: Dict[Hashable, int] = {}
         self._chain_codes: Dict[Tuple[int, tuple], int] = {}
@@ -250,6 +230,7 @@ def cancellation_chain(
     max_steps: int,
     skip_trivial_wrap: bool = False,
     codes: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
+    diagonal: Optional["Diagonal"] = None,
 ) -> ChainResult:
     """Exact cancellation length of (rotation of w1 ending at i1) times
     (h-conjugated rotation of w2 starting at j2), the longest over the
@@ -267,14 +248,16 @@ def cancellation_chain(
 
     ``codes``, the chain codes (``RelatorSet.codes``) of the unit that
     spells w1^-1 and of w2, replaces element arithmetic after step 0
-    when both words have at least two syllables (so every syllable lies
-    outside H). Step 0 holds exactly when h0 is a seed. For t >= 1,
-    a_t·P·b_t ∈ H forces P = tail(a_t)^-1·head(b_t)^-1, while the
-    previous step left P = head(a_{t-1})·tail(b_{t-1}), and the
-    skeletons and inner H-segments of a_t and b_t must cancel exactly.
-    Both conditions together say that b_t's (label, junction) code is
-    the code of a_t^-1, read off w1^-1. The chain then ends on
-    h_end = head(a_{ell-1})·tail(b_{ell-1}).
+    when both words have at least two syllables (all outside H). Step 0
+    holds exactly when h0 is a seed. For t >= 1, a_t·P·b_t ∈ H forces
+    P = tail(a_t)^-1·head(b_t)^-1, while the previous step left
+    P = head(a_{t-1})·tail(b_{t-1}), and the skeletons and inner
+    H-segments of a_t and b_t must cancel exactly: b_t's (label,
+    junction) code is the code of a_t^-1, read off w1^-1. The chain
+    ends on h_end = head(a_{ell-1})·tail(b_{ell-1}).
+
+    ``diagonal`` is the ``Diagonal`` of this offset, if any, with ``j2``
+    its position along w2, not reduced; element walks share its states.
     """
     n, m = len(w1), len(w2)
     a0, b0 = w1[i1 % n], w2[j2 % m]
@@ -282,11 +265,19 @@ def cancellation_chain(
     if a0.side != b0.side:
         return best
     coded = codes is not None and n > 1 and m > 1
+    stop, states = (j2 + max_steps, None) if diagonal is None \
+        else (diagonal.stop, diagonal.states)
     for h0 in T.junction_solutions(a0.elt, b0.elt):
         if coded:
             ell, P = _coded_walk(T, w1, w2, i1, j2, max_steps, codes, h0)
+            if diagonal is not None:
+                diagonal.settled = j2 + ell
         else:
-            ell, P = _element_walk(T, w1, w2, i1, j2, max_steps, h0)
+            R, r = _element_walk(T, w1, w2, i1, j2, h0, stop, states)
+            ell = min(r, max_steps)
+            # states are kept on the side of their w1 syllable; the
+            # chain ends on the side of its last step
+            P = T.transfer(R[r - ell], w1[(i1 + 1 - max(ell, 1)) % n].side)
         wrap = ell == max_steps == n == m and P.owner.is_identity(P)
         if wrap and skip_trivial_wrap:
             continue
@@ -295,22 +286,73 @@ def cancellation_chain(
     return best
 
 
-def _element_walk(T, w1, w2, i1, j2, max_steps, h0):
+class Diagonal:
+    """The chains from each offset o < length of one diagonal: w1 read
+    backwards from i1 - o against w2 from j2 + o, capped at
+    min(max_steps, room - o) steps. Both scans walk their label runs so.
+
+    A chain state is a position j along w2 and the H-element carried
+    into it. Each has one successor, and P -> a·P·b is injective, so
+    states lie on disjoint paths, cut at ``stop``, the furthest position
+    a capped chain reads. ``states`` maps each state walked to (R, r): R
+    lists its path from the end, R[r] is the state, and its chain runs r
+    steps and after t of them carries R[r - t]. A walk that meets a
+    known state has met the start of its path and extends R, so each
+    state is computed once; the product-1 wrap is one such path.
+
+    On a shared-free amalgam a junction has at most one seed, so the
+    state is the position: a coded chain of ell steps from j settles
+    positions j..j+ell-1, whose chains continue it, and ``chains`` steps
+    past them.
+    """
+
+    def __init__(self, T, w1, w2, i1, j2, length, max_steps,
+                 room=math.inf, codes=None):
+        self.T, self.w1, self.w2, self.i1, self.j2 = T, w1, w2, i1, j2
+        self.length, self.max_steps, self.room, self.codes = \
+            length, max_steps, room, codes
+        self.stop = j2 + min(room, length - 1 + max_steps)
+        self.states: Dict[tuple, Tuple[list, int]] = {}
+        self.settled = j2
+
+    def chains(self, skip_trivial_wrap: bool = False):
+        """(o, ``cancellation_chain`` from offset o) for each offset no
+        chain has settled. A coded wrap hides no other seed, so it is kept."""
+        skip = skip_trivial_wrap and self.codes is None
+        o = 0
+        while o < self.length:
+            yield o, cancellation_chain(
+                self.T, self.w1, self.w2, self.i1 - o, self.j2 + o,
+                min(self.max_steps, self.room - o), skip, self.codes, self)
+            o = max(o + 1, self.settled - self.j2)
+
+
+def _element_walk(T, w1, w2, i1, j2, h0, stop, states):
+    """(R, r) of the state (j2, h0), as in ``Diagonal``; ``states`` (its
+    memo, or None) gives the states walked before and takes the new."""
     n, m = len(w1), len(w2)
-    P = h0
-    ell = 0
-    while ell < max_steps:
-        a = w1[(i1 - ell) % n]
-        b = w2[(j2 + ell) % m]
-        if a.side != b.side:
+    path, R = [], []
+    j, P = j2, h0
+    while True:
+        a, b = w1[(i1 + j2 - j) % n], w2[j % m]
+        P = T.transfer(P, a.side)
+        if states is not None and (j, P.payload) in states:
+            R = states[j, P.payload][0]
             break
-        group = T.side_group(a.side)
-        Q = group.mul(group.mul(a.elt, T.transfer(P, a.side)), b.elt)
-        if not T.in_H(Q):
+        path.append(P)
+        group = P.owner
+        if j == stop or a.side != b.side:
             break
-        P = Q
-        ell += 1
-    return ell, P
+        P = group.mul(group.mul(a.elt, P), b.elt)
+        if not T.in_H(P):
+            break
+        j += 1
+    R.extend(reversed(path))
+    if states is None:
+        return R, len(R) - 1
+    for t, P in enumerate(path):
+        states[j2 + t, P.payload] = (R, len(R) - 1 - t)
+    return states[j2, h0.payload]
 
 
 def _coded_walk(T, w1, w2, i1, j2, max_steps, codes, h0):
@@ -358,23 +400,14 @@ class CPrimeResult:
     note: str = ""
 
 
-def _violation_threshold(chi: Fraction, min_len: int) -> int:
-    """Smallest integer ell with ell >= chi * min_len."""
-    return math.ceil(chi * min_len)
-
-
 def distinct_cyclic_runs(
     runs: Sequence[Tuple[int, int, int]], n: int, m: int
 ) -> List[Tuple[int, int, int]]:
     """The runs of a scan over doubled arrays (periods n and m) with
-    distinct cyclic starts (s mod n, j mod m), first copy kept.
-
-    Copies of one cyclic run start at the same cyclic position, so the
-    chain walks from a copy repeat walks from the first copy. The first
-    copy in sorted order starts inside both first periods and runs at
-    least as far as any other, so dropping the rest loses nothing."""
-    seen = set()
-    out = []
+    distinct cyclic starts (s mod n, j mod m), first copy kept: a copy
+    repeats the first copy's chains, and the first copy in sorted order
+    starts inside both first periods and runs at least as far."""
+    seen, out = set(), []
     for run in runs:
         start = (run[0] % n, run[1] % m)
         if start not in seen:
@@ -395,17 +428,8 @@ def check_cprime(R: RelatorSet, chi: Optional[Fraction] = None) -> CPrimeResult:
 
 
 def _scan_cprime(R: RelatorSet, chi: Fraction) -> CPrimeResult:
-    T = R.T
-    # With one seed per junction, the chain from an offset inside a
-    # chain is that chain's suffix, and a product-1 wrap covers its whole
-    # diagonal, so the walk steps past each chain. Otherwise an offset
-    # inside a chain may seed a different conjugate: every offset is
-    # walked, and every seed but a product-1 wrap is tried.
-    skip_past = T.unique_junctions
-    codes = R.codes
-    max_core = 0
-    pairs = 0
-    gray = False
+    T, codes = R.T, R.codes
+    max_core, pairs, gray = 0, 0, False
     for u1 in R.units:
         n = len(u1.word)
         # read backwards, u1 spells its partner: entry s of the partner's
@@ -415,7 +439,7 @@ def _scan_cprime(R: RelatorSet, chi: Fraction) -> CPrimeResult:
         for u2 in R.units:
             pairs += 1
             m = len(u2.word)
-            k_min = _violation_threshold(chi, min(n, m))
+            k_min = math.ceil(chi * min(n, m))  # least violating ell
             if k_min > min(n, m):
                 continue
             scan_k = max(1, k_min - 2)
@@ -427,29 +451,26 @@ def _scan_cprime(R: RelatorSet, chi: Fraction) -> CPrimeResult:
                 U2, R.cyclic_labels[u2.uid], scan_k, table,
                 R.window_hashes(u2.uid, scan_k))
             for (s, j, length) in distinct_cyclic_runs(runs, n, m):
-                o = 0
-                while o < length:
-                    i1 = (n - 1 - (s + o)) % n
-                    j2 = (j + o) % m
-                    res = cancellation_chain(
-                        T, u1.word, u2.word, i1, j2, min(n, m),
-                        skip_trivial_wrap=not skip_past,
-                        codes=None if codes is None
-                        else (codes[u1.partner], codes[u2.uid]))
+                # offsets a period apart are the same chain states
+                diagonal = Diagonal(
+                    T, u1.word, u2.word, n - 1 - s, j,
+                    min(length, math.lcm(n, m)), min(n, m),
+                    codes=codes and (codes[u1.partner], codes[u2.uid]))
+                for o, res in diagonal.chains(skip_trivial_wrap=True):
                     if res.full_wrap_trivial:
-                        break  # the excluded product-1 alignment
+                        continue  # the excluded product-1 alignment
                     if res.ell >= k_min:
                         h_elt = res.h0
                         side = "K" if h_elt.owner is T.K else "L"
                         wit = CPrimeWitness(
-                            u1.uid, u2.uid, i1, j2, res.ell, min(n, m),
-                            k_min, h_elt.owner.payload_to_json(h_elt.payload),
+                            u1.uid, u2.uid, (n - 1 - s - o) % n,
+                            (j + o) % m, res.ell, min(n, m), k_min,
+                            h_elt.owner.payload_to_json(h_elt.payload),
                             side)
                         return CPrimeResult("fail", wit, res.ell, pairs)
                     max_core = max(max_core, res.ell)
                     if res.ell >= scan_k:
                         gray = True
-                    o += res.ell + 1 if skip_past else 1
     # No verified chain reaches the bound. Seam-splitting conjugates can
     # extend a chain by at most one syllable at each end, and their
     # interior steps are plain full-syllable chain steps, so any split
@@ -538,25 +559,23 @@ def find_replacement(
         runs = kernels.runs_at_least(W, R.cyclic_labels[unit.uid], scan_k,
                                      table, R.window_hashes(unit.uid, scan_k))
         for (p, j, length) in runs:
-            o = 0
-            while o < length:
-                q, jq = p + o, (j + o) % m
-                # w[q..q+t) = h0^-1 * r[jq..jq+t) * h_end: r^-1 read
-                # backwards from m-1-jq cancels against w from q
-                chain = cancellation_chain(
-                    T, inv, w, m - 1 - jq, q, min(len(w) - q, m),
-                    codes=None if W_codes is None
-                    else (R.codes[unit.uid], W_codes))
-                t = chain.ell
-                if t >= t_min:
+            # w[q..q+t) = h0^-1 * r[jq..jq+t) * h_end: r^-1 read
+            # backwards from m-1-jq cancels against w from q
+            diagonal = Diagonal(
+                T, inv, w, m - 1 - j, p, length, m, room=len(w) - p,
+                codes=W_codes and (R.codes[unit.uid], W_codes))
+            ends = set()  # a chain that ends on a known end is a suffix
+            for o, chain in diagonal.chains():
+                q, jq, t = p + o, (j + o) % m, chain.ell
+                if t < t_min:
+                    gray = gray or t >= scan_k
+                elif (q + t, chain.h_end.payload) not in ends:
+                    ends.add((q + t, chain.h_end.payload))
                     new_word = _apply_replacement(T, w, inv, q, jq, chain)
                     if len(new_word) < len(w):
                         candidates.append(
                             (len(new_word), q, unit.uid, jq, t, chain.h0,
                              new_word))
-                elif t >= scan_k:
-                    gray = True
-                o += max(t, 1)
     if not candidates:
         return None, gray
     candidates.sort(key=lambda c: (c[0], c[1], c[2], c[3]))

@@ -16,6 +16,7 @@ from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 from amalgams.groups import (
     Element,
     ElementRegistry,
+    FiniteGeneratedSubgroup,
     FiniteTableGroup,
     FreeGroup,
     GroupHandle,
@@ -50,9 +51,6 @@ class CanonicalWord:
     def is_empty(self) -> bool:
         return not self.syllables
 
-    def sides(self) -> Tuple[str, ...]:
-        return tuple(s.side for s in self.syllables)
-
     def __repr__(self) -> str:
         return "CW(" + " ".join(map(repr, self.syllables)) + ")"
 
@@ -61,18 +59,17 @@ class AmalgamTriple:
     """The data of K *_H L with executable structure tests.
 
     Subclasses provide the two side groups, H-membership per side,
-    transfer of H-elements between the sides, and a per-syllable double
-    coset label. ``unique_junctions`` declares that ``junction_solutions``
-    never returns more than one element, so a cancellation chain is fixed
-    by where it starts.
+    transfer of H-elements between the sides, a per-syllable double
+    coset label, and the seeds of a cancellation chain: every H-element
+    h with a·h·b ∈ H (``junction_solutions``). A subclass with
+    ``label_and_ends`` has at most one seed per junction, so its chains
+    can be compared as codes.
     """
 
     name: str = "amalgam"
-    unique_junctions: bool = False
 
     def __init__(self, K: GroupHandle, L: GroupHandle):
-        self.K = K
-        self.L = L
+        self.K, self.L = K, L
 
     def side_group(self, side: str) -> GroupHandle:
         return self.K if side == K_SIDE else self.L
@@ -90,9 +87,6 @@ class AmalgamTriple:
     def transfer(self, g: Element, side: str) -> Element:
         """Re-express an H-element on the given side."""
         raise NotImplementedError
-
-    def h_identity(self, side: str) -> Element:
-        return self.side_group(side).identity()
 
     def h_sample(self, budget: int) -> List[Element]:
         """Some H-elements on the K side, identity first."""
@@ -116,18 +110,9 @@ class AmalgamTriple:
         ends; its cancellation chains are walked by element arithmetic."""
         return None
 
-    def junction_solutions(
-        self, a: Element, b: Element, budget: int = 64
-    ) -> List[Element]:
-        """H-elements h (on a's side) with a·h·b ∈ H; may be partial."""
-        group = a.owner
-        side = self.side_of_group(group)
-        out = []
-        for h in self.h_sample(budget):
-            h = self.transfer(h, side)
-            if self.in_H(group.mul(group.mul(a, h), b)):
-                out.append(h)
-        return out
+    def junction_solutions(self, a: Element, b: Element) -> List[Element]:
+        """Every H-element h (on a's side) with a·h·b ∈ H."""
+        raise NotImplementedError
 
 
 class TableAmalgam(AmalgamTriple):
@@ -195,9 +180,12 @@ class TableAmalgam(AmalgamTriple):
         ordered.insert(0, self.K._identity)
         return [Element(self.K, p) for p in ordered[:budget]]
 
-    def h_subgroup(self, side: str):
-        from amalgams.groups import FiniteGeneratedSubgroup
+    def junction_solutions(self, a: Element, b: Element) -> List[Element]:
+        group, side = a.owner, self.side_of_group(a.owner)
+        hs = [self.transfer(h, side) for h in self.h_sample(len(self._k2l))]
+        return [h for h in hs if self.in_H(group.mul(group.mul(a, h), b))]
 
+    def h_subgroup(self, side: str):
         group = self.side_group(side)
         table = self._k2l if side == K_SIDE else self._l2k
         gens = [Element(group, p) for p in sorted(table)]
@@ -215,8 +203,6 @@ class SharedFreeAmalgam(AmalgamTriple):
     is the free group on the union alphabet; this makes every structure
     test exact.
     """
-
-    unique_junctions = True
 
     def __init__(
         self,
@@ -278,9 +264,7 @@ class SharedFreeAmalgam(AmalgamTriple):
         split = segments(g.payload, self.h_symbols)
         return self.coset_label(g, split), split[1][0], split[1][-1]
 
-    def junction_solutions(
-        self, a: Element, b: Element, budget: int = 64
-    ) -> List[Element]:
+    def junction_solutions(self, a: Element, b: Element) -> List[Element]:
         # a·h·b ∈ H has at most one solution: the skeletons of a and b
         # must cancel exactly across h, which forces
         # h = tail(a)^-1 · head(b)^-1, with tail and head the outer
@@ -318,17 +302,14 @@ def canonical_product(
 ) -> CanonicalWord:
     """Normal form of the product of pieces ``(syllables, trusted)``.
 
-    An untrusted piece is any sequence of tagged syllables. A trusted
-    piece must be a contiguous slice of one canonical word. The result
-    is built on a stack. A slice of a canonical word of length >= 2
-    lies outside H and alternates sides, so pushing it never merges and
-    never leaves a carry: only its seam with what came before can
-    change. Each trusted piece is therefore fed syllable by syllable
-    from its first syllable until the seam settles, that is until no
-    H-carry is pending and its next syllable lies on the other side
-    from the top of the stack; the rest of it is pushed unchanged. A
-    merge that lands in H folds into the syllable on its left, so a
-    seam can cascade several syllables deep.
+    An untrusted piece is any sequence of tagged syllables; a trusted
+    piece is a contiguous slice of one canonical word. The result is
+    built on a stack. A canonical slice of length >= 2 lies outside H
+    and alternates sides, so only its seam with what came before can
+    change: it is fed syllable by syllable until no H-carry is pending
+    and its next syllable lies on the other side from the top of the
+    stack, and the rest is pushed unchanged. A merge that lands in H
+    folds into the syllable on its left, so a seam can cascade.
     """
     stack: List[Syllable] = []
     carry: Optional[Element] = None  # pending H-factor to the right of stack
@@ -398,7 +379,7 @@ def canonical_equal(u: CanonicalWord, v: CanonicalWord, T: AmalgamTriple) -> boo
     """Equality via forward propagation of the interleaving h-chain."""
     if len(u) != len(v):
         return False
-    if u.sides() != v.sides():
+    if [s.side for s in u.syllables] != [s.side for s in v.syllables]:
         # a length-1 H-word may sit on either side
         return len(u) == 1 and _h_word_equal(u, v, T) is True
     if len(u) == 0:
@@ -409,7 +390,7 @@ def canonical_equal(u: CanonicalWord, v: CanonicalWord, T: AmalgamTriple) -> boo
             return res
         group = T.side_group(u[0].side)
         return group.is_identity(group.mul(u[0].elt.inv(), v[0].elt))
-    h = T.h_identity(u[0].side)
+    h = T.side_group(u[0].side).identity()
     for i in range(len(u)):
         side = u[i].side
         group = T.side_group(side)

@@ -310,17 +310,6 @@ class JEntry:
     bprime: Element
     kprime_indices: FrozenSet[int]
 
-    def to_json(self, registry: ElementRegistry) -> dict:
-        reg = registry.register
-        return {
-            "gamma": self.gamma, "level": self.level,
-            "l": reg(self.l), "k": reg(self.k), "alpha": self.alpha,
-            "d": reg(self.d), "y0": reg(self.y0), "y1": reg(self.y1),
-            "eps": self.eps, "h": reg(self.h), "b": reg(self.b),
-            "bprime": reg(self.bprime),
-            "kprime": sorted(self.kprime_indices),
-        }
-
 
 def _k_candidates(gamma: int, i: int, state: StageState) -> List[Element]:
     d_le = set(state.colorings.d_set(gamma, i, "weak"))

@@ -25,9 +25,10 @@ from amalgams.canonical import (
     canonicalize,
     syllable,
 )
-from amalgams import words
+from amalgams import kernels, words
 from amalgams.cancellation import (
     BaseRelator,
+    Diagonal,
     RelatorSet,
     build_quotient,
     cancellation_chain,
@@ -36,6 +37,8 @@ from amalgams.cancellation import (
     check_cprime,
     dehn_decide,
     distinct_cyclic_runs,
+    find_replacement,
+    part_threshold,
     relators_from_json,
     relators_to_json,
     replay_certificate,
@@ -612,6 +615,212 @@ def test_cprime_walks_codes_and_replay_walks_elements(monkeypatch):
     calls.clear()
     assert replay_cprime_witness(R, wit)
     assert calls["in_H"] >= wit.ell
+
+
+# ---------------------------------------------------------------------------
+# the diagonal pass that the C' scan and Dehn's long-part search share
+
+
+def _seed_chain(T, w1, w2, i1, j2, h, cap):
+    """Length and end of the chain from (i1, j2) seeded h, walked by
+    element arithmetic."""
+    n, m = len(w1), len(w2)
+    P, t = h, 0
+    while t < cap:
+        a, b = w1[(i1 - t) % n], w2[(j2 + t) % m]
+        if a.side != b.side:
+            break
+        group = T.side_group(a.side)
+        Q = group.mul(group.mul(a.elt, T.transfer(P, a.side)), b.elt)
+        if not T.in_H(Q):
+            break
+        P, t = Q, t + 1
+    return t, P
+
+
+def _planted_pair(rng, T):
+    """w1 and a w2 holding H-conjugated runs of w1^-1, each carried by
+    its own random H-elements, between random syllables outside H."""
+    outside, h_elts = {}, {}
+    for side in (K_SIDE, L_SIDE):
+        group = T.side_group(side)
+        outside[side] = [g for g in group.elements() if not T.in_H(g)]
+        h_elts[side] = [g for g in group.elements() if T.in_H(g)]
+    n = 2 * rng.randrange(1, 6)
+    m = n if rng.random() < 0.5 else 2 * rng.randrange(1, 6)
+    first = rng.choice((K_SIDE, L_SIDE))
+    w1 = [Syllable(side, rng.choice(outside[side])) for side in
+          (first if i % 2 == 0 else OTHER_SIDE[first] for i in range(n))]
+    sides = [first if k % 2 == 0 else OTHER_SIDE[first] for k in range(m)]
+    w2 = [None] * m
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(n)
+        j = rng.choice([k for k in range(m) if sides[k] == w1[i].side])
+        p = rng.choice(h_elts[w1[i].side])
+        for t in range(rng.randrange(1, min(n, m) + 1)):
+            a = w1[(i - t) % n]
+            group = T.side_group(a.side)
+            p_next = rng.choice(h_elts[a.side])
+            w2[(j + t) % m] = Syllable(a.side, group.mul(group.mul(
+                T.transfer(p, a.side).inv(), a.elt.inv()), p_next))
+            p = p_next
+    w2 = [syl or Syllable(sides[k], rng.choice(outside[sides[k]]))
+          for k, syl in enumerate(w2)]
+    return CanonicalWord(tuple(w1)), CanonicalWord(tuple(w2))
+
+
+def _check_element_diagonal(T, w1, w2, i1, j2, length, max_steps, room,
+                            skip, seen):
+    # every offset is walked; each gives cancellation_chain's result, and
+    # each seed's state gives the length and end of its own chain
+    n, m = len(w1), len(w2)
+    diagonal = Diagonal(T, w1, w2, i1, j2, length, max_steps, room)
+    got = dict(diagonal.chains(skip))
+    assert sorted(got) == list(range(length))
+    for o in range(length):
+        cap = min(max_steps, room - o)
+        ref = cancellation_chain(T, w1, w2, (i1 - o) % n, (j2 + o) % m,
+                                 cap, skip)
+        res = got[o]
+        assert (res.ell, res.h0, res.h_end, res.full_wrap_trivial) == \
+            (ref.ell, ref.h0, ref.h_end, ref.full_wrap_trivial), o
+        a, b = w1[(i1 - o) % n], w2[(j2 + o) % m]
+        if a.side != b.side:
+            continue
+        lengths = set()
+        for h in T.junction_solutions(a.elt, b.elt):
+            R, r = diagonal.states[j2 + o, h.payload]
+            t, P = _seed_chain(T, w1, w2, i1 - o, j2 + o, h, cap)
+            assert min(r, cap) == t
+            assert T.transfer(R[r - t], K_SIDE) == T.transfer(P, K_SIDE)
+            lengths.add(t)
+        seen["seeds differ"] += len(lengths) > 1
+        inner = [k for k in range(1, res.ell) if o + k < length
+                 and got[o + k].ell > res.ell - k]
+        seen["longer chain inside"] += bool(inner)
+        seen["wrap"] += res.full_wrap_trivial
+        seen["long"] += res.ell >= 3
+
+
+def _check_coded_diagonal(R, u1, u2, s, j, length, seen):
+    # offsets the pass steps past lie inside the chain before them: the
+    # coded chain from there continues it, so it runs at least to its end
+    # (exactly there when that chain stopped short of the cap)
+    T = R.T
+    n, m = len(u1.word), len(u2.word)
+    cap, codes = min(n, m), (R.codes[u1.partner], R.codes[u2.uid])
+    diagonal = Diagonal(T, u1.word, u2.word, n - 1 - s, j, length, cap,
+                        codes=codes)
+    got = list(diagonal.chains(skip_trivial_wrap=True))
+    for k, (o, res) in enumerate(got):
+        ref = cancellation_chain(T, u1.word, u2.word, (n - 1 - s - o) % n,
+                                 (j + o) % m, cap, codes=codes)
+        assert (res.ell, res.h0, res.h_end, res.full_wrap_trivial) == \
+            (ref.ell, ref.h0, ref.h_end, ref.full_wrap_trivial)
+        end = got[k + 1][0] if k + 1 < len(got) else length
+        assert end == o + max(res.ell, 1) or res.full_wrap_trivial
+        for inside in range(o + 1, end, max(1, (end - o) // 7)):
+            chain = cancellation_chain(
+                T, u1.word, u2.word, (n - 1 - s - inside) % n,
+                (j + inside) % m, cap, codes=codes)
+            suffix = res.ell - (inside - o)
+            assert chain.ell == suffix or res.ell == cap <= chain.ell + (
+                inside - o)
+            seen["stepped past"] += 1
+
+
+def test_diagonal_pass_matches_chains_from_every_offset():
+    rng = random.Random(20261019)
+    seen = collections.Counter()
+    for make in ALL_INSTANCES + (instance_s3_z4,):
+        T, _ = make()
+        for _ in range(40):
+            w1, w2 = _planted_pair(rng, T)
+            n, m = len(w1), len(w2)
+            for _ in range(3):
+                length = rng.randrange(1, 2 * max(n, m) + 1)
+                max_steps = min(n, m) if rng.random() < 0.7 \
+                    else rng.randrange(min(n, m) + 1)
+                room = math.inf if rng.random() < 0.5 \
+                    else length + rng.randrange(max_steps + 1)
+                _check_element_diagonal(
+                    T, w1, w2, rng.randrange(n), rng.randrange(m), length,
+                    max_steps, room, rng.random() < 0.5, seen)
+    for name in ("with_h", "trivial_h", "d_case", "corrupted"):
+        T, S, hints = load_system_fixture(f"{FIXTURES}/{name}.json")
+        R = generate_relators(S, T, hints=hints,
+                              skip_validation=True, check=False)
+        for u1 in R.units:
+            n = len(u1.word)
+            for u2 in R.units:
+                m = len(u2.word)
+                k = max(1, math.ceil(R.chi * min(n, m)) - 2)
+                runs = kernels.runs_at_least(
+                    R.cyclic_labels[u1.partner], R.cyclic_labels[u2.uid], k)
+                for s, j, length in distinct_cyclic_runs(runs, n, m):
+                    _check_coded_diagonal(R, u1, u2, s, j,
+                                          min(length, math.lcm(n, m)), seen)
+    assert min(seen[key] for key in (
+        "seeds differ", "longer chain inside", "wrap", "long",
+        "stepped past")) >= 10, seen
+
+
+def test_dehn_finds_long_part_inside_shorter_chain():
+    # In S3 *_{Z2} Z4, H = <(1 2)> is central in Z4 but not normal in S3,
+    # so a chain that carries the wrong H-element passes an L-syllable and
+    # stops at the next K-syllable. Each w plants two syllables of r and
+    # then a long part of r, H-conjugated syllable by syllable, but the
+    # carry into the long part is off by (1 2): the chain from 0 runs 3
+    # steps, past the start of the long part at 2. Dehn's search must
+    # find a replacement at least as short as that part's. Short chains
+    # are common in this small amalgam, so another part may tie with it.
+    rng = random.Random(20261019)
+    T, _ = instance_s3_z4()
+    outside = {side: [g for g in T.side_group(side).elements()
+                      if not T.in_H(g)] for side in (K_SIDE, L_SIDE)}
+    h_k = [g for g in T.K.elements() if T.in_H(g)]
+    x = next(h for h in h_k if not T.K.is_identity(h))
+    m, part = 20, 15
+    assert part == part_threshold(10, m)
+
+    def conjugated(syl, h, h_next):
+        group = T.side_group(syl.side)
+        return Syllable(syl.side, group.mul(group.mul(
+            T.transfer(h, syl.side).inv(), syl.elt),
+            T.transfer(h_next, syl.side)))
+
+    exact = 0
+    for _ in range(20):
+        r = [Syllable(side, rng.choice(outside[side]))
+             for side in (K_SIDE, L_SIDE) * (m // 2)]
+        j0 = rng.randrange(1, m, 2)  # r[j0] is an L-syllable
+        g = [rng.choice(h_k) for _ in range(part + 1)]
+        carries = [rng.choice(h_k), rng.choice(h_k), T.K.mul(x, g[0])]
+        w = CanonicalWord(tuple(
+            [conjugated(r[(j0 - 2 + i) % m], carries[i], carries[i + 1])
+             for i in range(2)]
+            + [conjugated(r[(j0 + i) % m], g[i], g[i + 1])
+               for i in range(part)]))
+        R = symmetrized_closure([CanonicalWord(tuple(r))], T)
+        inv = R.by_uid["r0^-1"].word
+        assert cancellation_chain(T, inv, w, m + 1 - j0, 0, len(w)).ell == 3
+        chain = cancellation_chain(T, inv, w, m - 1 - j0, 2, part)
+        assert chain.ell == part
+        # w[2..17) = h0^-1 r[j0..j0+15) h_end becomes
+        # h0^-1 (r[j0+15..j0+20))^-1 h_end
+        h0, h_end = chain.h0, chain.h_end
+        rest = [Syllable(r[(j0 - 1 - i) % m].side,
+                         r[(j0 - 1 - i) % m].elt.inv())
+                for i in range(m - part)]
+        planted = canonicalize(
+            list(w[:2]) + [syllable(T.side_of_group(h0.owner), h0.inv())]
+            + rest + [syllable(T.side_of_group(h_end.owner), h_end)], T)
+        found, gray = find_replacement(w, R, 10)
+        assert found is not None and len(found[0]) <= len(planted)
+        step = found[1]
+        exact += (step.uid, step.offset, step.rotation, step.ell) == \
+            ("r0", 2, j0, part)
+    assert exact >= 10
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ import random
 
 import pytest
 
-from amalgams.groups import Element, FreeGroup
+from amalgams.groups import Element, FiniteTableGroup, FreeGroup
 from amalgams.canonical import (
     CanonicalWord,
     K_SIDE,
     L_SIDE,
     SharedFreeAmalgam,
     Syllable,
+    TableAmalgam,
     canonical_equal,
     canonical_inverse,
     canonicalize,
@@ -249,3 +250,19 @@ def test_canonical_word_json_roundtrip():
     data = word_to_json(w, reg)
     back = word_from_json(data, reg)
     assert canonical_equal(w, back, T) is True
+
+
+def test_table_junction_solutions_are_every_seed():
+    # Z130 *_{Z65} Z130 with H the even residues: a·h·b lies in H for
+    # every h in H when a + b is even, so all 65 elements of H are
+    # seeds, h = 128 among them
+    T = TableAmalgam(FiniteTableGroup.cyclic(130),
+                     FiniteTableGroup.cyclic(130),
+                     [(h, h) for h in range(0, 130, 2)])
+    for side in (K_SIDE, L_SIDE):
+        group = T.side_group(side)
+        seeds = T.junction_solutions(Element(group, 1), Element(group, 3))
+        assert sorted(h.payload for h in seeds) == list(range(0, 130, 2))
+        assert all(h.owner is group for h in seeds)
+        assert T.junction_solutions(Element(group, 1),
+                                    Element(group, 2)) == []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import resource
 
 import pytest
 
@@ -63,6 +64,31 @@ def s3_z8_fixture(tmp_path, **extra):
     path = tmp_path / "s3_z8.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def s3_d5_fixture(tmp_path):
+    """S3 *_{Z2} D5 as a valid table fixture with one entry. H = <(1 2)>
+    in S3 is paired with a reflection of D5, and a subgroup of order 2
+    is malnormal in both. In S3 every element outside H lies in one
+    double coset, so no b, b' there are good fellows; D5 has two."""
+    S3 = FiniteTableGroup.symmetric(3)
+    perms = sorted(itertools.permutations(range(3)))
+    rotations = [tuple((i + k) % 5 for i in range(5)) for k in range(5)]
+    reflections = [tuple((k - i) % 5 for i in range(5)) for k in range(5)]
+    D5 = FiniteTableGroup.from_permutations(rotations + reflections)
+    data = {"name": "s3-d5", "kind": "table",
+            "k_table": S3.table, "l_table": D5.table,
+            "h_pairs": [[0, 0], [perms.index((1, 0, 2)), 5]],
+            "entries": [{"h": 0, "a": perms.index((1, 2, 0)),
+                         "b": 1, "bprime": 2}]}
+    path = tmp_path / "s3_d5.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def cpu_seconds():
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
 
 
 TOWER_SHA256 = \
@@ -221,6 +247,20 @@ def test_check_amalgam_on_table_fixture(tmp_path):
     assert [(c["name"], c["status"], c["data"]) for c in doc["checks"]] == [
         ("h-transfer-roundtrip", "pass", {"samples": 2}),
         ("canonicalize-idempotent", "pass", {"samples": 24})]
+
+
+@pytest.mark.parametrize("command, z8_exit, z8_status", [
+    ("validate-system", 1, "fail"),  # H is not malnormal in Z8
+    ("check-smallcancel", 0, "pass")])
+def test_table_fixtures_finish(tmp_path, command, z8_exit, z8_status):
+    # the C' scan walks each diagonal's chain states once, so every offset
+    # and seed of the 6640-syllable units costs about one lookup
+    for fixture, expected in ((s3_z8_fixture(tmp_path), (z8_exit, z8_status)),
+                              (s3_d5_fixture(tmp_path), (0, "pass"))):
+        start = cpu_seconds()
+        code, doc = run_cli(tmp_path, command, {"fixture": fixture})
+        assert cpu_seconds() - start < 10
+        assert (code, doc["checks"][0]["status"]) == expected, fixture
 
 
 def test_solve_word_relator_is_trivial(tmp_path):

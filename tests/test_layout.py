@@ -90,6 +90,8 @@ KEEP = {
     "word_from_json": "reader half of the word_to_json round-trip test",
     "ord_from_str": "reader half of the ord_to_str round-trip test",
     "parse_report": "reader half of the emit_report round-trip test",
+    "from_json": "words.from_json: reader half of the words.to_json "
+                 "round-trip test",
     "q_code": "inverse of q_of; tests build coloring tables with it",
     "cantor_pair": "inverse of cantor_unpair, checked against it",
     "successor": "inverse of predecessor, checked against it",
@@ -97,6 +99,28 @@ KEEP = {
     "FiniteTableGroup.symmetric": "the test amalgams are built with it",
     "FiniteTableGroup.from_permutations": "the test amalgams are built "
                                           "with it",
+}
+
+# every definition that shares its name with another, with the
+# definition in src that calls it: a scan by bare name reaches all of
+# them through any one, so each names its caller here or has a KEEP
+# reason. A method that overrides a method of its base class is not
+# listed; calls reach it through the base.
+CALLERS = {
+    "_pykernels.window_hashes": "cancellation.RelatorSet.window_hashes",
+    "cancellation.RelatorSet.window_hashes": "cancellation._scan_cprime",
+    "cancellation.DehnStep.to_json": "cancellation.certificate_to_json",
+    "colorings.ColoringTable.e": "engine.i_at",
+    "colorings.ColoringTable.from_json": "engine.run_construction",
+    "colorings.ColoringTable.to_json": "engine.presentation",
+    "colorings.WalkColoring.e": "colorings.ColoringTable.from_walks",
+    "engine.StageState.element": "engine.advance_stage",
+    "engine.StageState.generator": "engine.init_base",
+    "groups.Element.inv": "canonical.canonical_inverse",
+    "groups.FreeGroup.generator": "engine.StageState.generator",
+    "groups.GroupHandle.element": "cli._build_syllable",
+    "groups.GroupHandle.inv": "groups.Element.inv",
+    "words.to_json": "groups.FreeGroup.payload_to_json",
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -133,30 +157,64 @@ def _definitions(tree):
             yield node.name, node.name, reads
 
 
-def test_every_definition_is_reachable_from_the_cli():
-    # roots: cli.main, module-level code other than imports, and KEEP.  A
-    # reached name reaches every def, class or method of that name, in
-    # any module or class, whether it is read as a name or as an
-    # attribute, so the scan can only err towards keeping code
-    defs, roots = {}, {"main", *(k.split(".")[-1] for k in KEEP)}
+def _scan():
+    """Every definition, as (module-qualified name, name, names it
+    reads), and the names reached from the roots: cli.main, module-level
+    code other than imports, and KEEP. A reached name reaches every def,
+    class or method of that name, in any module or class, whether it is
+    read as a name or as an attribute."""
+    found, defs, roots = [], {}, {"main", *(k.split(".")[-1] for k in KEEP)}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         for qual, name, reads in _definitions(tree):
-            defs.setdefault(name, []).append((f"{path.stem}.{qual}", reads))
+            found.append((f"{path.stem}.{qual}", name, reads))
+            defs.setdefault(name, []).append(reads)
         for node in tree.body:
             if not isinstance(node, (ast.Import, ast.ImportFrom,
                                      ast.ClassDef, *FUNCTIONS)):
                 roots |= _names(node)
-    qualified = {qual.split(".", 1)[1] for found in defs.values()
-                 for qual, _ in found}
-    assert set(KEEP) <= qualified
     seen, todo = set(), list(roots)
     while todo:
         name = todo.pop()
         if name not in seen:
             seen.add(name)
-            for _, reads in defs.get(name, ()):
+            for reads in defs.get(name, ()):
                 todo.extend(reads)
-    unreachable = sorted(qual for name, found in defs.items()
-                         if name not in seen for qual, _ in found)
+    return found, seen
+
+
+def test_every_definition_is_reachable_from_the_cli():
+    # the scan can only err towards keeping code; the shared names it
+    # cannot tell apart are checked below
+    found, seen = _scan()
+    qualified = {qual.split(".", 1)[1] for qual, _, _ in found}
+    assert set(KEEP) <= qualified
+    unreachable = sorted(qual for qual, name, _ in found if name not in seen)
     assert not unreachable, "unreachable: " + ", ".join(unreachable)
+
+
+def test_every_shared_name_has_its_own_caller():
+    found, seen = _scan()
+    methods, bases = {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [_names(b) for b in node.bases]
+                methods[node.name] = {child.name for child in node.body
+                                      if isinstance(child, FUNCTIONS)}
+    by_name = {}
+    for qual, name, _ in found:
+        owner = qual.split(".")[1] if qual.count(".") == 2 else None
+        if owner and any(name in methods.get(base, ())
+                         for names in bases[owner] for base in names):
+            continue  # an override, reached through its base
+        by_name.setdefault(name, []).append(qual)
+    shared = {qual for quals in by_name.values() if len(quals) > 1
+              for qual in quals if qual.split(".", 1)[1] not in KEEP}
+    assert shared == set(CALLERS)
+    reads = {qual: (name, found_reads) for qual, name, found_reads in found}
+    for qual, caller in CALLERS.items():
+        assert caller in reads, caller
+        caller_name, caller_reads = reads[caller]
+        assert caller_name in seen, caller
+        assert qual.split(".")[-1] in caller_reads, (qual, caller)
