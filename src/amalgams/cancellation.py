@@ -741,9 +741,9 @@ def _audit_injectivity(T: AmalgamTriple, R: RelatorSet, samples: int) -> None:
         return word.is_empty() or dehn_decide(word, R).status == "trivial"
 
     for side, group in (("K", T.K), ("L", T.L)):
-        sample = ambient_sample(group, samples)
-        for i, g in enumerate(sample):
-            for h in sample[i + 1:]:
+        elts = ambient_sample(group, samples)
+        for i, g in enumerate(elts):
+            for h in elts[i + 1:]:
                 diff = group.mul(g, h.inv())
                 if group.is_identity(diff):
                     continue

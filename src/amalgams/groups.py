@@ -7,8 +7,8 @@ free group (never materialized). Double cosets and malnormality are
 decided exactly on both; any other pair raises.
 
 Every predicate here is exact and returns a plain bool. The package's
-"inconclusive" outcomes come only from the C' gray zone, Dehn's round
-budget or gray label run, and the empty sample of validation clause v.
+"inconclusive" outcomes come only from the C' gray zone and Dehn's
+round budget or gray label run.
 """
 
 from __future__ import annotations
@@ -310,13 +310,6 @@ class LetterSupportSubgroup(SubgroupDescriptor):
     def contains(self, g: Element) -> bool:
         self.group._check_owner(g)
         return all(sym in self.symbols for sym, _ in g.payload)
-
-    def sample(self, budget: int) -> List[Element]:
-        out = [self.group.identity()]
-        for sym in sorted(self.symbols, key=str):
-            for sign in (1, -1):
-                out.append(Element(self.group, ((sym, sign),)))
-        return out[:budget]
 
     def is_trivial(self) -> bool:
         return not self.symbols

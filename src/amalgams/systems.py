@@ -10,7 +10,6 @@ checks exactly.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -76,20 +75,14 @@ class PairCertificate:
     i: int
     j: int
     case: str  # "a" | "b" | "c" | "d"
-    evidence: dict = field(default_factory=dict)
 
 
 @dataclass
 class ValidationReport:
-    status: str  # valid | invalid | inconclusive
+    status: str  # valid | invalid
     certificates: List[PairCertificate] = field(default_factory=list)
     witness: Optional[dict] = None
     h_malnormal_in_l: str = "yes"  # yes | no: decided before any entry
-    note: str = ""
-
-
-def _elt_json(g: Element):
-    return [g.owner.name, g.owner.payload_to_json(g.payload)]
 
 
 def _entry_check(entry: SystemEntry, T: AmalgamTriple) -> Optional[dict]:
@@ -136,83 +129,37 @@ def _subgroups_match(hint: SubgroupPairHint, T: SharedFreeAmalgam) -> bool:
     return kp.symbols & T.h_symbols == hk.symbols
 
 
-def _kp_minus_h_sample(kp: LetterSupportSubgroup, T: AmalgamTriple,
-                       budget: int) -> List[Element]:
-    base = [g for g in kp.sample(budget) if not T.in_H(g)]
-    out = list(base)
-    for x, y in itertools.product(base, repeat=2):
-        z = x * y
-        if not T.in_H(z) and kp.contains(z):
-            out.append(z)
-        if len(out) >= budget:
-            break
-    return out[:budget]
-
-
-def _h_minus_kp_sample(kp: LetterSupportSubgroup, T: AmalgamTriple,
-                       budget: int) -> List[Element]:
-    hs = T.h_sample(budget * 4)
-    out = []
-    for x in hs:
-        if not kp.contains(x):
-            out.append(x)
-    for x, y in itertools.product(hs, repeat=2):
-        z = x * y
-        if not kp.contains(z):
-            out.append(z)
-        if len(out) >= budget:
-            break
-    return out[:budget]
-
-
-def _clause_v(hint: SubgroupPairHint, T: AmalgamTriple,
-              budget: int) -> Tuple[Optional[bool], dict]:
-    """(K' minus H) (H minus K') (K' minus H) stays inside K minus H,
-    on sampled triples; None when the sample holds no triple."""
-    kp = hint.k_prime
-    kp_minus = _kp_minus_h_sample(kp, T, budget)
-    h_minus = _h_minus_kp_sample(kp, T, budget)
-    checked = 0
-    for k1 in kp_minus:
-        for h in h_minus:
-            for k2 in kp_minus:
-                prod = k1 * h * k2
-                if T.in_H(prod):
-                    return False, {"triple": [_elt_json(k1), _elt_json(h),
-                                               _elt_json(k2)]}
-                checked += 1
-    if checked == 0:
-        return None, {"checked": 0}
-    return True, {"checked": checked}
-
-
 def _case_d(ei: SystemEntry, ej: SystemEntry, T: AmalgamTriple,
-            hint: Optional[SubgroupPairHint],
-            budget: int) -> Tuple[Optional[bool], dict]:
-    """Whether the fourth case certifies the pair, with its evidence;
-    None when clause v is left undecided by an empty sample."""
-    if hint is None:
-        return False, {"reason": "no subgroup hint supplied"}
-    if not _subgroups_match(hint, T):
-        return False, {"clause": "i"}
-    for name, g in (("a_i", ei.a), ("a_j", ej.a)):
-        if not hint.k_prime.contains(g) or T.in_H(g):
-            return False, {"clause": "ii", "element": name}
-    if not good_fellows(ei.b, ej.b, hint.h_prime_l):
-        return False, {"clause": "iii"}
-    if not good_fellows(ei.b, ej.bprime, T.h_subgroup(L_SIDE)):
-        return False, {"clause": "iv"}
-    v_status, v_evidence = _clause_v(hint, T, budget)
-    if v_status is not True:
-        return v_status, {"clause": "v", **v_evidence}
-    return True, {"clause_v": v_evidence}
+            hint: Optional[SubgroupPairHint]) -> bool:
+    """The fourth case: the hint's subgroups match (clause i), K' holds
+    a_i and a_j (clause ii) and b_i, b_j are good fellows over H'
+    (clause iii).
+
+    The other clauses hold whenever these do, once the entries pass
+    ``_entry_check`` and case c has failed:
+
+    - a_i, a_j not in H (the rest of clause ii): ``_entry_check``.
+    - b_i and b'_j good fellows over H (clause iv): case c failed, so
+      H b_i H is H b_j H or H b_j^-1 H. Were clause iv false, it would
+      also be H b'_j H or H b'_j^-1 H, so b_j and b'_j would not be good
+      fellows, which ``_entry_check`` rejects.
+    - (K' minus H)(H minus K')(K' minus H) misses H (clause v), for
+      letter-support subgroups with alphabets S' and S_H: take k1, k2
+      in K' minus H and h in H minus K'. Let y be the first letter of h
+      outside S' and write h = h1 y h2. No letter of k1, h1 or k2 is y,
+      so y survives reduction of k1 h k2, and the reduced product is
+      (k1 h1) y (h2 k2) with nothing cancelled at y. If it lies in H,
+      so does k1 h1, and since h1 is in H, so is k1: a contradiction.
+    """
+    return (hint is not None and _subgroups_match(hint, T)
+            and hint.k_prime.contains(ei.a) and hint.k_prime.contains(ej.a)
+            and good_fellows(ei.b, ej.b, hint.h_prime_l))
 
 
 def validate_system(
     S: Sequence[SystemEntry],
     T: AmalgamTriple,
     hints: Optional[Dict[frozenset, SubgroupPairHint]] = None,
-    budget: int = 24,
 ) -> ValidationReport:
     """Check the per-entry condition and certify every ordered pair by
     one of the four separation cases.
@@ -237,35 +184,27 @@ def validate_system(
             if ei.index == ej.index:
                 continue
             hint = hints.get(frozenset((ei.index, ej.index)))
-            ok, cert = _certify_pair(ei, ej, T, hint, budget)
-            if ok is False:
+            cert = _certify_pair(ei, ej, T, hint)
+            if cert is None:
                 return ValidationReport(
                     "invalid",
                     witness={"pair": [ei.index, ej.index],
                              "clause": "no-case-applies"})
-            if ok is None:
-                return ValidationReport(
-                    "inconclusive",
-                    note=f"pair ({ei.index},{ej.index}) resisted every "
-                         f"case within budget")
             report.certificates.append(cert)
     return report
 
 
 def _certify_pair(ei: SystemEntry, ej: SystemEntry, T: AmalgamTriple,
-                  hint: Optional[SubgroupPairHint],
-                  budget: int
-                  ) -> Tuple[Optional[bool], Optional[PairCertificate]]:
-    """(True, certificate of the first case that separates the pair);
-    (False, None) when no case applies; (None, None) when only clause
-    v's empty sample stands in the way."""
+                  hint: Optional[SubgroupPairHint]
+                  ) -> Optional[PairCertificate]:
+    """The certificate of the first case that separates the pair, or
+    None when no case applies."""
     for tag, fn in (("a", _case_a), ("b", _case_b), ("c", _case_c)):
         if fn(ei, ej, T):
-            return True, PairCertificate(ei.index, ej.index, tag)
-    res_d, evidence = _case_d(ei, ej, T, hint, budget)
-    if not res_d:
-        return res_d, None
-    return True, PairCertificate(ei.index, ej.index, "d", evidence)
+            return PairCertificate(ei.index, ej.index, tag)
+    if _case_d(ei, ej, T, hint):
+        return PairCertificate(ei.index, ej.index, "d")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +234,6 @@ def generate_relators(
         report = validate_system(S, T, hints=hints)
         if report.status == "invalid":
             raise ValueError(f"system is invalid: {report.witness}")
-        if report.status == "inconclusive":
-            raise ValueError(f"system is inconclusive: {report.note}")
     entries = sorted(S, key=lambda e: e.index)
     relators = [entry_relator(e, T) for e in entries]
     origins = [{"entry": e.index} for e in entries]

@@ -190,13 +190,14 @@ def test_validate_system_rejects_non_malnormal_h_in_table_fixture(tmp_path):
         assert check["data"]["witness"] == {"clause": "H-malnormal-in-L"}
 
 
-def inconclusive_fixture(tmp_path):
+def wide_h_fixture(tmp_path):
     """A shared-free system shaped like d_case whose one pair needs the
-    fourth case, where clause v's sample of H minus K' is empty: the 24
-    sampled H-elements and their products all lie in K' (H' is
-    h00..h47 of H = h00..h49)."""
+    fourth case, over a wide H = h00..h49 with H' = h00..h47. Every
+    element of H minus K' uses h48 or h49, which come last in
+    length-lex order, so a clause v checked on sampled short H-words
+    would find no triple to test."""
     h = [f"h{n:02d}" for n in range(50)]
-    data = {"name": "inconclusive", "kind": "shared-free",
+    data = {"name": "wide-h", "kind": "shared-free",
             "k_symbols": h + ["a"], "l_symbols": h + ["b", "c", "c2"],
             "h_symbols": h,
             "entries": [
@@ -206,36 +207,37 @@ def inconclusive_fixture(tmp_path):
                  "b": [["h48", 1], ["b", 1]], "bprime": [["c2", 1]]}],
             "dprime_hints": [{"i": 0, "j": 1, "h_prime": h[:48],
                               "k_prime": h[:48] + ["a"]}]}
-    path = tmp_path / "inconclusive.json"
+    path = tmp_path / "wide_h.json"
     path.write_text(json.dumps(data))
     return str(path)
 
 
-def test_validate_system_inconclusive_clause_v(tmp_path):
-    fixture = inconclusive_fixture(tmp_path)
-    system = {"check": "system", "status": "inconclusive", "data": {
-        "verdict": "inconclusive", "h_malnormal_in_l": "yes",
-        "note": "pair (0,1) resisted every case within budget",
-        "certificates": []}}
+def test_validate_system_decides_wide_h_by_case_d(tmp_path):
+    # case d is decided by its clauses i-iii alone, so a pair that
+    # passes them is certified whatever the width of H
+    fixture = wide_h_fixture(tmp_path)
+    system = {"check": "system", "status": "pass", "data": {
+        "verdict": "valid", "h_malnormal_in_l": "yes", "note": "",
+        "certificates": [{"i": 0, "j": 1, "case": "d"},
+                         {"i": 1, "j": 0, "case": "d"}]}}
 
     def checks(doc):
         return [{"check": c["name"], "status": c["status"],
                  "data": c["data"]} for c in doc["checks"]]
 
-    code, doc = run_cli(tmp_path, "validate-system", {"fixture": fixture})
-    assert (code, checks(doc)) == (0, [system])
-    code, doc = run_cli(tmp_path, "validate-system", {"fixture": fixture},
-                        ["--escalate-inconclusive"])
-    assert (code, checks(doc)) == (2, [system])
-    # no word is solved over a system that is not valid
+    for extra in ((), ("--escalate-inconclusive",)):
+        code, doc = run_cli(tmp_path, "validate-system",
+                            {"fixture": fixture}, extra)
+        assert (code, checks(doc)) == (0, [system])
     code, doc = run_cli(tmp_path, "solve-word", {
         "fixture": fixture,
         "words": [[{"side": "K", "letters": [["a", 1]]}]]})
-    assert (code, checks(doc)) == (0, [system])
+    assert code == 0
+    assert [(c["name"], c["status"], c["data"]["verdict"])
+            for c in doc["checks"]] == [("word-0", "pass", "nontrivial")]
     T, S, hints = load_system_fixture(fixture)
-    with pytest.raises(ValueError, match="system is inconclusive: pair "
-                       r"\(0,1\) resisted every case within budget"):
-        generate_relators(S, T, hints=hints)
+    R = generate_relators(S, T, hints=hints)
+    assert len(R.bases) == 2
 
 
 def test_check_amalgam_on_table_fixture(tmp_path):
