@@ -8,7 +8,9 @@ runs (labels are constant on H-double cosets, so a cancellation chain
 forces a label run) and then walk each run's diagonal once, with
 ``Diagonal``: one rule for every amalgam, which computes each chain
 state once and gives the chain from each offset by
-``cancellation_chain``. The C' verdict is kept on the set.
+``cancellation_chain``. The C' verdict is kept on the set. The
+replays of C' witnesses and Dehn certificates share no code with the
+chain codes that the scans compare.
 
 A quotient has no group object of its own: ``build_quotient`` gates a
 relator set (C'(1/10) and a sampled injectivity audit), and
@@ -70,8 +72,10 @@ class RelatorSet:
     x codes the pair (label of u[x], reduced junction word
     tail(u[x-1]) · head(u[x])), read cyclically, with head and tail the
     outer H-segments (see ``cancellation_chain``). ``code_word`` codes a
-    query word the same way. Otherwise ``codes`` is None. Replays of
-    witnesses and certificates always walk by element arithmetic.
+    query word the same way. Otherwise ``codes`` is None. Replays read
+    no codes: a C' witness is walked by element arithmetic, and so is a
+    Dehn certificate, except that on an amalgam with an ambient free
+    group each of its parts is one free reduction.
 
     The set is the index the scanners share: ``window_hashes(uid, k)``
     hashes a unit's cyclic labels once per window length, and
@@ -671,11 +675,16 @@ def dehn_decide(
 def replay_certificate(
     w: CanonicalWord, cert: Sequence[DehnStep], R: RelatorSet
 ) -> bool:
-    """Re-execute a 'trivial' certificate; True iff it reaches the empty
-    word with every step strictly decreasing canonical length. A step
-    that names no unit or no part of the word, or whose H-element
-    h_start or its side differs from the replayed chain's, gives
-    False."""
+    """Re-execute a 'trivial' certificate on the canonical word w; True
+    iff it reaches the empty word with every step strictly decreasing
+    canonical length. A step that names no unit or no part of the word,
+    or whose H-element h_start or its side differs from the replayed
+    chain's, gives False.
+
+    A replace step's part identity w[p..p+t) = h0^-1 · r[j..j+t) · h_end
+    is replayed by element arithmetic with ``cancellation_chain``, or,
+    when the amalgam has an ambient free group, by ``_free_part`` as one
+    free reduction in it. Neither reads chain codes."""
     T = R.T
     for step in cert:
         if step.from_len != len(w):
@@ -694,9 +703,12 @@ def replay_certificate(
             m = len(unit.word)
             j %= m
             inv = R.by_uid[unit.partner].word
-            # capped at t, the chain starts from the first seed that
-            # reaches t, which is the seed find_replacement recorded
-            chain = cancellation_chain(T, inv, w, m - 1 - j, p, t)
+            if T.ambient is None:
+                # capped at t, the chain starts from the first seed that
+                # reaches t, which is the seed find_replacement recorded
+                chain = cancellation_chain(T, inv, w, m - 1 - j, p, t)
+            else:
+                chain = _free_part(T, inv, w, p, j, t)
             if chain.ell != t:
                 return False
             h0 = chain.h0
@@ -715,6 +727,53 @@ def replay_certificate(
         if len(w) != step.to_len:
             return False
     return w.is_empty()
+
+
+def _free_part(
+    T: AmalgamTriple, inv: CanonicalWord, w: CanonicalWord, p: int, j: int,
+    t: int,
+) -> ChainResult:
+    """``cancellation_chain(T, inv, w, m-1-j, p, t)`` on an amalgam with
+    an ambient free group: the part match of w[p..p+t) against the
+    relator r that ``inv`` spells backwards, from its syllable j,
+    replayed as one free reduction.
+
+    The seed h0 is the one solution of r[j]^-1 · h0 · w[p] ∈ H. The
+    actual syllable payloads of r[j..j+t)^-1 (read cyclically), h0 and
+    w[p..p+t) are concatenated and freely reduced, which computes their
+    product in ``T.ambient``; the chain runs t steps iff the result
+    h_end is an H-word. The element walk instead requires every partial
+    product r[j..j+s)^-1 · h0 · w[p..p+s) to lie in H, and the two tests
+    agree. If h_end ∈ H, then h0^-1 · r[j..j+t) · h_end equals
+    w[p..p+t). For t >= 2 the part is a reduced alternating sequence of
+    t syllables, since w is canonical. So is the relator slice, since r
+    is wcr: a slice across the same-side wrap of an odd relator reduces
+    to fewer than t syllables and cannot equal the part. By the
+    normal-form theorem for amalgamated products (Lyndon–Schupp,
+    *Combinatorial Group Theory*, IV.2), two equal reduced sequences of
+    one length have the same sides and an interleaving chain of
+    H-elements, and that chain is the walk's. For t = 1 both tests are
+    the seed test."""
+    m = len(inv)
+    a, b = inv[(m - 1 - j) % m], w[p]
+    seeds = T.junction_solutions(a.elt, b.elt) if a.side == b.side else []
+    if not seeds:
+        return ChainResult(0, None, False)
+    h0 = seeds[0]
+    # r[j..j+t)^-1 is inv[m-j-t..m-j), read cyclically. Every payload
+    # is a reduced word over the ambient alphabet, so the letters need
+    # none of the checks of T.ambient.element
+    letters = []
+    for s in range(m - j - t, m - j):
+        letters += inv.syllables[s % m].elt.payload
+    letters += h0.payload
+    for syl in w.syllables[p:p + t]:
+        letters += syl.elt.payload
+    h_end = Element(T.side_group(w[p + t - 1].side),
+                    words.free_reduce(letters))
+    if not T.in_H(h_end):
+        return ChainResult(0, h0, False)
+    return ChainResult(t, h0, False, h_end)
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,12 @@ class AmalgamTriple:
     coset label, and the seeds of a cancellation chain: every H-element
     h with a·h·b ∈ H (``junction_solutions``). A subclass with
     ``label_and_ends`` has at most one seed per junction, so its chains
-    can be compared as codes.
+    can be compared as codes. ``ambient`` is the free group on the union
+    alphabet when the amalgam is one (a shared-free amalgam), else None.
     """
 
     name: str = "amalgam"
+    ambient: Optional[FreeGroup] = None
 
     def __init__(self, K: GroupHandle, L: GroupHandle):
         self.K, self.L = K, L

@@ -301,8 +301,9 @@ def cmd_build_stage(config, args):
                               {"stage": doc["stage"],
                                "layers": len(doc["layers"])}))
     if args.out:
+        # json.dumps runs the C encoder, json.dump the Python one
         with open(args.out + ".presentation.json", "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
+            fh.write(json.dumps(doc, sort_keys=True))
     return checks
 
 

@@ -7,8 +7,10 @@ naive DP scans, exhaustive chain search) so agreement is meaningful.
 
 from __future__ import annotations
 
+import json
 from typing import Dict, List, Sequence, Tuple
 
+from amalgams.cancellation import _apply_replacement, cancellation_chain
 from amalgams.canonical import (
     CanonicalWord,
     Syllable,
@@ -440,3 +442,59 @@ def materialize(R, budget: int = 100_000,
 def closure_contains(R, w) -> bool:
     """Is w canonically equal to a member of R's explicit closure?"""
     return any(canonical_equal(w, r, R.T) for r in materialize(R))
+
+
+# ---------------------------------------------------------------------------
+# the element replay of Dehn certificates
+#
+# On shared-free amalgams replay_certificate checks each Dehn part by one
+# free reduction in the ambient free group. The reference walks every
+# part's cancellation chain syllable by syllable by element arithmetic,
+# on any amalgam.
+
+
+def element_replay_certificate(w, cert, R) -> bool:
+    """Re-execute a 'trivial' certificate, walking each part's chain
+    with ``cancellation_chain``; True iff it reaches the empty word with
+    every step strictly decreasing canonical length. A step that names
+    no unit or no part of the word, or whose H-element h_start or its
+    side differs from the replayed chain's, gives False."""
+    T = R.T
+    for step in cert:
+        if step.from_len != len(w):
+            return False
+        if step.kind == "cyclic-reduce":
+            w = rotate(w, T)
+        elif step.kind == "replace":
+            unit = R.by_uid.get(step.uid) if isinstance(step.uid, str) \
+                else None
+            p, j, t = step.offset, step.rotation, step.ell
+            # the walker reads both words cyclically, so a part that does
+            # not lie inside w must be rejected here
+            if unit is None or not all(type(x) is int for x in (p, j, t)) \
+                    or t < 1 or p < 0 or p + t > len(w):
+                return False
+            m = len(unit.word)
+            j %= m
+            inv = R.by_uid[unit.partner].word
+            # capped at t, the chain starts from the first seed that
+            # reaches t, which is the seed find_replacement recorded
+            chain = cancellation_chain(T, inv, w, m - 1 - j, p, t)
+            if chain.ell != t:
+                return False
+            h0 = chain.h0
+            replayed = (T.side_of_group(h0.owner),
+                        h0.owner.payload_to_json(h0.payload))
+            recorded = (step.h_start_side, step.h_start_json)
+            # compared as JSON text, since certificates arrive from JSON
+            if json.dumps(replayed, sort_keys=True) != \
+                    json.dumps(recorded, sort_keys=True):
+                return False
+            w = _apply_replacement(T, w, inv, p, j, chain)
+        else:
+            return False
+        if len(w) >= step.from_len:
+            return False
+        if len(w) != step.to_len:
+            return False
+    return w.is_empty()

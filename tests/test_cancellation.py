@@ -23,6 +23,7 @@ from amalgams.canonical import (
     canonical_equal,
     canonical_inverse,
     canonicalize,
+    rotate,
     syllable,
 )
 from amalgams import kernels, words
@@ -51,6 +52,7 @@ from amalgams.systems import generate_relators, load_system_fixture
 from amalgam_instances import ALL_INSTANCES, instance_s3_z4
 from oracles import (
     closure_contains,
+    element_replay_certificate,
     materialize,
     naive_part_length,
     wcr_conjugates,
@@ -867,20 +869,129 @@ def test_dehn_kills_relator_with_replayable_certificate(rho_system):
     assert hashlib.sha256(text.encode()).hexdigest() == BASE_CERT_SHA256
 
 
+def _tamperings(cert, R):
+    """(change, certificate) for each of a set of changes to each replace
+    step of cert: a unit that does not exist or is the partner, a part
+    moved by one on the relator or on the word, one syllable more, and
+    a wrong h_start (junk JSON, an unknown side, or the payload on the
+    other side)."""
+    for n, step in enumerate(cert):
+        if step.kind != "replace":
+            continue
+        for change in ({"uid": "r99"},
+                       {"uid": R.by_uid[step.uid].partner},
+                       {"rotation": step.rotation + 1},
+                       {"rotation": step.rotation - 1},
+                       {"offset": step.offset + 1},
+                       {"offset": step.offset - 1},
+                       {"offset": step.from_len - step.ell + 1},
+                       {"ell": step.ell + 1},
+                       {"h_start_json": {"junk": 1}},
+                       {"h_start_side": "Q"},
+                       {"h_start_side": OTHER_SIDE[step.h_start_side]}):
+            bad = list(cert)
+            bad[n] = dataclasses.replace(step, **change)
+            yield change, bad
+
+
 def test_tampered_certificate_is_rejected(rho_system):
     T, S, R = rho_system
     w = R.bases[0].word
     cert = dehn_decide(w, R).certificate
-    n = next(i for i, step in enumerate(cert) if step.kind == "replace")
-    step = cert[n]
-    for change in ({"uid": "r99"},
-                   {"offset": step.from_len - step.ell + 1},
-                   {"ell": step.ell + 1},
-                   {"h_start_json": {"junk": 1}},
-                   {"h_start_side": "Q"}):
-        bad = list(cert)
-        bad[n] = dataclasses.replace(step, **change)
+    for change, bad in _tamperings(cert, R):
         assert replay_certificate(w, bad, R) is False, change
+
+
+def _random_shared_free(rng):
+    """A shared-free amalgam on 1-2 H-letters and 1-2 letters of each
+    side's own."""
+    h = [f"h{i}" for i in range(rng.randint(1, 2))]
+    K = FreeGroup(h + [f"a{i}" for i in range(rng.randint(1, 2))])
+    L = FreeGroup(h + [f"b{i}" for i in range(rng.randint(1, 2))])
+    return SharedFreeAmalgam(K, L, h)
+
+
+def _random_free_word(rng, T, n, side):
+    """n alternating syllables from ``side``, each outside H with
+    H-letters in its head, its tail and between its other letters."""
+    out = []
+    h_letters = [(x, e) for x in sorted(T.h_symbols) for e in (1, -1)]
+    for _ in range(n):
+        group = T.side_group(side)
+        own = [(x, e) for x in group.symbols if x not in T.h_symbols
+               for e in (1, -1)]
+        while True:
+            letters = []
+            for _ in range(rng.randrange(1, 3)):
+                letters += [rng.choice(h_letters)
+                            for _ in range(rng.randrange(3))]
+                letters.append(rng.choice(own))
+            letters += [rng.choice(h_letters) for _ in range(rng.randrange(3))]
+            g = group.element(letters)
+            if not T.in_H(g):
+                break
+        out.append(syllable(side, g))
+        side = OTHER_SIDE[side]
+    return out
+
+
+def _conjugate(u, r, T):
+    """The canonical form of u · r · u^-1, for canonical u and r."""
+    return canonicalize(
+        u.syllables + r.syllables + canonical_inverse(u, T).syllables, T)
+
+
+def _replays_agree(w, cert, R, seen):
+    assert replay_certificate(w, cert, R) is True
+    assert element_replay_certificate(w, cert, R) is True
+    for change, bad in _tamperings(cert, R):
+        got = replay_certificate(w, bad, R)
+        assert got is element_replay_certificate(w, bad, R), change
+        seen["tampered accepted" if got else "tampered rejected"] += 1
+
+
+def test_free_replay_matches_element_replay(rho_system):
+    # replay_certificate replays each part of a shared-free amalgam by
+    # one free reduction; the element replay of tests/oracles.py walks it.
+    # They must agree on every certificate and every tampered copy: the
+    # certificates of rho_system, and of random products of relator
+    # conjugates over random shared-free amalgams
+    rng = random.Random(20261019)
+    seen = collections.Counter()
+    T, S, R = rho_system
+    r = R.bases[0].word
+    rot = r
+    for _ in range(3):
+        rot = rotate(rot, T)
+    u = canonicalize(_random_free_word(rng, T, 3, K_SIDE), T)
+    for w in [unit.word for unit in R.units] + [
+            canonicalize(r.syllables + rot.syllables, T),
+            _conjugate(u, r, T)]:
+        res = dehn_decide(w, R)
+        assert res.status == "trivial"
+        _replays_agree(w, res.certificate, R, seen)
+    for _ in range(25):
+        T = _random_shared_free(rng)
+        relators = [canonicalize(_random_free_word(
+            rng, T, 2 * rng.randrange(6, 10), K_SIDE), T)
+            for _ in range(rng.randint(1, 2))]
+        R = symmetrized_closure(relators, T)
+        for _ in range(3):
+            sylls = []
+            for _ in range(rng.randint(1, 3)):
+                unit = rng.choice(R.units).word
+                for _ in range(rng.randrange(len(unit))):
+                    unit = rotate(unit, T)
+                u = canonicalize(_random_free_word(
+                    rng, T, rng.randrange(4), rng.choice("KL")), T)
+                sylls += _conjugate(u, unit, T).syllables
+            w = canonicalize(sylls, T)
+            res = dehn_decide(w, R)
+            seen[res.status] += 1
+            if res.status == "trivial":
+                _replays_agree(w, res.certificate, R, seen)
+    assert seen["trivial"] >= 60, seen
+    assert seen["tampered rejected"] >= 1000, seen
 
 
 def test_dehn_kills_product_of_relator_conjugates(rho_system):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
+import random
 import resource
 
 import pytest
@@ -135,6 +137,56 @@ def test_write_report_streams_the_same_bytes(tmp_path, capsys):
     assert out.read_text() == expected
     write_report(doc)
     assert capsys.readouterr().out == expected
+
+
+TEXTS = ["", "a", "ä", "ω²", "\"q\" \\ /", "tab\tnl\n", "\x00\x1f",
+         "\u2028", "𝔄 astral", "日本"]
+FLOATS = [0.0, -0.0, 2.5, -1e-7, 1e300, 5e-324, 0.1 + 0.2, math.nan,
+          math.inf, -math.inf]
+
+
+def _random_json(rng, depth):
+    """A random JSON value: scalars of every kind, and lists, tuples and
+    dicts (empty ones too) nested up to ``depth`` levels."""
+    kind = rng.randrange(8 if depth else 5)
+    if kind == 0:
+        return rng.choice(TEXTS) + rng.choice(TEXTS)
+    if kind == 1:
+        return rng.choice([0, -1, 7, 2 ** 70, -(3 ** 50)])
+    if kind == 2:
+        return rng.choice(FLOATS)
+    if kind == 3:
+        return rng.choice([True, False, None])
+    if kind == 4:
+        return rng.choice(TEXTS)
+    size = rng.choice([0, 1, 2, 3, 5])
+    values = [_random_json(rng, depth - 1) for _ in range(size)]
+    if kind == 5:
+        return values
+    if kind == 6:
+        return tuple(values)
+    # keys of one kind per dict, so that they sort
+    keys = rng.choice([TEXTS, [k + "é" for k in TEXTS], [-2, 0, 9, 10],
+                       [0.5, -3.0, math.inf], [False, True]])
+    return dict(zip(rng.sample(keys, min(size, len(keys))), values))
+
+
+def test_write_report_matches_stdlib_on_random_documents(tmp_path):
+    # the writer against json.dumps on seeded random documents, plus a
+    # deep one and one long enough to be written in several batches
+    rng = random.Random(20261019)
+    docs = [{"doc": _random_json(rng, 5)} for _ in range(400)]
+    deep = "bottom"
+    for level in range(150):
+        deep = [deep] if level % 2 else {"ω": deep, "x": []}
+    docs.append(deep)
+    docs.append({"rows": [{"code": n, "side": "KL"[n % 2], "ok": n % 3 == 0}
+                          for n in range(3000)]})
+    out = tmp_path / "report.json"
+    for doc in docs:
+        write_report(doc, str(out))
+        assert out.read_text() == \
+            json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +409,16 @@ def test_build_stage(tmp_path):
     assert code == 0
     names = {c["name"]: c["status"] for c in doc["checks"]}
     assert names == {"audits": "pass", "presentation": "pass"}
-    pres = json.loads((tmp_path / "report.json.presentation.json")
-                      .read_text())
+    text = (tmp_path / "report.json.presentation.json").read_text()
+    pres = json.loads(text)
     kinds = {(l["gamma"], l["level"]): l["kind"] for l in pres["layers"]}
     assert kinds[(5, 2)] == "quotient"
+    # the file holds exactly the compact sorted-key JSON of the
+    # presentation of a fresh run
+    config = tower_config()
+    state = E.run_construction(
+        {**config, "colorings": ColoringTable.from_json(config["colorings"])})
+    assert text == json.dumps(E.presentation(state), sort_keys=True)
 
 
 def test_scan_colorings(tmp_path):

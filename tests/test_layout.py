@@ -59,16 +59,19 @@ def test_cli_import_loads_no_numeric_libraries():
 
 
 def test_replays_walk_chains_on_elements():
-    # witnesses and certificates are replayed by element arithmetic, so a
-    # fault in the chain codes cannot also fool the replay: neither replay
-    # passes codes (keyword, or an eighth positional argument) to
-    # cancellation_chain
+    # witnesses and certificates are replayed without the chain codes
+    # (by element arithmetic, or by one free reduction per Dehn part),
+    # so a fault in the codes cannot also fool the replay. Neither
+    # replay, nor any function of the module it calls other than
+    # cancellation_chain, takes a codes argument or reads code_word,
+    # codes or _coded_walk; and neither passes codes (keyword, or an
+    # eighth positional argument) to cancellation_chain
     tree = ast.parse((PACKAGE / "cancellation.py").read_text())
-    replays = {node.name: node for node in ast.walk(tree)
-               if isinstance(node, ast.FunctionDef) and node.name in
-               ("replay_cprime_witness", "replay_certificate")}
-    assert len(replays) == 2
-    for name, func in replays.items():
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    replays = ("replay_cprime_witness", "replay_certificate")
+    for name in replays:
+        func = functions[name]
         calls = [node for node in ast.walk(func)
                  if isinstance(node, ast.Call)
                  and isinstance(node.func, ast.Name)
@@ -79,6 +82,19 @@ def test_replays_walk_chains_on_elements():
             assert not any(isinstance(a, ast.Starred) for a in call.args)
             assert all(kw.arg not in ("codes", None)
                        for kw in call.keywords), name
+        seen, todo = set(), [name]
+        while todo:
+            reached = functions[todo.pop()]
+            seen.add(reached.name)
+            arguments = reached.args
+            assert "codes" not in {a.arg for a in arguments.posonlyargs
+                                   + arguments.args
+                                   + arguments.kwonlyargs}, reached.name
+            read = _names(reached)
+            assert not read & {"code_word", "codes", "_coded_walk"}, \
+                (name, reached.name)
+            todo += [callee for callee in read & set(functions)
+                     if callee not in seen | {"cancellation_chain"}]
 
 
 # definitions that no subcommand reaches but that stay, with the reason
