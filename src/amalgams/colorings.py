@@ -391,6 +391,20 @@ def cantor_unpair(n: int) -> Tuple[int, int]:
 # coloring tables
 
 
+def _masks_below(at: Dict[int, int], levels: List[int]) -> Dict[int, int]:
+    """For each v of the increasing ``levels``, the union of the masks
+    at[u] with u < v."""
+    out, acc = {}, 0
+    for v in levels:
+        out[v] = acc
+        acc |= at.get(v, 0)
+    return out
+
+
+def _low_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 class ColoringTable:
     """Pair-colorings e, c0, c1 on int pairs (i, j) with 0 <= i < j.
 
@@ -462,43 +476,72 @@ class ColoringTable:
         return cls(e, c0, c1, ranked)
 
     def check_contract(self) -> dict:
-        """Subadditivity (both inequalities) on every triple of the
-        scope, and the largest weak D-set. The first violation ends the
-        scan and is returned under "violation", with its inequality and
-        its triple as ordinal strings."""
-        import numpy as np
+        """Subadditivity on every triple a < b < c of the scope:
+        (1) e(a, c) <= max(e(a, b), e(b, c)) and
+        (2) e(a, b) <= max(e(a, c), e(b, c)).
 
+        The scan runs over pairs, on bit masks. For each index x and
+        value v, row x's mask holds the c > x with e(x, c) < v and
+        column x's mask the b < x with e(b, x) < v. For a pair a < c
+        with z = e(a, c), row a's and column c's masks at z meet in the
+        middles b that break (1), and the row masks of a and c at z in
+        the thirds that break (2) with c as the middle. That is O(n^2)
+        big-int operations on n-bit masks.
+
+        The first violation is the least (middle, inequality, a, third):
+        middle first, then (1) before (2), then a, then the third. It is
+        returned under "violation", with its triple as ordinal strings,
+        and "triples" counts the triples of the smaller middles. A
+        passing scan reports the largest weak D-set, which is n - 1 by
+        construction (at a column's largest value the weak D-set is the
+        whole column); it is kept so that reports stay byte-stable.
+        An e entry outside the scope raises ValueError.
+        """
         n = len(self.scope)
-        E = np.zeros((n, n), dtype=np.int64)
         for (i, j), v in self.e_map.items():
-            E[i, j] = v
-        triples = 0
-        for j in range(1, n - 1):
-            left = E[:j, j]          # e(a, b) for a < b
-            right = E[j, j + 1:]     # e(b, c) for b < c
-            block = E[:j, j + 1:]    # e(a, c)
-            bad1 = np.argwhere(block > np.maximum.outer(left, right))
-            bad2 = np.argwhere(left[:, np.newaxis] >
-                               np.maximum(block, right[np.newaxis, :]))
-            for inequality, bad in ((1, bad1), (2, bad2)):
-                if bad.size:
-                    ia, ic = bad[0]
-                    triple = (self.scope[ia], self.scope[j],
-                              self.scope[j + 1 + ic])
-                    return {"triples": triples, "violation": {
-                        "inequality": inequality,
-                        "triple": [ord_to_str(x) for x in triple]}}
-            triples += j * (n - 1 - j)
-        # the largest weak D-set. At a column's largest value the weak
-        # D-set is the whole column, so this is always n - 1: over a
-        # finite scope it says nothing about local smallness
-        max_d = 0
-        for k in range(1, n):
-            col = E[:k, k]
-            max_d = max(max_d, int(np.max(np.sum(
-                col[np.newaxis, :] <= np.unique(col)[:, np.newaxis],
-                axis=1))))
-        return {"triples": triples, "max_weak_d_size": max_d}
+            if j >= n:
+                raise ValueError(f"e entry ({i},{j})={v} lies outside the "
+                                 f"scope of {n} ordinals")
+        e = self.e_map
+        rows = [[e.get((a, c), 0) for c in range(a + 1, n)]
+                for a in range(n)]
+        # row_at[x][v]: the c > x with e(x, c) = v; col_at[x][v]: the
+        # b < x with e(b, x) = v; both as bit masks
+        row_at: List[Dict[int, int]] = [{} for _ in range(n)]
+        col_at: List[Dict[int, int]] = [{} for _ in range(n)]
+        for a, row in enumerate(rows):
+            at, bit = row_at[a], 1 << a
+            for c, v in enumerate(row, a + 1):
+                at[v] = at.get(v, 0) | 1 << c
+                col = col_at[c]
+                col[v] = col.get(v, 0) | bit
+        # the masks below each value that index x looks up: its row and
+        # column values, since (2) reads row c at a value of column c
+        row_lt, col_lt = [], []
+        for at_row, at_col in zip(row_at, col_at):
+            levels = sorted(at_row.keys() | at_col.keys())
+            row_lt.append(_masks_below(at_row, levels))
+            col_lt.append(_masks_below(at_col, levels))
+        first = (n,)
+        for a, row in enumerate(rows):
+            below_a = row_lt[a]
+            for c, z in enumerate(row, a + 1):
+                below = below_a[z]
+                if not below:
+                    continue
+                bad = below & col_lt[c][z]
+                if bad:
+                    first = min(first, (_low_bit(bad), 1, a, c))
+                bad = below & row_lt[c][z]
+                if bad:
+                    first = min(first, (c, 2, a, _low_bit(bad)))
+        if first[0] < n:
+            middle, inequality, a, third = first
+            return {"triples": sum(j * (n - 1 - j) for j in range(middle)),
+                    "violation": {"inequality": inequality, "triple": [
+                        ord_to_str(self.scope[x])
+                        for x in (a, middle, third)]}}
+        return {"triples": math.comb(n, 3), "max_weak_d_size": max(n - 1, 0)}
 
     def to_json(self) -> dict:
         """The tower config's colorings block: {"e": {"i,j": v}, ...}."""

@@ -18,7 +18,7 @@ from amalgams.canonical import (
     is_wcr,
     rotate,
 )
-from amalgams.colorings import fundamental_seq, predecessor
+from amalgams.colorings import fundamental_seq, ord_to_str, predecessor
 from amalgams.groups import Element, FiniteTableGroup
 
 
@@ -300,6 +300,35 @@ class ScanWalks:
 
     def c1(self, alpha, beta) -> int:
         return scan_ladder_step(beta, alpha)[1]
+
+
+def naive_subadditivity(e_map, scope) -> dict:
+    """``ColoringTable.check_contract`` by a triple loop: for each middle
+    b, inequality 1 (e(a, c) <= max(e(a, b), e(b, c))) over all a < b < c,
+    then inequality 2 (e(a, b) <= max(e(a, c), e(b, c))), each row-major.
+    A missing entry reads 0. A passing table reports its largest weak
+    D-set, counted over every column and every value in it."""
+    n = len(scope)
+
+    def e(i, j):
+        return e_map.get((i, j), 0)
+
+    triples = 0
+    for b in range(1, n - 1):
+        for inequality in (1, 2):
+            for a in range(b):
+                for c in range(b + 1, n):
+                    ab, bc, ac = e(a, b), e(b, c), e(a, c)
+                    if (ac > max(ab, bc) if inequality == 1
+                            else ab > max(ac, bc)):
+                        return {"triples": triples, "violation": {
+                            "inequality": inequality,
+                            "triple": [ord_to_str(scope[x])
+                                       for x in (a, b, c)]}}
+        triples += b * (n - 1 - b)
+    weak = [sum(1 for x in range(c) if e(x, c) <= e(y, c))
+            for c in range(n) for y in range(c)]
+    return {"triples": triples, "max_weak_d_size": max(weak, default=0)}
 
 
 # ---------------------------------------------------------------------------

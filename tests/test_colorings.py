@@ -32,7 +32,12 @@ from amalgams.colorings import (
     successor,
     walk,
 )
-from oracles import ScanWalks, scan_ladder_step, scan_members_below
+from oracles import (
+    ScanWalks,
+    naive_subadditivity,
+    scan_ladder_step,
+    scan_members_below,
+)
 
 
 def random_ordinal(rng, max_coeff=50):
@@ -338,6 +343,59 @@ def test_corrupted_table_fails_contract(walks_table):
                                    "triple": ["0", "1", "w*15+14"]}
     assert report["triples"] == 0
     assert "max_weak_d_size" not in report
+
+
+def _corrupt(rng, e_map, n):
+    # one to three entries set to 0, to another entry's value (a tie),
+    # to 10_000, or dropped (a missing entry reads 0)
+    pairs = list(itertools.combinations(range(n), 2))
+    out = dict(e_map)
+    for _ in range(rng.randrange(1, 4)):
+        pair, kind = rng.choice(pairs), rng.randrange(4)
+        if kind == 0:
+            out[pair] = 0
+        elif kind == 1:
+            a, c = pair
+            other = rng.choice([p for p in pairs if a in p or c in p])
+            out[pair] = out.get(other, 0)
+        elif kind == 2:
+            out[pair] = 10_000
+        else:
+            out.pop(pair, None)
+    return out
+
+
+def test_check_contract_matches_triple_loop_oracle():
+    # whole reports, violations and their order included, on walk
+    # tables over random scopes below omega^3, on corrupted copies, and
+    # on random tables of small values, which break subadditivity often
+    rng = random.Random(18)
+    tables = []
+    for n in [0, 1, 2, 3] + [rng.randrange(4, 41) for _ in range(60)]:
+        scope = set()
+        while len(scope) < n:
+            scope.add(random_ordinal(rng, 4))
+        table = ColoringTable.from_walks(list(scope))
+        tables.append((table.e_map, table.scope))
+        if n >= 2:
+            tables += [(_corrupt(rng, table.e_map, n), table.scope)
+                       for _ in range(3)]
+            tables.append(({p: rng.randrange(4) for p in
+                            itertools.combinations(range(n), 2)
+                            if rng.random() < 0.9}, table.scope))
+    verdicts = set()
+    for e_map, scope in tables:
+        report = ColoringTable(e_map, scope=scope).check_contract()
+        assert report == naive_subadditivity(e_map, scope)
+        verdicts.add(report.get("violation", {}).get("inequality"))
+    assert verdicts == {None, 1, 2}
+
+
+def test_check_contract_rejects_entries_outside_the_scope():
+    scope = omega_sq_scope(5)
+    table = ColoringTable({(0, 1): 1, (2, 5): 3}, scope=scope)
+    with pytest.raises(ValueError, match=r"\(2,5\)"):
+        table.check_contract()
 
 
 def test_from_walks_ranks_unsorted_scopes():

@@ -5,6 +5,7 @@ definition is reachable from the CLI."""
 from __future__ import annotations
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -45,17 +46,38 @@ def test_no_module_imports_private_names():
     assert found == []
 
 
-def test_cli_import_loads_no_numeric_libraries():
-    # numpy alone costs about 0.15 s to import; the few functions that
-    # need it import it when called
+def _package_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_cli_import_loads_no_numeric_libraries():
+    # numpy alone costs about 0.15 s to import, and no function of the
+    # package uses it
     probe = ("import sys, amalgams.cli; "
              "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
+    out = subprocess.run([sys.executable, "-c", probe], env=_package_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_scan_colorings_runs_without_numpy(tmp_path):
+    # the subadditivity check and the hitting scan run on Python ints; a
+    # None entry in sys.modules makes any import of numpy fail
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"count": 40, "targets": [[1, 0, 0],
+                                                        [2, 1, 0]]}))
+    probe = ("import sys; sys.modules['numpy'] = None; "
+             "from amalgams.cli import main; "
+             f"sys.exit(main(['scan-colorings', '--config', {str(cfg)!r}, "
+             f"'--out', {str(tmp_path / 'report.json')!r}]))")
+    out = subprocess.run([sys.executable, "-c", probe], env=_package_env(),
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert [c["name"] for c in checks] == ["subadditivity", "hitting-scan"]
 
 
 def test_replays_walk_chains_on_elements():
