@@ -81,6 +81,11 @@ class RelatorSet:
     hashes a unit's cyclic labels once per window length, and
     ``cprime_results`` keeps ``check_cprime``'s verdict per chi. Both
     caches assume the set does not change after construction.
+
+    Coding a word labels each distinct syllable object once and codes
+    each junction once per (previous, current) pair of objects, keyed
+    on ``id``; the word holds its syllables, so no id is reused during
+    the call. An equal but distinct syllable is coded again.
     """
 
     def __init__(
@@ -145,36 +150,32 @@ class RelatorSet:
 
     def _code(self, w: CanonicalWord, grow: bool):
         T = self.T
-        labels: List[int] = []
-        ends = []
-        seen = {}  # element -> (label code, ends): relators repeat syllables
-        for s in w.syllables:
-            known = seen.get(s.elt)
-            if known is None:
-                coded = T.label_and_ends(s.elt)
-                label = T.coset_label(s.elt) if coded is None else coded[0]
-                known = seen[s.elt] = (
-                    _intern(self._label_codes, label, grow),
-                    coded and coded[1:])
-            labels.append(known[0])
-            ends.append(known[1])
-        if None in ends:
+        ids = [id(s) for s in w.syllables]
+        seen = {}  # id(syllable) -> (label code, ends), in first-use order
+        for key, s in dict(zip(ids, w.syllables)).items():
+            coded = T.label_and_ends(s.elt)
+            label = T.coset_label(s.elt) if coded is None else coded[0]
+            seen[key] = (_intern(self._label_codes, label, grow),
+                         coded and coded[1:])
+        labels = [seen[key][0] for key in ids]
+        if any(ends is None for _, ends in seen.values()):
             return labels, None
         # the junction before syllable x is tail(w[x-1]) · head(w[x]),
         # read cyclically; _junctions maps (label, tail, head) to the
-        # code of (label, reduced junction)
-        codes = array("q")
-        prev_tail = ends[-1][1] if ends else ()
-        for label, (head, tail) in zip(labels, ends):
-            key = (label, prev_tail, head)
+        # code of (label, reduced junction), and pairs maps each
+        # (previous, current) pair of syllable objects to that code
+        pairs = dict.fromkeys(zip(ids[-1:] + ids[:-1], ids))
+        for prev, cur in pairs:
+            label, (head, _) = seen[cur]
+            key = (label, seen[prev][1][1], head)
             code = self._junctions.get(key)
             if code is None:
                 code = self._junctions[key] = _intern(
                     self._chain_codes,
-                    (label, words.free_reduce(prev_tail + head)), grow)
-            codes.append(code)
-            prev_tail = tail
-        return labels, codes
+                    (label, words.free_reduce(key[1] + head)), grow)
+            pairs[prev, cur] = code
+        return labels, array(
+            "q", [pairs[p] for p in zip(ids[-1:] + ids[:-1], ids)])
 
 
 def _intern(table: dict, key, grow: bool) -> int:

@@ -141,7 +141,7 @@ class TableAmalgam(AmalgamTriple):
         if self._k2l.get(self.K._identity) != self.L._identity:
             raise ValueError("H-pairing must match identities")
         for a, b in itertools.product(self._k2l, repeat=2):
-            left = self._k2l[self.K.table[a][b]]
+            left = self._k2l.get(self.K.table[a][b])  # None: not closed
             right = self.L.table[self._k2l[a]][self._k2l[b]]
             if left != right:
                 raise ValueError("H-pairing is not a homomorphism")
@@ -312,9 +312,18 @@ def canonical_product(
     and its next syllable lies on the other side from the top of the
     stack, and the rest is pushed unchanged. A merge that lands in H
     folds into the syllable on its left, so a seam can cascade.
+
+    The owner check and ``T.in_H`` run once per distinct input syllable
+    object: a memo keyed on ``id(syl)`` lives for the call, and each
+    entry holds ``syl`` itself, so no id in it can be reused by another
+    object, even one from a generator piece that drops its syllables.
+    An equal but distinct syllable misses the memo and is checked
+    again. A syllable whose element passes through unchanged is pushed
+    as the same object, so the result shares the input's objects.
     """
     stack: List[Syllable] = []
     carry: Optional[Element] = None  # pending H-factor to the right of stack
+    memo = {}  # id(syl) -> (syl, T.in_H(syl.elt)), for input syllables
 
     def fold_carry_left() -> None:
         nonlocal carry
@@ -332,12 +341,15 @@ def canonical_product(
                     not stack or stack[-1].side != side):
                 stack.extend(piece[i:])
                 break
-            group = T.side_group(side)
             g = syl.elt
-            if g.owner is not group:
-                raise ValueError(
-                    f"syllable {syl!r} not owned by the {side} side")
-            if T.in_H(g):
+            known = memo.get(id(syl))
+            if known is None:
+                if g.owner is not T.side_group(side):
+                    raise ValueError(
+                        f"syllable {syl!r} not owned by the {side} side")
+                known = memo[id(syl)] = (syl, T.in_H(g))
+            group = g.owner
+            if known[1]:
                 if carry is None:
                     carry = g
                 else:
@@ -359,7 +371,7 @@ def canonical_product(
                     stack.append(Syllable(side, merged))
             else:
                 fold_carry_left()
-                stack.append(Syllable(side, g))
+                stack.append(syl if g is syl.elt else Syllable(side, g))
     if carry is not None:
         if stack:
             fold_carry_left()
@@ -372,9 +384,15 @@ def canonical_product(
 
 
 def canonical_inverse(w: CanonicalWord, T: AmalgamTriple) -> CanonicalWord:
+    """The inverse word. Each distinct syllable object of ``w`` is
+    inverted once, keyed on its id: ``w`` holds its syllables for the
+    call, so no id is reused, and the result shares one inverse object
+    per input object."""
+    inverses = {id(s): s for s in w.syllables}
+    for key, s in inverses.items():
+        inverses[key] = Syllable(s.side, s.elt.inv())
     return CanonicalWord(
-        tuple(Syllable(s.side, s.elt.inv()) for s in reversed(w.syllables))
-    )
+        tuple([inverses[id(s)] for s in reversed(w.syllables)]))
 
 
 def canonical_equal(u: CanonicalWord, v: CanonicalWord, T: AmalgamTriple) -> bool:

@@ -166,7 +166,12 @@ def cmd_check_amalgam(config, args):
 
 def cmd_check_smallcancel(config, args):
     T, S, hints = load_system_fixture(config["fixture"])
-    chi = Fraction(*config.get("chi", (1, 10)))
+    chi = config.get("chi", [1, 10])
+    if not (type(chi) is list and len(chi) == 2 and all(
+            type(x) is int for x in chi) and 0 < chi[0] <= chi[1]):
+        raise ConfigError(f"config 'chi' must be [p, q], integers with "
+                          f"0 < p <= q, not {chi!r}")
+    chi = Fraction(*chi)
     R = generate_relators(S, T, chi=chi, hints=hints,
                           skip_validation=True, check=False)
     res = check_cprime(R)

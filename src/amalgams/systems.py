@@ -214,8 +214,9 @@ def _certify_pair(ei: SystemEntry, ej: SystemEntry, T: AmalgamTriple,
 def entry_relator(entry: SystemEntry, T: AmalgamTriple) -> CanonicalWord:
     """Canonical form of h^-1 rho(b a, b' a) for one entry."""
     h_inv = syllable(K_SIDE, entry.h.inv())
-    x = (syllable(L_SIDE, entry.b), syllable(K_SIDE, entry.a))
-    y = (syllable(L_SIDE, entry.bprime), syllable(K_SIDE, entry.a))
+    a = syllable(K_SIDE, entry.a)  # one object, so checked once
+    x = (syllable(L_SIDE, entry.b), a)
+    y = (syllable(L_SIDE, entry.bprime), a)
     return canonicalize((h_inv,) + words.rho(x, y), T)
 
 
@@ -264,8 +265,9 @@ def load_system_fixture(path) -> Tuple[AmalgamTriple, List[SystemEntry],
                                        Dict[frozenset, SubgroupPairHint]]:
     """Self-contained fixture file: group alphabets (or tables), entries
     as letter lists and optional subgroup hints. Raises
-    FixtureError for a file that is not JSON, an unknown kind or a
-    missing key."""
+    FixtureError for a file that is not JSON, an unknown kind, a
+    missing key, or an amalgam, entry or hint that cannot be built (the
+    error names the entry and key, or the hint)."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -285,34 +287,34 @@ def load_system_fixture(path) -> Tuple[AmalgamTriple, List[SystemEntry],
     if missing:
         raise FixtureError(f"fixture {path} lacks key(s): "
                            f"{', '.join(missing)}")
-    if kind == "shared-free":
-        K = FreeGroup(data["k_symbols"], name="K")
-        L = FreeGroup(data["l_symbols"], name="L")
-        T: AmalgamTriple = SharedFreeAmalgam(
-            K, L, data["h_symbols"], name=data.get("name", "amalgam"))
-    else:
-        K = FiniteTableGroup(data["k_table"], name="K")
-        L = FiniteTableGroup(data["l_table"], name="L")
-        T = TableAmalgam(K, L, [tuple(p) for p in data["h_pairs"]],
-                         name=data.get("name", "amalgam"))
-
-    def side_elt(group, letters):
-        if isinstance(group, FiniteTableGroup):
-            return group.element(letters)
-        return group.element([(sym, sign) for sym, sign in letters])
-
-    entries = []
-    for pos, item in enumerate(data["entries"]):
-        entries.append(SystemEntry(
-            h=side_elt(T.K, item["h"]), a=side_elt(T.K, item["a"]),
-            b=side_elt(T.L, item["b"]), bprime=side_elt(T.L, item["bprime"]),
-            index=item.get("index", pos)))
-    hints: Dict[frozenset, SubgroupPairHint] = {}
-    for item in data.get("dprime_hints", []):
-        if not isinstance(T, SharedFreeAmalgam):
-            raise FixtureError("subgroup hints are letter-based fixtures only")
-        hints[frozenset((item["i"], item["j"]))] = SubgroupPairHint(
-            h_prime_k=LetterSupportSubgroup(T.K, item["h_prime"]),
-            h_prime_l=LetterSupportSubgroup(T.L, item["h_prime"]),
-            k_prime=LetterSupportSubgroup(T.K, item["k_prime"]))
+    where = "/".join(FIXTURE_KEYS[kind][:3])
+    try:
+        if kind == "shared-free":
+            K = FreeGroup(data["k_symbols"], name="K")
+            L = FreeGroup(data["l_symbols"], name="L")
+            T: AmalgamTriple = SharedFreeAmalgam(
+                K, L, data["h_symbols"], name=data.get("name", "amalgam"))
+        else:
+            K = FiniteTableGroup(data["k_table"], name="K")
+            L = FiniteTableGroup(data["l_table"], name="L")
+            T = TableAmalgam(K, L, [tuple(p) for p in data["h_pairs"]],
+                             name=data.get("name", "amalgam"))
+        entries = []
+        for pos, item in enumerate(data["entries"]):
+            elts = {}
+            for key, group in zip(ENTRY_KEYS, (K, K, L, L)):
+                where = f"entry {pos} key {key!r}"
+                elts[key] = group.element(item[key])
+            entries.append(SystemEntry(**elts, index=item.get("index", pos)))
+        hints: Dict[frozenset, SubgroupPairHint] = {}
+        for pos, item in enumerate(data.get("dprime_hints", [])):
+            where = f"dprime_hints {pos}"
+            if not isinstance(T, SharedFreeAmalgam):
+                raise ValueError("subgroup hints are letter-based only")
+            hints[frozenset((item["i"], item["j"]))] = SubgroupPairHint(
+                h_prime_k=LetterSupportSubgroup(K, item["h_prime"]),
+                h_prime_l=LetterSupportSubgroup(L, item["h_prime"]),
+                k_prime=LetterSupportSubgroup(K, item["k_prime"]))
+    except (LookupError, TypeError, ValueError) as exc:
+        raise FixtureError(f"fixture {path}: {where}: {exc}") from None
     return T, entries, hints

@@ -1,11 +1,12 @@
-"""Shared finite amalgam instances for the test suite."""
+"""Shared amalgam instances for the test suite: finite table amalgams
+and random shared-free amalgams."""
 
 from __future__ import annotations
 
 import itertools
 
-from amalgams.groups import FiniteTableGroup
-from amalgams.canonical import TableAmalgam
+from amalgams.groups import FiniteTableGroup, FreeGroup
+from amalgams.canonical import SharedFreeAmalgam, TableAmalgam
 
 from oracles import FiniteAmalgamOracle
 
@@ -75,3 +76,12 @@ def instance_s3_z4():
 
 
 ALL_INSTANCES = (instance_s3_z6, instance_z4_z6, instance_d4_z8)
+
+
+def random_shared_free(rng):
+    """A shared-free amalgam on 1-2 H-letters and 1-2 letters of each
+    side's own."""
+    h = [f"h{i}" for i in range(rng.randint(1, 2))]
+    K = FreeGroup(h + [f"a{i}" for i in range(rng.randint(1, 2))])
+    L = FreeGroup(h + [f"b{i}" for i in range(rng.randint(1, 2))])
+    return SharedFreeAmalgam(K, L, h)

@@ -8,9 +8,15 @@ naive DP scans, exhaustive chain search) so agreement is meaningful.
 from __future__ import annotations
 
 import json
+from array import array
 from typing import Dict, List, Sequence, Tuple
 
-from amalgams.cancellation import _apply_replacement, cancellation_chain
+from amalgams import words
+from amalgams.cancellation import (
+    _apply_replacement,
+    _intern,
+    cancellation_chain,
+)
 from amalgams.canonical import (
     CanonicalWord,
     Syllable,
@@ -527,3 +533,112 @@ def element_replay_certificate(w, cert, R) -> bool:
         if len(w) != step.to_len:
             return False
     return w.is_empty()
+
+
+# ---------------------------------------------------------------------------
+# memo-free references of the per-syllable-object memos
+#
+# canonical_product, canonical_inverse and RelatorSet._code do their
+# per-syllable work once per distinct syllable object. These are the
+# same bodies without any memo: every syllable is checked, tested for H
+# membership, inverted and labelled on its own.
+
+
+def reference_canonical_product(pieces, T) -> CanonicalWord:
+    """``canonical_product`` with the owner check and ``in_H`` run on
+    every syllable, and a fresh syllable pushed for every element."""
+    stack: List[Syllable] = []
+    carry = None
+
+    def fold_carry_left() -> None:
+        nonlocal carry
+        if carry is None or not stack:
+            return
+        top = stack[-1]
+        h = T.transfer(carry, top.side)
+        stack[-1] = Syllable(top.side, top.elt.owner.mul(top.elt, h))
+        carry = None
+
+    for piece, trusted in pieces:
+        for i, syl in enumerate(piece):
+            side = syl.side
+            if trusted and i and carry is None and (
+                    not stack or stack[-1].side != side):
+                stack.extend(piece[i:])
+                break
+            group = T.side_group(side)
+            g = syl.elt
+            if g.owner is not group:
+                raise ValueError(
+                    f"syllable {syl!r} not owned by the {side} side")
+            if T.in_H(g):
+                if carry is None:
+                    carry = g
+                else:
+                    carry = group.mul(T.transfer(carry, side), g)
+                continue
+            if carry is not None and not stack:
+                g = group.mul(T.transfer(carry, side), g)
+                carry = None
+                if T.in_H(g):
+                    carry = g
+                    continue
+            if stack and stack[-1].side == side:
+                fold_carry_left()
+                top = stack.pop()
+                merged = group.mul(top.elt, g)
+                if T.in_H(merged):
+                    carry = merged
+                else:
+                    stack.append(Syllable(side, merged))
+            else:
+                fold_carry_left()
+                stack.append(Syllable(side, g))
+    if carry is not None:
+        if stack:
+            fold_carry_left()
+        else:
+            side = T.side_of_group(carry.owner)
+            if T.side_group(side).is_identity(carry):
+                return CanonicalWord(())
+            return CanonicalWord((Syllable(side, carry),))
+    return CanonicalWord(tuple(stack))
+
+
+def reference_canonical_inverse(w: CanonicalWord) -> CanonicalWord:
+    return CanonicalWord(
+        tuple(Syllable(s.side, s.elt.inv()) for s in reversed(w.syllables)))
+
+
+def reference_code(R, w: CanonicalWord, grow: bool):
+    """``RelatorSet._code`` keyed on values: labels through an
+    ``Element``-keyed memo and junctions through the set's
+    (label, tail, head) table, per position. It reads and grows R's
+    code tables as the method does."""
+    T = R.T
+    labels: List[int] = []
+    ends = []
+    seen = {}
+    for s in w.syllables:
+        known = seen.get(s.elt)
+        if known is None:
+            coded = T.label_and_ends(s.elt)
+            label = T.coset_label(s.elt) if coded is None else coded[0]
+            known = seen[s.elt] = (_intern(R._label_codes, label, grow),
+                                   coded and coded[1:])
+        labels.append(known[0])
+        ends.append(known[1])
+    if None in ends:
+        return labels, None
+    codes = array("q")
+    prev_tail = ends[-1][1] if ends else ()
+    for label, (head, tail) in zip(labels, ends):
+        key = (label, prev_tail, head)
+        code = R._junctions.get(key)
+        if code is None:
+            code = R._junctions[key] = _intern(
+                R._chain_codes,
+                (label, words.free_reduce(prev_tail + head)), grow)
+        codes.append(code)
+        prev_tail = tail
+    return labels, codes

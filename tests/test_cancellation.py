@@ -49,7 +49,11 @@ from amalgams.cancellation import (
 from amalgams.groups import ElementRegistry
 from amalgams.systems import generate_relators, load_system_fixture
 
-from amalgam_instances import ALL_INSTANCES, instance_s3_z4
+from amalgam_instances import (
+    ALL_INSTANCES,
+    instance_s3_z4,
+    random_shared_free,
+)
 from oracles import (
     closure_contains,
     element_replay_certificate,
@@ -902,15 +906,6 @@ def test_tampered_certificate_is_rejected(rho_system):
         assert replay_certificate(w, bad, R) is False, change
 
 
-def _random_shared_free(rng):
-    """A shared-free amalgam on 1-2 H-letters and 1-2 letters of each
-    side's own."""
-    h = [f"h{i}" for i in range(rng.randint(1, 2))]
-    K = FreeGroup(h + [f"a{i}" for i in range(rng.randint(1, 2))])
-    L = FreeGroup(h + [f"b{i}" for i in range(rng.randint(1, 2))])
-    return SharedFreeAmalgam(K, L, h)
-
-
 def _random_free_word(rng, T, n, side):
     """n alternating syllables from ``side``, each outside H with
     H-letters in its head, its tail and between its other letters."""
@@ -971,7 +966,7 @@ def test_free_replay_matches_element_replay(rho_system):
         assert res.status == "trivial"
         _replays_agree(w, res.certificate, R, seen)
     for _ in range(25):
-        T = _random_shared_free(rng)
+        T = random_shared_free(rng)
         relators = [canonicalize(_random_free_word(
             rng, T, 2 * rng.randrange(6, 10), K_SIDE), T)
             for _ in range(rng.randint(1, 2))]

@@ -650,3 +650,95 @@ def test_malformed_config_is_usage_error(tmp_path, capsys, command, config):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("amalgams: error: ")
+
+
+@pytest.mark.parametrize("chi", [
+    [1, 0], "x", [1, 10, 3], [1.5, 10], True, [True, 10],
+    # p > q skips every pair, so the scan could not fail; p < 0 fails
+    # every set
+    [2, 1], [-1, 10], [0, 10]])
+def test_check_smallcancel_rejects_bad_chi(tmp_path, capsys, chi):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"fixture": WITH_H, "chi": chi}))
+    with pytest.raises(SystemExit) as exc:
+        main(["check-smallcancel", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"amalgams: error: config 'chi' must be [p, q], integers with "
+        f"0 < p <= q, not {chi!r}\n")
+
+
+def test_check_smallcancel_accepts_chi(tmp_path):
+    # an equal fraction in other terms reads the same; chi = 1 admits
+    # every overlap shorter than a whole relator
+    for chi, reported in (([2, 20], [1, 10]), ([1, 1], [1, 1])):
+        code, doc = run_cli(tmp_path, "check-smallcancel",
+                            {"fixture": WITH_H, "chi": chi})
+        assert (code, doc["checks"][0]["status"]) == (0, "pass")
+        assert doc["checks"][0]["data"]["chi"] == reported
+
+
+def _with_h_entry(key, value):
+    def edit(data):
+        data["entries"][0][key] = value
+    return edit
+
+
+def _table(key, value):
+    def edit(data):
+        data[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("command", ["validate-system", "check-smallcancel"])
+@pytest.mark.parametrize("kind, edit, names", [
+    ("shared-free", _with_h_entry("a", [["zz", 1]]),
+     "entry 0 key 'a': 'zz' is not a generator of K"),
+    ("shared-free", _with_h_entry("bprime", [["c", 2]]),
+     "entry 0 key 'bprime': letter sign must be +-1, got 2"),
+    ("shared-free", _table("h_symbols", ["h", "b"]),
+     "k_symbols/l_symbols/h_symbols: side alphabets must overlap "
+     "exactly in H"),
+    ("table", _table("l_table", [[0, 1], [1]]),
+     "k_table/l_table/h_pairs: multiplication table must be square"),
+    ("table", _table("l_table", [[1, 0], [0, 0]]),
+     "k_table/l_table/h_pairs: table has no identity element"),
+    ("table", _table("h_pairs", [[0, 0], [1, 0]]),
+     "k_table/l_table/h_pairs: H-pairing must be a bijection"),
+    # a transposition of S3 paired with 1 of Z8, of order 8; a 3-cycle,
+    # whose square is not paired
+    ("table", _table("h_pairs", [[0, 0], [1, 1]]),
+     "k_table/l_table/h_pairs: H-pairing is not a homomorphism"),
+    ("table", _table("h_pairs", [[0, 0], [3, 2]]),
+     "k_table/l_table/h_pairs: H-pairing is not a homomorphism"),
+    ("table", _with_h_entry("b", 8),
+     "entry 0 key 'b': element index 8 out of range"),
+    ("shared-free", _table("dprime_hints", [
+        {"i": 0, "j": 1, "h_prime": ["zz"], "k_prime": ["a"]}]),
+     "dprime_hints 0: subgroup symbols must be group generators"),
+    ("table", _table("dprime_hints", [
+        {"i": 0, "j": 1, "h_prime": [], "k_prime": []}]),
+     "dprime_hints 0: subgroup hints are letter-based only"),
+], ids=["letter-outside-alphabet", "sign-2", "h-not-the-overlap",
+        "table-not-square", "table-no-identity", "pairing-not-bijective",
+        "pairing-not-homomorphic", "pairing-not-closed",
+        "entry-out-of-range", "hint-letter", "hint-on-table"])
+def test_bad_fixture_contents_are_usage_errors(tmp_path, capsys, command,
+                                               kind, edit, names):
+    if kind == "table":
+        with open(s3_z8_fixture(tmp_path)) as fh:
+            data = json.load(fh)
+    else:
+        with open(WITH_H) as fh:
+            data = json.load(fh)
+    edit(data)
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps(data))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"fixture": str(fixture)}))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"amalgams: error: fixture {fixture}: {names}")
