@@ -356,11 +356,13 @@ def canonical_product(
                     carry = group.mul(T.transfer(carry, side), g)
                 continue
             if carry is not None and not stack:
-                g = group.mul(T.transfer(carry, side), g)
+                # an identity carry leaves g, and its syllable object, as is
+                if not carry.owner.is_identity(carry):
+                    g = group.mul(T.transfer(carry, side), g)
+                    if T.in_H(g):
+                        carry = g
+                        continue
                 carry = None
-                if T.in_H(g):
-                    carry = g
-                    continue
             if stack and stack[-1].side == side:
                 fold_carry_left()
                 top = stack.pop()

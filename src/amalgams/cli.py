@@ -68,8 +68,9 @@ REQUIRED_KEYS = {
 INT_KEYS = {"generators": 1, "stages": 1, "count": 1, "gamma": 0,
             "level": 0, "k_max": 0}
 # the largest scan-colorings count: its tables grow with count squared,
-# and count 1000 takes 12-18 s and 285 MB (single core, x86-64), nearly
-# all of it in the table build; the subadditivity check takes under 1 s
+# and count 1000 takes 3.8-4.9 s and 150 MB (single core, x86-64), most
+# of the memory in the three maps of the table; memory, not time, sets
+# this bound
 MAX_COUNT = 1000
 # the largest topology-chain k_max: the chain lists k_max + 1 levels,
 # and k_max 300 takes about 0.6 s and 29 MB (single core, x86-64)

@@ -5,18 +5,21 @@ The desk-scale instance works with ordinals below a configurable bound
 under epsilon_0 and one ladder system, the canonical one from
 fundamental sequences. ``LadderSystem`` reads a ladder index off the
 CNF instead of scanning the ladder's points; the point scan in the
-test oracles is its reference. The coloring e comes from the walk
-recursion; its binding contract is subadditivity (both inequalities)
-plus local smallness.
+test oracles is its reference. For a fixed alpha the walk steps
+delta -> step(delta, alpha) form a tree rooted at alpha, and
+``LadderSystem`` keeps the tree of its latest alpha: per node its step,
+its trace down to alpha and e(alpha, node), each computed once.
+The coloring e comes from the walk recursion; its binding contract is
+subadditivity (both inequalities) plus local smallness.
 The test suite checks subadditivity exhaustively on every materialized
 triple; over a finite scope every D-set is finite.
 ``ColoringTable`` holds e, c0 and c1 on int index pairs: stage indices
 in the tower engine, positions in a ranked scope in ``scan-colorings``.
+``from_walks`` fills a table row by row, one walk tree per alpha.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import total_ordering
@@ -119,17 +122,36 @@ def successor(a: OrdinalCNF) -> OrdinalCNF:
     return ord_add(a, ONE)
 
 
+def _normal(terms: Tuple[Tuple[OrdinalCNF, int], ...],
+            key: Tuple) -> OrdinalCNF:
+    """An ordinal from terms already in Cantor normal form and their
+    ``_key``, without the checks of ``__post_init__``; for the ladder
+    arithmetic, whose results are normal by construction."""
+    out = object.__new__(OrdinalCNF)
+    object.__setattr__(out, "terms", terms)
+    object.__setattr__(out, "_key", key)
+    object.__setattr__(out, "_hash", hash(key))
+    return out
+
+
+def _head(a: OrdinalCNF) -> Tuple[tuple, tuple]:
+    """(terms, key) of a with the coefficient of its last term lowered
+    by one: a - 1 for a successor, and the part of a limit before its
+    last w^exp."""
+    exp, coeff = a.terms[-1]
+    if coeff > 1:
+        return (a.terms[:-1] + ((exp, coeff - 1),),
+                a._key[:-1] + ((exp._key, coeff - 1),))
+    return a.terms[:-1], a._key[:-1]
+
+
 def predecessor(a: OrdinalCNF) -> OrdinalCNF:
     """a - 1, built on the first call and kept on a."""
     if a._pred is not None:
         return a._pred
     if not a.is_successor():
         raise ValueError(f"{a!r} is not a successor ordinal")
-    head = a.terms[:-1]
-    exp, coeff = a.terms[-1]
-    if coeff > 1:
-        head = head + ((exp, coeff - 1),)
-    pred = OrdinalCNF(head)
+    pred = _normal(*_head(a))
     object.__setattr__(a, "_pred", pred)
     return pred
 
@@ -141,16 +163,14 @@ def fundamental_seq(delta: OrdinalCNF, n: int) -> OrdinalCNF:
         raise ValueError(f"{delta!r} is not a limit ordinal")
     if n < 0:
         raise ValueError("index must be nonnegative")
-    head = delta.terms[:-1]
-    exp, coeff = delta.terms[-1]
-    if coeff > 1:
-        head = head + ((exp, coeff - 1),)
+    head, key = _head(delta)
     # remaining part is omega^exp with exp > 0
+    exp = delta.terms[-1][0]
     if exp.is_successor():
-        step = omega_power(predecessor(exp), n + 1)
+        x, coeff = predecessor(exp), n + 1
     else:
-        step = omega_power(fundamental_seq(exp, n))
-    return OrdinalCNF(head + step.terms)
+        x, coeff = fundamental_seq(exp, n), 1
+    return _normal(head + ((x, coeff),), key + ((x._key, coeff),))
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +257,15 @@ class LadderSystem:
     """The canonical ladder system: C_delta is the fundamental sequence
     of a limit delta and the singleton predecessor of a successor.
 
-    ``walk`` keeps one row of steps here: delta -> step(delta, alpha)
-    for the alpha of its latest call, dropped when alpha changes."""
+    It keeps one row toward the alpha of its latest ``row`` or
+    ``entry`` call, dropped when alpha changes. For a fixed alpha the
+    steps delta -> step(delta, alpha) form a tree rooted at alpha; the
+    row holds the nodes walked so far, each with its step and its trace
+    down to alpha, computed once."""
 
     def __init__(self):
         self._row_alpha: Optional[OrdinalCNF] = None
-        self._row: Dict[OrdinalCNF, Tuple[OrdinalCNF, int]] = {}
+        self._row: Dict[OrdinalCNF, list] = {}
 
     def step(self, delta: OrdinalCNF, alpha: OrdinalCNF) -> Tuple[OrdinalCNF, int]:
         """(min(C_delta minus alpha), otp(C_delta intersect alpha)).
@@ -271,12 +294,41 @@ class LadderSystem:
         return [fundamental_seq(delta, k)
                 for k in range(_ladder_index(delta, alpha))]
 
-    def row(self, alpha: OrdinalCNF) -> Dict[OrdinalCNF, Tuple[OrdinalCNF, int]]:
-        """The kept steps toward alpha, delta -> step(delta, alpha); a
-        new alpha starts an empty row."""
-        if self._row_alpha is None or alpha != self._row_alpha:
-            self._row_alpha, self._row = alpha, {}
+    def row(self, alpha: OrdinalCNF) -> Dict[OrdinalCNF, list]:
+        """The kept walk tree toward alpha: node delta -> its entry
+        [e, otp, below, trace, k], where
+
+        - e is e(alpha, delta), or None until ``WalkColoring.row_e``
+          fills it;
+        - otp is otp(C_delta intersect alpha);
+        - below is the entry of step(delta, alpha), None at alpha;
+        - trace[k:] is the walk from delta down to alpha.
+
+        A new alpha starts a row that holds alpha alone, with e = 0."""
+        if alpha is not self._row_alpha and alpha != self._row_alpha:
+            self._row_alpha = alpha
+            self._row = {alpha: [0, 0, None, (alpha,), 0]}
         return self._row
+
+    def entry(self, alpha: OrdinalCNF, delta: OrdinalCNF) -> list:
+        """The row entry of delta, for alpha <= delta. A node the row
+        lacks is walked down to the first node the row holds; the new
+        nodes share one trace tuple, each at its own position in it."""
+        row = self.row(alpha)
+        hit = row.get(delta)
+        if hit is not None:
+            return hit
+        path, otps = [], []
+        cur = delta
+        while hit is None:
+            path.append(cur)
+            cur, otp = self.step(cur, alpha)
+            otps.append(otp)
+            hit = row.get(cur)
+        trace = (*path, *hit[3][hit[4]:])
+        for k in range(len(path) - 1, -1, -1):
+            hit = row[path[k]] = [None, otps[k], hit, trace, k]
+        return hit
 
 
 def _ladder_index(delta: OrdinalCNF, alpha: OrdinalCNF) -> int:
@@ -311,24 +363,17 @@ def _ladder_index(delta: OrdinalCNF, alpha: OrdinalCNF) -> int:
 
 def walk(alpha: OrdinalCNF, beta: OrdinalCNF,
          C: LadderSystem) -> List[OrdinalCNF]:
-    """Descending trace of the walk from beta down to alpha. Its steps
-    are kept in C's row for alpha (``LadderSystem.row``), so consecutive
-    walks to one alpha compute each step once. Every step lands in
-    [alpha, cur), so the walk ends."""
+    """Descending trace of the walk from beta down to alpha. Every step
+    lands in [alpha, cur), so the walk ends.
+
+    The trace is read off C's row for alpha (``LadderSystem.entry``). A
+    walk of L steps costs O(L): a first walk makes one step and one row
+    entry per node it adds and builds one trace tuple, and a repeated
+    walk, or one that meets the row early, copies the kept tuple."""
     if not alpha < beta:
         raise ValueError("walk requires alpha < beta")
-    row = C.row(alpha)
-    trace = [beta]
-    cur = beta
-    while ord_cmp(cur, alpha) > 0:
-        nxt = row.get(cur)
-        if nxt is None:
-            nxt = row[cur] = C.step(cur, alpha)
-        cur = nxt[0]
-        trace.append(cur)
-    if ord_cmp(cur, alpha) != 0:
-        raise ValueError("walk did not reach alpha")
-    return trace
+    entry = C.entry(alpha, beta)
+    return list(entry[3][entry[4]:])
 
 
 class WalkColoring:
@@ -337,6 +382,10 @@ class WalkColoring:
     e(alpha, beta) = max of: otp(C_beta intersect alpha),
     e(alpha, min(C_beta minus alpha)), and e(xi, alpha) for xi in
     C_beta intersect alpha; with e(alpha, alpha) = 0.
+
+    ``e`` runs the recursion through a memo keyed on ordinal pairs;
+    ``row_e`` runs it on a walk tree of C's row and uses the memo only
+    for the e(xi, alpha) terms, which belong to other rows.
     """
 
     def __init__(self, C: Optional[LadderSystem] = None):
@@ -359,6 +408,25 @@ class WalkColoring:
         for xi in self.C.members_below(beta, alpha):
             value = max(value, self.e(xi, alpha))
         self._memo[key] = value
+        return value
+
+    def row_e(self, alpha: OrdinalCNF, entry: list) -> int:
+        """e(alpha, delta) for the entry of delta in C's row for alpha,
+        filled in on it and on every entry below it that lacks it. A
+        successor delta has no ladder point below alpha, and a limit
+        delta has otp of them."""
+        pending = []
+        while entry[0] is None:
+            pending.append(entry)
+            entry = entry[2]
+        value = entry[0]
+        for entry in reversed(pending):
+            value = max(entry[1], value)
+            if entry[1]:
+                delta = entry[3][entry[4]]
+                for xi in self.C.members_below(delta, alpha):
+                    value = max(value, self.e(xi, alpha))
+            entry[0] = value
         return value
 
     def __call__(self, alpha: OrdinalCNF, beta: OrdinalCNF) -> int:
@@ -461,19 +529,31 @@ class ColoringTable:
                    C: Optional[LadderSystem] = None) -> "ColoringTable":
         """The walk colorings on the ranked scope: for alpha < beta, e
         from the walk recursion, c0 the number of steps of the walk from
-        beta down to alpha and c1 the otp of its first step."""
+        beta down to alpha and c1 the otp of its first step.
+
+        Pairs run alpha-major, so every walk to one alpha grows C's row
+        for it. Each pair makes one ``walk``; c1 and e are read off the
+        row entry of beta that this walk filled, and e of a node is
+        computed once per row (``WalkColoring.row_e``)."""
         C = C or LadderSystem()
         coloring = WalkColoring(C)
         ranked = sorted(scope, key=ord_sort_key)
-        e: Dict[Tuple[int, int], int] = {}
-        c0: Dict[Tuple[int, int], int] = {}
-        c1: Dict[Tuple[int, int], int] = {}
-        # alpha-major, so each walk to alpha reuses C's row for it
-        for (i, a), (j, b) in itertools.combinations(enumerate(ranked), 2):
-            e[i, j] = coloring.e(a, b)
-            c0[i, j] = len(walk(a, b, C)) - 1
-            c1[i, j] = C.step(b, a)[1]
-        return cls(e, c0, c1, ranked)
+        n = len(ranked)
+        # filled in place, with one key tuple per pair shared by the
+        # three maps: every entry is valid by construction, and a copy
+        # or a tuple per map would add to the peak memory
+        table = cls(scope=ranked)
+        e, c0, c1 = table.e_map, table.c0_map, table.c1_map
+        for i, a in enumerate(ranked):
+            row = C.row(a)
+            for j in range(i + 1, n):
+                b = ranked[j]
+                key = (i, j)
+                c0[key] = len(walk(a, b, C)) - 1
+                entry = row[b]
+                c1[key] = entry[1]
+                e[key] = coloring.row_e(a, entry)
+        return table
 
     def check_contract(self) -> dict:
         """Subadditivity on every triple a < b < c of the scope:

@@ -257,36 +257,43 @@ def ord_key(a) -> tuple:
     return tuple((ord_key(exp), coeff) for exp, coeff in a.terms)
 
 
-def scan_ladder_step(delta, alpha):
-    """(the least canonical ladder point of delta that is >= alpha, its
-    index), for alpha < delta."""
+def scan_ladder_step(delta, alpha, points=fundamental_seq):
+    """(the least ladder point of delta that is >= alpha, its index), for
+    alpha < delta; points(delta, n) is the n-th point of a limit's
+    ladder, the canonical one by default."""
     if delta.is_successor():
         return predecessor(delta), 0
     n = 0
-    while cnf_less(fundamental_seq(delta, n), alpha):
+    while cnf_less(points(delta, n), alpha):
         n += 1
-    return fundamental_seq(delta, n), n
+    return points(delta, n), n
 
 
-def scan_members_below(delta, alpha):
-    """The canonical ladder points of delta below alpha < delta."""
+def scan_members_below(delta, alpha, points=fundamental_seq):
+    """The ladder points of delta below alpha < delta."""
     if delta.is_successor():
         return []
-    n = scan_ladder_step(delta, alpha)[1]
-    return [fundamental_seq(delta, k) for k in range(n)]
+    n = scan_ladder_step(delta, alpha, points)[1]
+    return [points(delta, k) for k in range(n)]
 
 
 class ScanWalks:
-    """Walks, e, c0 and c1 on the canonical ladder from the scanned
-    steps, with e by its defining recursion."""
+    """Walks, e, c0 and c1 on a ladder system from the scanned steps,
+    with e by its defining recursion. ``points`` gives the ladders of
+    limits as in ``scan_ladder_step``; a successor's is its
+    predecessor."""
 
-    def __init__(self):
+    def __init__(self, points=fundamental_seq):
+        self.points = points
         self.memo = {}
+
+    def step(self, delta, alpha):
+        return scan_ladder_step(delta, alpha, self.points)
 
     def walk(self, alpha, beta):
         trace = [beta]
         while cnf_less(alpha, trace[-1]):
-            trace.append(scan_ladder_step(trace[-1], alpha)[0])
+            trace.append(self.step(trace[-1], alpha)[0])
         return trace
 
     def e(self, alpha, beta) -> int:
@@ -294,9 +301,9 @@ class ScanWalks:
             return 0
         key = (ord_key(alpha), ord_key(beta))
         if key not in self.memo:
-            nxt, otp = scan_ladder_step(beta, alpha)
+            nxt, otp = self.step(beta, alpha)
             value = max(otp, self.e(alpha, nxt))
-            for xi in scan_members_below(beta, alpha):
+            for xi in scan_members_below(beta, alpha, self.points):
                 value = max(value, self.e(xi, alpha))
             self.memo[key] = value
         return self.memo[key]
@@ -305,7 +312,7 @@ class ScanWalks:
         return len(self.walk(alpha, beta)) - 1
 
     def c1(self, alpha, beta) -> int:
-        return scan_ladder_step(beta, alpha)[1]
+        return self.step(beta, alpha)[1]
 
 
 def naive_subadditivity(e_map, scope) -> dict:

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from amalgams import colorings
 from amalgams.colorings import (
     ColoringTable,
     LadderSystem,
@@ -123,6 +124,25 @@ def test_fundamental_seq_increasing_and_below():
         assert all(ord_cmp(p, d) < 0 for p in pts)
         count += 1
     assert count > 20
+
+
+def test_ladder_arithmetic_builds_checked_ordinals():
+    # predecessor and fundamental_seq skip the CNF checks: rebuilding
+    # each result through them, or through its string, gives an equal
+    # ordinal with the same sort key and hash
+    rng = random.Random(20261020)
+    exps = FINITE_EXPS + TRANSFINITE_EXPS
+    made = 0
+    for _ in range(400):
+        d = random_cnf(rng, exps)
+        outs = ([predecessor(d)] if d.is_successor() else
+                [fundamental_seq(d, n) for n in range(4)])
+        for p in outs:
+            for q in (OrdinalCNF(p.terms), ord_from_str(ord_to_str(p))):
+                assert (q, q._key, hash(q)) == (p, p._key, hash(p))
+            assert p < d
+            made += 1
+    assert made > 1000
 
 
 def test_fundamental_seq_rejects_non_limits():
@@ -288,6 +308,90 @@ def test_walks_and_colorings_match_scanned_walks():
             (oracle.e(a, b), oracle.c0(a, b), oracle.c1(a, b))
 
 
+def random_below_omega_power(rng, top, count):
+    """count distinct ordinals w^(top-1)*c + ... + w*c1 + c0, each
+    coefficient 0 to 3 and about half of them 0."""
+    out = {}
+    while len(out) < count:
+        x = OrdinalCNF(tuple((from_int(k), c) for k in reversed(range(top))
+                             for c in (max(0, rng.randint(-3, 3)),) if c))
+        out[ord_to_str(x)] = x
+    return list(out.values())
+
+
+def tailed_points(delta, n):
+    """A ladder other than the canonical one: the canonical point plus 5
+    when delta's last exponent is at least 2, the canonical point
+    otherwise. On the canonical ladder the e(xi, alpha) terms of the
+    recursion never raise e on these scopes; on this one they do."""
+    p = fundamental_seq(delta, n)
+    return ord_add(p, from_int(5)) if ONE < delta.terms[-1][0] else p
+
+
+class TailedLadder(LadderSystem):
+    """The ladder system of ``tailed_points``, by a scan of its points."""
+
+    def step(self, delta, alpha):
+        if delta.is_successor():
+            return super().step(delta, alpha)
+        n = 0
+        while tailed_points(delta, n) < alpha:
+            n += 1
+        return tailed_points(delta, n), n
+
+    def members_below(self, delta, alpha):
+        if delta.is_successor():
+            return super().members_below(delta, alpha)
+        return [tailed_points(delta, k)
+                for k in range(self.step(delta, alpha)[1])]
+
+
+@pytest.mark.parametrize("top", [3, 4])
+@pytest.mark.parametrize("ladder", ["canonical", "tailed"])
+def test_from_walks_matches_scanned_walks_below_omega_powers(monkeypatch,
+                                                             top, ladder):
+    # from_walks reads c0, c1 and e off one walk tree per alpha; the
+    # oracle scans every step of every pair and runs the e recursion on
+    # its own memo. The traces are the ones from_walks walked itself,
+    # one walk per pair
+    rng = random.Random(20261019 + top)
+    tailed = ladder == "tailed"
+    for count in (24, 36):
+        scope = random_below_omega_power(rng, top, count)
+        if tailed:
+            # e(w*2, w^2) is 4 here, and 1 without the e(xi, alpha)
+            # terms: w+5 is w^2's only ladder point below w*2, and w*2's
+            # ladder has 4 points below w+5
+            scope += [x for x in map(ord_from_str, ("w*2", "w^(2)"))
+                      if ord_to_str(x) not in map(ord_to_str, scope)]
+        traces = {}
+
+        def recording(a, b, C):
+            trace = walk(a, b, C)
+            traces[ord_to_str(a), ord_to_str(b)] = \
+                [ord_to_str(x) for x in trace]
+            return trace
+
+        monkeypatch.setattr(colorings, "walk", recording)
+        table = ColoringTable.from_walks(
+            scope, TailedLadder() if tailed else LadderSystem())
+        monkeypatch.undo()
+        oracle = ScanWalks(tailed_points if tailed else fundamental_seq)
+        ranked = table.scope
+        n = len(ranked)
+        assert len(traces) == n * (n - 1) // 2
+        for i, j in itertools.combinations(range(n), 2):
+            a, b = ranked[i], ranked[j]
+            expected = [ord_to_str(x) for x in oracle.walk(a, b)]
+            assert traces[ord_to_str(a), ord_to_str(b)] == expected
+            assert (table.e(i, j), table.c0(i, j), table.c1(i, j)) == \
+                (oracle.e(a, b), len(expected) - 1, oracle.c1(a, b)), \
+                (ord_to_str(a), ord_to_str(b))
+        if tailed:
+            names = [ord_to_str(x) for x in ranked]
+            assert table.e(names.index("w*2"), names.index("w^(2)")) == 4
+
+
 # ---------------------------------------------------------------------------
 # the coloring e
 
@@ -330,6 +434,20 @@ def test_subadditivity_exhaustive_on_omega_cubed_scope():
         bad = ColoringTable({**table.e_map, entry: 10_000}, table.c0_map,
                             table.c1_map, table.scope)
         assert bad.check_contract()["violation"] == violation
+
+
+def test_subadditivity_exhaustive_on_omega_fourth_scope():
+    # walks down from w^3*a pass limits of limits of limits: the first
+    # 300 of w^3*a + w^2*b + w*c + d with a, b, c, d < 5
+    scope = sorted((OrdinalCNF(tuple((from_int(k), x) for k, x in
+                                     ((3, a), (2, b), (1, c), (0, d)) if x))
+                    for a, b, c, d in itertools.product(range(5), repeat=4)),
+                   key=ord_sort_key)[:300]
+    assert ord_to_str(scope[-1]) == "w^(3)*2+w^(2)+w*4+4"
+    table = ColoringTable.from_walks(scope)
+    n = len(scope)
+    assert table.check_contract() == {"triples": math.comb(n, 3),
+                                      "max_weak_d_size": n - 1}
 
 
 def test_corrupted_table_fails_contract(walks_table):

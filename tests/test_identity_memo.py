@@ -26,6 +26,7 @@ from amalgams.canonical import (
     canonical_product,
 )
 from amalgams.groups import Element, FiniteTableGroup
+from amalgams.systems import generate_relators, load_system_fixture
 
 from amalgam_instances import (
     ALL_INSTANCES,
@@ -39,6 +40,7 @@ from oracles import (
 )
 
 CASES_PER_AMALGAM = 120
+FIXTURES = "fixtures/systems"
 
 
 def other(side):
@@ -204,3 +206,24 @@ def test_relator_codes_match_memo_free_reference():
                 for w in (CanonicalWord(tuple(syls)),
                           canonical_product(((syls, False),), T)):
                     assert R.code_word(w) == reference_code(R, w, False)
+
+
+def test_identity_carry_keeps_the_first_syllable_object(monkeypatch):
+    # trivial_h's entries have h = 1: the identity H-carry in front of a
+    # unit's first syllable passes that syllable object through, so each
+    # of the 8 units holds 3 syllable objects and is labelled 3 times
+    T, S, hints = load_system_fixture(f"{FIXTURES}/trivial_h.json")
+    label_and_ends = type(T).label_and_ends
+    calls = []
+
+    def counted(self, g):
+        calls.append(g)
+        return label_and_ends(self, g)
+
+    monkeypatch.setattr(type(T), "label_and_ends", counted)
+    R = generate_relators(S, T, hints=hints,
+                          skip_validation=True, check=False)
+    assert len(R.units) == 8
+    assert [len({id(s) for s in u.word.syllables}) for u in R.units] == \
+        [3] * 8
+    assert len(calls) == 24
