@@ -8,13 +8,13 @@ runs (labels are constant on H-double cosets, so a cancellation chain
 forces a label run) and then walk each run's diagonal once, with
 ``Diagonal``: one rule for every amalgam, which computes each chain
 state once and gives the chain from each offset by
-``cancellation_chain``. The C' verdict is kept on the set. The
-replays of C' witnesses and Dehn certificates share no code with the
-chain codes that the scans compare.
+``cancellation_chain``. The C' verdict, at the chi the set was built
+for, is kept on the set. The replays of C' witnesses and Dehn
+certificates share no code with the chain codes that the scans compare.
 
 A quotient has no group object of its own: ``build_quotient`` gates a
-relator set (C'(1/10) and a sampled injectivity audit), and
-``dehn_decide`` on the set decides words in the quotient.
+relator set by C'(1/10) alone, and ``dehn_decide`` on the set decides
+words in the quotient.
 """
 
 from __future__ import annotations
@@ -27,22 +27,18 @@ from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from amalgams import kernels, words
-from amalgams.groups import Element, ElementRegistry, ambient_sample
+from amalgams.groups import Element, ElementRegistry
 from amalgams.canonical import (
     AmalgamTriple,
     CanonicalWord,
     Syllable,
     canonical_inverse,
     canonical_product,
-    canonicalize,
     is_wcr,
     rotate,
-    syllable,
     word_from_json,
     word_to_json,
 )
-
-RHO_EVEN_LENGTH = 6640
 
 
 @dataclass(frozen=True)
@@ -78,9 +74,9 @@ class RelatorSet:
     group each of its parts is one free reduction.
 
     The set is the index the scanners share: ``window_hashes(uid, k)``
-    hashes a unit's cyclic labels once per window length, and
-    ``cprime_results`` keeps ``check_cprime``'s verdict per chi. Both
-    caches assume the set does not change after construction.
+    hashes a unit's cyclic labels once per window length, and ``cprime``
+    keeps ``check_cprime``'s verdict at ``chi``. Both caches assume the
+    set does not change after construction.
 
     Coding a word labels each distinct syllable object once and codes
     each junction once per (previous, current) pair of objects, keyed
@@ -121,14 +117,7 @@ class RelatorSet:
         self.codes: Optional[Dict[str, array]] = \
             None if None in codes.values() else codes
         self._window_hashes: Dict[Tuple[str, int], array] = {}
-        self.cprime_results: Dict[Fraction, "CPrimeResult"] = {}
-        if rho_generated:
-            for base in self.bases:
-                n = len(base.word)
-                if n not in (RHO_EVEN_LENGTH, RHO_EVEN_LENGTH + 1):
-                    raise ValueError(
-                        f"relator {base.rid} has length {n}, expected "
-                        f"{RHO_EVEN_LENGTH} or {RHO_EVEN_LENGTH + 1}")
+        self.cprime: Optional["CPrimeResult"] = None
 
     def window_hashes(self, uid: str, k: int) -> array:
         """Hashes of the length-k windows of a unit's cyclic labels,
@@ -206,8 +195,6 @@ def symmetrized_closure(
 ) -> RelatorSet:
     bases = []
     for idx, r in enumerate(R0):
-        if r.is_empty():
-            raise ValueError("trivial relator in input")
         core = _wcr_normalize(r, T)
         origin = origins[idx] if origins else None
         bases.append(BaseRelator(f"r{idx}", core, origin))
@@ -247,9 +234,15 @@ def cancellation_chain(
     and i1 = m-1-j this is Dehn's part match:
     w2[j2..j2+ell) = h0^-1 * r[j..j+ell) * h_end.
 
-    With ``skip_trivial_wrap``, a seed whose chain consumes both words
-    to product 1 is left out, so the result is the longest chain
-    between w1^-1 and a conjugate of w2 that is a different relator.
+    A wrap, ``full_wrap_trivial``, is a chain that starts on seed 1,
+    consumes both words and ends on 1: then w2's rotation is w1^-1's
+    rotation letter for letter, the alignment of a relator with itself
+    that pieces leave out (R1 = R2 in Lyndon–Schupp, ch. V.11). A full
+    chain from a seed h != 1 that ends on 1 shows that w2's rotation is
+    h^-1 times w1^-1's rotation, a different relator, so it is no wrap,
+    and a chain of that length is a piece. With ``skip_trivial_wrap`` a
+    wrap is left out, so the result is the longest chain between w1^-1
+    and a conjugate of w2 that is a different relator.
 
     ``codes``, the chain codes (``RelatorSet.codes``) of the unit that
     spells w1^-1 and of w2, replaces element arithmetic after step 0
@@ -283,7 +276,8 @@ def cancellation_chain(
             # states are kept on the side of their w1 syllable; the
             # chain ends on the side of its last step
             P = T.transfer(R[r - ell], w1[(i1 + 1 - max(ell, 1)) % n].side)
-        wrap = ell == max_steps == n == m and P.owner.is_identity(P)
+        wrap = ell == max_steps == n == m and h0.owner.is_identity(h0) \
+            and P.owner.is_identity(P)
         if wrap and skip_trivial_wrap:
             continue
         if ell > best.ell or best.h0 is None:
@@ -421,19 +415,17 @@ def distinct_cyclic_runs(
     return out
 
 
-def check_cprime(R: RelatorSet, chi: Optional[Fraction] = None) -> CPrimeResult:
-    """The metric overlap condition C'(chi) on R, chi defaulting to R.chi.
+def check_cprime(R: RelatorSet) -> CPrimeResult:
+    """The metric overlap condition C'(R.chi) on R.
 
     The result is kept on the set, so checking it again is free."""
-    chi = Fraction(chi) if chi is not None else R.chi
-    res = R.cprime_results.get(chi)
-    if res is None:
-        res = R.cprime_results[chi] = _scan_cprime(R, chi)
-    return res
+    if R.cprime is None:
+        R.cprime = _scan_cprime(R)
+    return R.cprime
 
 
-def _scan_cprime(R: RelatorSet, chi: Fraction) -> CPrimeResult:
-    T, codes = R.T, R.codes
+def _scan_cprime(R: RelatorSet) -> CPrimeResult:
+    T, codes, chi = R.T, R.codes, R.chi
     max_core, pairs, gray = 0, 0, False
     for u1 in R.units:
         n = len(u1.word)
@@ -463,7 +455,7 @@ def _scan_cprime(R: RelatorSet, chi: Fraction) -> CPrimeResult:
                     codes=codes and (codes[u1.partner], codes[u2.uid]))
                 for o, res in diagonal.chains(skip_trivial_wrap=True):
                     if res.full_wrap_trivial:
-                        continue  # the excluded product-1 alignment
+                        continue  # the excluded self-alignment
                     if res.ell >= k_min:
                         h_elt = res.h0
                         side = "K" if h_elt.owner is T.K else "L"
@@ -532,13 +524,15 @@ class DehnResult:
     note: str = ""
 
 
-def part_threshold(k: int, relator_len: int) -> int:
-    """Smallest integer ell with ell * k > (k-3) * relator_len."""
-    return (k - 3) * relator_len // k + 1
+def part_threshold(relator_len: int) -> int:
+    """Smallest integer ell with 10 * ell > 7 * relator_len: a part
+    longer than 7/10 of its relator, which C'(1/10) makes long enough
+    for Dehn's algorithm."""
+    return 7 * relator_len // 10 + 1
 
 
 def find_replacement(
-    w: CanonicalWord, R: RelatorSet, k: int
+    w: CanonicalWord, R: RelatorSet
 ) -> Tuple[Optional[Tuple], bool]:
     """Best long-part replacement, or None.
 
@@ -552,7 +546,7 @@ def find_replacement(
     tables = {}  # window length -> table of w's windows
     for unit in R.units:
         m = len(unit.word)
-        t_min = part_threshold(k, m)
+        t_min = part_threshold(m)
         if t_min > min(len(w), m):
             continue
         scan_k = max(1, t_min - 2)
@@ -635,31 +629,27 @@ def _cyclic_reduce(w: CanonicalWord, T: AmalgamTriple) -> Tuple[CanonicalWord, L
 
 
 def dehn_decide(
-    w: CanonicalWord, R: RelatorSet, k: int = 10, budget: int = 10_000
+    w: CanonicalWord, R: RelatorSet, budget: int = 10_000
 ) -> DehnResult:
     """Word problem in (K *_H L) / N(R) for R satisfying the metric
-    overlap condition at 1/k, k >= 10.
+    overlap condition C'(1/10), which ``build_quotient`` gates.
 
     Replaces long relator parts by their shorter complements until the
     word is empty (trivial, with a replayable certificate) or no long
     part exists (nontrivial, provided the word is nontrivial in the
     plain amalgam).
     """
-    if k < 10:
-        raise ValueError("k must be at least 10")
     cert: List[DehnStep] = []
     rounds = 0
     while True:
         rounds += 1
         if rounds > budget:
             return DehnResult("inconclusive", cert, "round budget")
-        if w.is_empty():
-            return DehnResult("trivial", cert)
         w, red_steps = _cyclic_reduce(w, R.T)
         cert.extend(red_steps)
         if w.is_empty():
             return DehnResult("trivial", cert)
-        found, gray = find_replacement(w, R, k)
+        found, gray = find_replacement(w, R)
         if found is None:
             if gray:
                 return DehnResult(
@@ -781,43 +771,22 @@ def _free_part(
 # the quotient gate
 
 
-def build_quotient(T: AmalgamTriple, R: RelatorSet) -> None:
+def build_quotient(R: RelatorSet) -> None:
     """Gate a relator set before its quotient is used: raise ValueError
-    unless R passes C'(1/10), or when the injectivity audit finds two
-    sampled side elements, or a K-side and an L-side sample, that the
-    quotient identifies. Words in the quotient are then decided by
-    ``dehn_decide`` on R."""
-    if R.bases:
-        res = check_cprime(R, Fraction(1, 10))
-        if res.status != "pass":
-            raise ValueError(
-                f"relator set does not satisfy C'(1/10): {res.status}")
-    _audit_injectivity(T, R, 6)
+    unless R was built for some chi <= 1/10 and passes C'(chi), which
+    implies C'(1/10). Words in the quotient are then decided by
+    ``dehn_decide`` on R.
 
-
-def _audit_injectivity(T: AmalgamTriple, R: RelatorSet, samples: int) -> None:
-    def trivial(sylls) -> bool:
-        word = canonicalize(sylls, T)
-        return word.is_empty() or dehn_decide(word, R).status == "trivial"
-
-    for side, group in (("K", T.K), ("L", T.L)):
-        elts = ambient_sample(group, samples)
-        for i, g in enumerate(elts):
-            for h in elts[i + 1:]:
-                diff = group.mul(g, h.inv())
-                if group.is_identity(diff):
-                    continue
-                if trivial([syllable(side, diff)]):
-                    raise ValueError(
-                        f"quotient collapses distinct {side}-side elements")
-    # distinct cosets across the sides: k * l^-1 never trivial for
-    # sampled k in K minus H, l in L minus H
-    ks = [g for g in ambient_sample(T.K, samples) if not T.in_H(g)]
-    ls = [g for g in ambient_sample(T.L, samples) if not T.in_H(g)]
-    for g in ks[:samples]:
-        for h in ls[:samples]:
-            if trivial([syllable("K", g), syllable("L", h.inv())]):
-                raise ValueError("quotient merges the K and L sides")
+    The gate checks nothing else: under C'(1/10), as under C'(1/6),
+    each factor embeds in the quotient (Lyndon–Schupp, *Combinatorial
+    Group Theory*, ch. V.11)."""
+    if R.chi > Fraction(1, 10):
+        raise ValueError(
+            f"relator set is built for C'({R.chi}), weaker than C'(1/10)")
+    res = check_cprime(R)
+    if res.status != "pass":
+        raise ValueError(
+            f"relator set does not satisfy C'({R.chi}): {res.status}")
 
 
 # ---------------------------------------------------------------------------

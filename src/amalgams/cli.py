@@ -43,6 +43,7 @@ from amalgams.systems import (
     FixtureError,
     generate_relators,
     load_system_fixture,
+    typing_clause,
     validate_system,
 )
 
@@ -166,15 +167,20 @@ def cmd_check_amalgam(config, args):
 
 
 def cmd_check_smallcancel(config, args):
-    T, S, hints = load_system_fixture(config["fixture"])
+    T, S, _ = load_system_fixture(config["fixture"])
+    # C' is scanned on any system, but only typed entries spell relators
+    for entry in S:
+        clause = typing_clause(entry, T)
+        if clause is not None:
+            raise ConfigError(f"fixture {config['fixture']}: entry "
+                              f"{entry.index} breaks {clause}")
     chi = config.get("chi", [1, 10])
     if not (type(chi) is list and len(chi) == 2 and all(
             type(x) is int for x in chi) and 0 < chi[0] <= chi[1]):
         raise ConfigError(f"config 'chi' must be [p, q], integers with "
                           f"0 < p <= q, not {chi!r}")
     chi = Fraction(*chi)
-    R = generate_relators(S, T, chi=chi, hints=hints,
-                          skip_validation=True, check=False)
+    R = generate_relators(S, T, chi=chi, check=False)
     res = check_cprime(R)
     data = {"chi": [chi.numerator, chi.denominator],
             "max_core": res.max_core, "pairs_scanned": res.pairs_scanned,
@@ -252,8 +258,8 @@ def cmd_solve_word(config, args):
     rep = validate_system(S, T, hints=hints)
     if rep.status != "valid":
         return [_system_check(rep)]
-    R = generate_relators(S, T, hints=hints, skip_validation=True)
-    build_quotient(T, R)
+    R = generate_relators(S, T)
+    build_quotient(R)
     checks = []
     for n, w in enumerate(words):
         res = dehn_decide(w, R, budget=args.budget_len)
@@ -282,9 +288,8 @@ def _system_check(rep):
     # verdict checks share
     data = {"verdict": rep.status, "note": "",
             "h_malnormal_in_l": rep.h_malnormal_in_l,
-            "certificates": [
-                {"i": c.i, "j": c.j, "case": c.case} for c in
-                (rep.certificates or [])]}
+            "certificates": [{"i": c.i, "j": c.j, "case": c.case}
+                             for c in rep.certificates]}
     if rep.witness:
         data["witness"] = rep.witness
     return CheckResult("system", status, data)

@@ -664,10 +664,10 @@ class ColoringTable:
 # scopes and scans
 
 
-def omega_sq_scope(count: int, width: int = 0) -> List[OrdinalCNF]:
+def omega_sq_scope(count: int) -> List[OrdinalCNF]:
     """The first ``count`` ordinals below omega^2 in a square
     enumeration: omega*a + b over a growing square grid, sorted."""
-    side = width or (math.isqrt(count) + 2)
+    side = math.isqrt(count) + 2
     out = []
     for a in range(side):
         for b in range(side):

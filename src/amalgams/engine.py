@@ -12,10 +12,11 @@ Stage indices play the role of ordinals; the group generated by the
 generators with indices in A is written G_A and is modelled as the
 letter-support subgroup of the ambient free group, which keeps every
 membership, intersection, and double-coset question exact.  Layers that
-acquire relators are recorded with their own amalgam and relator set,
-which ``build_quotient`` gates; materialized words stay far below the
-small-cancellation length gap, so the free model remains faithful for
-all level and transversal queries.
+acquire relators are recorded with their own amalgam and relator set;
+``validate_system`` certifies the system first, and ``build_quotient``
+gates the set. Materialized words stay far below the small-cancellation
+length gap, so the free model remains faithful for all level and
+transversal queries.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from amalgams.canonical import (
     syllable,
 )
 from amalgams.cancellation import (
-    RHO_EVEN_LENGTH,
     RelatorSet,
     build_quotient,
     check_cprime,
@@ -50,7 +50,8 @@ from amalgams.cancellation import (
     relators_to_json,
 )
 from amalgams.colorings import ColoringTable, cantor_pair, cantor_unpair
-from amalgams.systems import SystemEntry, generate_relators
+from amalgams.systems import RHO_EVEN_LENGTH, SystemEntry, \
+    generate_relators, validate_system
 from amalgams.kernels import longest_common_run
 
 
@@ -122,7 +123,7 @@ class StageState:
         self._supports: Dict[tuple, FrozenSet[int]] = {}
         self._layer_sets: Dict[Tuple[int, int], FrozenSet[int]] = {}
         self._strip_syms: Dict[Tuple[int, int, int], FrozenSet[str]] = {}
-        # _decompose results, keyed on (payload, gamma, i, beta, registry
+        # decompose_star results, keyed on (payload, gamma, i, beta, registry
         # size): the order on cores reads registry codes, and the
         # registry only grows
         self._decomposed: Dict[tuple, tuple] = {}
@@ -244,13 +245,15 @@ def _check_layer(g: Element, gamma: int, i: int, state: StageState):
             f"{sorted(state.support(g))} vs {sorted(allowed)}")
 
 
-def _decompose(g: Element, gamma: int, i: int, beta: int,
-               state: StageState) -> Tuple[Element, Element, int, Element]:
-    """(y0, t, eps, y1) with g = y0 * t^eps * y1: strip the cut
-    subgroup's letters off both ends of g, leaving y0 core y1, and take
-    t the smaller of core and core^-1 (the core of g^-1). Memoised per
-    stage; only results are kept, so an element outside the layer
-    raises on every call."""
+def decompose_star(g: Element, gamma: int, i: int, beta: int,
+                   state: StageState) -> Tuple[Element, Element, int, Element]:
+    """Write g = y0 * t^eps * y1 with t its transversal representative
+    and y0, y1 in the cut subgroup; replayable by multiplying out.
+
+    Strips the cut subgroup's letters off both ends of g, leaving y0
+    core y1, and takes t the smaller of core and core^-1 (the core of
+    g^-1). Memoised per stage; only results are kept, so an element
+    outside the layer raises on every call."""
     memo_key = (g.payload, gamma, i, beta, len(state.registry))
     hit = state._decomposed.get(memo_key)
     if hit is not None:
@@ -279,14 +282,7 @@ def transversal_rep(g: Element, gamma: int, i: int, beta: int,
     order; stripping commutes with enlarging the level or shrinking the
     cut, which is exactly the monotonicity the tower needs.
     """
-    return _decompose(g, gamma, i, beta, state)[1]
-
-
-def decompose_star(g: Element, gamma: int, i: int, beta: int,
-                   state: StageState) -> Tuple[Element, Element, int, Element]:
-    """Write g = y0 * t^eps * y1 with t its transversal representative
-    and y0, y1 in the cut subgroup; replayable by multiplying out."""
-    return _decompose(g, gamma, i, beta, state)
+    return decompose_star(g, gamma, i, beta, state)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +435,11 @@ def _build_layer(gamma: int, i: int, state: StageState) -> StageLayer:
             b=Element(L_grp, en.b.payload),
             bprime=Element(L_grp, en.bprime.payload),
             index=n))
+    report = validate_system(system, T)
+    if report.status == "invalid":
+        raise ValueError(f"system is invalid: {report.witness}")
     R = generate_relators(system, T)
-    build_quotient(T, R)
+    build_quotient(R)
     return StageLayer(gamma=gamma, level=i, kind="quotient",
                       entries=entries, system=system, amalgam=T,
                       relators=R, skipped=skipped)
@@ -734,7 +733,7 @@ def _pumped_window_check(layer: StageLayer) -> dict:
     """Longest common run of each entry's window (b a)^3320 b' a (b a)^3320,
     13,282 syllables, with any stage relator unit."""
     T, R = layer.amalgam, layer.relators
-    threshold = part_threshold(10, 6640)
+    threshold = part_threshold(RHO_EVEN_LENGTH)
     out = {"threshold": threshold, "entries": []}
     for n, sysent in enumerate(layer.system):
         half = 3320

@@ -122,13 +122,11 @@ class FiniteTableGroup(GroupHandle):
                 raise ValueError(f"element {g} has no inverse")
         return tuple(inv)
 
-    def _spot_check_associativity(self, samples: int = 64) -> None:
+    def _spot_check_associativity(self) -> None:
         n = self.order
         triples = itertools.product(range(n), repeat=3)
-        if n ** 3 > samples:
-            step = max(1, n ** 3 // samples)
-            triples = itertools.islice(triples, 0, None, step)
-        for a, b, c in triples:
+        step = max(1, n ** 3 // 64)
+        for a, b, c in itertools.islice(triples, 0, None, step):
             if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
                 raise ValueError(f"table not associative at ({a},{b},{c})")
 
@@ -157,9 +155,9 @@ class FiniteTableGroup(GroupHandle):
         return payload
 
     @classmethod
-    def cyclic(cls, n: int, name: Optional[str] = None) -> "FiniteTableGroup":
+    def cyclic(cls, n: int) -> "FiniteTableGroup":
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
-        return cls(table, name=name or f"Z{n}")
+        return cls(table, name=f"Z{n}")
 
     @classmethod
     def from_permutations(
@@ -399,15 +397,6 @@ def is_malnormal(sub: SubgroupDescriptor, ambient: GroupHandle) -> bool:
         return True
     raise TypeError(f"no malnormality procedure for {type(sub).__name__} "
                     f"in {type(ambient).__name__}")
-
-
-def ambient_sample(group: GroupHandle, budget: int) -> List[Element]:
-    """The first ``budget`` elements of a finite table, or of a free
-    group's generators and their inverses."""
-    if isinstance(group, FiniteTableGroup):
-        return group.elements()[:budget]
-    return [Element(group, ((sym, sign),))
-            for sym in group.symbols for sign in (1, -1)][:budget]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ A system is a finite set of entries (h, a, b, b') with h in H, a in
 K minus H and b, b' in L minus H. A valid system satisfies a per-entry
 good-fellow condition and, for every pair of entries, one of four
 separation cases; the induced relators h^-1 rho(b a, b' a) then satisfy
-the metric overlap condition C'(1/10), which ``generate_relators``
-checks exactly.
+the metric overlap condition C'(1/10). ``validate_system`` decides
+validity; ``generate_relators`` builds the relators and checks C'
+exactly.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ from amalgams.cancellation import (
     check_cprime,
     symmetrized_closure,
 )
+
+# the syllables of every relator h^-1 rho(b a, b' a) of a typed entry
+RHO_EVEN_LENGTH = 6640
 
 
 @dataclass(frozen=True)
@@ -85,18 +89,17 @@ class ValidationReport:
     h_malnormal_in_l: str = "yes"  # yes | no: decided before any entry
 
 
-def _entry_check(entry: SystemEntry, T: AmalgamTriple) -> Optional[dict]:
-    """None when the entry satisfies the typing and the per-entry
-    good-fellow condition, else a witness dict."""
+def typing_clause(entry: SystemEntry, T: AmalgamTriple) -> Optional[str]:
+    """The first typing clause the entry breaks, or None: h in H, a in
+    K minus H, b and bprime in L minus H. Only a typed entry gives a ρ
+    relator."""
     if entry.h.owner is not T.K or not T.in_H(entry.h):
-        return {"entry": entry.index, "clause": "h-in-H"}
+        return "h-in-H"
     if entry.a.owner is not T.K or T.in_H(entry.a):
-        return {"entry": entry.index, "clause": "a-in-K-minus-H"}
+        return "a-in-K-minus-H"
     for name, g in (("b", entry.b), ("bprime", entry.bprime)):
         if g.owner is not T.L or T.in_H(g):
-            return {"entry": entry.index, "clause": f"{name}-in-L-minus-H"}
-    if not good_fellows(entry.b, entry.bprime, T.h_subgroup(L_SIDE)):
-        return {"entry": entry.index, "clause": "b-bprime-good-fellows"}
+            return f"{name}-in-L-minus-H"
     return None
 
 
@@ -135,14 +138,14 @@ def _case_d(ei: SystemEntry, ej: SystemEntry, T: AmalgamTriple,
     a_i and a_j (clause ii) and b_i, b_j are good fellows over H'
     (clause iii).
 
-    The other clauses hold whenever these do, once the entries pass
-    ``_entry_check`` and case c has failed:
+    The other clauses hold whenever these do, once the entries pass the
+    per-entry check of ``validate_system`` and case c has failed:
 
-    - a_i, a_j not in H (the rest of clause ii): ``_entry_check``.
+    - a_i, a_j not in H (the rest of clause ii): ``typing_clause``.
     - b_i and b'_j good fellows over H (clause iv): case c failed, so
       H b_i H is H b_j H or H b_j^-1 H. Were clause iv false, it would
       also be H b'_j H or H b'_j^-1 H, so b_j and b'_j would not be good
-      fellows, which ``_entry_check`` rejects.
+      fellows, which the per-entry check rejects.
     - (K' minus H)(H minus K')(K' minus H) misses H (clause v), for
       letter-support subgroups with alphabets S' and S_H: take k1, k2
       in K' minus H and h in H minus K'. Let y be the first letter of h
@@ -176,9 +179,13 @@ def validate_system(
     report = ValidationReport("valid")
     entries = sorted(S, key=lambda e: e.index)
     for entry in entries:
-        wit = _entry_check(entry, T)
-        if wit is not None:
-            return ValidationReport("invalid", witness=wit)
+        clause = typing_clause(entry, T)
+        if clause is None and not good_fellows(entry.b, entry.bprime,
+                                               T.h_subgroup(L_SIDE)):
+            clause = "b-bprime-good-fellows"
+        if clause is not None:
+            return ValidationReport(
+                "invalid", witness={"entry": entry.index, "clause": clause})
     for ei in entries:
         for ej in entries:
             if ei.index == ej.index:
@@ -224,17 +231,13 @@ def generate_relators(
     S: Sequence[SystemEntry],
     T: AmalgamTriple,
     chi: Fraction = Fraction(1, 10),
-    hints: Optional[Dict[frozenset, SubgroupPairHint]] = None,
-    skip_validation: bool = False,
     check: bool = True,
 ) -> RelatorSet:
-    """Symmetrized relator set of a system; deterministic in the entry
-    order. A metric overlap failure here means the system was not valid,
-    so it is a hard error carrying the witness."""
-    if not skip_validation:
-        report = validate_system(S, T, hints=hints)
-        if report.status == "invalid":
-            raise ValueError(f"system is invalid: {report.witness}")
+    """Symmetrized relator set of a system of typed entries; deterministic
+    in the entry order. It does not validate the system;
+    ``validate_system`` does. With ``check``, a metric overlap failure
+    is a hard error carrying the witness, since a valid system cannot
+    produce one."""
     entries = sorted(S, key=lambda e: e.index)
     relators = [entry_relator(e, T) for e in entries]
     origins = [{"entry": e.index} for e in entries]

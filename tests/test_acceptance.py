@@ -106,12 +106,11 @@ def test_ac3_metric_condition_exact():
     ok = True
     for name in ("trivial_h", "with_h", "d_case"):
         T, S, hints = load(name)
-        R = generate_relators(S, T, hints=hints, check=False)
+        R = generate_relators(S, T, check=False)
         res = check_cprime(R)
         ok = ok and res.status == "pass"
-    T, S, hints = load("corrupted")
-    R = generate_relators(S, T, hints=hints, skip_validation=True,
-                          check=False)
+    T, S, _ = load("corrupted")
+    R = generate_relators(S, T, check=False)
     res = check_cprime(R)
     ok = ok and res.status == "fail"
     ok = ok and replay_cprime_witness(R, res.witness)
@@ -119,8 +118,8 @@ def test_ac3_metric_condition_exact():
 
 
 def test_ac4_word_solver_sound():
-    T, S, hints = load("with_h")
-    R = generate_relators(S, T, hints=hints)
+    T, S, _ = load("with_h")
+    R = generate_relators(S, T)
     rng = random.Random(7)
     ok = True
     # products of up to three relator conjugates all come back trivial

@@ -443,9 +443,8 @@ def test_cprime_hashes_each_unit_once(monkeypatch):
     # a second check reuses the verdict
     from amalgams import _pykernels, kernels
 
-    T, S, hints = load_system_fixture(f"{FIXTURES}/trivial_h.json")
-    R = generate_relators(S, T, hints=hints,
-                          skip_validation=True, check=False)
+    T, S, _ = load_system_fixture(f"{FIXTURES}/trivial_h.json")
+    R = generate_relators(S, T, check=False)
     calls = collections.Counter()
 
     def counting(name, fn):
@@ -465,7 +464,7 @@ def test_cprime_hashes_each_unit_once(monkeypatch):
                      "runs_at_least": 64}
     calls.clear()
     assert check_cprime(R) is res
-    assert check_cprime(R, R.chi) is res
+    assert R.cprime is res
     assert not calls
 
 
@@ -608,15 +607,14 @@ def test_cprime_walks_codes_and_replay_walks_elements(monkeypatch):
                         counting("in_H", SharedFreeAmalgam.in_H))
 
     T, S, hints = load_system_fixture(f"{FIXTURES}/trivial_h.json")
-    R = generate_relators(S, T, hints=hints,
-                          skip_validation=True, check=False)
+    R = generate_relators(S, T, check=False)
     calls.clear()
     assert check_cprime(R).status == "pass"
     assert (calls["chain"], calls["ell"]) == (8, 53_120)
     assert calls["mul"] <= 100
 
-    T, S, hints = load_system_fixture(f"{FIXTURES}/corrupted.json")
-    R = generate_relators(S, T, skip_validation=True, check=False)
+    T, S, _ = load_system_fixture(f"{FIXTURES}/corrupted.json")
+    R = generate_relators(S, T, check=False)
     wit = check_cprime(R).witness
     calls.clear()
     assert replay_cprime_witness(R, wit)
@@ -753,9 +751,8 @@ def test_diagonal_pass_matches_chains_from_every_offset():
                     T, w1, w2, rng.randrange(n), rng.randrange(m), length,
                     max_steps, room, rng.random() < 0.5, seen)
     for name in ("with_h", "trivial_h", "d_case", "corrupted"):
-        T, S, hints = load_system_fixture(f"{FIXTURES}/{name}.json")
-        R = generate_relators(S, T, hints=hints,
-                              skip_validation=True, check=False)
+        T, S, _ = load_system_fixture(f"{FIXTURES}/{name}.json")
+        R = generate_relators(S, T, check=False)
         for u1 in R.units:
             n = len(u1.word)
             for u2 in R.units:
@@ -787,7 +784,7 @@ def test_dehn_finds_long_part_inside_shorter_chain():
     h_k = [g for g in T.K.elements() if T.in_H(g)]
     x = next(h for h in h_k if not T.K.is_identity(h))
     m, part = 20, 15
-    assert part == part_threshold(10, m)
+    assert part == part_threshold(m)
 
     def conjugated(syl, h, h_next):
         group = T.side_group(syl.side)
@@ -821,7 +818,7 @@ def test_dehn_finds_long_part_inside_shorter_chain():
         planted = canonicalize(
             list(w[:2]) + [syllable(T.side_of_group(h0.owner), h0.inv())]
             + rest + [syllable(T.side_of_group(h_end.owner), h_end)], T)
-        found, gray = find_replacement(w, R, 10)
+        found, gray = find_replacement(w, R)
         assert found is not None and len(found[0]) <= len(planted)
         step = found[1]
         exact += (step.uid, step.offset, step.rotation, step.ell) == \
@@ -835,8 +832,8 @@ def test_dehn_finds_long_part_inside_shorter_chain():
 
 @pytest.fixture(scope="module")
 def rho_system():
-    T, S, hints = load_system_fixture(f"{FIXTURES}/with_h.json")
-    R = generate_relators(S, T, hints=hints)
+    T, S, _ = load_system_fixture(f"{FIXTURES}/with_h.json")
+    R = generate_relators(S, T)
     return T, S, R
 
 
@@ -848,8 +845,8 @@ def test_rho_system_passes_exactly(rho_system):
 
 
 def test_corrupted_system_fails_with_replayable_witness():
-    T, S, hints = load_system_fixture(f"{FIXTURES}/corrupted.json")
-    R = generate_relators(S, T, skip_validation=True, check=False)
+    T, S, _ = load_system_fixture(f"{FIXTURES}/corrupted.json")
+    R = generate_relators(S, T, check=False)
     res = check_cprime(R)
     assert res.status == "fail"
     assert res.witness.ell >= res.witness.threshold == 664
@@ -857,6 +854,57 @@ def test_corrupted_system_fails_with_replayable_witness():
     for change in ({"uid1": "r99"}, {"uid2": "r99"}):
         bad = dataclasses.replace(res.witness, **change)
         assert replay_cprime_witness(R, bad) is False, change
+
+
+def test_corrupted_h_translate_diagonal_is_a_piece():
+    # corrupted's r1 is h^-1·r0: on the (r0^-1, r1) diagonal a chain
+    # starts on h, runs all 6,640 syllables and ends on 1. Only a chain
+    # that also starts on 1 is the excluded self-alignment; this one is a
+    # piece between two relators
+    T, S, _ = load_system_fixture(f"{FIXTURES}/corrupted.json")
+    R = generate_relators(S, T, check=False)
+    u1, u2 = R.by_uid["r0^-1"], R.by_uid["r1"]
+    n, m = len(u1.word), len(u2.word)
+    k = math.ceil(R.chi * min(n, m)) - 2
+    runs = kernels.runs_at_least(
+        R.cyclic_labels[u1.partner], R.cyclic_labels[u2.uid], k)
+    longest = 0
+    for s, j, length in distinct_cyclic_runs(runs, n, m):
+        diagonal = Diagonal(
+            T, u1.word, u2.word, n - 1 - s, j, min(length, math.lcm(n, m)),
+            min(n, m), codes=(R.codes[u1.partner], R.codes[u2.uid]))
+        for _, res in diagonal.chains(skip_trivial_wrap=True):
+            if not res.full_wrap_trivial:
+                longest = max(longest, res.ell)
+    assert longest >= 664
+
+
+def test_h_translates_of_a_relator_fail_cprime():
+    # r and h^-1·r, h != 1 in H, share their whole length. Two of the
+    # four unit pairs that align them start on h and end on 1; the other
+    # two start on 1 and end on h. Each orientation is a piece, for the
+    # scan and for the brute-force oracle alike
+    rng = random.Random(20261021)
+    for _ in range(12):
+        T = random_shared_free(rng)
+        r = canonicalize(_random_free_word(
+            rng, T, 2 * rng.randrange(2, 5), K_SIDE), T)
+        h_letters = [(x, e) for x in sorted(T.h_symbols) for e in (1, -1)]
+        h = T.K.element([rng.choice(h_letters)
+                         for _ in range(rng.randrange(1, 4))])
+        if T.K.is_identity(h):
+            continue
+        hr = canonicalize((syllable(K_SIDE, h.inv()),) + r.syllables, T)
+        for pair in ([r, hr], [hr, r]):
+            R = symmetrized_closure(pair, T, chi=Fraction(1, 10))
+            best = _naive_pair_overlaps(R)
+            for uids in (("r0^-1", "r1"), ("r1^-1", "r0"),
+                         ("r0", "r1^-1"), ("r1", "r0^-1")):
+                assert best[uids] == len(r), uids
+            res = check_cprime(R)
+            assert res.status == "fail"
+            assert replay_cprime_witness(R, res.witness)
+            assert _naive_max_overlap(R, R.chi) >= res.witness.threshold
 
 
 def test_dehn_kills_relator_with_replayable_certificate(rho_system):
@@ -1051,7 +1099,7 @@ def test_random_short_words_nontrivial_vs_abelianization(rho_system):
 def test_quotient_group_without_relators_is_the_amalgam():
     T = small_triple()
     R = RelatorSet(T, [])
-    build_quotient(T, R)
+    build_quotient(R)
     w = cw(T, (K_SIDE, [("a", 1)]), (L_SIDE, [("b", 1)]))
     assert dehn_decide(w, R).status == "nontrivial"
     assert dehn_decide(CanonicalWord(()), R).status == "trivial"
@@ -1063,12 +1111,42 @@ def test_build_quotient_refuses_violating_relators():
             (K_SIDE, [("a", 1)]), (L_SIDE, [("c", 1)]))
     R = symmetrized_closure([r1], T, chi=Fraction(1, 10))
     with pytest.raises(ValueError):
-        build_quotient(T, R)
+        build_quotient(R)
+
+
+def test_build_quotient_gates_at_one_tenth_only():
+    # a set is checked at the chi it was built for, so one built for
+    # C'(1/2) is refused although it passes there, and at 1/10 too
+    T, S, _ = load_system_fixture(f"{FIXTURES}/with_h.json")
+    R = generate_relators(S, T, chi=Fraction(1, 2))
+    assert check_cprime(R).status == "pass"
+    with pytest.raises(ValueError, match=r"built for C'\(1/2\)"):
+        build_quotient(R)
+
+
+def test_cprime_scans_a_set_once(monkeypatch):
+    # solve-word's path: generating the set checks C', and the gate and
+    # any later check read the verdict kept on the set
+    from amalgams import cancellation
+
+    scans = collections.Counter()
+    scan = cancellation._scan_cprime
+
+    def counted(R):
+        scans[id(R)] += 1
+        return scan(R)
+
+    monkeypatch.setattr(cancellation, "_scan_cprime", counted)
+    T, S, _ = load_system_fixture(f"{FIXTURES}/with_h.json")
+    R = generate_relators(S, T)
+    build_quotient(R)
+    assert check_cprime(R).status == "pass"
+    assert scans == {id(R): 1}
 
 
 def test_quotient_mul_and_inverse(rho_system):
     T, S, R = rho_system
-    build_quotient(T, R)
+    build_quotient(R)
     g = canonicalize([syllable(K_SIDE, T.K.generator("a")),
                       syllable(L_SIDE, T.L.generator("b"))], T)
     g_inv = canonical_inverse(g, T)

@@ -287,8 +287,8 @@ def test_validate_system_decides_wide_h_by_case_d(tmp_path):
     assert code == 0
     assert [(c["name"], c["status"], c["data"]["verdict"])
             for c in doc["checks"]] == [("word-0", "pass", "nontrivial")]
-    T, S, hints = load_system_fixture(fixture)
-    R = generate_relators(S, T, hints=hints)
+    T, S, _ = load_system_fixture(fixture)
+    R = generate_relators(S, T)
     assert len(R.bases) == 2
 
 
@@ -742,3 +742,34 @@ def test_bad_fixture_contents_are_usage_errors(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith(f"amalgams: error: fixture {fixture}: {names}")
+
+
+@pytest.mark.parametrize("key, letters, clause", [
+    ("h", [["a", 1]], "h-in-H"),
+    ("a", [["h", 1]], "a-in-K-minus-H"),
+    ("b", [["h", 1]], "b-in-L-minus-H"),
+    ("bprime", [["h", 1]], "bprime-in-L-minus-H")])
+def test_mistyped_entry_is_a_usage_error_for_the_scan(tmp_path, capsys, key,
+                                                       letters, clause):
+    # check-smallcancel scans invalid systems too, but a mistyped entry
+    # spells no relator; the commands that validate report the clause
+    with open(WITH_H) as fh:
+        data = json.load(fh)
+    _with_h_entry(key, letters)(data)
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps(data))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"fixture": str(fixture)}))
+    with pytest.raises(SystemExit) as exc:
+        main(["check-smallcancel", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"amalgams: error: fixture {fixture}: entry 0 breaks {clause}\n")
+    for command, extra in (("validate-system", {}),
+                           ("solve-word", {"words": []})):
+        code, doc = run_cli(tmp_path, command,
+                            {"fixture": str(fixture), **extra})
+        (check,) = doc["checks"]
+        assert (code, check["name"], check["data"]["verdict"]) == \
+            (1, "system", "invalid")
+        assert check["data"]["witness"] == {"entry": 0, "clause": clause}

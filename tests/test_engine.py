@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 import random
@@ -10,11 +11,11 @@ import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from amalgams import words
+from amalgams import cancellation, words
 from amalgams import engine as E
 from amalgams.colorings import ColoringTable
 from amalgams.groups import ElementRegistry, GroupHandle
-from amalgams.systems import validate_system
+from amalgams.systems import ValidationReport, validate_system
 from oracles import reference_decompose_star, reference_transversal_rep, \
     tower_support
 
@@ -323,6 +324,36 @@ def test_emitted_system_validates(tower):
     layer = tower.layers[(5, 2)]
     rep = validate_system(layer.system, layer.amalgam)
     assert rep.status == "valid"
+
+
+def test_invalid_layer_system_is_a_hard_error(monkeypatch):
+    # relator generation does not validate, so the engine does it first
+    def invalid(system, T):
+        return ValidationReport("invalid", witness={"clause": "test"})
+
+    monkeypatch.setattr(E, "validate_system", invalid)
+    with pytest.raises(ValueError, match="system is invalid: "):
+        build_tower()
+
+
+def test_each_layer_relator_set_is_scanned_once(monkeypatch):
+    # generate_relators checks C'; build_quotient and topology_chain read
+    # the verdict kept on the set
+    scans = collections.Counter()
+    scan = cancellation._scan_cprime
+
+    def counted(R):
+        scans[id(R)] += 1
+        return scan(R)
+
+    monkeypatch.setattr(cancellation, "_scan_cprime", counted)
+    state = build_tower()
+    quotients = [layer for layer in state.layers.values()
+                 if layer.kind == "quotient"]
+    for layer in quotients:
+        E.topology_chain(layer.gamma, layer.level, 1, state)
+    assert quotients
+    assert scans == {id(layer.relators): 1 for layer in quotients}
 
 
 def _j_entry_json(entry, registry):

@@ -212,7 +212,7 @@ def test_identity_carry_keeps_the_first_syllable_object(monkeypatch):
     # trivial_h's entries have h = 1: the identity H-carry in front of a
     # unit's first syllable passes that syllable object through, so each
     # of the 8 units holds 3 syllable objects and is labelled 3 times
-    T, S, hints = load_system_fixture(f"{FIXTURES}/trivial_h.json")
+    T, S, _ = load_system_fixture(f"{FIXTURES}/trivial_h.json")
     label_and_ends = type(T).label_and_ends
     calls = []
 
@@ -221,8 +221,7 @@ def test_identity_carry_keeps_the_first_syllable_object(monkeypatch):
         return label_and_ends(self, g)
 
     monkeypatch.setattr(type(T), "label_and_ends", counted)
-    R = generate_relators(S, T, hints=hints,
-                          skip_validation=True, check=False)
+    R = generate_relators(S, T, check=False)
     assert len(R.units) == 8
     assert [len({id(s) for s in u.word.syllables}) for u in R.units] == \
         [3] * 8

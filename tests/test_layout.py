@@ -1,6 +1,7 @@
 """Layout rules: no amalgams module imports another module's private
-names, the CLI starts without the heavy numeric libraries, and every
-definition is reachable from the CLI."""
+names, the CLI starts without the heavy numeric libraries, every
+definition is reachable from the CLI, and some call in src passes every
+optional parameter."""
 
 from __future__ import annotations
 
@@ -256,3 +257,95 @@ def test_every_shared_name_has_its_own_caller():
         caller_name, caller_reads = reads[caller]
         assert caller_name in seen, caller
         assert qual.split(".")[-1] in caller_reads, (qual, caller)
+
+
+# optional parameters that no call in src passes, with the reason each
+# stays; any other such parameter has only ever one value and becomes a
+# constant
+KEEP_OPTIONAL = {
+    "cli.main.argv": "entry point: tests pass the arguments, a console "
+                     "run reads sys.argv",
+    "colorings.ColoringTable.from_walks.C": "test hook: tests walk other "
+                                            "ladder systems",
+    "groups.FreeGroup.generator.sign": "tests build inverse generators "
+                                       "with it",
+}
+
+
+def _optional_parameters():
+    """{bare name a call uses: [(qualified name, positional parameters
+    after self or cls, optional parameters)]}. A class's __init__ is
+    listed under the class name and under __init__."""
+    defs = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, FUNCTIONS):
+                found = [(node.name, node, [node.name], False)]
+            elif isinstance(node, ast.ClassDef):
+                found = [(f"{node.name}.{m.name}", m,
+                          [m.name] + [node.name] * (m.name == "__init__"),
+                          not any(isinstance(d, ast.Name)
+                                  and d.id == "staticmethod"
+                                  for d in m.decorator_list))
+                         for m in node.body if isinstance(m, FUNCTIONS)]
+            else:
+                continue
+            for qual, func, keys, bound in found:
+                args = func.args
+                names = [a.arg for a in args.posonlyargs + args.args]
+                optional = names[len(names) - len(args.defaults):]
+                optional += [a.arg for a, d in zip(args.kwonlyargs,
+                                                   args.kw_defaults)
+                             if d is not None]
+                for key in keys:
+                    defs.setdefault(key, []).append(
+                        (f"{path.stem}.{qual}", names[bound:], optional))
+    return defs
+
+
+def _calls():
+    """(bare name called, call node) for every call in src; inside a
+    class, ``cls(...)`` calls the class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        classes = [n for n in tree.body if isinstance(n, ast.ClassDef)]
+        in_class = {id(call): cls.name for cls in classes
+                    for call in ast.walk(cls) if isinstance(call, ast.Call)}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if isinstance(func, ast.Name):
+                name = func.id
+                if name == "cls" and id(call) in in_class:
+                    name = in_class[id(call)]
+                yield name, call
+            elif isinstance(func, ast.Attribute):
+                yield func.attr, call
+
+
+def _unpassed_optional_parameters():
+    """Every optional parameter of a function or method in src that no
+    call in src passes. Calls are matched by bare name, so a call passes
+    a parameter to every definition of that name; a call with *args or
+    **kwargs passes them all."""
+    defs = _optional_parameters()
+    passed = set()
+    for name, call in _calls():
+        spread = any(isinstance(a, ast.Starred) for a in call.args) or \
+            any(kw.arg is None for kw in call.keywords)
+        for qual, names, optional in defs.get(name, ()):
+            given = optional if spread else \
+                names[:len(call.args)] + [kw.arg for kw in call.keywords]
+            passed.update((qual, p) for p in given)
+    return {f"{qual}.{p}" for entries in defs.values()
+            for qual, _, optional in entries for p in optional
+            if (qual, p) not in passed}
+
+
+def test_every_optional_parameter_is_passed_in_src():
+    # a parameter that every caller leaves at its default is a knob that
+    # doubles the configurations to test for nothing
+    unpassed = _unpassed_optional_parameters()
+    assert sorted(unpassed - set(KEEP_OPTIONAL)) == []
+    assert set(KEEP_OPTIONAL) <= unpassed, "a KEEP_OPTIONAL entry is passed"
