@@ -21,14 +21,13 @@ from fractions import Fraction
 from amalgams import engine
 from amalgams.report import CheckResult, emit_report, exit_status, \
     write_report
-from amalgams.groups import ElementRegistry, FiniteTableGroup
+from amalgams.groups import FiniteTableGroup
 from amalgams.canonical import (
     K_SIDE,
     L_SIDE,
     canonical_equal,
     canonicalize,
     syllable,
-    word_to_json,
 )
 from amalgams.cancellation import (
     build_quotient,
@@ -78,12 +77,17 @@ MAX_COUNT = 1000
 MAX_K_MAX = 300
 
 
-def _load_config(path, command: str) -> dict:
-    """The parsed config, with the keys `command` needs; raises
-    ConfigError when it cannot be used."""
+def _load_config(path, command: str) -> tuple[dict, str]:
+    """The parsed config, with the keys `command` needs, and the sha256
+    of the file's bytes; raises ConfigError when it cannot be used."""
     try:
-        with open(path) as fh:
-            config = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        digest = hashlib.sha256(raw).hexdigest()
+        # a words config is megabytes: let the bytes go before the parse
+        text = raw.decode("utf-8")
+        del raw
+        config = json.loads(text)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(config, dict):
@@ -107,7 +111,7 @@ def _load_config(path, command: str) -> dict:
     if config.get("k_max", 0) > MAX_K_MAX:
         raise ConfigError(f"config 'k_max' must be at most {MAX_K_MAX}, "
                           f"not {config['k_max']}")
-    return config
+    return config, digest
 
 
 def _side_pool(group):
@@ -118,13 +122,18 @@ def _side_pool(group):
     return [group.generator(s) for s in sorted(group.symbols, key=str)]
 
 
-def _sample_words(T, rng, count, max_len):
+# check-amalgam's random words: how many, and the most syllables in one
+SAMPLE_WORDS = 24
+SAMPLE_WORD_LEN = 4
+
+
+def _sample_words(T, rng):
     ks, ls = _side_pool(T.K), _side_pool(T.L)
     out = []
-    for _ in range(count):
+    for _ in range(SAMPLE_WORDS):
         sylls = []
         side = rng.choice((K_SIDE, L_SIDE))
-        for _ in range(rng.randrange(1, max_len + 1)):
+        for _ in range(rng.randrange(1, SAMPLE_WORD_LEN + 1)):
             pool = ks if side == K_SIDE else ls
             g = rng.choice(pool)
             if rng.random() < 0.5:
@@ -149,7 +158,7 @@ def cmd_check_amalgam(config, args):
         "h-transfer-roundtrip", "pass" if ok else "fail",
         {"samples": len(hs)}))
     # normalization is idempotent and equality is reflexive on samples
-    words_sample = _sample_words(T, rng, 24, 4)
+    words_sample = _sample_words(T, rng)
     stable = 0
     for sylls in words_sample:
         w = canonicalize(sylls, T)
@@ -248,8 +257,8 @@ def cmd_solve_word(config, args):
     if not isinstance(config["words"], list):
         raise ConfigError("config 'words' must be a list of words")
     # the words leave the config once built: their JSON objects take
-    # about 25 MB for 61,018 syllables, which the quotient and the
-    # report can then reuse
+    # about 25 MB for 61,018 syllables, which the quotient can then
+    # reuse
     built = {}
     words = [_parse_word(T, spec, built, n)
              for n, spec in enumerate(config.pop("words"))]
@@ -267,9 +276,10 @@ def cmd_solve_word(config, args):
         if res.status == "trivial":
             data["certificate"] = certificate_to_json(res.certificate)
             data["replayed"] = replay_certificate(w, res.certificate, R)
-            reg = ElementRegistry()
-            data["word"] = word_to_json(w, reg)
-            data["elements"] = reg.dump_json()
+            # the report names the word, not its letters: check word-<n>
+            # of the config file with this hash
+            data["syllables"] = len(w)
+            data["config_sha256"] = args.config_sha256
         status = "inconclusive" if res.status == "inconclusive" else "pass"
         if status == "inconclusive":
             data["budget"] = {"budget_len": args.budget_len}
@@ -412,7 +422,7 @@ def main(argv=None) -> int:
         parser.exit(2, f"{parser.prog}: error: --budget-len must be "
                        "positive\n")
     try:
-        config = _load_config(args.config, args.command)
+        config, args.config_sha256 = _load_config(args.config, args.command)
         checks = HANDLERS[args.command](config, args)
     except (ConfigError, FixtureError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")

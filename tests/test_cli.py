@@ -11,7 +11,8 @@ import resource
 
 import pytest
 
-from amalgams.cli import MAX_COUNT, MAX_K_MAX, main
+from amalgams.cancellation import certificate_from_json, replay_certificate
+from amalgams.cli import MAX_COUNT, MAX_K_MAX, _parse_word, main
 from amalgams.report import (
     CheckResult,
     emit_report,
@@ -50,6 +51,13 @@ def with_h_relator_spec():
         spec.extend([{"side": "L", "letters": [["c", 1]]},
                      {"side": "K", "letters": [["a", 1]]}])
     return spec
+
+
+def inverse_spec(spec):
+    """The solve-word spec of the inverse of the word `spec` spells."""
+    return [{"side": s["side"],
+             "letters": [[sym, -sign] for sym, sign in reversed(s["letters"])]}
+            for s in reversed(spec)]
 
 
 def s3_z8_fixture(tmp_path, **extra):
@@ -363,6 +371,42 @@ def test_solve_word_builds_each_distinct_syllable_once(tmp_path,
     distinct = {(s["side"], str(s["letters"])) for s in spec}
     assert len(distinct) == 4
     assert len(built) <= fixture_builds + len(distinct)
+
+
+def test_solve_word_reports_the_decision_not_the_word(tmp_path):
+    # a trivial word's check gives its syllable count and the sha256 of
+    # the config file, not the word; that is enough to find word n in the
+    # config again and replay its certificate, and the report of a word
+    # twice as long is no larger for it
+    u = [{"side": "L", "letters": [["b", 1], ["c", -1]]},
+         {"side": "K", "letters": [["a", 1]]}]
+    v = [{"side": "K", "letters": [["a", -1]]},
+         {"side": "L", "letters": [["c", 1]]}]
+    rho = with_h_relator_spec()
+    conjugate = u + rho + inverse_spec(u)
+    product = conjugate + v + inverse_spec(rho) + inverse_spec(v)
+    T, S, _ = load_system_fixture(WITH_H)
+    R = generate_relators(S, T)
+    sizes = []
+    for word in (conjugate, product):
+        config = {"fixture": WITH_H, "words": [word]}
+        code, doc = run_cli(tmp_path, "solve-word", config)
+        assert code == 0
+        [check] = doc["checks"]
+        data = check["data"]
+        assert (check["name"], data["verdict"], data["replayed"]) == \
+            ("word-0", "trivial", True)
+        assert "word" not in data and "elements" not in data
+        assert data["syllables"] == data["certificate"][0]["from_len"]
+        raw = (tmp_path / "config.json").read_bytes()
+        assert data["config_sha256"] == hashlib.sha256(raw).hexdigest()
+        spec = json.loads(raw)["words"][int(check["name"][len("word-"):])]
+        w = _parse_word(T, spec, {}, 0)
+        assert len(w) == data["syllables"]
+        cert = certificate_from_json(data["certificate"])
+        assert replay_certificate(w, cert, R) is True
+        sizes.append(len((tmp_path / "report.json").read_bytes()))
+    assert abs(sizes[1] - sizes[0]) < 1024, sizes
 
 
 def test_solve_word_on_invalid_system_reports_the_clause(tmp_path):

@@ -1,7 +1,7 @@
 """Layout rules: no amalgams module imports another module's private
-names, the CLI starts without the heavy numeric libraries, every
-definition is reachable from the CLI, and some call in src passes every
-optional parameter."""
+names, the CLI starts without the heavy numeric libraries, the
+benchmark's tracer can wrap a CLI run, every definition is reachable
+from the CLI, and some call in src passes every optional parameter."""
 
 from __future__ import annotations
 
@@ -79,6 +79,25 @@ def test_scan_colorings_runs_without_numpy(tmp_path):
     assert (out.returncode, out.stderr) == (0, "")
     checks = json.loads((tmp_path / "report.json").read_text())["checks"]
     assert [c["name"] for c in checks] == ["subadditivity", "hitting-scan"]
+
+
+def test_benchmark_tracer_wraps_a_cli_run(tmp_path):
+    # perfbench/tracer.py wraps each traced function wherever a loaded
+    # module binds it, once `import amalgams.cli` has loaded them; a
+    # module that cli imports only inside a subcommand is bound nowhere
+    # at that point, and every traced op then dies before main runs
+    root = PACKAGE.parent.parent
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(
+        {"fixture": str(root / "fixtures" / "systems" / "with_h.json")}))
+    trace = tmp_path / "trace.json"
+    out = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(trace),
+         "validate-system", "--config", str(cfg)],
+        env=_package_env(), cwd=tmp_path, capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    metrics = json.loads(trace.read_text())["metrics"]
+    assert metrics["cli.main"]["calls"] == 1
 
 
 def test_replays_walk_chains_on_elements():
