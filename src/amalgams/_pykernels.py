@@ -6,12 +6,13 @@ Import them through ``amalgams.kernels``.  Contracts:
 * label sequences are arbitrary int sequences,
 * all functions are pure.
 
-``longest_common_run`` and ``runs_at_least`` find common runs with a
-rolling polynomial hash over fixed-length windows (Karp-Rabin); a hash
-hit is confirmed by comparing the elements before a run is reported.
-``window_hashes`` and ``window_table`` expose the two halves of that
-scan, so a caller that scans one sequence many times hashes it once and
-passes the result to ``runs_at_least``.
+``runs_at_least`` finds common runs with a rolling polynomial hash over
+fixed-length windows (Karp-Rabin); a hash hit is confirmed by comparing
+the elements before a run is reported.  ``window_hashes`` and
+``window_table`` expose the two halves of that scan, so a caller that
+scans one sequence many times hashes it once and passes the result to
+``runs_at_least``.  ``longest_common_run`` is exact and hashes nothing: a
+suffix automaton, O(|a| + |b|) expected time and O(|b|) memory.
 """
 
 from __future__ import annotations
@@ -36,54 +37,67 @@ def free_reduce_ints(word: Sequence[int]) -> List[int]:
     return out
 
 
-def _prefix_hashes(seq: Sequence[int]) -> Tuple[List[int], List[int]]:
-    n = len(seq)
-    pref = [0] * (n + 1)
-    pw = [1] * (n + 1)
-    for i, v in enumerate(seq):
-        pref[i + 1] = (pref[i] * _BASE + (v & 0xFFFFFFFFFFFF) + 7) % _MOD
-        pw[i + 1] = (pw[i] * _BASE) % _MOD
-    return pref, pw
-
-
-def _window(pref: List[int], pw: List[int], i: int, length: int) -> int:
-    return (pref[i + length] - pref[i] * pw[length]) % _MOD
-
-
 def longest_common_run(a: Sequence[int], b: Sequence[int]) -> Tuple[int, int, int]:
-    """Longest common contiguous subsequence of two int sequences.
+    """Longest common contiguous run of two int sequences, exactly.
 
-    Returns (length, start_in_a, start_in_b); (0, 0, 0) when disjoint.
+    Returns (length, start_in_a, start_in_b): the leftmost longest run in
+    a, at its first occurrence in b; (0, 0, 0) if none. One pass of a
+    through the suffix automaton of b (Blumer et al. 1985), its
+    transitions in one dict keyed state·σ + rank over b's σ labels: time
+    O(|a| + |b|) expected, memory O(|b|) whatever σ.
     """
-    a = list(a)
-    b = list(b)
-    if not a or not b:
+    rank = {v: r for r, v in enumerate(dict.fromkeys(b))}
+    if rank.keys().isdisjoint(a):
         return (0, 0, 0)
-    pa, wa = _prefix_hashes(a)
-    pb, wb = _prefix_hashes(b)
-
-    def hit(length: int) -> Tuple[int, int] | None:
-        if length == 0:
-            return (0, 0)
-        table = {}
-        for i in range(len(a) - length + 1):
-            table.setdefault(_window(pa, wa, i, length), i)
-        for j in range(len(b) - length + 1):
-            i = table.get(_window(pb, wb, j, length))
-            if i is not None and a[i:i + length] == b[j:j + length]:
-                return (i, j)
-        return None
-
-    lo, hi = 0, min(len(a), len(b))
+    sigma = len(rank)
+    # state s: longest string length[s], suffix link link[s], first end in b
+    # first[s]; out[s] heads its prepend-only (rank, next) chain in edges
+    length, link, first, out = (array("i", [v]) for v in (0, -1, -1, -1))
+    edges, go = array("i"), {}
+    last = 0
+    for i, v in enumerate(b):
+        c = rank[v]
+        cur = len(length)
+        length.append(length[last] + 1)
+        link.append(0)
+        first.append(i)
+        out.append(-1)
+        p, last = last, cur
+        while p >= 0 and p * sigma + c not in go:
+            go[p * sigma + c] = cur
+            edges.extend((c, out[p]))
+            out[p] = len(edges) - 2
+            p = link[p]
+        q = go[p * sigma + c] if p >= 0 else 0  # p < 0: link to the root
+        if p < 0 or length[p] + 1 == length[q]:
+            link[cur] = q
+            continue
+        clone = len(length)
+        length.append(length[p] + 1)
+        link.append(link[q])
+        first.append(first[q])
+        out.append(out[q])
+        e = out[q]
+        while e >= 0:
+            go[clone * sigma + edges[e]] = go[q * sigma + edges[e]]
+            e = edges[e + 1]
+        while p >= 0 and go.get(p * sigma + c) == q:
+            go[p * sigma + c] = clone
+            p = link[p]
+        link[q] = link[cur] = clone
     best = (0, 0, 0)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        found = hit(mid)
-        if found is None:
-            hi = mid - 1
-        else:
-            best = (mid, found[0], found[1])
-            lo = mid
+    s = n = 0  # state and length of the longest suffix of a[:i+1] in b
+    for i, v in enumerate(a):
+        c = rank.get(v)
+        if c is None:
+            s = n = 0
+            continue
+        while s * sigma + c not in go:  # stops at the root: it has every rank
+            s = link[s]
+            n = length[s]
+        s, n = go[s * sigma + c], n + 1
+        if n > best[0]:
+            best = (n, i - n + 1, first[s] - n + 1)
     return best
 
 

@@ -9,12 +9,11 @@ one and ``engine`` included), and the benchmark records ``BACKEND`` at
 the start of every run.  Folding ``_pykernels`` into this module or
 dropping ``BACKEND`` would break both.
 
-``longest_common_run`` and ``runs_at_least`` report *some* witness
-position for each run; callers must not rely on a particular tie-break
-between equally long runs.
+``longest_common_run(a, b)`` is exact, by a linear-time suffix automaton;
+its witness is the leftmost longest run of a, at its first occurrence in b.
 
-``runs_at_least(a, b, k)`` hashes both sequences itself.  A caller that
-scans the same sequences many times hashes each once with
+``runs_at_least(a, b, k)`` hashes both sequences itself (Karp-Rabin).
+A caller that scans the same sequences many times hashes each once with
 ``window_hashes(seq, k)`` (one rolling pass, kept as a compact
 ``array('q')``), builds ``window_table`` of the side it looks up in, and
 passes both to ``runs_at_least``.  ``cancellation.RelatorSet`` keeps

@@ -40,16 +40,20 @@ def naive_free_reduce(word: Sequence[int]) -> List[int]:
             return cur
 
 
-def naive_longest_common_run(a: Sequence[int], b: Sequence[int]) -> int:
-    """O(n*m) dynamic program; returns only the length."""
-    best = 0
+def naive_longest_common_run(a: Sequence[int],
+                             b: Sequence[int]) -> Tuple[int, int, int]:
+    """O(n*m) dynamic program: (length, start_in_a, start_in_b) of the
+    longest common run whose end comes first in a, and among those ends
+    first in b; (0, 0, 0) when there is none."""
+    best = (0, 0, 0)
     prev = [0] * (len(b) + 1)
-    for x in a:
+    for i, x in enumerate(a):
         cur = [0] * (len(b) + 1)
         for j, y in enumerate(b):
             if x == y:
-                cur[j + 1] = prev[j] + 1
-                best = max(best, cur[j + 1])
+                n = cur[j + 1] = prev[j] + 1
+                if n > best[0]:
+                    best = (n, i + 1 - n, j + 1 - n)
         prev = cur
     return best
 

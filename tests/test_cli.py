@@ -550,6 +550,11 @@ def test_topology_chain_command(tmp_path):
     assert names["chain-nesting"] == "pass"
     assert names["fragment-cprime"] == "pass"
     assert names["pumped-avoid-n0"] == "pass"
+    pumped = next(c["data"] for c in doc["checks"]
+                  if c["name"] == "pumped-avoid-n0")
+    assert pumped["threshold"] == 4649
+    assert [(e["max_overlap"], e["window"]) for e in pumped["entries"]] \
+        == [(321, 13282)]
 
 
 def test_escalate_inconclusive_changes_exit(tmp_path):

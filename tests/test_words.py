@@ -40,8 +40,44 @@ def test_free_reduce_rejects_zero():
 @given(letters, letters)
 def test_longest_common_run_matches_naive(a, b):
     length, i, j = kernels.longest_common_run(a, b)
-    assert length == naive_longest_common_run(a, b)
+    assert (length, i, j) == naive_longest_common_run(a, b)
     assert a[i:i + length] == b[j:j + length]
+
+
+def _common_run_cases():
+    rng = random.Random(20261019)
+    # the pumped-window shape: a long periodic window with one foreign
+    # label in the middle, against a doubled, mutated periodic relator
+    for period in range(1, 7):
+        pattern = [rng.randrange(1, 4) for _ in range(period)]
+        a = pattern * (600 // period)
+        a[len(a) // 2] = 4
+        v = pattern * rng.randrange(20, 300 // period + 1)
+        v[rng.randrange(len(v))] = rng.randrange(1, 5)
+        yield a, v * 2
+        yield v * 2, a
+    yield [1, 2, 3] * 50, [4, 5, 6] * 50  # disjoint alphabets
+    yield [-1, -2], [1, 2]
+    wide = rng.sample(range(-3000, 3000), 900)  # all distinct
+    a, b = wide[:450], wide[450:]
+    b[100:100] = a[200:260]
+    yield a, b
+    yield ([rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(300)],
+           [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(300)])
+    yield [], []
+    yield [], [1, 2]
+    yield [1, 2], []
+    # labels equal below bit 48: the same low bits must not match
+    hi = 5 + 2 ** 48
+    yield [5, 7, hi, 7], [hi, 7]
+    yield [5] * 40 + [hi] * 30, [hi] * 20 + [5] * 20
+
+
+def test_longest_common_run_on_periodic_wide_and_edge_inputs():
+    for a, b in _common_run_cases():
+        length, i, j = kernels.longest_common_run(a, b)
+        assert (length, i, j) == naive_longest_common_run(a, b)
+        assert a[i:i + length] == b[j:j + length]
 
 
 @given(letters, letters, st.integers(min_value=1, max_value=4))
