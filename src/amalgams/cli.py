@@ -315,9 +315,8 @@ def _run_tower(config):
 
 def cmd_build_stage(config, args):
     state = _run_tower(config)
-    checks = [CheckResult(
-        "audits", "pass" if all(a["status"] == "pass" for a in state.audit)
-        else "fail", {"records": len(state.audit)})]
+    # a failed audit raises, and main reports it
+    checks = [CheckResult("audits", "pass", {"records": len(state.audit)})]
     doc = engine.presentation(state)
     checks.append(CheckResult("presentation", "pass",
                               {"stage": doc["stage"],
@@ -426,6 +425,9 @@ def main(argv=None) -> int:
         checks = HANDLERS[args.command](config, args)
     except (ConfigError, FixtureError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    except engine.AuditFailure as exc:
+        # the tower subcommands stop at the first failed promise audit
+        checks = [CheckResult("audits", "fail", {"failed": exc.record})]
     doc = emit_report(args.command, args.seed, checks,
                       {"budget_len": args.budget_len})
     write_report(doc, args.out)

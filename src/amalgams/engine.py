@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from amalgams import words
@@ -107,7 +108,11 @@ class StageLayer:
 
 
 class StageState:
-    """A snapshot of the construction after `stage` generators."""
+    """A snapshot of the construction after `stage` generators.
+
+    ``_rows`` holds this stage's decomposition rows: an element's
+    ``decompose_star`` at every cut, one row per (payload, gamma, level,
+    registry size)."""
 
     def __init__(self, colorings: ColoringTable, stage: int = 0):
         self.colorings = colorings
@@ -116,17 +121,14 @@ class StageState:
         self.registry = ElementRegistry()
         self.groups: Dict[FrozenSet[int], LetterSupportSubgroup] = {}
         self.layers: Dict[Tuple[int, int], StageLayer] = {}
-        self.transversals: Dict[Tuple[int, int, int], List] = {}
         self.audit: List[dict] = []
         # a support depends on the payload alone, so `advance_stage`
         # hands this cache on to the next stage
         self._supports: Dict[tuple, FrozenSet[int]] = {}
         self._layer_sets: Dict[Tuple[int, int], FrozenSet[int]] = {}
-        self._strip_syms: Dict[Tuple[int, int, int], FrozenSet[str]] = {}
-        # decompose_star results, keyed on (payload, gamma, i, beta, registry
-        # size): the order on cores reads registry codes, and the
-        # registry only grows
-        self._decomposed: Dict[tuple, tuple] = {}
+        # the order on cores reads registry codes, and the registry only
+        # grows, so its size is in the row key
+        self._rows: Dict[tuple, list] = {}
 
     # -- group lattice ------------------------------------------------------
 
@@ -149,16 +151,6 @@ class StageState:
         if out is None:
             out = self._layer_sets[key] = frozenset(
                 self.colorings.d_set(gamma, i, "strict")) | {gamma}
-        return out
-
-    def strip_syms(self, gamma: int, i: int, beta: int) -> FrozenSet[str]:
-        """The letters of the level subgroup cut at beta."""
-        key = (gamma, i, beta)
-        out = self._strip_syms.get(key)
-        if out is None:
-            out = self._strip_syms[key] = frozenset(
-                sym(b) for b in self.colorings.d_set(gamma, i, "strict")
-                if b < beta)
         return out
 
     # -- elements -----------------------------------------------------------
@@ -213,15 +205,6 @@ def i_at(g: Element, gamma: int, state: StageState) -> int:
 # transversals
 
 
-def _strip(payload, strip_syms):
-    i, j = 0, len(payload)
-    while i < j and payload[i][0] in strip_syms:
-        i += 1
-    while j > i and payload[j - 1][0] in strip_syms:
-        j -= 1
-    return payload[:i], payload[i:j], payload[j:]
-
-
 def _reduced_slice(state: StageState, part) -> Element:
     """An element on a slice of a reduced payload, which is itself
     reduced, so it skips the normalisation of `StageState.element`."""
@@ -245,31 +228,69 @@ def _check_layer(g: Element, gamma: int, i: int, state: StageState):
             f"{sorted(state.support(g))} vs {sorted(allowed)}")
 
 
+def _decomposition_row(g: Element, gamma: int, state: StageState) -> list:
+    """g's (y0, t, eps, y1) at every cut beta = 0..gamma, for g in a
+    (gamma, i) layer.
+
+    Every letter of g but x_gamma is in the strict level set, so the
+    first k letters lie in the cut subgroup exactly when beta exceeds
+    their largest index: the prefix length p and the suffix length q are
+    step functions of beta. The prefix wins a letter both could strip,
+    so q is capped at n - p. Each distinct (p, q) yields one tuple,
+    shared by every cut in its range."""
+    payload = g.payload
+    n = len(payload)
+    # pre[k] (suf[k]): the least cut that holds the first (last) k + 1
+    # letters; x_gamma's is gamma + 1, past every cut
+    least = [sym_index(s) + 1 for s, _ in payload]
+    pre = list(accumulate(least, max))
+    suf = list(accumulate(reversed(least), max))
+    row, p, q_free, last, dec = [], 0, 0, None, None
+    for beta in range(gamma + 1):
+        while p < n and pre[p] <= beta:
+            p += 1
+        while q_free < n and suf[q_free] <= beta:
+            q_free += 1
+        # the core is payload[head:tail], where tail = n - q
+        cut = p, max(n - q_free, p)
+        if cut != last:
+            last = head, tail = cut
+            c1 = _reduced_slice(state, payload[head:tail])
+            c2 = c1.inv()
+            if _order_key(state, c1) <= _order_key(state, c2):
+                t, eps = c1, 1
+            else:
+                t, eps = c2, -1
+            dec = (_reduced_slice(state, payload[:head]), t, eps,
+                   _reduced_slice(state, payload[tail:]))
+        row.append(dec)
+    return row
+
+
+def _row(g: Element, gamma: int, i: int, state: StageState) -> list:
+    """The decomposition row of g in the (gamma, i) layer, built once
+    per (payload, gamma, i, registry size). Only rows are kept, so an
+    element outside the layer raises on every call."""
+    key = (g.payload, gamma, i, len(state.registry))
+    row = state._rows.get(key)
+    if row is None:
+        _check_layer(g, gamma, i, state)
+        row = state._rows[key] = _decomposition_row(g, gamma, state)
+    return row
+
+
 def decompose_star(g: Element, gamma: int, i: int, beta: int,
                    state: StageState) -> Tuple[Element, Element, int, Element]:
     """Write g = y0 * t^eps * y1 with t its transversal representative
-    and y0, y1 in the cut subgroup; replayable by multiplying out.
+    and y0, y1 in the level subgroup cut at beta; replayable by
+    multiplying out.
 
-    Strips the cut subgroup's letters off both ends of g, leaving y0
-    core y1, and takes t the smaller of core and core^-1 (the core of
-    g^-1). Memoised per stage; only results are kept, so an element
-    outside the layer raises on every call."""
-    memo_key = (g.payload, gamma, i, beta, len(state.registry))
-    hit = state._decomposed.get(memo_key)
-    if hit is not None:
-        return hit
-    _check_layer(g, gamma, i, state)
-    strip_syms = state.strip_syms(gamma, i, beta)
-    prefix, core, suffix = _strip(g.payload, strip_syms)
-    c1 = _reduced_slice(state, core)
-    c2 = c1.inv()
-    if _order_key(state, c1) <= _order_key(state, c2):
-        t, eps = c1, 1
-    else:
-        t, eps = c2, -1
-    out = state._decomposed[memo_key] = (
-        _reduced_slice(state, prefix), t, eps, _reduced_slice(state, suffix))
-    return out
+    y0 and y1 are the longest prefix and suffix of g on the cut
+    subgroup's letters, the prefix first, and t is the smaller of the
+    core left between them and its inverse. Reads g's row at beta
+    clamped to [0, gamma]: the strict level set lies below gamma, so
+    the cuts outside that range equal its ends."""
+    return _row(g, gamma, i, state)[min(max(beta, 0), gamma)]
 
 
 def transversal_rep(g: Element, gamma: int, i: int, beta: int,
@@ -280,7 +301,8 @@ def transversal_rep(g: Element, gamma: int, i: int, beta: int,
     In the free model the representative is the two-sided subgroup-letter
     strip of g or of its inverse, whichever is smaller in the stratified
     order; stripping commutes with enlarging the level or shrinking the
-    cut, which is exactly the monotonicity the tower needs.
+    cut, which is exactly the monotonicity the tower needs. It is the t
+    of ``decompose_star``, read off the same row.
     """
     return decompose_star(g, gamma, i, beta, state)[1]
 
@@ -447,7 +469,8 @@ def _build_layer(gamma: int, i: int, state: StageState) -> StageLayer:
 
 def advance_stage(state: StageState) -> StageState:
     """Adjoin the next generator and build all realized layers, then run
-    the promise audits; any exact audit failure is a hard error."""
+    the promise audits; the first audit that fails raises
+    ``AuditFailure``."""
     gamma = state.stage
     new = StageState(state.colorings, stage=gamma + 1)
     new._supports = state._supports
@@ -481,13 +504,20 @@ def run_construction(config: dict) -> StageState:
 # audits
 
 
+class AuditFailure(RuntimeError):
+    """A promise audit failed; ``record`` is its audit record."""
+
+    def __init__(self, record: dict):
+        super().__init__(f"promise audit failed: {record}")
+        self.record = record
+
+
 def _audit(state, name, gamma, status, instances, **extra):
     rec = {"check": name, "gamma": gamma, "status": status,
            "instances": instances, **extra}
     state.audit.append(rec)
     if status != "pass":
-        raise RuntimeError(f"promise audit failed: {name} at stage "
-                           f"{gamma}: {extra}")
+        raise AuditFailure(rec)
 
 
 def audit_stage(state: StageState, gamma: int, levels: Sequence[int]):
@@ -551,44 +581,47 @@ def audit_stage(state: StageState, gamma: int, levels: Sequence[int]):
             _audit(state, "layer-malnormality", gamma, "pass", 1, level=i,
                    method="small-cancellation-quotient")
 
-    # transversal monotonicity in the level and the cut
-    betas = sorted({b for b in range(gamma + 1)})
+    # transversal decompositions and their monotonicity in the level and
+    # the cut, read off one row per (element, level)
+    amb = state.ambient
+    # (level, cut) -> the representatives met there, by payload, in
+    # order of arrival
+    slots: Dict[Tuple[int, int], Dict[tuple, Element]] = {}
     checked = 0
     for i in levels:
         allowed = state.layer_set(gamma, i)
         for g in members:
             if not state.support(g) <= allowed:
                 continue
-            for beta in betas:
-                t = transversal_rep(g, gamma, i, beta, state)
-                slot = state.transversals.setdefault((gamma, i, beta), [])
-                if t.payload not in [x.payload for x in slot]:
-                    slot.append(t)
-                y0, t2, eps, y1 = decompose_star(g, gamma, i, beta, state)
-                prod = state.ambient.mul(
-                    state.ambient.mul(y0, t2 if eps == 1 else t2.inv()), y1)
-                if prod.payload != g.payload:
-                    _audit(state, "transversal-decomposition", gamma,
-                           "fail", checked, level=i, beta=beta)
+            dec = None
+            for beta, row_dec in enumerate(_row(g, gamma, i, state)):
+                t = row_dec[1]
+                slots.setdefault((i, beta), {}).setdefault(t.payload, t)
+                if row_dec is not dec:
+                    # a row holds each distinct decomposition once, over
+                    # a run of cuts, so one multiply-back covers the run
+                    dec = row_dec
+                    y0, _, eps, y1 = dec
+                    prod = amb.mul(amb.mul(y0, t if eps == 1 else t.inv()),
+                                   y1)
+                    if prod.payload != g.payload:
+                        _audit(state, "transversal-decomposition", gamma,
+                               "fail", checked, level=i, beta=beta)
                 checked += 1
-    for (g1, i1, b1), reps in sorted(state.transversals.items(),
-                                     key=lambda kv: kv[0]):
-        if g1 != gamma:
-            continue
-        for t in reps:
+    # the identity is in every layer, so slots arrive in (level, cut)
+    # order
+    for (i1, b1), reps in slots.items():
+        for t in reps.values():
             for j in levels:
                 if j <= i1:
                     continue
-                if transversal_rep(t, gamma, j, b1, state).payload != \
-                        t.payload:
+                if _row(t, gamma, j, state)[b1][1].payload != t.payload:
                     _audit(state, "transversal-level-monotone", gamma,
                            "fail", checked, level=i1, beta=b1)
                 checked += 1
-            for b2 in betas:
-                if b2 >= b1:
-                    continue
-                if transversal_rep(t, gamma, i1, b2, state).payload != \
-                        t.payload:
+            row = _row(t, gamma, i1, state)
+            for b2 in range(b1):
+                if row[b2][1].payload != t.payload:
                     _audit(state, "transversal-cut-monotone", gamma,
                            "fail", checked, level=i1, beta=b1)
                 checked += 1

@@ -1,0 +1,62 @@
+"""Recorded mutants: small faults that named tests must catch.
+
+Each mutant replaces one text of a file under ``src/amalgams`` (it must
+occur there exactly once) and names the tests that must fail on it.
+``tests/run_mutants.py`` applies them one at a time to a copy of
+``src/``; ``tests/test_layout.py`` checks that every old text is still
+there, once. A mutant whose tests pass survives: it stays in this list,
+and the gap it shows is recorded in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Tuple
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to src/amalgams
+    old: str
+    new: str
+    tests: Tuple[str, ...]  # pytest ids, relative to the repo root
+    change: str  # the change whose guard the mutant records
+
+
+WORDS_LCR = ("tests/test_words.py::test_longest_common_run_matches_naive",
+             "tests/test_words.py::"
+             "test_longest_common_run_on_periodic_wide_and_edge_inputs")
+TOPOLOGY = "tests/test_cli.py::test_topology_chain_command"
+MEMO = "tests/test_engine.py::test_memoised_decomposition_matches_reference"
+LCR_CHANGE = "longest_common_run in linear time with a suffix automaton"
+ROW_CHANGE = "one decomposition row per (element, level) for every cut"
+
+MUTANTS = (
+    Mutant("lcr-clone-first-end", "_pykernels.py",
+           "first.append(first[q])", "first.append(i)",
+           WORDS_LCR, LCR_CHANGE),
+    Mutant("lcr-no-reset-after-link", "_pykernels.py",
+           "            s = link[s]\n            n = length[s]\n",
+           "            s = link[s]\n",
+           WORDS_LCR + (TOPOLOGY,), LCR_CHANGE),
+    Mutant("lcr-clone-without-transitions", "_pykernels.py",
+           "            go[clone * sigma + edges[e]] = "
+           "go[q * sigma + edges[e]]\n", "",
+           WORDS_LCR + (TOPOLOGY,), LCR_CHANGE),
+    Mutant("lcr-disjoint-inverted", "_pykernels.py",
+           "if rank.keys().isdisjoint(a):",
+           "if not rank.keys().isdisjoint(a):",
+           WORDS_LCR + (TOPOLOGY,), LCR_CHANGE),
+    Mutant("row-suffix-wins", "engine.py",
+           "cut = p, max(n - q_free, p)",
+           "cut = min(p, n - q_free), n - q_free",
+           (MEMO,), ROW_CHANGE),
+    Mutant("row-breakpoint-strict", "engine.py",
+           "while p < n and pre[p] <= beta:",
+           "while p < n and pre[p] < beta:",
+           (MEMO,), ROW_CHANGE),
+    Mutant("row-cut-unclamped", "engine.py",
+           "[min(max(beta, 0), gamma)]", "[beta]",
+           (MEMO,), ROW_CHANGE),
+)

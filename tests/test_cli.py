@@ -465,6 +465,31 @@ def test_build_stage(tmp_path):
     assert text == json.dumps(E.presentation(state), sort_keys=True)
 
 
+@pytest.mark.parametrize("command", ["build-stage", "run-construction",
+                                     "topology-chain"])
+def test_failed_audit_writes_a_failing_report(tmp_path, monkeypatch,
+                                              command):
+    # plant decompositions that do not multiply back: every sign is
+    # flipped, so y0 t^-eps y1 differs from g once t is not the identity
+    build_row = E._decomposition_row
+
+    def flipped_row(g, gamma, state):
+        return [(y0, t, -eps, y1)
+                for y0, t, eps, y1 in build_row(g, gamma, state)]
+
+    monkeypatch.setattr(E, "_decomposition_row", flipped_row)
+    code, doc = run_cli(tmp_path, command,
+                        {**tower_config(), "gamma": 5, "level": 2})
+    assert code == 1
+    assert [(c["name"], c["status"]) for c in doc["checks"]] == \
+        [("audits", "fail")]
+    failed = doc["checks"][0]["data"]["failed"]
+    # the first stage's first non-identity member, x3, at cut 0
+    assert failed == {"check": "transversal-decomposition", "gamma": 3,
+                      "status": "fail", "instances": 4, "level": 0,
+                      "beta": 0}
+
+
 def test_scan_colorings(tmp_path):
     code, doc = run_cli(tmp_path, "scan-colorings", {"count": 40})
     assert code == 0

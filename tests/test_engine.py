@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import collections
 import hashlib
+import importlib.util
 import json
+import pathlib
 import random
+import sys
 
 import pytest
 from sympy import Matrix
@@ -220,24 +223,27 @@ def tall_style_tower(stages=12):
 
 
 def test_tower_strips_each_query_once(monkeypatch):
-    counts = {"strip": 0, "element": 0}
-    strip, element = E._strip, GroupHandle.element
+    builds = collections.Counter()
+    counts = {"element": 0}
+    build_row, element = E._decomposition_row, GroupHandle.element
 
-    def counting_strip(*args):
-        counts["strip"] += 1
-        return strip(*args)
+    def counting_row(g, gamma, state):
+        builds[g.payload, gamma, len(state.registry)] += 1
+        return build_row(g, gamma, state)
 
     def counting_element(self, payload):
         counts["element"] += 1
         return element(self, payload)
 
-    monkeypatch.setattr(E, "_strip", counting_strip)
+    monkeypatch.setattr(E, "_decomposition_row", counting_row)
     monkeypatch.setattr(GroupHandle, "element", counting_element)
     state = tall_style_tower()
-    # one strip per distinct (payload, gamma, level, cut) query, and
-    # normalised elements only where the registry is copied; stripping
-    # g and g^-1 on every query took 9,366 strips and 11,430 elements
-    assert counts["strip"] <= 1200
+    # at most one row per (payload, gamma, level, registry size), every
+    # cut read off it (113 rows on this tower), and normalised elements
+    # only where the registry is copied
+    levels = collections.Counter(gamma for gamma, _ in state.layers)
+    assert all(n <= levels[key[1]] for key, n in builds.items())
+    assert sum(builds.values()) <= 113
     assert counts["element"] <= 100
     # and every audit still counts the instances it counted then
     totals = {}
@@ -251,6 +257,29 @@ def test_tower_strips_each_query_once(monkeypatch):
                           for rec in state.audit])
     assert hashlib.sha256(records.encode()).hexdigest() == \
         "6d0b05a32df84d3b18a9f062a82ed093cfbd0730b50ce99c17041e33b524e5a0"
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded once under its own module name
+    (its dataclasses look their module up by name)."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = pathlib.Path(__file__).parent.parent / "perfbench" / \
+            "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("variant", range(8))
+def test_tall_tower_summaries_match_golden(variant):
+    # the benchmark's tall free towers against the summaries recorded in
+    # perfbench/golden.json, which this test only reads
+    workloads = _perfbench_workloads()
+    state = E.run_construction(workloads.tall_tower(variant))
+    digest = hashlib.sha256(E.summary_json(state).encode()).hexdigest()
+    assert digest == workloads.load_golden()["tall_sha256"][str(variant)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Layout rules: no amalgams module imports another module's private
 names, the CLI starts without the heavy numeric libraries, the
 benchmark's tracer can wrap a CLI run, every definition is reachable
-from the CLI, and some call in src passes every optional parameter."""
+from the CLI, some call in src passes every optional parameter, and
+every recorded mutant still finds its text."""
 
 from __future__ import annotations
 
@@ -368,3 +369,23 @@ def test_every_optional_parameter_is_passed_in_src():
     unpassed = _unpassed_optional_parameters()
     assert sorted(unpassed - set(KEEP_OPTIONAL)) == []
     assert set(KEEP_OPTIONAL) <= unpassed, "a KEEP_OPTIONAL entry is passed"
+
+
+def test_every_mutant_old_text_occurs_once():
+    # tests/run_mutants.py replaces each old text in a copy of src/; one
+    # that moved or multiplied would mutate nothing or the wrong place
+    from mutants import MUTANTS
+
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    tests_dir = pathlib.Path(__file__).parent
+    for m in MUTANTS:
+        assert m.old != m.new, m.name
+        assert sources[m.file].count(m.old) == 1, m.name
+        assert sum(text.count(m.old) for text in sources.values()) == 1, \
+            m.name
+        for test_id in m.tests:
+            path, _, name = test_id.partition("::")
+            assert f"def {name}(" in \
+                (tests_dir.parent / path).read_text(), (m.name, test_id)
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
