@@ -1,27 +1,27 @@
-"""The hot integer-sequence kernels: the package's one implementation.
+"""The hot sequence kernels: the package's one implementation.
 
 Import them through ``amalgams.kernels``.  Contracts:
 
 * words are sequences of nonzero signed ints (letter = signed symbol id),
-* label sequences are arbitrary int sequences,
+* ``runs_at_least`` takes label strings, one code point per label code
+  (``chr`` raises past 1,114,111 codes, so no two labels alias);
+  ``longest_common_run`` takes any sequences of hashable labels,
 * all functions are pure.
 
-``runs_at_least`` finds common runs with a rolling polynomial hash over
-fixed-length windows (Karp-Rabin); a hash hit is confirmed by comparing
-the elements before a run is reported.  ``window_hashes`` and
-``window_table`` expose the two halves of that scan, so a caller that
-scans one sequence many times hashes it once and passes the result to
-``runs_at_least``.  ``longest_common_run`` is exact and hashes nothing: a
-suffix automaton, O(|a| + |b|) expected time and O(|b|) memory.
+Neither run finder hashes windows.  ``runs_at_least`` rests on a sampling
+lemma: with w = ceil(k/2) and d = k - w + 1, a common run of length
+>= k contains the window a[p:p+w] for some p that is a multiple of d,
+since it contains the windows of d consecutive starts.  So it searches
+b for those windows of a alone, with ``str.find`` (CPython's C
+two-way search), and extends each hit to its maximal run.
+``longest_common_run`` is a suffix automaton, O(|a| + |b|) expected
+time and O(|b|) memory.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
-
-_MOD = (1 << 61) - 1
-_BASE = 1_000_003
+from typing import Dict, List, Sequence, Tuple
 
 
 def free_reduce_ints(word: Sequence[int]) -> List[int]:
@@ -101,85 +101,52 @@ def longest_common_run(a: Sequence[int], b: Sequence[int]) -> Tuple[int, int, in
     return best
 
 
-def window_hashes(seq: Sequence[int], k: int) -> array:
-    """Hash of every length-k window of seq, in one rolling pass: entry i
-    hashes seq[i:i+k]. Empty when seq is shorter than k."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    out = array("q")
-    vals = [(v & 0xFFFFFFFFFFFF) + 7 for v in seq]
-    if len(vals) < k:
-        return out
-    h = 0
-    for v in vals[:k]:
-        h = (h * _BASE + v) % _MOD
-    out.append(h)
-    top = pow(_BASE, k, _MOD)  # weight of the value leaving the window
-    for new, old in zip(vals[k:], vals):
-        h = (h * _BASE + new - old * top) % _MOD
-        out.append(h)
-    return out
-
-
-def window_table(hashes: Sequence[int]) -> Dict[int, List[int]]:
-    """Map each window hash to the positions that have it, in order."""
-    table: Dict[int, List[int]] = {}
-    for i, h in enumerate(hashes):
-        table.setdefault(h, []).append(i)
-    return table
-
-
-def runs_at_least(
-    a: Sequence[int],
-    b: Sequence[int],
-    k: int,
-    a_table: Optional[Dict[int, List[int]]] = None,
-    b_hashes: Optional[Sequence[int]] = None,
-) -> List[Tuple[int, int, int]]:
+def runs_at_least(a: str, b: str, k: int) -> List[Tuple[int, int, int]]:
     """All maximal common runs of length >= k, as (start_a, start_b, length).
 
     A run is maximal if it cannot be extended in either direction.
-    ``a_table`` (``window_table(window_hashes(a, k))``) and ``b_hashes``
-    (``window_hashes(b, k)``) may be passed in when the caller already
-    has them; they must be built with this same k.
+    With w = ceil(k/2) and d = k - w + 1, a run of length >= k holds the
+    windows a[p:p+w] of d consecutive p, so it holds one with p a
+    multiple of d. Each such window is searched for in b by
+    ``str.find``, and each hit is extended both ways to its maximal run.
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    if len(a) < k or len(b) < k:
+    na, nb = len(a), len(b)
+    if na < k or nb < k:
         return []
-    if a_table is None:
-        a_table = window_table(window_hashes(a, k))
-    if b_hashes is None:
-        b_hashes = window_hashes(b, k)
-    if a_table.keys().isdisjoint(b_hashes):
-        return []
-    a = list(a)
-    b = list(b)
+    w = (k + 1) // 2
+    d = k - w + 1
     # covered[diag] is the end (in a) of the last run found on that
-    # diagonal. The scan visits b in increasing j, so the runs of one
+    # diagonal. The scan visits a in increasing p, so the runs of one
     # diagonal are found in order and are disjoint, and a hit lies inside
-    # a known run exactly when it lies before that end. Repeated k-gram
-    # hits inside one long run so cost O(1) each (periodic inputs
-    # otherwise make the back-walk quadratic).
+    # a known run exactly when it starts before that end. A run's first
+    # hit is its first sampled window, which starts less than d after
+    # the run does, and a run of length >= k starts by na - k.
     covered: Dict[int, int] = {}
     out: List[Tuple[int, int, int]] = []
-    for j, h in enumerate(b_hashes):
-        for i in a_table.get(h, ()):
-            diag = i - j
-            if i < covered.get(diag, -1):
-                continue
-            if a[i:i + k] != b[j:j + k]:
-                continue
-            si, sj = i, j
-            while si > 0 and sj > 0 and a[si - 1] == b[sj - 1]:
-                si -= 1
-                sj -= 1
-            length = k + (i - si)
-            while si + length < len(a) and sj + length < len(b) and \
-                    a[si + length] == b[sj + length]:
-                length += 1
-            covered[diag] = si + length
-            if length >= k:
-                out.append((si, sj, length))
+    for p in range(0, na - k + d, d):
+        needle = a[p:p + w]
+        j = b.find(needle)
+        while j >= 0:
+            if p >= covered.get(p - j, 0):
+                s, t = p, j
+                while s >= 64 and t >= 64 and a[s - 64:s] == b[t - 64:t]:
+                    s -= 64
+                    t -= 64
+                while s and t and a[s - 1] == b[t - 1]:
+                    s -= 1
+                    t -= 1
+                e, f = p + w, j + w
+                while e + 64 <= na and a[e:e + 64] == b[f:f + 64]:
+                    e += 64
+                    f += 64
+                while e < na and f < nb and a[e] == b[f]:
+                    e += 1
+                    f += 1
+                covered[p - j] = e
+                if e - s >= k:
+                    out.append((s, t, e - s))
+            j = b.find(needle, j + 1)
     out.sort()
     return out

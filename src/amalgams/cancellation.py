@@ -2,10 +2,10 @@
 Dehn's algorithm for the word problem of their quotients.
 
 A relator set keeps its weakly cyclically reduced base words and reads
-rotations and inverses off cyclic label arrays, hashed once per window
-length. Both scans, C' and Dehn's long-part search, first find label
-runs (labels are constant on H-double cosets, so a cancellation chain
-forces a label run) and then walk each run's diagonal once, with
+rotations and inverses off cyclic label strings, written once. Both
+scans, C' and Dehn's long-part search, first find label runs (labels
+are constant on H-double cosets, so a cancellation chain forces a
+label run) and then walk each run's diagonal once, with
 ``Diagonal``: one rule for every amalgam, which computes each chain
 state once and gives the chain from each offset by
 ``cancellation_chain``. The C' verdict, at the chi the set was built
@@ -61,22 +61,23 @@ class RelatorSet:
     The closure members (rotations of the bases and their inverses, and
     the seam-splitting odd conjugates) are read implicitly, never
     enumerated. Units come in (base, inverse) pairs; ``cyclic_labels``
-    holds each unit's double-coset label codes written out twice.
+    holds each unit's double-coset label codes written out twice, as a
+    string of ``chr(code)``, which ``kernels.runs_at_least`` searches.
 
     When the amalgam has ``label_and_ends`` (a shared-free amalgam),
     ``codes`` holds each unit's chain codes, an ``array('q')``: syllable
     x codes the pair (label of u[x], reduced junction word
     tail(u[x-1]) · head(u[x])), read cyclically, with head and tail the
     outer H-segments (see ``cancellation_chain``). ``code_word`` codes a
-    query word the same way. Otherwise ``codes`` is None. Replays read
-    no codes: a C' witness is walked by element arithmetic, and so is a
-    Dehn certificate, except that on an amalgam with an ambient free
-    group each of its parts is one free reduction.
+    query word the same way, its labels as a string too. Otherwise
+    ``codes`` is None. Replays read no codes: a C' witness is walked by
+    element arithmetic, and so is a Dehn certificate, except that on an
+    amalgam with an ambient free group each of its parts is one free
+    reduction.
 
-    The set is the index the scanners share: ``window_hashes(uid, k)``
-    hashes a unit's cyclic labels once per window length, and ``cprime``
-    keeps ``check_cprime``'s verdict at ``chi``. Both caches assume the
-    set does not change after construction.
+    The scanners share the label strings, written once at construction,
+    and ``cprime`` keeps ``check_cprime``'s verdict at ``chi``; it
+    assumes the set does not change after construction.
 
     Coding a word labels each distinct syllable object once and codes
     each junction once per (previous, current) pair of objects, keyed
@@ -109,32 +110,19 @@ class RelatorSet:
         self._label_codes: Dict[Hashable, int] = {}
         self._chain_codes: Dict[Tuple[int, tuple], int] = {}
         self._junctions: Dict[Tuple[int, tuple, tuple], int] = {}
-        self.cyclic_labels: Dict[str, List[int]] = {}
+        self.cyclic_labels: Dict[str, str] = {}
         codes = {}
         for unit in self.units:
             labels, codes[unit.uid] = self._code(unit.word, grow=True)
             self.cyclic_labels[unit.uid] = labels * 2
         self.codes: Optional[Dict[str, array]] = \
             None if None in codes.values() else codes
-        self._window_hashes: Dict[Tuple[str, int], array] = {}
         self.cprime: Optional["CPrimeResult"] = None
 
-    def window_hashes(self, uid: str, k: int) -> array:
-        """Hashes of the length-k windows of a unit's cyclic labels,
-        computed on first use and kept."""
-        key = (uid, k)
-        hashes = self._window_hashes.get(key)
-        if hashes is None:
-            hashes = self._window_hashes[key] = kernels.window_hashes(
-                self.cyclic_labels[uid], k)
-        return hashes
-
-    def code_word(
-        self, w: CanonicalWord
-    ) -> Tuple[List[int], Optional[array]]:
-        """Label codes and chain codes (None without ``codes``) of a query
-        word; 0, which matches no unit, for a label or a (label,
-        junction) pair that no unit has."""
+    def code_word(self, w: CanonicalWord) -> Tuple[str, Optional[array]]:
+        """Label codes, as a string of ``chr(code)``, and chain codes
+        (None without ``codes``) of a query word; 0, which matches no
+        unit, for a label or a (label, junction) pair that no unit has."""
         return self._code(w, grow=False)
 
     def _code(self, w: CanonicalWord, grow: bool):
@@ -146,7 +134,8 @@ class RelatorSet:
             label = T.coset_label(s.elt) if coded is None else coded[0]
             seen[key] = (_intern(self._label_codes, label, grow),
                          coded and coded[1:])
-        labels = [seen[key][0] for key in ids]
+        char = {key: chr(code) for key, (code, _) in seen.items()}
+        labels = "".join(map(char.__getitem__, ids))
         if any(ends is None for _, ends in seen.values()):
             return labels, None
         # the junction before syllable x is tail(w[x-1]) · head(w[x]),
@@ -432,7 +421,6 @@ def _scan_cprime(R: RelatorSet) -> CPrimeResult:
         # read backwards, u1 spells its partner: entry s of the partner's
         # labels is the label of u1's syllable n-1-s, inverted
         U2 = R.cyclic_labels[u1.partner]
-        tables = {}  # window length -> table of the partner's windows
         for u2 in R.units:
             pairs += 1
             m = len(u2.word)
@@ -440,13 +428,7 @@ def _scan_cprime(R: RelatorSet) -> CPrimeResult:
             if k_min > min(n, m):
                 continue
             scan_k = max(1, k_min - 2)
-            table = tables.get(scan_k)
-            if table is None:
-                table = tables[scan_k] = kernels.window_table(
-                    R.window_hashes(u1.partner, scan_k))
-            runs = kernels.runs_at_least(
-                U2, R.cyclic_labels[u2.uid], scan_k, table,
-                R.window_hashes(u2.uid, scan_k))
+            runs = kernels.runs_at_least(U2, R.cyclic_labels[u2.uid], scan_k)
             for (s, j, length) in distinct_cyclic_runs(runs, n, m):
                 # offsets a period apart are the same chain states
                 diagonal = Diagonal(
@@ -543,7 +525,6 @@ def find_replacement(
     W, W_codes = R.code_word(w)
     gray = False
     candidates = []
-    tables = {}  # window length -> table of w's windows
     for unit in R.units:
         m = len(unit.word)
         t_min = part_threshold(m)
@@ -551,12 +532,7 @@ def find_replacement(
             continue
         scan_k = max(1, t_min - 2)
         inv = R.by_uid[unit.partner].word
-        table = tables.get(scan_k)
-        if table is None:
-            table = tables[scan_k] = kernels.window_table(
-                kernels.window_hashes(W, scan_k))
-        runs = kernels.runs_at_least(W, R.cyclic_labels[unit.uid], scan_k,
-                                     table, R.window_hashes(unit.uid, scan_k))
+        runs = kernels.runs_at_least(W, R.cyclic_labels[unit.uid], scan_k)
         for (p, j, length) in runs:
             # w[q..q+t) = h0^-1 * r[jq..jq+t) * h_end: r^-1 read
             # backwards from m-1-jq cancels against w from q

@@ -420,6 +420,12 @@ def main(argv=None) -> int:
     if args.budget_len <= 0:
         parser.exit(2, f"{parser.prog}: error: --budget-len must be "
                        "positive\n")
+    out_dir = os.path.dirname(args.out or "") or "."
+    if args.out and not (os.path.isdir(out_dir)
+                         and os.access(out_dir, os.W_OK)):
+        # checked before the work: the report and its side files go there
+        parser.exit(2, f"{parser.prog}: error: cannot write report "
+                       f"{args.out}: {out_dir} is not a writable directory\n")
     try:
         config, args.config_sha256 = _load_config(args.config, args.command)
         checks = HANDLERS[args.command](config, args)
@@ -430,7 +436,11 @@ def main(argv=None) -> int:
         checks = [CheckResult("audits", "fail", {"failed": exc.record})]
     doc = emit_report(args.command, args.seed, checks,
                       {"budget_len": args.budget_len})
-    write_report(doc, args.out)
+    try:
+        write_report(doc, args.out)
+    except OSError as exc:
+        parser.exit(2, f"{parser.prog}: error: cannot write report "
+                       f"{args.out}: {exc.strerror}\n")
     return exit_status(doc, args.escalate_inconclusive)
 
 

@@ -1,4 +1,4 @@
-"""The hot integer-sequence kernels, as the rest of the package sees them.
+"""The hot sequence kernels, as the rest of the package sees them.
 
 Callers import the kernels from here.  The code lives in
 ``amalgams._pykernels`` and is re-exported unchanged, so each name below
@@ -12,12 +12,13 @@ dropping ``BACKEND`` would break both.
 ``longest_common_run(a, b)`` is exact, by a linear-time suffix automaton;
 its witness is the leftmost longest run of a, at its first occurrence in b.
 
-``runs_at_least(a, b, k)`` hashes both sequences itself (Karp-Rabin).
-A caller that scans the same sequences many times hashes each once with
-``window_hashes(seq, k)`` (one rolling pass, kept as a compact
-``array('q')``), builds ``window_table`` of the side it looks up in, and
-passes both to ``runs_at_least``.  ``cancellation.RelatorSet`` keeps
-the window hashes of each unit's labels, one array per window length.
+``runs_at_least(a, b, k)`` is exact and hashes nothing.  It takes label
+strings, one code point per label code (``chr(code)``), and searches b
+for every window of a that a run of length >= k must hold, with
+``str.find``.  ``cancellation.RelatorSet`` writes each unit's doubled
+labels as such a string once, and ``code_word`` writes a query word's
+labels the same way.  ``chr`` raises past code 1,114,111, so a set with
+more labels fails loudly instead of aliasing two of them.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ from amalgams._pykernels import (
     free_reduce_ints,
     longest_common_run,
     runs_at_least,
-    window_hashes,
-    window_table,
 )
 
 BACKEND = "python"
 
 __all__ = ["BACKEND", "free_reduce_ints", "longest_common_run",
-           "runs_at_least", "window_hashes", "window_table"]
+           "runs_at_least"]

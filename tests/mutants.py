@@ -29,7 +29,14 @@ WORDS_LCR = ("tests/test_words.py::test_longest_common_run_matches_naive",
              "test_longest_common_run_on_periodic_wide_and_edge_inputs")
 TOPOLOGY = "tests/test_cli.py::test_topology_chain_command"
 MEMO = "tests/test_engine.py::test_memoised_decomposition_matches_reference"
+WORDS_RUNS = (
+    "tests/test_words.py::"
+    "test_runs_at_least_finds_runs_planted_at_every_sample_offset",
+    "tests/test_words.py::test_runs_at_least_on_doubled_short_periods",
+    "tests/test_words.py::"
+    "test_runs_at_least_matches_karp_rabin_on_fixture_units")
 LCR_CHANGE = "longest_common_run in linear time with a suffix automaton"
+RUNS_CHANGE = "runs_at_least by sampled exact search, not window hashing"
 ROW_CHANGE = "one decomposition row per (element, level) for every cut"
 
 MUTANTS = (
@@ -48,6 +55,22 @@ MUTANTS = (
            "if rank.keys().isdisjoint(a):",
            "if not rank.keys().isdisjoint(a):",
            WORDS_LCR + (TOPOLOGY,), LCR_CHANGE),
+    Mutant("runs-stride-too-large", "_pykernels.py",
+           "    d = k - w + 1\n", "    d = k - w + 2\n",
+           WORDS_RUNS[:1], RUNS_CHANGE),
+    Mutant("runs-skip-overlapping-hits", "_pykernels.py",
+           "j = b.find(needle, j + 1)", "j = b.find(needle, j + w)",
+           WORDS_RUNS[1:2] + (
+               "tests/test_words.py::"
+               "test_runs_at_least_on_small_alphabets_matches_naive",
+               "tests/test_words.py::"
+               "test_runs_at_least_on_doubled_periodic_labels"),
+           RUNS_CHANGE),
+    Mutant("runs-right-without-single-labels", "_pykernels.py",
+           "                while e < na and f < nb and a[e] == b[f]:\n"
+           "                    e += 1\n"
+           "                    f += 1\n", "",
+           WORDS_RUNS, RUNS_CHANGE),
     Mutant("row-suffix-wins", "engine.py",
            "cut = p, max(n - q_free, p)",
            "cut = min(p, n - q_free), n - q_free",

@@ -76,6 +76,56 @@ def naive_runs_at_least(a: Sequence[int], b: Sequence[int], k: int):
     return sorted(out)
 
 
+_KR_MOD = (1 << 61) - 1
+_KR_BASE = 1_000_003
+
+
+def _kr_window_hashes(seq: Sequence[int], k: int) -> array:
+    """Rolling polynomial hash of every length-k window of seq."""
+    out = array("q")
+    vals = [(v & 0xFFFFFFFFFFFF) + 7 for v in seq]
+    if len(vals) < k:
+        return out
+    h = 0
+    for v in vals[:k]:
+        h = (h * _KR_BASE + v) % _KR_MOD
+    out.append(h)
+    top = pow(_KR_BASE, k, _KR_MOD)  # weight of the value leaving the window
+    for new, old in zip(vals[k:], vals):
+        h = (h * _KR_BASE + new - old * top) % _KR_MOD
+        out.append(h)
+    return out
+
+
+def karp_rabin_runs_at_least(a: Sequence[int], b: Sequence[int], k: int):
+    """The package's earlier run finder, kept as a reference: every pair
+    of equal length-k window hashes (Karp-Rabin) is confirmed element by
+    element and extended to its maximal run. Takes int sequences."""
+    if len(a) < k or len(b) < k:
+        return []
+    a_table: Dict[int, List[int]] = {}
+    for i, h in enumerate(_kr_window_hashes(a, k)):
+        a_table.setdefault(h, []).append(i)
+    a, b = list(a), list(b)
+    covered: Dict[int, int] = {}  # diagonal -> end in a of its last run
+    out = []
+    for j, h in enumerate(_kr_window_hashes(b, k)):
+        for i in a_table.get(h, ()):
+            if i < covered.get(i - j, -1) or a[i:i + k] != b[j:j + k]:
+                continue
+            si, sj = i, j
+            while si > 0 and sj > 0 and a[si - 1] == b[sj - 1]:
+                si -= 1
+                sj -= 1
+            length = k + (i - si)
+            while si + length < len(a) and sj + length < len(b) and \
+                    a[si + length] == b[sj + length]:
+                length += 1
+            covered[i - j] = si + length
+            out.append((si, sj, length))
+    return sorted(out)
+
+
 def rho_letter_sequence(x: str, y: str) -> str:
     """The pumping word over single-character generators, as a string."""
     return "".join(x * i + y for i in range(1, 81))

@@ -437,31 +437,27 @@ def test_checker_matches_bruteforce_on_random_sets():
     assert min(seen[s] for s in ("pass", "fail", "inconclusive")) >= 10
 
 
-def test_cprime_hashes_each_unit_once(monkeypatch):
-    # trivial_h: 8 units of equal length, so one window length; each
-    # unit is hashed once and each unit's partner table built once, and
-    # a second check reuses the verdict
+def test_cprime_scans_each_unit_pair_once(monkeypatch):
+    # trivial_h: 8 units, so one runs_at_least scan per ordered pair of
+    # units, and a second check reuses the verdict
     from amalgams import _pykernels, kernels
 
     T, S, _ = load_system_fixture(f"{FIXTURES}/trivial_h.json")
     R = generate_relators(S, T, check=False)
-    calls = collections.Counter()
+    calls = []
 
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return counted
+    def counted(*args):
+        calls.append(args)
+        return _pykernels.runs_at_least(*args)
 
-    for name in ("window_hashes", "window_table", "runs_at_least"):
-        wrapped = counting(name, getattr(_pykernels, name))
-        monkeypatch.setattr(_pykernels, name, wrapped)
-        monkeypatch.setattr(kernels, name, wrapped)
+    monkeypatch.setattr(kernels, "runs_at_least", counted)
     res = check_cprime(R)
     assert res.status == "pass" and res.pairs_scanned == 64
     assert len(R.units) == 8
-    assert calls == {"window_hashes": 8, "window_table": 8,
-                     "runs_at_least": 64}
+    assert len(calls) == 64
+    assert {(a, b) for a, b, _ in calls} == {
+        (R.cyclic_labels[u1.partner], R.cyclic_labels[u2.uid])
+        for u1 in R.units for u2 in R.units}
     calls.clear()
     assert check_cprime(R) is res
     assert R.cprime is res

@@ -599,6 +599,33 @@ def test_escalate_inconclusive_changes_exit(tmp_path):
     assert code == 2
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # a report path in a missing directory is refused before any work
+    # runs, and a path that cannot be opened when the report is written
+    # (here a directory) exits 2 as well, with one line each
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"fixture": "fixtures/systems/with_h.json"}))
+    ran = []
+    monkeypatch.setattr("amalgams.cli.HANDLERS", {
+        "check-smallcancel": lambda config, args: ran.append(1) or []})
+    missing = tmp_path / "no" / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["check-smallcancel", "--config", str(cfg),
+              "--out", str(missing)])
+    assert (exc.value.code, ran) == (2, [])
+    assert capsys.readouterr().err == (
+        f"amalgams: error: cannot write report {missing}: "
+        f"{missing.parent} is not a writable directory\n")
+    (tmp_path / "d").mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main(["check-smallcancel", "--config", str(cfg),
+              "--out", str(tmp_path / "d")])
+    assert (exc.value.code, ran) == (2, [1])
+    assert capsys.readouterr().err == (
+        f"amalgams: error: cannot write report {tmp_path / 'd'}: "
+        f"Is a directory\n")
+
+
 def test_bad_budget_rejected(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text("{}")

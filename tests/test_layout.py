@@ -166,8 +166,6 @@ KEEP = {
 # reason. A method that overrides a method of its base class is not
 # listed; calls reach it through the base.
 CALLERS = {
-    "_pykernels.window_hashes": "cancellation.RelatorSet.window_hashes",
-    "cancellation.RelatorSet.window_hashes": "cancellation._scan_cprime",
     "cancellation.DehnStep.to_json": "cancellation.certificate_to_json",
     "colorings.ColoringTable.e": "engine.i_at",
     "colorings.ColoringTable.from_json": "engine.run_construction",

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from amalgams import kernels, words
+from amalgams.systems import generate_relators, load_system_fixture
 
-from oracles import naive_free_reduce, naive_longest_common_run, \
-    naive_runs_at_least, rho_letter_sequence
+from oracles import karp_rabin_runs_at_least, naive_free_reduce, \
+    naive_longest_common_run, naive_runs_at_least, rho_letter_sequence
 
+FIXTURES = "fixtures/systems"
 letters = st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), max_size=60)
 
 
@@ -80,16 +83,24 @@ def test_longest_common_run_on_periodic_wide_and_edge_inputs():
         assert a[i:i + length] == b[j:j + length]
 
 
+def _labels(seq):
+    """A label string, one code point per label: the form
+    ``runs_at_least`` takes. Codes mod 7 keep the letters -3..3 distinct
+    and leave 0..4 as they are, so a foreign label 0 is code 0."""
+    return "".join(chr(v % 7) for v in seq)
+
+
 @given(letters, letters, st.integers(min_value=1, max_value=4))
 def test_runs_at_least_matches_naive(a, b, k):
+    a, b = _labels(a), _labels(b)
     assert kernels.runs_at_least(a, b, k) == naive_runs_at_least(a, b, k)
 
 
 @pytest.mark.parametrize("k", [16, 32])
 def test_runs_at_least_on_doubled_periodic_labels(k):
     # the shape check_cprime scans: a few hundred labels against a doubled
-    # short-period array, so one run repeats its k-gram hits many times
-    # along a diagonal
+    # short-period array, so one run holds many hits of a sampled window
+    # along its diagonal
     rng = random.Random(k)
     for _ in range(12):
         period = [rng.randrange(1, 5) for _ in range(rng.randrange(2, 7))]
@@ -99,35 +110,15 @@ def test_runs_at_least_on_doubled_periodic_labels(k):
             start = rng.randrange(len(v))
             a.extend(v[start:start + rng.randrange(k // 2, 3 * k)])
             a.append(rng.choice((0, rng.randrange(1, 5))))
-        b = v * 2
+        a, b = _labels(a), _labels(v * 2)
         runs = kernels.runs_at_least(a, b, k)
         assert runs == naive_runs_at_least(a, b, k)
         assert runs
 
 
-def _indexed_runs(a, b, k):
-    return kernels.runs_at_least(
-        a, b, k, kernels.window_table(kernels.window_hashes(a, k)),
-        kernels.window_hashes(b, k))
-
-
-def test_window_hashes_match_direct_hashing():
-    rng = random.Random(5)
-    seq = [rng.randrange(-3, 4) for _ in range(60)]
-    for k in (1, 2, 7, 60):
-        hashes = kernels.window_hashes(seq, k)
-        assert len(hashes) == len(seq) - k + 1
-        for i in range(len(hashes)):
-            again = kernels.window_hashes(seq[i:i + k], k)
-            assert list(again) == [hashes[i]]
-    assert len(kernels.window_hashes(seq, 61)) == 0
-    with pytest.raises(ValueError):
-        kernels.window_hashes(seq, 0)
-
-
-def test_indexed_runs_match_naive():
+def test_runs_at_least_on_small_alphabets_matches_naive():
     # random arrays over a small alphabet and doubled short-period arrays,
-    # scanned with precomputed window hashes and table, for several k
+    # some with a foreign label, for several k
     rng = random.Random(20261018)
     for trial in range(120):
         if trial % 2:
@@ -141,8 +132,76 @@ def test_indexed_runs_match_naive():
             b = v * 2
             if rng.random() < 0.5:
                 b[rng.randrange(len(b))] = 0
+        a, b = _labels(a), _labels(b)
         for k in (1, 2, 3, 5, 8, 13):
-            assert _indexed_runs(a, b, k) == naive_runs_at_least(a, b, k)
+            assert kernels.runs_at_least(a, b, k) == \
+                naive_runs_at_least(a, b, k)
+
+
+def _planted(rng, length, offset):
+    """(a, b, run): a and b share one run of the given length, at
+    a[offset:], and nothing else. The run's labels are distinct codes
+    from 0 to length, and the fillers around it come from two further
+    alphabets."""
+    run = rng.sample(range(length + 1), length)
+    a = [rng.randrange(1000, 1003) for _ in range(offset)] + run + \
+        [rng.randrange(1000, 1003) for _ in range(rng.randrange(3))]
+    head = rng.randrange(3)
+    b = [rng.randrange(1003, 1006) for _ in range(head)] + run + \
+        [rng.randrange(1003, 1006) for _ in range(rng.randrange(3))]
+    return "".join(map(chr, a)), "".join(map(chr, b)), (offset, head, length)
+
+
+def test_runs_at_least_finds_runs_planted_at_every_sample_offset():
+    # a run of length >= k must contain a sampled window of a, at a
+    # multiple of d = k - ceil(k/2) + 1: plant runs of length k - 1, k
+    # and k + 1 at every offset mod d, so a stride or a window one too
+    # long misses one. The naive scan is cubic in k here, so past k = 129
+    # it checks the first and last two offsets and the planted run
+    # itself stands as the expectation of the others
+    rng = random.Random(20261020)
+    for k in list(range(2, 41)) + [63, 64, 65, 127, 128, 129, 200, 256, 301]:
+        d = k - (k + 1) // 2 + 1
+        for length in (k - 1, k, k + 1):
+            for offset in range(d + 1):
+                a, b, run = _planted(rng, length, offset)
+                runs = kernels.runs_at_least(a, b, k)
+                assert runs == ([run] if length >= k else []), (k, offset)
+                if k <= 129 or offset in (0, 1, d - 1, d):
+                    assert runs == naive_runs_at_least(a, b, k), (k, offset)
+
+
+def test_runs_at_least_on_doubled_short_periods():
+    # doubled short-period strings against rotated, mutated copies: every
+    # diagonal a period apart holds a run, and windows overlap themselves
+    rng = random.Random(20261021)
+    for _ in range(150):
+        period = [rng.randrange(3) for _ in range(rng.randrange(1, 6))]
+        v = period * rng.randrange(4, 40)
+        start = rng.randrange(len(v))
+        a = v[start:] + v[:start]
+        for _ in range(rng.randrange(3)):
+            a[rng.randrange(len(a))] = rng.randrange(4)
+        a, b = _labels(a * rng.randrange(1, 3)), _labels(v * 2)
+        k = rng.randrange(1, min(len(a), len(b)) + 1)
+        assert kernels.runs_at_least(a, b, k) == naive_runs_at_least(a, b, k)
+
+
+def test_runs_at_least_matches_karp_rabin_on_fixture_units():
+    # every ordered pair of units of the four fixtures (88 pairs), at the
+    # window length the C' scan uses, against the earlier hashing scan
+    for name in ("with_h", "trivial_h", "d_case", "corrupted"):
+        T, S, _ = load_system_fixture(f"{FIXTURES}/{name}.json")
+        R = generate_relators(S, T, check=False)
+        for u1 in R.units:
+            a = R.cyclic_labels[u1.partner]
+            for u2 in R.units:
+                b = R.cyclic_labels[u2.uid]
+                k = max(1, math.ceil(
+                    R.chi * min(len(u1.word), len(u2.word))) - 2)
+                assert kernels.runs_at_least(a, b, k) == \
+                    karp_rabin_runs_at_least(
+                        list(map(ord, a)), list(map(ord, b)), k)
 
 
 def test_rho_single_letters_length():
