@@ -58,10 +58,11 @@ class CanonicalWord:
 class AmalgamTriple:
     """The data of K *_H L with executable structure tests.
 
-    Subclasses provide the two side groups, H-membership per side,
-    transfer of H-elements between the sides, a per-syllable double
-    coset label, and the seeds of a cancellation chain: every H-element
-    h with a·h·b ∈ H (``junction_solutions``). A subclass with
+    H is held as one subgroup descriptor per side (``h_subgroup``),
+    which decides the double cosets H·g·H that ``coset_label`` reads.
+    Subclasses provide H-membership per side, transfer of H-elements
+    between the sides, and the seeds of a cancellation chain: every
+    H-element h with a·h·b ∈ H (``junction_solutions``). A subclass with
     ``label_and_ends`` has at most one seed per junction, so its chains
     can be compared as codes. ``ambient`` is the free group on the union
     alphabet when the amalgam is one (a shared-free amalgam), else None.
@@ -70,8 +71,10 @@ class AmalgamTriple:
     name: str = "amalgam"
     ambient: Optional[FreeGroup] = None
 
-    def __init__(self, K: GroupHandle, L: GroupHandle):
+    def __init__(self, K: GroupHandle, L: GroupHandle,
+                 H_K: SubgroupDescriptor, H_L: SubgroupDescriptor):
         self.K, self.L = K, L
+        self._h = {K_SIDE: H_K, L_SIDE: H_L}
 
     def side_group(self, side: str) -> GroupHandle:
         return self.K if side == K_SIDE else self.L
@@ -96,10 +99,12 @@ class AmalgamTriple:
 
     def h_subgroup(self, side: str) -> SubgroupDescriptor:
         """H as a subgroup descriptor of the given side group."""
-        raise NotImplementedError
+        return self._h[side]
 
     def coset_label(self, g: Element) -> Hashable:
-        """Label constant on double cosets H g H of the owning side."""
+        """(side, the label of g by the H descriptor of its side): two
+        labels are equal exactly when their elements lie on one side and
+        in one double coset H·g·H."""
         raise NotImplementedError
 
     def label_and_ends(
@@ -127,40 +132,25 @@ class TableAmalgam(AmalgamTriple):
         h_pairs: Sequence[Tuple[int, int]],
         name: str = "amalgam",
     ):
-        super().__init__(K, L)
         self.name = name
         self._k2l = {k: l for k, l in h_pairs}
         self._l2k = {l: k for k, l in h_pairs}
         if len(self._k2l) != len(h_pairs) or len(self._l2k) != len(h_pairs):
             raise ValueError("H-pairing must be a bijection")
-        self._check_embedding()
-        self._labels = {K_SIDE: self._coset_labels(K, self._k2l),
-                        L_SIDE: self._coset_labels(L, self._l2k)}
+        self._check_embedding(K, L)
+        super().__init__(K, L, *(
+            FiniteGeneratedSubgroup(G, [Element(G, p) for p in sorted(h)])
+            for G, h in ((K, self._k2l), (L, self._l2k))))
 
-    def _check_embedding(self) -> None:
-        if self._k2l.get(self.K._identity) != self.L._identity:
+    def _check_embedding(self, K: FiniteTableGroup,
+                         L: FiniteTableGroup) -> None:
+        if self._k2l.get(K._identity) != L._identity:
             raise ValueError("H-pairing must match identities")
         for a, b in itertools.product(self._k2l, repeat=2):
-            left = self._k2l.get(self.K.table[a][b])  # None: not closed
-            right = self.L.table[self._k2l[a]][self._k2l[b]]
+            left = self._k2l.get(K.table[a][b])  # None: not closed
+            right = L.table[self._k2l[a]][self._k2l[b]]
             if left != right:
                 raise ValueError("H-pairing is not a homomorphism")
-
-    @staticmethod
-    def _coset_labels(group: FiniteTableGroup, h_map) -> List[int]:
-        labels = [-1] * group.order
-        for g in range(group.order):
-            if labels[g] >= 0:
-                continue
-            orbit = {
-                group.table[group.table[u][g]][v]
-                for u in h_map
-                for v in h_map
-            }
-            rep = min(orbit)
-            for x in orbit:
-                labels[x] = rep
-        return labels
 
     def in_H(self, g: Element) -> bool:
         side = self.side_of_group(g.owner)
@@ -187,15 +177,9 @@ class TableAmalgam(AmalgamTriple):
         hs = [self.transfer(h, side) for h in self.h_sample(len(self._k2l))]
         return [h for h in hs if self.in_H(group.mul(group.mul(a, h), b))]
 
-    def h_subgroup(self, side: str):
-        group = self.side_group(side)
-        table = self._k2l if side == K_SIDE else self._l2k
-        gens = [Element(group, p) for p in sorted(table)]
-        return FiniteGeneratedSubgroup(group, gens)
-
     def coset_label(self, g: Element) -> Hashable:
         side = self.side_of_group(g.owner)
-        return (side, self._labels[side][g.payload])
+        return (side, self._h[side].double_coset_label(g))
 
 
 class SharedFreeAmalgam(AmalgamTriple):
@@ -213,24 +197,18 @@ class SharedFreeAmalgam(AmalgamTriple):
         h_symbols: Sequence[Hashable],
         name: str = "amalgam",
     ):
-        super().__init__(K, L)
         self.name = name
         self.h_symbols = frozenset(h_symbols)
         shared = set(K.symbols) & set(L.symbols)
         if shared != self.h_symbols:
             raise ValueError("side alphabets must overlap exactly in H")
+        super().__init__(K, L, LetterSupportSubgroup(K, h_symbols),
+                         LetterSupportSubgroup(L, h_symbols))
         union = list(K.symbols) + [s for s in L.symbols if s not in shared]
         self.ambient = FreeGroup(union, name=f"{name}-ambient")
-        self.H_K = LetterSupportSubgroup(K, h_symbols)
-        self.H_L = LetterSupportSubgroup(L, h_symbols)
-
-    def h_subgroup(self, side: str) -> LetterSupportSubgroup:
-        return self.H_K if side == K_SIDE else self.H_L
 
     def in_H(self, g: Element) -> bool:
-        side = self.side_of_group(g.owner)
-        sub = self.H_K if side == K_SIDE else self.H_L
-        return sub.contains(g)
+        return self._h[self.side_of_group(g.owner)].contains(g)
 
     def transfer(self, g: Element, side: str) -> Element:
         if not self.in_H(g):
@@ -255,10 +233,7 @@ class SharedFreeAmalgam(AmalgamTriple):
     def coset_label(self, g: Element, split=None) -> Hashable:
         """``split``, if given, is ``segments(g.payload, h_symbols)``."""
         side = self.side_of_group(g.owner)
-        skel, segs = split or segments(g.payload, self.h_symbols)
-        if not skel:
-            return (side, "H")
-        return (side, tuple(skel), tuple(segs[1:-1]))
+        return (side, self._h[side].double_coset_label(g, split))
 
     def label_and_ends(self, g: Element) -> Tuple[Hashable, tuple, tuple]:
         # the ends are the outer H-segments: the skeleton letters around

@@ -323,8 +323,8 @@ def cmd_build_stage(config, args):
                                "layers": len(doc["layers"])}))
     if args.out:
         # json.dumps runs the C encoder, json.dump the Python one
-        with open(args.out + ".presentation.json", "w") as fh:
-            fh.write(json.dumps(doc, sort_keys=True))
+        args.side_files[args.out + ".presentation.json"] = json.dumps(
+            doc, sort_keys=True)
     return checks
 
 
@@ -336,8 +336,7 @@ def cmd_run_construction(config, args):
         "deterministic-replay", "pass" if first == second else "fail",
         {"summary_sha256": digest, "bytes": len(first)})]
     if args.out:
-        with open(args.out + ".summary.json", "w") as fh:
-            fh.write(first)
+        args.side_files[args.out + ".summary.json"] = first
     return checks
 
 
@@ -426,6 +425,8 @@ def main(argv=None) -> int:
         # checked before the work: the report and its side files go there
         parser.exit(2, f"{parser.prog}: error: cannot write report "
                        f"{args.out}: {out_dir} is not a writable directory\n")
+    # a handler may leave side files, path -> text, written with the report
+    args.side_files = {}
     try:
         config, args.config_sha256 = _load_config(args.config, args.command)
         checks = HANDLERS[args.command](config, args)
@@ -437,10 +438,15 @@ def main(argv=None) -> int:
     doc = emit_report(args.command, args.seed, checks,
                       {"budget_len": args.budget_len})
     try:
+        for path, text in args.side_files.items():
+            what = f"side file {path}"
+            with open(path, "w") as fh:
+                fh.write(text)
+        what = f"report {args.out}"
         write_report(doc, args.out)
     except OSError as exc:
-        parser.exit(2, f"{parser.prog}: error: cannot write report "
-                       f"{args.out}: {exc.strerror}\n")
+        parser.exit(2, f"{parser.prog}: error: cannot write {what}: "
+                       f"{exc.strerror}\n")
     return exit_status(doc, args.escalate_inconclusive)
 
 

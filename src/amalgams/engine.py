@@ -33,7 +33,6 @@ from amalgams.groups import (
     FreeGroup,
     LetterSupportSubgroup,
     good_fellows,
-    is_malnormal,
 )
 from amalgams.canonical import (
     CanonicalWord,
@@ -572,8 +571,8 @@ def audit_stage(state: StageState, gamma: int, levels: Sequence[int]):
                    method="trivial-subgroup")
         elif layer.kind == "free":
             L_grp = FreeGroup([sym(b) for b in lt] + [sym(gamma)])
-            sub = LetterSupportSubgroup(L_grp, [sym(b) for b in lt])
-            verdict = is_malnormal(sub, L_grp)
+            verdict = LetterSupportSubgroup(
+                L_grp, [sym(b) for b in lt]).is_malnormal()
             _audit(state, "layer-malnormality", gamma,
                    "pass" if verdict else "fail", 1, level=i,
                    method="free-factor")

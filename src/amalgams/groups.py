@@ -3,8 +3,9 @@
 Two backends: a finite multiplication table and a free group on a
 symbol list. Subgroups are descriptors: a generated subgroup of a
 finite table (kept as its closure) or the letter-support subgroup of a
-free group (never materialized). Double cosets and malnormality are
-decided exactly on both; any other pair raises.
+free group (never materialized). Each descriptor decides double cosets
+and malnormality in its own group exactly: it labels every element by
+its double coset H·g·H, and ``is_malnormal`` asks about its own group.
 
 Every predicate here is exact and returns a plain bool. The package's
 "inconclusive" outcomes come only from the C' gray zone and Dehn's
@@ -23,7 +24,6 @@ from amalgams import words
 class GroupHandle:
     """Base class for group backends."""
 
-    kind: str = "abstract"
     name: str = "?"
 
     def identity(self) -> "Element":
@@ -89,8 +89,6 @@ class Element:
 
 class FiniteTableGroup(GroupHandle):
     """Finite group given by a 0-based multiplication table."""
-
-    kind = "finite-table"
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "finite"):
         self.name = name
@@ -196,8 +194,6 @@ class FreeGroup(GroupHandle):
     cancels only at the seam.
     """
 
-    kind = "free"
-
     def __init__(self, symbols: Sequence[Hashable], name: Optional[str] = None):
         self.symbols = tuple(symbols)
         if len(set(self.symbols)) != len(self.symbols):
@@ -246,19 +242,30 @@ class FreeGroup(GroupHandle):
 
 
 class SubgroupDescriptor:
-    """Symbolic subgroup of a fixed group."""
+    """Symbolic subgroup H of a fixed group, with its double cosets."""
 
     group: GroupHandle
 
     def contains(self, g: Element) -> bool:
         raise NotImplementedError
 
-    def is_trivial(self) -> bool:
+    def double_coset_label(self, g: Element) -> Hashable:
+        """A label of g that equals the label of h exactly when
+        H·g·H = H·h·H."""
+        raise NotImplementedError
+
+    def is_malnormal(self) -> bool:
+        """Is H malnormal in its group: do the conjugates of H minus 1
+        by elements outside H meet H trivially?"""
         raise NotImplementedError
 
 
 class FiniteGeneratedSubgroup(SubgroupDescriptor):
-    """Subgroup of a finite-table group generated by a list of elements."""
+    """Subgroup of a finite-table group generated by a list of elements.
+
+    Its double-coset label is the least element of H·g·H, read from a
+    table built with the descriptor; malnormality is decided by trying
+    every conjugator."""
 
     def __init__(self, group: FiniteTableGroup, generators: Sequence[Element]):
         if not isinstance(group, FiniteTableGroup):
@@ -268,6 +275,7 @@ class FiniteGeneratedSubgroup(SubgroupDescriptor):
         for g in self.generators:
             group._check_owner(g)
         self._closure = self._compute_closure()
+        self._labels = self._compute_labels()
 
     def _compute_closure(self) -> frozenset:
         seen = {self.group._identity}
@@ -283,12 +291,38 @@ class FiniteGeneratedSubgroup(SubgroupDescriptor):
                     frontier.append(c)
         return frozenset(seen)
 
+    def _compute_labels(self) -> List[int]:
+        table, members = self.group.table, self._closure
+        labels = [-1] * self.group.order
+        for g in range(self.group.order):
+            if labels[g] >= 0:
+                continue
+            orbit = {table[table[u][g]][v] for u in members for v in members}
+            rep = min(orbit)
+            for x in orbit:
+                labels[x] = rep
+        return labels
+
     def contains(self, g: Element) -> bool:
         self.group._check_owner(g)
         return g.payload in self._closure
 
-    def is_trivial(self) -> bool:
-        return len(self._closure) == 1
+    def double_coset_label(self, g: Element) -> int:
+        self.group._check_owner(g)
+        return self._labels[g.payload]
+
+    def is_malnormal(self) -> bool:
+        group, members = self.group, self._closure
+        for g in range(group.order):
+            if g in members:
+                continue
+            ginv = group._inv_payload(g)
+            for h in members:
+                if h == group._identity:
+                    continue
+                if group.table[group.table[ginv][h]][g] in members:
+                    return False
+        return True
 
     def __repr__(self) -> str:
         return f"<gen{list(self.generators)} <= {self.group.name}>"
@@ -309,8 +343,24 @@ class LetterSupportSubgroup(SubgroupDescriptor):
         self.group._check_owner(g)
         return all(sym in self.symbols for sym, _ in g.payload)
 
-    def is_trivial(self) -> bool:
-        return not self.symbols
+    def double_coset_label(self, g: Element, split=None) -> Hashable:
+        """The label "H" for an element of H, else its skeleton and
+        inner H-segments. u·g·v with u, v in H reduces without cancelling any
+        letter outside H, so the skeleton and the inner H-segments of
+        the reduced word are double-coset invariants; H absorbs the
+        outer segments exactly. ``split``, if given, is
+        ``segments(g.payload, self.symbols)``."""
+        self.group._check_owner(g)
+        skel, segs = split or segments(g.payload, self.symbols)
+        if not skel:
+            return "H"
+        return tuple(skel), tuple(segs[1:-1])
+
+    def is_malnormal(self) -> bool:
+        # g^-1 h g for h in H minus 1 and g outside H keeps a nonempty
+        # skeleton (the conjugating skeleton letters cannot cancel across
+        # the nontrivial H-core), so the conjugate is never in H
+        return True
 
     def __repr__(self) -> str:
         return f"<F({sorted(map(str, self.symbols))}) <= {self.group.name}>"
@@ -335,68 +385,13 @@ def segments(word_payload, symbols: frozenset):
 
 def in_double_coset(g: Element, sub: SubgroupDescriptor, h: Element) -> bool:
     """Is g an element of sub * h * sub?"""
-    group = sub.group
-    group._check_owner(g)
-    group._check_owner(h)
-    if isinstance(sub, FiniteGeneratedSubgroup):
-        for u in sub._closure:
-            uh = group.table[u][h.payload]
-            for v in sub._closure:
-                if group.table[uh][v] == g.payload:
-                    return True
-        return False
-    if isinstance(sub, LetterSupportSubgroup):
-        # In a free group with H generated by a sub-alphabet, u*h*v reduces
-        # without cancelling any non-H letter, so the skeleton and the inner
-        # H-segments of the reduced word are double-coset invariants; the
-        # outer segments are absorbed by H exactly.
-        skel_g, segs_g = segments(g.payload, sub.symbols)
-        skel_h, segs_h = segments(h.payload, sub.symbols)
-        if skel_g != skel_h:
-            return False
-        if not skel_g:
-            # both lie in H itself
-            return True
-        return segs_g[1:-1] == segs_h[1:-1]
-    raise TypeError(f"no double-coset procedure for {type(sub).__name__}")
+    return sub.double_coset_label(g) == sub.double_coset_label(h)
 
 
 def good_fellows(g: Element, h: Element, sub: SubgroupDescriptor) -> bool:
     """True iff g lies in neither sub*h*sub nor sub*h^-1*sub."""
     return not (in_double_coset(g, sub, h)
                 or in_double_coset(g, sub, h.inv()))
-
-
-def is_malnormal(sub: SubgroupDescriptor, ambient: GroupHandle) -> bool:
-    """Is sub malnormal in ambient: conjugates of sub minus 1 by outside
-    elements meet sub trivially. Decided for a subgroup of a finite
-    table, by trying every conjugator, and for a letter-support subgroup
-    of a free group; any other pair raises TypeError."""
-    if sub.is_trivial():
-        return True
-    if isinstance(sub, FiniteGeneratedSubgroup):
-        if sub.group is not ambient:
-            raise ValueError("descriptor must live in the ambient group")
-        ident = ambient._identity
-        members = sub._closure
-        for g in range(ambient.order):
-            if g in members:
-                continue
-            ginv = ambient._inv_payload(g)
-            for h in members:
-                if h == ident:
-                    continue
-                conj = ambient.table[ambient.table[ginv][h]][g]
-                if conj in members:
-                    return False
-        return True
-    if isinstance(ambient, FreeGroup) and isinstance(sub, LetterSupportSubgroup):
-        # g^-1 h g for h in H minus 1 and g outside H keeps a nonempty
-        # skeleton (the conjugating skeleton letters cannot cancel across
-        # the nontrivial H-core), so the conjugate is never in H.
-        return True
-    raise TypeError(f"no malnormality procedure for {type(sub).__name__} "
-                    f"in {type(ambient).__name__}")
 
 
 # ---------------------------------------------------------------------------

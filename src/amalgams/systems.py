@@ -22,7 +22,6 @@ from amalgams.groups import (
     FreeGroup,
     LetterSupportSubgroup,
     good_fellows,
-    is_malnormal,
 )
 from amalgams import words
 from amalgams.canonical import (
@@ -65,12 +64,12 @@ class SubgroupPairHint:
     """Witness subgroups for the fourth separation case of a pair, as
     letter-support subgroups of a shared-free amalgam.
 
-    h_prime_k / h_prime_l describe the same subgroup H' <= H on the two
-    sides; k_prime is the intermediate K' <= K with K' meet H = H'.
+    h_prime is the subgroup H' <= H, held on the L side, where the good
+    fellows of clause iii live; k_prime is the intermediate K' <= K
+    with K' meet H = H'.
     """
 
-    h_prime_k: LetterSupportSubgroup
-    h_prime_l: LetterSupportSubgroup
+    h_prime: LetterSupportSubgroup
     k_prime: LetterSupportSubgroup
 
 
@@ -123,13 +122,9 @@ def _case_c(ei: SystemEntry, ej: SystemEntry, T: AmalgamTriple) -> bool:
 
 
 def _subgroups_match(hint: SubgroupPairHint, T: SharedFreeAmalgam) -> bool:
-    """The two H' descriptors name the same subgroup of H, and K' meets
-    H exactly in H'."""
-    hk, hl, kp = hint.h_prime_k, hint.h_prime_l, hint.k_prime
-    if hk.symbols != hl.symbols or not hk.symbols <= T.h_symbols:
-        return False
-    # letter-support subgroups intersect on the symbol intersection
-    return kp.symbols & T.h_symbols == hk.symbols
+    """K' meets H exactly in H', which puts H' inside H: letter-support
+    subgroups intersect on the symbol intersection."""
+    return hint.k_prime.symbols & T.h_symbols == hint.h_prime.symbols
 
 
 def _case_d(ei: SystemEntry, ej: SystemEntry, T: AmalgamTriple,
@@ -156,7 +151,7 @@ def _case_d(ei: SystemEntry, ej: SystemEntry, T: AmalgamTriple,
     """
     return (hint is not None and _subgroups_match(hint, T)
             and hint.k_prime.contains(ei.a) and hint.k_prime.contains(ej.a)
-            and good_fellows(ei.b, ej.b, hint.h_prime_l))
+            and good_fellows(ei.b, ej.b, hint.h_prime))
 
 
 def validate_system(
@@ -172,7 +167,7 @@ def validate_system(
     """
     hints = hints or {}
     # the standing hypothesis: H is malnormal in L, decided exactly
-    if not is_malnormal(T.h_subgroup(L_SIDE), T.L):
+    if not T.h_subgroup(L_SIDE).is_malnormal():
         return ValidationReport("invalid",
                                 witness={"clause": "H-malnormal-in-L"},
                                 h_malnormal_in_l="no")
@@ -315,8 +310,7 @@ def load_system_fixture(path) -> Tuple[AmalgamTriple, List[SystemEntry],
             if not isinstance(T, SharedFreeAmalgam):
                 raise ValueError("subgroup hints are letter-based only")
             hints[frozenset((item["i"], item["j"]))] = SubgroupPairHint(
-                h_prime_k=LetterSupportSubgroup(K, item["h_prime"]),
-                h_prime_l=LetterSupportSubgroup(L, item["h_prime"]),
+                h_prime=LetterSupportSubgroup(L, item["h_prime"]),
                 k_prime=LetterSupportSubgroup(K, item["k_prime"]))
     except (LookupError, TypeError, ValueError) as exc:
         raise FixtureError(f"fixture {path}: {where}: {exc}") from None

@@ -38,6 +38,7 @@ WORDS_RUNS = (
 LCR_CHANGE = "longest_common_run in linear time with a suffix automaton"
 RUNS_CHANGE = "runs_at_least by sampled exact search, not window hashing"
 ROW_CHANGE = "one decomposition row per (element, level) for every cut"
+LABEL_CHANGE = "subgroup descriptors own the double-coset decision"
 
 MUTANTS = (
     Mutant("lcr-clone-first-end", "_pykernels.py",
@@ -82,4 +83,24 @@ MUTANTS = (
     Mutant("row-cut-unclamped", "engine.py",
            "[min(max(beta, 0), gamma)]", "[beta]",
            (MEMO,), ROW_CHANGE),
+    # H·g instead of H·g·H differs only where H is not normal
+    Mutant("finite-orbit-without-right-factor", "groups.py",
+           "orbit = {table[table[u][g]][v] for u in members for v in members}",
+           "orbit = {table[u][g] for u in members}",
+           ("tests/test_canonical.py::"
+            "test_table_coset_label_is_the_double_coset",
+            "tests/test_cancellation.py::"
+            "test_dehn_finds_long_part_inside_shorter_chain"), LABEL_CHANGE),
+    Mutant("letter-label-outer-segments", "groups.py",
+           "tuple(segs[1:-1])", "tuple(segs)",
+           ("tests/test_canonical.py::"
+            "test_shared_free_coset_label_is_the_double_coset",
+            "tests/test_groups.py::test_double_coset_letter_support",
+            "tests/test_systems.py::test_d_case_needs_its_hint"),
+           LABEL_CHANGE),
+    Mutant("finite-malnormal-counts-identity", "groups.py",
+           "                if h == group._identity:\n"
+           "                    continue\n", "",
+           ("tests/test_groups.py::test_malnormal_finite_exhaustive",
+            "tests/test_cli.py::test_table_fixtures_finish"), LABEL_CHANGE),
 )

@@ -23,10 +23,11 @@ from amalgams.canonical import (
     word_from_json,
     word_to_json,
 )
-from amalgams.groups import ElementRegistry
+from amalgams.groups import ElementRegistry, segments
 
-from amalgam_instances import ALL_INSTANCES
-from oracles import exhaustive_chain_equal, wcr_conjugates
+from amalgam_instances import ALL_INSTANCES, instance_s3_z4, \
+    random_shared_free
+from oracles import double_coset, exhaustive_chain_equal, wcr_conjugates
 
 
 def random_syllables(T, rng, max_len=5):
@@ -266,3 +267,67 @@ def test_table_junction_solutions_are_every_seed():
         assert all(h.owner is group for h in seeds)
         assert T.junction_solutions(Element(group, 1),
                                     Element(group, 2)) == []
+
+
+@pytest.mark.parametrize("make", ALL_INSTANCES + (instance_s3_z4,))
+def test_table_coset_label_is_the_double_coset(make):
+    # two labels agree exactly when the oracle puts g in H·h·H; in
+    # S3*Z4/Z2, H is not normal in S3, so H·h·H is not the coset H·h
+    T, oracle = make()
+    for side in (K_SIDE, L_SIDE):
+        table, h_set = oracle.tables[side], oracle.h_sets[side]
+        elts = T.side_group(side).elements()
+        for h in elts:
+            coset = double_coset(table, h_set, h.payload)
+            for g in elts:
+                same = T.coset_label(g) == T.coset_label(h)
+                assert same is (g.payload in coset), (side, g, h)
+
+
+def test_shared_free_coset_label_is_the_double_coset():
+    # u·g·v keeps g's label for H-words u and v; two equal labels give
+    # H-words u, v with u·g·v = g' (the outer H-segments); and the
+    # labels of the two sides differ
+    rng = random.Random(26)
+    for _ in range(20):
+        T = random_shared_free(rng)
+        hs = sorted(T.h_symbols)
+        labels = {}
+        for side in (K_SIDE, L_SIDE):
+            G = T.side_group(side)
+            syms = sorted(G.symbols)
+
+            def word(pool, n):
+                return G.element([(rng.choice(pool), rng.choice((1, -1)))
+                                  for _ in range(rng.randrange(n + 1))])
+
+            for _ in range(60):
+                g, g2 = word(syms, 5), word(syms, 5)
+                u, v = word(hs, 4), word(hs, 4)
+                assert T.coset_label(G.mul(G.mul(u, g), v)) \
+                    == T.coset_label(g)
+                labels.setdefault(side, set()).add(T.coset_label(g))
+                if T.coset_label(g2) != T.coset_label(g):
+                    continue
+                if T.in_H(g):
+                    u, v = G.mul(g2, g.inv()), G.identity()
+                else:
+                    (_, s), (_, s2) = (segments(x.payload, T.h_symbols)
+                                       for x in (g, g2))
+                    u = G.mul(Element(G, s2[0]), Element(G, s[0]).inv())
+                    v = G.mul(Element(G, s[-1]).inv(), Element(G, s2[-1]))
+                assert T.in_H(u) and T.in_H(v)
+                assert G.mul(G.mul(u, g), v) == g2
+        assert labels[K_SIDE].isdisjoint(labels[L_SIDE])
+
+
+def test_shared_free_coset_label_separates_double_cosets():
+    # the pairs that lie in different double cosets in
+    # test_double_coset_letter_support
+    K, L = FreeGroup(["h", "a", "b"]), FreeGroup(["h", "c"])
+    T = SharedFreeAmalgam(K, L, ["h"])
+    a = K.generator("a")
+    u = K.element([("a", 1), ("h", 1), ("b", 1)])
+    for g, h in ((K.element([("a", 1), ("a", 1)]), a),
+                 (K.element([("a", 1), ("h", -1), ("b", 1)]), u)):
+        assert T.coset_label(g) != T.coset_label(h)

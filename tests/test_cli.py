@@ -626,6 +626,25 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
         f"Is a directory\n")
 
 
+@pytest.mark.parametrize("command, suffix", [
+    ("build-stage", ".presentation.json"),
+    ("run-construction", ".summary.json")])
+def test_unwritable_side_file_is_a_usage_error(tmp_path, capsys, command,
+                                               suffix):
+    # a side file whose path cannot be opened (here a directory) exits 2
+    # with one line naming it, as the report does
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"generators": 2, "stages": 2}))
+    out = tmp_path / "r.json"
+    side = tmp_path / ("r.json" + suffix)
+    side.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"amalgams: error: cannot write side file {side}: Is a directory\n")
+
+
 def test_bad_budget_rejected(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text("{}")

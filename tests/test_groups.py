@@ -17,7 +17,6 @@ from amalgams.groups import (
     LetterSupportSubgroup,
     good_fellows,
     in_double_coset,
-    is_malnormal,
 )
 
 from oracles import double_coset
@@ -185,20 +184,15 @@ def test_malnormal_finite_exhaustive():
     cycle = perms.index((1, 2, 0))
     H2 = FiniteGeneratedSubgroup(S3, [S3.element(transposition)])
     H3 = FiniteGeneratedSubgroup(S3, [S3.element(cycle)])
-    assert is_malnormal(H2, S3) is True
+    assert H2.is_malnormal() is True
     # the 3-cycle subgroup is normal, hence not malnormal in S3
-    assert is_malnormal(H3, S3) is False
-    assert is_malnormal(FiniteGeneratedSubgroup(S3, []), S3) is True
+    assert H3.is_malnormal() is False
+    assert FiniteGeneratedSubgroup(S3, []).is_malnormal() is True
 
 
 def test_malnormal_letter_support():
     F = FreeGroup(["h", "x"])
-    assert is_malnormal(LetterSupportSubgroup(F, ["h"]), F) is True
-    # no procedure for a pair of mixed backends: it raises, it does not
-    # answer
-    with pytest.raises(TypeError):
-        is_malnormal(LetterSupportSubgroup(F, ["h"]),
-                     FiniteTableGroup.cyclic(2))
+    assert LetterSupportSubgroup(F, ["h"]).is_malnormal() is True
 
 
 def test_registry_roundtrip():

@@ -86,11 +86,15 @@ def test_d_case_needs_its_hint():
 def test_d_case_hint_with_wrong_intersection_rejected():
     T, S, _ = load("d_case")
     bad = {frozenset((0, 1)): SubgroupPairHint(
-        h_prime_k=LetterSupportSubgroup(T.K, ["h"]),
-        h_prime_l=LetterSupportSubgroup(T.L, ["h"]),
+        h_prime=LetterSupportSubgroup(T.L, ["h"]),
         k_prime=LetterSupportSubgroup(T.K, ["h2", "a"]))}
     rep = validate_system(S, T, hints=bad)
     assert rep.status == "invalid"
+    # an H' with a letter of L outside H fails the same clause
+    outside = {frozenset((0, 1)): SubgroupPairHint(
+        h_prime=LetterSupportSubgroup(T.L, ["h2", "b"]),
+        k_prime=LetterSupportSubgroup(T.K, ["h2", "a"]))}
+    assert validate_system(S, T, hints=outside).status == "invalid"
 
 
 def test_d_case_fails_at_each_remaining_clause():
@@ -98,7 +102,7 @@ def test_d_case_fails_at_each_remaining_clause():
     T, S, hints = load("d_case")
     hint = hints[frozenset((0, 1))]
     no_a = {frozenset((0, 1)): SubgroupPairHint(
-        h_prime_k=hint.h_prime_k, h_prime_l=hint.h_prime_l,
+        h_prime=hint.h_prime,
         k_prime=LetterSupportSubgroup(T.K, ["h2"]))}
     # clause iii: b_1 = h2 b lies in H' b_0 H' with H' = <h2>
     e1 = S[1]
