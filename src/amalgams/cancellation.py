@@ -440,12 +440,11 @@ def _scan_cprime(R: RelatorSet) -> CPrimeResult:
                         continue  # the excluded self-alignment
                     if res.ell >= k_min:
                         h_elt = res.h0
-                        side = "K" if h_elt.owner is T.K else "L"
                         wit = CPrimeWitness(
                             u1.uid, u2.uid, (n - 1 - s - o) % n,
                             (j + o) % m, res.ell, min(n, m), k_min,
                             h_elt.owner.payload_to_json(h_elt.payload),
-                            side)
+                            T.side_of_group(h_elt.owner))
                         return CPrimeResult("fail", wit, res.ell, pairs)
                     max_core = max(max_core, res.ell)
                     if res.ell >= scan_k:

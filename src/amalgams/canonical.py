@@ -3,8 +3,11 @@
 A canonical word is an alternating sequence of syllables from K minus H
 and L minus H (or a single element, or empty for the identity). Two
 canonical words represent the same group element exactly when an
-interleaving chain of H-elements connects them syllable by syllable;
-``canonical_equal`` decides this by forward propagation.
+interleaving chain of H-elements connects them syllable by syllable
+(Lyndon–Schupp, *Combinatorial Group Theory*, IV.2);
+``cancellation.cancellation_chain`` walks such chains. ``canonicalize``
+returns one representative, and a canonical word is its own normal
+form.
 """
 
 from __future__ import annotations
@@ -62,10 +65,12 @@ class AmalgamTriple:
     which decides the double cosets H·g·H that ``coset_label`` reads.
     Subclasses provide H-membership per side, transfer of H-elements
     between the sides, and the seeds of a cancellation chain: every
-    H-element h with a·h·b ∈ H (``junction_solutions``). A subclass with
-    ``label_and_ends`` has at most one seed per junction, so its chains
-    can be compared as codes. ``ambient`` is the free group on the union
-    alphabet when the amalgam is one (a shared-free amalgam), else None.
+    H-element h with a·h·b ∈ H (``junction_solutions``), in a fixed
+    order, since a chain keeps the first seed that runs longest. A
+    subclass with ``label_and_ends`` has at most one seed per junction,
+    so its chains can be compared as codes. ``ambient`` is the free
+    group on the union alphabet when the amalgam is one (a shared-free
+    amalgam), else None.
     """
 
     name: str = "amalgam"
@@ -91,10 +96,6 @@ class AmalgamTriple:
 
     def transfer(self, g: Element, side: str) -> Element:
         """Re-express an H-element on the given side."""
-        raise NotImplementedError
-
-    def h_sample(self, budget: int) -> List[Element]:
-        """Some H-elements on the K side, identity first."""
         raise NotImplementedError
 
     def h_subgroup(self, side: str) -> SubgroupDescriptor:
@@ -166,15 +167,13 @@ class TableAmalgam(AmalgamTriple):
             raise ValueError(f"{g!r} is not in H")
         return Element(self.side_group(side), table[g.payload])
 
-    def h_sample(self, budget: int) -> List[Element]:
-        ordered = sorted(self._k2l)
-        ordered.remove(self.K._identity)
-        ordered.insert(0, self.K._identity)
-        return [Element(self.K, p) for p in ordered[:budget]]
-
     def junction_solutions(self, a: Element, b: Element) -> List[Element]:
+        # every H-element is tried, identity first and then by K index,
+        # so the first seed of a chain is fixed
         group, side = a.owner, self.side_of_group(a.owner)
-        hs = [self.transfer(h, side) for h in self.h_sample(len(self._k2l))]
+        ks = sorted(self._k2l, key=lambda k: (k != self.K._identity, k))
+        hs = [Element(group, k if side == K_SIDE else self._k2l[k])
+              for k in ks]
         return [h for h in hs if self.in_H(group.mul(group.mul(a, h), b))]
 
     def coset_label(self, g: Element) -> Hashable:
@@ -214,21 +213,6 @@ class SharedFreeAmalgam(AmalgamTriple):
         if not self.in_H(g):
             raise ValueError(f"{g!r} is not in H")
         return Element(self.side_group(side), g.payload)
-
-    def h_sample(self, budget: int) -> List[Element]:
-        out = [self.K.identity()]
-        # short H-words in length-lex order
-        syms = sorted(self.h_symbols, key=str)
-        for n in (1, 2):
-            for letters in itertools.product(
-                [(s, sign) for s in syms for sign in (1, -1)], repeat=n
-            ):
-                g = self.K.element(letters)
-                if len(g.payload) == n:
-                    out.append(g)
-                if len(out) >= budget:
-                    return out[:budget]
-        return out[:budget]
 
     def coset_label(self, g: Element, split=None) -> Hashable:
         """``split``, if given, is ``segments(g.payload, h_symbols)``."""
@@ -370,48 +354,6 @@ def canonical_inverse(w: CanonicalWord, T: AmalgamTriple) -> CanonicalWord:
         inverses[key] = Syllable(s.side, s.elt.inv())
     return CanonicalWord(
         tuple([inverses[id(s)] for s in reversed(w.syllables)]))
-
-
-def canonical_equal(u: CanonicalWord, v: CanonicalWord, T: AmalgamTriple) -> bool:
-    """Equality via forward propagation of the interleaving h-chain."""
-    if len(u) != len(v):
-        return False
-    if [s.side for s in u.syllables] != [s.side for s in v.syllables]:
-        # a length-1 H-word may sit on either side
-        return len(u) == 1 and _h_word_equal(u, v, T) is True
-    if len(u) == 0:
-        return True
-    if len(u) == 1:
-        res = _h_word_equal(u, v, T)
-        if res is not None:
-            return res
-        group = T.side_group(u[0].side)
-        return group.is_identity(group.mul(u[0].elt.inv(), v[0].elt))
-    h = T.side_group(u[0].side).identity()
-    for i in range(len(u)):
-        side = u[i].side
-        group = T.side_group(side)
-        h = T.transfer(h, side)
-        nxt = group.mul(group.mul(u[i].elt.inv(), h), v[i].elt)
-        if not T.in_H(nxt):
-            return False
-        h = nxt
-    final = T.transfer(h, K_SIDE)
-    return T.K.is_identity(final)
-
-
-def _h_word_equal(u: CanonicalWord, v: CanonicalWord, T: AmalgamTriple) -> Optional[bool]:
-    """Compare length-1 words when at least one lies in H; None otherwise."""
-    u_in = T.in_H(u[0].elt)
-    v_in = T.in_H(v[0].elt)
-    if not (u_in or v_in):
-        return None
-    if u_in != v_in:
-        return False
-    side = u[0].side
-    group = T.side_group(side)
-    hv = T.transfer(v[0].elt, side)
-    return group.is_identity(group.mul(u[0].elt.inv(), hv))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from amalgams.groups import FiniteTableGroup
 from amalgams.canonical import (
     K_SIDE,
     L_SIDE,
-    canonical_equal,
     canonicalize,
     syllable,
 )
@@ -146,33 +145,16 @@ def _sample_words(T, rng):
 
 def cmd_check_amalgam(config, args):
     T, _, _ = load_system_fixture(config["fixture"])
-    rng = random.Random(args.seed)
-    checks = []
-    # shared-subgroup sanity: H reads the same from both sides
-    hs = T.h_sample(8)
-    ok = all(T.in_H(h) for h in hs)
-    ok = ok and all(
-        T.transfer(T.transfer(h, L_SIDE), K_SIDE).payload == h.payload
-        for h in hs)
-    checks.append(CheckResult(
-        "h-transfer-roundtrip", "pass" if ok else "fail",
-        {"samples": len(hs)}))
-    # normalization is idempotent and equality is reflexive on samples
-    words_sample = _sample_words(T, rng)
-    stable = 0
-    for sylls in words_sample:
+    sample = _sample_words(T, random.Random(args.seed))
+    # a normal form is a fixed point of normalization, syllable for
+    # syllable: moving an H-factor across a seam changes the word
+    for sylls in sample:
         w = canonicalize(sylls, T)
-        w2 = canonicalize(w.syllables, T)
-        if not canonical_equal(w, w2, T):
-            checks.append(CheckResult(
-                "canonicalize-idempotent", "fail",
-                {"word": [str(s) for s in sylls]}))
-            break
-        stable += 1
-    else:
-        checks.append(CheckResult("canonicalize-idempotent", "pass",
-                                  {"samples": stable}))
-    return checks
+        if canonicalize(w.syllables, T).syllables != w.syllables:
+            return [CheckResult("canonicalize-idempotent", "fail",
+                                {"word": [str(s) for s in sylls]})]
+    return [CheckResult("canonicalize-idempotent", "pass",
+                        {"samples": len(sample)})]
 
 
 def cmd_check_smallcancel(config, args):
@@ -227,8 +209,8 @@ def _parse_word(T, spec, built, n):
 
 
 def _build_syllable(T, item, where):
-    """The syllable a solve-word syllable spec names, checked against
-    its side's alphabet."""
+    """The syllable a solve-word syllable spec names; its letters are
+    checked where every free-group element is built."""
     side, letters = item["side"], item["letters"]
     if side not in (K_SIDE, L_SIDE):
         raise ConfigError(f"{where}: side must be 'K' or 'L', not {side!r}")
@@ -236,20 +218,10 @@ def _build_syllable(T, item, where):
     if isinstance(group, FiniteTableGroup):
         raise ConfigError(f"{where}: side {side} is a finite table; "
                           f"solve-word reads letters of free factors")
-    if not isinstance(letters, list):
-        raise ConfigError(f"{where}: 'letters' is not a list")
-    for letter in letters:
-        if not isinstance(letter, list) or len(letter) != 2:
-            raise ConfigError(f"{where}: letter {letter!r} is not a "
-                              f"[symbol, sign] pair")
-        sym, sign = letter
-        if sym not in group.symbols:
-            raise ConfigError(f"{where}: {sym!r} is not a letter of side "
-                              f"{side}")
-        if type(sign) is not int or sign not in (1, -1):
-            raise ConfigError(f"{where}: sign of {sym!r} must be 1 or -1, "
-                              f"not {sign!r}")
-    return syllable(side, group.element(letters))
+    try:
+        return syllable(side, group.element(letters))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def cmd_solve_word(config, args):

@@ -767,8 +767,8 @@ def _pumped_window_check(layer: StageLayer) -> dict:
     T, R = layer.amalgam, layer.relators
     threshold = part_threshold(RHO_EVEN_LENGTH)
     out = {"threshold": threshold, "entries": []}
+    half = words.RHO_LENGTH
     for n, sysent in enumerate(layer.system):
-        half = 3320
         window_sylls = []
         pair = (syllable(L_SIDE, sysent.b), syllable(K_SIDE, sysent.a))
         for _ in range(half):

@@ -40,8 +40,9 @@ from amalgams.cancellation import (
     symmetrized_closure,
 )
 
-# the syllables of every relator h^-1 rho(b a, b' a) of a typed entry
-RHO_EVEN_LENGTH = 6640
+# the syllables of every relator h^-1 rho(b a, b' a) of a typed entry:
+# x = b a and y = b' a have two each
+RHO_EVEN_LENGTH = 2 * words.RHO_LENGTH  # 6640
 
 
 @dataclass(frozen=True)
@@ -264,8 +265,9 @@ def load_system_fixture(path) -> Tuple[AmalgamTriple, List[SystemEntry],
     """Self-contained fixture file: group alphabets (or tables), entries
     as letter lists and optional subgroup hints. Raises
     FixtureError for a file that is not JSON, an unknown kind, a
-    missing key, or an amalgam, entry or hint that cannot be built (the
-    error names the entry and key, or the hint)."""
+    missing key, an amalgam, entry or hint that cannot be built, or a
+    hint whose i and j are not two different entry indices (the error
+    names the entry and key, or the hint)."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -305,13 +307,21 @@ def load_system_fixture(path) -> Tuple[AmalgamTriple, List[SystemEntry],
                 elts[key] = group.element(item[key])
             entries.append(SystemEntry(**elts, index=item.get("index", pos)))
         hints: Dict[frozenset, SubgroupPairHint] = {}
+        indices = {e.index for e in entries}
         for pos, item in enumerate(data.get("dprime_hints", [])):
             where = f"dprime_hints {pos}"
             if not isinstance(T, SharedFreeAmalgam):
                 raise ValueError("subgroup hints are letter-based only")
-            hints[frozenset((item["i"], item["j"]))] = SubgroupPairHint(
+            hint = SubgroupPairHint(
                 h_prime=LetterSupportSubgroup(L, item["h_prime"]),
                 k_prime=LetterSupportSubgroup(K, item["k_prime"]))
+            pair = frozenset((item["i"], item["j"]))
+            # a hint for an absent pair would never be read
+            if len(pair) != 2 or not pair <= indices:
+                raise ValueError(
+                    f"i and j must be two different entry indices, not "
+                    f"{item['i']!r} and {item['j']!r}")
+            hints[pair] = hint
     except (LookupError, TypeError, ValueError) as exc:
         raise FixtureError(f"fixture {path}: {where}: {exc}") from None
     return T, entries, hints

@@ -17,14 +17,23 @@ FormalWord = Tuple[Letter, ...]
 # 80 blocks x^1 y ... x^80 y; the block exponents sum to 3240.
 RHO_BLOCKS = 80
 RHO_X_TOTAL = sum(range(1, RHO_BLOCKS + 1))  # 3240
+# len(rho(x, y)) for one-item x and y
+RHO_LENGTH = RHO_X_TOTAL + RHO_BLOCKS  # 3320
 
 
-def word(letters: Iterable[Tuple[Hashable, int]]) -> FormalWord:
-    w = tuple((sym, int(sign)) for sym, sign in letters)
-    for sym, sign in w:
-        if sign not in (1, -1):
+def word(letters: Iterable[Letter]) -> FormalWord:
+    """The letters as a word: ValueError unless each is a [symbol, sign]
+    list or tuple whose sign is the int 1 or -1 (not a bool or float)."""
+    w = []
+    for letter in letters:
+        if type(letter) not in (list, tuple) or len(letter) != 2:
+            raise ValueError(f"letter {letter!r} is not a [symbol, sign] "
+                             f"pair")
+        sym, sign = letter
+        if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"letter sign must be +-1, got {sign!r}")
-    return w
+        w.append((sym, sign))
+    return tuple(w)
 
 
 def free_reduce(w: Sequence[Letter]) -> FormalWord:

@@ -85,3 +85,22 @@ def random_shared_free(rng):
     K = FreeGroup(h + [f"a{i}" for i in range(rng.randint(1, 2))])
     L = FreeGroup(h + [f"b{i}" for i in range(rng.randint(1, 2))])
     return SharedFreeAmalgam(K, L, h)
+
+
+def h_elements(T, n: int) -> list:
+    """Up to n H-elements on the K side, identity first: on a finite
+    table the rest of H by index, on a free side the reduced H-words of
+    one and two letters in length-lex order."""
+    K = T.K
+    if isinstance(K, FiniteTableGroup):
+        return sorted((g for g in K.elements() if T.in_H(g)),
+                      key=lambda g: (not K.is_identity(g), g.payload))[:n]
+    letters = [(s, sign) for s in sorted(T.h_symbols, key=str)
+               for sign in (1, -1)]
+    out = [K.identity()]
+    for length in (1, 2):
+        for w in itertools.product(letters, repeat=length):
+            g = K.element(w)
+            if len(g.payload) == length:
+                out.append(g)
+    return out[:n]

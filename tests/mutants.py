@@ -39,6 +39,9 @@ LCR_CHANGE = "longest_common_run in linear time with a suffix automaton"
 RUNS_CHANGE = "runs_at_least by sampled exact search, not window hashing"
 ROW_CHANGE = "one decomposition row per (element, level) for every cut"
 LABEL_CHANGE = "subgroup descriptors own the double-coset decision"
+FREE_REPLAY_CHANGE = "flat replay of Dehn parts on shared-free amalgams"
+WRAP_CHANGE = "a full wrap is a self-alignment only from seed 1 to end 1"
+GATE_CHANGE = "build_quotient is the C'(1/10) gate alone"
 
 MUTANTS = (
     Mutant("lcr-clone-first-end", "_pykernels.py",
@@ -103,4 +106,19 @@ MUTANTS = (
            "                    continue\n", "",
            ("tests/test_groups.py::test_malnormal_finite_exhaustive",
             "tests/test_cli.py::test_table_fixtures_finish"), LABEL_CHANGE),
+    # every reduced product then counts as a part of length t
+    Mutant("free-part-without-h-test", "cancellation.py",
+           "    if not T.in_H(h_end):\n"
+           "        return ChainResult(0, h0, False)\n", "",
+           ("tests/test_cancellation.py::"
+            "test_free_replay_matches_element_replay",), FREE_REPLAY_CHANGE),
+    # corrupted's r1 = h^-1·r0 would read as the excluded self-alignment
+    Mutant("wrap-without-seed-test", "cancellation.py",
+           "and h0.owner.is_identity(h0) \\\n            and ", "and ",
+           ("tests/test_cancellation.py::"
+            "test_corrupted_h_translate_diagonal_is_a_piece",), WRAP_CHANGE),
+    Mutant("quotient-gate-at-one", "cancellation.py",
+           "if R.chi > Fraction(1, 10):", "if R.chi > Fraction(1, 1):",
+           ("tests/test_cancellation.py::"
+            "test_build_quotient_gates_at_one_tenth_only",), GATE_CHANGE),
 )

@@ -20,7 +20,6 @@ from amalgams.cancellation import (
 from amalgams.canonical import (
     CanonicalWord,
     Syllable,
-    canonical_equal,
     is_wcr,
     rotate,
 )
@@ -217,37 +216,6 @@ class FiniteAmalgamOracle:
 
     def length(self, form) -> int:
         return len(form[2])
-
-
-def exhaustive_chain_equal(oracle: FiniteAmalgamOracle,
-                           u: Sequence[Tuple[str, int]],
-                           v: Sequence[Tuple[str, int]]) -> bool:
-    """Search all interleaving H-chains with h0 = hn = id directly."""
-    if len(u) != len(v):
-        return False
-    n = len(u)
-    if n == 0:
-        return True
-    if [s for s, _ in u] != [s for s, _ in v]:
-        return False
-    id_k = oracle.identity["K"]
-
-    def step(i: int, h_k: int) -> bool:
-        # h_k is the chain value h_i, coded on the K side
-        if i == n:
-            return h_k == id_k
-        side, gu = u[i]
-        gv = v[i][1]
-        table = oracle.tables[side]
-        h_inv = oracle.inverse(side, oracle.transfer(h_k, "K", side))
-        for h_next in oracle.h_sets[side]:
-            # require gv = h_i^-1 * gu * h_{i+1}
-            if table[h_inv][table[gu][h_next]] == gv:
-                if step(i + 1, oracle.transfer(h_next, side, "K")):
-                    return True
-        return False
-
-    return step(0, id_k)
 
 
 def naive_part_length(oracle: FiniteAmalgamOracle,
@@ -455,8 +423,29 @@ def reference_transversal_rep(g, gamma: int, i: int, beta: int, state):
 #
 # The package's scanners read a relator set's closure implicitly, through
 # cyclic label arrays. Here it is enumerated: every weakly cyclically
-# reduced conjugate reachable by rotation and seam-splitting, each
-# compared with canonical_equal. Feasible only for small relators.
+# reduced conjugate reachable by rotation and seam-splitting, each kept
+# once per element of the group. A shared-free amalgam is the free group
+# on the union of its alphabets, so two of its words name one element
+# exactly when their letters, concatenated and freely reduced, agree.
+# Feasible only for small relators of shared-free amalgams.
+
+
+def flat_letters(w) -> tuple:
+    """The letters of a word of a shared-free amalgam, concatenated and
+    freely reduced by a stack."""
+    out: list = []
+    for syl in w.syllables:
+        for sym, sign in syl.elt.payload:
+            if out and out[-1] == (sym, -sign):
+                out.pop()
+            else:
+                out.append((sym, sign))
+    return tuple(out)
+
+
+def flat_equal(u, v) -> bool:
+    """Do two words of a shared-free amalgam name one element?"""
+    return flat_letters(u) == flat_letters(v)
 
 
 def split_candidates(T, syl):
@@ -474,32 +463,28 @@ def split_candidates(T, syl):
             if not T.in_H(x1) and not T.in_H(x2)]
 
 
-def _word_key(w, T) -> tuple:
-    return tuple((s.side, T.coset_label(s.elt)) for s in w.syllables)
-
-
-def _dedup_insert(pool: dict, w, T) -> bool:
-    bucket = pool.setdefault(_word_key(w, T), [])
-    if any(canonical_equal(seen, w, T) for seen in bucket):
-        return False
-    bucket.append(w)
-    return True
-
-
 def wcr_conjugates(w, T, budget: int = 10_000,
                    include_splittings: bool = True) -> list:
     """All weakly cyclically reduced conjugates reachable by rotation and
-    seam-splitting, deduplicated up to canonical equality."""
+    seam-splitting, one word per element of the group."""
     if w.is_empty():
         raise ValueError("wcr_conjugates requires a nontrivial word")
-    pool: dict = {}
+    seen = set()
+
+    def first_visit(word) -> bool:
+        key = flat_letters(word)
+        if key in seen:
+            return False
+        seen.add(key)
+        return True
+
     out = []
     frontier = [w]
     steps = 0
     while frontier and steps < budget:
         cur = frontier.pop()
         steps += 1
-        if not _dedup_insert(pool, cur, T):
+        if not first_visit(cur):
             continue
         if is_wcr(cur, T):
             out.append(cur)
@@ -514,7 +499,7 @@ def wcr_conjugates(w, T, budget: int = 10_000,
                     (Syllable(cur[0].side, x1),)
                     + cur.syllables[1:]
                     + (Syllable(cur[0].side, x2),))
-                if _dedup_insert(pool, split, T) and is_wcr(split, T):
+                if first_visit(split) and is_wcr(split, T):
                     out.append(split)
     return out
 
@@ -530,14 +515,14 @@ def materialize(R, budget: int = 100_000,
     for unit in R.units:
         for w in wcr_conjugates(unit.word, R.T, budget=budget,
                                 include_splittings=include_splittings):
-            if not any(canonical_equal(w, seen, R.T) for seen in out):
+            if not any(flat_equal(w, seen) for seen in out):
                 out.append(w)
     return out
 
 
 def closure_contains(R, w) -> bool:
-    """Is w canonically equal to a member of R's explicit closure?"""
-    return any(canonical_equal(w, r, R.T) for r in materialize(R))
+    """Does w name the element of a member of R's explicit closure?"""
+    return any(flat_equal(w, r) for r in materialize(R))
 
 
 # ---------------------------------------------------------------------------

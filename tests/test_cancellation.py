@@ -20,7 +20,6 @@ from amalgams.canonical import (
     L_SIDE,
     SharedFreeAmalgam,
     Syllable,
-    canonical_equal,
     canonical_inverse,
     canonicalize,
     rotate,
@@ -57,6 +56,8 @@ from amalgam_instances import (
 from oracles import (
     closure_contains,
     element_replay_certificate,
+    flat_equal,
+    flat_letters,
     materialize,
     naive_part_length,
     wcr_conjugates,
@@ -107,7 +108,7 @@ def test_closure_is_idempotent():
     again = []
     for w in closure:
         for c in wcr_conjugates(w, T, include_splittings=False):
-            if not any(canonical_equal(c, s, T) is True for s in again):
+            if not any(flat_equal(c, s) for s in again):
                 again.append(c)
     assert len(again) == len(closure)
     for w in again:
@@ -122,14 +123,6 @@ def test_closure_normalizes_odd_seam_words():
            (K_SIDE, [("a", -1)]))
     R = symmetrized_closure([w], T)
     assert all(len(b.word) % 2 == 0 or len(b.word) <= 1 for b in R.bases)
-
-
-def _flatten(T, w):
-    amb = T.ambient
-    out = amb.identity()
-    for s in w.syllables:
-        out = amb.mul(out, amb.element(s.elt.payload))
-    return out
 
 
 def _cyclic_letters(payload):
@@ -148,11 +141,11 @@ def test_closure_members_are_conjugates():
     R = symmetrized_closure([base], T)
     targets = []
     for w in (base, canonical_inverse(base, T)):
-        letters = _cyclic_letters(_flatten(T, w).payload)
+        letters = _cyclic_letters(flat_letters(w))
         for i in range(len(letters)):
             targets.append(tuple(letters[i:] + letters[:i]))
     for member in materialize(R):
-        letters = tuple(_cyclic_letters(_flatten(T, member).payload))
+        letters = tuple(_cyclic_letters(flat_letters(member)))
         assert letters in targets
 
 
@@ -169,7 +162,7 @@ def test_relator_json_roundtrip():
     data = relators_to_json(R, reg)
     back = relators_from_json(data, T, reg)
     assert len(back.bases) == 1
-    assert canonical_equal(back.bases[0].word, R.bases[0].word, T) is True
+    assert back.bases[0].word.syllables == R.bases[0].word.syllables
 
 
 # ---------------------------------------------------------------------------

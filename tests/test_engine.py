@@ -4,11 +4,8 @@ from __future__ import annotations
 
 import collections
 import hashlib
-import importlib.util
 import json
-import pathlib
 import random
-import sys
 
 import pytest
 from sympy import Matrix
@@ -19,6 +16,7 @@ from amalgams import engine as E
 from amalgams.colorings import ColoringTable
 from amalgams.groups import ElementRegistry, GroupHandle
 from amalgams.systems import ValidationReport, validate_system
+from op_digests import workloads_module
 from oracles import reference_decompose_star, reference_transversal_rep, \
     tower_support
 
@@ -259,24 +257,11 @@ def test_tower_strips_each_query_once(monkeypatch):
         "6d0b05a32df84d3b18a9f062a82ed093cfbd0730b50ce99c17041e33b524e5a0"
 
 
-def _perfbench_workloads():
-    """perfbench/workloads.py, loaded once under its own module name
-    (its dataclasses look their module up by name)."""
-    name = "perfbench_workloads"
-    if name not in sys.modules:
-        path = pathlib.Path(__file__).parent.parent / "perfbench" / \
-            "workloads.py"
-        spec = importlib.util.spec_from_file_location(name, path)
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
-
-
 @pytest.mark.parametrize("variant", range(8))
 def test_tall_tower_summaries_match_golden(variant):
     # the benchmark's tall free towers against the summaries recorded in
     # perfbench/golden.json, which this test only reads
-    workloads = _perfbench_workloads()
+    workloads = workloads_module()
     state = E.run_construction(workloads.tall_tower(variant))
     digest = hashlib.sha256(E.summary_json(state).encode()).hexdigest()
     assert digest == workloads.load_golden()["tall_sha256"][str(variant)]

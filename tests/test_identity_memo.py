@@ -30,6 +30,7 @@ from amalgams.systems import generate_relators, load_system_fixture
 
 from amalgam_instances import (
     ALL_INSTANCES,
+    h_elements,
     instance_s3_z4,
     random_shared_free,
 )
@@ -64,7 +65,7 @@ def syllable_pool(T, rng):
     pool = {}
     for side in (K_SIDE, L_SIDE):
         group = T.side_group(side)
-        elts = [T.transfer(h, side) for h in T.h_sample(3)]
+        elts = [T.transfer(h, side) for h in h_elements(T, 3)]
         for _ in range(4):
             if isinstance(group, FiniteTableGroup):
                 elts.append(group.element(rng.randrange(group.order)))

@@ -27,7 +27,7 @@ from amalgams.cancellation import ChainResult, _apply_replacement
 from amalgams.groups import FiniteTableGroup
 from amalgams.systems import load_system_fixture
 
-from amalgam_instances import ALL_INSTANCES, instance_s3_z4
+from amalgam_instances import ALL_INSTANCES, h_elements, instance_s3_z4
 
 FIXTURES = "fixtures/systems"
 SHARED_FREE_FIXTURES = ("with_h", "trivial_h", "d_case", "corrupted")
@@ -58,7 +58,7 @@ def outside_h(T, side, rng):
 
 
 def h_element(T, side, rng):
-    return T.transfer(rng.choice(T.h_sample(16)), side)
+    return T.transfer(rng.choice(h_elements(T, 16)), side)
 
 
 def random_canonical(T, rng, n, side=None):
