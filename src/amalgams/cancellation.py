@@ -22,9 +22,9 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, \
+    Tuple
 
 from amalgams import kernels, words
 from amalgams.groups import Element, ElementRegistry
@@ -41,18 +41,15 @@ from amalgams.canonical import (
 )
 
 
-@dataclass(frozen=True)
-class BaseRelator:
-    rid: str
-    word: CanonicalWord  # wcr with even length (or length <= 1)
-    origin: Optional[dict] = None
+class ScanUnit(NamedTuple):
+    """A base relator, or the inverse of one. A base's word is wcr with
+    even length (or length <= 1), and its origin says what it was built
+    from; ``RelatorSet`` names each unit's partner."""
 
-
-@dataclass(frozen=True)
-class ScanUnit:
     uid: str
     word: CanonicalWord
-    partner: str  # uid of the unit that spells this word's inverse
+    partner: Optional[str] = None  # uid of the unit that spells its inverse
+    origin: Optional[dict] = None
 
 
 class RelatorSet:
@@ -88,24 +85,24 @@ class RelatorSet:
     def __init__(
         self,
         T: AmalgamTriple,
-        bases: Sequence[BaseRelator],
+        bases: Sequence[ScanUnit],
         chi: Fraction = Fraction(1, 10),
         rho_generated: bool = False,
     ):
         self.T = T
         self.chi = Fraction(chi)
-        self.bases = list(bases)
         self.rho_generated = rho_generated
         self.units: List[ScanUnit] = []
-        for base in self.bases:
+        for base in bases:
             if base.word.is_empty():
-                raise ValueError(f"relator {base.rid} is trivial")
+                raise ValueError(f"relator {base.uid} is trivial")
             if not is_wcr(base.word, T):
-                raise ValueError(f"relator {base.rid} is not wcr")
-            inv = base.rid + "^-1"
-            self.units.append(ScanUnit(base.rid, base.word, inv))
+                raise ValueError(f"relator {base.uid} is not wcr")
+            inv = base.uid + "^-1"
+            self.units.append(base._replace(partner=inv))
             self.units.append(ScanUnit(
-                inv, canonical_inverse(base.word, T), base.rid))
+                inv, canonical_inverse(base.word, T), base.uid))
+        self.bases = self.units[::2]
         self.by_uid: Dict[str, ScanUnit] = {u.uid: u for u in self.units}
         self._label_codes: Dict[Hashable, int] = {}
         self._chain_codes: Dict[Tuple[int, tuple], int] = {}
@@ -186,7 +183,7 @@ def symmetrized_closure(
     for idx, r in enumerate(R0):
         core = _wcr_normalize(r, T)
         origin = origins[idx] if origins else None
-        bases.append(BaseRelator(f"r{idx}", core, origin))
+        bases.append(ScanUnit(f"r{idx}", core, origin=origin))
     return RelatorSet(T, bases, chi=chi, rho_generated=rho_generated)
 
 
@@ -194,8 +191,7 @@ def symmetrized_closure(
 # exact cancellation chains
 
 
-@dataclass
-class ChainResult:
+class ChainResult(NamedTuple):
     ell: int
     h0: Optional[Element]
     full_wrap_trivial: bool  # cancellation consumed both words to product 1
@@ -366,8 +362,7 @@ def _coded_walk(T, w1, w2, i1, j2, max_steps, codes, h0):
 # the metric overlap checker
 
 
-@dataclass
-class CPrimeWitness:
+class CPrimeWitness(NamedTuple):
     uid1: str
     uid2: str
     i1: int
@@ -379,8 +374,7 @@ class CPrimeWitness:
     h0_side: str
 
 
-@dataclass
-class CPrimeResult:
+class CPrimeResult(NamedTuple):
     status: str  # pass | fail | inconclusive
     witness: Optional[CPrimeWitness] = None
     max_core: int = 0
@@ -475,8 +469,7 @@ def replay_cprime_witness(R: RelatorSet, wit: CPrimeWitness) -> bool:
 # the Dehn algorithm
 
 
-@dataclass
-class DehnStep:
+class DehnStep(NamedTuple):
     kind: str  # "cyclic-reduce" or "replace"
     from_len: int
     to_len: int
@@ -498,10 +491,9 @@ class DehnStep:
         return out
 
 
-@dataclass
-class DehnResult:
+class DehnResult(NamedTuple):
     status: str  # trivial | nontrivial | inconclusive
-    certificate: List[DehnStep] = field(default_factory=list)
+    certificate: List[DehnStep]
     note: str = ""
 
 
@@ -789,7 +781,7 @@ def relators_to_json(R: RelatorSet, registry: ElementRegistry) -> dict:
         "chi": [R.chi.numerator, R.chi.denominator],
         "rho_generated": R.rho_generated,
         "bases": [
-            {"rid": b.rid, "word": word_to_json(b.word, registry),
+            {"rid": b.uid, "word": word_to_json(b.word, registry),
              "origin": b.origin}
             for b in R.bases
         ],
@@ -800,8 +792,8 @@ def relators_from_json(
     data: dict, T: AmalgamTriple, registry: ElementRegistry
 ) -> RelatorSet:
     bases = [
-        BaseRelator(item["rid"], word_from_json(item["word"], registry),
-                    item.get("origin"))
+        ScanUnit(item["rid"], word_from_json(item["word"], registry),
+                 origin=item.get("origin"))
         for item in data["bases"]
     ]
     chi = Fraction(data["chi"][0], data["chi"][1])

@@ -13,8 +13,8 @@ form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, List, NamedTuple, Optional, Sequence, \
+    Tuple
 
 from amalgams.groups import (
     Element,
@@ -32,8 +32,7 @@ K_SIDE = "K"
 L_SIDE = "L"
 
 
-@dataclass(frozen=True)
-class Syllable:
+class Syllable(NamedTuple):
     side: str
     elt: Element
 
@@ -41,9 +40,23 @@ class Syllable:
         return f"{self.side}[{self.elt.payload!r}]"
 
 
-@dataclass(frozen=True)
 class CanonicalWord:
-    syllables: Tuple[Syllable, ...]
+    """A word as its tuple of syllables. It is not itself a tuple: its
+    length, indexing and truthiness are those of the syllables, and it
+    equals and hashes as the record of that one field."""
+
+    __slots__ = ("syllables",)
+
+    def __init__(self, syllables: Tuple[Syllable, ...]):
+        self.syllables = syllables
+
+    def __eq__(self, other):
+        if type(other) is not CanonicalWord:
+            return NotImplemented
+        return self.syllables == other.syllables
+
+    def __hash__(self) -> int:
+        return hash((self.syllables,))
 
     def __len__(self) -> int:
         return len(self.syllables)

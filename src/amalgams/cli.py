@@ -15,7 +15,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from amalgams import engine
@@ -177,7 +176,7 @@ def cmd_check_smallcancel(config, args):
             "max_core": res.max_core, "pairs_scanned": res.pairs_scanned,
             "note": res.note}
     if res.status == "fail":
-        data["witness"] = asdict(res.witness)
+        data["witness"] = res.witness._asdict()
         data["witness_replayed"] = replay_cprime_witness(R, res.witness)
     if res.status == "inconclusive":
         data["budget"] = {"pairs_scanned": res.pairs_scanned}

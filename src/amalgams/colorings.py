@@ -21,37 +21,39 @@ in the tower engine, positions in a ranked scope in ``scan-colorings``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import total_ordering
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
 @total_ordering
-@dataclass(frozen=True, eq=False)
 class OrdinalCNF:
     """Ordinal below epsilon_0 as a Cantor-normal-form term list.
 
     terms is a tuple of (exponent, coefficient) pairs with strictly
     decreasing exponents and positive coefficients; the empty tuple is 0.
     The ``ord_sort_key`` tuple and its hash are built once, here, so
-    comparing and hashing ordinals never recurses in Python.
+    comparing and hashing ordinals never recurses in Python. Given the
+    key, the terms are taken as normal without checks; the ladder
+    arithmetic, whose results are normal by construction, passes it.
+    ``_pred`` is predecessor(self), kept by ``predecessor`` on its first
+    call.
     """
 
-    terms: Tuple[Tuple["OrdinalCNF", int], ...] = ()
-    # predecessor(self), kept by ``predecessor`` on its first call
-    _pred = None
+    __slots__ = ("terms", "_key", "_hash", "_pred")
 
-    def __post_init__(self):
-        prev = None
-        for exp, coeff in self.terms:
-            if coeff <= 0:
-                raise ValueError("CNF coefficients must be positive")
-            if prev is not None and exp._key >= prev._key:
-                raise ValueError("CNF exponents must strictly decrease")
-            prev = exp
-        key = tuple((exp._key, coeff) for exp, coeff in self.terms)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+    def __init__(self, terms: Tuple[Tuple["OrdinalCNF", int], ...] = (),
+                 key: Optional[Tuple] = None):
+        if key is None:
+            prev = None
+            for exp, coeff in terms:
+                if coeff <= 0:
+                    raise ValueError("CNF coefficients must be positive")
+                if prev is not None and exp._key >= prev._key:
+                    raise ValueError("CNF exponents must strictly decrease")
+                prev = exp
+            key = tuple((exp._key, coeff) for exp, coeff in terms)
+        self.terms, self._key, self._hash = terms, key, hash(key)
+        self._pred = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -122,18 +124,6 @@ def successor(a: OrdinalCNF) -> OrdinalCNF:
     return ord_add(a, ONE)
 
 
-def _normal(terms: Tuple[Tuple[OrdinalCNF, int], ...],
-            key: Tuple) -> OrdinalCNF:
-    """An ordinal from terms already in Cantor normal form and their
-    ``_key``, without the checks of ``__post_init__``; for the ladder
-    arithmetic, whose results are normal by construction."""
-    out = object.__new__(OrdinalCNF)
-    object.__setattr__(out, "terms", terms)
-    object.__setattr__(out, "_key", key)
-    object.__setattr__(out, "_hash", hash(key))
-    return out
-
-
 def _head(a: OrdinalCNF) -> Tuple[tuple, tuple]:
     """(terms, key) of a with the coefficient of its last term lowered
     by one: a - 1 for a successor, and the part of a limit before its
@@ -151,9 +141,8 @@ def predecessor(a: OrdinalCNF) -> OrdinalCNF:
         return a._pred
     if not a.is_successor():
         raise ValueError(f"{a!r} is not a successor ordinal")
-    pred = _normal(*_head(a))
-    object.__setattr__(a, "_pred", pred)
-    return pred
+    a._pred = OrdinalCNF(*_head(a))
+    return a._pred
 
 
 def fundamental_seq(delta: OrdinalCNF, n: int) -> OrdinalCNF:
@@ -170,7 +159,7 @@ def fundamental_seq(delta: OrdinalCNF, n: int) -> OrdinalCNF:
         x, coeff = predecessor(exp), n + 1
     else:
         x, coeff = fundamental_seq(exp, n), 1
-    return _normal(head + ((x, coeff),), key + ((x._key, coeff),))
+    return OrdinalCNF(head + ((x, coeff),), key + ((x._key, coeff),))
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ transversal queries.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, \
+    Tuple
 
 from amalgams import words
 from amalgams.groups import (
@@ -94,16 +94,15 @@ def q_code(q0: int, q1: int, q2: int, eps: int) -> int:
 # stage state
 
 
-@dataclass
-class StageLayer:
+class StageLayer(NamedTuple):
     gamma: int
     level: int
     kind: str  # "free" | "quotient"
-    entries: List["JEntry"] = field(default_factory=list)
-    system: List[SystemEntry] = field(default_factory=list)
+    skipped: List[dict]
+    entries: Sequence["JEntry"] = ()
+    system: Sequence[SystemEntry] = ()
     amalgam: Optional[SharedFreeAmalgam] = None
     relators: Optional[RelatorSet] = None
-    skipped: List[dict] = field(default_factory=list)
 
 
 class StageState:
@@ -310,13 +309,11 @@ def transversal_rep(g: Element, gamma: int, i: int, beta: int,
 # the J-set
 
 
-@dataclass
-class JEntry:
+class JEntry(NamedTuple):
     gamma: int
     level: int
     l: Element
-    k: Element
-    a: Element
+    k: Element  # also the entry's a
     alpha: int
     d: Element
     y0: Element
@@ -325,7 +322,6 @@ class JEntry:
     h: Element
     b: Element
     bprime: Element
-    kprime_indices: FrozenSet[int]
 
 
 def _k_candidates(gamma: int, i: int, state: StageState) -> List[Element]:
@@ -421,13 +417,9 @@ def enumerate_J(gamma: int, i: int, state: StageState
             if gamma not in state.support(b):
                 skip(k, "seed-product-degenerate")
                 continue
-            kprime = frozenset(x for x in
-                               state.colorings.d_set(gamma, i, "weak")
-                               if x < alpha)
             entries.append(JEntry(
-                gamma=gamma, level=i, l=l, k=k, a=k, alpha=alpha, d=d,
-                y0=y0, y1=y1, eps=eps, h=h, b=b,
-                bprime=amb.mul(b, b), kprime_indices=kprime))
+                gamma=gamma, level=i, l=l, k=k, alpha=alpha, d=d,
+                y0=y0, y1=y1, eps=eps, h=h, b=b, bprime=amb.mul(b, b)))
     entries.sort(key=lambda en: (en.k.payload, en.l.payload))
     return entries, skipped
 

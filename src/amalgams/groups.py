@@ -15,8 +15,7 @@ round budget or gray label run.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 from amalgams import words
 
@@ -69,8 +68,7 @@ class GroupHandle:
         return f"<{type(self).__name__} {self.name}>"
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     owner: GroupHandle
     payload: Hashable
 

@@ -5,29 +5,29 @@ from __future__ import annotations
 import contextlib
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 SCHEMA = "amalgams-report/1"
 
 STATUSES = ("pass", "fail", "inconclusive")
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
-    status: str
-    data: dict = field(default_factory=dict)
+    status: str  # one of STATUSES, checked by emit_report and parse_report
+    data: dict
 
-    def __post_init__(self):
-        if self.status not in STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
+
+def _check_status(status: str) -> None:
+    if status not in STATUSES:
+        raise ValueError(f"unknown status {status!r}")
 
 
 def emit_report(command: str, seed: int, checks: List[CheckResult],
                 budgets: Optional[Dict[str, int]] = None) -> dict:
     counts = {s: 0 for s in STATUSES}
     for c in checks:
+        _check_status(c.status)
         counts[c.status] += 1
     doc = {
         "schema": SCHEMA,
@@ -44,6 +44,8 @@ def emit_report(command: str, seed: int, checks: List[CheckResult],
 def parse_report(doc: dict) -> List[CheckResult]:
     if doc.get("schema") != SCHEMA:
         raise ValueError(f"unknown report schema {doc.get('schema')!r}")
+    for c in doc["checks"]:
+        _check_status(c["status"])
     return [CheckResult(c["name"], c["status"], c.get("data", {}))
             for c in doc["checks"]]
 

@@ -12,9 +12,8 @@ exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from amalgams.groups import (
     Element,
@@ -45,8 +44,7 @@ from amalgams.cancellation import (
 RHO_EVEN_LENGTH = 2 * words.RHO_LENGTH  # 6640
 
 
-@dataclass(frozen=True)
-class SystemEntry:
+class SystemEntry(NamedTuple):
     """One generator tuple of a relator system.
 
     Fields are always accessed by name; h lives in H (given on the K
@@ -60,8 +58,7 @@ class SystemEntry:
     index: int
 
 
-@dataclass
-class SubgroupPairHint:
+class SubgroupPairHint(NamedTuple):
     """Witness subgroups for the fourth separation case of a pair, as
     letter-support subgroups of a shared-free amalgam.
 
@@ -74,17 +71,15 @@ class SubgroupPairHint:
     k_prime: LetterSupportSubgroup
 
 
-@dataclass
-class PairCertificate:
+class PairCertificate(NamedTuple):
     i: int
     j: int
     case: str  # "a" | "b" | "c" | "d"
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     status: str  # valid | invalid
-    certificates: List[PairCertificate] = field(default_factory=list)
+    certificates: Sequence[PairCertificate] = ()
     witness: Optional[dict] = None
     h_malnormal_in_l: str = "yes"  # yes | no: decided before any entry
 
@@ -172,7 +167,7 @@ def validate_system(
         return ValidationReport("invalid",
                                 witness={"clause": "H-malnormal-in-L"},
                                 h_malnormal_in_l="no")
-    report = ValidationReport("valid")
+    certificates = []
     entries = sorted(S, key=lambda e: e.index)
     for entry in entries:
         clause = typing_clause(entry, T)
@@ -193,8 +188,8 @@ def validate_system(
                     "invalid",
                     witness={"pair": [ei.index, ej.index],
                              "clause": "no-case-applies"})
-            report.certificates.append(cert)
-    return report
+            certificates.append(cert)
+    return ValidationReport("valid", certificates)
 
 
 def _certify_pair(ei: SystemEntry, ej: SystemEntry, T: AmalgamTriple,
@@ -265,9 +260,11 @@ def load_system_fixture(path) -> Tuple[AmalgamTriple, List[SystemEntry],
     """Self-contained fixture file: group alphabets (or tables), entries
     as letter lists and optional subgroup hints. Raises
     FixtureError for a file that is not JSON, an unknown kind, a
-    missing key, an amalgam, entry or hint that cannot be built, or a
-    hint whose i and j are not two different entry indices (the error
-    names the entry and key, or the hint)."""
+    missing key, an amalgam, entry or hint that cannot be built, an
+    entry index that is not an int or that another entry has (an entry
+    without one has its position), or a hint whose i and j are not two
+    different entry indices (the error names the entry and key, or the
+    hint)."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -299,15 +296,21 @@ def load_system_fixture(path) -> Tuple[AmalgamTriple, List[SystemEntry],
             L = FiniteTableGroup(data["l_table"], name="L")
             T = TableAmalgam(K, L, [tuple(p) for p in data["h_pairs"]],
                              name=data.get("name", "amalgam"))
-        entries = []
+        entries, indices = [], set()
         for pos, item in enumerate(data["entries"]):
             elts = {}
             for key, group in zip(ENTRY_KEYS, (K, K, L, L)):
                 where = f"entry {pos} key {key!r}"
                 elts[key] = group.element(item[key])
-            entries.append(SystemEntry(**elts, index=item.get("index", pos)))
+            where = f"entry {pos} key 'index'"
+            index = item.get("index", pos)
+            # validate_system certifies the pairs of distinct indices
+            if type(index) is not int or index in indices:
+                raise ValueError(f"index must be an int that no other "
+                                 f"entry has, not {index!r}")
+            indices.add(index)
+            entries.append(SystemEntry(**elts, index=index))
         hints: Dict[frozenset, SubgroupPairHint] = {}
-        indices = {e.index for e in entries}
         for pos, item in enumerate(data.get("dprime_hints", [])):
             where = f"dprime_hints {pos}"
             if not isinstance(T, SharedFreeAmalgam):

@@ -10,12 +10,10 @@ and the gap it shows is recorded in CHANGES.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 
-@dataclass(frozen=True)
-class Mutant:
+class Mutant(NamedTuple):
     name: str
     file: str  # relative to src/amalgams
     old: str
@@ -42,6 +40,13 @@ LABEL_CHANGE = "subgroup descriptors own the double-coset decision"
 FREE_REPLAY_CHANGE = "flat replay of Dehn parts on shared-free amalgams"
 WRAP_CHANGE = "a full wrap is a self-alignment only from seed 1 to end 1"
 GATE_CHANGE = "build_quotient is the C'(1/10) gate alone"
+DIGEST_CHANGE = "op digests recorded from one fresh process per op"
+WALK_CHANGE = "one walk tree per alpha"
+INDEX_CHANGE = "fixture entry indices are distinct ints"
+DIGESTS = ("tests/test_op_digests.py::"
+           "test_benchmark_ops_match_their_digests",)
+WALKS = ("tests/test_colorings.py::"
+         "test_from_walks_matches_scanned_walks_below_omega_powers",)
 
 MUTANTS = (
     Mutant("lcr-clone-first-end", "_pykernels.py",
@@ -121,4 +126,39 @@ MUTANTS = (
            "if R.chi > Fraction(1, 10):", "if R.chi > Fraction(1, 1):",
            ("tests/test_cancellation.py::"
             "test_build_quotient_gates_at_one_tenth_only",), GATE_CHANGE),
+    Mutant("report-keys-unsorted", "report.py",
+           "sort_keys=True, indent=2", "sort_keys=False, indent=2",
+           DIGESTS, DIGEST_CHANGE),
+    # on a fail: every pass of the workloads reports max_core 0
+    Mutant("cprime-max-core-off-by-one", "cancellation.py",
+           'CPrimeResult("fail", wit, res.ell, pairs)',
+           'CPrimeResult("fail", wit, res.ell + 1, pairs)', DIGESTS,
+           DIGEST_CHANGE),
+    Mutant("dehn-offset-off-by-one", "cancellation.py",
+           "offset=p, ell=t,", "offset=p + 1, ell=t,", DIGESTS,
+           DIGEST_CHANGE),
+    # the nodes of the previous alpha's tree stay in the new row
+    Mutant("walk-row-not-reset", "colorings.py",
+           "self._row = {alpha: [0, 0, None, (alpha,), 0]}",
+           "self._row.setdefault(alpha, [0, 0, None, (alpha,), 0])",
+           WALKS, WALK_CHANGE),
+    # on the canonical ladder these terms never raise e; TailedLadder's do
+    Mutant("row-e-without-members-below", "colorings.py",
+           "            if entry[1]:\n"
+           "                delta = entry[3][entry[4]]\n"
+           "                for xi in self.C.members_below(delta, alpha):\n"
+           "                    value = max(value, self.e(xi, alpha))\n", "",
+           WALKS, WALK_CHANGE),
+    Mutant("c1-from-node-below", "colorings.py",
+           "c1[key] = entry[1]", "c1[key] = entry[2][1]", WALKS,
+           WALK_CHANGE),
+    Mutant("c1-from-alpha-entry", "colorings.py",
+           "c1[key] = entry[1]", "c1[key] = row[a][1]", WALKS, WALK_CHANGE),
+    Mutant("fixture-index-unchecked", "systems.py",
+           "            if type(index) is not int or index in indices:\n"
+           "                raise ValueError(f\"index must be an int that no "
+           "other \"\n"
+           "                                 f\"entry has, not {index!r}\")\n",
+           "", ("tests/test_cli.py::"
+                "test_bad_fixture_contents_are_usage_errors",), INDEX_CHANGE),
 )

@@ -448,6 +448,25 @@ def flat_equal(u, v) -> bool:
     return flat_letters(u) == flat_letters(v)
 
 
+def flat_syllables(letters, T) -> list:
+    """The canonical syllable split of a freely reduced letter sequence
+    of a shared-free amalgam, as letter tuples: a syllable starts at each
+    non-H letter whose side differs from that of the last non-H letter,
+    and every H-letter joins the syllable on its left, the H-letters
+    before the first non-H letter the first syllable. A word of H-letters
+    alone is one syllable, or none when it is empty. Its length is the
+    canonical length of the element it names."""
+    sylls, side = [[]], None
+    for letter in letters:
+        if letter[0] not in T.h_symbols:
+            letter_side = letter[0] in T.K.symbols
+            if side is not None and letter_side != side:
+                sylls.append([])
+            side = letter_side
+        sylls[-1].append(letter)
+    return [tuple(syl) for syl in sylls if syl]
+
+
 def split_candidates(T, syl):
     """Pairs (x1, x2) with x2·x1 = syl.elt, both outside H: exhaustive on
     finite sides; on free sides, the cuts of the reduced word."""

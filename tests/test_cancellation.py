@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import collections
-import dataclasses
 import hashlib
 import json
 import math
@@ -27,9 +26,9 @@ from amalgams.canonical import (
 )
 from amalgams import kernels, words
 from amalgams.cancellation import (
-    BaseRelator,
     Diagonal,
     RelatorSet,
+    ScanUnit,
     build_quotient,
     cancellation_chain,
     certificate_from_json,
@@ -548,8 +547,8 @@ def test_coded_chains_match_element_chains():
                 w2[k] = _random_syllable(
                     rng, T, side0 if same else OTHER_SIDE[side0])
         w1, w2 = CanonicalWord(tuple(w1)), CanonicalWord(tuple(w2))
-        R = RelatorSet(T, [BaseRelator("r0", w1), BaseRelator("r1", w2)])
-        query = RelatorSet(T, [BaseRelator("r0", w1)])
+        R = RelatorSet(T, [ScanUnit("r0", w1), ScanUnit("r1", w2)])
+        query = RelatorSet(T, [ScanUnit("r0", w1)])
         cap = min(n, m)
         max_steps = cap if rng.random() < 0.7 else rng.randrange(cap + 1)
         skip = rng.random() < 0.5
@@ -841,7 +840,7 @@ def test_corrupted_system_fails_with_replayable_witness():
     assert res.witness.ell >= res.witness.threshold == 664
     assert replay_cprime_witness(R, res.witness)
     for change in ({"uid1": "r99"}, {"uid2": "r99"}):
-        bad = dataclasses.replace(res.witness, **change)
+        bad = res.witness._replace(**change)
         assert replay_cprime_witness(R, bad) is False, change
 
 
@@ -931,7 +930,7 @@ def _tamperings(cert, R):
                        {"h_start_side": "Q"},
                        {"h_start_side": OTHER_SIDE[step.h_start_side]}):
             bad = list(cert)
-            bad[n] = dataclasses.replace(step, **change)
+            bad[n] = step._replace(**change)
             yield change, bad
 
 

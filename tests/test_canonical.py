@@ -23,10 +23,12 @@ from amalgams.canonical import (
     word_to_json,
 )
 from amalgams.groups import ElementRegistry, segments
+from amalgams.systems import load_system_fixture
 
 from amalgam_instances import ALL_INSTANCES, h_elements, instance_s3_z4, \
     random_shared_free
-from oracles import double_coset, flat_equal, wcr_conjugates
+from oracles import double_coset, flat_equal, flat_letters, flat_syllables, \
+    wcr_conjugates
 
 
 def random_syllables(T, rng, max_len=5):
@@ -175,6 +177,60 @@ def test_rotation_is_conjugation():
     conjugated = CanonicalWord(
         (Syllable(g0.side, g0.elt.inv()),) + w.syllables + (g0,))
     assert flat_equal(conjugated, r)
+
+
+def _random_flat_word(T, rng, n):
+    """n random letters over T's union alphabet, each as a one-letter
+    syllable: H-letters (about 40%) on a random side."""
+    own = [s for s in T.K.symbols + T.L.symbols if s not in T.h_symbols]
+    h = sorted(T.h_symbols, key=str)
+    sylls = []
+    for _ in range(n):
+        letter = (rng.choice(h if h and rng.random() < 0.4 else own),
+                  rng.choice((1, -1)))
+        side = rng.choice((K_SIDE, L_SIDE)) if letter[0] in h else \
+            K_SIDE if letter[0] in T.K.symbols else L_SIDE
+        sylls.append(syllable(side, T.side_group(side).element([letter])))
+    return sylls
+
+
+def _merge_runs(sylls, rng):
+    """The same letters in longer syllables: runs of one side's
+    syllables multiplied together, so some reduce or land in H."""
+    out = []
+    for syl in sylls:
+        if out and out[-1].side == syl.side and rng.random() < 0.6:
+            out[-1] = syllable(syl.side, out[-1].elt * syl.elt)
+        else:
+            out.append(syl)
+    return out
+
+
+def test_canonicalize_and_rotate_match_the_flat_split():
+    # a shared-free amalgam is the free group on its union alphabet, so
+    # a word's canonical length is that of the flat split of its reduced
+    # letters; from one-letter syllables canonicalize gives the split
+    # itself, every H-letter in the syllable on its left
+    rng = random.Random(28)
+    amalgams = [load_system_fixture(f"fixtures/systems/{name}.json")[0]
+                for name in ("trivial_h", "with_h", "d_case", "corrupted")]
+    amalgams += [random_shared_free(rng) for _ in range(40)]
+    for T in amalgams:
+        for _ in range(30):
+            letters = _random_flat_word(T, rng, rng.randrange(14))
+            split = flat_syllables(flat_letters(CanonicalWord(
+                tuple(letters))), T)
+            w = canonicalize(letters, T)
+            assert [s.elt.payload for s in w.syllables] == split
+            merged = _merge_runs(letters, rng)
+            u = canonicalize(merged, T)
+            assert len(u) == len(split)
+            assert flat_equal(u, CanonicalWord(tuple(merged)))
+            # conjugation by the first syllable
+            r = rotate(u, T)
+            moved = CanonicalWord(u.syllables[1:] + u.syllables[:1])
+            assert flat_equal(r, moved)
+            assert len(r) == len(flat_syllables(flat_letters(moved), T))
 
 
 def test_canonical_word_json_roundtrip():

@@ -111,21 +111,26 @@ TOWER_SHA256 = \
 
 
 def test_report_roundtrip_and_counts():
-    checks = [CheckResult("a", "pass"), CheckResult("b", "inconclusive",
-                                                    {"budget": 3})]
+    checks = [CheckResult("a", "pass", {}),
+              CheckResult("b", "inconclusive", {"budget": 3})]
     doc = emit_report("demo", 7, checks, {"budget_len": 10})
     back = parse_report(doc)
     assert [c.name for c in back] == ["a", "b"]
     assert doc["counts"] == {"pass": 1, "fail": 0, "inconclusive": 1}
     assert exit_status(doc) == 0
     assert exit_status(doc, escalate_inconclusive=True) == 2
-    doc2 = emit_report("demo", 7, [CheckResult("x", "fail")])
+    doc2 = emit_report("demo", 7, [CheckResult("x", "fail", {})])
     assert exit_status(doc2) == 1
 
 
 def test_report_rejects_unknown_schema_and_status():
-    with pytest.raises(ValueError):
-        CheckResult("x", "maybe")
+    # a record holds any status; a report holds only the three
+    with pytest.raises(ValueError, match="unknown status 'maybe'"):
+        emit_report("demo", 0, [CheckResult("x", "maybe", {})])
+    doc = emit_report("demo", 0, [CheckResult("x", "pass", {})])
+    doc["checks"][0]["status"] = "maybe"
+    with pytest.raises(ValueError, match="unknown status 'maybe'"):
+        parse_report(doc)
     with pytest.raises(ValueError):
         parse_report({"schema": "other/9", "checks": []})
 
@@ -724,6 +729,7 @@ def test_unknown_colorings_key_is_usage_error(tmp_path, capsys):
 
 
 WITH_H = "fixtures/systems/with_h.json"
+CORRUPTED = "fixtures/systems/corrupted.json"
 
 
 def _entry_without_a(tmp_path):
@@ -855,6 +861,13 @@ def _table(key, value):
     return edit
 
 
+def _entry_indices(*indices):
+    def edit(data):
+        for item, index in zip(data["entries"], indices):
+            item["index"] = index
+    return edit
+
+
 @pytest.mark.parametrize("command", ["validate-system", "check-smallcancel"])
 @pytest.mark.parametrize("kind, edit, names", [
     ("shared-free", _with_h_entry("a", [["zz", 1]]),
@@ -900,19 +913,31 @@ def _table(key, value):
         {"i": 0, "j": 0, "h_prime": ["h"], "k_prime": ["h", "a"]}]),
      "dprime_hints 0: i and j must be two different entry indices, "
      "not 0 and 0"),
+    # validate_system certifies only pairs of different indices, so a
+    # shared index would leave the pair of corrupted's entries unchecked
+    ("two-entry", _entry_indices(0, 0),
+     "entry 1 key 'index': index must be an int that no other entry "
+     "has, not 0"),
+    ("two-entry", _entry_indices(0, "a"),
+     "entry 1 key 'index': index must be an int that no other entry "
+     "has, not 'a'"),
+    ("two-entry", _entry_indices(0, True),
+     "entry 1 key 'index': index must be an int that no other entry "
+     "has, not True"),
 ], ids=["letter-outside-alphabet", "sign-2", "sign-string", "sign-float",
         "sign-bool", "h-not-the-overlap",
         "table-not-square", "table-no-identity", "pairing-not-bijective",
         "pairing-not-homomorphic", "pairing-not-closed",
         "entry-out-of-range", "hint-letter", "hint-on-table",
-        "hint-absent-entries", "hint-same-entry"])
+        "hint-absent-entries", "hint-same-entry", "index-shared",
+        "index-string", "index-bool"])
 def test_bad_fixture_contents_are_usage_errors(tmp_path, capsys, command,
                                                kind, edit, names):
     if kind == "table":
         with open(s3_z8_fixture(tmp_path)) as fh:
             data = json.load(fh)
     else:
-        with open(WITH_H) as fh:
+        with open(CORRUPTED if kind == "two-entry" else WITH_H) as fh:
             data = json.load(fh)
     edit(data)
     fixture = tmp_path / "fixture.json"

@@ -156,7 +156,7 @@ def _outcome(fn, *args):
         out = fn(*args)
     except ValueError:
         return "raises"
-    if isinstance(out, tuple):
+    if type(out) is tuple:  # an Element is a NamedTuple, so not isinstance
         y0, t, eps, y1 = out
         return (y0.payload, t.payload, eps, y1.payload)
     return out.payload
@@ -324,7 +324,6 @@ def test_engineered_singleton_J(tower):
     assert len(layer.entries) == 1
     en = layer.entries[0]
     amb = tower.ambient
-    assert en.a.payload == en.k.payload
     assert en.alpha == 3
     # b = y0 l^eps y1 d and b' = b b, replayed by multiplication
     part = en.l if en.eps == 1 else en.l.inv()
@@ -378,7 +377,6 @@ def _j_entry_json(entry, registry):
         "d": reg(entry.d), "y0": reg(entry.y0), "y1": reg(entry.y1),
         "eps": entry.eps, "h": reg(entry.h), "b": reg(entry.b),
         "bprime": reg(entry.bprime),
-        "kprime": sorted(entry.kprime_indices),
     }
 
 

@@ -1,8 +1,8 @@
 """Layout rules: no amalgams module imports another module's private
-names, the CLI starts without the heavy numeric libraries, the
-benchmark's tracer can wrap a CLI run, every definition is reachable
-from the CLI, some call in src passes every optional parameter, and
-every recorded mutant still finds its text."""
+names, the CLI starts without the heavy numeric libraries or
+dataclasses, the benchmark's tracer can wrap a CLI run, every
+definition is reachable from the CLI, some call in src passes every
+optional parameter, and every recorded mutant still finds its text."""
 
 from __future__ import annotations
 
@@ -60,6 +60,16 @@ def test_cli_import_loads_no_numeric_libraries():
     # package uses it
     probe = ("import sys, amalgams.cli; "
              "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=_package_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every op imports the CLI; dataclasses costs its import of inspect
+    # and an exec per generated method, and the records need neither
+    probe = ("import sys, amalgams.cli; print(sorted(m for m in "
+             "('dataclasses', 'inspect') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=_package_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

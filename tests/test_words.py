@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from amalgams import kernels, words
 from amalgams.systems import generate_relators, load_system_fixture
@@ -41,6 +41,11 @@ def test_free_reduce_rejects_zero():
 
 
 @given(letters, letters)
+# a suffix-automaton clone that keeps its own first end, not its
+# original's, reports the run at j = 2 here, not at j = 1; a random
+# search does not always find such a case, and the mutant gate needs
+# this test to fail every time
+@example([-2], [-3, -2, -2])
 def test_longest_common_run_matches_naive(a, b):
     length, i, j = kernels.longest_common_run(a, b)
     assert (length, i, j) == naive_longest_common_run(a, b)
