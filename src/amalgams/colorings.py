@@ -249,12 +249,14 @@ class LadderSystem:
     It keeps one row toward the alpha of its latest ``row`` or
     ``entry`` call, dropped when alpha changes. For a fixed alpha the
     steps delta -> step(delta, alpha) form a tree rooted at alpha; the
-    row holds the nodes walked so far, each with its step and its trace
-    down to alpha, computed once."""
+    row holds the nodes walked so far, keyed by their plain ``_key``
+    tuples, each with its step and its trace down to alpha, computed
+    once. A successor always steps to its predecessor with otp 0, which
+    ``from_walks`` relies on to cross a run of successors in one step."""
 
     def __init__(self):
-        self._row_alpha: Optional[OrdinalCNF] = None
-        self._row: Dict[OrdinalCNF, list] = {}
+        self._row_key: Optional[tuple] = None
+        self._row: Dict[tuple, list] = {}
 
     def step(self, delta: OrdinalCNF, alpha: OrdinalCNF) -> Tuple[OrdinalCNF, int]:
         """(min(C_delta minus alpha), otp(C_delta intersect alpha)).
@@ -283,8 +285,8 @@ class LadderSystem:
         return [fundamental_seq(delta, k)
                 for k in range(_ladder_index(delta, alpha))]
 
-    def row(self, alpha: OrdinalCNF) -> Dict[OrdinalCNF, list]:
-        """The kept walk tree toward alpha: node delta -> its entry
+    def row(self, alpha: OrdinalCNF) -> Dict[tuple, list]:
+        """The kept walk tree toward alpha: delta._key -> its entry
         [e, otp, below, trace, k], where
 
         - e is e(alpha, delta), or None until ``WalkColoring.row_e``
@@ -294,9 +296,9 @@ class LadderSystem:
         - trace[k:] is the walk from delta down to alpha.
 
         A new alpha starts a row that holds alpha alone, with e = 0."""
-        if alpha is not self._row_alpha and alpha != self._row_alpha:
-            self._row_alpha = alpha
-            self._row = {alpha: [0, 0, None, (alpha,), 0]}
+        if alpha._key != self._row_key:
+            self._row_key = alpha._key
+            self._row = {alpha._key: [0, 0, None, (alpha,), 0]}
         return self._row
 
     def entry(self, alpha: OrdinalCNF, delta: OrdinalCNF) -> list:
@@ -304,7 +306,7 @@ class LadderSystem:
         lacks is walked down to the first node the row holds; the new
         nodes share one trace tuple, each at its own position in it."""
         row = self.row(alpha)
-        hit = row.get(delta)
+        hit = row.get(delta._key)
         if hit is not None:
             return hit
         path, otps = [], []
@@ -313,10 +315,10 @@ class LadderSystem:
             path.append(cur)
             cur, otp = self.step(cur, alpha)
             otps.append(otp)
-            hit = row.get(cur)
+            hit = row.get(cur._key)
         trace = (*path, *hit[3][hit[4]:])
         for k in range(len(path) - 1, -1, -1):
-            hit = row[path[k]] = [None, otps[k], hit, trace, k]
+            hit = row[path[k]._key] = [None, otps[k], hit, trace, k]
         return hit
 
 
@@ -358,7 +360,9 @@ def walk(alpha: OrdinalCNF, beta: OrdinalCNF,
     The trace is read off C's row for alpha (``LadderSystem.entry``). A
     walk of L steps costs O(L): a first walk makes one step and one row
     entry per node it adds and builds one trace tuple, and a repeated
-    walk, or one that meets the row early, copies the kept tuple."""
+    walk, or one that meets the row early, copies the kept tuple. Its
+    length less one is c0(alpha, beta); ``from_walks`` walks only to
+    limit nodes and heads of runs, once per alpha."""
     if not alpha < beta:
         raise ValueError("walk requires alpha < beta")
     entry = C.entry(alpha, beta)
@@ -466,51 +470,79 @@ class ColoringTable:
     """Pair-colorings e, c0, c1 on int pairs (i, j) with 0 <= i < j.
 
     In the tower, index i is stage i; in a table from ``from_walks``, it
-    is ``scope[i]``, the i-th ordinal of the ranked scope. A missing e
-    entry reads 0. A missing c0 or c1 entry reads None ("undecodable"),
-    which keeps the engine's relator seeds that would need it out.
+    is ``scope[i]``, the i-th ordinal of the ranked scope. Each coloring
+    is a flat triangular list over the indices below ``n``: entry (i, j)
+    sits at j(j-1)/2 + i, so column j, the entries (i, j) with i < j, is
+    one slice. An absent entry is None there, as is every entry past the
+    table. It reads 0 in e and None ("undecodable") in c0 and c1, which
+    keeps the engine's relator seeds that would need it out; ``to_json``
+    and the ``*_map`` views leave it out.
     """
 
     def __init__(self, e: Optional[Dict[Tuple[int, int], int]] = None,
                  c0: Optional[Dict[Tuple[int, int], int]] = None,
                  c1: Optional[Dict[Tuple[int, int], int]] = None,
                  scope: Sequence[OrdinalCNF] = ()):
-        self.e_map = dict(e or {})
-        self.c0_map = dict(c0 or {})
-        self.c1_map = dict(c1 or {})
         self.scope = list(scope)
+        maps = {"e": e or {}, "c0": c0 or {}, "c1": c1 or {}}
+        self.n = max([len(self.scope)] +
+                     [j + 1 for m in maps.values() for _, j in m])
         self._d_sets: Dict[Tuple[int, int, str], Tuple[int, ...]] = {}
-        for name, m in (("e", self.e_map), ("c0", self.c0_map),
-                        ("c1", self.c1_map)):
+        flats = []
+        for name, m in maps.items():
+            flat = [None] * (self.n * (self.n - 1) // 2)
             for (i, j), v in m.items():
                 if not 0 <= i < j or v < 0:
                     raise ValueError(f"bad {name} entry ({i},{j})={v}")
+                flat[j * (j - 1) // 2 + i] = v
+            flats.append(flat)
+        self._e, self._c0, self._c1 = flats
+
+    def _at(self, flat: list, i: int, j: int) -> Optional[int]:
+        return flat[j * (j - 1) // 2 + i] if 0 <= i < j < self.n else None
+
+    def _column(self, flat: list, j: int) -> list:
+        """The entries (i, j), i < j, of a flat list: column j."""
+        if j < self.n:
+            return flat[j * (j - 1) // 2:j * (j + 1) // 2]
+        return [None] * j
+
+    def _e_column(self, j: int) -> list:
+        col = self._column(self._e, j)
+        return [v or 0 for v in col] if None in col else col
+
+    def _map(self, flat: list) -> Dict[Tuple[int, int], int]:
+        return {(i, j): v for j in range(self.n)
+                for i, v in enumerate(self._column(flat, j)) if v is not None}
+
+    e_map = property(lambda self: self._map(self._e))
+    c0_map = property(lambda self: self._map(self._c0))
+    c1_map = property(lambda self: self._map(self._c1))
 
     def e(self, i: int, j: int) -> int:
         if not 0 <= i < j:
             raise ValueError(f"e needs i < j, got ({i},{j})")
-        return self.e_map.get((i, j), 0)
+        return self._at(self._e, i, j) or 0
 
     def c0(self, i: int, j: int) -> Optional[int]:
-        return self.c0_map.get((i, j))
+        return self._at(self._c0, i, j)
 
     def c1(self, i: int, j: int) -> Optional[int]:
-        return self.c1_map.get((i, j))
+        return self._at(self._c1, i, j)
 
     def d_set(self, gamma: int, i: int, mode: str) -> Tuple[int, ...]:
         """The indices b < gamma with e(b, gamma) < i (strict) or
-        <= i (weak), in increasing order. Built once per (gamma, i,
-        mode) and kept, so the table must not change after its first
-        D-set."""
+        <= i (weak), in increasing order: a scan of column gamma. Built
+        once per (gamma, i, mode) and kept, so the table must not change
+        after its first D-set."""
         key = (gamma, i, mode)
         out = self._d_sets.get(key)
         if out is None:
             if mode not in ("strict", "weak"):
                 raise ValueError("mode must be strict or weak")
             bound = i if mode == "strict" else i + 1
-            e = self.e_map
             out = self._d_sets[key] = tuple(
-                b for b in range(gamma) if e.get((b, gamma), 0) < bound)
+                b for b, v in enumerate(self._e_column(gamma)) if v < bound)
         return out
 
     @classmethod
@@ -520,28 +552,58 @@ class ColoringTable:
         from the walk recursion, c0 the number of steps of the walk from
         beta down to alpha and c1 the otp of its first step.
 
-        Pairs run alpha-major, so every walk to one alpha grows C's row
-        for it. Each pair makes one ``walk``; c1 and e are read off the
-        row entry of beta that this walk filled, and e of a node is
-        computed once per row (``WalkColoring.row_e``)."""
+        Each member is head + k, its head zero or a limit. A successor
+        steps to its predecessor with otp 0, so for beta = head + k with
+        k > 0 every c1 is 0; a member head + k' of beta's run has e = 0
+        and c0 = k - k'; and a member below the head has the head's e
+        and the head's c0 plus k. So only the limit members and the
+        heads outside the scope are walked, once per alpha below them.
+        The walks run alpha-major, so every walk to one alpha grows C's
+        row for it, and e of a node is computed once per row
+        (``WalkColoring.row_e``). Column j is then the head's column and
+        the run, put together from slices."""
         C = C or LadderSystem()
         coloring = WalkColoring(C)
         ranked = sorted(scope, key=ord_sort_key)
         n = len(ranked)
-        # filled in place, with one key tuple per pair shared by the
-        # three maps: every entry is valid by construction, and a copy
-        # or a tuple per map would add to the peak memory
-        table = cls(scope=ranked)
-        e, c0, c1 = table.e_map, table.c0_map, table.c1_map
+        heads, depths, first = [], [], {}
+        for j, x in enumerate(ranked):
+            k = x.terms[-1][1] if x.is_successor() else 0
+            heads.append(x._key[:-1] if k else x._key)
+            depths.append(k)
+            first.setdefault(heads[-1], j)
+        # the walked nodes: (key, members below, ordinal) of each head
+        # with members below it, and their columns (e, c0, c1)
+        nodes = [(h, m, OrdinalCNF(ranked[m].terms[:-1], h)
+                  if depths[m] else ranked[m])
+                 for h, m in first.items() if m]
+        below = {h: ([], [], []) for h, _, _ in nodes}
         for i, a in enumerate(ranked):
             row = C.row(a)
-            for j in range(i + 1, n):
-                b = ranked[j]
-                key = (i, j)
-                c0[key] = len(walk(a, b, C)) - 1
-                entry = row[b]
-                c1[key] = entry[1]
-                e[key] = coloring.row_e(a, entry)
+            for h, m, node in nodes:
+                if i < m:
+                    steps = len(walk(a, node, C)) - 1
+                    entry = row[h]
+                    col = below[h]
+                    col[0].append(coloring.row_e(a, entry))
+                    col[1].append(steps)
+                    col[2].append(entry[1])
+        e, c0, c1 = [], [], []
+        for j, (h, k) in enumerate(zip(heads, depths)):
+            he, hc0, hc1 = below.get(h, ((), (), ()))
+            e += he
+            if k:
+                run = range(first[h], j)
+                e += [0] * len(run)
+                c0 += [d + k for d in hc0]
+                c0 += [k - depths[i] for i in run]
+                c1 += [0] * j
+            else:
+                c0 += hc0
+                c1 += hc1
+        table = cls()
+        table.scope, table.n = ranked, n
+        table._e, table._c0, table._c1 = e, c0, c1
         return table
 
     def check_contract(self) -> dict:
@@ -549,13 +611,13 @@ class ColoringTable:
         (1) e(a, c) <= max(e(a, b), e(b, c)) and
         (2) e(a, b) <= max(e(a, c), e(b, c)).
 
-        The scan runs over pairs, on bit masks. For each index x and
-        value v, row x's mask holds the c > x with e(x, c) < v and
-        column x's mask the b < x with e(b, x) < v. For a pair a < c
-        with z = e(a, c), row a's and column c's masks at z meet in the
-        middles b that break (1), and the row masks of a and c at z in
-        the thirds that break (2) with c as the middle. That is O(n^2)
-        big-int operations on n-bit masks.
+        The scan runs over pairs, on bit masks, reading the table column
+        by column. For each index x and value v, row x's mask holds the
+        c > x with e(x, c) < v and column x's mask the b < x with e(b, x)
+        < v. For a pair a < c with z = e(a, c), row a's and column c's
+        masks at z meet in the middles b that break (1), and the row
+        masks of a and c at z in the thirds that break (2) with c as the
+        middle. That is O(n^2) big-int operations on n-bit masks.
 
         The first violation is the least (middle, inequality, a, third):
         middle first, then (1) before (2), then a, then the third. It is
@@ -567,41 +629,40 @@ class ColoringTable:
         An e entry outside the scope raises ValueError.
         """
         n = len(self.scope)
-        for (i, j), v in self.e_map.items():
-            if j >= n:
-                raise ValueError(f"e entry ({i},{j})={v} lies outside the "
-                                 f"scope of {n} ordinals")
-        e = self.e_map
-        rows = [[e.get((a, c), 0) for c in range(a + 1, n)]
-                for a in range(n)]
-        # row_at[x][v]: the c > x with e(x, c) = v; col_at[x][v]: the
-        # b < x with e(b, x) = v; both as bit masks
+        for j in range(n, self.n):
+            for i, v in enumerate(self._column(self._e, j)):
+                if v is not None:
+                    raise ValueError(f"e entry ({i},{j})={v} lies outside "
+                                     f"the scope of {n} ordinals")
+        # row_at[x][v]: the c > x with e(x, c) = v, as a bit mask; the
+        # column masks below each value of column c, made as c is read
         row_at: List[Dict[int, int]] = [{} for _ in range(n)]
-        col_at: List[Dict[int, int]] = [{} for _ in range(n)]
-        for a, row in enumerate(rows):
-            at, bit = row_at[a], 1 << a
-            for c, v in enumerate(row, a + 1):
-                at[v] = at.get(v, 0) | 1 << c
-                col = col_at[c]
-                col[v] = col.get(v, 0) | bit
-        # the masks below each value that index x looks up: its row and
-        # column values, since (2) reads row c at a value of column c
-        row_lt, col_lt = [], []
-        for at_row, at_col in zip(row_at, col_at):
-            levels = sorted(at_row.keys() | at_col.keys())
-            row_lt.append(_masks_below(at_row, levels))
-            col_lt.append(_masks_below(at_col, levels))
+        col_lt = []
+        for c in range(n):
+            at, bit = {}, 1 << c
+            for b, v in enumerate(self._e_column(c)):
+                at[v] = at.get(v, 0) | 1 << b
+                row = row_at[b]
+                row[v] = row.get(v, 0) | bit
+            col_lt.append(_masks_below(at, sorted(at)))
+        # the row masks below each value that index x looks up: its row
+        # and column values, since (2) reads row c at a value of column c
+        row_lt = []
+        for x in range(n):
+            at, row_at[x] = row_at[x], None
+            row_lt.append(_masks_below(at, sorted(at.keys() |
+                                                  col_lt[x].keys())))
         first = (n,)
-        for a, row in enumerate(rows):
-            below_a = row_lt[a]
-            for c, z in enumerate(row, a + 1):
-                below = below_a[z]
+        for c in range(n):
+            below_c, row_c = col_lt[c], row_lt[c]
+            for a, z in enumerate(self._e_column(c)):
+                below = row_lt[a][z]
                 if not below:
                     continue
-                bad = below & col_lt[c][z]
+                bad = below & below_c[z]
                 if bad:
                     first = min(first, (_low_bit(bad), 1, a, c))
-                bad = below & row_lt[c][z]
+                bad = below & row_c[z]
                 if bad:
                     first = min(first, (c, 2, a, _low_bit(bad)))
         if first[0] < n:
@@ -614,10 +675,11 @@ class ColoringTable:
 
     def to_json(self) -> dict:
         """The tower config's colorings block: {"e": {"i,j": v}, ...}."""
-        def enc(m):
-            return {f"{i},{j}": v for (i, j), v in sorted(m.items())}
-        return {"e": enc(self.e_map), "c0": enc(self.c0_map),
-                "c1": enc(self.c1_map)}
+        def enc(flat):
+            return {f"{i},{j}": v
+                    for (i, j), v in sorted(self._map(flat).items())}
+        return {"e": enc(self._e), "c0": enc(self._c0),
+                "c1": enc(self._c1)}
 
     @classmethod
     def from_json(cls, data: dict) -> "ColoringTable":

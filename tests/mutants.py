@@ -42,11 +42,16 @@ WRAP_CHANGE = "a full wrap is a self-alignment only from seed 1 to end 1"
 GATE_CHANGE = "build_quotient is the C'(1/10) gate alone"
 DIGEST_CHANGE = "op digests recorded from one fresh process per op"
 WALK_CHANGE = "one walk tree per alpha"
+RUN_CHANGE = "walks to limit nodes only; successor runs in one step"
 INDEX_CHANGE = "fixture entry indices are distinct ints"
 DIGESTS = ("tests/test_op_digests.py::"
            "test_benchmark_ops_match_their_digests",)
 WALKS = ("tests/test_colorings.py::"
          "test_from_walks_matches_scanned_walks_below_omega_powers",)
+RUNS_DIFF = ("tests/test_colorings.py::"
+             "test_from_walks_matches_reference_on_omega_squared_scopes",
+             "tests/test_colorings.py::"
+             "test_from_walks_matches_reference_on_random_scopes")
 
 MUTANTS = (
     Mutant("lcr-clone-first-end", "_pykernels.py",
@@ -139,8 +144,8 @@ MUTANTS = (
            DIGEST_CHANGE),
     # the nodes of the previous alpha's tree stay in the new row
     Mutant("walk-row-not-reset", "colorings.py",
-           "self._row = {alpha: [0, 0, None, (alpha,), 0]}",
-           "self._row.setdefault(alpha, [0, 0, None, (alpha,), 0])",
+           "self._row = {alpha._key: [0, 0, None, (alpha,), 0]}",
+           "self._row.setdefault(alpha._key, [0, 0, None, (alpha,), 0])",
            WALKS, WALK_CHANGE),
     # on the canonical ladder these terms never raise e; TailedLadder's do
     Mutant("row-e-without-members-below", "colorings.py",
@@ -150,10 +155,25 @@ MUTANTS = (
            "                    value = max(value, self.e(xi, alpha))\n", "",
            WALKS, WALK_CHANGE),
     Mutant("c1-from-node-below", "colorings.py",
-           "c1[key] = entry[1]", "c1[key] = entry[2][1]", WALKS,
+           "col[2].append(entry[1])", "col[2].append(entry[2][1])", WALKS,
            WALK_CHANGE),
     Mutant("c1-from-alpha-entry", "colorings.py",
-           "c1[key] = entry[1]", "c1[key] = row[a][1]", WALKS, WALK_CHANGE),
+           "col[2].append(entry[1])", "col[2].append(row[a._key][1])",
+           WALKS, WALK_CHANGE),
+    Mutant("run-depth-off-by-one", "colorings.py",
+           "c0 += [k - depths[i] for i in run]",
+           "c0 += [k - depths[i] + 1 for i in run]",
+           WALKS + RUNS_DIFF, RUN_CHANGE),
+    # right on the w^2 scopes, whose runs have no gaps below count
+    Mutant("run-assumed-contiguous", "colorings.py",
+           "run = range(first[h], j)", "run = range(j - k, j)",
+           WALKS + RUNS_DIFF[1:], RUN_CHANGE),
+    Mutant("successor-c1-from-head", "colorings.py",
+           "c1 += [0] * j", "c1 += [*hc1, *[0] * len(run)]",
+           WALKS + RUNS_DIFF, RUN_CHANGE),
+    Mutant("flat-index-transposed", "colorings.py",
+           "flat[j * (j - 1) // 2 + i] if", "flat[i * (i - 1) // 2 + j] if",
+           WALKS + RUNS_DIFF, RUN_CHANGE),
     Mutant("fixture-index-unchecked", "systems.py",
            "            if type(index) is not int or index in indices:\n"
            "                raise ValueError(f\"index must be an int that no "

@@ -23,7 +23,15 @@ from amalgams.canonical import (
     is_wcr,
     rotate,
 )
-from amalgams.colorings import fundamental_seq, ord_to_str, predecessor
+from amalgams.colorings import (
+    LadderSystem,
+    WalkColoring,
+    fundamental_seq,
+    ord_sort_key,
+    ord_to_str,
+    predecessor,
+    walk,
+)
 from amalgams.groups import Element, FiniteTableGroup
 
 
@@ -335,6 +343,26 @@ class ScanWalks:
 
     def c1(self, alpha, beta) -> int:
         return self.step(beta, alpha)[1]
+
+
+def reference_from_walks(scope, C=None) -> tuple:
+    """The walk colorings of ``ColoringTable.from_walks`` pair by pair:
+    (ranked scope, e, c0, c1), each coloring a dict on index pairs. Pairs
+    run alpha-major and each makes one ``walk``; c1 and e are read off
+    the row entry of beta that this walk filled."""
+    C = C or LadderSystem()
+    coloring = WalkColoring(C)
+    ranked = sorted(scope, key=ord_sort_key)
+    e, c0, c1 = {}, {}, {}
+    for i, a in enumerate(ranked):
+        row = C.row(a)
+        for j in range(i + 1, len(ranked)):
+            b = ranked[j]
+            c0[i, j] = len(walk(a, b, C)) - 1
+            entry = row[b._key]
+            c1[i, j] = entry[1]
+            e[i, j] = coloring.row_e(a, entry)
+    return ranked, e, c0, c1
 
 
 def naive_subadditivity(e_map, scope) -> dict:

@@ -588,8 +588,8 @@ def test_scan_colorings_reports_subadditivity_violation(tmp_path,
 
     def corrupted(scope):
         table = walks(scope)
-        table.e_map[0, len(table.scope) - 1] = 10_000
-        return table
+        e = {**table.e_map, (0, len(table.scope) - 1): 10_000}
+        return ColoringTable(e, table.c0_map, table.c1_map, table.scope)
 
     monkeypatch.setattr(ColoringTable, "from_walks", corrupted)
     code, doc = run_cli(tmp_path, "scan-colorings", {"count": 40})

@@ -8,7 +8,6 @@ import random
 
 import pytest
 
-from amalgams import colorings
 from amalgams.colorings import (
     ColoringTable,
     LadderSystem,
@@ -36,6 +35,7 @@ from amalgams.colorings import (
 from oracles import (
     ScanWalks,
     naive_subadditivity,
+    reference_from_walks,
     scan_ladder_step,
     scan_members_below,
 )
@@ -348,12 +348,11 @@ class TailedLadder(LadderSystem):
 
 @pytest.mark.parametrize("top", [3, 4])
 @pytest.mark.parametrize("ladder", ["canonical", "tailed"])
-def test_from_walks_matches_scanned_walks_below_omega_powers(monkeypatch,
-                                                             top, ladder):
+def test_from_walks_matches_scanned_walks_below_omega_powers(top, ladder):
     # from_walks reads c0, c1 and e off one walk tree per alpha; the
     # oracle scans every step of every pair and runs the e recursion on
-    # its own memo. The traces are the ones from_walks walked itself,
-    # one walk per pair
+    # its own memo. Every pair is then walked on the ladder from_walks
+    # used, alpha-major, so a row kept across alphas would show
     rng = random.Random(20261019 + top)
     tailed = ladder == "tailed"
     for count in (24, 36):
@@ -364,32 +363,58 @@ def test_from_walks_matches_scanned_walks_below_omega_powers(monkeypatch,
             # ladder has 4 points below w+5
             scope += [x for x in map(ord_from_str, ("w*2", "w^(2)"))
                       if ord_to_str(x) not in map(ord_to_str, scope)]
-        traces = {}
-
-        def recording(a, b, C):
-            trace = walk(a, b, C)
-            traces[ord_to_str(a), ord_to_str(b)] = \
-                [ord_to_str(x) for x in trace]
-            return trace
-
-        monkeypatch.setattr(colorings, "walk", recording)
-        table = ColoringTable.from_walks(
-            scope, TailedLadder() if tailed else LadderSystem())
-        monkeypatch.undo()
+        C = TailedLadder() if tailed else LadderSystem()
+        table = ColoringTable.from_walks(scope, C)
         oracle = ScanWalks(tailed_points if tailed else fundamental_seq)
         ranked = table.scope
         n = len(ranked)
-        assert len(traces) == n * (n - 1) // 2
         for i, j in itertools.combinations(range(n), 2):
             a, b = ranked[i], ranked[j]
             expected = [ord_to_str(x) for x in oracle.walk(a, b)]
-            assert traces[ord_to_str(a), ord_to_str(b)] == expected
+            assert [ord_to_str(x) for x in walk(a, b, C)] == expected
             assert (table.e(i, j), table.c0(i, j), table.c1(i, j)) == \
                 (oracle.e(a, b), len(expected) - 1, oracle.c1(a, b)), \
                 (ord_to_str(a), ord_to_str(b))
         if tailed:
             names = [ord_to_str(x) for x in ranked]
             assert table.e(names.index("w*2"), names.index("w^(2)")) == 4
+
+
+def assert_matches_reference(scope, make_ladder):
+    table = ColoringTable.from_walks(scope, make_ladder())
+    ranked, e, c0, c1 = reference_from_walks(scope, make_ladder())
+    assert [ord_to_str(x) for x in table.scope] == \
+        [ord_to_str(x) for x in ranked]
+    n = len(ranked)
+    for i, j in itertools.combinations(range(n), 2):
+        assert (table.e(i, j), table.c0(i, j), table.c1(i, j)) == \
+            (e[i, j], c0[i, j], c1[i, j]), \
+            (ord_to_str(ranked[i]), ord_to_str(ranked[j]))
+    # entries past the table read as absent
+    assert (table.c0(0, n), table.c1(n - 1, n + 3)) == (None, None)
+
+
+@pytest.mark.parametrize("count", [40, 110, 170, 300])
+def test_from_walks_matches_reference_on_omega_squared_scopes(count):
+    # from_walks walks only to the limits w*a and crosses each run
+    # w*a + k in one step; the reference walks every pair
+    assert_matches_reference(omega_sq_scope(count), LadderSystem)
+
+
+def test_from_walks_matches_reference_on_random_scopes():
+    # seeded scopes below w^3 and w^4 with gaps in their runs, so that
+    # some heads lie outside the scope, on both ladders
+    rng = random.Random(20261020)
+    outside = 0
+    for top in (3, 4):
+        for ladder in (LadderSystem, TailedLadder):
+            for count in (2, 9, 24, 40):
+                scope = random_below_omega_power(rng, top, count)
+                keys = {x._key for x in scope}
+                outside += sum(1 for x in scope if x.is_successor()
+                               and x._key[:-1] not in keys)
+                assert_matches_reference(scope, ladder)
+    assert outside >= 20
 
 
 # ---------------------------------------------------------------------------
