@@ -623,10 +623,10 @@ class ColoringTable:
         middle first, then (1) before (2), then a, then the third. It is
         returned under "violation", with its triple as ordinal strings,
         and "triples" counts the triples of the smaller middles. A
-        passing scan reports the largest weak D-set, which is n - 1 by
-        construction (at a column's largest value the weak D-set is the
-        whole column); it is kept so that reports stay byte-stable.
-        An e entry outside the scope raises ValueError.
+        passing scan reports, for each level i up to the largest value
+        of e, the largest weak D-set at i: the max over c of |{b < c :
+        e(b, c) <= i}|, a popcount of column c's masks. An e entry
+        outside the scope raises ValueError.
         """
         n = len(self.scope)
         for j in range(n, self.n):
@@ -636,15 +636,20 @@ class ColoringTable:
                                      f"the scope of {n} ordinals")
         # row_at[x][v]: the c > x with e(x, c) = v, as a bit mask; the
         # column masks below each value of column c, made as c is read
+        # weak[v]: the largest weak D-set at v, where column c has v
         row_at: List[Dict[int, int]] = [{} for _ in range(n)]
-        col_lt = []
+        col_lt, weak = [], {}
         for c in range(n):
             at, bit = {}, 1 << c
             for b, v in enumerate(self._e_column(c)):
                 at[v] = at.get(v, 0) | 1 << b
                 row = row_at[b]
                 row[v] = row.get(v, 0) | bit
-            col_lt.append(_masks_below(at, sorted(at)))
+            levels, size = sorted(at), 0
+            col_lt.append(_masks_below(at, levels))
+            for v in levels:
+                size += at[v].bit_count()
+                weak[v] = max(weak.get(v, 0), size)
         # the row masks below each value that index x looks up: its row
         # and column values, since (2) reads row c at a value of column c
         row_lt = []
@@ -671,7 +676,9 @@ class ColoringTable:
                     "violation": {"inequality": inequality, "triple": [
                         ord_to_str(self.scope[x])
                         for x in (a, middle, third)]}}
-        return {"triples": math.comb(n, 3), "max_weak_d_size": max(n - 1, 0)}
+        return {"triples": math.comb(n, 3), "weak_d_size_by_level": [
+            max([size for v, size in weak.items() if v <= i], default=0)
+            for i in range(max(weak, default=-1) + 1)]}
 
     def to_json(self) -> dict:
         """The tower config's colorings block: {"e": {"i,j": v}, ...}."""

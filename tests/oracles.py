@@ -370,7 +370,8 @@ def naive_subadditivity(e_map, scope) -> dict:
     b, inequality 1 (e(a, c) <= max(e(a, b), e(b, c))) over all a < b < c,
     then inequality 2 (e(a, b) <= max(e(a, c), e(b, c))), each row-major.
     A missing entry reads 0. A passing table reports its largest weak
-    D-set, counted over every column and every value in it."""
+    D-set at each level i from 0 to the largest value, counted over
+    every column."""
     n = len(scope)
 
     def e(i, j):
@@ -389,9 +390,10 @@ def naive_subadditivity(e_map, scope) -> dict:
                             "triple": [ord_to_str(scope[x])
                                        for x in (a, b, c)]}}
         triples += b * (n - 1 - b)
-    weak = [sum(1 for x in range(c) if e(x, c) <= e(y, c))
-            for c in range(n) for y in range(c)]
-    return {"triples": triples, "max_weak_d_size": max(weak, default=0)}
+    top = max((e(x, c) for c in range(n) for x in range(c)), default=-1)
+    weak = [max(sum(1 for x in range(c) if e(x, c) <= i) for c in range(n))
+            for i in range(top + 1)]
+    return {"triples": triples, "weak_d_size_by_level": weak}
 
 
 # ---------------------------------------------------------------------------

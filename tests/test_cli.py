@@ -548,11 +548,11 @@ SCAN_TARGETS = [
 
 @pytest.mark.parametrize("config, digest", [
     ({"count": 170},
-     "08cea9fde5a519b603e7b0be2ee6e4a39582bd4b0139f231ddc35ea4e4a2cc03"),
+     "a6d97c9c4c4f9921989027c42c594b46fc56547600e6fc4bb63d892228f91e4f"),
     ({"count": 300},
-     "6debac335e4d7930c1a3b4e3b815d23f813388eed00b01f4f1cf864984b5a422"),
+     "338ad7b253ca773ea53930122c2b776b19dba4b767085aee731552522330d263"),
     ({"count": 110, "targets": SCAN_TARGETS},
-     "7c986e5b07e6b5d70e3ac8ba8a572f060a7f96ec5ded42a897effef63ca4c4f3"),
+     "b729d09a36e4228314f3e4b7f70cf27909fe41856e7ef63546c9aed846a934de"),
 ], ids=["count-170", "count-300", "count-110-targets"])
 def test_scan_colorings_report_bytes_are_pinned(tmp_path, config, digest):
     code, _ = run_cli(tmp_path, "scan-colorings", config)

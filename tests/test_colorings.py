@@ -433,13 +433,21 @@ def test_e_dominates_ladder_position():
         assert col.e(x, y) >= otp
 
 
+def weak_d_sizes(table, n):
+    """The largest weak D-set at each level, from the table's D-sets."""
+    top = max(table.e(b, c) for c in range(n) for b in range(c))
+    return [max(len(table.d_set(c, i, "weak")) for c in range(n))
+            for i in range(top + 1)]
+
+
 def test_subadditivity_exhaustive_on_scope(walks_table):
     scope, table = walks_table
     report = table.check_contract()
     n = len(scope)
     assert report["triples"] == n * (n - 1) * (n - 2) // 6
-    # at a column's largest value the weak D-set is the whole column
-    assert report["max_weak_d_size"] == n - 1
+    # at the largest value the weak D-set of the last column is all of it
+    assert report["weak_d_size_by_level"] == weak_d_sizes(table, n)
+    assert report["weak_d_size_by_level"][-1] == n - 1
 
 
 def test_subadditivity_exhaustive_on_omega_cubed_scope():
@@ -451,8 +459,9 @@ def test_subadditivity_exhaustive_on_omega_cubed_scope():
                    key=ord_sort_key)[:300]
     table = ColoringTable.from_walks(scope)
     n = len(scope)
-    assert table.check_contract() == {"triples": math.comb(n, 3),
-                                      "max_weak_d_size": n - 1}
+    assert table.check_contract() == {
+        "triples": math.comb(n, 3),
+        "weak_d_size_by_level": weak_d_sizes(table, n)}
     for entry, violation in (((0, n - 1), {
             "inequality": 1, "triple": ["0", "1", "w^(2)*6+5"]}),
             ((0, 1), {"inequality": 2, "triple": ["0", "1", "2"]})):
@@ -471,8 +480,9 @@ def test_subadditivity_exhaustive_on_omega_fourth_scope():
     assert ord_to_str(scope[-1]) == "w^(3)*2+w^(2)+w*4+4"
     table = ColoringTable.from_walks(scope)
     n = len(scope)
-    assert table.check_contract() == {"triples": math.comb(n, 3),
-                                      "max_weak_d_size": n - 1}
+    assert table.check_contract() == {
+        "triples": math.comb(n, 3),
+        "weak_d_size_by_level": weak_d_sizes(table, n)}
 
 
 def test_corrupted_table_fails_contract(walks_table):
@@ -485,7 +495,7 @@ def test_corrupted_table_fails_contract(walks_table):
     assert report["violation"] == {"inequality": 1,
                                    "triple": ["0", "1", "w*15+14"]}
     assert report["triples"] == 0
-    assert "max_weak_d_size" not in report
+    assert "weak_d_size_by_level" not in report
 
 
 def _corrupt(rng, e_map, n):
