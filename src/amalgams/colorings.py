@@ -1,21 +1,17 @@
 """Ordinal arithmetic in Cantor normal form, ladder systems, walks, and
 the derived subadditive colorings.
 
-The desk-scale instance works with ordinals below a configurable bound
-under epsilon_0 and one ladder system, the canonical one from
-fundamental sequences. ``LadderSystem`` reads a ladder index off the
-CNF instead of scanning the ladder's points; the point scan in the
-test oracles is its reference. For a fixed alpha the walk steps
-delta -> step(delta, alpha) form a tree rooted at alpha, and
-``LadderSystem`` keeps the tree of its latest alpha: per node its step,
-its trace down to alpha and e(alpha, node), each computed once.
-The coloring e comes from the walk recursion; its binding contract is
-subadditivity (both inequalities) plus local smallness.
-The test suite checks subadditivity exhaustively on every materialized
-triple; over a finite scope every D-set is finite.
-``ColoringTable`` holds e, c0 and c1 on int index pairs: stage indices
-in the tower engine, positions in a ranked scope in ``scan-colorings``.
-``from_walks`` fills a table row by row, one walk tree per alpha.
+Ordinals lie below epsilon_0, with one ladder system, the canonical one
+from fundamental sequences; ``LadderSystem`` reads a ladder index off the
+CNF, and the point scan in the test oracles is its reference. For a
+fixed alpha the walk steps delta -> step(delta, alpha) form a tree
+rooted at alpha, and ``LadderSystem`` keeps the tree of its latest
+alpha. The coloring e comes from the walk recursion; its binding
+contract is subadditivity (both inequalities), checked on every triple
+of a scope. ``ColoringTable`` holds e, c0 and c1 in flat triangular
+lists on int index pairs: stage indices in the tower engine, positions
+in a ranked scope in ``scan-colorings``, where ``from_walks`` walks only
+to limits and crosses each run of successors in one step.
 """
 
 from __future__ import annotations
@@ -244,15 +240,14 @@ def _parse_term(text: str, pos: int) -> Tuple[OrdinalCNF, int]:
 
 class LadderSystem:
     """The canonical ladder system: C_delta is the fundamental sequence
-    of a limit delta and the singleton predecessor of a successor.
+    of a limit delta and the singleton predecessor of a successor, which
+    a successor steps to with otp 0 (``from_walks`` relies on it).
 
     It keeps one row toward the alpha of its latest ``row`` or
     ``entry`` call, dropped when alpha changes. For a fixed alpha the
     steps delta -> step(delta, alpha) form a tree rooted at alpha; the
-    row holds the nodes walked so far, keyed by their plain ``_key``
-    tuples, each with its step and its trace down to alpha, computed
-    once. A successor always steps to its predecessor with otp 0, which
-    ``from_walks`` relies on to cross a run of successors in one step."""
+    row holds the nodes walked so far, by ``_key``, each with its step
+    and its trace down to alpha, computed once."""
 
     def __init__(self):
         self._row_key: Optional[tuple] = None
@@ -376,14 +371,14 @@ class WalkColoring:
     e(alpha, min(C_beta minus alpha)), and e(xi, alpha) for xi in
     C_beta intersect alpha; with e(alpha, alpha) = 0.
 
-    ``e`` runs the recursion through a memo keyed on ordinal pairs;
+    ``e`` runs the recursion through a memo keyed on pairs of keys;
     ``row_e`` runs it on a walk tree of C's row and uses the memo only
     for the e(xi, alpha) terms, which belong to other rows.
     """
 
     def __init__(self, C: Optional[LadderSystem] = None):
         self.C = C or LadderSystem()
-        self._memo: Dict[Tuple[OrdinalCNF, OrdinalCNF], int] = {}
+        self._memo: Dict[Tuple[tuple, tuple], int] = {}
 
     def e(self, alpha: OrdinalCNF, beta: OrdinalCNF) -> int:
         c = ord_cmp(alpha, beta)
@@ -391,13 +386,12 @@ class WalkColoring:
             return 0
         if c > 0:
             raise ValueError("e requires alpha <= beta")
-        key = (alpha, beta)
+        key = (alpha._key, beta._key)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         nxt, otp = self.C.step(beta, alpha)
-        value = otp
-        value = max(value, self.e(alpha, nxt))
+        value = max(otp, self.e(alpha, nxt))
         for xi in self.C.members_below(beta, alpha):
             value = max(value, self.e(xi, alpha))
         self._memo[key] = value
@@ -421,9 +415,6 @@ class WalkColoring:
                     value = max(value, self.e(xi, alpha))
             entry[0] = value
         return value
-
-    def __call__(self, alpha: OrdinalCNF, beta: OrdinalCNF) -> int:
-        return self.e(alpha, beta)
 
 
 def ord_sort_key(a: OrdinalCNF) -> Tuple:
@@ -453,8 +444,7 @@ def cantor_unpair(n: int) -> Tuple[int, int]:
 
 
 def _masks_below(at: Dict[int, int], levels: List[int]) -> Dict[int, int]:
-    """For each v of the increasing ``levels``, the union of the masks
-    at[u] with u < v."""
+    """For each v of the increasing ``levels``, the union of at[u], u < v."""
     out, acc = {}, 0
     for v in levels:
         out[v] = acc
@@ -462,22 +452,16 @@ def _masks_below(at: Dict[int, int], levels: List[int]) -> Dict[int, int]:
     return out
 
 
-def _low_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 class ColoringTable:
     """Pair-colorings e, c0, c1 on int pairs (i, j) with 0 <= i < j.
 
     In the tower, index i is stage i; in a table from ``from_walks``, it
     is ``scope[i]``, the i-th ordinal of the ranked scope. Each coloring
-    is a flat triangular list over the indices below ``n``: entry (i, j)
-    sits at j(j-1)/2 + i, so column j, the entries (i, j) with i < j, is
-    one slice. An absent entry is None there, as is every entry past the
-    table. It reads 0 in e and None ("undecodable") in c0 and c1, which
-    keeps the engine's relator seeds that would need it out; ``to_json``
-    and the ``*_map`` views leave it out.
-    """
+    is a flat list over the indices below ``n``: (i, j) sits at j(j-1)/2
+    + i, so column j is one slice. An absent entry is None, as is every
+    entry past the table: it reads 0 in e and None ("undecodable") in c0
+    and c1, which keeps the engine's relator seeds that would need it
+    out, and ``to_json`` and the ``*_map`` views leave it out."""
 
     def __init__(self, e: Optional[Dict[Tuple[int, int], int]] = None,
                  c0: Optional[Dict[Tuple[int, int], int]] = None,
@@ -552,20 +536,16 @@ class ColoringTable:
         from the walk recursion, c0 the number of steps of the walk from
         beta down to alpha and c1 the otp of its first step.
 
-        Each member is head + k, its head zero or a limit. A successor
-        steps to its predecessor with otp 0, so for beta = head + k with
-        k > 0 every c1 is 0; a member head + k' of beta's run has e = 0
-        and c0 = k - k'; and a member below the head has the head's e
-        and the head's c0 plus k. So only the limit members and the
-        heads outside the scope are walked, once per alpha below them.
-        The walks run alpha-major, so every walk to one alpha grows C's
-        row for it, and e of a node is computed once per row
-        (``WalkColoring.row_e``). Column j is then the head's column and
-        the run, put together from slices."""
+        A member is head + k, its head zero or a limit. A successor steps
+        to its predecessor with otp 0, so for beta = head + k, k > 0, each
+        c1 is 0, a member head + k' has e = 0 and c0 = k - k', and a
+        member below the head has the head's e and its c0 plus k. Only
+        limit members and heads outside the scope are walked, alpha-major,
+        so each walk grows C's row for its alpha and e of a node is
+        computed once per row (``WalkColoring.row_e``)."""
         C = C or LadderSystem()
         coloring = WalkColoring(C)
         ranked = sorted(scope, key=ord_sort_key)
-        n = len(ranked)
         heads, depths, first = [], [], {}
         for j, x in enumerate(ranked):
             k = x.terms[-1][1] if x.is_successor() else 0
@@ -582,11 +562,10 @@ class ColoringTable:
             row = C.row(a)
             for h, m, node in nodes:
                 if i < m:
-                    steps = len(walk(a, node, C)) - 1
-                    entry = row[h]
                     col = below[h]
+                    col[1].append(len(walk(a, node, C)) - 1)
+                    entry = row[h]
                     col[0].append(coloring.row_e(a, entry))
-                    col[1].append(steps)
                     col[2].append(entry[1])
         e, c0, c1 = [], [], []
         for j, (h, k) in enumerate(zip(heads, depths)):
@@ -595,14 +574,13 @@ class ColoringTable:
             if k:
                 run = range(first[h], j)
                 e += [0] * len(run)
-                c0 += [d + k for d in hc0]
-                c0 += [k - depths[i] for i in run]
+                c0 += [d + k for d in hc0] + [k - depths[i] for i in run]
                 c1 += [0] * j
             else:
                 c0 += hc0
                 c1 += hc1
         table = cls()
-        table.scope, table.n = ranked, n
+        table.scope, table.n = ranked, len(ranked)
         table._e, table._c0, table._c1 = e, c0, c1
         return table
 
@@ -611,29 +589,25 @@ class ColoringTable:
         (1) e(a, c) <= max(e(a, b), e(b, c)) and
         (2) e(a, b) <= max(e(a, c), e(b, c)).
 
-        The scan runs over pairs, on bit masks, reading the table column
-        by column. For each index x and value v, row x's mask holds the
-        c > x with e(x, c) < v and column x's mask the b < x with e(b, x)
-        < v. For a pair a < c with z = e(a, c), row a's and column c's
-        masks at z meet in the middles b that break (1), and the row
-        masks of a and c at z in the thirds that break (2) with c as the
-        middle. That is O(n^2) big-int operations on n-bit masks.
+        The scan reads the table column by column and runs over pairs, on
+        bit masks: row x's mask at v holds the c > x with e(x, c) < v, and
+        column x's the b < x with e(b, x) < v. For a pair a < c with z =
+        e(a, c), row a's and column c's masks at z meet in the middles b
+        that break (1), and the row masks of a and c at z in the thirds
+        that break (2) with c as the middle: O(n^2) big-int operations.
 
-        The first violation is the least (middle, inequality, a, third):
-        middle first, then (1) before (2), then a, then the third. It is
-        returned under "violation", with its triple as ordinal strings,
-        and "triples" counts the triples of the smaller middles. A
-        passing scan reports, for each level i up to the largest value
-        of e, the largest weak D-set at i: the max over c of |{b < c :
-        e(b, c) <= i}|, a popcount of column c's masks. An e entry
-        outside the scope raises ValueError.
+        The first violation, the least (middle, inequality, a, third), is
+        returned under "violation" with its triple as ordinal strings,
+        and "triples" counts the triples of the smaller middles. A pass
+        reports, for each level i up to the largest e, the largest weak
+        D-set, the max over c of |{b < c : e(b, c) <= i}|: a popcount of
+        column masks. An e entry outside the scope raises ValueError.
         """
         n = len(self.scope)
-        for j in range(n, self.n):
-            for i, v in enumerate(self._column(self._e, j)):
-                if v is not None:
-                    raise ValueError(f"e entry ({i},{j})={v} lies outside "
-                                     f"the scope of {n} ordinals")
+        for (i, j), v in (self.e_map.items() if self.n > n else ()):
+            if j >= n:
+                raise ValueError(f"e entry ({i},{j})={v} lies outside the "
+                                 f"scope of {n} ordinals")
         # row_at[x][v]: the c > x with e(x, c) = v, as a bit mask; the
         # column masks below each value of column c, made as c is read
         # weak[v]: the largest weak D-set at v, where column c has v
@@ -666,10 +640,12 @@ class ColoringTable:
                     continue
                 bad = below & below_c[z]
                 if bad:
-                    first = min(first, (_low_bit(bad), 1, a, c))
+                    first = min(first, ((bad & -bad).bit_length() - 1, 1,
+                                        a, c))
                 bad = below & row_c[z]
                 if bad:
-                    first = min(first, (c, 2, a, _low_bit(bad)))
+                    first = min(first, (c, 2, a,
+                                        (bad & -bad).bit_length() - 1))
         if first[0] < n:
             middle, inequality, a, third = first
             return {"triples": sum(j * (n - 1 - j) for j in range(middle)),
@@ -682,11 +658,10 @@ class ColoringTable:
 
     def to_json(self) -> dict:
         """The tower config's colorings block: {"e": {"i,j": v}, ...}."""
-        def enc(flat):
-            return {f"{i},{j}": v
-                    for (i, j), v in sorted(self._map(flat).items())}
-        return {"e": enc(self._e), "c0": enc(self._c0),
-                "c1": enc(self._c1)}
+        return {name: {f"{i},{j}": v
+                       for (i, j), v in sorted(self._map(flat).items())}
+                for name, flat in (("e", self._e), ("c0", self._c0),
+                                   ("c1", self._c1))}
 
     @classmethod
     def from_json(cls, data: dict) -> "ColoringTable":
@@ -767,7 +742,6 @@ def hitting_scan(
             if n:
                 counts[ord_to_str(ordered[bj])] = n
         report[f"{xi0},{xi1},>{i}"] = counts
-        if counts:
-            hit_targets += 1
+        hit_targets += bool(counts)
     return {"targets": len(targets), "targets_hit": hit_targets,
             "witnesses": report}

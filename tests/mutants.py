@@ -42,6 +42,7 @@ WRAP_CHANGE = "a full wrap is a self-alignment only from seed 1 to end 1"
 GATE_CHANGE = "build_quotient is the C'(1/10) gate alone"
 DIGEST_CHANGE = "op digests recorded from one fresh process per op"
 WALK_CHANGE = "one walk tree per alpha"
+MAX_CORE_CHANGE = "max_core checked against the brute-force overlaps"
 RUN_CHANGE = "walks to limit nodes only; successor runs in one step"
 INDEX_CHANGE = "fixture entry indices are distinct ints"
 DIGESTS = ("tests/test_op_digests.py::"
@@ -139,6 +140,13 @@ MUTANTS = (
            'CPrimeResult("fail", wit, res.ell, pairs)',
            'CPrimeResult("fail", wit, res.ell + 1, pairs)', DIGESTS,
            DIGEST_CHANGE),
+    # the running maximum over the chains walked on a pass or gray scan
+    Mutant("cprime-running-max-core-off-by-one", "cancellation.py",
+           "max_core = max(max_core, res.ell)",
+           "max_core = max(max_core, res.ell + 1)",
+           ("tests/test_cancellation.py::"
+            "test_checker_matches_bruteforce_on_random_sets",),
+           MAX_CORE_CHANGE),
     Mutant("dehn-offset-off-by-one", "cancellation.py",
            "offset=p, ell=t,", "offset=p + 1, ell=t,", DIGESTS,
            DIGEST_CHANGE),
@@ -161,8 +169,8 @@ MUTANTS = (
            "col[2].append(entry[1])", "col[2].append(row[a._key][1])",
            WALKS, WALK_CHANGE),
     Mutant("run-depth-off-by-one", "colorings.py",
-           "c0 += [k - depths[i] for i in run]",
-           "c0 += [k - depths[i] + 1 for i in run]",
+           "[k - depths[i] for i in run]",
+           "[k - depths[i] + 1 for i in run]",
            WALKS + RUNS_DIFF, RUN_CHANGE),
     # right on the w^2 scopes, whose runs have no gaps below count
     Mutant("run-assumed-contiguous", "colorings.py",

@@ -414,6 +414,13 @@ def test_checker_matches_bruteforce_on_random_sets():
             near = any(best[p] >= k_min[p] - 2 for p in best)
             res = check_cprime(R)
             seen[res.status] += 1
+            # the pairs whose label runs the scan walks as chains
+            walked = [best[p] for p in best
+                      if best[p] >= max(1, k_min[p] - 2)
+                      and k_min[p] <= min(length[p[0]], length[p[1]])]
+            if walked and res.status != "fail":
+                assert max(walked) <= res.max_core <= max(best.values())
+                seen["walked"] += 1
             if res.status == "pass":
                 assert not violated, [str(r) for r in relators]
                 # C' holds, so Dehn's algorithm kills every relator
@@ -425,8 +432,9 @@ def test_checker_matches_bruteforce_on_random_sets():
                 assert replay_cprime_witness(R, res.witness)
             else:
                 assert near, [str(r) for r in relators]
-    assert sum(seen.values()) == 300
+    assert sum(seen[s] for s in ("pass", "fail", "inconclusive")) == 300
     assert min(seen[s] for s in ("pass", "fail", "inconclusive")) >= 10
+    assert seen["walked"] >= 10
 
 
 def test_cprime_scans_each_unit_pair_once(monkeypatch):
