@@ -66,7 +66,7 @@ REQUIRED_KEYS = {
 INT_KEYS = {"generators": 1, "stages": 1, "count": 1, "gamma": 0,
             "level": 0, "k_max": 0}
 # the largest scan-colorings count: its tables grow with count squared;
-# count 3000 takes 4-5 s and 243 MB, count 3300 6-8 s and 291 MB (peak
+# count 3000 takes 4-6 s and 243 MB, count 3300 5-8 s and 291 MB (peak
 # RSS, x86-64), so memory, not time, sets this bound
 MAX_COUNT = 3300
 # the largest topology-chain k_max: the chain lists k_max + 1 levels,
