@@ -277,7 +277,8 @@ def _system_check(rep):
 
 def _run_tower(config):
     try:
-        colorings = ColoringTable.from_json(config.get("colorings") or {})
+        colorings = ColoringTable.from_json(config.get("colorings") or {},
+                                            config["stages"])
     except ValueError as exc:
         raise ConfigError(f"config 'colorings': {exc}") from None
     return engine.run_construction({**config, "colorings": colorings})

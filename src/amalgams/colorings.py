@@ -356,8 +356,7 @@ def walk(alpha: OrdinalCNF, beta: OrdinalCNF,
     walk of L steps costs O(L): a first walk makes one step and one row
     entry per node it adds and builds one trace tuple, and a repeated
     walk, or one that meets the row early, copies the kept tuple. Its
-    length less one is c0(alpha, beta); ``from_walks`` walks only to
-    limit nodes and heads of runs, once per alpha."""
+    length less one is c0(alpha, beta)."""
     if not alpha < beta:
         raise ValueError("walk requires alpha < beta")
     entry = C.entry(alpha, beta)
@@ -546,6 +545,8 @@ class ColoringTable:
         C = C or LadderSystem()
         coloring = WalkColoring(C)
         ranked = sorted(scope, key=ord_sort_key)
+        if len({x._key for x in ranked}) < len(ranked):
+            raise ValueError("from_walks needs distinct ordinals")
         heads, depths, first = [], [], {}
         for j, x in enumerate(ranked):
             k = x.terms[-1][1] if x.is_successor() else 0
@@ -636,8 +637,6 @@ class ColoringTable:
             below_c, row_c = col_lt[c], row_lt[c]
             for a, z in enumerate(self._e_column(c)):
                 below = row_lt[a][z]
-                if not below:
-                    continue
                 bad = below & below_c[z]
                 if bad:
                     first = min(first, ((bad & -bad).bit_length() - 1, 1,
@@ -664,8 +663,9 @@ class ColoringTable:
                                    ("c1", self._c1))}
 
     @classmethod
-    def from_json(cls, data: dict) -> "ColoringTable":
-        """Inverse of to_json; raises ValueError on a malformed block."""
+    def from_json(cls, data: dict, stages: int) -> "ColoringTable":
+        """Inverse of to_json for a tower of ``stages`` stages; raises
+        ValueError on a malformed block or an entry past the last stage."""
         if not isinstance(data, dict):
             raise ValueError("colorings must be an object")
         unknown = sorted(set(data) - {"e", "c0", "c1"})
@@ -688,6 +688,9 @@ class ColoringTable:
                 if type(v) is not int:
                     raise ValueError(f"colorings {name!r} value at {key!r} "
                                      f"is not an integer: {v!r}")
+                if j >= stages:
+                    raise ValueError(f"colorings {name!r} key {key!r} is "
+                                     f"past the last of {stages} stages")
                 out[i, j] = v
             maps.append(out)
         return cls(*maps)
@@ -701,13 +704,9 @@ def omega_sq_scope(count: int) -> List[OrdinalCNF]:
     """The first ``count`` ordinals below omega^2 in a square
     enumeration: omega*a + b over a growing square grid, sorted."""
     side = math.isqrt(count) + 2
-    out = []
-    for a in range(side):
-        for b in range(side):
-            w = omega_power(ONE, a) if a else ZERO
-            out.append(ord_add(w, from_int(b)))
-    out.sort(key=ord_sort_key)
-    return out[:count]
+    return sorted((ord_add(omega_power(ONE, a) if a else ZERO, from_int(b))
+                   for a in range(side) for b in range(side)),
+                  key=ord_sort_key)[:count]
 
 
 def hitting_scan(

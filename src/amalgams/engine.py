@@ -484,7 +484,7 @@ def run_construction(config: dict) -> StageState:
     """Drive the tower from a config {generators, stages, colorings}."""
     colorings = config.get("colorings")
     if isinstance(colorings, dict):
-        colorings = ColoringTable.from_json(colorings)
+        colorings = ColoringTable.from_json(colorings, int(config["stages"]))
     state = init_base(int(config["generators"]), colorings)
     while state.stage < int(config["stages"]):
         state = advance_stage(state)

@@ -497,7 +497,8 @@ def test_build_stage(tmp_path):
     # presentation of a fresh run
     config = tower_config()
     state = E.run_construction(
-        {**config, "colorings": ColoringTable.from_json(config["colorings"])})
+        {**config, "colorings": ColoringTable.from_json(config["colorings"],
+                                                        config["stages"])})
     assert text == json.dumps(E.presentation(state), sort_keys=True)
 
 
@@ -760,13 +761,15 @@ def _entry_without_a(tmp_path):
     ("topology-chain", {"generators": 3, "stages": 5, "gamma": 4,
                         "level": 0}),
     # malformed colorings blocks: a key that is not "i,j", an entry
-    # with i >= j, a negative value
+    # with i >= j, a negative value, an entry past the last stage
     ("run-construction", {"generators": 3, "stages": 6,
                           "colorings": {"e": {"5": 1}}}),
     ("build-stage", {"generators": 3, "stages": 6,
                      "colorings": {"e": {"5,3": 1}}}),
     ("run-construction", {"generators": 3, "stages": 6,
                           "colorings": {"c1": {"3,5": -4}}}),
+    ("build-stage", {"generators": 3, "stages": 6,
+                     "colorings": {"e": {"2,6": 1}}}),
     ("scan-colorings", {"count": 10, "targets": [[1, 2]]}),
     ("scan-colorings", {"count": 10, "targets": [[1, 2, -3]]}),
     # malformed solve-word words: a side other than K or L, an L letter
@@ -789,9 +792,9 @@ def _entry_without_a(tmp_path):
         "no-words", "missing-fixture", "not-a-system", "entry-lacks-key",
         "negative-count", "string-stages", "bool-stages", "unbuilt-layer",
         "free-layer", "colorings-key-not-pair", "colorings-unordered-pair",
-        "colorings-negative", "target-short", "target-negative",
-        "word-side", "word-symbol", "word-sign", "word-no-letters",
-        "words-not-nested", "word-table-side"])
+        "colorings-negative", "colorings-past-stages", "target-short",
+        "target-negative", "word-side", "word-symbol", "word-sign",
+        "word-no-letters", "words-not-nested", "word-table-side"])
 def test_malformed_config_is_usage_error(tmp_path, capsys, command, config):
     if callable(config):
         config = config(tmp_path)

@@ -573,6 +573,13 @@ def test_from_walks_ranks_unsorted_scopes():
             assert table.c1(i, j) == C.step(b, a)[1]
 
 
+def test_from_walks_rejects_repeated_ordinals():
+    # a repeated limit would leave its column one entry short
+    for scope in (["w", "w", "w+1"], ["1", "w+2", "w+2"]):
+        with pytest.raises(ValueError, match="distinct"):
+            ColoringTable.from_walks([ord_from_str(s) for s in scope])
+
+
 def test_e_requires_ordered_arguments():
     col = WalkColoring()
     assert col.e(OMEGA, OMEGA) == 0

@@ -285,7 +285,7 @@ def test_q_code_roundtrip():
 
 def test_colorings_json_roundtrip():
     col = fixture_colorings()
-    back = ColoringTable.from_json(col.to_json())
+    back = ColoringTable.from_json(col.to_json(), 6)
     assert back.e_map == col.e_map
     assert back.c0_map == col.c0_map
     assert back.c1_map == col.c1_map
