@@ -2,15 +2,15 @@
 Dehn's algorithm for the word problem of their quotients.
 
 A relator set keeps its weakly cyclically reduced base words and reads
-rotations and inverses off cyclic label strings, written once. Both
+rotations and inverses off cyclic code strings, written once. Both
 scans, C' and Dehn's long-part search, first find label runs (labels
 are constant on H-double cosets, so a cancellation chain forces a
 label run) and then walk each run's diagonal once, with
 ``Diagonal``: one rule for every amalgam, which computes each chain
 state once and gives the chain from each offset by
-``cancellation_chain``. The C' verdict, at the chi the set was built
-for, is kept on the set. The replays of C' witnesses and Dehn
-certificates share no code with the chain codes that the scans compare.
+``cancellation_chain``, on shared-free amalgams by comparing code
+slices. The C' verdict is kept on the set. The replays of C' witnesses
+and Dehn certificates share no code with the chain codes.
 
 A quotient has no group object of its own: ``build_quotient`` gates a
 relator set by C'(1/10) alone, and ``dehn_decide`` on the set decides
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from fractions import Fraction
 from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, \
     Tuple
@@ -57,29 +56,24 @@ class RelatorSet:
 
     The closure members (rotations of the bases and their inverses, and
     the seam-splitting odd conjugates) are read implicitly, never
-    enumerated. Units come in (base, inverse) pairs; ``cyclic_labels``
-    holds each unit's double-coset label codes written out twice, as a
-    string of ``chr(code)``, which ``kernels.runs_at_least`` searches.
+    enumerated. Units come in (base, inverse) pairs. Each unit's codes
+    are strings of ``chr(code)`` written twice, so a cyclic read is a
+    slice: ``cyclic_labels`` holds its double-coset label codes, which
+    ``kernels.runs_at_least`` searches, and ``codes`` its chain codes
+    when the amalgam has ``label_and_ends`` (else None): syllable x codes
+    (label of u[x], reduced junction tail(u[x-1]) · head(u[x])), read
+    cyclically, with head and tail the outer H-segments (see
+    ``cancellation_chain``). ``code_word`` codes a query word, once.
+    Replays read no codes: a C' witness is walked by element
+    arithmetic, and so is a Dehn certificate, except that on an amalgam
+    with an ambient free group each part is one free reduction.
+    ``cprime`` keeps ``check_cprime``'s verdict at ``chi``; the set must
+    not change after construction.
 
-    When the amalgam has ``label_and_ends`` (a shared-free amalgam),
-    ``codes`` holds each unit's chain codes, an ``array('q')``: syllable
-    x codes the pair (label of u[x], reduced junction word
-    tail(u[x-1]) · head(u[x])), read cyclically, with head and tail the
-    outer H-segments (see ``cancellation_chain``). ``code_word`` codes a
-    query word the same way, its labels as a string too. Otherwise
-    ``codes`` is None. Replays read no codes: a C' witness is walked by
-    element arithmetic, and so is a Dehn certificate, except that on an
-    amalgam with an ambient free group each of its parts is one free
-    reduction.
-
-    The scanners share the label strings, written once at construction,
-    and ``cprime`` keeps ``check_cprime``'s verdict at ``chi``; it
-    assumes the set does not change after construction.
-
-    Coding a word labels each distinct syllable object once and codes
-    each junction once per (previous, current) pair of objects, keyed
-    on ``id``; the word holds its syllables, so no id is reused during
-    the call. An equal but distinct syllable is coded again.
+    Coding runs Python once per distinct syllable object (keyed on
+    ``id``; the word holds its syllables, so no id is reused), and per
+    distinct (previous, current) pair of objects when some object has
+    a tail; each string is then one ``str.join``.
     """
 
     def __init__(
@@ -110,47 +104,48 @@ class RelatorSet:
         self.cyclic_labels: Dict[str, str] = {}
         codes = {}
         for unit in self.units:
-            labels, codes[unit.uid] = self._code(unit.word, grow=True)
+            labels, chain = self._code(unit.word, grow=True)
             self.cyclic_labels[unit.uid] = labels * 2
-        self.codes: Optional[Dict[str, array]] = \
+            codes[unit.uid] = chain and chain * 2
+        self.codes: Optional[Dict[str, str]] = \
             None if None in codes.values() else codes
         self.cprime: Optional["CPrimeResult"] = None
 
-    def code_word(self, w: CanonicalWord) -> Tuple[str, Optional[array]]:
-        """Label codes, as a string of ``chr(code)``, and chain codes
-        (None without ``codes``) of a query word; 0, which matches no
+    def code_word(self, w: CanonicalWord) -> Tuple[str, Optional[str]]:
+        """Label codes and chain codes (None without ``codes``) of a
+        query word, each a string of ``chr(code)``; 0, which matches no
         unit, for a label or a (label, junction) pair that no unit has."""
         return self._code(w, grow=False)
 
     def _code(self, w: CanonicalWord, grow: bool):
         T = self.T
-        ids = [id(s) for s in w.syllables]
-        seen = {}  # id(syllable) -> (label code, ends), in first-use order
+        ids = list(map(id, w.syllables))
+        label, ends = {}, {}  # id(syllable) -> label code, (head, tail)
         for key, s in dict(zip(ids, w.syllables)).items():
             coded = T.label_and_ends(s.elt)
-            label = T.coset_label(s.elt) if coded is None else coded[0]
-            seen[key] = (_intern(self._label_codes, label, grow),
-                         coded and coded[1:])
-        char = {key: chr(code) for key, (code, _) in seen.items()}
+            label[key] = _intern(self._label_codes, T.coset_label(s.elt)
+                                 if coded is None else coded[0], grow)
+            ends[key] = coded and coded[1:]
+        char = {key: chr(code) for key, code in label.items()}
         labels = "".join(map(char.__getitem__, ids))
-        if any(ends is None for _, ends in seen.values()):
+        if None in ends.values():
             return labels, None
         # the junction before syllable x is tail(w[x-1]) · head(w[x]),
-        # read cyclically; _junctions maps (label, tail, head) to the
-        # code of (label, reduced junction), and pairs maps each
-        # (previous, current) pair of syllable objects to that code
-        pairs = dict.fromkeys(zip(ids[-1:] + ids[:-1], ids))
-        for prev, cur in pairs:
-            label, (head, _) = seen[cur]
-            key = (label, seen[prev][1][1], head)
-            code = self._junctions.get(key)
+        # read cyclically: keyed on the (previous, current) pair of
+        # objects, or on the current one when no object has a tail
+        tails = any(tail for _, tail in ends.values())
+        keys = list(zip(ids[-1:] + ids[:-1], ids)) if tails else ids
+        char = {}
+        for key in dict.fromkeys(keys):
+            prev, cur = key if tails else (key, key)
+            junction = (label[cur], ends[prev][1], ends[cur][0])
+            code = self._junctions.get(junction)
             if code is None:
-                code = self._junctions[key] = _intern(
-                    self._chain_codes,
-                    (label, words.free_reduce(key[1] + head)), grow)
-            pairs[prev, cur] = code
-        return labels, array(
-            "q", [pairs[p] for p in zip(ids[-1:] + ids[:-1], ids)])
+                code = self._junctions[junction] = _intern(
+                    self._chain_codes, (junction[0], words.free_reduce(
+                        junction[1] + junction[2])), grow)
+            char[key] = chr(code)
+        return labels, "".join(map(char.__getitem__, keys))
 
 
 def _intern(table: dict, key, grow: bool) -> int:
@@ -162,16 +157,6 @@ def _intern(table: dict, key, grow: bool) -> int:
     return code
 
 
-def _wcr_normalize(w: CanonicalWord, T: AmalgamTriple) -> CanonicalWord:
-    """Rotate to a wcr conjugate of even (or <= 1) length. The loop
-    stops: an odd word of length >= 3 starts and ends on one side, so
-    each rotation merges its first syllable into its last and removes
-    one or two syllables."""
-    while len(w) > 1 and len(w) % 2:
-        w = rotate(w, T)
-    return w
-
-
 def symmetrized_closure(
     R0: Sequence[CanonicalWord],
     T: AmalgamTriple,
@@ -179,11 +164,16 @@ def symmetrized_closure(
     origins: Optional[Sequence[Optional[dict]]] = None,
     rho_generated: bool = False,
 ) -> RelatorSet:
+    """The set of base relators R0, each rotated to a wcr conjugate of
+    even (or <= 1) length. The loop stops: an odd word of length >= 3
+    starts and ends on one side, so each rotation merges its first
+    syllable into its last and removes one or two syllables."""
     bases = []
     for idx, r in enumerate(R0):
-        core = _wcr_normalize(r, T)
+        while len(r) > 1 and len(r) % 2:
+            r = rotate(r, T)
         origin = origins[idx] if origins else None
-        bases.append(ScanUnit(f"r{idx}", core, origin=origin))
+        bases.append(ScanUnit(f"r{idx}", r, origin=origin))
     return RelatorSet(T, bases, chi=chi, rho_generated=rho_generated)
 
 
@@ -206,7 +196,7 @@ def cancellation_chain(
     j2: int,
     max_steps: int,
     skip_trivial_wrap: bool = False,
-    codes: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
+    codes: Optional[Tuple[str, str]] = None,
     diagonal: Optional["Diagonal"] = None,
 ) -> ChainResult:
     """Exact cancellation length of (rotation of w1 ending at i1) times
@@ -229,11 +219,12 @@ def cancellation_chain(
     wrap is left out, so the result is the longest chain between w1^-1
     and a conjugate of w2 that is a different relator.
 
-    ``codes``, the chain codes (``RelatorSet.codes``) of the unit that
-    spells w1^-1 and of w2, replaces element arithmetic after step 0
-    when both words have at least two syllables (all outside H). Step 0
-    holds exactly when h0 is a seed. For t >= 1, a_t·P·b_t ∈ H forces
-    P = tail(a_t)^-1·head(b_t)^-1, while the previous step left
+    ``codes``, the chain code strings of the unit that spells w1^-1
+    (doubled, from ``RelatorSet.codes``) and of w2 (a unit's, or a
+    query word's from ``code_word``), replaces element arithmetic after
+    step 0 when both words have at least two syllables (all outside H).
+    Step 0 holds exactly when h0 is a seed. For t >= 1, a_t·P·b_t ∈ H
+    forces P = tail(a_t)^-1·head(b_t)^-1, while the previous step left
     P = head(a_{t-1})·tail(b_{t-1}), and the skeletons and inner
     H-segments of a_t and b_t must cancel exactly: b_t's (label,
     junction) code is the code of a_t^-1, read off w1^-1. The chain
@@ -340,15 +331,21 @@ def _element_walk(T, w1, w2, i1, j2, h0, stop, states):
 
 
 def _coded_walk(T, w1, w2, i1, j2, max_steps, codes, h0):
+    """(ell, h_end) of the coded chain from h0: codes compared in
+    slices of 64, then one at a time, w2's read cyclically."""
     n, m = len(w1), len(w2)
     inv_codes, w2_codes = codes
     if max_steps < 1:
         return 0, h0
-    # a_t^-1 is entry n-1-i1+t of the unit spelling w1^-1
-    x0 = n - 1 - i1
+    # a_t^-1 is entry x + t of the doubled codes of the unit spelling
+    # w1^-1, and b_t entry y + t of w2's
+    x, y, size = (n - 1 - i1) % n, j2 % m, len(w2_codes)
     ell = 1
+    while ell + 64 <= max_steps and \
+            inv_codes[x + ell:x + ell + 64] == w2_codes[y + ell:y + ell + 64]:
+        ell += 64
     while ell < max_steps and \
-            inv_codes[(x0 + ell) % n] == w2_codes[(j2 + ell) % m]:
+            inv_codes[x + ell] == w2_codes[(y + ell) % size]:
         ell += 1
     a = w1[(i1 - ell + 1) % n].elt
     b = w2[(j2 + ell - 1) % m].elt
@@ -584,15 +581,28 @@ def _apply_replacement(
     ), T)
 
 
-def _cyclic_reduce(w: CanonicalWord, T: AmalgamTriple) -> Tuple[CanonicalWord, List[DehnStep]]:
+def _cyclic_reduce(w: CanonicalWord, T: AmalgamTriple
+                   ) -> Tuple[CanonicalWord, List[DehnStep]]:
+    """The wcr conjugate of a canonical word, with one ``cyclic-reduce``
+    step per ``rotate`` it stands for: while the length is odd and the
+    seam (last)(first) is in H, a rotation folds it into the syllable
+    before the last. Both ends are walked in, the word built once."""
+    s = w.syllables
+    i, j = 0, len(s) - 1
+    last = s[j] if s else None
     steps = []
-    guard = len(w) + 2
-    while guard and len(w) > 1 and not is_wcr(w, T):
-        guard -= 1
-        prev = len(w)
-        w = rotate(w, T)
-        steps.append(DehnStep("cyclic-reduce", prev, len(w)))
-    return w, steps
+    while j - i >= 2 and (j - i) % 2 == 0 and s[i].side == last.side:
+        seam = last.elt.owner.mul(last.elt, s[i].elt)
+        if not T.in_H(seam):
+            break
+        prev = s[j - 1]
+        last = Syllable(prev.side, prev.elt.owner.mul(
+            prev.elt, T.transfer(seam, prev.side)))
+        steps.append(DehnStep("cyclic-reduce", j - i + 1, j - i - 1))
+        i, j = i + 1, j - 1
+    if not steps:
+        return w, steps
+    return CanonicalWord(s[i:j] + (last,)), steps
 
 
 def dehn_decide(
@@ -604,7 +614,9 @@ def dehn_decide(
     Replaces long relator parts by their shorter complements until the
     word is empty (trivial, with a replayable certificate) or no long
     part exists (nontrivial, provided the word is nontrivial in the
-    plain amalgam).
+    plain amalgam). Each round reduces the word cyclically in one pass
+    (``replay_certificate`` replays each step with ``rotate``), then
+    codes the whole word and searches it against every unit.
     """
     cert: List[DehnStep] = []
     rounds = 0
@@ -692,26 +704,20 @@ def _free_part(
     t: int,
 ) -> ChainResult:
     """``cancellation_chain(T, inv, w, m-1-j, p, t)`` on an amalgam with
-    an ambient free group: the part match of w[p..p+t) against the
-    relator r that ``inv`` spells backwards, from its syllable j,
-    replayed as one free reduction.
+    an ambient free group, as one free reduction: the part match of
+    w[p..p+t) against the relator r that ``inv`` spells backwards.
 
-    The seed h0 is the one solution of r[j]^-1 · h0 · w[p] ∈ H. The
-    actual syllable payloads of r[j..j+t)^-1 (read cyclically), h0 and
-    w[p..p+t) are concatenated and freely reduced, which computes their
-    product in ``T.ambient``; the chain runs t steps iff the result
-    h_end is an H-word. The element walk instead requires every partial
-    product r[j..j+s)^-1 · h0 · w[p..p+s) to lie in H, and the two tests
-    agree. If h_end ∈ H, then h0^-1 · r[j..j+t) · h_end equals
-    w[p..p+t). For t >= 2 the part is a reduced alternating sequence of
-    t syllables, since w is canonical. So is the relator slice, since r
-    is wcr: a slice across the same-side wrap of an odd relator reduces
-    to fewer than t syllables and cannot equal the part. By the
-    normal-form theorem for amalgamated products (Lyndon–Schupp,
-    *Combinatorial Group Theory*, IV.2), two equal reduced sequences of
-    one length have the same sides and an interleaving chain of
-    H-elements, and that chain is the walk's. For t = 1 both tests are
-    the seed test."""
+    With h0 the one seed, the payloads of r[j..j+t)^-1 (cyclic), h0 and
+    w[p..p+t) are concatenated and freely reduced, their product in
+    ``T.ambient``; the chain runs t steps iff that h_end is an H-word.
+    The element walk needs every partial product in H instead, and the
+    tests agree: if h_end ∈ H, h0^-1 · r[j..j+t) · h_end = w[p..p+t).
+    For t >= 2 both are reduced alternating sequences of t syllables (w
+    is canonical, r wcr: a slice across the same-side wrap of an odd
+    relator is shorter), so by the normal-form theorem (Lyndon–Schupp,
+    *Combinatorial Group Theory*, IV.2) they have the same sides and an
+    interleaving chain of H-elements, the walk's. For t = 1 both tests
+    are the seed test."""
     m = len(inv)
     a, b = inv[(m - 1 - j) % m], w[p]
     seeds = T.junction_solutions(a.elt, b.elt) if a.side == b.side else []
@@ -765,15 +771,10 @@ def certificate_to_json(cert: Sequence[DehnStep]) -> list:
 
 
 def certificate_from_json(data: Sequence[dict]) -> List[DehnStep]:
-    steps = []
-    for item in data:
-        steps.append(DehnStep(
-            kind=item["kind"], from_len=item["from_len"],
-            to_len=item["to_len"], uid=item.get("uid"),
-            rotation=item.get("rotation"), offset=item.get("offset"),
-            ell=item.get("ell"), h_start_json=item.get("h_start"),
-            h_start_side=item.get("h_start_side")))
-    return steps
+    return [DehnStep(item["kind"], item["from_len"], item["to_len"],
+                     *map(item.get, ("uid", "rotation", "offset", "ell",
+                                     "h_start", "h_start_side")))
+            for item in data]
 
 
 def relators_to_json(R: RelatorSet, registry: ElementRegistry) -> dict:

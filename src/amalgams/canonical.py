@@ -294,18 +294,10 @@ def canonical_product(
     as the same object, so the result shares the input's objects.
     """
     stack: List[Syllable] = []
+    push = stack.append
     carry: Optional[Element] = None  # pending H-factor to the right of stack
     memo = {}  # id(syl) -> (syl, T.in_H(syl.elt)), for input syllables
-
-    def fold_carry_left() -> None:
-        nonlocal carry
-        if carry is None or not stack:
-            return
-        top = stack[-1]
-        h = T.transfer(carry, top.side)
-        stack[-1] = Syllable(top.side, top.elt.owner.mul(top.elt, h))
-        carry = None
-
+    recall, in_H, transfer = memo.get, T.in_H, T.transfer
     for piece, trusted in pieces:
         for i, syl in enumerate(piece):
             side = syl.side
@@ -314,47 +306,50 @@ def canonical_product(
                 stack.extend(piece[i:])
                 break
             g = syl.elt
-            known = memo.get(id(syl))
+            known = recall(id(syl))
             if known is None:
                 if g.owner is not T.side_group(side):
                     raise ValueError(
                         f"syllable {syl!r} not owned by the {side} side")
-                known = memo[id(syl)] = (syl, T.in_H(g))
-            group = g.owner
+                known = memo[id(syl)] = (syl, in_H(g))
             if known[1]:
-                if carry is None:
-                    carry = g
-                else:
-                    carry = group.mul(T.transfer(carry, side), g)
+                carry = g if carry is None else \
+                    g.owner.mul(transfer(carry, side), g)
                 continue
-            if carry is not None and not stack:
-                # an identity carry leaves g, and its syllable object, as is
-                if not carry.owner.is_identity(carry):
-                    g = group.mul(T.transfer(carry, side), g)
-                    if T.in_H(g):
+            if carry is not None:
+                if stack:
+                    _fold_right(stack, carry, T)
+                elif not carry.owner.is_identity(carry):
+                    # an identity carry leaves the syllable object as is
+                    g = g.owner.mul(transfer(carry, side), g)
+                    if in_H(g):
                         carry = g
                         continue
                 carry = None
             if stack and stack[-1].side == side:
-                fold_carry_left()
-                top = stack.pop()
-                merged = group.mul(top.elt, g)
-                if T.in_H(merged):
+                merged = g.owner.mul(stack.pop().elt, g)
+                if in_H(merged):
                     carry = merged
                 else:
-                    stack.append(Syllable(side, merged))
+                    push(Syllable(side, merged))
             else:
-                fold_carry_left()
-                stack.append(syl if g is syl.elt else Syllable(side, g))
+                push(syl if g is syl.elt else Syllable(side, g))
     if carry is not None:
         if stack:
-            fold_carry_left()
+            _fold_right(stack, carry, T)
         else:
             side = T.side_of_group(carry.owner)
             if T.side_group(side).is_identity(carry):
                 return CanonicalWord(())
             return CanonicalWord((Syllable(side, carry),))
     return CanonicalWord(tuple(stack))
+
+
+def _fold_right(stack: List[Syllable], h: Element, T: AmalgamTriple) -> None:
+    """Multiply the top syllable by the H-element h on its right."""
+    top = stack[-1]
+    stack[-1] = Syllable(top.side, top.elt.owner.mul(
+        top.elt, T.transfer(h, top.side)))
 
 
 def canonical_inverse(w: CanonicalWord, T: AmalgamTriple) -> CanonicalWord:
@@ -377,14 +372,8 @@ def is_wcr(w: CanonicalWord, T: AmalgamTriple) -> bool:
     """Weakly cyclically reduced: length <= 1, or even length, or the
     seam product (last syllable)(first syllable) lies outside H."""
     n = len(w)
-    if n <= 1 or n % 2 == 0:
-        return True
-    last, first = w[n - 1], w[0]
-    if last.side != first.side:
-        return True
-    group = T.side_group(last.side)
-    seam = group.mul(last.elt, first.elt)
-    return not T.in_H(seam)
+    return n <= 1 or n % 2 == 0 or w[-1].side != w[0].side or not T.in_H(
+        T.side_group(w[-1].side).mul(w[-1].elt, w[0].elt))
 
 
 def rotate(w: CanonicalWord, T: AmalgamTriple) -> CanonicalWord:

@@ -185,15 +185,23 @@ def cmd_check_smallcancel(config, args):
 def _parse_word(T, spec, built, n):
     """Word `n` of a solve-word config as a canonical word.
 
-    `built` maps (side, letters as a tuple) to its syllable and is shared
-    by all words of one command, so each distinct syllable is checked
-    and built once. Raises ConfigError naming the word and syllable."""
+    `built`, shared by all words of one command, maps a key of each
+    syllable spec to its syllable, checked and built once: (side,
+    symbol, sign) for one letter with an int sign, else (side, repr of
+    the letters), whose repr tells True and 1.0 from 1. Raises
+    ConfigError naming the word and syllable."""
     if not isinstance(spec, list):
         raise ConfigError(f"word {n} is not a list of syllables")
     sylls = []
     for i, item in enumerate(spec):
         try:
-            key = (item["side"], tuple(map(tuple, item["letters"])))
+            side, letters = item["side"], item["letters"]
+            try:
+                (sym, sign), = letters
+            except ValueError:
+                sign = None
+            key = (side, sym, sign) if type(sign) is int \
+                else (side, repr(letters))
             syl = built.get(key)
         except (KeyError, TypeError):
             raise ConfigError(

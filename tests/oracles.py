@@ -709,7 +709,8 @@ def reference_code(R, w: CanonicalWord, grow: bool):
     """``RelatorSet._code`` keyed on values: labels through an
     ``Element``-keyed memo and junctions through the set's
     (label, tail, head) table, per position. It reads and grows R's
-    code tables as the method does."""
+    code tables as the method does. Labels come as a list of codes,
+    chain codes as the method's string of ``chr(code)``."""
     T = R.T
     labels: List[int] = []
     ends = []
@@ -725,7 +726,7 @@ def reference_code(R, w: CanonicalWord, grow: bool):
         ends.append(known[1])
     if None in ends:
         return labels, None
-    codes = array("q")
+    codes = []
     prev_tail = ends[-1][1] if ends else ()
     for label, (head, tail) in zip(labels, ends):
         key = (label, prev_tail, head)
@@ -734,6 +735,6 @@ def reference_code(R, w: CanonicalWord, grow: bool):
             code = R._junctions[key] = _intern(
                 R._chain_codes,
                 (label, words.free_reduce(prev_tail + head)), grow)
-        codes.append(code)
+        codes.append(chr(code))
         prev_tail = tail
-    return labels, codes
+    return labels, "".join(codes)
