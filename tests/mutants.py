@@ -45,6 +45,13 @@ WALK_CHANGE = "one walk tree per alpha"
 MAX_CORE_CHANGE = "max_core checked against the brute-force overlaps"
 RUN_CHANGE = "walks to limit nodes only; successor runs in one step"
 INDEX_CHANGE = "fixture entry indices are distinct ints"
+DEHN_CHANGE = ("one-pass cyclic reduction, block-compared coded walks, "
+               "cheap parse keys")
+LAYER_CHANGE = "the engine validates each layer's system"
+DEHN_DIFF = ("tests/test_cancellation.py::"
+             "test_dehn_decide_matches_reference",)
+FREE_REPLAY = ("tests/test_cancellation.py::"
+               "test_free_replay_matches_element_replay",)
 DIGESTS = ("tests/test_op_digests.py::"
            "test_benchmark_ops_match_their_digests",)
 WALKS = ("tests/test_colorings.py::"
@@ -182,6 +189,80 @@ MUTANTS = (
     Mutant("flat-index-transposed", "colorings.py",
            "flat[j * (j - 1) // 2 + i] if", "flat[i * (i - 1) // 2 + j] if",
            WALKS + RUNS_DIFF, RUN_CHANGE),
+    # steps 1-64 of a coded chain are never compared at position 1
+    Mutant("block-compare-one-code-late", "cancellation.py",
+           "inv_codes[x + ell:x + ell + 64] == "
+           "w2_codes[y + ell:y + ell + 64]",
+           "inv_codes[x + ell + 1:x + ell + 65] == "
+           "w2_codes[y + ell + 1:y + ell + 65]",
+           DEHN_DIFF + ("tests/test_cancellation.py::"
+                        "test_coded_chains_match_element_chains",),
+           DEHN_CHANGE),
+    Mutant("cyclic-reduce-one-pair-too-many", "cancellation.py",
+           "CanonicalWord(s[i:j] + (last,))",
+           "CanonicalWord(s[i + 1:j - 1] + (last,))",
+           DEHN_DIFF, DEHN_CHANGE),
+    # every step's seam lands in H: that is what makes it a step
+    Mutant("cyclic-reduce-to-len-off-by-one", "cancellation.py",
+           'DehnStep("cyclic-reduce", j - i + 1, j - i - 1)',
+           'DehnStep("cyclic-reduce", j - i + 1, j - i)',
+           DEHN_DIFF, DEHN_CHANGE),
+    # a^-1 then reads as the syllable a built before it
+    Mutant("parse-key-without-sign", "cli.py",
+           "key = (side, sym, sign) if", "key = (side, sym) if",
+           DIGESTS, DEHN_CHANGE),
+    # the two wrong flattenings of the flat replay (PR 17): the part's
+    # syllables re-split from the letters of both words, H-letters
+    # joining the syllable on their left, or of w alone, H-letters
+    # joining the syllable on their right
+    Mutant("free-part-resplit-left", "cancellation.py",
+           "    for s in range(m - j - t, m - j):\n"
+           "        letters += inv.syllables[s % m].elt.payload\n"
+           "    letters += h0.payload\n"
+           "    for syl in w.syllables[p:p + t]:\n"
+           "        letters += syl.elt.payload\n",
+           "    def split(u):\n"
+           "        out, side = [], None\n"
+           "        for x in [x for y in u.syllables for x in y.elt.payload]:\n"
+           "            here = side if x[0] in T.h_symbols \\\n"
+           "                else x[0] in T.K.symbols\n"
+           "            if not out or here != side:\n"
+           "                out.append([])\n"
+           "            out[-1].append(x)\n"
+           "            side = here\n"
+           "        return out\n"
+           "    r_split, w_split = split(inv), split(w)\n"
+           "    for s in range(m - j - t, m - j):\n"
+           "        letters += r_split[s % len(r_split)]\n"
+           "    letters += h0.payload\n"
+           "    for syl in w_split[p:p + t]:\n"
+           "        letters += syl\n",
+           FREE_REPLAY, FREE_REPLAY_CHANGE),
+    Mutant("free-part-resplit-w-right", "cancellation.py",
+           "    for syl in w.syllables[p:p + t]:\n"
+           "        letters += syl.elt.payload\n",
+           "    out, side, held = [], None, []\n"
+           "    for x in [x for y in w.syllables for x in y.elt.payload]:\n"
+           "        if x[0] in T.h_symbols:\n"
+           "            held.append(x)\n"
+           "            continue\n"
+           "        here = x[0] in T.K.symbols\n"
+           "        if not out or here != side:\n"
+           "            out.append([])\n"
+           "        out[-1] += held + [x]\n"
+           "        held, side = [], here\n"
+           "    if out:\n"
+           "        out[-1] += held\n"
+           "    for syl in out[p:p + t]:\n"
+           "        letters += syl\n",
+           FREE_REPLAY, FREE_REPLAY_CHANGE),
+    # PR 21: a layer whose system is invalid would build
+    Mutant("build-layer-without-validation", "engine.py",
+           "    if report.status == \"invalid\":\n"
+           "        raise ValueError(f\"system is invalid: "
+           "{report.witness}\")\n", "",
+           ("tests/test_engine.py::"
+            "test_invalid_layer_system_is_a_hard_error",), LAYER_CHANGE),
     Mutant("fixture-index-unchecked", "systems.py",
            "            if type(index) is not int or index in indices:\n"
            "                raise ValueError(f\"index must be an int that no "

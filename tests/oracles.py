@@ -8,14 +8,24 @@ naive DP scans, exhaustive chain search) so agreement is meaningful.
 from __future__ import annotations
 
 import json
+import math
 from array import array
 from typing import Dict, List, Sequence, Tuple
 
-from amalgams import words
+from amalgams import kernels, words
 from amalgams.cancellation import (
+    ChainResult,
+    CPrimeResult,
+    CPrimeWitness,
+    DehnResult,
+    DehnStep,
+    Diagonal,
     _apply_replacement,
+    _element_walk,
     _intern,
     cancellation_chain,
+    distinct_cyclic_runs,
+    part_threshold,
 )
 from amalgams.canonical import (
     CanonicalWord,
@@ -738,3 +748,194 @@ def reference_code(R, w: CanonicalWord, grow: bool):
         codes.append(chr(code))
         prev_tail = tail
     return labels, "".join(codes)
+
+
+# ---------------------------------------------------------------------------
+# Dehn's algorithm and the C' scan as they were before the one-pass
+# cyclic reduction and the block-compared coded walk
+#
+# reference_dehn_decide reduces a word cyclically by one rotate per
+# syllable pair, and the coded walk of both references compares one
+# chain code per step. The query word is coded by reference_code. The
+# element walk, the label runs and _apply_replacement are the
+# package's own.
+
+
+def reference_cyclic_reduce(w, T):
+    steps = []
+    guard = len(w) + 2
+    while guard and len(w) > 1 and not is_wcr(w, T):
+        guard -= 1
+        prev = len(w)
+        w = rotate(w, T)
+        steps.append(DehnStep("cyclic-reduce", prev, len(w)))
+    return w, steps
+
+
+def reference_coded_walk(T, w1, w2, i1, j2, max_steps, codes, h0):
+    n, m = len(w1), len(w2)
+    inv_codes, w2_codes = codes
+    if max_steps < 1:
+        return 0, h0
+    # a_t^-1 is entry n-1-i1+t of the unit spelling w1^-1; both code
+    # strings are read modulo the word lengths
+    x0 = n - 1 - i1
+    ell = 1
+    while ell < max_steps and \
+            inv_codes[(x0 + ell) % n] == w2_codes[(j2 + ell) % m]:
+        ell += 1
+    a = w1[(i1 - ell + 1) % n].elt
+    b = w2[(j2 + ell - 1) % m].elt
+    group = a.owner
+    head = Element(group, T.label_and_ends(a)[1])
+    tail = Element(group, T.label_and_ends(b)[2])
+    return ell, group.mul(head, tail)
+
+
+def reference_cancellation_chain(T, w1, w2, i1, j2, max_steps,
+                                 skip_trivial_wrap=False, codes=None,
+                                 diagonal=None):
+    """``cancellation_chain`` with ``reference_coded_walk``."""
+    n, m = len(w1), len(w2)
+    a0, b0 = w1[i1 % n], w2[j2 % m]
+    best = ChainResult(0, None, False)
+    if a0.side != b0.side:
+        return best
+    coded = codes is not None and n > 1 and m > 1
+    stop, states = (j2 + max_steps, None) if diagonal is None \
+        else (diagonal.stop, diagonal.states)
+    for h0 in T.junction_solutions(a0.elt, b0.elt):
+        if coded:
+            ell, P = reference_coded_walk(T, w1, w2, i1, j2, max_steps,
+                                          codes, h0)
+            if diagonal is not None:
+                diagonal.settled = j2 + ell
+        else:
+            R, r = _element_walk(T, w1, w2, i1, j2, h0, stop, states)
+            ell = min(r, max_steps)
+            P = T.transfer(R[r - ell], w1[(i1 + 1 - max(ell, 1)) % n].side)
+        wrap = ell == max_steps == n == m and h0.owner.is_identity(h0) \
+            and P.owner.is_identity(P)
+        if wrap and skip_trivial_wrap:
+            continue
+        if ell > best.ell or best.h0 is None:
+            best = ChainResult(ell, h0, wrap, P)
+    return best
+
+
+class ReferenceDiagonal(Diagonal):
+    """``Diagonal`` whose chains are ``reference_cancellation_chain``."""
+
+    def chains(self, skip_trivial_wrap=False):
+        skip = skip_trivial_wrap and self.codes is None
+        o = 0
+        while o < self.length:
+            yield o, reference_cancellation_chain(
+                self.T, self.w1, self.w2, self.i1 - o, self.j2 + o,
+                min(self.max_steps, self.room - o), skip, self.codes, self)
+            o = max(o + 1, self.settled - self.j2)
+
+
+def reference_scan_cprime(R) -> CPrimeResult:
+    """``check_cprime``'s scan on ``ReferenceDiagonal``, not kept on R."""
+    T, codes, chi = R.T, R.codes, R.chi
+    max_core, pairs, gray = 0, 0, False
+    for u1 in R.units:
+        n = len(u1.word)
+        U2 = R.cyclic_labels[u1.partner]
+        for u2 in R.units:
+            pairs += 1
+            m = len(u2.word)
+            k_min = math.ceil(chi * min(n, m))
+            if k_min > min(n, m):
+                continue
+            scan_k = max(1, k_min - 2)
+            runs = kernels.runs_at_least(U2, R.cyclic_labels[u2.uid], scan_k)
+            for (s, j, length) in distinct_cyclic_runs(runs, n, m):
+                diagonal = ReferenceDiagonal(
+                    T, u1.word, u2.word, n - 1 - s, j,
+                    min(length, math.lcm(n, m)), min(n, m),
+                    codes=codes and (codes[u1.partner], codes[u2.uid]))
+                for o, res in diagonal.chains(skip_trivial_wrap=True):
+                    if res.full_wrap_trivial:
+                        continue
+                    if res.ell >= k_min:
+                        h_elt = res.h0
+                        wit = CPrimeWitness(
+                            u1.uid, u2.uid, (n - 1 - s - o) % n,
+                            (j + o) % m, res.ell, min(n, m), k_min,
+                            h_elt.owner.payload_to_json(h_elt.payload),
+                            T.side_of_group(h_elt.owner))
+                        return CPrimeResult("fail", wit, res.ell, pairs)
+                    max_core = max(max_core, res.ell)
+                    if res.ell >= scan_k:
+                        gray = True
+    if gray:
+        return CPrimeResult(
+            "inconclusive", None, max_core, pairs,
+            note="verified overlaps approach the bound within split slack")
+    return CPrimeResult("pass", None, max_core, pairs)
+
+
+def reference_find_replacement(w, R):
+    T = R.T
+    labels, W_codes = reference_code(R, w, False)
+    W = "".join(map(chr, labels))
+    gray = False
+    candidates = []
+    for unit in R.units:
+        m = len(unit.word)
+        t_min = part_threshold(m)
+        if t_min > min(len(w), m):
+            continue
+        scan_k = max(1, t_min - 2)
+        inv = R.by_uid[unit.partner].word
+        runs = kernels.runs_at_least(W, R.cyclic_labels[unit.uid], scan_k)
+        for (p, j, length) in runs:
+            diagonal = ReferenceDiagonal(
+                T, inv, w, m - 1 - j, p, length, m, room=len(w) - p,
+                codes=W_codes and (R.codes[unit.uid], W_codes))
+            ends = set()
+            for o, chain in diagonal.chains():
+                q, jq, t = p + o, (j + o) % m, chain.ell
+                if t < t_min:
+                    gray = gray or t >= scan_k
+                elif (q + t, chain.h_end.payload) not in ends:
+                    ends.add((q + t, chain.h_end.payload))
+                    new_word = _apply_replacement(T, w, inv, q, jq, chain)
+                    if len(new_word) < len(w):
+                        candidates.append(
+                            (len(new_word), q, unit.uid, jq, t, chain.h0,
+                             new_word))
+    if not candidates:
+        return None, gray
+    candidates.sort(key=lambda c: (c[0], c[1], c[2], c[3]))
+    new_len, p, uid, j, t, h_start, new_word = candidates[0]
+    step = DehnStep("replace", len(w), new_len, uid=uid, rotation=j,
+                    offset=p, ell=t,
+                    h_start_json=h_start.owner.payload_to_json(
+                        h_start.payload),
+                    h_start_side=T.side_of_group(h_start.owner))
+    return (new_word, step), gray
+
+
+def reference_dehn_decide(w, R, budget: int = 10_000) -> DehnResult:
+    cert = []
+    rounds = 0
+    while True:
+        rounds += 1
+        if rounds > budget:
+            return DehnResult("inconclusive", cert, "round budget")
+        w, red_steps = reference_cyclic_reduce(w, R.T)
+        cert.extend(red_steps)
+        if w.is_empty():
+            return DehnResult("trivial", cert)
+        found, gray = reference_find_replacement(w, R)
+        if found is None:
+            if gray:
+                return DehnResult(
+                    "inconclusive", cert,
+                    "label run near the part bound resisted verification")
+            return DehnResult("nontrivial", cert)
+        w, step = found
+        cert.append(step)

@@ -59,6 +59,8 @@ from oracles import (
     flat_letters,
     materialize,
     naive_part_length,
+    reference_dehn_decide,
+    reference_scan_cprime,
     wcr_conjugates,
 )
 
@@ -413,6 +415,7 @@ def test_checker_matches_bruteforce_on_random_sets():
             violated = any(best[p] >= k_min[p] for p in best)
             near = any(best[p] >= k_min[p] - 2 for p in best)
             res = check_cprime(R)
+            assert res == reference_scan_cprime(R)
             seen[res.status] += 1
             # the pairs whose label runs the scan walks as chains
             walked = [best[p] for p in best
@@ -573,6 +576,34 @@ def test_coded_chains_match_element_chains():
         seen["stopped early"] += 0 < ref.ell < min(t0, max_steps)
         seen["wrap"] += ref.full_wrap_trivial
         seen["wrap skipped"] += skip and close and ref.h0 is None
+    # chains of up to 240 steps, which the coded walker compares 64
+    # codes at a time: one junction of w2, near a block's end or
+    # anywhere, is off by one H-letter
+    for case in range(12):
+        n = 2 * rng.randrange(70, 120)
+        w1 = [_random_syllable(rng, T, K_SIDE if i % 2 == 0 else L_SIDE)
+              for i in range(n)]
+        i1, j2 = rng.randrange(n), rng.randrange(n)
+        planted = _conjugated_inverses(
+            rng, [w1[(i1 - t) % n] for t in range(n)], False)
+        w1 = CanonicalWord(tuple(w1))
+        query = RelatorSet(T, [ScanUnit("r0", w1)])
+        for bad in (None, 0, 1, 2, 63, 64, 65, 66, 128, rng.randrange(n)):
+            run = list(planted)
+            if bad is not None:
+                run[bad] = _off_by_one_h_letter(rng, run[bad])
+            w2 = CanonicalWord(tuple(run[(k - j2) % n] for k in range(n)))
+            R = RelatorSet(T, [ScanUnit("r0", w1), ScanUnit("r1", w2)])
+            max_steps = n if rng.random() < 0.7 else rng.randrange(n + 1)
+            ref = cancellation_chain(T, w1, w2, i1, j2, max_steps)
+            for codes in ((R.codes["r0^-1"], R.codes["r1"]),
+                          (query.codes["r0^-1"], query.code_word(w2)[1])):
+                res = cancellation_chain(T, w1, w2, i1, j2, max_steps,
+                                         codes=codes)
+                assert (res.ell, res.h0, res.h_end) == \
+                    (ref.ell, ref.h0, ref.h_end), (case, bad)
+            seen["long, ends at step 1 or 2"] += ref.ell in (1, 2)
+            seen["long, ends past a block"] += ref.ell > 64
     assert min(seen.values()) >= 10, seen
 
 
@@ -1046,6 +1077,106 @@ def test_dehn_kills_product_of_relator_conjugates(rho_system):
     res = dehn_decide(prod, R)
     assert res.status == "trivial"
     assert replay_certificate(prod, res.certificate, R)
+
+
+def _h_payload(rng, T):
+    """A random H-word of 0-3 letters, freely reduced."""
+    letters = [(x, e) for x in sorted(T.h_symbols) for e in (1, -1)]
+    return words.free_reduce(
+        [rng.choice(letters) for _ in range(rng.randrange(4))])
+
+
+def _twisted_conjugate(rng, T, core, length):
+    """u · core · u^-1 for u of ``length`` random alternating syllables,
+    with the syllables of u^-1 twisted by random H-elements c_k: the
+    k-th from the end is c_{k+1} · u_k^-1 · c_k^-1 (c_0 = c_length = 1),
+    so the k-th cyclic-reduce step meets the seam product c_{k+1} in H,
+    and most of these are not 1. Canonicalized, so the ends of u merge
+    with the core where their sides meet."""
+    u = _random_free_word(rng, T, length, rng.choice("KL"))
+    carries = [()] + [_h_payload(rng, T) for _ in range(length - 1)] + [()]
+    tail = []
+    for k, s in enumerate(u):
+        group = s.elt.owner
+        tail.append(syllable(s.side, group.element(
+            carries[k + 1] + words.inverse(s.elt.payload)
+            + words.inverse(carries[k]))))
+    return canonicalize(u + list(core.syllables) + tail[::-1], T)
+
+
+def _same_dehn(w, R, seen):
+    """dehn_decide against the reference of tests/oracles.py: the same
+    DehnResult, certificate JSON and all."""
+    got, ref = dehn_decide(w, R), reference_dehn_decide(w, R)
+    assert got == ref
+    assert certificate_to_json(got.certificate) == \
+        certificate_to_json(ref.certificate)
+    seen[got.status] += 1
+    reduce = [step for step in got.certificate
+              if step.kind == "cyclic-reduce"]
+    seen["cyclic-reduce steps"] += len(reduce)
+    return got
+
+
+def test_dehn_decide_matches_reference(rho_system):
+    # the one-pass cyclic reduction and the block-compared coded walk
+    # against the rotate loop and the per-step walk: random shared-free
+    # amalgams, products of rotated conjugates of with_h's relator, and
+    # words whose cyclic reduction takes thousands of steps through
+    # seams that land in H off 1
+    rng = random.Random(20261020)
+    seen = collections.Counter()
+    for _ in range(20):
+        T = random_shared_free(rng)
+        relators = [canonicalize(_random_free_word(
+            rng, T, 2 * rng.randrange(6, 10), K_SIDE), T)
+            for _ in range(rng.randint(1, 2))]
+        R = symmetrized_closure(relators, T)
+        for _ in range(4):
+            sylls = []
+            for _ in range(rng.randint(1, 3)):
+                unit = rng.choice(R.units).word
+                k = rng.randrange(len(unit))
+                unit = CanonicalWord(unit.syllables[k:] + unit.syllables[:k])
+                u = canonicalize(_random_free_word(
+                    rng, T, rng.randrange(4), rng.choice("KL")), T)
+                sylls += _conjugate(u, unit, T).syllables
+            if rng.random() < 0.3:
+                sylls += _random_free_word(rng, T, 3, rng.choice("KL"))
+            w = canonicalize(sylls, T)
+            if not w.is_empty():
+                _same_dehn(w, R, seen)
+            _same_dehn(_twisted_conjugate(rng, T, w, rng.randrange(
+                1, 60)), R, seen)
+    T, S, R = rho_system
+    r = R.bases[0].word
+    n = len(r)
+    for count in (1, 2, 4, 7, 12, 16):
+        sylls = []
+        for _ in range(count):
+            unit = rng.choice(R.units).word
+            k = rng.randrange(n)
+            unit = CanonicalWord(unit.syllables[k:] + unit.syllables[:k])
+            u = canonicalize(_random_free_word(
+                rng, T, rng.randrange(1, 6), rng.choice("KL")), T)
+            sylls += _conjugate(u, unit, T).syllables
+        _same_dehn(canonicalize(sylls, T), R, seen)
+    for length in (1000, 2000, 3000):
+        core = canonicalize(_random_free_word(rng, T, 3, "K"), T) \
+            if length != 2000 else R.units[1].word
+        w = _twisted_conjugate(rng, T, core, length)
+        res = _same_dehn(w, R, seen)
+        assert sum(step.kind == "cyclic-reduce"
+                   for step in res.certificate) >= length - 1
+    assert seen["trivial"] >= 40 and seen["nontrivial"] >= 20, seen
+    assert seen["cyclic-reduce steps"] >= 6000, seen
+
+
+def test_cprime_scan_matches_reference_on_fixtures():
+    for name in ("with_h", "trivial_h", "d_case", "corrupted"):
+        T, S, _ = load_system_fixture(f"{FIXTURES}/{name}.json")
+        R = generate_relators(S, T, check=False)
+        assert check_cprime(R) == reference_scan_cprime(R), name
 
 
 def _abelianized(w, symbols):

@@ -826,6 +826,33 @@ def test_solve_word_sign_must_be_an_int(tmp_path, capsys, sign):
         f"got {sign!r}\n")
 
 
+@pytest.mark.parametrize("valid, letters", [
+    ([["a", 1]], [["a", 1, 7]]),
+    ([["a", 1]], [["a"]]),
+    ([["a", 1]], [[["a", 1]]]),
+    ([["a", 1]], [["a", True]]),
+    ([["a", 1]], [["a", 1.0]]),
+    ([["a", 1], ["h", 1]], [["a", 1], ["h", True]]),
+], ids=["three-items", "one-item", "nested", "bool-sign", "float-sign",
+        "two-letters-bool-sign"])
+def test_malformed_syllable_after_a_valid_one(tmp_path, capsys, valid,
+                                              letters):
+    # built syllables are looked up by a key of their spec; a malformed
+    # spec must not find the key of a valid one built before it (True
+    # and 1.0 equal 1)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"fixture": WITH_H, "words": [
+        [{"side": "K", "letters": valid}],
+        [{"side": "L", "letters": [["b", 1]]},
+         {"side": "K", "letters": letters}]]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-word", "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("amalgams: error: word 1 syllable 1")
+
+
 @pytest.mark.parametrize("chi", [
     [1, 0], "x", [1, 10, 3], [1.5, 10], True, [True, 10],
     # p > q skips every pair, so the scan could not fail; p < 0 fails

@@ -46,6 +46,8 @@ def test_free_reduce_rejects_zero():
 # search does not always find such a case, and the mutant gate needs
 # this test to fail every time
 @example([-2], [-3, -2, -2])
+# a clone without its original's transitions finds a run of 1 here, not 2
+@example([-2, -2], [-1, -2, -2])
 def test_longest_common_run_matches_naive(a, b):
     length, i, j = kernels.longest_common_run(a, b)
     assert (length, i, j) == naive_longest_common_run(a, b)
