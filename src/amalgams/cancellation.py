@@ -132,11 +132,12 @@ class RelatorSet:
             return labels, None
         # the junction before syllable x is tail(w[x-1]) · head(w[x]),
         # read cyclically: keyed on the (previous, current) pair of
-        # objects, or on the current one when no object has a tail
+        # objects, or on the current one when no object has a tail; the
+        # pairs are zipped twice, as a list they take 64 bytes a syllable
         tails = any(tail for _, tail in ends.values())
-        keys = list(zip(ids[-1:] + ids[:-1], ids)) if tails else ids
+        before = ids[-1:] + ids[:-1]
         char = {}
-        for key in dict.fromkeys(keys):
+        for key in dict.fromkeys(zip(before, ids) if tails else ids):
             prev, cur = key if tails else (key, key)
             junction = (label[cur], ends[prev][1], ends[cur][0])
             code = self._junctions.get(junction)
@@ -145,7 +146,8 @@ class RelatorSet:
                     self._chain_codes, (junction[0], words.free_reduce(
                         junction[1] + junction[2])), grow)
             char[key] = chr(code)
-        return labels, "".join(map(char.__getitem__, keys))
+        return labels, "".join(map(
+            char.__getitem__, zip(before, ids) if tails else ids))
 
 
 def _intern(table: dict, key, grow: bool) -> int:
