@@ -211,7 +211,7 @@ MUTANTS = (
     Mutant("parse-key-without-sign", "cli.py",
            "key = (side, sym, sign) if", "key = (side, sym) if",
            DIGESTS, DEHN_CHANGE),
-    # the two wrong flattenings of the flat replay (PR 17): the part's
+    # the two wrong flattenings of the flat replay: the part's
     # syllables re-split from the letters of both words, H-letters
     # joining the syllable on their left, or of w alone, H-letters
     # joining the syllable on their right
@@ -256,7 +256,7 @@ MUTANTS = (
            "    for syl in out[p:p + t]:\n"
            "        letters += syl\n",
            FREE_REPLAY, FREE_REPLAY_CHANGE),
-    # PR 21: a layer whose system is invalid would build
+    # a layer whose system is invalid would build
     Mutant("build-layer-without-validation", "engine.py",
            "    if report.status == \"invalid\":\n"
            "        raise ValueError(f\"system is invalid: "
