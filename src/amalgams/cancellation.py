@@ -88,7 +88,7 @@ class RelatorSet:
         self.rho_generated = rho_generated
         self.units: List[ScanUnit] = []
         for base in bases:
-            if base.word.is_empty():
+            if not base.word:
                 raise ValueError(f"relator {base.uid} is trivial")
             if not is_wcr(base.word, T):
                 raise ValueError(f"relator {base.uid} is not wcr")
@@ -119,9 +119,9 @@ class RelatorSet:
 
     def _code(self, w: CanonicalWord, grow: bool):
         T = self.T
-        ids = list(map(id, w.syllables))
+        ids = list(map(id, w))
         label, ends = {}, {}  # id(syllable) -> label code, (head, tail)
-        for key, s in dict(zip(ids, w.syllables)).items():
+        for key, s in dict(zip(ids, w)).items():
             coded = T.label_and_ends(s.elt)
             label[key] = _intern(self._label_codes, T.coset_label(s.elt)
                                  if coded is None else coded[0], grow)
@@ -572,14 +572,13 @@ def _apply_replacement(
     side."""
     m, t = len(inv), chain.ell
     h_start, h_end = chain.h0, chain.h_end
-    r = inv.syllables
     return canonical_product((
-        (w.syllables[:p], True),
+        (w[:p], True),
         ((Syllable(T.side_of_group(h_start.owner), h_start.inv()),), False),
-        (r[m - j:2 * m - j - t], True),
-        (r[:max(m - j - t, 0)], True),
+        (inv[m - j:2 * m - j - t], True),
+        (inv[:max(m - j - t, 0)], True),
         ((Syllable(T.side_of_group(h_end.owner), h_end),), False),
-        (w.syllables[p + t:], True),
+        (w[p + t:], True),
     ), T)
 
 
@@ -589,22 +588,21 @@ def _cyclic_reduce(w: CanonicalWord, T: AmalgamTriple
     step per ``rotate`` it stands for: while the length is odd and the
     seam (last)(first) is in H, a rotation folds it into the syllable
     before the last. Both ends are walked in, the word built once."""
-    s = w.syllables
-    i, j = 0, len(s) - 1
-    last = s[j] if s else None
+    i, j = 0, len(w) - 1
+    last = w[j] if w else None
     steps = []
-    while j - i >= 2 and (j - i) % 2 == 0 and s[i].side == last.side:
-        seam = last.elt.owner.mul(last.elt, s[i].elt)
+    while j - i >= 2 and (j - i) % 2 == 0 and w[i].side == last.side:
+        seam = last.elt.owner.mul(last.elt, w[i].elt)
         if not T.in_H(seam):
             break
-        prev = s[j - 1]
+        prev = w[j - 1]
         last = Syllable(prev.side, prev.elt.owner.mul(
             prev.elt, T.transfer(seam, prev.side)))
         steps.append(DehnStep("cyclic-reduce", j - i + 1, j - i - 1))
         i, j = i + 1, j - 1
     if not steps:
         return w, steps
-    return CanonicalWord(s[i:j] + (last,)), steps
+    return w[i:j] + (last,), steps
 
 
 def dehn_decide(
@@ -628,7 +626,7 @@ def dehn_decide(
             return DehnResult("inconclusive", cert, "round budget")
         w, red_steps = _cyclic_reduce(w, R.T)
         cert.extend(red_steps)
-        if w.is_empty():
+        if not w:
             return DehnResult("trivial", cert)
         found, gray = find_replacement(w, R)
         if found is None:
@@ -698,7 +696,7 @@ def replay_certificate(
             return False
         if len(w) != step.to_len:
             return False
-    return w.is_empty()
+    return not w
 
 
 def _free_part(
@@ -731,9 +729,9 @@ def _free_part(
     # none of the checks of T.ambient.element
     letters = []
     for s in range(m - j - t, m - j):
-        letters += inv.syllables[s % m].elt.payload
+        letters += inv[s % m].elt.payload
     letters += h0.payload
-    for syl in w.syllables[p:p + t]:
+    for syl in w[p:p + t]:
         letters += syl.elt.payload
     h_end = Element(T.side_group(w[p + t - 1].side),
                     words.free_reduce(letters))

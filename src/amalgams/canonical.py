@@ -1,7 +1,7 @@
 """Canonical forms in an amalgamated free product K *_H L.
 
-A canonical word is an alternating sequence of syllables from K minus H
-and L minus H (or a single element, or empty for the identity). Two
+A canonical word is a tuple of syllables that alternate between K minus
+H and L minus H (or a single element, or empty for the identity). Two
 canonical words represent the same group element exactly when an
 interleaving chain of H-elements connects them syllable by syllable
 (Lyndon–Schupp, *Combinatorial Group Theory*, IV.2);
@@ -40,35 +40,7 @@ class Syllable(NamedTuple):
         return f"{self.side}[{self.elt.payload!r}]"
 
 
-class CanonicalWord:
-    """A word as its tuple of syllables. It is not itself a tuple: its
-    length, indexing and truthiness are those of the syllables, and it
-    equals and hashes as the record of that one field."""
-
-    __slots__ = ("syllables",)
-
-    def __init__(self, syllables: Tuple[Syllable, ...]):
-        self.syllables = syllables
-
-    def __eq__(self, other):
-        if type(other) is not CanonicalWord:
-            return NotImplemented
-        return self.syllables == other.syllables
-
-    def __hash__(self) -> int:
-        return hash((self.syllables,))
-
-    def __len__(self) -> int:
-        return len(self.syllables)
-
-    def __getitem__(self, i):
-        return self.syllables[i]
-
-    def is_empty(self) -> bool:
-        return not self.syllables
-
-    def __repr__(self) -> str:
-        return "CW(" + " ".join(map(repr, self.syllables)) + ")"
+CanonicalWord = Tuple[Syllable, ...]
 
 
 class AmalgamTriple:
@@ -340,9 +312,9 @@ def canonical_product(
         else:
             side = T.side_of_group(carry.owner)
             if T.side_group(side).is_identity(carry):
-                return CanonicalWord(())
-            return CanonicalWord((Syllable(side, carry),))
-    return CanonicalWord(tuple(stack))
+                return ()
+            return (Syllable(side, carry),)
+    return tuple(stack)
 
 
 def _fold_right(stack: List[Syllable], h: Element, T: AmalgamTriple) -> None:
@@ -357,11 +329,10 @@ def canonical_inverse(w: CanonicalWord, T: AmalgamTriple) -> CanonicalWord:
     inverted once, keyed on its id: ``w`` holds its syllables for the
     call, so no id is reused, and the result shares one inverse object
     per input object."""
-    inverses = {id(s): s for s in w.syllables}
+    inverses = {id(s): s for s in w}
     for key, s in inverses.items():
         inverses[key] = Syllable(s.side, s.elt.inv())
-    return CanonicalWord(
-        tuple([inverses[id(s)] for s in reversed(w.syllables)]))
+    return tuple([inverses[id(s)] for s in reversed(w)])
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +353,7 @@ def rotate(w: CanonicalWord, T: AmalgamTriple) -> CanonicalWord:
     syllable lands is renormalized."""
     if len(w) <= 1:
         return w
-    return canonical_product(
-        ((w.syllables[1:], True), ((w.syllables[0],), False)), T)
+    return canonical_product(((w[1:], True), (w[:1], False)), T)
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +361,9 @@ def rotate(w: CanonicalWord, T: AmalgamTriple) -> CanonicalWord:
 
 
 def word_to_json(w: CanonicalWord, registry: ElementRegistry) -> list:
-    return [
-        {"side": s.side, "code": registry.register(s.elt)} for s in w.syllables
-    ]
+    return [{"side": s.side, "code": registry.register(s.elt)} for s in w]
 
 
 def word_from_json(data: Sequence, registry: ElementRegistry) -> CanonicalWord:
-    return CanonicalWord(
-        tuple(Syllable(item["side"], registry.decode(item["code"])) for item in data)
-    )
+    return tuple(Syllable(item["side"], registry.decode(item["code"]))
+                 for item in data)

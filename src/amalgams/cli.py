@@ -148,7 +148,7 @@ def cmd_check_amalgam(config, args):
     # syllable: moving an H-factor across a seam changes the word
     for sylls in sample:
         w = canonicalize(sylls, T)
-        if canonicalize(w.syllables, T).syllables != w.syllables:
+        if canonicalize(w, T) != w:
             return [CheckResult("canonicalize-idempotent", "fail",
                                 {"word": [str(s) for s in sylls]})]
     return [CheckResult("canonicalize-idempotent", "pass",

@@ -694,7 +694,7 @@ def presentation(state: StageState) -> dict:
 
 def _flatten(w: CanonicalWord):
     out = []
-    for s in w.syllables:
+    for s in w:
         out.extend(s.elt.payload)
     return words.free_reduce(out)
 

@@ -96,7 +96,7 @@ class FiniteTableGroup(GroupHandle):
             raise ValueError("multiplication table must be square")
         self._identity = self._find_identity()
         self._inverse = self._find_inverses()
-        self._spot_check_associativity()
+        self._check_associativity()
 
     def _find_identity(self) -> int:
         for e in range(self.order):
@@ -118,13 +118,32 @@ class FiniteTableGroup(GroupHandle):
                 raise ValueError(f"element {g} has no inverse")
         return tuple(inv)
 
-    def _spot_check_associativity(self) -> None:
-        n = self.order
-        triples = itertools.product(range(n), repeat=3)
-        step = max(1, n ** 3 // 64)
-        for a, b, c in itertools.islice(triples, 0, None, step):
-            if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                raise ValueError(f"table not associative at ({a},{b},{c})")
+    def _check_associativity(self) -> None:
+        """Light's test. The elements g with (x·g)·y = x·(g·y) for all
+        x, y include the identity and are closed under products, so the
+        table is associative when they include a set whose products
+        reach every element. The set is picked greedily: each element
+        not yet reached joins it."""
+        t, n = self.table, self.order
+        gens, reached = [], {self._identity}
+        for g in range(n):
+            if g in reached:
+                continue
+            gens.append(g)
+            todo = [g] + [t[c][g] for c in reached]
+            while todo:
+                c = todo.pop()
+                if c not in reached:
+                    reached.add(c)
+                    todo.extend(t[c][s] for s in gens)
+        for g in gens:
+            for x in range(n):
+                # (x·g)·y and x·(g·y) for every y at once
+                left, right = t[t[x][g]], tuple(map(t[x].__getitem__, t[g]))
+                if left != right:
+                    y = next(y for y in range(n) if left[y] != right[y])
+                    raise ValueError(
+                        f"table not associative at ({x},{g},{y})")
 
     def identity(self) -> Element:
         return Element(self, self._identity)
@@ -141,8 +160,10 @@ class FiniteTableGroup(GroupHandle):
     def _is_identity_payload(self, a: int) -> bool:
         return a == self._identity
 
-    def _normalize_payload(self, payload) -> int:
-        g = int(payload)
+    def _normalize_payload(self, g) -> int:
+        # not int(): 2.7, "3" and True are not element indices
+        if type(g) is not int:
+            raise ValueError(f"element index must be an int, not {g!r}")
         if not 0 <= g < self.order:
             raise ValueError(f"element index {g} out of range")
         return g

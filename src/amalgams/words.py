@@ -2,7 +2,7 @@
 
 A word is a tuple of letters; a letter is a pair (symbol, sign) with
 sign in {+1, -1}. Symbols are arbitrary hashable identifiers (the
-engine uses ints, fixtures use strings).
+engine's are the strings "x0", "x1", ...; fixtures name their own).
 """
 
 from __future__ import annotations

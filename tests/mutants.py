@@ -48,6 +48,8 @@ INDEX_CHANGE = "fixture entry indices are distinct ints"
 DEHN_CHANGE = ("one-pass cyclic reduction, block-compared coded walks, "
                "cheap parse keys")
 LAYER_CHANGE = "the engine validates each layer's system"
+TABLE_CHANGE = ("table groups: Light's associativity test, element "
+                "indices that are ints")
 DEHN_DIFF = ("tests/test_cancellation.py::"
              "test_dehn_decide_matches_reference",)
 FREE_REPLAY = ("tests/test_cancellation.py::"
@@ -199,8 +201,8 @@ MUTANTS = (
                         "test_coded_chains_match_element_chains",),
            DEHN_CHANGE),
     Mutant("cyclic-reduce-one-pair-too-many", "cancellation.py",
-           "CanonicalWord(s[i:j] + (last,))",
-           "CanonicalWord(s[i + 1:j - 1] + (last,))",
+           "w[i:j] + (last,), steps",
+           "w[i + 1:j - 1] + (last,), steps",
            DEHN_DIFF, DEHN_CHANGE),
     # every step's seam lands in H: that is what makes it a step
     Mutant("cyclic-reduce-to-len-off-by-one", "cancellation.py",
@@ -217,13 +219,13 @@ MUTANTS = (
     # joining the syllable on their right
     Mutant("free-part-resplit-left", "cancellation.py",
            "    for s in range(m - j - t, m - j):\n"
-           "        letters += inv.syllables[s % m].elt.payload\n"
+           "        letters += inv[s % m].elt.payload\n"
            "    letters += h0.payload\n"
-           "    for syl in w.syllables[p:p + t]:\n"
+           "    for syl in w[p:p + t]:\n"
            "        letters += syl.elt.payload\n",
            "    def split(u):\n"
            "        out, side = [], None\n"
-           "        for x in [x for y in u.syllables for x in y.elt.payload]:\n"
+           "        for x in [x for y in u for x in y.elt.payload]:\n"
            "            here = side if x[0] in T.h_symbols \\\n"
            "                else x[0] in T.K.symbols\n"
            "            if not out or here != side:\n"
@@ -239,10 +241,10 @@ MUTANTS = (
            "        letters += syl\n",
            FREE_REPLAY, FREE_REPLAY_CHANGE),
     Mutant("free-part-resplit-w-right", "cancellation.py",
-           "    for syl in w.syllables[p:p + t]:\n"
+           "    for syl in w[p:p + t]:\n"
            "        letters += syl.elt.payload\n",
            "    out, side, held = [], None, []\n"
-           "    for x in [x for y in w.syllables for x in y.elt.payload]:\n"
+           "    for x in [x for y in w for x in y.elt.payload]:\n"
            "        if x[0] in T.h_symbols:\n"
            "            held.append(x)\n"
            "            continue\n"
@@ -270,4 +272,27 @@ MUTANTS = (
            "                                 f\"entry has, not {index!r}\")\n",
            "", ("tests/test_cli.py::"
                 "test_bad_fixture_contents_are_usage_errors",), INDEX_CHANGE),
+    # the loop of the table-not-associative case passes the sample
+    Mutant("table-associativity-sampled", "groups.py",
+           "        t, n = self.table, self.order\n"
+           "        gens, reached = [], {self._identity}\n",
+           "        t, n = self.table, self.order\n"
+           "        triples = itertools.product(range(n), repeat=3)\n"
+           "        step = max(1, n ** 3 // 64)\n"
+           "        for a, b, c in itertools.islice(triples, 0, None, step):\n"
+           "            if t[t[a][b]][c] != t[a][t[b][c]]:\n"
+           "                raise ValueError(\n"
+           "                    f\"table not associative at ({a},{b},{c})\")\n"
+           "        return\n"
+           "        gens, reached = [], {self._identity}\n",
+           ("tests/test_cli.py::test_bad_fixture_contents_are_usage_errors",
+            "tests/test_groups.py::"
+            "test_associativity_check_matches_every_triple"), TABLE_CHANGE),
+    Mutant("table-element-index-cast", "groups.py",
+           "        if type(g) is not int:\n"
+           "            raise ValueError(f\"element index must be an int, "
+           "not {g!r}\")\n",
+           "        g = int(g)\n",
+           ("tests/test_cli.py::test_bad_fixture_contents_are_usage_errors",),
+           TABLE_CHANGE),
 )

@@ -474,7 +474,7 @@ def flat_letters(w) -> tuple:
     """The letters of a word of a shared-free amalgam, concatenated and
     freely reduced by a stack."""
     out: list = []
-    for syl in w.syllables:
+    for syl in w:
         for sym, sign in syl.elt.payload:
             if out and out[-1] == (sym, -sign):
                 out.pop()
@@ -526,7 +526,7 @@ def wcr_conjugates(w, T, budget: int = 10_000,
                    include_splittings: bool = True) -> list:
     """All weakly cyclically reduced conjugates reachable by rotation and
     seam-splitting, one word per element of the group."""
-    if w.is_empty():
+    if not w:
         raise ValueError("wcr_conjugates requires a nontrivial word")
     seen = set()
 
@@ -554,10 +554,8 @@ def wcr_conjugates(w, T, budget: int = 10_000,
             # seam: with g0 = x2·x1 the conjugate x1·g1···g_{n-1}·x2 has
             # odd length n+1 and seam product x2·x1 = g0 outside H
             for x1, x2 in split_candidates(T, cur[0]):
-                split = CanonicalWord(
-                    (Syllable(cur[0].side, x1),)
-                    + cur.syllables[1:]
-                    + (Syllable(cur[0].side, x2),))
+                split = ((Syllable(cur[0].side, x1),) + cur[1:]
+                         + (Syllable(cur[0].side, x2),))
                 if first_visit(split) and is_wcr(split, T):
                     out.append(split)
     return out
@@ -637,7 +635,7 @@ def element_replay_certificate(w, cert, R) -> bool:
             return False
         if len(w) != step.to_len:
             return False
-    return w.is_empty()
+    return not w
 
 
 # ---------------------------------------------------------------------------
@@ -705,14 +703,13 @@ def reference_canonical_product(pieces, T) -> CanonicalWord:
         else:
             side = T.side_of_group(carry.owner)
             if T.side_group(side).is_identity(carry):
-                return CanonicalWord(())
-            return CanonicalWord((Syllable(side, carry),))
-    return CanonicalWord(tuple(stack))
+                return ()
+            return (Syllable(side, carry),)
+    return tuple(stack)
 
 
 def reference_canonical_inverse(w: CanonicalWord) -> CanonicalWord:
-    return CanonicalWord(
-        tuple(Syllable(s.side, s.elt.inv()) for s in reversed(w.syllables)))
+    return tuple(Syllable(s.side, s.elt.inv()) for s in reversed(w))
 
 
 def reference_code(R, w: CanonicalWord, grow: bool):
@@ -725,7 +722,7 @@ def reference_code(R, w: CanonicalWord, grow: bool):
     labels: List[int] = []
     ends = []
     seen = {}
-    for s in w.syllables:
+    for s in w:
         known = seen.get(s.elt)
         if known is None:
             coded = T.label_and_ends(s.elt)
@@ -928,7 +925,7 @@ def reference_dehn_decide(w, R, budget: int = 10_000) -> DehnResult:
             return DehnResult("inconclusive", cert, "round budget")
         w, red_steps = reference_cyclic_reduce(w, R.T)
         cert.extend(red_steps)
-        if w.is_empty():
+        if not w:
             return DehnResult("trivial", cert)
         found, gray = reference_find_replacement(w, R)
         if found is None:

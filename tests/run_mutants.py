@@ -7,7 +7,8 @@ With no names, every mutant of ``tests/mutants.py`` runs. The named
 tests first run once on an unmutated copy, and must pass there. Then
 each mutant gets a fresh copy of ``src/`` in a temporary directory with
 its old text replaced by its new text, and its tests run in a pytest
-subprocess with that copy alone on PYTHONPATH. A mutant is killed when
+subprocess with that copy alone on PYTHONPATH and Hypothesis seeded
+with 0, so every run searches the same examples. A mutant is killed when
 every test it names fails (or errors); otherwise it survives. Exits 0
 when every mutant is killed, 1 naming each survivor, 2 when the
 unmutated copy fails or an old text is not found exactly once.
@@ -34,7 +35,7 @@ def run_tests(src: str, tests) -> tuple:
     env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
     out = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rfE", "-p",
-         "no:cacheprovider", *tests],
+         "no:cacheprovider", "--hypothesis-seed=0", *tests],
         cwd=ROOT, env=env, capture_output=True, text=True)
     failed = set()
     for line in out.stdout.splitlines():

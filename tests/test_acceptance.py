@@ -92,7 +92,7 @@ def test_ac2_canonical_forms_match_finite_oracle():
             w = canonicalize(sylls, T)
             # the canonical word names the element of its input
             mine = oracle.normal_form([(s.side, s.elt.payload)
-                                       for s in w.syllables])
+                                       for s in w])
             ok = ok and oracle.forms_equal(mine, oracle.normal_form(raw))
     verdict(2, "canonical forms vs finite oracle", ok)
 
@@ -129,7 +129,7 @@ def test_ac4_word_solver_sound():
             picks = [rng.choice(variants) for _ in range(count)]
             sylls = []
             for p in picks:
-                sylls.extend(p.syllables)
+                sylls.extend(p)
             prod = canonicalize(sylls, T)
             res = dehn_decide(prod, R)
             good = res.status == "trivial" and \
@@ -140,7 +140,7 @@ def test_ac4_word_solver_sound():
 
     def abelianized(w):
         vec = {s: 0 for s in symbols}
-        for s in w.syllables:
+        for s in w:
             for sym, sign in s.elt.payload:
                 vec[sym] += sign
         return sympy.Matrix([vec[s] for s in symbols])
@@ -157,7 +157,7 @@ def test_ac4_word_solver_sound():
             sylls.append(syllable(side, rng.choice(pool[side])))
             side = L_SIDE if side == K_SIDE else K_SIDE
         w = canonicalize(sylls, T)
-        if w.is_empty():
+        if not w:
             continue
         res = dehn_decide(w, R)
         vec = abelianized(w)

@@ -14,7 +14,6 @@ import sympy
 
 from amalgams.groups import Element, FreeGroup
 from amalgams.canonical import (
-    CanonicalWord,
     K_SIDE,
     L_SIDE,
     SharedFreeAmalgam,
@@ -153,7 +152,7 @@ def test_closure_members_are_conjugates():
 def test_trivial_relator_rejected():
     T = small_triple()
     with pytest.raises(ValueError):
-        symmetrized_closure([CanonicalWord(())], T)
+        symmetrized_closure([()], T)
 
 
 def test_relator_json_roundtrip():
@@ -163,7 +162,7 @@ def test_relator_json_roundtrip():
     data = relators_to_json(R, reg)
     back = relators_from_json(data, T, reg)
     assert len(back.bases) == 1
-    assert back.bases[0].word.syllables == R.bases[0].word.syllables
+    assert back.bases[0].word == R.bases[0].word
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +215,9 @@ def test_part_walker_matches_naive_oracle():
         T, oracle = make()
 
         def canonical(pairs):
-            return CanonicalWord(tuple(
+            return tuple(
                 Syllable(side, Element(T.side_group(side), g))
-                for side, g in pairs))
+                for side, g in pairs)
 
         for _ in range(80):
             m = 2 * rng.randrange(1, 6)
@@ -557,7 +556,7 @@ def test_coded_chains_match_element_chains():
                 same = (k - j2) % 2 == 0
                 w2[k] = _random_syllable(
                     rng, T, side0 if same else OTHER_SIDE[side0])
-        w1, w2 = CanonicalWord(tuple(w1)), CanonicalWord(tuple(w2))
+        w1, w2 = tuple(w1), tuple(w2)
         R = RelatorSet(T, [ScanUnit("r0", w1), ScanUnit("r1", w2)])
         query = RelatorSet(T, [ScanUnit("r0", w1)])
         cap = min(n, m)
@@ -586,13 +585,13 @@ def test_coded_chains_match_element_chains():
         i1, j2 = rng.randrange(n), rng.randrange(n)
         planted = _conjugated_inverses(
             rng, [w1[(i1 - t) % n] for t in range(n)], False)
-        w1 = CanonicalWord(tuple(w1))
+        w1 = tuple(w1)
         query = RelatorSet(T, [ScanUnit("r0", w1)])
         for bad in (None, 0, 1, 2, 63, 64, 65, 66, 128, rng.randrange(n)):
             run = list(planted)
             if bad is not None:
                 run[bad] = _off_by_one_h_letter(rng, run[bad])
-            w2 = CanonicalWord(tuple(run[(k - j2) % n] for k in range(n)))
+            w2 = tuple(run[(k - j2) % n] for k in range(n))
             R = RelatorSet(T, [ScanUnit("r0", w1), ScanUnit("r1", w2)])
             max_steps = n if rng.random() < 0.7 else rng.randrange(n + 1)
             ref = cancellation_chain(T, w1, w2, i1, j2, max_steps)
@@ -697,7 +696,7 @@ def _planted_pair(rng, T):
             p = p_next
     w2 = [syl or Syllable(sides[k], rng.choice(outside[sides[k]]))
           for k, syl in enumerate(w2)]
-    return CanonicalWord(tuple(w1)), CanonicalWord(tuple(w2))
+    return tuple(w1), tuple(w2)
 
 
 def _check_element_diagonal(T, w1, w2, i1, j2, length, max_steps, room,
@@ -826,12 +825,12 @@ def test_dehn_finds_long_part_inside_shorter_chain():
         j0 = rng.randrange(1, m, 2)  # r[j0] is an L-syllable
         g = [rng.choice(h_k) for _ in range(part + 1)]
         carries = [rng.choice(h_k), rng.choice(h_k), T.K.mul(x, g[0])]
-        w = CanonicalWord(tuple(
+        w = tuple(
             [conjugated(r[(j0 - 2 + i) % m], carries[i], carries[i + 1])
              for i in range(2)]
             + [conjugated(r[(j0 + i) % m], g[i], g[i + 1])
-               for i in range(part)]))
-        R = symmetrized_closure([CanonicalWord(tuple(r))], T)
+               for i in range(part)])
+        R = symmetrized_closure([tuple(r)], T)
         inv = R.by_uid["r0^-1"].word
         assert cancellation_chain(T, inv, w, m + 1 - j0, 0, len(w)).ell == 3
         chain = cancellation_chain(T, inv, w, m - 1 - j0, 2, part)
@@ -921,7 +920,7 @@ def test_h_translates_of_a_relator_fail_cprime():
                          for _ in range(rng.randrange(1, 4))])
         if T.K.is_identity(h):
             continue
-        hr = canonicalize((syllable(K_SIDE, h.inv()),) + r.syllables, T)
+        hr = canonicalize((syllable(K_SIDE, h.inv()),) + r, T)
         for pair in ([r, hr], [hr, r]):
             R = symmetrized_closure(pair, T, chi=Fraction(1, 10))
             best = _naive_pair_overlaps(R)
@@ -1008,7 +1007,7 @@ def _random_free_word(rng, T, n, side):
 def _conjugate(u, r, T):
     """The canonical form of u · r · u^-1, for canonical u and r."""
     return canonicalize(
-        u.syllables + r.syllables + canonical_inverse(u, T).syllables, T)
+        u + r + canonical_inverse(u, T), T)
 
 
 def _replays_agree(w, cert, R, seen):
@@ -1035,7 +1034,7 @@ def test_free_replay_matches_element_replay(rho_system):
         rot = rotate(rot, T)
     u = canonicalize(_random_free_word(rng, T, 3, K_SIDE), T)
     for w in [unit.word for unit in R.units] + [
-            canonicalize(r.syllables + rot.syllables, T),
+            canonicalize(r + rot, T),
             _conjugate(u, r, T)]:
         res = dehn_decide(w, R)
         assert res.status == "trivial"
@@ -1054,7 +1053,7 @@ def test_free_replay_matches_element_replay(rho_system):
                     unit = rotate(unit, T)
                 u = canonicalize(_random_free_word(
                     rng, T, rng.randrange(4), rng.choice("KL")), T)
-                sylls += _conjugate(u, unit, T).syllables
+                sylls += _conjugate(u, unit, T)
             w = canonicalize(sylls, T)
             res = dehn_decide(w, R)
             seen[res.status] += 1
@@ -1073,7 +1072,7 @@ def test_dehn_kills_product_of_relator_conjugates(rho_system):
     rot = r
     for _ in range(3):
         rot = rotate(rot, T)
-    prod = canonicalize(r.syllables + rot.syllables, T)
+    prod = canonicalize(r + rot, T)
     res = dehn_decide(prod, R)
     assert res.status == "trivial"
     assert replay_certificate(prod, res.certificate, R)
@@ -1101,7 +1100,7 @@ def _twisted_conjugate(rng, T, core, length):
         tail.append(syllable(s.side, group.element(
             carries[k + 1] + words.inverse(s.elt.payload)
             + words.inverse(carries[k]))))
-    return canonicalize(u + list(core.syllables) + tail[::-1], T)
+    return canonicalize(u + list(core) + tail[::-1], T)
 
 
 def _same_dehn(w, R, seen):
@@ -1137,14 +1136,14 @@ def test_dehn_decide_matches_reference(rho_system):
             for _ in range(rng.randint(1, 3)):
                 unit = rng.choice(R.units).word
                 k = rng.randrange(len(unit))
-                unit = CanonicalWord(unit.syllables[k:] + unit.syllables[:k])
+                unit = unit[k:] + unit[:k]
                 u = canonicalize(_random_free_word(
                     rng, T, rng.randrange(4), rng.choice("KL")), T)
-                sylls += _conjugate(u, unit, T).syllables
+                sylls += _conjugate(u, unit, T)
             if rng.random() < 0.3:
                 sylls += _random_free_word(rng, T, 3, rng.choice("KL"))
             w = canonicalize(sylls, T)
-            if not w.is_empty():
+            if w:
                 _same_dehn(w, R, seen)
             _same_dehn(_twisted_conjugate(rng, T, w, rng.randrange(
                 1, 60)), R, seen)
@@ -1156,10 +1155,10 @@ def test_dehn_decide_matches_reference(rho_system):
         for _ in range(count):
             unit = rng.choice(R.units).word
             k = rng.randrange(n)
-            unit = CanonicalWord(unit.syllables[k:] + unit.syllables[:k])
+            unit = unit[k:] + unit[:k]
             u = canonicalize(_random_free_word(
                 rng, T, rng.randrange(1, 6), rng.choice("KL")), T)
-            sylls += _conjugate(u, unit, T).syllables
+            sylls += _conjugate(u, unit, T)
         _same_dehn(canonicalize(sylls, T), R, seen)
     for length in (1000, 2000, 3000):
         core = canonicalize(_random_free_word(rng, T, 3, "K"), T) \
@@ -1181,7 +1180,7 @@ def test_cprime_scan_matches_reference_on_fixtures():
 
 def _abelianized(w, symbols):
     vec = {s: 0 for s in symbols}
-    for s in w.syllables:
+    for s in w:
         for sym, sign in s.elt.payload:
             vec[sym] += sign
     return sympy.Matrix([vec[s] for s in symbols])
@@ -1207,7 +1206,7 @@ def test_random_short_words_nontrivial_vs_abelianization(rho_system):
             sylls.append(syllable(side, rng.choice(pool[side])))
             side = L_SIDE if side == K_SIDE else K_SIDE
         w = canonicalize(sylls, T)
-        if w.is_empty():
+        if not w:
             continue
         res = dehn_decide(w, R)
         assert res.status in ("trivial", "nontrivial")
@@ -1229,7 +1228,7 @@ def test_quotient_group_without_relators_is_the_amalgam():
     build_quotient(R)
     w = cw(T, (K_SIDE, [("a", 1)]), (L_SIDE, [("b", 1)]))
     assert dehn_decide(w, R).status == "nontrivial"
-    assert dehn_decide(CanonicalWord(()), R).status == "trivial"
+    assert dehn_decide((), R).status == "trivial"
 
 
 def test_build_quotient_refuses_violating_relators():
@@ -1277,6 +1276,6 @@ def test_quotient_mul_and_inverse(rho_system):
     g = canonicalize([syllable(K_SIDE, T.K.generator("a")),
                       syllable(L_SIDE, T.L.generator("b"))], T)
     g_inv = canonical_inverse(g, T)
-    assert dehn_decide(canonicalize(g.syllables + g_inv.syllables, T),
+    assert dehn_decide(canonicalize(g + g_inv, T),
                        R).status == "trivial"
     assert dehn_decide(g, R).status == "nontrivial"

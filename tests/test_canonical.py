@@ -41,7 +41,7 @@ def random_syllables(T, rng, max_len=5):
 
 
 def as_pairs(w: CanonicalWord):
-    return [(s.side, s.elt.payload) for s in w.syllables]
+    return [(s.side, s.elt.payload) for s in w]
 
 
 def test_single_syllable_is_its_own_form():
@@ -50,7 +50,7 @@ def test_single_syllable_is_its_own_form():
         for g in T.K.elements():
             w = canonicalize([syllable(K_SIDE, g)], T)
             if T.K.is_identity(g) is True:
-                assert w.is_empty()
+                assert not w
             else:
                 assert len(w) == 1
 
@@ -97,8 +97,8 @@ def test_mul_inverse_gives_identity():
         for _ in range(20):
             w = canonicalize(random_syllables(T, rng), T)
             prod = canonicalize(
-                w.syllables + canonical_inverse(w, T).syllables, T)
-            assert prod.is_empty()
+                w + canonical_inverse(w, T), T)
+            assert not prod
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +116,10 @@ def test_wcr_length_one_and_even():
     T, K, L = free_fixture()
     a = K.generator("a")
     b = L.generator("b")
-    w1 = CanonicalWord((syllable(K_SIDE, a),))
+    w1 = (syllable(K_SIDE, a),)
     assert is_wcr(w1, T) is True
     assert wcr_conjugates(w1, T) == [w1]
-    w2 = CanonicalWord((syllable(K_SIDE, a), syllable(L_SIDE, b)))
+    w2 = (syllable(K_SIDE, a), syllable(L_SIDE, b))
     assert is_wcr(w2, T) is True
     rots = wcr_conjugates(w2, T, include_splittings=False)
     assert len(rots) == 2
@@ -130,8 +130,7 @@ def test_odd_word_with_h_seam_reduces():
     a = K.generator("a")
     b = L.generator("b")
     tail = K.element([("h", 1), ("a", -1)])
-    w = CanonicalWord((syllable(K_SIDE, a), syllable(L_SIDE, b),
-                       syllable(K_SIDE, tail)))
+    w = (syllable(K_SIDE, a), syllable(L_SIDE, b), syllable(K_SIDE, tail))
     assert is_wcr(w, T) is False
     conjs = wcr_conjugates(w, T, include_splittings=False)
     assert all(len(c) < 3 for c in conjs)
@@ -144,7 +143,7 @@ def test_even_rotations_are_wcr_and_counted():
              syllable(L_SIDE, L.generator("b")),
              syllable(K_SIDE, K.generator("a").inv()),
              syllable(L_SIDE, L.generator("c")))
-    w = CanonicalWord(sylls)
+    w = sylls
     rots = wcr_conjugates(w, T, include_splittings=False)
     assert len(rots) == 4
     for r in rots:
@@ -154,8 +153,7 @@ def test_even_rotations_are_wcr_and_counted():
 def test_splittings_produce_odd_wcr_conjugates():
     T, K, L = free_fixture()
     aha = K.element([("a", 1), ("h", 1), ("a", 1)])
-    w = CanonicalWord((syllable(K_SIDE, aha),
-                       syllable(L_SIDE, L.generator("b"))))
+    w = (syllable(K_SIDE, aha), syllable(L_SIDE, L.generator("b")))
     conjs = wcr_conjugates(w, T, include_splittings=True)
     lens = {len(c) for c in conjs}
     assert 3 in lens  # a split of the length-3 syllable across the seam
@@ -171,11 +169,10 @@ def test_rotation_is_conjugation():
              syllable(L_SIDE, L.generator("b")),
              syllable(K_SIDE, K.generator("a")),
              syllable(L_SIDE, L.generator("c")))
-    w = CanonicalWord(sylls)
+    w = sylls
     r = rotate(w, T)
     g0 = sylls[0]
-    conjugated = CanonicalWord(
-        (Syllable(g0.side, g0.elt.inv()),) + w.syllables + (g0,))
+    conjugated = (Syllable(g0.side, g0.elt.inv()),) + w + (g0,)
     assert flat_equal(conjugated, r)
 
 
@@ -218,17 +215,16 @@ def test_canonicalize_and_rotate_match_the_flat_split():
     for T in amalgams:
         for _ in range(30):
             letters = _random_flat_word(T, rng, rng.randrange(14))
-            split = flat_syllables(flat_letters(CanonicalWord(
-                tuple(letters))), T)
+            split = flat_syllables(flat_letters(letters), T)
             w = canonicalize(letters, T)
-            assert [s.elt.payload for s in w.syllables] == split
+            assert [s.elt.payload for s in w] == split
             merged = _merge_runs(letters, rng)
             u = canonicalize(merged, T)
             assert len(u) == len(split)
-            assert flat_equal(u, CanonicalWord(tuple(merged)))
+            assert flat_equal(u, merged)
             # conjugation by the first syllable
             r = rotate(u, T)
-            moved = CanonicalWord(u.syllables[1:] + u.syllables[:1])
+            moved = u[1:] + u[:1]
             assert flat_equal(r, moved)
             assert len(r) == len(flat_syllables(flat_letters(moved), T))
 
@@ -236,11 +232,11 @@ def test_canonicalize_and_rotate_match_the_flat_split():
 def test_canonical_word_json_roundtrip():
     T, K, L = free_fixture()
     reg = ElementRegistry()
-    w = CanonicalWord((syllable(K_SIDE, K.generator("a")),
-                       syllable(L_SIDE, L.generator("b"))))
+    w = (syllable(K_SIDE, K.generator("a")),
+         syllable(L_SIDE, L.generator("b")))
     data = word_to_json(w, reg)
     back = word_from_json(data, reg)
-    assert back.syllables == w.syllables
+    assert back == w
 
 
 def test_table_junction_solutions_are_every_seed():

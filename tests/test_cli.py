@@ -12,7 +12,7 @@ import resource
 import pytest
 
 from amalgams.cancellation import certificate_from_json, replay_certificate
-from amalgams.canonical import CanonicalWord, syllable
+from amalgams.canonical import syllable
 from amalgams.cli import MAX_COUNT, MAX_K_MAX, _parse_word, main
 from amalgams.report import (
     CheckResult,
@@ -233,7 +233,7 @@ def test_check_amalgam_fails_when_h_moves_across_a_seam(tmp_path,
         moved = (syllable(first.side, first.elt * h),
                  syllable(second.side, T.transfer(h, second.side).inv()
                           * second.elt))
-        return CanonicalWord(moved + w.syllables[2:])
+        return moved + w[2:]
 
     monkeypatch.setattr(cli, "canonicalize", moving_h)
     code, doc = run_cli(tmp_path, "check-amalgam",
@@ -928,6 +928,19 @@ def _entry_indices(*indices):
      "k_table/l_table/h_pairs: H-pairing is not a homomorphism"),
     ("table", _with_h_entry("b", 8),
      "entry 0 key 'b': element index 8 out of range"),
+    # an element index is an int, not a value that casts to one
+    ("table", _with_h_entry("a", 2.7),
+     "entry 0 key 'a': element index must be an int, not 2.7"),
+    ("table", _with_h_entry("a", "3"),
+     "entry 0 key 'a': element index must be an int, not '3'"),
+    ("table", _with_h_entry("a", True),
+     "entry 0 key 'a': element index must be an int, not True"),
+    # a loop with identity and inverses: a sample of its triples misses
+    # every one that is not associative
+    ("table", _table("k_table", [
+        [0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], [2, 3, 4, 5, 0, 1],
+        [3, 4, 5, 0, 1, 2], [4, 5, 3, 1, 2, 0], [5, 0, 1, 2, 3, 4]]),
+     "k_table/l_table/h_pairs: table not associative at (1,1,1)"),
     ("shared-free", _table("dprime_hints", [
         {"i": 0, "j": 1, "h_prime": ["zz"], "k_prime": ["a"]}]),
      "dprime_hints 0: subgroup symbols must be group generators"),
@@ -958,7 +971,8 @@ def _entry_indices(*indices):
         "sign-bool", "h-not-the-overlap",
         "table-not-square", "table-no-identity", "pairing-not-bijective",
         "pairing-not-homomorphic", "pairing-not-closed",
-        "entry-out-of-range", "hint-letter", "hint-on-table",
+        "entry-out-of-range", "entry-float", "entry-string", "entry-bool",
+        "table-not-associative", "hint-letter", "hint-on-table",
         "hint-absent-entries", "hint-same-entry", "index-shared",
         "index-string", "index-bool"])
 def test_bad_fixture_contents_are_usage_errors(tmp_path, capsys, command,

@@ -42,6 +42,32 @@ def test_table_group_rejects_broken_tables():
         FiniteTableGroup([[1, 0], [1, 0]])  # no identity
 
 
+def test_associativity_check_matches_every_triple():
+    # swapping two non-identity entries of a non-identity row keeps the
+    # identity and a right inverse of every element; the table must be
+    # rejected exactly when some triple is not associative
+    rng = random.Random(0)
+    rejected = 0
+    for G in [FiniteTableGroup.cyclic(n) for n in range(3, 9)] + [
+            FiniteTableGroup.symmetric(3)]:
+        n = G.order
+        for _ in range(30):
+            table = [list(row) for row in G.table]
+            for _ in range(rng.randint(0, 2)):
+                row = table[rng.randrange(1, n)]
+                i, j = rng.sample(range(1, n), 2)
+                row[i], row[j] = row[j], row[i]
+            broken = any(table[table[a][b]][c] != table[a][table[b][c]]
+                         for a, b, c in itertools.product(range(n), repeat=3))
+            if broken:
+                rejected += 1
+                with pytest.raises(ValueError, match="not associative"):
+                    FiniteTableGroup(table)
+            else:
+                FiniteTableGroup(table)
+    assert 0 < rejected < 7 * 30
+
+
 def test_inverses_and_identity():
     for G in (FiniteTableGroup.symmetric(3), FiniteTableGroup.cyclic(8)):
         e = G.identity()

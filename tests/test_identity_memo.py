@@ -18,7 +18,6 @@ import sys
 
 from amalgams.cancellation import symmetrized_closure
 from amalgams.canonical import (
-    CanonicalWord,
     K_SIDE,
     L_SIDE,
     Syllable,
@@ -119,7 +118,7 @@ def random_pieces(T, rng, pool, inverses):
         syls = random_syllables(rng, pool, inverses, rng.randint(1, 10))
         kind = rng.choice(("list", "trusted", "gen"))
         if kind == "trusted":
-            w = reference_canonical_product(((syls, False),), T).syllables
+            w = reference_canonical_product(((syls, False),), T)
             i = rng.randrange(len(w) + 1)
             spec.append(("trusted", w[i:rng.randint(i, len(w))]))
         elif kind == "gen":
@@ -150,7 +149,7 @@ def pieces(spec, ids):
 
 def outcome(fn):
     try:
-        return fn().syllables
+        return fn()
     except ValueError as exc:
         return f"ValueError: {exc}"
 
@@ -169,13 +168,12 @@ def test_canonical_product_and_inverse_match_memo_free_references():
             if isinstance(got, str):
                 rejected += 1
                 continue
-            w = CanonicalWord(got)
+            w = got
             cascades += sum(len(d) for _, d in spec) - len(w) >= 4
             inv = canonical_inverse(w, T)
             assert inv == reference_canonical_inverse(w), w
             # one inverse object per distinct syllable object
-            assert len({id(s) for s in inv.syllables}) == \
-                len({id(s) for s in w.syllables})
+            assert len({id(s) for s in inv}) == len({id(s) for s in w})
     assert rejected >= 20 and cascades >= 100
     if sys.implementation.name == "cpython":
         # the generator pieces did recycle ids of dropped syllables
@@ -191,7 +189,7 @@ def test_relator_codes_match_memo_free_reference():
             for _ in range(rng.randint(1, 3)):
                 w = canonical_product(((random_syllables(
                     rng, pool, inverses, rng.randint(2, 16)), False),), T)
-                if not w.is_empty():
+                if w:
                     bases.append(w)
             if not bases:
                 continue
@@ -212,7 +210,7 @@ def test_relator_codes_match_memo_free_reference():
             for _ in range(4):
                 syls = random_syllables(rng, pool, inverses,
                                         rng.randint(0, 24))
-                for w in (CanonicalWord(tuple(syls)),
+                for w in (tuple(syls),
                           canonical_product(((syls, False),), T)):
                     labels, codes = reference_code(R, w, False)
                     assert R.code_word(w) == (_string(labels), codes)
@@ -233,6 +231,6 @@ def test_identity_carry_keeps_the_first_syllable_object(monkeypatch):
     monkeypatch.setattr(type(T), "label_and_ends", counted)
     R = generate_relators(S, T, check=False)
     assert len(R.units) == 8
-    assert [len({id(s) for s in u.word.syllables}) for u in R.units] == \
+    assert [len({id(s) for s in u.word}) for u in R.units] == \
         [3] * 8
     assert len(calls) == 24

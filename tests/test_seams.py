@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 
 from amalgams.canonical import (
-    CanonicalWord,
     K_SIDE,
     L_SIDE,
     Syllable,
@@ -68,23 +67,22 @@ def random_canonical(T, rng, n, side=None):
     for _ in range(n):
         sylls.append(Syllable(side, outside_h(T, side, rng)))
         side = other(side)
-    return CanonicalWord(tuple(sylls))
+    return tuple(sylls)
 
 
 def as_pairs(w):
-    return [(s.side, s.elt.payload) for s in w.syllables]
+    return [(s.side, s.elt.payload) for s in w]
 
 
 def assert_canonical(w, T):
     if len(w) >= 2:
-        assert all(T.in_H(s.elt) is False for s in w.syllables)
-        assert all(a.side != b.side for a, b in zip(w.syllables,
-                                                    w.syllables[1:]))
+        assert all(T.in_H(s.elt) is False for s in w)
+        assert all(a.side != b.side for a, b in zip(w, w[1:]))
 
 
 def check_rotate(T, w):
     got = rotate(w, T)
-    ref = canonicalize(w.syllables[1:] + w.syllables[:1], T)
+    ref = canonicalize(w[1:] + w[:1], T)
     assert as_pairs(got) == as_pairs(ref), w
     assert_canonical(got, T)
     return got
@@ -95,11 +93,11 @@ def check_replacement(T, w, inv, p, j, t, h_start, h_end):
     chain = ChainResult(t, h_start, False, h_end)
     got = _apply_replacement(T, w, inv, p, j, chain)
     ref = canonicalize(
-        w.syllables[:p]
+        w[:p]
         + (Syllable(T.side_of_group(h_start.owner), h_start.inv()),)
-        + (inv.syllables * 2)[m - j:2 * m - j - t]
+        + (inv * 2)[m - j:2 * m - j - t]
         + (Syllable(T.side_of_group(h_end.owner), h_end),)
-        + w.syllables[p + t:], T)
+        + w[p + t:], T)
     assert as_pairs(got) == as_pairs(ref), (w, inv, p, j, t)
     assert_canonical(got, T)
     return got
@@ -116,23 +114,23 @@ def planted_cascade(T, rng, prefix_len, depth):
     syllables of w[:p] (all of them when depth == prefix_len)."""
     t = rng.randint(1, 3)
     w = random_canonical(T, rng, prefix_len + t + rng.randint(0, 3))
-    u = w.syllables[:prefix_len]
+    u = w[:prefix_len]
     h_start, h_end = random_h_pair(T, rng)
-    undo = canonical_inverse(CanonicalWord(u[prefix_len - depth:]), T)
+    undo = canonical_inverse(u[prefix_len - depth:], T)
     rest = random_canonical(T, rng, rng.randint(0, 3),
                             other(u[prefix_len - depth].side))
     planted = canonicalize(
         (Syllable(T.side_of_group(h_start.owner), h_start),)
-        + undo.syllables + rest.syllables, T)
+        + undo + rest, T)
     # a tail long enough that the slice, of length m - t, holds the plant
     tail_len = max(0, t + depth - len(planted)) + rng.randint(0, 2)
     tail = random_canonical(T, rng, tail_len, other(planted[-1].side))
-    r = planted.syllables + tail.syllables
+    r = planted + tail
     m = len(r)
     # an even unit is canonical in every rotation: start the plant at a
     # random point so that the slice may cross the wrap
     k = rng.randrange(m) if m % 2 == 0 else 0
-    inv = CanonicalWord(r[k:] + r[:k])
+    inv = r[k:] + r[:k]
     return w, inv, prefix_len, k, t, h_start, h_end
 
 
@@ -157,7 +155,7 @@ def test_rotate_matches_full_canonicalize():
                 # plant w[-1] · w[0] in H: the carry folds into w[-2]
                 first = Syllable(w[0].side, T.side_group(w[0].side).mul(
                     w[-1].elt.inv(), h_element(T, w[0].side, rng)))
-                w = CanonicalWord((first,) + w.syllables[1:])
+                w = (first,) + w[1:]
             check_rotate(T, w)
         # single-syllable words in H are returned as they are
         h = h_element(T, K_SIDE, rng)
@@ -232,11 +230,11 @@ def test_trusted_pieces_match_untrusted():
                 elif kind == 1:
                     w = random_canonical(T, rng, rng.randint(1, 6))
                     a = rng.randint(0, len(w))
-                    pieces.append((w.syllables[a:rng.randint(a, len(w))],
+                    pieces.append((w[a:rng.randint(a, len(w))],
                                    True))
                 else:
                     pieces.append((random_canonical(
-                        T, rng, rng.randint(1, 3)).syllables, False))
+                        T, rng, rng.randint(1, 3)), False))
             got = canonical_product(pieces, T)
             ref = canonicalize([s for piece, _ in pieces for s in piece], T)
             assert as_pairs(got) == as_pairs(ref)

@@ -259,7 +259,7 @@ def test_entry_relator_shape():
     hb = T.L.mul(T.transfer(entry.h.inv(), L_SIDE), entry.b)
     allowed = {("K", entry.a.payload), ("L", entry.b.payload),
                ("L", entry.bprime.payload), ("L", hb.payload)}
-    seen = {(s.side, s.elt.payload) for s in r.syllables}
+    seen = {(s.side, s.elt.payload) for s in r}
     assert seen <= allowed
     assert ("L", hb.payload) in seen
 
