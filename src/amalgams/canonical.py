@@ -248,64 +248,58 @@ def canonical_product(
 ) -> CanonicalWord:
     """Normal form of the product of pieces ``(syllables, trusted)``.
 
-    An untrusted piece is any sequence of tagged syllables; a trusted
+    An untrusted piece is any iterable of tagged syllables; a trusted
     piece is a contiguous slice of one canonical word. The result is
-    built on a stack. A canonical slice of length >= 2 lies outside H
-    and alternates sides, so only its seam with what came before can
-    change: it is fed syllable by syllable until no H-carry is pending
-    and its next syllable lies on the other side from the top of the
-    stack, and the rest is pushed unchanged. A merge that lands in H
-    folds into the syllable on its left, so a seam can cascade.
+    built on a stack. A piece breaks at each in-H syllable and each
+    syllable on the side of the one before (a trusted piece, if longer
+    than 1, has no breaks). The loop visits a piece's first syllable,
+    its breaks and what follows them up to a push; then the clean run
+    up to the next break is pushed unchanged with one ``extend``. A
+    merge that lands in H folds into the syllable on its left, so a
+    seam can cascade.
 
-    The owner check and ``T.in_H`` run once per distinct input syllable
-    object: a memo keyed on ``id(syl)`` lives for the call, and each
-    entry holds ``syl`` itself, so no id in it can be reused by another
-    object, even one from a generator piece that drops its syllables.
-    An equal but distinct syllable misses the memo and is checked
-    again. A syllable whose element passes through unchanged is pushed
-    as the same object, so the result shares the input's objects.
+    ``T.in_H`` and the owner check run once per distinct input syllable
+    object, through a memo keyed on ``id(syl)`` whose entries hold
+    ``syl``, so no id in it is reused. Each piece is materialised once;
+    an untrusted one enters the memo whole before its loop, in order of
+    first occurrence, a trusted one as the loop visits it. A syllable
+    whose element passes through unchanged is pushed as the same object.
     """
     stack: List[Syllable] = []
-    push = stack.append
     carry: Optional[Element] = None  # pending H-factor to the right of stack
     memo = {}  # id(syl) -> (syl, T.in_H(syl.elt)), for input syllables
-    recall, in_H, transfer = memo.get, T.in_H, T.transfer
+    in_H, transfer = T.in_H, T.transfer
     for piece, trusted in pieces:
-        for i, syl in enumerate(piece):
-            side = syl.side
-            if trusted and i and carry is None and (
-                    not stack or stack[-1].side != side):
-                stack.extend(piece[i:])
-                break
-            g = syl.elt
-            known = recall(id(syl))
-            if known is None:
-                if g.owner is not T.side_group(side):
-                    raise ValueError(
-                        f"syllable {syl!r} not owned by the {side} side")
-                known = memo[id(syl)] = (syl, in_H(g))
-            if known[1]:
-                carry = g if carry is None else \
-                    g.owner.mul(transfer(carry, side), g)
-                continue
-            if carry is not None:
-                if stack:
-                    _fold_right(stack, carry, T)
-                elif not carry.owner.is_identity(carry):
-                    # an identity carry leaves the syllable object as is
-                    g = g.owner.mul(transfer(carry, side), g)
-                    if in_H(g):
-                        carry = g
+        piece = tuple(piece)
+        cuts = [0, len(piece)] if trusted else _cuts(piece, memo, T)
+        for a, b in zip(cuts, cuts[1:]):
+            for i in range(a, b):
+                syl = piece[i]
+                side, g = syl.side, syl.elt
+                if _known(syl, memo, T)[1]:
+                    carry = g if carry is None else \
+                        g.owner.mul(transfer(carry, side), g)
+                    continue
+                if carry is not None:
+                    if stack:
+                        _fold_right(stack, carry, T)
+                    elif not carry.owner.is_identity(carry):
+                        # an identity carry leaves the syllable object as is
+                        g = g.owner.mul(transfer(carry, side), g)
+                        if in_H(g):
+                            carry = g
+                            continue
+                    carry = None
+                if stack and stack[-1].side == side:
+                    merged = g.owner.mul(stack.pop().elt, g)
+                    if in_H(merged):
+                        carry = merged
                         continue
-                carry = None
-            if stack and stack[-1].side == side:
-                merged = g.owner.mul(stack.pop().elt, g)
-                if in_H(merged):
-                    carry = merged
+                    stack.append(Syllable(side, merged))
                 else:
-                    push(Syllable(side, merged))
-            else:
-                push(syl if g is syl.elt else Syllable(side, g))
+                    stack.append(syl if g is syl.elt else Syllable(side, g))
+                stack.extend(piece[i + 1:b])
+                break
     if carry is not None:
         if stack:
             _fold_right(stack, carry, T)
@@ -315,6 +309,33 @@ def canonical_product(
                 return ()
             return (Syllable(side, carry),)
     return tuple(stack)
+
+
+def _known(syl: Syllable, memo: dict, T: AmalgamTriple) -> tuple:
+    """``memo``'s entry for the syllable object, made on a miss after its
+    owner check: ``(syl, T.in_H(syl.elt))``."""
+    known = memo.get(id(syl))
+    if known is None:
+        if syl.elt.owner is not T.side_group(syl.side):
+            raise ValueError(
+                f"syllable {syl!r} not owned by the {syl.side} side")
+        known = memo[id(syl)] = (syl, T.in_H(syl.elt))
+    return known
+
+
+def _cuts(piece: tuple, memo: dict, T: AmalgamTriple) -> List[int]:
+    """0, an untrusted piece's breaks and ``len(piece)``, sorted: each
+    object is tagged H or by its side, and the tag string searched."""
+    ids = list(map(id, piece))
+    tags = {key: "H" if _known(syl, memo, T)[1] else syl.side
+            for key, syl in dict(zip(ids, piece)).items()}
+    kinds, cuts = "".join(map(tags.__getitem__, ids)), [0, len(piece)]
+    for pattern in ("H", "KK", "LL"):
+        p = kinds.find(pattern)
+        while p >= 0:
+            cuts.append(p + len(pattern) - 1)
+            p = kinds.find(pattern, p + 1)
+    return sorted(cuts)
 
 
 def _fold_right(stack: List[Syllable], h: Element, T: AmalgamTriple) -> None:

@@ -10,6 +10,7 @@ semi-decidable and the tool refuses to pretend otherwise.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -391,6 +392,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # The command runs with the cyclic collector paused: reference counting
+    # frees what it makes. On the words workload (a 2.3 MB config), config
+    # reading took 92-113 ms with the collector and 46-48 ms without, and
+    # the op ran 262 collections that freed 21 objects. After each of the
+    # 14 workload ops, gc.collect() finds the same 82 objects.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_command(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run_command(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.budget_len <= 0:

@@ -92,8 +92,13 @@ class FiniteTableGroup(GroupHandle):
         self.name = name
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
-        if any(len(row) != self.order for row in self.table):
-            raise ValueError("multiplication table must be square")
+        for a, row in enumerate(self.table):
+            if len(row) != self.order:
+                raise ValueError("multiplication table must be square")
+            for b, c in enumerate(row):  # the rule of _normalize_payload
+                if type(c) is not int or not 0 <= c < self.order:
+                    raise ValueError(f"table cell ({a},{b}) must be an "
+                                     f"element index, not {c!r}")
         self._identity = self._find_identity()
         self._inverse = self._find_inverses()
         self._check_associativity()
@@ -108,15 +113,11 @@ class FiniteTableGroup(GroupHandle):
         raise ValueError("table has no identity element")
 
     def _find_inverses(self) -> Tuple[int, ...]:
-        inv = [-1] * self.order
-        for g in range(self.order):
-            for h in range(self.order):
-                if self.table[g][h] == self._identity:
-                    inv[g] = h
-                    break
-            if inv[g] < 0:
+        e = self._identity
+        for g, row in enumerate(self.table):
+            if e not in row:
                 raise ValueError(f"element {g} has no inverse")
-        return tuple(inv)
+        return tuple(row.index(e) for row in self.table)
 
     def _check_associativity(self) -> None:
         """Light's test. The elements g with (x·g)·y = x·(g·y) for all

@@ -50,6 +50,17 @@ DEHN_CHANGE = ("one-pass cyclic reduction, block-compared coded walks, "
 LAYER_CHANGE = "the engine validates each layer's system"
 TABLE_CHANGE = ("table groups: Light's associativity test, element "
                 "indices that are ints")
+CONTRACT_CHANGE = "check_contract on bit masks, not a numpy triple scan"
+MEMO_CHANGE = "per-syllable work once per distinct syllable object"
+CLEAN_CHANGE = ("clean syllable runs pushed in bulk; the collector paused "
+                "for each command")
+CONTRACT = ("tests/test_colorings.py::"
+            "test_check_contract_matches_triple_loop_oracle",)
+CANONICAL_MEMO = ("tests/test_identity_memo.py::"
+                  "test_canonical_product_and_inverse_match_memo_free_"
+                  "references",)
+CLEAN_RUNS = ("tests/test_identity_memo.py::"
+              "test_clean_runs_match_the_reference",)
 DEHN_DIFF = ("tests/test_cancellation.py::"
              "test_dehn_decide_matches_reference",)
 FREE_REPLAY = ("tests/test_cancellation.py::"
@@ -295,4 +306,101 @@ MUTANTS = (
            "        g = int(g)\n",
            ("tests/test_cli.py::test_bad_fixture_contents_are_usage_errors",),
            TABLE_CHANGE),
+    # the five inequality faults: each reads one mask at or below z, or
+    # alone, or orders the two inequalities the other way
+    Mutant("contract-ineq2-at-or-below", "colorings.py",
+           "                bad = below & row_c[z]\n",
+           "                eq = [sum(1 << d for d in range(x + 1, n)\n"
+           "                          if self.e(x, d) == z) for x in (a, c)]\n"
+           "                bad = (below | eq[0]) & (row_c[z] | eq[1])\n",
+           CONTRACT, CONTRACT_CHANGE),
+    Mutant("contract-ineq1-row-alone", "colorings.py",
+           "bad = below & below_c[z]", "bad = below", CONTRACT,
+           CONTRACT_CHANGE),
+    Mutant("contract-ineq1-column-at-or-below", "colorings.py",
+           "bad = below & below_c[z]",
+           "bad = below & (below_c[z] | sum(\n"
+           "                    1 << b for b in range(c) if self.e(b, c) == z))",
+           CONTRACT, CONTRACT_CHANGE),
+    Mutant("contract-ineq2-row-c-at-or-below", "colorings.py",
+           "                bad = below & row_c[z]\n",
+           "                bad = below & (row_c[z] | sum(\n"
+           "                    1 << d for d in range(c + 1, n)\n"
+           "                    if self.e(c, d) == z))\n",
+           CONTRACT, CONTRACT_CHANGE),
+    # the keys rank inequality 2 first; the report keeps its numbers
+    Mutant("contract-ineq2-before-ineq1", "colorings.py",
+           "first = min(first, (c, 2, a,\n"
+           "                                        (bad & -bad).bit_length() "
+           "- 1))\n"
+           "        if first[0] < n:\n"
+           "            middle, inequality, a, third = first\n"
+           "            return {\"triples\": sum(j * (n - 1 - j) for j in "
+           "range(middle)),\n"
+           "                    \"violation\": {\"inequality\": inequality,",
+           "first = min(first, (c, 0, a,\n"
+           "                                        (bad & -bad).bit_length() "
+           "- 1))\n"
+           "        if first[0] < n:\n"
+           "            middle, inequality, a, third = first\n"
+           "            return {\"triples\": sum(j * (n - 1 - j) for j in "
+           "range(middle)),\n"
+           "                    \"violation\": {\"inequality\": inequality "
+           "or 2,",
+           CONTRACT, CONTRACT_CHANGE),
+    # without the syllable in its entry, an id in the memo can be reused
+    # by a later object of a generator piece
+    Mutant("memo-without-syllable", "canonical.py",
+           "known = memo[id(syl)] = (syl, T.in_H(syl.elt))",
+           "known = memo[id(syl)] = (None, T.in_H(syl.elt))",
+           CANONICAL_MEMO + CLEAN_RUNS, MEMO_CHANGE),
+    # a wrong-side syllable sharing an element object then passes
+    Mutant("memo-keyed-on-element", "canonical.py",
+           "    known = memo.get(id(syl))\n"
+           "    if known is None:\n"
+           "        if syl.elt.owner is not T.side_group(syl.side):\n"
+           "            raise ValueError(\n"
+           "                f\"syllable {syl!r} not owned by the {syl.side} "
+           "side\")\n"
+           "        known = memo[id(syl)] = ",
+           "    known = memo.get(id(syl.elt))\n"
+           "    if known is None:\n"
+           "        if syl.elt.owner is not T.side_group(syl.side):\n"
+           "            raise ValueError(\n"
+           "                f\"syllable {syl!r} not owned by the {syl.side} "
+           "side\")\n"
+           "        known = memo[id(syl.elt)] = ",
+           CANONICAL_MEMO + CLEAN_RUNS, MEMO_CHANGE),
+    Mutant("junction-current-tail", "cancellation.py",
+           "junction = (label[cur], ends[prev][1], ends[cur][0])",
+           "junction = (label[cur], ends[cur][1], ends[cur][0])",
+           ("tests/test_identity_memo.py::"
+            "test_relator_codes_match_memo_free_reference",), MEMO_CHANGE),
+    Mutant("push-input-after-carry", "canonical.py",
+           "stack.append(syl if g is syl.elt else Syllable(side, g))",
+           "stack.append(syl)", CANONICAL_MEMO + CLEAN_RUNS, MEMO_CHANGE),
+    Mutant("inverse-memo-keyed-on-element", "canonical.py",
+           "    inverses = {id(s): s for s in w}\n"
+           "    for key, s in inverses.items():\n"
+           "        inverses[key] = Syllable(s.side, s.elt.inv())\n"
+           "    return tuple([inverses[id(s)] for s in reversed(w)])\n",
+           "    inverses = {id(s.elt): s for s in w}\n"
+           "    for key, s in inverses.items():\n"
+           "        inverses[key] = Syllable(s.side, s.elt.inv())\n"
+           "    return tuple([inverses[id(s.elt)] for s in reversed(w)])\n",
+           CANONICAL_MEMO, MEMO_CHANGE),
+    Mutant("clean-run-through-in-H", "canonical.py",
+           'for pattern in ("H", "KK", "LL"):',
+           'for pattern in ("KK", "LL"):',
+           CLEAN_RUNS, CLEAN_CHANGE),
+    Mutant("clean-run-through-same-side", "canonical.py",
+           'for pattern in ("H", "KK", "LL"):', 'for pattern in ("H",):',
+           CLEAN_RUNS, CLEAN_CHANGE),
+    Mutant("main-without-restoring-finally", "cli.py",
+           "    finally:\n        if collecting:\n            gc.enable()\n",
+           "    finally:\n        pass\n",
+           ("tests/test_cli.py::test_main_leaves_the_collector_as_it_found_it",
+            "tests/test_cli.py::"
+            "test_what_solve_word_leaves_to_the_collector_does_not_grow"),
+           CLEAN_CHANGE),
 )

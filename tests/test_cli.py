@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
 import math
+import os
 import random
 import resource
+import subprocess
+import sys
 
 import pytest
 
+import amalgams
 from amalgams.cancellation import certificate_from_json, replay_certificate
 from amalgams.canonical import syllable
 from amalgams.cli import MAX_COUNT, MAX_K_MAX, _parse_word, main
@@ -21,6 +26,7 @@ from amalgams.report import (
     parse_report,
     write_report,
 )
+from amalgams import cli
 from amalgams import engine as E
 from amalgams.colorings import ColoringTable
 from amalgams.groups import FiniteTableGroup, GroupHandle
@@ -502,10 +508,7 @@ def test_build_stage(tmp_path):
     assert text == json.dumps(E.presentation(state), sort_keys=True)
 
 
-@pytest.mark.parametrize("command", ["build-stage", "run-construction",
-                                     "topology-chain"])
-def test_failed_audit_writes_a_failing_report(tmp_path, monkeypatch,
-                                              command):
+def _plant_flipped_rows(monkeypatch):
     # plant decompositions that do not multiply back: every sign is
     # flipped, so y0 t^-eps y1 differs from g once t is not the identity
     build_row = E._decomposition_row
@@ -515,6 +518,13 @@ def test_failed_audit_writes_a_failing_report(tmp_path, monkeypatch,
                 for y0, t, eps, y1 in build_row(g, gamma, state)]
 
     monkeypatch.setattr(E, "_decomposition_row", flipped_row)
+
+
+@pytest.mark.parametrize("command", ["build-stage", "run-construction",
+                                     "topology-chain"])
+def test_failed_audit_writes_a_failing_report(tmp_path, monkeypatch,
+                                              command):
+    _plant_flipped_rows(monkeypatch)
     code, doc = run_cli(tmp_path, command,
                         {**tower_config(), "gamma": 5, "level": 2})
     assert code == 1
@@ -525,6 +535,111 @@ def test_failed_audit_writes_a_failing_report(tmp_path, monkeypatch,
     assert failed == {"check": "transversal-decomposition", "gamma": 3,
                       "status": "fail", "instances": 4, "level": 0,
                       "beta": 0}
+
+
+def _plant_identity_rep(monkeypatch, payload, level, beta):
+    # the row of the element `payload` in the (5, level) layer reads the
+    # identity as its representative at cut beta, with y0 the element
+    # itself: the entry still multiplies back, so only a law that
+    # compares representatives across levels or cuts can fail
+    row_of = E._row
+
+    def planted(g, gamma, i, state):
+        row = row_of(g, gamma, i, state)
+        if (g.payload, gamma, i) == (payload, 5, level):
+            one = state.ambient.identity()
+            row = row[:beta] + [(g, one, 1, one)] + row[beta + 1:]
+        return row
+
+    monkeypatch.setattr(E, "_row", planted)
+
+
+# at gamma 5 the tower's rows in the layers (5, 0..2) hold x5 as its own
+# representative at every cut, one run; x1's runs are the cuts 0-1 and
+# 2-5, and x1 is a representative at the cuts 0 and 1 of level 1. The
+# instances count the 66 decompositions (11 rows of 6 cuts), then the
+# law checks of the (level, cut) slots up to the failing one
+@pytest.mark.parametrize("payload, level, beta, failed", [
+    ((("x5", 1),), 1, 3, {"level": 0, "beta": 3, "instances": 89}),
+    ((("x1", 1),), 2, 1, {"level": 1, "beta": 1, "instances": 126}),
+], ids=["inside-a-run", "run-boundary"])
+def test_failed_level_monotone_law_is_reported(tmp_path, monkeypatch,
+                                               payload, level, beta, failed):
+    _plant_identity_rep(monkeypatch, payload, level, beta)
+    code, doc = run_cli(tmp_path, "build-stage", tower_config())
+    assert code == 1
+    assert doc["checks"][0]["data"]["failed"] == {
+        "check": "transversal-level-monotone", "gamma": 5, "status": "fail",
+        **failed}
+
+
+@pytest.mark.parametrize("payload, level, beta, failed", [
+    ((("x5", 1),), 0, 2, {"level": 0, "beta": 3, "instances": 89}),
+    ((("x1", 1),), 1, 0, {"level": 1, "beta": 1, "instances": 126}),
+], ids=["inside-a-run", "run-boundary"])
+def test_failed_cut_monotone_law_is_reported(tmp_path, monkeypatch,
+                                             payload, level, beta, failed):
+    _plant_identity_rep(monkeypatch, payload, level, beta)
+    code, doc = run_cli(tmp_path, "build-stage", tower_config())
+    assert code == 1
+    assert doc["checks"][0]["data"]["failed"] == {
+        "check": "transversal-cut-monotone", "gamma": 5, "status": "fail",
+        **failed}
+
+
+@pytest.mark.parametrize("collecting", [True, False],
+                         ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case", ["exit-0", "exit-2", "audit-failure"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch,
+                                                  collecting, case):
+    # the command itself runs with the collector paused
+    paused, load = [], cli._load_config
+    monkeypatch.setattr(cli, "_load_config", lambda *a: paused.append(
+        not gc.isenabled()) or load(*a))
+    if case == "audit-failure":
+        _plant_flipped_rows(monkeypatch)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if case == "exit-2":
+            with pytest.raises(SystemExit) as exc:
+                main(["build-stage", "--config", str(tmp_path / "none")])
+            assert exc.value.code == 2
+        else:
+            code, _ = run_cli(tmp_path, "build-stage", tower_config())
+            assert code == (1 if case == "audit-failure" else 0)
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert paused == [True]
+
+
+# run in a fresh process: main, then what the collector finds after it
+GC_PROBE = """
+import gc, sys
+from amalgams.cli import main
+gc.collect()
+code = main(sys.argv[1:])
+print(code, gc.isenabled(), gc.collect())
+"""
+
+
+def test_what_solve_word_leaves_to_the_collector_does_not_grow(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(amalgams.__file__))]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    short = [{"side": "K", "letters": [["a", 1]]}]
+    seen = []
+    for words in ([short], [with_h_relator_spec()] * 8):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"fixture": WITH_H, "words": words}))
+        out = subprocess.run(
+            [sys.executable, "-c", GC_PROBE, "solve-word", "--config",
+             str(cfg), "--out", str(tmp_path / "report.json")],
+            env=env, capture_output=True, text=True, check=True)
+        seen.append(out.stdout.split())
+    assert seen[0] == seen[1] and seen[0][:2] == ["0", "True"]
 
 
 def test_scan_colorings(tmp_path):
@@ -918,6 +1033,13 @@ def _entry_indices(*indices):
      "k_table/l_table/h_pairs: multiplication table must be square"),
     ("table", _table("l_table", [[1, 0], [0, 0]]),
      "k_table/l_table/h_pairs: table has no identity element"),
+    # a cell is an element index, as an entry's element is
+    ("table", _table("l_table", [[0, 1, 2], [1, 2, 0], [2, 0, 1.0]]),
+     "k_table/l_table/h_pairs: table cell (2,2) must be an element "
+     "index, not 1.0"),
+    ("table", _table("l_table", [[0, 1, 2], [1, 2, 0], [2, 0, True]]),
+     "k_table/l_table/h_pairs: table cell (2,2) must be an element "
+     "index, not True"),
     ("table", _table("h_pairs", [[0, 0], [1, 0]]),
      "k_table/l_table/h_pairs: H-pairing must be a bijection"),
     # a transposition of S3 paired with 1 of Z8, of order 8; a 3-cycle,
@@ -969,7 +1091,8 @@ def _entry_indices(*indices):
      "has, not True"),
 ], ids=["letter-outside-alphabet", "sign-2", "sign-string", "sign-float",
         "sign-bool", "h-not-the-overlap",
-        "table-not-square", "table-no-identity", "pairing-not-bijective",
+        "table-not-square", "table-no-identity", "table-cell-float",
+        "table-cell-bool", "pairing-not-bijective",
         "pairing-not-homomorphic", "pairing-not-closed",
         "entry-out-of-range", "entry-float", "entry-string", "entry-bool",
         "table-not-associative", "hint-letter", "hint-on-table",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -40,6 +41,15 @@ def test_table_group_rejects_broken_tables():
         FiniteTableGroup([[0, 1], [1, 1]])  # 1 has no inverse through 0
     with pytest.raises(ValueError):
         FiniteTableGroup([[1, 0], [1, 0]])  # no identity
+
+
+@pytest.mark.parametrize("cell", [1.0, True, "1", -1, 3])
+def test_table_cells_must_be_element_indices(cell):
+    # a float or bool cell would come back from products as a payload,
+    # and -1 would index the last row
+    with pytest.raises(ValueError, match=r"^table cell \(2,2\) must be an "
+                       rf"element index, not {re.escape(repr(cell))}$"):
+        FiniteTableGroup([[0, 1, 2], [1, 2, 0], [2, 0, cell]])
 
 
 def test_associativity_check_matches_every_triple():

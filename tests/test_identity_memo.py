@@ -234,3 +234,98 @@ def test_identity_carry_keeps_the_first_syllable_object(monkeypatch):
     assert [len({id(s) for s in u.word}) for u in R.units] == \
         [3] * 8
     assert len(calls) == 24
+
+
+def planted_piece(rng, T, pool, inverses, n):
+    """n or more syllables: clean runs of pool syllables outside H that
+    alternate sides, broken by an H-syllable (often the identity, an
+    identity carry), a same-side neighbour or an undo of the syllable
+    before, whose merge lands in H; the first and the last syllable are
+    often breaks. None when a side has no pool syllable outside H."""
+    outside = {side: [s for s in syls if not T.in_H(s.elt)]
+               for side, syls in pool.items()}
+    if not all(outside.values()):
+        return None
+    side = rng.choice((K_SIDE, L_SIDE))
+    out = [rng.choice(pool[side][:2])] if rng.random() < 0.5 else []
+    while len(out) < n:
+        r = rng.random()
+        if r < 0.9 or not out:
+            out.append(rng.choice(outside[side]))
+            side = other(side)
+        elif r < 0.94:
+            out.append(rng.choice(pool[rng.choice((K_SIDE, L_SIDE))][:2]))
+        elif r < 0.97:
+            out.append(rng.choice(outside[out[-1].side]))
+        else:
+            t = out[-1]
+            out.append(inverses.get(id(t)) or Syllable(t.side, t.elt.inv()))
+    if rng.random() < 0.5:
+        out.append(rng.choice(pool[out[-1].side][:2] + outside[out[-1].side]))
+    return out
+
+
+def test_clean_runs_match_the_reference():
+    # long untrusted pieces are mostly clean runs, pushed in bulk; their
+    # breaks are planted, and mixed with trusted slices and generators
+    rng = random.Random(32)
+    cases, rejected = 0, 0
+    for T in amalgams(rng):
+        pool, inverses = syllable_pool(T, rng)
+        if planted_piece(rng, T, pool, inverses, 1) is None:
+            continue
+        for _ in range(CASES_PER_AMALGAM // 2):
+            spec = []
+            for _ in range(rng.randint(1, 3)):
+                syls = planted_piece(rng, T, pool, inverses,
+                                     rng.randint(40, 160))
+                kind = rng.choice(("list", "list", "trusted", "gen"))
+                if kind == "trusted":
+                    w = reference_canonical_product(((syls, False),), T)
+                    i = rng.randrange(len(w) + 1)
+                    spec.append(("trusted", w[i:rng.randint(i, len(w))]))
+                elif kind == "gen":
+                    spec.append(("gen", [(s.side, s.elt) for s in syls]))
+                else:
+                    spec.append(("list", tuple(syls)))
+            if rng.random() < 0.1:
+                # a wrong-side syllable after a clean run
+                s = rng.choice(pool[rng.choice((K_SIDE, L_SIDE))])
+                syls = planted_piece(rng, T, pool, inverses, 30)
+                spec.insert(rng.randrange(len(spec) + 1), (
+                    "list", tuple(syls) + (Syllable(other(s.side), s.elt),)
+                    + tuple(syls)))
+            made = []  # the ids of the generated syllables
+            got = outcome(lambda: canonical_product(pieces(spec, made), T))
+            ref = outcome(
+                lambda: reference_canonical_product(pieces(spec, []), T))
+            assert got == ref, spec
+            cases += 1
+            if isinstance(got, str):
+                rejected += 1
+                continue
+            # a result syllable that holds an input element is an input
+            # syllable object, unless it is a lone H-carry
+            inputs = {id(s) for k, d in spec if k != "gen" for s in d}
+            inputs.update(made)
+            elts = {id(s.elt) for k, d in spec if k != "gen" for s in d}
+            elts.update(id(g) for k, d in spec if k == "gen" for _, g in d)
+            assert len(got) == 1 or all(
+                id(s) in inputs for s in got if id(s.elt) in elts)
+    assert cases >= 300 and rejected >= 10
+
+
+def test_a_clean_run_runs_in_H_once_per_syllable_object(monkeypatch):
+    T = instance_s3_z4()[0]
+    pool, inverses = syllable_pool(T, random.Random(5))
+    outside = {side: [s for s in syls if not T.in_H(s.elt)]
+               for side, syls in pool.items()}
+    run = [outside[side][k % 2] for k in range(300)
+           for side in (K_SIDE, L_SIDE)]
+    calls = []
+    in_H = type(T).in_H
+    monkeypatch.setattr(type(T), "in_H",
+                        lambda self, g: calls.append(g) or in_H(self, g))
+    w = canonical_product(((run, False),), T)
+    assert w == tuple(run) and all(a is b for a, b in zip(w, run))
+    assert len(calls) == len({id(s) for s in run}) == 4
