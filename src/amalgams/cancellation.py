@@ -10,7 +10,9 @@ label run) and then walk each run's diagonal once, with
 state once and gives the chain from each offset by
 ``cancellation_chain``, on shared-free amalgams by comparing code
 slices. The C' verdict is kept on the set. The replays of C' witnesses
-and Dehn certificates share no code with the chain codes.
+and Dehn certificates share no code with the chain codes: on an amalgam
+with an ambient free group each replayed chain is one free reduction
+(``_free_part``), elsewhere an element walk.
 
 A quotient has no group object of its own: ``build_quotient`` gates a
 relator set by C'(1/10) alone, and ``dehn_decide`` on the set decides
@@ -64,9 +66,9 @@ class RelatorSet:
     (label of u[x], reduced junction tail(u[x-1]) · head(u[x])), read
     cyclically, with head and tail the outer H-segments (see
     ``cancellation_chain``). ``code_word`` codes a query word, once.
-    Replays read no codes: a C' witness is walked by element
-    arithmetic, and so is a Dehn certificate, except that on an amalgam
-    with an ambient free group each part is one free reduction.
+    Replays read no codes: on an amalgam with an ambient free group a
+    C' witness between units of even length, and each Dehn part, is one
+    free reduction; any other is walked by element arithmetic.
     ``cprime`` keeps ``check_cprime``'s verdict at ``chi``; the set must
     not change after construction.
 
@@ -454,14 +456,36 @@ def _scan_cprime(R: RelatorSet) -> CPrimeResult:
 
 
 def replay_cprime_witness(R: RelatorSet, wit: CPrimeWitness) -> bool:
-    """Re-run the witnessed chain step by step and confirm the verdict;
-    a witness that names no unit gives False."""
+    """Confirm a C' verdict: True iff ``ell`` >= ``threshold`` >= 1
+    and the witnessed chain, capped at ``min_len`` and with the wrap
+    left out, runs at least ``ell`` steps. A witness that names no unit
+    gives False.
+
+    When the amalgam has an ambient free group and both units have even
+    length, ``_free_part`` decides the chain by one free reduction, as
+    for a Dehn part. A chain from seed 1 through all of two units of
+    length ``min_len`` is the wrap that ``skip_trivial_wrap`` leaves
+    out if it ends on 1; the reduction at full length tells, and it is
+    the same one when ``ell`` is that length. Any other witness is
+    walked by element arithmetic."""
     u1, u2 = R.by_uid.get(wit.uid1), R.by_uid.get(wit.uid2)
-    if u1 is None or u2 is None:
+    if u1 is None or u2 is None or \
+            not 1 <= wit.threshold <= wit.ell <= wit.min_len:
         return False
-    res = cancellation_chain(R.T, u1.word, u2.word, wit.i1, wit.j2,
-                             wit.min_len, skip_trivial_wrap=True)
-    return res.ell >= wit.ell >= wit.threshold
+    T, w1, w2 = R.T, u1.word, u2.word
+    n, m = len(w1), len(w2)
+    if T.ambient is None or n % 2 or m % 2:
+        res = cancellation_chain(T, w1, w2, wit.i1, wit.j2, wit.min_len,
+                                 skip_trivial_wrap=True)
+        return res.ell >= wit.ell
+    chain = _free_part(T, w1, w2, wit.i1, wit.j2, wit.ell)
+    if chain.ell < wit.ell:
+        return False
+    if wit.min_len == n == m and chain.h0.owner.is_identity(chain.h0):
+        full = chain if wit.ell == n else \
+            _free_part(T, w1, w2, wit.i1, wit.j2, n)
+        return full.ell < n or not full.h_end.owner.is_identity(full.h_end)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +702,7 @@ def replay_certificate(
                 # reaches t, which is the seed find_replacement recorded
                 chain = cancellation_chain(T, inv, w, m - 1 - j, p, t)
             else:
-                chain = _free_part(T, inv, w, p, j, t)
+                chain = _free_part(T, inv, w, m - 1 - j, p, t)
             if chain.ell != t:
                 return False
             h0 = chain.h0
@@ -700,40 +724,46 @@ def replay_certificate(
 
 
 def _free_part(
-    T: AmalgamTriple, inv: CanonicalWord, w: CanonicalWord, p: int, j: int,
-    t: int,
+    T: AmalgamTriple, w1: CanonicalWord, w2: CanonicalWord, i1: int,
+    j2: int, t: int,
 ) -> ChainResult:
-    """``cancellation_chain(T, inv, w, m-1-j, p, t)`` on an amalgam with
-    an ambient free group, as one free reduction: the part match of
-    w[p..p+t) against the relator r that ``inv`` spells backwards.
+    """``cancellation_chain(T, w1, w2, i1, j2, t)`` on an amalgam with
+    an ambient free group, as one free reduction. It is exact when at
+    most one of the two slices it reads crosses the same-side wrap of
+    an odd word: for a part of a canonical word (``replay_certificate``)
+    and for a chain between two units of even length
+    (``replay_cprime_witness``).
 
-    With h0 the one seed, the payloads of r[j..j+t)^-1 (cyclic), h0 and
-    w[p..p+t) are concatenated and freely reduced, their product in
-    ``T.ambient``; the chain runs t steps iff that h_end is an H-word.
-    The element walk needs every partial product in H instead, and the
-    tests agree: if h_end ∈ H, h0^-1 · r[j..j+t) · h_end = w[p..p+t).
-    For t >= 2 both are reduced alternating sequences of t syllables (w
-    is canonical, r wcr: a slice across the same-side wrap of an odd
-    relator is shorter), so by the normal-form theorem (Lyndon–Schupp,
-    *Combinatorial Group Theory*, IV.2) they have the same sides and an
-    interleaving chain of H-elements, the walk's. For t = 1 both tests
-    are the seed test."""
-    m = len(inv)
-    a, b = inv[(m - 1 - j) % m], w[p]
+    With h0 the one seed, the payloads of w1[i1-t+1..i1] (the chain's
+    a_{t-1}, ..., a_0), h0 and w2[j2..j2+t), both read cyclically, are
+    concatenated and freely reduced, their product in ``T.ambient``;
+    the chain runs t steps iff that h_end is an H-word. The element walk
+    needs every partial product in H instead, and the tests agree: if
+    h_end ∈ H, w2[j2..j2+t) = h0^-1 · (w1[i1-t+1..i1])^-1 · h_end. For
+    t >= 2 a slice that crosses no such wrap is a reduced alternating
+    sequence of t syllables, all outside H, and one that crosses it
+    merges into t - 1 (the word is wcr). If neither slice crosses, by
+    the normal-form theorem (Lyndon–Schupp, *Combinatorial Group
+    Theory*, IV.2) the two sequences have the same sides and an
+    interleaving chain of H-elements, the walk's; if one crosses, their
+    lengths differ, so the identity fails, and the walk meets two
+    syllables of different sides. For t = 1 both tests are the seed
+    test."""
+    n, m = len(w1), len(w2)
+    a, b = w1[i1 % n], w2[j2 % m]
     seeds = T.junction_solutions(a.elt, b.elt) if a.side == b.side else []
     if not seeds:
         return ChainResult(0, None, False)
     h0 = seeds[0]
-    # r[j..j+t)^-1 is inv[m-j-t..m-j), read cyclically. Every payload
-    # is a reduced word over the ambient alphabet, so the letters need
-    # none of the checks of T.ambient.element
+    # Every payload is a reduced word over the ambient alphabet, so the
+    # letters need none of the checks of T.ambient.element
     letters = []
-    for s in range(m - j - t, m - j):
-        letters += inv[s % m].elt.payload
+    for s in range(i1 + 1 - t, i1 + 1):
+        letters += w1[s % n].elt.payload
     letters += h0.payload
-    for syl in w[p:p + t]:
-        letters += syl.elt.payload
-    h_end = Element(T.side_group(w[p + t - 1].side),
+    for s in range(j2, j2 + t):
+        letters += w2[s % m].elt.payload
+    h_end = Element(T.side_group(w2[(j2 + t - 1) % m].side),
                     words.free_reduce(letters))
     if not T.in_H(h_end):
         return ChainResult(0, h0, False)

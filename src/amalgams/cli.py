@@ -36,7 +36,6 @@ from amalgams.cancellation import (
     replay_certificate,
     replay_cprime_witness,
 )
-from amalgams.colorings import ColoringTable, hitting_scan, omega_sq_scope
 from amalgams.systems import (
     FixtureError,
     generate_relators,
@@ -285,9 +284,12 @@ def _system_check(rep):
 
 
 def _run_tower(config):
+    from amalgams.colorings import ColoringTable
+
+    colorings = config.get("colorings")
     try:
-        colorings = ColoringTable.from_json(config.get("colorings") or {},
-                                            config["stages"])
+        colorings = ColoringTable.from_json(
+            {} if colorings is None else colorings, config["stages"])
     except ValueError as exc:
         raise ConfigError(f"config 'colorings': {exc}") from None
     return engine.run_construction({**config, "colorings": colorings})
@@ -321,6 +323,8 @@ def cmd_run_construction(config, args):
 
 
 def cmd_scan_colorings(config, args):
+    from amalgams.colorings import ColoringTable, hitting_scan, omega_sq_scope
+
     targets = config.get("targets") or []
     if not isinstance(targets, list) or not all(
             isinstance(t, list) and len(t) == 3 and

@@ -675,7 +675,8 @@ class ColoringTable:
                              f"'e', 'c0' or 'c1'")
         maps = []
         for name in ("e", "c0", "c1"):
-            m = data.get(name) or {}
+            m = data.get(name)
+            m = {} if m is None else m
             if not isinstance(m, dict):
                 raise ValueError(f"colorings {name!r} must be an object")
             out = {}

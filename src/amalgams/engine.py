@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import json
 from itertools import accumulate
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, \
-    Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, NamedTuple, \
+    Optional, Sequence, Tuple
 
 from amalgams import words
 from amalgams.groups import (
@@ -49,10 +49,14 @@ from amalgams.cancellation import (
     part_threshold,
     relators_to_json,
 )
-from amalgams.colorings import ColoringTable, cantor_pair, cantor_unpair
 from amalgams.systems import RHO_EVEN_LENGTH, SystemEntry, \
     generate_relators, validate_system
 from amalgams.kernels import longest_common_run
+
+if TYPE_CHECKING:
+    # the ordinal layer is imported where it is used, so the commands
+    # that read no coloring (the CLI loads this module for all) skip it
+    from amalgams.colorings import ColoringTable
 
 
 def sym(index: int) -> str:
@@ -75,6 +79,8 @@ def _support(payload) -> FrozenSet[int]:
 
 def q_of(xi: int) -> Tuple[int, int, int, int]:
     """Decode a bookkeeping integer into (q0, q1, q2, epsilon)."""
+    from amalgams.colorings import cantor_unpair
+
     if xi < 0:
         raise ValueError("bookkeeping codes are nonnegative")
     eps = 1 if xi % 2 == 0 else -1
@@ -85,6 +91,8 @@ def q_of(xi: int) -> Tuple[int, int, int, int]:
 
 def q_code(q0: int, q1: int, q2: int, eps: int) -> int:
     """Inverse of q_of; handy when engineering coloring tables."""
+    from amalgams.colorings import cantor_pair
+
     if eps not in (1, -1):
         raise ValueError("sign must be +-1")
     return 2 * cantor_pair(q0, cantor_pair(q1, q2)) + (0 if eps == 1 else 1)
@@ -180,7 +188,11 @@ def init_base(count: int, colorings: Optional[ColoringTable] = None
     """
     if count < 1:
         raise ValueError("need at least one seed generator")
-    state = StageState(colorings or ColoringTable(), stage=count)
+    if colorings is None:
+        from amalgams.colorings import ColoringTable
+
+        colorings = ColoringTable()
+    state = StageState(colorings, stage=count)
     for i in range(count):
         state.registry.register(state.generator(i))
     state.registry.register(state.ambient.identity())
@@ -484,6 +496,8 @@ def run_construction(config: dict) -> StageState:
     """Drive the tower from a config {generators, stages, colorings}."""
     colorings = config.get("colorings")
     if isinstance(colorings, dict):
+        from amalgams.colorings import ColoringTable
+
         colorings = ColoringTable.from_json(colorings, int(config["stages"]))
     state = init_base(int(config["generators"]), colorings)
     while state.stage < int(config["stages"]):

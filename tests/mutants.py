@@ -52,6 +52,7 @@ TABLE_CHANGE = ("table groups: Light's associativity test, element "
                 "indices that are ints")
 CONTRACT_CHANGE = "check_contract on bit masks, not a numpy triple scan"
 MEMO_CHANGE = "per-syllable work once per distinct syllable object"
+FLAT_CPRIME_CHANGE = "flat replay of C' witnesses on shared-free amalgams"
 CLEAN_CHANGE = ("clean syllable runs pushed in bulk; the collector paused "
                 "for each command")
 CONTRACT = ("tests/test_colorings.py::"
@@ -65,6 +66,8 @@ DEHN_DIFF = ("tests/test_cancellation.py::"
              "test_dehn_decide_matches_reference",)
 FREE_REPLAY = ("tests/test_cancellation.py::"
                "test_free_replay_matches_element_replay",)
+FLAT_CPRIME = ("tests/test_cancellation.py::"
+               "test_flat_cprime_replay_matches_element_replay",)
 DIGESTS = ("tests/test_op_digests.py::"
            "test_benchmark_ops_match_their_digests",)
 WALKS = ("tests/test_colorings.py::"
@@ -229,11 +232,11 @@ MUTANTS = (
     # joining the syllable on their left, or of w alone, H-letters
     # joining the syllable on their right
     Mutant("free-part-resplit-left", "cancellation.py",
-           "    for s in range(m - j - t, m - j):\n"
-           "        letters += inv[s % m].elt.payload\n"
+           "    for s in range(i1 + 1 - t, i1 + 1):\n"
+           "        letters += w1[s % n].elt.payload\n"
            "    letters += h0.payload\n"
-           "    for syl in w[p:p + t]:\n"
-           "        letters += syl.elt.payload\n",
+           "    for s in range(j2, j2 + t):\n"
+           "        letters += w2[s % m].elt.payload\n",
            "    def split(u):\n"
            "        out, side = [], None\n"
            "        for x in [x for y in u for x in y.elt.payload]:\n"
@@ -244,18 +247,18 @@ MUTANTS = (
            "            out[-1].append(x)\n"
            "            side = here\n"
            "        return out\n"
-           "    r_split, w_split = split(inv), split(w)\n"
-           "    for s in range(m - j - t, m - j):\n"
-           "        letters += r_split[s % len(r_split)]\n"
+           "    w1_split, w2_split = split(w1), split(w2)\n"
+           "    for s in range(i1 + 1 - t, i1 + 1):\n"
+           "        letters += w1_split[s % len(w1_split)]\n"
            "    letters += h0.payload\n"
-           "    for syl in w_split[p:p + t]:\n"
+           "    for syl in w2_split[j2:j2 + t]:\n"
            "        letters += syl\n",
            FREE_REPLAY, FREE_REPLAY_CHANGE),
     Mutant("free-part-resplit-w-right", "cancellation.py",
-           "    for syl in w[p:p + t]:\n"
-           "        letters += syl.elt.payload\n",
+           "    for s in range(j2, j2 + t):\n"
+           "        letters += w2[s % m].elt.payload\n",
            "    out, side, held = [], None, []\n"
-           "    for x in [x for y in w for x in y.elt.payload]:\n"
+           "    for x in [x for y in w2 for x in y.elt.payload]:\n"
            "        if x[0] in T.h_symbols:\n"
            "            held.append(x)\n"
            "            continue\n"
@@ -266,7 +269,7 @@ MUTANTS = (
            "        held, side = [], here\n"
            "    if out:\n"
            "        out[-1] += held\n"
-           "    for syl in out[p:p + t]:\n"
+           "    for syl in out[j2:j2 + t]:\n"
            "        letters += syl\n",
            FREE_REPLAY, FREE_REPLAY_CHANGE),
     # a layer whose system is invalid would build
@@ -396,6 +399,27 @@ MUTANTS = (
     Mutant("clean-run-through-same-side", "canonical.py",
            'for pattern in ("H", "KK", "LL"):', 'for pattern in ("H",):',
            CLEAN_RUNS, CLEAN_CHANGE),
+    # a witness one syllable past its chain's end is confirmed
+    Mutant("flat-cprime-ell-one-past", "cancellation.py",
+           "chain = _free_part(T, w1, w2, wit.i1, wit.j2, wit.ell)\n"
+           "    if chain.ell < wit.ell:",
+           "chain = _free_part(T, w1, w2, wit.i1, wit.j2, wit.ell - 1)\n"
+           "    if chain.ell < wit.ell - 1:",
+           FLAT_CPRIME, FLAT_CPRIME_CHANGE),
+    # a unit aligned with its partner from seed 1 then counts as a piece
+    Mutant("flat-cprime-without-wrap-test", "cancellation.py",
+           "    if wit.min_len == n == m and "
+           "chain.h0.owner.is_identity(chain.h0):\n"
+           "        full = chain if wit.ell == n else \\\n"
+           "            _free_part(T, w1, w2, wit.i1, wit.j2, n)\n"
+           "        return full.ell < n or "
+           "not full.h_end.owner.is_identity(full.h_end)\n", "",
+           FLAT_CPRIME, FLAT_CPRIME_CHANGE),
+    # a Dehn part never crosses the end of w; a C' chain may
+    Mutant("free-part-w2-not-wrapped", "cancellation.py",
+           "    for s in range(j2, j2 + t):\n",
+           "    for s in range(j2, min(j2 + t, m)):\n",
+           FLAT_CPRIME, FLAT_CPRIME_CHANGE),
     Mutant("main-without-restoring-finally", "cli.py",
            "    finally:\n        if collecting:\n            gc.enable()\n",
            "    finally:\n        pass\n",

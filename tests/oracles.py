@@ -583,12 +583,25 @@ def closure_contains(R, w) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the element replay of Dehn certificates
+# the element replays of C' witnesses and Dehn certificates
 #
-# On shared-free amalgams replay_certificate checks each Dehn part by one
-# free reduction in the ambient free group. The reference walks every
-# part's cancellation chain syllable by syllable by element arithmetic,
-# on any amalgam.
+# On shared-free amalgams replay_cprime_witness checks a witness between
+# units of even length, and replay_certificate each Dehn part, by one
+# free reduction in the ambient free group. The references walk every
+# cancellation chain syllable by syllable by element arithmetic, on any
+# amalgam.
+
+
+def element_replay_cprime_witness(R, wit) -> bool:
+    """Re-run the witnessed chain step by step, capped at ``min_len``
+    and with the wrap left out, and confirm the verdict; a witness that
+    names no unit gives False."""
+    u1, u2 = R.by_uid.get(wit.uid1), R.by_uid.get(wit.uid2)
+    if u1 is None or u2 is None:
+        return False
+    res = cancellation_chain(R.T, u1.word, u2.word, wit.i1, wit.j2,
+                             wit.min_len, skip_trivial_wrap=True)
+    return res.ell >= wit.ell >= wit.threshold
 
 
 def element_replay_certificate(w, cert, R) -> bool:

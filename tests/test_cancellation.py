@@ -25,6 +25,7 @@ from amalgams.canonical import (
 )
 from amalgams import kernels, words
 from amalgams.cancellation import (
+    CPrimeWitness,
     Diagonal,
     RelatorSet,
     ScanUnit,
@@ -54,12 +55,14 @@ from amalgam_instances import (
 from oracles import (
     closure_contains,
     element_replay_certificate,
+    element_replay_cprime_witness,
     flat_equal,
     flat_letters,
     materialize,
     naive_part_length,
     reference_dehn_decide,
     reference_scan_cprime,
+    split_candidates,
     wcr_conjugates,
 )
 
@@ -606,12 +609,13 @@ def test_coded_chains_match_element_chains():
     assert min(seen.values()) >= 10, seen
 
 
-def test_cprime_walks_codes_and_replay_walks_elements(monkeypatch):
+def test_cprime_walks_codes_and_replay_reduces_flat(monkeypatch):
     # trivial_h: the C' scan walks only the 8 excluded product-1
     # alignments, 6640 steps each; on codes that costs a few multiplications
     # per chain, not three per step. The witness replay on corrupted
-    # stays on element arithmetic: one H-membership test per step at
-    # least.
+    # walks no chain: its witness runs all 6,640 syllables from seed 1,
+    # so one free reduction decides both the chain and the wrap, and H
+    # is tested for the seed and for the end alone.
     from amalgams import cancellation
     from amalgams.groups import GroupHandle
 
@@ -631,6 +635,8 @@ def test_cprime_walks_codes_and_replay_walks_elements(monkeypatch):
     monkeypatch.setattr(GroupHandle, "mul", counting("mul", GroupHandle.mul))
     monkeypatch.setattr(SharedFreeAmalgam, "in_H",
                         counting("in_H", SharedFreeAmalgam.in_H))
+    monkeypatch.setattr(cancellation.words, "free_reduce",
+                        counting("free_reduce", words.free_reduce))
 
     T, S, hints = load_system_fixture(f"{FIXTURES}/trivial_h.json")
     R = generate_relators(S, T, check=False)
@@ -644,7 +650,8 @@ def test_cprime_walks_codes_and_replay_walks_elements(monkeypatch):
     wit = check_cprime(R).witness
     calls.clear()
     assert replay_cprime_witness(R, wit)
-    assert calls["in_H"] >= wit.ell
+    assert (wit.ell, wit.h0_json) == (6640, [])
+    assert (calls["chain"], calls["free_reduce"], calls["in_H"]) == (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,6 +1068,121 @@ def test_free_replay_matches_element_replay(rho_system):
                 _replays_agree(w, res.certificate, R, seen)
     assert seen["trivial"] >= 60, seen
     assert seen["tampered rejected"] >= 1000, seen
+
+
+def _chain_witness(R, u1, u2, i1, j2):
+    """The witness of the element walk's chain from (i1, j2) between
+    two units, with threshold 1; None when the chain is empty."""
+    n, m = len(u1.word), len(u2.word)
+    res = cancellation_chain(R.T, u1.word, u2.word, i1, j2, min(n, m),
+                             skip_trivial_wrap=True)
+    if res.ell < 1:
+        return None
+    return CPrimeWitness(u1.uid, u2.uid, i1, j2, res.ell, min(n, m), 1,
+                         res.h0.owner.payload_to_json(res.h0.payload),
+                         R.T.side_of_group(res.h0.owner))
+
+
+def _cprime_tamperings(R, wit):
+    """(change, witness) for each of a set of changes to a witness: ell
+    one more or one less, i1 or j2 moved by one, the two units swapped,
+    and the wrap of the first unit against its partner."""
+    n = len(R.by_uid[wit.uid1].word)
+    for change in ({"ell": wit.ell + 1}, {"ell": wit.ell - 1},
+                   {"i1": wit.i1 + 1}, {"i1": wit.i1 - 1},
+                   {"j2": wit.j2 + 1}, {"j2": wit.j2 - 1},
+                   {"uid1": wit.uid2, "uid2": wit.uid1},
+                   {"uid2": R.by_uid[wit.uid1].partner,
+                    "j2": (n - 1 - wit.i1) % n, "ell": n, "min_len": n}):
+        yield change, wit._replace(**change)
+
+
+def _cprime_replays_agree(R, wit, seen):
+    assert replay_cprime_witness(R, wit) is True
+    assert element_replay_cprime_witness(R, wit) is True
+    m = len(R.by_uid[wit.uid2].word)
+    seen["past the end of w2"] += wit.j2 % m + wit.ell > m
+    for change, bad in _cprime_tamperings(R, wit):
+        got = replay_cprime_witness(R, bad)
+        assert got is element_replay_cprime_witness(R, bad), (change, wit)
+        seen["tampered accepted" if got else "tampered rejected"] += 1
+
+
+def _odd_split(rng, T, r):
+    """An odd wcr conjugate of the even word r: its first syllable
+    split across the seam, or None when it has no split outside H."""
+    pairs = split_candidates(T, r[0])
+    if not pairs:
+        return None
+    x1, x2 = rng.choice(pairs)
+    return (Syllable(r[0].side, x1),) + r[1:] + (Syllable(r[0].side, x2),)
+
+
+def test_flat_cprime_replay_matches_element_replay():
+    # replay_cprime_witness replays a witness between units of even
+    # length on a shared-free amalgam by one free reduction; the element
+    # replay of tests/oracles.py walks it. They must agree on true
+    # witnesses and on tampered copies, on the four fixtures and on
+    # random shared-free amalgams. There a relator and its h-translate
+    # give full-length chains that start or end on h != 1, a rotated
+    # copy gives chains across the end of a unit, and some units have
+    # odd length
+    rng = random.Random(20261022)
+    seen = collections.Counter()
+    for name in ("trivial_h", "with_h", "d_case", "corrupted"):
+        T, S, _ = load_system_fixture(f"{FIXTURES}/{name}.json")
+        R = generate_relators(S, T, check=False)
+        res = check_cprime(R)
+        if res.status == "fail":
+            _cprime_replays_agree(R, res.witness, seen)
+            seen["fixture witness"] += 1
+        found = 0
+        while found < 6:
+            u1, u2 = rng.choice(R.units), rng.choice(R.units)
+            wit = _chain_witness(R, u1, u2, rng.randrange(len(u1.word)),
+                                 rng.randrange(len(u2.word)))
+            if wit is not None:
+                _cprime_replays_agree(R, wit, seen)
+                found += 1
+    for _ in range(20):
+        T = random_shared_free(rng)
+        n = 2 * rng.randrange(3, 6)
+        r = canonicalize(_random_free_word(rng, T, n, K_SIDE), T)
+        h = T.K.element([rng.choice([(x, 1), (x, -1)])
+                         for x in rng.choices(sorted(T.h_symbols), k=2)])
+        # r rotated by k with one syllable replaced: its chains against r
+        # run across r's end
+        k, q = rng.randrange(1, n), rng.randrange(n)
+        moved = list(r[k:] + r[:k])
+        moved[q] = _random_free_word(rng, T, 1, moved[q].side)[0]
+        moved = canonicalize(moved, T)
+        relators = [r, canonicalize((syllable(K_SIDE, h.inv()),) + r, T),
+                    moved]
+        odd = _odd_split(rng, T, moved)
+        if odd is not None and rng.random() < 0.5:
+            relators[2] = odd
+        R = RelatorSet(T, [ScanUnit(f"r{i}", w)
+                           for i, w in enumerate(relators)])
+        seen["odd unit"] += any(len(u.word) % 2 for u in R.units)
+        res = check_cprime(R)
+        if res.status == "fail":
+            _cprime_replays_agree(R, res.witness, seen)
+            seen["scan witness"] += 1
+        witnesses = [_chain_witness(R, u1, u2, i1, j2)
+                     for u1 in R.units for u2 in R.units
+                     for i1 in range(len(u1.word))
+                     for j2 in range(len(u2.word))]
+        # every chain of 3 or more steps, and 20 of the shorter ones
+        long = [w for w in witnesses if w is not None and w.ell >= 3]
+        short = [w for w in witnesses if w is not None and w.ell < 3]
+        for wit in long + rng.sample(short, min(len(short), 20)):
+            _cprime_replays_agree(R, wit, seen)
+    assert seen["fixture witness"] == 1, seen
+    assert seen["scan witness"] >= 15, seen
+    assert seen["odd unit"] >= 5, seen
+    assert seen["past the end of w2"] >= 100, seen
+    assert seen["tampered accepted"] >= 200, seen
+    assert seen["tampered rejected"] >= 2000, seen
 
 
 def test_dehn_kills_product_of_relator_conjugates(rho_system):

@@ -844,6 +844,19 @@ def test_unknown_colorings_key_is_usage_error(tmp_path, capsys):
         "'c_1'; expected 'e', 'c0' or 'c1'\n")
 
 
+def test_null_colorings_mean_no_colorings(tmp_path):
+    # an absent block, a null block and null maps give the same tower
+    base = {"generators": 3, "stages": 4}
+    reports = []
+    for colorings in ({}, {"colorings": None},
+                      {"colorings": {"e": None, "c0": None, "c1": None}}):
+        code, report = run_cli(tmp_path, "build-stage",
+                               {**base, **colorings})
+        reports.append((code, report["checks"]))
+    assert reports[0][0] == 0
+    assert reports[1:] == reports[:1] * 2
+
+
 WITH_H = "fixtures/systems/with_h.json"
 CORRUPTED = "fixtures/systems/corrupted.json"
 
@@ -856,6 +869,21 @@ def _entry_without_a(tmp_path):
     path = tmp_path / "fixture.json"
     path.write_text(json.dumps(fixture))
     return {"fixture": str(path)}
+
+
+# colorings blocks that are falsy but not objects; only an absent key or
+# null means "no colorings"
+FALSY = {"zero": 0, "empty-string": "", "empty-list": [], "false": False}
+FALSY_COLORINGS = [
+    ("run-construction", {"generators": 3, "stages": 4, "colorings": value})
+    for value in FALSY.values()] + [
+    ("build-stage", {"generators": 3, "stages": 4,
+                     "colorings": {name: FALSY[kind]}})
+    for name in ("e", "c0", "c1")
+    for kind in ("zero", "empty-string", "empty-list")]
+FALSY_IDS = [f"colorings-{kind}" for kind in FALSY] + [
+    f"colorings-{name}-{kind}" for name in ("e", "c0", "c1")
+    for kind in ("zero", "empty-string", "empty-list")]
 
 
 @pytest.mark.parametrize("command, config", [
@@ -903,13 +931,15 @@ def _entry_without_a(tmp_path):
     # word letters are free-factor letters; a table side has none
     ("solve-word", lambda tmp: {"fixture": s3_z8_fixture(tmp), "words": [
         [{"side": "K", "letters": [[1, 1]]}]]}),
-], ids=["missing-config", "zero-generators", "fixture-as-config",
-        "no-words", "missing-fixture", "not-a-system", "entry-lacks-key",
-        "negative-count", "string-stages", "bool-stages", "unbuilt-layer",
-        "free-layer", "colorings-key-not-pair", "colorings-unordered-pair",
-        "colorings-negative", "colorings-past-stages", "target-short",
-        "target-negative", "word-side", "word-symbol", "word-sign",
-        "word-no-letters", "words-not-nested", "word-table-side"])
+] + FALSY_COLORINGS,
+    ids=["missing-config", "zero-generators", "fixture-as-config",
+         "no-words", "missing-fixture", "not-a-system", "entry-lacks-key",
+         "negative-count", "string-stages", "bool-stages", "unbuilt-layer",
+         "free-layer", "colorings-key-not-pair", "colorings-unordered-pair",
+         "colorings-negative", "colorings-past-stages", "target-short",
+         "target-negative", "word-side", "word-symbol", "word-sign",
+         "word-no-letters", "words-not-nested", "word-table-side"]
+    + FALSY_IDS)
 def test_malformed_config_is_usage_error(tmp_path, capsys, command, config):
     if callable(config):
         config = config(tmp_path)

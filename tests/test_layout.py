@@ -1,6 +1,6 @@
 """Layout rules: no amalgams module imports another module's private
-names, the CLI starts without the heavy numeric libraries or
-dataclasses, the benchmark's tracer can wrap a CLI run, every
+names, the CLI starts without the heavy numeric libraries, dataclasses
+or the colorings layer, the benchmark's tracer can wrap a CLI run, every
 definition is reachable from the CLI, some call in src passes every
 optional parameter, and every recorded mutant still finds its text."""
 
@@ -75,6 +75,16 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_the_colorings_layer_unloaded():
+    # only the tower commands and scan-colorings read a coloring; the
+    # others would compile its module for nothing
+    probe = ("import sys, amalgams.cli; "
+             "print('amalgams.colorings' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=_package_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_scan_colorings_runs_without_numpy(tmp_path):
     # the subadditivity check and the hitting scan run on Python ints; a
     # None entry in sys.modules makes any import of numpy fail
@@ -96,19 +106,27 @@ def test_benchmark_tracer_wraps_a_cli_run(tmp_path):
     # perfbench/tracer.py wraps each traced function wherever a loaded
     # module binds it, once `import amalgams.cli` has loaded them; a
     # module that cli imports only inside a subcommand is bound nowhere
-    # at that point, and every traced op then dies before main runs
+    # at that point, and every traced op then dies before main runs.
+    # cli imports the colorings layer inside the commands that use it,
+    # so their calls must still reach the wrapped functions
     root = PACKAGE.parent.parent
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(
-        {"fixture": str(root / "fixtures" / "systems" / "with_h.json")}))
-    trace = tmp_path / "trace.json"
-    out = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "tracer.py"), str(trace),
-         "validate-system", "--config", str(cfg)],
-        env=_package_env(), cwd=tmp_path, capture_output=True, text=True)
-    assert (out.returncode, out.stderr) == (0, "")
-    metrics = json.loads(trace.read_text())["metrics"]
-    assert metrics["cli.main"]["calls"] == 1
+    fixture = str(root / "fixtures" / "systems" / "with_h.json")
+    for command, config, traced in (
+            ("validate-system", {"fixture": fixture}, "cli.main"),
+            ("scan-colorings", {"count": 40}, "colorings.from_walks"),
+            ("build-stage", {"generators": 3, "stages": 4},
+             "engine.advance_stage")):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        trace = tmp_path / f"{command}.trace.json"
+        out = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "tracer.py"),
+             str(trace), command, "--config", str(cfg)],
+            env=_package_env(), cwd=tmp_path, capture_output=True, text=True)
+        assert (out.returncode, out.stderr) == (0, ""), command
+        metrics = json.loads(trace.read_text())["metrics"]
+        assert metrics["cli.main"]["calls"] == 1, command
+        assert metrics[traced]["calls"] > 0, command
 
 
 def test_replays_walk_chains_on_elements():
