@@ -456,10 +456,11 @@ def _scan_cprime(R: RelatorSet) -> CPrimeResult:
 
 
 def replay_cprime_witness(R: RelatorSet, wit: CPrimeWitness) -> bool:
-    """Confirm a C' verdict: True iff ``ell`` >= ``threshold`` >= 1
-    and the witnessed chain, capped at ``min_len`` and with the wrap
-    left out, runs at least ``ell`` steps. A witness that names no unit
-    gives False.
+    """Confirm a C' verdict: True iff ``min_len`` and ``threshold`` are
+    min(n, m) and ceil(R.chi * min(n, m)) for the named units' lengths n
+    and m, ``ell`` >= ``threshold`` >= 1, and the witnessed chain,
+    capped at ``min_len`` and with the wrap left out, runs at least
+    ``ell`` steps. A witness that names no unit gives False.
 
     When the amalgam has an ambient free group and both units have even
     length, ``_free_part`` decides the chain by one free reduction, as
@@ -469,11 +470,14 @@ def replay_cprime_witness(R: RelatorSet, wit: CPrimeWitness) -> bool:
     the same one when ``ell`` is that length. Any other witness is
     walked by element arithmetic."""
     u1, u2 = R.by_uid.get(wit.uid1), R.by_uid.get(wit.uid2)
-    if u1 is None or u2 is None or \
-            not 1 <= wit.threshold <= wit.ell <= wit.min_len:
+    if u1 is None or u2 is None:
         return False
     T, w1, w2 = R.T, u1.word, u2.word
     n, m = len(w1), len(w2)
+    min_len = min(n, m)
+    if (wit.min_len, wit.threshold) != (min_len, math.ceil(R.chi * min_len)) \
+            or not 1 <= wit.threshold <= wit.ell <= min_len:
+        return False
     if T.ambient is None or n % 2 or m % 2:
         res = cancellation_chain(T, w1, w2, wit.i1, wit.j2, wit.min_len,
                                  skip_trivial_wrap=True)
@@ -481,7 +485,7 @@ def replay_cprime_witness(R: RelatorSet, wit: CPrimeWitness) -> bool:
     chain = _free_part(T, w1, w2, wit.i1, wit.j2, wit.ell)
     if chain.ell < wit.ell:
         return False
-    if wit.min_len == n == m and chain.h0.owner.is_identity(chain.h0):
+    if n == m and chain.h0.owner.is_identity(chain.h0):
         full = chain if wit.ell == n else \
             _free_part(T, w1, w2, wit.i1, wit.j2, n)
         return full.ell < n or not full.h_end.owner.is_identity(full.h_end)

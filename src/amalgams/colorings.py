@@ -1,176 +1,125 @@
 """Ordinal arithmetic in Cantor normal form, ladder systems, walks, and
 the derived subadditive colorings.
 
-Ordinals lie below epsilon_0, with one ladder system, the canonical one
-from fundamental sequences; ``LadderSystem`` reads a ladder index off the
-CNF, and the point scan in the test oracles is its reference. For a
-fixed alpha the walk steps delta -> step(delta, alpha) form a tree
-rooted at alpha, and ``LadderSystem`` keeps the tree of its latest
-alpha. The coloring e comes from the walk recursion; its binding
-contract is subadditivity (both inequalities), checked on every triple
-of a scope. ``ColoringTable`` holds e, c0 and c1 in flat triangular
-lists on int index pairs: stage indices in the tower engine, positions
-in a ranked scope in ``scan-colorings``, where ``from_walks`` walks only
-to limits and crosses each run of successors in one step.
+An ordinal below epsilon_0 is its Cantor normal form as a plain tuple:
+((exponent, coefficient), ...) with strictly decreasing exponents, each
+an ordinal of the same form, and positive coefficients; () is 0. Tuple
+order is then ordinal order, and equal ordinals are equal tuples, so
+ordinals sort, compare and key dicts as they are. There is one ladder
+system, the canonical one from fundamental sequences; ``LadderSystem``
+reads a ladder index off the CNF, and the point scan in the test oracles
+is its reference. For a fixed alpha the walk steps delta -> step(delta,
+alpha) form a tree rooted at alpha, and ``LadderSystem`` keeps the tree
+of its latest alpha. The coloring e comes from the walk recursion; its
+binding contract is subadditivity (both inequalities), checked on every
+triple of a scope. ``ColoringTable`` holds e, c0 and c1 in flat
+triangular lists on int index pairs: stage indices in the tower engine,
+positions in a ranked scope in ``scan-colorings``, where ``from_walks``
+walks only to limits and crosses each run of successors in one step.
 """
 
 from __future__ import annotations
 
 import math
-from functools import total_ordering
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+# an ordinal: ((exponent, coefficient), ...), as the module docstring says
+Ordinal = Tuple[Tuple["Ordinal", int], ...]
 
-@total_ordering
-class OrdinalCNF:
-    """Ordinal below epsilon_0 as a Cantor-normal-form term list.
-
-    terms is a tuple of (exponent, coefficient) pairs with strictly
-    decreasing exponents and positive coefficients; the empty tuple is 0.
-    The ``ord_sort_key`` tuple and its hash are built once, here, so
-    comparing and hashing ordinals never recurses in Python. Given the
-    key, the terms are taken as normal without checks; the ladder
-    arithmetic, whose results are normal by construction, passes it.
-    ``_pred`` is predecessor(self), kept by ``predecessor`` on its first
-    call.
-    """
-
-    __slots__ = ("terms", "_key", "_hash", "_pred")
-
-    def __init__(self, terms: Tuple[Tuple["OrdinalCNF", int], ...] = (),
-                 key: Optional[Tuple] = None):
-        if key is None:
-            prev = None
-            for exp, coeff in terms:
-                if coeff <= 0:
-                    raise ValueError("CNF coefficients must be positive")
-                if prev is not None and exp._key >= prev._key:
-                    raise ValueError("CNF exponents must strictly decrease")
-                prev = exp
-            key = tuple((exp._key, coeff) for exp, coeff in terms)
-        self.terms, self._key, self._hash = terms, key, hash(key)
-        self._pred = None
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_successor(self) -> bool:
-        return bool(self.terms) and self.terms[-1][0].is_zero()
-
-    def is_limit(self) -> bool:
-        return bool(self.terms) and not self.terms[-1][0].is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, OrdinalCNF):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "OrdinalCNF") -> bool:
-        return self._key < other._key
-
-    def __repr__(self) -> str:
-        return f"Ord({ord_to_str(self)})"
+ZERO: Ordinal = ()
+ONE: Ordinal = (((), 1),)
+OMEGA: Ordinal = ((ONE, 1),)
 
 
-ZERO = OrdinalCNF()
-ONE = OrdinalCNF((( ZERO, 1),))
-OMEGA = OrdinalCNF(((ONE, 1),))
+def is_successor(a: Ordinal) -> bool:
+    return bool(a) and not a[-1][0]
 
 
-def from_int(n: int) -> OrdinalCNF:
+def is_limit(a: Ordinal) -> bool:
+    return bool(a) and bool(a[-1][0])
+
+
+def from_int(n: int) -> Ordinal:
     if n < 0:
         raise ValueError("ordinals are nonnegative")
-    if n == 0:
-        return ZERO
-    return OrdinalCNF(((ZERO, n),))
+    return ((ZERO, n),) if n else ZERO
 
 
-def omega_power(exp: OrdinalCNF, coeff: int = 1) -> OrdinalCNF:
-    return OrdinalCNF(((exp, coeff),))
+def omega_power(exp: Ordinal, coeff: int = 1) -> Ordinal:
+    if coeff <= 0:
+        raise ValueError("CNF coefficients must be positive")
+    return ((exp, coeff),)
 
 
-def ord_cmp(a: OrdinalCNF, b: OrdinalCNF) -> int:
-    ka, kb = a._key, b._key
-    return (ka > kb) - (ka < kb)
+def ord_cmp(a: Ordinal, b: Ordinal) -> int:
+    return (a > b) - (a < b)
 
 
-def ord_add(a: OrdinalCNF, b: OrdinalCNF) -> OrdinalCNF:
+def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal sum: the low tail of a below b's leading exponent is
     absorbed."""
-    if b.is_zero():
+    if not b:
         return a
-    lead_exp, lead_coeff = b.terms[0]
+    lead_exp, lead_coeff = b[0]
     kept = []
-    for exp, coeff in a.terms:
+    for exp, coeff in a:
         c = ord_cmp(exp, lead_exp)
         if c > 0:
             kept.append((exp, coeff))
         elif c == 0:
             kept.append((exp, coeff + lead_coeff))
-            return OrdinalCNF(tuple(kept) + b.terms[1:])
+            return tuple(kept) + b[1:]
         else:
             break
-    return OrdinalCNF(tuple(kept) + b.terms)
+    return tuple(kept) + b
 
 
-def successor(a: OrdinalCNF) -> OrdinalCNF:
+def successor(a: Ordinal) -> Ordinal:
     return ord_add(a, ONE)
 
 
-def _head(a: OrdinalCNF) -> Tuple[tuple, tuple]:
-    """(terms, key) of a with the coefficient of its last term lowered
-    by one: a - 1 for a successor, and the part of a limit before its
-    last w^exp."""
-    exp, coeff = a.terms[-1]
-    if coeff > 1:
-        return (a.terms[:-1] + ((exp, coeff - 1),),
-                a._key[:-1] + ((exp._key, coeff - 1),))
-    return a.terms[:-1], a._key[:-1]
+def _head(a: Ordinal) -> Ordinal:
+    """a with the coefficient of its last term lowered by one: a - 1 for
+    a successor, and the part of a limit before its last w^exp."""
+    exp, coeff = a[-1]
+    return a[:-1] + ((exp, coeff - 1),) if coeff > 1 else a[:-1]
 
 
-def predecessor(a: OrdinalCNF) -> OrdinalCNF:
-    """a - 1, built on the first call and kept on a."""
-    if a._pred is not None:
-        return a._pred
-    if not a.is_successor():
-        raise ValueError(f"{a!r} is not a successor ordinal")
-    a._pred = OrdinalCNF(*_head(a))
-    return a._pred
+def predecessor(a: Ordinal) -> Ordinal:
+    if not is_successor(a):
+        raise ValueError(f"{ord_to_str(a)} is not a successor ordinal")
+    return _head(a)
 
 
-def fundamental_seq(delta: OrdinalCNF, n: int) -> OrdinalCNF:
+def fundamental_seq(delta: Ordinal, n: int) -> Ordinal:
     """The n-th point (0-based) of the canonical fundamental sequence of
     a limit ordinal."""
-    if not delta.is_limit():
-        raise ValueError(f"{delta!r} is not a limit ordinal")
+    if not is_limit(delta):
+        raise ValueError(f"{ord_to_str(delta)} is not a limit ordinal")
     if n < 0:
         raise ValueError("index must be nonnegative")
-    head, key = _head(delta)
     # remaining part is omega^exp with exp > 0
-    exp = delta.terms[-1][0]
-    if exp.is_successor():
+    exp = delta[-1][0]
+    if is_successor(exp):
         x, coeff = predecessor(exp), n + 1
     else:
         x, coeff = fundamental_seq(exp, n), 1
-    return OrdinalCNF(head + ((x, coeff),), key + ((x._key, coeff),))
+    return _head(delta) + ((x, coeff),)
 
 
 # ---------------------------------------------------------------------------
 # parsing and formatting (JSON keys)
 
 
-def ord_to_str(a: OrdinalCNF) -> str:
-    if a.is_zero():
+def ord_to_str(a: Ordinal) -> str:
+    if not a:
         return "0"
     parts = []
-    for exp, coeff in a.terms:
-        if exp.is_zero():
+    for exp, coeff in a:
+        if not exp:
             parts.append(str(coeff))
             continue
-        if ord_cmp(exp, ONE) == 0:
+        if exp == ONE:
             base = "w"
         else:
             base = f"w^({ord_to_str(exp)})"
@@ -178,7 +127,7 @@ def ord_to_str(a: OrdinalCNF) -> str:
     return "+".join(parts)
 
 
-def ord_from_str(s: str) -> OrdinalCNF:
+def ord_from_str(s: str) -> Ordinal:
     text = s.replace(" ", "")
     value, pos = _parse_sum(text, 0)
     if pos != len(text):
@@ -186,7 +135,7 @@ def ord_from_str(s: str) -> OrdinalCNF:
     return value
 
 
-def _parse_sum(text: str, pos: int) -> Tuple[OrdinalCNF, int]:
+def _parse_sum(text: str, pos: int) -> Tuple[Ordinal, int]:
     total = ZERO
     while True:
         term, pos = _parse_term(text, pos)
@@ -197,7 +146,7 @@ def _parse_sum(text: str, pos: int) -> Tuple[OrdinalCNF, int]:
         return total, pos
 
 
-def _parse_term(text: str, pos: int) -> Tuple[OrdinalCNF, int]:
+def _parse_term(text: str, pos: int) -> Tuple[Ordinal, int]:
     if pos >= len(text):
         raise ValueError("unexpected end of ordinal string")
     if text[pos].isdigit():
@@ -246,14 +195,14 @@ class LadderSystem:
     It keeps one row toward the alpha of its latest ``row`` or
     ``entry`` call, dropped when alpha changes. For a fixed alpha the
     steps delta -> step(delta, alpha) form a tree rooted at alpha; the
-    row holds the nodes walked so far, by ``_key``, each with its step
-    and its trace down to alpha, computed once."""
+    row holds the nodes walked so far, each with its step and its trace
+    down to alpha, computed once."""
 
     def __init__(self):
-        self._row_key: Optional[tuple] = None
-        self._row: Dict[tuple, list] = {}
+        self._alpha: Optional[Ordinal] = None
+        self._row: Dict[Ordinal, list] = {}
 
-    def step(self, delta: OrdinalCNF, alpha: OrdinalCNF) -> Tuple[OrdinalCNF, int]:
+    def step(self, delta: Ordinal, alpha: Ordinal) -> Tuple[Ordinal, int]:
         """(min(C_delta minus alpha), otp(C_delta intersect alpha)).
 
         Requires alpha < delta; cofinality of the ladder guarantees the
@@ -262,16 +211,16 @@ class LadderSystem:
         """
         if not alpha < delta:
             raise ValueError("step requires alpha < delta")
-        if delta.is_successor():
+        if is_successor(delta):
             return predecessor(delta), 0
         n = _ladder_index(delta, alpha)
         return fundamental_seq(delta, n), n
 
-    def members_below(self, delta: OrdinalCNF,
-                      alpha: OrdinalCNF) -> List[OrdinalCNF]:
+    def members_below(self, delta: Ordinal,
+                      alpha: Ordinal) -> List[Ordinal]:
         """C_delta intersect alpha, in increasing order, counted by CNF
         arithmetic as ``step`` does; a limit delta needs alpha < delta."""
-        if delta.is_successor():
+        if is_successor(delta):
             p = predecessor(delta)
             return [p] if p < alpha else []
         if not alpha < delta:
@@ -280,8 +229,8 @@ class LadderSystem:
         return [fundamental_seq(delta, k)
                 for k in range(_ladder_index(delta, alpha))]
 
-    def row(self, alpha: OrdinalCNF) -> Dict[tuple, list]:
-        """The kept walk tree toward alpha: delta._key -> its entry
+    def row(self, alpha: Ordinal) -> Dict[Ordinal, list]:
+        """The kept walk tree toward alpha: delta -> its entry
         [e, otp, below, trace, k], where
 
         - e is e(alpha, delta), or None until ``WalkColoring.row_e``
@@ -291,17 +240,17 @@ class LadderSystem:
         - trace[k:] is the walk from delta down to alpha.
 
         A new alpha starts a row that holds alpha alone, with e = 0."""
-        if alpha._key != self._row_key:
-            self._row_key = alpha._key
-            self._row = {alpha._key: [0, 0, None, (alpha,), 0]}
+        if alpha != self._alpha:
+            self._alpha = alpha
+            self._row = {alpha: [0, 0, None, (alpha,), 0]}
         return self._row
 
-    def entry(self, alpha: OrdinalCNF, delta: OrdinalCNF) -> list:
+    def entry(self, alpha: Ordinal, delta: Ordinal) -> list:
         """The row entry of delta, for alpha <= delta. A node the row
         lacks is walked down to the first node the row holds; the new
         nodes share one trace tuple, each at its own position in it."""
         row = self.row(alpha)
-        hit = row.get(delta._key)
+        hit = row.get(delta)
         if hit is not None:
             return hit
         path, otps = [], []
@@ -310,14 +259,14 @@ class LadderSystem:
             path.append(cur)
             cur, otp = self.step(cur, alpha)
             otps.append(otp)
-            hit = row.get(cur._key)
+            hit = row.get(cur)
         trace = (*path, *hit[3][hit[4]:])
         for k in range(len(path) - 1, -1, -1):
-            hit = row[path[k]._key] = [None, otps[k], hit, trace, k]
+            hit = row[path[k]] = [None, otps[k], hit, trace, k]
         return hit
 
 
-def _ladder_index(delta: OrdinalCNF, alpha: OrdinalCNF) -> int:
+def _ladder_index(delta: Ordinal, alpha: Ordinal) -> int:
     """The least n with fundamental_seq(delta, n) >= alpha, for a limit
     delta and alpha < delta.
 
@@ -329,26 +278,22 @@ def _ladder_index(delta: OrdinalCNF, alpha: OrdinalCNF) -> int:
     w^x >= r exactly when x >= g, where g is r's leading exponent if r
     is w^g itself and its successor otherwise: n is e's index for g.
     """
-    exp, coeff = delta.terms[-1]
-    head = delta.terms[:-1]
-    if coeff > 1:
-        head += ((exp, coeff - 1),)
+    exp, head = delta[-1][0], _head(delta)
     k = len(head)
-    if len(alpha.terms) <= k or alpha.terms[:k] != head:
+    if len(alpha) <= k or alpha[:k] != head:
         return 0
-    rest = alpha.terms[k:]
-    lead, c = rest[0]
-    if exp.is_successor():
+    lead, c = alpha[k]
+    more = len(alpha) > k + 1
+    if is_successor(exp):
         if lead != predecessor(exp):
             return 0
-        return c if len(rest) > 1 else c - 1
-    if c != 1 or len(rest) > 1:
+        return c if more else c - 1
+    if c != 1 or more:
         lead = successor(lead)
     return _ladder_index(exp, lead)
 
 
-def walk(alpha: OrdinalCNF, beta: OrdinalCNF,
-         C: LadderSystem) -> List[OrdinalCNF]:
+def walk(alpha: Ordinal, beta: Ordinal, C: LadderSystem) -> List[Ordinal]:
     """Descending trace of the walk from beta down to alpha. Every step
     lands in [alpha, cur), so the walk ends.
 
@@ -370,22 +315,22 @@ class WalkColoring:
     e(alpha, min(C_beta minus alpha)), and e(xi, alpha) for xi in
     C_beta intersect alpha; with e(alpha, alpha) = 0.
 
-    ``e`` runs the recursion through a memo keyed on pairs of keys;
+    ``e`` runs the recursion through a memo keyed on pairs of ordinals;
     ``row_e`` runs it on a walk tree of C's row and uses the memo only
     for the e(xi, alpha) terms, which belong to other rows.
     """
 
     def __init__(self, C: Optional[LadderSystem] = None):
         self.C = C or LadderSystem()
-        self._memo: Dict[Tuple[tuple, tuple], int] = {}
+        self._memo: Dict[Tuple[Ordinal, Ordinal], int] = {}
 
-    def e(self, alpha: OrdinalCNF, beta: OrdinalCNF) -> int:
+    def e(self, alpha: Ordinal, beta: Ordinal) -> int:
         c = ord_cmp(alpha, beta)
         if c == 0:
             return 0
         if c > 0:
             raise ValueError("e requires alpha <= beta")
-        key = (alpha._key, beta._key)
+        key = (alpha, beta)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -396,7 +341,7 @@ class WalkColoring:
         self._memo[key] = value
         return value
 
-    def row_e(self, alpha: OrdinalCNF, entry: list) -> int:
+    def row_e(self, alpha: Ordinal, entry: list) -> int:
         """e(alpha, delta) for the entry of delta in C's row for alpha,
         filled in on it and on every entry below it that lacks it. A
         successor delta has no ladder point below alpha, and a limit
@@ -414,12 +359,6 @@ class WalkColoring:
                     value = max(value, self.e(xi, alpha))
             entry[0] = value
         return value
-
-
-def ord_sort_key(a: OrdinalCNF) -> Tuple:
-    """A plain tuple that sorts like the ordinal: one (exponent key,
-    coefficient) pair per term."""
-    return a._key
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +404,7 @@ class ColoringTable:
     def __init__(self, e: Optional[Dict[Tuple[int, int], int]] = None,
                  c0: Optional[Dict[Tuple[int, int], int]] = None,
                  c1: Optional[Dict[Tuple[int, int], int]] = None,
-                 scope: Sequence[OrdinalCNF] = ()):
+                 scope: Sequence[Ordinal] = ()):
         self.scope = list(scope)
         maps = {"e": e or {}, "c0": c0 or {}, "c1": c1 or {}}
         self.n = max([len(self.scope)] +
@@ -529,7 +468,7 @@ class ColoringTable:
         return out
 
     @classmethod
-    def from_walks(cls, scope: Sequence[OrdinalCNF],
+    def from_walks(cls, scope: Sequence[Ordinal],
                    C: Optional[LadderSystem] = None) -> "ColoringTable":
         """The walk colorings on the ranked scope: for alpha < beta, e
         from the walk recursion, c0 the number of steps of the walk from
@@ -544,27 +483,25 @@ class ColoringTable:
         computed once per row (``WalkColoring.row_e``)."""
         C = C or LadderSystem()
         coloring = WalkColoring(C)
-        ranked = sorted(scope, key=ord_sort_key)
-        if len({x._key for x in ranked}) < len(ranked):
+        ranked = sorted(scope)
+        if len(set(ranked)) < len(ranked):
             raise ValueError("from_walks needs distinct ordinals")
         heads, depths, first = [], [], {}
         for j, x in enumerate(ranked):
-            k = x.terms[-1][1] if x.is_successor() else 0
-            heads.append(x._key[:-1] if k else x._key)
+            k = x[-1][1] if is_successor(x) else 0
+            heads.append(x[:-1] if k else x)
             depths.append(k)
             first.setdefault(heads[-1], j)
-        # the walked nodes: (key, members below, ordinal) of each head
-        # with members below it, and their columns (e, c0, c1)
-        nodes = [(h, m, OrdinalCNF(ranked[m].terms[:-1], h)
-                  if depths[m] else ranked[m])
-                 for h, m in first.items() if m]
-        below = {h: ([], [], []) for h, _, _ in nodes}
+        # the walked nodes, each head with members below it and the index
+        # of its first member; their columns (e, c0, c1)
+        nodes = [(h, m) for h, m in first.items() if m]
+        below = {h: ([], [], []) for h, _ in nodes}
         for i, a in enumerate(ranked):
             row = C.row(a)
-            for h, m, node in nodes:
+            for h, m in nodes:
                 if i < m:
                     col = below[h]
-                    col[1].append(len(walk(a, node, C)) - 1)
+                    col[1].append(len(walk(a, h, C)) - 1)
                     entry = row[h]
                     col[0].append(coloring.row_e(a, entry))
                     col[2].append(entry[1])
@@ -701,17 +638,16 @@ class ColoringTable:
 # scopes and scans
 
 
-def omega_sq_scope(count: int) -> List[OrdinalCNF]:
+def omega_sq_scope(count: int) -> List[Ordinal]:
     """The first ``count`` ordinals below omega^2 in a square
     enumeration: omega*a + b over a growing square grid, sorted."""
     side = math.isqrt(count) + 2
     return sorted((ord_add(omega_power(ONE, a) if a else ZERO, from_int(b))
-                   for a in range(side) for b in range(side)),
-                  key=ord_sort_key)[:count]
+                   for a in range(side) for b in range(side)))[:count]
 
 
 def hitting_scan(
-    A: Sequence[OrdinalCNF],
+    A: Sequence[Ordinal],
     targets: Sequence[Tuple[int, int, int]],
     c0: Callable[[int, int], Optional[int]],
     c1: Callable[[int, int], Optional[int]],
@@ -722,7 +658,7 @@ def hitting_scan(
     (i, j), i < j, in sorted A, as the lookups of ``from_walks(A)`` do.
     Reporting only; the club-quantified property is not decidable at
     this scale."""
-    ordered = sorted(A, key=ord_sort_key)
+    ordered = sorted(A)
     # one pass over the pairs: the e values of each targeted (c0, c1),
     # grouped by beta in increasing order
     wanted = {(xi0, xi1) for xi0, xi1, _ in targets}

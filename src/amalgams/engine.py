@@ -117,8 +117,8 @@ class StageState:
     """A snapshot of the construction after `stage` generators.
 
     ``_rows`` holds this stage's decomposition rows: an element's
-    ``decompose_star`` at every cut, one row per (payload, gamma, level,
-    registry size)."""
+    ``decompose_star`` at every cut, one row per (payload, gamma,
+    registry size), which every level of the element's layers reads."""
 
     def __init__(self, colorings: ColoringTable, stage: int = 0):
         self.colorings = colorings
@@ -278,13 +278,14 @@ def _decomposition_row(g: Element, gamma: int, state: StageState) -> list:
 
 
 def _row(g: Element, gamma: int, i: int, state: StageState) -> list:
-    """The decomposition row of g in the (gamma, i) layer, built once
-    per (payload, gamma, i, registry size). Only rows are kept, so an
-    element outside the layer raises on every call."""
-    key = (g.payload, gamma, i, len(state.registry))
+    """The decomposition row of g in the (gamma, i) layer. The row does
+    not depend on the level, so it is built once per (payload, gamma,
+    registry size); the layer is checked on every call, so an element
+    outside the (gamma, i) layer raises although its row is kept."""
+    _check_layer(g, gamma, i, state)
+    key = (g.payload, gamma, len(state.registry))
     row = state._rows.get(key)
     if row is None:
-        _check_layer(g, gamma, i, state)
         row = state._rows[key] = _decomposition_row(g, gamma, state)
     return row
 

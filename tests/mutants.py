@@ -53,6 +53,9 @@ TABLE_CHANGE = ("table groups: Light's associativity test, element "
 CONTRACT_CHANGE = "check_contract on bit masks, not a numpy triple scan"
 MEMO_CHANGE = "per-syllable work once per distinct syllable object"
 FLAT_CPRIME_CHANGE = "flat replay of C' witnesses on shared-free amalgams"
+TUPLE_CHANGE = "an ordinal is its Cantor-normal-form tuple"
+BOUND_CHANGE = "the C' replay recomputes the witness's bound"
+LEVEL_ROW_CHANGE = "one decomposition row per element and stage"
 CLEAN_CHANGE = ("clean syllable runs pushed in bulk; the collector paused "
                 "for each command")
 CONTRACT = ("tests/test_colorings.py::"
@@ -72,6 +75,9 @@ DIGESTS = ("tests/test_op_digests.py::"
            "test_benchmark_ops_match_their_digests",)
 WALKS = ("tests/test_colorings.py::"
          "test_from_walks_matches_scanned_walks_below_omega_powers",)
+ORDINALS = ("tests/test_colorings.py::test_successor_predecessor_invert",
+            "tests/test_colorings.py::"
+            "test_canonical_ladder_matches_point_scan")
 RUNS_DIFF = ("tests/test_colorings.py::"
              "test_from_walks_matches_reference_on_omega_squared_scopes",
              "tests/test_colorings.py::"
@@ -175,8 +181,8 @@ MUTANTS = (
            DIGEST_CHANGE),
     # the nodes of the previous alpha's tree stay in the new row
     Mutant("walk-row-not-reset", "colorings.py",
-           "self._row = {alpha._key: [0, 0, None, (alpha,), 0]}",
-           "self._row.setdefault(alpha._key, [0, 0, None, (alpha,), 0])",
+           "self._row = {alpha: [0, 0, None, (alpha,), 0]}",
+           "self._row.setdefault(alpha, [0, 0, None, (alpha,), 0])",
            WALKS, WALK_CHANGE),
     # on the canonical ladder these terms never raise e; TailedLadder's do
     Mutant("row-e-without-members-below", "colorings.py",
@@ -189,7 +195,7 @@ MUTANTS = (
            "col[2].append(entry[1])", "col[2].append(entry[2][1])", WALKS,
            WALK_CHANGE),
     Mutant("c1-from-alpha-entry", "colorings.py",
-           "col[2].append(entry[1])", "col[2].append(row[a._key][1])",
+           "col[2].append(entry[1])", "col[2].append(row[a][1])",
            WALKS, WALK_CHANGE),
     Mutant("run-depth-off-by-one", "colorings.py",
            "[k - depths[i] for i in run]",
@@ -408,8 +414,7 @@ MUTANTS = (
            FLAT_CPRIME, FLAT_CPRIME_CHANGE),
     # a unit aligned with its partner from seed 1 then counts as a piece
     Mutant("flat-cprime-without-wrap-test", "cancellation.py",
-           "    if wit.min_len == n == m and "
-           "chain.h0.owner.is_identity(chain.h0):\n"
+           "    if n == m and chain.h0.owner.is_identity(chain.h0):\n"
            "        full = chain if wit.ell == n else \\\n"
            "            _free_part(T, w1, w2, wit.i1, wit.j2, n)\n"
            "        return full.ell < n or "
@@ -420,6 +425,32 @@ MUTANTS = (
            "    for s in range(j2, j2 + t):\n",
            "    for s in range(j2, min(j2 + t, m)):\n",
            FLAT_CPRIME, FLAT_CPRIME_CHANGE),
+    # a successor is told by its first term, so w+1 is no successor
+    Mutant("successor-from-first-term", "colorings.py",
+           "return bool(a) and not a[-1][0]", "return bool(a) and not a[0][0]",
+           ORDINALS, TUPLE_CHANGE),
+    # 3 - 1 reads as 0, and the ladder of w^(2)*2 lies below w^(2)
+    Mutant("head-drops-last-term", "colorings.py",
+           "return a[:-1] + ((exp, coeff - 1),) if coeff > 1 else a[:-1]",
+           "return a[:-1]", ORDINALS, TUPLE_CHANGE),
+    # a witness that names a lower threshold than chi gives is confirmed
+    Mutant("cprime-replay-trusts-threshold", "cancellation.py",
+           "if (wit.min_len, wit.threshold) != (min_len, "
+           "math.ceil(R.chi * min_len)) \\\n",
+           "if wit.min_len != min_len \\\n",
+           FLAT_CPRIME, BOUND_CHANGE),
+    # a kept row lets an element through into a lower level's layer
+    Mutant("layer-checked-on-miss-only", "engine.py",
+           "    _check_layer(g, gamma, i, state)\n"
+           "    key = (g.payload, gamma, len(state.registry))\n"
+           "    row = state._rows.get(key)\n"
+           "    if row is None:\n",
+           "    key = (g.payload, gamma, len(state.registry))\n"
+           "    row = state._rows.get(key)\n"
+           "    if row is None:\n"
+           "        _check_layer(g, gamma, i, state)\n",
+           ("tests/test_engine.py::test_layer_membership_enforced",),
+           LEVEL_ROW_CHANGE),
     Mutant("main-without-restoring-finally", "cli.py",
            "    finally:\n        if collecting:\n            gc.enable()\n",
            "    finally:\n        pass\n",

@@ -7,6 +7,7 @@ naive DP scans, exhaustive chain search) so agreement is meaningful.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from array import array
@@ -37,7 +38,6 @@ from amalgams.colorings import (
     LadderSystem,
     WalkColoring,
     fundamental_seq,
-    ord_sort_key,
     ord_to_str,
     predecessor,
     walk,
@@ -275,43 +275,55 @@ def double_coset(table, h_set, g: int):
 # walks on the canonical ladder by scanning its points
 #
 # The package finds a canonical ladder index by CNF arithmetic and
-# compares ordinals by cached keys. Here the points predecessor(delta),
-# or fundamental_seq(delta, n) for n = 0, 1, ..., are listed until one is
+# compares ordinals as tuples. Here the points predecessor(delta), or
+# fundamental_seq(delta, n) for n = 0, 1, ..., are listed until one is
 # not below alpha, and ordinals are compared term by term.
 
 
 def cnf_less(a, b) -> bool:
     """a < b, by recursion on the Cantor-normal-form terms."""
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+    for (ea, ca), (eb, cb) in zip(a, b):
         if cnf_less(ea, eb):
             return True
         if cnf_less(eb, ea):
             return False
         if ca != cb:
             return ca < cb
-    return len(a.terms) < len(b.terms)
+    return len(a) < len(b)
 
 
-def ord_key(a) -> tuple:
-    """A nested tuple naming the ordinal, built from its terms."""
-    return tuple((ord_key(exp), coeff) for exp, coeff in a.terms)
+def cnf_sorted(scope) -> list:
+    """scope in increasing order by ``cnf_less``."""
+    return sorted(scope, key=functools.cmp_to_key(
+        lambda a, b: cnf_less(b, a) - cnf_less(a, b)))
+
+
+def _is_successor(delta) -> bool:
+    return bool(delta) and delta[-1][0] == ()
+
+
+# more ladder points than any test ordinal needs, which a scan past
+# its alpha only reaches on a ladder that is not cofinal in delta
+SCAN_LIMIT = 10_000
 
 
 def scan_ladder_step(delta, alpha, points=fundamental_seq):
     """(the least ladder point of delta that is >= alpha, its index), for
     alpha < delta; points(delta, n) is the n-th point of a limit's
-    ladder, the canonical one by default."""
-    if delta.is_successor():
+    ladder, the canonical one by default. A scan past ``SCAN_LIMIT``
+    points raises AssertionError."""
+    if _is_successor(delta):
         return predecessor(delta), 0
     n = 0
     while cnf_less(points(delta, n), alpha):
         n += 1
+        assert n < SCAN_LIMIT, "the ladder does not reach alpha"
     return points(delta, n), n
 
 
 def scan_members_below(delta, alpha, points=fundamental_seq):
     """The ladder points of delta below alpha < delta."""
-    if delta.is_successor():
+    if _is_successor(delta):
         return []
     n = scan_ladder_step(delta, alpha, points)[1]
     return [points(delta, k) for k in range(n)]
@@ -339,7 +351,7 @@ class ScanWalks:
     def e(self, alpha, beta) -> int:
         if not cnf_less(alpha, beta):
             return 0
-        key = (ord_key(alpha), ord_key(beta))
+        key = (alpha, beta)
         if key not in self.memo:
             nxt, otp = self.step(beta, alpha)
             value = max(otp, self.e(alpha, nxt))
@@ -362,14 +374,14 @@ def reference_from_walks(scope, C=None) -> tuple:
     the row entry of beta that this walk filled."""
     C = C or LadderSystem()
     coloring = WalkColoring(C)
-    ranked = sorted(scope, key=ord_sort_key)
+    ranked = cnf_sorted(scope)
     e, c0, c1 = {}, {}, {}
     for i, a in enumerate(ranked):
         row = C.row(a)
         for j in range(i + 1, len(ranked)):
             b = ranked[j]
             c0[i, j] = len(walk(a, b, C)) - 1
-            entry = row[b._key]
+            entry = row[b]
             c1[i, j] = entry[1]
             e[i, j] = coloring.row_e(a, entry)
     return ranked, e, c0, c1
@@ -595,9 +607,15 @@ def closure_contains(R, w) -> bool:
 def element_replay_cprime_witness(R, wit) -> bool:
     """Re-run the witnessed chain step by step, capped at ``min_len``
     and with the wrap left out, and confirm the verdict; a witness that
-    names no unit gives False."""
+    names no unit, or whose ``min_len`` or ``threshold`` is not the one
+    its units' lengths and ``R.chi`` give, gives False."""
     u1, u2 = R.by_uid.get(wit.uid1), R.by_uid.get(wit.uid2)
     if u1 is None or u2 is None:
+        return False
+    min_len = min(len(u1.word), len(u2.word))
+    if wit.min_len != min_len or \
+            wit.threshold != -(-min_len * R.chi.numerator //
+                               R.chi.denominator):
         return False
     res = cancellation_chain(R.T, u1.word, u2.word, wit.i1, wit.j2,
                              wit.min_len, skip_trivial_wrap=True)

@@ -1070,15 +1070,24 @@ def test_free_replay_matches_element_replay(rho_system):
     assert seen["tampered rejected"] >= 1000, seen
 
 
+def _small_chi(R):
+    """R's relators at chi = 1/10^4: every unit of the fixtures (6,640
+    syllables) and of the random sets then has threshold 1."""
+    return RelatorSet(R.T, R.bases, chi=Fraction(1, 10**4))
+
+
 def _chain_witness(R, u1, u2, i1, j2):
     """The witness of the element walk's chain from (i1, j2) between
-    two units, with threshold 1; None when the chain is empty."""
+    two units, with the threshold R.chi gives; None when the chain is
+    shorter than that."""
     n, m = len(u1.word), len(u2.word)
+    threshold = math.ceil(R.chi * min(n, m))
     res = cancellation_chain(R.T, u1.word, u2.word, i1, j2, min(n, m),
                              skip_trivial_wrap=True)
-    if res.ell < 1:
+    if res.ell < threshold:
         return None
-    return CPrimeWitness(u1.uid, u2.uid, i1, j2, res.ell, min(n, m), 1,
+    return CPrimeWitness(u1.uid, u2.uid, i1, j2, res.ell, min(n, m),
+                         threshold,
                          res.h0.owner.payload_to_json(res.h0.payload),
                          R.T.side_of_group(res.h0.owner))
 
@@ -1086,14 +1095,17 @@ def _chain_witness(R, u1, u2, i1, j2):
 def _cprime_tamperings(R, wit):
     """(change, witness) for each of a set of changes to a witness: ell
     one more or one less, i1 or j2 moved by one, the two units swapped,
-    and the wrap of the first unit against its partner."""
+    the wrap of the first unit against its partner, the threshold
+    lowered and min_len raised; the last two must replay False."""
     n = len(R.by_uid[wit.uid1].word)
     for change in ({"ell": wit.ell + 1}, {"ell": wit.ell - 1},
                    {"i1": wit.i1 + 1}, {"i1": wit.i1 - 1},
                    {"j2": wit.j2 + 1}, {"j2": wit.j2 - 1},
                    {"uid1": wit.uid2, "uid2": wit.uid1},
                    {"uid2": R.by_uid[wit.uid1].partner,
-                    "j2": (n - 1 - wit.i1) % n, "ell": n, "min_len": n}):
+                    "j2": (n - 1 - wit.i1) % n, "ell": n, "min_len": n},
+                   {"threshold": wit.threshold - 1},
+                   {"min_len": wit.min_len + 1}):
         yield change, wit._replace(**change)
 
 
@@ -1105,6 +1117,9 @@ def _cprime_replays_agree(R, wit, seen):
     for change, bad in _cprime_tamperings(R, wit):
         got = replay_cprime_witness(R, bad)
         assert got is element_replay_cprime_witness(R, bad), (change, wit)
+        if change.keys() in ({"threshold"}, {"min_len"}):
+            assert got is False, (change, wit)
+            seen[f"{next(iter(change))} tampered"] += 1
         seen["tampered accepted" if got else "tampered rejected"] += 1
 
 
@@ -1126,7 +1141,8 @@ def test_flat_cprime_replay_matches_element_replay():
     # random shared-free amalgams. There a relator and its h-translate
     # give full-length chains that start or end on h != 1, a rotated
     # copy gives chains across the end of a unit, and some units have
-    # odd length
+    # odd length. A scan's own witness replays on its set; the chains
+    # replay on a copy at a chi that makes every chain a witness
     rng = random.Random(20261022)
     seen = collections.Counter()
     for name in ("trivial_h", "with_h", "d_case", "corrupted"):
@@ -1136,6 +1152,7 @@ def test_flat_cprime_replay_matches_element_replay():
         if res.status == "fail":
             _cprime_replays_agree(R, res.witness, seen)
             seen["fixture witness"] += 1
+        R = _small_chi(R)
         found = 0
         while found < 6:
             u1, u2 = rng.choice(R.units), rng.choice(R.units)
@@ -1168,6 +1185,7 @@ def test_flat_cprime_replay_matches_element_replay():
         if res.status == "fail":
             _cprime_replays_agree(R, res.witness, seen)
             seen["scan witness"] += 1
+        R = _small_chi(R)
         witnesses = [_chain_witness(R, u1, u2, i1, j2)
                      for u1 in R.units for u2 in R.units
                      for i1 in range(len(u1.word))
@@ -1183,6 +1201,8 @@ def test_flat_cprime_replay_matches_element_replay():
     assert seen["past the end of w2"] >= 100, seen
     assert seen["tampered accepted"] >= 200, seen
     assert seen["tampered rejected"] >= 2000, seen
+    assert seen["threshold tampered"] == seen["min_len tampered"] >= 1000, \
+        seen
 
 
 def test_dehn_kills_product_of_relator_conjugates(rho_system):

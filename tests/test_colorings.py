@@ -13,7 +13,6 @@ from amalgams.colorings import (
     LadderSystem,
     OMEGA,
     ONE,
-    OrdinalCNF,
     WalkColoring,
     ZERO,
     cantor_pair,
@@ -21,12 +20,13 @@ from amalgams.colorings import (
     from_int,
     fundamental_seq,
     hitting_scan,
+    is_limit,
+    is_successor,
     omega_power,
     omega_sq_scope,
     ord_add,
     ord_cmp,
     ord_from_str,
-    ord_sort_key,
     ord_to_str,
     predecessor,
     successor,
@@ -34,6 +34,7 @@ from amalgams.colorings import (
 )
 from oracles import (
     ScanWalks,
+    cnf_less,
     naive_subadditivity,
     reference_from_walks,
     scan_ladder_step,
@@ -56,8 +57,8 @@ def as_int(o, base=10**6):
     # order-preserving embedding of ordinals below omega^3 with small
     # coefficients: evaluate the CNF at a huge base
     total = 0
-    for exp, coeff in o.terms:
-        level = exp.terms[-1][1] if exp.is_successor() else 0
+    for exp, coeff in o:
+        level = exp[-1][1] if is_successor(exp) else 0
         total += coeff * base**level
     return total
 
@@ -126,21 +127,53 @@ def test_fundamental_seq_increasing_and_below():
     assert count > 20
 
 
+def in_normal_form(a) -> bool:
+    """a is a tuple of (exponent, coefficient) pairs with exponents in
+    normal form and strictly decreasing by ``cnf_less``, and positive
+    int coefficients."""
+    return type(a) is tuple and all(
+        type(t) is tuple and len(t) == 2 and in_normal_form(t[0]) and
+        type(t[1]) is int and t[1] > 0 for t in a) and \
+        all(cnf_less(b[0], x[0]) for x, b in zip(a, a[1:]))
+
+
+def test_tuple_order_is_ordinal_order():
+    # the package compares ordinals as tuples; the oracle recurses on
+    # the terms. Pairs of one CNF and a copy of it with one coefficient
+    # moved by one, or with its last term dropped, are among them
+    rng = random.Random(20261021)
+    exps = FINITE_EXPS + TRANSFINITE_EXPS
+    seen = set()
+    for _ in range(3000):
+        a = random_cnf(rng, exps)
+        k = rng.randrange(len(a))
+        exp, coeff = a[k]
+        near = a[:k] + ((exp, max(1, coeff + rng.choice((-1, 1)))),) + \
+            a[k + 1:]
+        for b in (random_cnf(rng, exps), near, a[:-1], a):
+            assert in_normal_form(b)
+            less, more = cnf_less(a, b), cnf_less(b, a)
+            assert ((a < b), (b < a), (a == b)) == \
+                (less, more, not (less or more)), (a, b)
+            seen.add((less, more))
+    assert seen == {(True, False), (False, True), (False, False)}
+
+
 def test_ladder_arithmetic_builds_checked_ordinals():
-    # predecessor and fundamental_seq skip the CNF checks: rebuilding
-    # each result through them, or through its string, gives an equal
-    # ordinal with the same sort key and hash
+    # predecessor and fundamental_seq build their results by slicing
+    # tuples: each is in normal form, below its ordinal, and equal to
+    # its string read back
     rng = random.Random(20261020)
     exps = FINITE_EXPS + TRANSFINITE_EXPS
     made = 0
     for _ in range(400):
         d = random_cnf(rng, exps)
-        outs = ([predecessor(d)] if d.is_successor() else
+        outs = ([predecessor(d)] if is_successor(d) else
                 [fundamental_seq(d, n) for n in range(4)])
         for p in outs:
-            for q in (OrdinalCNF(p.terms), ord_from_str(ord_to_str(p))):
-                assert (q, q._key, hash(q)) == (p, p._key, hash(p))
-            assert p < d
+            assert in_normal_form(p), p
+            assert ord_from_str(ord_to_str(p)) == p
+            assert cnf_less(p, d)
             made += 1
     assert made > 1000
 
@@ -162,12 +195,10 @@ def test_string_roundtrip():
 
 
 def test_malformed_cnf_rejected():
-    with pytest.raises(ValueError):
-        OrdinalCNF(((ZERO, 0),))
-    with pytest.raises(ValueError):
-        OrdinalCNF(((ZERO, 1), (ONE, 1)))
-    with pytest.raises(ValueError):
-        ord_from_str("w^")
+    for bad in (lambda: ord_from_str("w*0"), lambda: ord_from_str("w^"),
+                lambda: omega_power(OMEGA, 0), lambda: from_int(-1)):
+        with pytest.raises(ValueError):
+            bad()
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +244,7 @@ def random_cnf(rng, exps):
     picks = sorted(rng.sample(range(len(exps)),
                               rng.randint(1, min(3, len(exps)))),
                    reverse=True)
-    return OrdinalCNF(tuple((exps[k], rng.randint(1, 3)) for k in picks))
+    return tuple((exps[k], rng.randint(1, 3)) for k in picks)
 
 
 def ladder_pairs(rng, exps, count):
@@ -225,13 +256,12 @@ def ladder_pairs(rng, exps, count):
     while len(out) < count:
         delta = random_cnf(rng, exps)
         low = random_cnf(rng, exps)
-        if not delta.is_limit():
+        if not is_limit(delta):
             if low < delta:
                 out.append((delta, low, "successor"))
             continue
-        exp, coeff = delta.terms[-1]
-        head = OrdinalCNF(delta.terms[:-1] +
-                          (((exp, coeff - 1),) if coeff > 1 else ()))
+        exp, coeff = delta[-1]
+        head = delta[:-1] + (((exp, coeff - 1),) if coeff > 1 else ())
         point = fundamental_seq(delta, rng.randrange(4))
         tail = random_cnf(rng, exps[:rng.randint(1, 3)])
         g = rng.choice([x for x in exps if x < exp])
@@ -263,8 +293,8 @@ def test_canonical_ladder_matches_point_scan():
         assert [ord_to_str(x) for x in C.members_below(delta, alpha)] == \
             [ord_to_str(x) for x in scan_members_below(delta, alpha)]
         kinds[kind] = kinds.get(kind, 0) + 1
-        if delta.is_limit():
-            limit_exps.add(ord_to_str(delta.terms[-1][0]))
+        if is_limit(delta):
+            limit_exps.add(ord_to_str(delta[-1][0]))
     below_ww = sum(1 for delta, _, _ in pairs if delta < omega_power(OMEGA))
     assert below_ww >= 2000
     assert min(kinds.values()) >= 100 and len(kinds) == 8
@@ -313,8 +343,8 @@ def random_below_omega_power(rng, top, count):
     coefficient 0 to 3 and about half of them 0."""
     out = {}
     while len(out) < count:
-        x = OrdinalCNF(tuple((from_int(k), c) for k in reversed(range(top))
-                             for c in (max(0, rng.randint(-3, 3)),) if c))
+        x = tuple((from_int(k), c) for k in reversed(range(top))
+                  for c in (max(0, rng.randint(-3, 3)),) if c)
         out[ord_to_str(x)] = x
     return list(out.values())
 
@@ -325,14 +355,14 @@ def tailed_points(delta, n):
     otherwise. On the canonical ladder the e(xi, alpha) terms of the
     recursion never raise e on these scopes; on this one they do."""
     p = fundamental_seq(delta, n)
-    return ord_add(p, from_int(5)) if ONE < delta.terms[-1][0] else p
+    return ord_add(p, from_int(5)) if ONE < delta[-1][0] else p
 
 
 class TailedLadder(LadderSystem):
     """The ladder system of ``tailed_points``, by a scan of its points."""
 
     def step(self, delta, alpha):
-        if delta.is_successor():
+        if is_successor(delta):
             return super().step(delta, alpha)
         n = 0
         while tailed_points(delta, n) < alpha:
@@ -340,7 +370,7 @@ class TailedLadder(LadderSystem):
         return tailed_points(delta, n), n
 
     def members_below(self, delta, alpha):
-        if delta.is_successor():
+        if is_successor(delta):
             return super().members_below(delta, alpha)
         return [tailed_points(delta, k)
                 for k in range(self.step(delta, alpha)[1])]
@@ -410,9 +440,8 @@ def test_from_walks_matches_reference_on_random_scopes():
         for ladder in (LadderSystem, TailedLadder):
             for count in (2, 9, 24, 40):
                 scope = random_below_omega_power(rng, top, count)
-                keys = {x._key for x in scope}
-                outside += sum(1 for x in scope if x.is_successor()
-                               and x._key[:-1] not in keys)
+                outside += sum(1 for x in scope if is_successor(x)
+                               and x[:-1] not in scope)
                 assert_matches_reference(scope, ladder)
     assert outside >= 20
 
@@ -453,10 +482,9 @@ def test_subadditivity_exhaustive_on_scope(walks_table):
 def test_subadditivity_exhaustive_on_omega_cubed_scope():
     # walks down from w^2*a pass limits of limits, which no pair of the
     # w^2 scope does: the first 300 of w^2*a + w*b + c with a, b, c < 7
-    scope = sorted((OrdinalCNF(tuple((from_int(k), x) for k, x in
-                                     ((2, a), (1, b), (0, c)) if x))
-                    for a, b, c in itertools.product(range(7), repeat=3)),
-                   key=ord_sort_key)[:300]
+    scope = sorted(tuple((from_int(k), x) for k, x in
+                         ((2, a), (1, b), (0, c)) if x)
+                   for a, b, c in itertools.product(range(7), repeat=3))[:300]
     table = ColoringTable.from_walks(scope)
     n = len(scope)
     assert table.check_contract() == {
@@ -473,10 +501,10 @@ def test_subadditivity_exhaustive_on_omega_cubed_scope():
 def test_subadditivity_exhaustive_on_omega_fourth_scope():
     # walks down from w^3*a pass limits of limits of limits: the first
     # 300 of w^3*a + w^2*b + w*c + d with a, b, c, d < 5
-    scope = sorted((OrdinalCNF(tuple((from_int(k), x) for k, x in
-                                     ((3, a), (2, b), (1, c), (0, d)) if x))
-                    for a, b, c, d in itertools.product(range(5), repeat=4)),
-                   key=ord_sort_key)[:300]
+    scope = sorted(tuple((from_int(k), x) for k, x in
+                         ((3, a), (2, b), (1, c), (0, d)) if x)
+                   for a, b, c, d in itertools.product(range(5),
+                                                       repeat=4))[:300]
     assert ord_to_str(scope[-1]) == "w^(3)*2+w^(2)+w*4+4"
     table = ColoringTable.from_walks(scope)
     n = len(scope)
@@ -682,7 +710,6 @@ def test_hitting_scan_default_colorings_smoke(walks_table):
 def test_scope_enumeration_is_sorted_and_sized():
     scope = omega_sq_scope(300)
     assert len(scope) == 300
-    keys = [ord_sort_key(x) for x in scope]
-    assert keys == sorted(keys)
+    assert all(cnf_less(x, y) for x, y in zip(scope, scope[1:]))
     w2 = omega_power(from_int(2))
     assert all(ord_cmp(x, w2) < 0 for x in scope)

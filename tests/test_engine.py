@@ -148,6 +148,12 @@ def test_layer_membership_enforced(tower):
     x4 = tower.generator(4)  # e(4, 5) = 2, outside the strict level-2 set
     with pytest.raises(ValueError):
         E.transversal_rep(x4, 5, 2, 5, tower)
+    # e(2, 5) = 1: x2 lies in the (5, 2) layer but not in the (5, 1)
+    # one, whose call must raise although x2's row is already kept
+    x2 = tower.generator(2)
+    assert E.transversal_rep(x2, 5, 2, 1, tower).payload == x2.payload
+    with pytest.raises(ValueError):
+        E.transversal_rep(x2, 5, 1, 1, tower)
 
 
 def _outcome(fn, *args):
@@ -236,12 +242,11 @@ def test_tower_strips_each_query_once(monkeypatch):
     monkeypatch.setattr(E, "_decomposition_row", counting_row)
     monkeypatch.setattr(GroupHandle, "element", counting_element)
     state = tall_style_tower()
-    # at most one row per (payload, gamma, level, registry size), every
-    # cut read off it (113 rows on this tower), and normalised elements
-    # only where the registry is copied
-    levels = collections.Counter(gamma for gamma, _ in state.layers)
-    assert all(n <= levels[key[1]] for key, n in builds.items())
-    assert sum(builds.values()) <= 113
+    # one row per (payload, gamma, registry size), whatever the level,
+    # every cut read off it (65 rows on this tower), and normalised
+    # elements only where the registry is copied
+    assert set(builds.values()) == {1}
+    assert sum(builds.values()) == 65
     assert counts["element"] <= 100
     # and every audit still counts the instances it counted then
     totals = {}
